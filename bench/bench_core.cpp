@@ -63,14 +63,10 @@ class BenchSink final : public Node {
   void receive(PacketPtr pkt, std::uint32_t) override { pkt.reset(); }
 };
 
-/// Bursty wire delivery — the shape that separates the two schedulers.
-/// Each round hands the channel a back-to-back burst; the plain heap holds
-/// one entry per in-flight packet (every pop sifts across the burst), the
-/// lane holds the head only.  Same (t, seq) stream either way, so the two
-/// runs process identical event counts.
-CorePerf micro_lane_burst(bool lanes, int rounds, int burst) {
+/// Bursty wire delivery: each round hands the channel a back-to-back
+/// burst, which parks in the delivery lane with only its head in the heap.
+CorePerf micro_lane_burst(int rounds, int burst) {
   Simulator sim;
-  sim.set_use_lanes(lanes);
   Logger log(LogLevel::kOff);
   BenchSink sink(sim, log);
   Channel ch(sim, Bandwidth::gbps(100), microseconds(1));
@@ -99,13 +95,10 @@ CorePerf micro_lane_burst(bool lanes, int rounds, int burst) {
 /// ingress wire feeds one egress port, so the data queue builds past the
 /// (shallow) trim threshold and every receive outcome runs: classification,
 /// ECMP-cache hit, data enqueue, trim-to-HO, control-queue enqueue, and
-/// over-threshold ACK drop.  With `devirt` the channel static-dispatches
-/// into Switch::receive_fast; without it every arrival takes the virtual
-/// Node::receive hop.  The (t, seq) stream is identical either way, so the
-/// two runs process the same event count and the ratio is the dispatch win.
-CorePerf micro_switch_receive(bool devirt, int rounds, int burst) {
+/// over-threshold ACK drop.  The channel static-dispatches every arrival
+/// into Switch::receive_fast.
+CorePerf micro_switch_receive(int rounds, int burst) {
   Simulator sim;
-  sim.set_use_devirt(devirt);
   Logger log(LogLevel::kOff);
   BenchSink sink(sim, log);
 
@@ -455,9 +448,9 @@ int run_check(const char* json_path) {
   // note) against committed files that predate the entry.
   const double sw_committed = json_metric(ss.str(), "micro_switch_receive", "events_per_sec");
   if (sw_committed > 0.0) {
-    CorePerf sw = micro_switch_receive(/*devirt=*/true, /*rounds=*/1500, /*burst=*/512);
+    CorePerf sw = micro_switch_receive(/*rounds=*/1500, /*burst=*/512);
     for (int i = 1; i < 3; ++i) {
-      sw = min_wall(sw, micro_switch_receive(/*devirt=*/true, 1500, 512));
+      sw = min_wall(sw, micro_switch_receive(1500, 512));
     }
     const double sw_floor = 0.70 * sw_committed;
     const double sw_got = sw.events_per_sec();
@@ -516,18 +509,10 @@ int main(int argc, char** argv) {
   std::vector<CorePerfEntry> entries;
   entries.push_back({"micro_event_queue_push_pop_1M", micro_event_churn(1'000'000),
                      kSeedMicroEventsPerSec});
-  // Lane scheduler vs plain heap on the bursty-wire microbenchmark: the
-  // entry's perf is the lanes-on run; the "seed" column carries the plain
-  // heap on the identical event stream, so speedup_vs_seed is the lane win.
-  const CorePerf lane_on = micro_lane_burst(/*lanes=*/true, /*rounds=*/2000, /*burst=*/512);
-  const CorePerf lane_off = micro_lane_burst(/*lanes=*/false, 2000, 512);
-  entries.push_back({"micro_lane_vs_heap", lane_on, lane_off.events_per_sec()});
-  // Static vs virtual dispatch on the single-switch datapath: the entry's
-  // perf is the devirtualized run; the "seed" column carries the virtual-hop
-  // run of the identical stream, so speedup_vs_seed is the dispatch win.
-  const CorePerf swrecv_on = micro_switch_receive(/*devirt=*/true, /*rounds=*/1500, /*burst=*/512);
-  const CorePerf swrecv_off = micro_switch_receive(/*devirt=*/false, 1500, 512);
-  entries.push_back({"micro_switch_receive", swrecv_on, swrecv_off.events_per_sec()});
+  entries.push_back(
+      {"micro_lane_burst", micro_lane_burst(/*rounds=*/2000, /*burst=*/512), 0.0});
+  entries.push_back(
+      {"micro_switch_receive", micro_switch_receive(/*rounds=*/1500, /*burst=*/512), 0.0});
   // FEC codec at the default (8, 2) and the widest swept (16, 4) geometry;
   // no seed column (the coder is new with the FEC tier).
   entries.push_back({"micro_fec_codec_8_2", micro_fec_codec(8, 2, 20000), 0.0});

@@ -176,13 +176,6 @@ FaultInjector::Counters FaultInjector::counters() const {
   return c;
 }
 
-std::size_t FaultInjector::doomed_in_lanes() const {
-  std::size_t n = 0;
-  for (const Channel* ch : cut_channels_) n += ch->lane_doomed_pending();
-  return n;
-}
-
-
 void FaultInjector::replay_to(Time t) {
   struct Rep {
     Time at;

@@ -18,14 +18,12 @@
 // destructor detaches every hook it installed.
 //
 // Interaction with the two-level scheduler (net/lane.h): none of the hooks
-// touch the simulator heap.  Rate faults draw at the far end when a lane
-// record fires, exactly where the plain path would have drawn, so the RNG
-// stream consumption is identical.  A drop-in-flight link cut is an O(1)
+// touch the simulator heap.  Drop and corrupt draws happen at hand-off, in
+// Channel::deliver_slow, in transmit order; a corrupted frame still rides
+// the lane and dies at the far end.  A drop-in-flight link cut is an O(1)
 // epoch bump on the channel: records already parked in the lane are doomed
 // *lazily* — they stay in the FIFO, surface at their stamped (t, seq), and
-// only then account as in_flight_dropped.  Between the cut and the last
-// stamped arrival time, doomed_in_lanes() exposes how many such dead
-// records are still parked (a pure diagnostic; it never affects outputs).
+// only then account as in_flight_dropped.
 
 #include <cstdint>
 #include <deque>
@@ -80,12 +78,6 @@ class FaultInjector {
   /// RNG position, aggregate counters and every hooked channel's fault
   /// rates/counters (in hook-creation order, which replay_to reproduced).
   void checkpoint(StateIO& io);
-
-  /// Lane records doomed by a drop-in-flight cut but not yet surfaced —
-  /// in-flight losses the lane scheduler has committed to but not yet
-  /// accounted (always 0 on the plain path, and again 0 once simulated
-  /// time passes the last pre-cut arrival stamp).
-  std::size_t doomed_in_lanes() const;
 
  private:
   void arm();

@@ -172,12 +172,9 @@ bool SimWorld::save(SnapshotImage& out, std::string* error) {
   out = SnapshotImage{};
   out.fingerprint = spec_.fingerprint();
   out.shards = static_cast<std::uint32_t>(shards_->size());
-  Simulator& s0 = shards_->sim(0);
-  out.lanes = s0.use_lanes() ? 1 : 0;
-  out.devirt = s0.use_devirt() ? 1 : 0;
   out.at = at_;
   out.setup_seq_end = setup_seq_end_;
-  out.next_seq = s0.snapshot_next_seq();
+  out.next_seq = shards_->sim(0).snapshot_next_seq();
   out.clocks.resize(static_cast<std::size_t>(shards_->size()));
   for (int i = 0; i < shards_->size(); ++i) {
     const Simulator& s = shards_->sim(i);
@@ -209,10 +206,6 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
   }
   if (static_cast<int>(img.shards) != shards_->size()) {
     return fail("snapshot restore: shard count mismatch");
-  }
-  Simulator& s0 = shards_->sim(0);
-  if ((img.lanes != 0) != s0.use_lanes() || (img.devirt != 0) != s0.use_devirt()) {
-    return fail("snapshot restore: lane/devirt mode mismatch");
   }
   if (img.clocks.size() != static_cast<std::size_t>(shards_->size())) {
     return fail("snapshot restore: clock shape mismatch");
@@ -251,7 +244,7 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
     s.settle_deadline_top();
   }
   // One shared allocator across the group: restore once, translated.
-  s0.restore_next_seq(io.translate_seq(img.next_seq));
+  shards_->sim(0).restore_next_seq(io.translate_seq(img.next_seq));
   at_ = img.at;
   return true;
 }

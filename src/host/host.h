@@ -27,8 +27,8 @@ class Host final : public Node {
   void connect(Node* sw, std::uint32_t sw_port) { nic_.channel().connect(sw, sw_port); }
 
   using Node::receive;
-  /// Virtual path (DCP_DEVIRT=0 / custom callers): same body as the
-  /// statically-dispatched entry, so outputs are bit-identical.
+  /// Virtual entry for callers holding a Node* (tests, tools): same body
+  /// as the statically-dispatched entry.
   void receive(PacketPtr pkt, std::uint32_t in_port) override { receive_fast(std::move(pkt), in_port); }
   /// Statically-dispatched delivery entry (Channel::dispatch_receive casts
   /// to the final type and calls this non-virtually).  Gathers the flat

@@ -5,31 +5,13 @@
 
 #include "check/observer.h"
 #include "sim/snapshot.h"
-// The two concrete datapath endpoints, for the static dispatch in
-// dispatch_receive (both are final; their receive_fast entries are
-// header-visible so switch classification inlines into delivery).
+// The two concrete datapath endpoints, for the static dispatch in arrive()
+// (both are final; their receive_fast entries are header-visible so switch
+// classification inlines into delivery).
 #include "host/host.h"
 #include "switch/switch.h"
 
 namespace dcp {
-
-void Channel::dispatch_receive(PacketPtr p, Simulator& sim) {
-  // `sim` is the simulator executing this arrival (the destination shard's
-  // on cut edges); DCP_DEVIRT is process-wide, so every shard agrees.
-  if (sim.use_devirt()) {
-    switch (dst_kind_) {
-      case NodeKind::kSwitch:
-        static_cast<Switch*>(dst_)->receive_fast(std::move(p), dst_port_);
-        return;
-      case NodeKind::kHost:
-        static_cast<Host*>(dst_)->receive_fast(std::move(p), dst_port_);
-        return;
-      case NodeKind::kOther:
-        break;  // test sinks / tools: only the virtual hop exists
-    }
-  }
-  dst_->receive(std::move(p), dst_port_);
-}
 
 Channel::~Channel() {
   // Drain parked records so their packet slots return to the pool.  The
@@ -79,7 +61,7 @@ void Channel::deliver_slow(PacketPtr pkt, Time extra) {
 
   if (cross_dst_sim_ != nullptr) {
     // Cut edge: copy the packet out of the source shard's pool and park it
-    // until the barrier.  One sequence per delivery, same as both paths
+    // until the barrier.  One sequence per delivery, same as the lane
     // below, keeps the merged order bit-identical to the serial run.
     CrossRecord cr;
     cr.t = sim_.now() + extra + propagation_;
@@ -89,27 +71,6 @@ void Channel::deliver_slow(PacketPtr pkt, Time extra) {
     cr.pkt = *pkt;
     outbox_.push_back(std::move(cr));
     return;  // the dying handle recycles the source-side slot
-  }
-
-  if (!sim_.use_lanes()) {
-    // Plain path: one heap entry per packet.  The packet parks in an
-    // in-flight record rather than the event closure (so a snapshot can
-    // serialize the wire); the explicit alloc_event_seq consumes exactly
-    // the sequence schedule() would have, keeping firing order identical.
-    CrossRecord cr;
-    cr.t = sim_.now() + extra + propagation_;
-    cr.seq = sim_.alloc_event_seq();
-    cr.epoch = epoch;
-    cr.corrupt = corrupt;
-    cr.pkt = *pkt;
-    const Time t = cr.t;
-    const std::uint64_t seq = cr.seq;
-    inflight_.push_back(std::move(cr));
-    std::push_heap(inflight_.begin(), inflight_.end(), [](const CrossRecord& a, const CrossRecord& b) {
-      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-    });
-    sim_.schedule_cross(t, seq, [this] { plain_arrive_next(); });
-    return;
   }
 
   LaneRecord* r = LanePool::local().acquire();
@@ -122,22 +83,34 @@ void Channel::deliver_slow(PacketPtr pkt, Time extra) {
   lane_insert(r);
 }
 
-void Channel::arrive(PacketPtr p, std::uint32_t epoch, bool corrupt) {
+void Channel::arrive(PacketPtr p, std::uint32_t epoch, bool corrupt, Simulator& sim) {
+  // Observer hooks go through `sim`: that is the simulator executing this
+  // event (the destination shard's on a cut edge).
   if (epoch != cut_epoch_) {
-    if (CheckObserver* ob = sim_.check_observer()) {
+    if (CheckObserver* ob = sim.check_observer()) {
       ob->on_drop(DropSite::kWireCutInFlight, kInvalidNode, *p);
     }
     in_flight_dropped_++;  // a drop-in-flight cut happened mid-wire
     return;
   }
   if (corrupt) {
-    if (CheckObserver* ob = sim_.check_observer()) {
+    if (CheckObserver* ob = sim.check_observer()) {
       ob->on_drop(DropSite::kWireCorrupt, kInvalidNode, *p);
     }
     if (fault_ != nullptr) fault_->corrupted++;
     return;
   }
-  dispatch_receive(std::move(p), sim_);
+  switch (dst_kind_) {
+    case NodeKind::kSwitch:
+      static_cast<Switch*>(dst_)->receive_fast(std::move(p), dst_port_);
+      return;
+    case NodeKind::kHost:
+      static_cast<Host*>(dst_)->receive_fast(std::move(p), dst_port_);
+      return;
+    case NodeKind::kOther:
+      break;  // test sinks / tools: only the virtual hop exists
+  }
+  dst_->receive(std::move(p), dst_port_);
 }
 
 void Channel::lane_insert_ooo(LaneRecord* r) {
@@ -178,7 +151,7 @@ void Channel::fire_lane() {
     PacketPtr p = PacketPtr::adopt(r->pkt);
     r->pkt = nullptr;
     LanePool::local().release(r);
-    arrive(std::move(p), epoch, corrupt);
+    arrive(std::move(p), epoch, corrupt, sim_);
 
     // Same-time run coalescing: deliver the next record without a heap
     // round trip iff it is due NOW, the run loop was not stopped, and
@@ -191,7 +164,7 @@ void Channel::fire_lane() {
       lane_timer_.arm_keyed_abs(next->t, next->seq);
       return;
     }
-    sim_.note_coalesced_event(next->t, next->seq);  // the plain heap would have popped one event
+    sim_.note_coalesced_event(next->t, next->seq);  // counts as the event a heap pop would be
     r = next;
   }
 }
@@ -201,27 +174,11 @@ void Channel::enable_shard_mode(Simulator* dst_sim) {
   if (dst_sim != nullptr && cross_timer_ == nullptr) {
     cross_timer_ = std::make_unique<Timer>(*dst_sim, [this] { cross_arrive_next(); });
   }
-  // Parked lane and plain-path in-flight records carry window-provisional
-  // stamps; commit them at every barrier (the heap mirror is rewritten by
-  // end_shard_window; the per-shard remap is order-preserving, so the
-  // inflight_ heap stays valid in place).
+  // Parked lane records carry window-provisional stamps; commit them at
+  // every barrier (the heap mirror is rewritten by end_shard_window).
   sim_.add_seq_remap_hook([this](const SeqRemap& remap) {
     for (LaneRecord* r = lane_head_; r != nullptr; r = r->next) r->seq = remap(r->seq);
-    for (CrossRecord& r : inflight_) r.seq = remap(r.seq);
   });
-}
-
-void Channel::plain_arrive_next() {
-  // Events fire in (t, seq) order and each maps to exactly one record, so
-  // the minimum remaining record is the one this event was scheduled for.
-  auto later = [](const CrossRecord& a, const CrossRecord& b) {
-    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-  };
-  assert(!inflight_.empty());
-  std::pop_heap(inflight_.begin(), inflight_.end(), later);
-  CrossRecord rec = std::move(inflight_.back());
-  inflight_.pop_back();
-  arrive(PacketPtr::make(std::move(rec.pkt)), rec.epoch, rec.corrupt);
 }
 
 std::size_t Channel::drain_cross(const SeqRemap& remap) {
@@ -268,24 +225,8 @@ void Channel::cross_arrive_next() {
     cross_timer_->arm_keyed_abs(inbox_[inbox_head_].t, inbox_[inbox_head_].seq);
   }
   // Re-pool on the destination shard's thread, then run the shared far-end
-  // logic.  Observer hooks go through the destination simulator: that is
-  // the one executing this event.
-  PacketPtr p = PacketPtr::make(std::move(rec.pkt));
-  if (rec.epoch != cut_epoch_) {
-    if (CheckObserver* ob = cross_dst_sim_->check_observer()) {
-      ob->on_drop(DropSite::kWireCutInFlight, kInvalidNode, *p);
-    }
-    in_flight_dropped_++;
-    return;
-  }
-  if (rec.corrupt) {
-    if (CheckObserver* ob = cross_dst_sim_->check_observer()) {
-      ob->on_drop(DropSite::kWireCorrupt, kInvalidNode, *p);
-    }
-    if (fault_ != nullptr) fault_->corrupted++;
-    return;
-  }
-  dispatch_receive(std::move(p), *cross_dst_sim_);
+  // logic on the destination simulator.
+  arrive(PacketPtr::make(std::move(rec.pkt)), rec.epoch, rec.corrupt, *cross_dst_sim_);
 }
 
 void Channel::checkpoint(StateIO& io) {
@@ -356,11 +297,9 @@ void Channel::checkpoint(StateIO& io) {
     }
   }
 
-  // Plain-path in-flight records and the cross-shard inbox: serialized
-  // sorted ascending by (t, seq) — a sorted array is a valid heap under
-  // the max-`later` comparator (and the canonical inbox FIFO order), so
-  // the load-side arrangement is canonical and a re-save reproduces the
-  // image byte-for-byte.
+  // Cross-shard inbox: the consumed prefix is dead state; the live suffix
+  // is already in canonical ascending (t, seq) order, so a re-save
+  // reproduces the image byte-for-byte.
   auto rec_io = [&io](CrossRecord& r) {
     io.pod(r.t);
     io.seq(r.seq);
@@ -368,59 +307,28 @@ void Channel::checkpoint(StateIO& io) {
     io.pod(r.corrupt);
     io.pod(r.pkt);
   };
-  auto sorted_save = [&](std::vector<CrossRecord>& heap) {
-    std::vector<CrossRecord> recs = heap;
-    std::sort(recs.begin(), recs.end(), [](const CrossRecord& a, const CrossRecord& b) {
-      return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-    });
-    std::uint64_t m = recs.size();
-    io.pod(m);
-    for (CrossRecord& r : recs) rec_io(r);
-  };
-  auto plain_load = [&](std::vector<CrossRecord>& heap) {
-    std::uint64_t m = 0;
-    io.pod(m);
-    if (!io.ok()) return;
-    if (!heap.empty()) {
-      io.fail("restore target wire non-empty");
-      return;
-    }
-    for (std::uint64_t i = 0; i < m && io.ok(); ++i) {
-      CrossRecord r;
-      rec_io(r);
-      if (!io.ok()) break;
-      sim_.schedule_cross(r.t, r.seq, [this] { plain_arrive_next(); });
-      heap.push_back(std::move(r));
-    }
-  };
+  std::uint64_t m = inbox_.size() - inbox_head_;
+  io.pod(m);
   if (io.saving()) {
-    sorted_save(inflight_);
-    // The consumed prefix is dead state; the live suffix is already in
-    // canonical ascending order.
-    std::uint64_t m = inbox_.size() - inbox_head_;
-    io.pod(m);
     for (std::size_t i = inbox_head_; i < inbox_.size(); ++i) rec_io(inbox_[i]);
-  } else {
-    plain_load(inflight_);
-    std::uint64_t m = 0;
-    io.pod(m);
-    if (io.ok() && (!inbox_.empty() || inbox_head_ != 0)) {
-      io.fail("restore target wire non-empty");
+    return;
+  }
+  if (io.ok() && (!inbox_.empty() || inbox_head_ != 0)) {
+    io.fail("restore target wire non-empty");
+  }
+  for (std::uint64_t i = 0; i < m && io.ok(); ++i) {
+    CrossRecord r;
+    rec_io(r);
+    if (!io.ok()) break;
+    if (cross_timer_ == nullptr) {
+      io.fail("cross records without a destination shard");
+      break;
     }
-    for (std::uint64_t i = 0; i < m && io.ok(); ++i) {
-      CrossRecord r;
-      rec_io(r);
-      if (!io.ok()) break;
-      if (cross_timer_ == nullptr) {
-        io.fail("cross records without a destination shard");
-        break;
-      }
-      inbox_.push_back(std::move(r));
-    }
-    // One heap entry mirrors the head, exactly as drain_cross leaves it.
-    if (io.ok() && !inbox_.empty()) {
-      cross_timer_->arm_keyed_abs(inbox_.front().t, inbox_.front().seq);
-    }
+    inbox_.push_back(std::move(r));
+  }
+  // One heap entry mirrors the head, exactly as drain_cross leaves it.
+  if (io.ok() && !inbox_.empty()) {
+    cross_timer_->arm_keyed_abs(inbox_.front().t, inbox_.front().seq);
   }
 }
 

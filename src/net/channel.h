@@ -11,11 +11,10 @@
 // time and a global tie-break sequence — and keeps only the lane HEAD in
 // the simulator heap, via a persistent Timer keyed with the head's exact
 // (t, seq).  Heap size becomes O(active links) instead of O(packets in
-// flight), and outputs stay bit-identical to the plain path because every
-// delivery consumes exactly one sequence number, exactly as schedule()
-// would have at the same call site (see docs/architecture.md, "Two-level
-// scheduler").  DCP_LANES=0 (or Simulator::set_use_lanes(false)) selects
-// the plain one-event-per-packet path.
+// flight), while every delivery still consumes exactly one sequence
+// number, exactly as schedule() would have at the same call site, so it
+// interleaves with every other event as its own heap entry would (see
+// docs/architecture.md, "Two-level scheduler").
 
 #include <cassert>
 #include <cstddef>
@@ -40,8 +39,6 @@ class StateIO;
 /// packet is copied by value so the source shard's pool slot never leaves
 /// its owning thread.  `seq` is provisional until the window barrier
 /// remaps it; the destination shard re-pools the bytes on arrival.
-/// Also reused as the plain-path (DCP_LANES=0) in-flight record, so every
-/// wire occupancy is a serializable (t, seq, packet) tuple.
 struct CrossRecord {
   Time t = 0;
   std::uint64_t seq = 0;
@@ -77,7 +74,7 @@ class Channel {
     dst_ = dst;
     dst_port_ = dst_port;
     // Wiring-time resolution of the endpoint's concrete type: delivery
-    // static-dispatches on this tag (see dispatch_receive) so the switch
+    // static-dispatches on this tag (see arrive()) so the switch
     // classification inlines into the arrival path.
     dst_kind_ = dst->kind();
   }
@@ -90,15 +87,14 @@ class Channel {
 
   /// Schedules delivery of `pkt` at the far end, `extra` (typically the
   /// serialization time) plus the propagation delay from now.  The pooled
-  /// handle rides inside a lane record (or the event inline on the plain
-  /// path) — no per-hop allocation or Packet copy.  Inline: this is the
-  /// per-hop injection point (once per transmit from Port and the RNIC).
+  /// handle rides inside a lane record — no per-hop allocation or Packet
+  /// copy.  Inline: this is the per-hop injection point (once per transmit
+  /// from Port and the RNIC).
   void deliver(PacketPtr pkt, Time extra) {
     // `extra` is the caller's serialization backlog; a negative value would
     // deliver before the wire was even driven.
     assert(extra >= 0 && "Channel::deliver called with negative extra time");
-    if (!up_ || (fault_ != nullptr && fault_->active()) || cross_dst_sim_ != nullptr ||
-        !sim_.use_lanes()) {
+    if (!up_ || (fault_ != nullptr && fault_->active()) || cross_dst_sim_ != nullptr) {
       deliver_slow(std::move(pkt), extra);
       return;
     }
@@ -131,7 +127,7 @@ class Channel {
   /// kills everything currently propagating, counted in in_flight_dropped().
   /// The cut itself is O(1) in both modes: lane records are doomed lazily
   /// (their send-time epoch no longer matches) and still reach the head at
-  /// their stamped times, where they account exactly like the plain path.
+  /// their stamped times, where they account as in-flight drops.
   void set_drop_in_flight_on_cut(bool drop) { drop_in_flight_on_cut_ = drop; }
   bool drop_in_flight_on_cut() const { return drop_in_flight_on_cut_; }
 
@@ -144,7 +140,7 @@ class Channel {
   std::uint64_t discarded_packets() const { return discarded_packets_; }
   std::uint64_t in_flight_dropped() const { return in_flight_dropped_; }
 
-  /// Packets currently parked in the delivery lane (0 on the plain path).
+  /// Packets currently parked in the delivery lane.
   std::size_t lane_pending() const { return lane_len_; }
   /// Lane records doomed by a drop-in-flight cut but not yet fired.
   std::size_t lane_doomed_pending() const;
@@ -158,7 +154,7 @@ class Channel {
   // lane, only the inbox HEAD occupies the destination heap — a persistent
   // timer keyed with the head's exact (t, seq), re-armed as records pop —
   // so each record still costs exactly one fired event and accounting is
-  // bit-identical to the serial paths, without one heap insert per record
+  // bit-identical to the serial lane, without one heap insert per record
   // at the barrier.
 
   /// Puts the channel in shard mode.  `dst_sim` is the destination shard's
@@ -176,23 +172,21 @@ class Channel {
   }
 
   /// Checkpoint hook (sim/snapshot.h): scalar counters, parked lane
-  /// records, plain-path in-flight records and cross-shard inbox records
-  /// (each a (t, seq, packet) tuple re-pushed via push_keyed on load).
-  /// Must run at a barrier-safe point: the outbox is empty there.
+  /// records and cross-shard inbox records (each a (t, seq, packet) tuple;
+  /// on load the head timer is re-armed with the head's saved key).  Must
+  /// run at a barrier-safe point: the outbox is empty there.
   void checkpoint(StateIO& io);
 
  private:
   /// Everything deliver()'s fast path punts on: downed wire, active fault
-  /// state (drop/corrupt/blackhole draws), cross-shard cut edges and the
-  /// DCP_LANES=0 plain path.
+  /// state (drop/corrupt/blackhole draws) and cross-shard cut edges.
   void deliver_slow(PacketPtr pkt, Time extra);
-  /// Far-end arrival: shared by the lane head firing and the plain-path
-  /// closure, so both modes run the identical drop/corrupt/receive logic.
-  void arrive(PacketPtr p, std::uint32_t epoch, bool corrupt);
-  /// Hands the packet to the endpoint: a {kind, ptr} static dispatch to
-  /// the final receive_fast entries, or the virtual Node::receive hop when
-  /// devirtualization is off (DCP_DEVIRT=0) or the peer is a custom node.
-  void dispatch_receive(PacketPtr p, Simulator& sim);
+  /// Far-end arrival, shared by the lane head and the cross-shard inbox:
+  /// in-flight cut and corruption checks, then a {kind, ptr} static
+  /// dispatch to the final receive_fast entries (custom kOther nodes take
+  /// the virtual Node::receive hop).  `sim` is the simulator executing the
+  /// arrival — the destination shard's on a cut edge.
+  void arrive(PacketPtr p, std::uint32_t epoch, bool corrupt, Simulator& sim);
   void lane_insert(LaneRecord* r) {
     ++lane_len_;
     if (lane_head_ == nullptr) {
@@ -212,7 +206,6 @@ class Channel {
   void lane_insert_ooo(LaneRecord* r);
   void fire_lane();
   void cross_arrive_next();
-  void plain_arrive_next();
 
   Simulator& sim_;
   Bandwidth bw_;
@@ -243,12 +236,6 @@ class Channel {
   // the inbox head (created by enable_shard_mode — the destination is not
   // known at construction).
   std::unique_ptr<Timer> cross_timer_;
-
-  // Plain-path (DCP_LANES=0) in-flight frames: a (t, seq) min-heap popped
-  // by plain_arrive_next(), one keyed heap event per record.  Keeping the
-  // packet in an inspectable record instead of an event closure is what
-  // makes the wire serializable.
-  std::vector<CrossRecord> inflight_;
 
   // Delivery lane: intrusive FIFO, earliest first; the head's (t, seq) is
   // mirrored by lane_timer_ whenever the lane is non-empty.

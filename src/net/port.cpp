@@ -47,31 +47,14 @@ void Port::try_transmit() {
   // Static dispatch on the policy tag cached at construction: both concrete
   // policies are final with header-visible bodies, so the scheduling
   // decision inlines here instead of taking two virtual hops per packet.
-  int c;
-  switch (policy_kind_) {
-    case SchedulerPolicy::Kind::kDwrr:
-      c = static_cast<DwrrPolicy*>(policy_.get())->select(queues_, paused_);
-      break;
-    case SchedulerPolicy::Kind::kStrict:
-      c = static_cast<StrictPriorityPolicy*>(policy_.get())->select(queues_, paused_);
-      break;
-    default:
-      c = policy_->select(queues_, paused_);
-      break;
-  }
+  const bool dwrr = policy_kind_ == SchedulerPolicy::Kind::kDwrr;
+  const int c = dwrr ? static_cast<DwrrPolicy*>(policy_.get())->select(queues_, paused_)
+                     : static_cast<StrictPriorityPolicy*>(policy_.get())->select(queues_, paused_);
   if (c < 0) return;
 
   PacketPtr pkt = queues_[c].pop();
-  switch (policy_kind_) {
-    case SchedulerPolicy::Kind::kDwrr:
-      static_cast<DwrrPolicy*>(policy_.get())->charge(c, pkt->wire_bytes);
-      break;
-    case SchedulerPolicy::Kind::kStrict:
-      break;  // strict priority keeps no deficit state
-    default:
-      policy_->charge(c, pkt->wire_bytes);
-      break;
-  }
+  // Strict priority keeps no deficit state.
+  if (dwrr) static_cast<DwrrPolicy*>(policy_.get())->charge(c, pkt->wire_bytes);
   stats_.tx_packets++;
   stats_.tx_bytes += pkt->wire_bytes;
   stats_.tx_packets_by_class[c]++;

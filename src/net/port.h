@@ -20,28 +20,18 @@
 
 namespace dcp {
 
-/// Chooses which queue class an egress port serves next.
+/// Chooses which queue class an egress port serves next.  The two final
+/// policies, StrictPriorityPolicy (below) and DwrrPolicy
+/// (switch/scheduler.h), are the only ones; Port calls their non-virtual
+/// select()/charge() through the kind() tag.
 class SchedulerPolicy {
  public:
   /// Concrete-type tag, resolved once at Port construction: the per-packet
   /// transmit path static-dispatches select()/charge() on it (the same
-  /// {kind, ptr} devirtualization as Channel -> Node delivery).  Custom
-  /// policies keep the default kGeneric and take the virtual hop.
-  enum class Kind : std::uint8_t { kGeneric, kStrict, kDwrr };
+  /// {kind, ptr} devirtualization as Channel -> Node delivery).
+  enum class Kind : std::uint8_t { kStrict, kDwrr };
   virtual ~SchedulerPolicy() = default;
-  virtual Kind kind() const { return Kind::kGeneric; }
-
-  /// Returns the index of the queue to serve, or -1 if nothing is eligible.
-  /// `paused[i]` means class i must not be served (PFC).
-  virtual int select(const std::vector<FifoQueue>& queues,
-                     const std::array<bool, kNumQueueClasses>& paused) = 0;
-
-  /// Informs the policy how many bytes the selected queue transmitted (for
-  /// deficit accounting).
-  virtual void charge(int queue, std::uint32_t bytes) {
-    (void)queue;
-    (void)bytes;
-  }
+  virtual Kind kind() const = 0;
 
   /// Checkpoint hook (sim/snapshot.h): policies with mutable round state
   /// (DWRR deficits) override; stateless policies have nothing to save.
@@ -58,8 +48,10 @@ class StrictPriorityPolicy final : public SchedulerPolicy {
 
   Kind kind() const override { return Kind::kStrict; }
 
+  /// Returns the index of the queue to serve, or -1 if nothing is eligible.
+  /// `paused[i]` means class i must not be served (PFC).
   int select(const std::vector<FifoQueue>& queues,
-             const std::array<bool, kNumQueueClasses>& paused) override {
+             const std::array<bool, kNumQueueClasses>& paused) const {
     for (int c : order_) {
       if (static_cast<std::size_t>(c) < queues.size() && !queues[c].empty() && !paused[c]) {
         return c;

@@ -33,9 +33,7 @@ ShardGroup::ShardGroup(int n) {
   logs_.resize(sims_.size());
   committed_.resize(sims_.size());
   cross_drains_.resize(sims_.size());
-  bounds_.resize(sims_.size(), 0);
   dispatch_.resize(sims_.size(), 0);
-  tn_scratch_.resize(sims_.size(), 0);
   if (sharded()) {
     // One sequence space: setup-phase allocations interleave across shard
     // queues exactly as a single serial queue would hand them out.
@@ -84,9 +82,8 @@ void ShardGroup::worker_loop(std::size_t i) {
     seen = cur;
     if (exit_.load(std::memory_order_relaxed)) return;
     const std::uint64_t t0 = wall_ns();
-    sims_[i]->run(bounds_[i]);
+    sims_[i]->run(bound_);
     slot.busy_ns += wall_ns() - t0;
-    slot.windows += 1;
     slot.arena_bytes = local_pool_arena_bytes();
     // seq_cst: publishes the window's writes AND orders the increment
     // against the coordinator's sleeping flag (either we see the flag and
@@ -118,10 +115,6 @@ void ShardGroup::sync_now(Time t) {
   for (auto& s : sims_) s->sync_now(t);
 }
 
-std::uint64_t ShardGroup::shard_windows(int i) const {
-  return i == 0 ? windows0_ : slots_[static_cast<std::size_t>(i) - 1].windows;
-}
-
 std::uint64_t ShardGroup::busy_ns(int i) const {
   return i == 0 ? busy0_ns_ : slots_[static_cast<std::size_t>(i) - 1].busy_ns;
 }
@@ -135,24 +128,7 @@ std::uint64_t ShardGroup::arena_bytes() const {
   return total;
 }
 
-void ShardGroup::run_window(Time bound) {
-  if (!sharded()) {
-    sims_[0]->run(bound);
-    return;
-  }
-  assert(lookahead_ > 0 && "set_lookahead() before sharded windows");
-  start_workers();
-  // Uniform window: every shard runs to `bound` (the legacy entry keeps
-  // its exact semantics — clocks advance to the bound even on idle
-  // shards, which tests rely on).
-  for (std::size_t i = 0; i < sims_.size(); ++i) {
-    bounds_[i] = bound;
-    dispatch_[i] = 1;
-  }
-  run_marked_window();
-}
-
-Time ShardGroup::run_window_adaptive(Time cap) {
+Time ShardGroup::run_window(Time cap) {
   if (!sharded()) {
     sims_[0]->run(cap);
     return cap;
@@ -162,33 +138,23 @@ Time ShardGroup::run_window_adaptive(Time cap) {
   const std::size_t n = sims_.size();
   const Time ahead = std::max<Time>(1, lookahead_ >> window_shift_);
 
-  // One uniform bound for every shard, opening at the globally earliest
-  // pending event.  The bound must be uniform: commit_window() hands out
-  // committed sequence numbers window by window, so seqs are globally
-  // ordered by window index — serial (time, parent) order holds only if no
-  // shard allocates at a time another shard has yet to reach.  Per-shard
-  // bounds (letting the earliest shard race ahead of the rest) commit its
-  // beyond-frontier allocations a window early, and a same-time tie
-  // against a slower shard's later-committed event then breaks the wrong
-  // way.  Adaptivity lives in the window LENGTH (`ahead`, shrunk under
-  // cross-shard pressure) and in dispatch: shards with nothing due in the
-  // window are not dispatched — their workers stay parked on the futex and
-  // they skip window entry, the commit merge, and mailbox drains.
-  Time min1 = kTimeInfinity;
+  // One uniform bound opening at the globally earliest pending event (see
+  // the file header).  Per-shard bounds would let the earliest shard race
+  // ahead and commit its beyond-frontier allocations a window early; a
+  // same-time tie against a slower shard's later-committed event then
+  // breaks the wrong way.  Adaptivity lives in the window LENGTH (`ahead`,
+  // shrunk under cross-shard pressure) and in dispatch: shards with nothing
+  // due in the window stay parked on the futex and skip window entry, the
+  // commit merge and mailbox drains.
+  const Time min1 = next_time();
+  bound_ = min1 >= cap ? cap : std::min(cap, min1 + ahead - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    const Time t = sims_[i]->next_event_time();
-    tn_scratch_[i] = t;
-    if (t < min1) min1 = t;
-  }
-  const Time bound = min1 >= cap ? cap : std::min(cap, min1 + ahead - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    bounds_[i] = bound;
-    dispatch_[i] = tn_scratch_[i] <= bound ? 1 : 0;
+    dispatch_[i] = sims_[i]->next_event_time() <= bound_ ? 1 : 0;
   }
   run_marked_window();
   // Dispatched shards ran exactly to the bound and parked shards had
   // nothing below it, so every barrier effect this window is final.
-  return bound;
+  return bound_;
 }
 
 void ShardGroup::run_marked_window() {
@@ -210,9 +176,8 @@ void ShardGroup::run_marked_window() {
   }
   if (dispatch_[0] != 0) {
     const std::uint64_t t0 = wall_ns();
-    sims_[0]->run(bounds_[0]);
+    sims_[0]->run(bound_);
     busy0_ns_ += wall_ns() - t0;
-    ++windows0_;
   }
   if (need > 0) {
     int d;

@@ -9,18 +9,18 @@
 // the cut arrives at send-time + L at the earliest, i.e. strictly after
 // the window, so no shard can receive an event it should already have run.
 //
-// Adaptive windows (run_window_adaptive): the bound is computed PER SHARD
-// as min(cap, min over other shards' next-event time + A - 1), with
-// A <= L an effective lookahead the group shrinks under cross-shard
-// mailbox pressure and grows back when windows run light.  The per-shard
-// form is safe by the same argument — anything shard j can still send
-// arrives at >= next_j + L > bound_i — and lets a shard whose peers are
-// idle run all the way to the slice boundary instead of re-barriering
-// every L.  Shards with no event inside their bound are not dispatched at
-// all (their worker stays parked), and the call returns the commit
-// FRONTIER min_i(bound_i): every event at or below it has executed on
-// every shard, so barrier effects up to the frontier are final while
-// later ones must be deferred (see Network::commit_window_effects).
+// Adaptive windows (run_window): every window opens at the globally
+// earliest pending event and runs ONE uniform bound on every shard,
+// min(cap, earliest + A - 1), with A <= L an effective lookahead the group
+// shrinks under cross-shard mailbox pressure and grows back when windows
+// run light.  The bound must be uniform: commit_window() hands out
+// committed sequences window by window, so serial (time, parent) order —
+// the same-time tie-break — holds only if no shard allocates at a time
+// another shard has yet to reach.  Shards with no event inside the bound
+// are not dispatched at all (their worker stays parked), and the call
+// returns the bound as the commit frontier: every event at or below it
+// has executed on every shard, so barrier effects up to it are final (see
+// Network::commit_window_effects).
 //
 // Determinism: all shards draw setup-phase tie-break sequences from ONE
 // shared counter, so topology construction is bit-identical to the serial
@@ -93,29 +93,23 @@ class ShardGroup {
   /// Advances every shard's clock to a slice boundary (no events run).
   void sync_now(Time t);
 
-  /// Runs every shard to `bound` (inclusive) in parallel, then commits the
-  /// window: merge allocation logs -> committed sequences -> heap rewrite
-  /// -> component remap hooks -> cut-channel mailbox drains.
-  void run_window(Time bound);
-
-  /// Adaptive window (see file header): per-shard bounds capped at `cap`,
-  /// idle shards skipped.  Returns the commit frontier — the time up to
-  /// which every shard is known to have executed everything, i.e. how far
-  /// barrier effects may be applied.
-  Time run_window_adaptive(Time cap);
+  /// Runs one adaptive window (see file header) capped at `cap`: the
+  /// shards with work inside the bound run to it (inclusive) in parallel,
+  /// then the window commits — merge allocation logs -> committed
+  /// sequences -> heap rewrite -> component remap hooks -> cut-channel
+  /// mailbox drains.  Returns the commit frontier (the bound): every shard
+  /// has executed everything at or below it, so barrier effects up to it
+  /// are final.  An unsharded group just runs its simulator to `cap`.
+  Time run_window(Time cap);
 
   // ---- Instrumentation (read between windows, coordinator thread) -------
-  /// Windows committed (either entry point).
+  /// Windows committed.
   std::uint64_t windows() const { return windows_; }
-  /// Windows in which shard `i` actually ran events.
-  std::uint64_t shard_windows(int i) const;
   /// Wall nanoseconds shard `i` spent executing events inside windows —
   /// busy_ns / total wall is the shard's utilization.
   std::uint64_t busy_ns(int i) const;
   /// Total cross-shard mailbox records drained at barriers.
   std::uint64_t cross_records() const { return cross_records_; }
-  /// Current pressure shift: effective lookahead = lookahead >> shift.
-  int pressure_shift() const { return window_shift_; }
   /// Bytes held by every shard's slab arenas (packet hot/cold, lane and
   /// event records).  Workers publish their thread-local pool footprints
   /// at each barrier; shard 0's pools are read directly, so this must be
@@ -133,13 +127,12 @@ class ShardGroup {
     // Plain fields: written by the worker inside a window, read by the
     // coordinator after the done barrier (the done fetch_add publishes).
     std::uint64_t busy_ns = 0;
-    std::uint64_t windows = 0;
     std::uint64_t arena_bytes = 0;
   };
 
   void start_workers();
   void worker_loop(std::size_t i);
-  /// Dispatches the marked shards at bounds_[], runs shard 0 inline, waits
+  /// Dispatches the marked shards to bound_, runs shard 0 inline, waits
   /// for the done barrier, then merges logs and drains mailboxes.
   void run_marked_window();
   void commit_window();
@@ -152,9 +145,8 @@ class ShardGroup {
   std::vector<std::vector<std::function<std::size_t(const SeqRemap&)>>> cross_drains_;
 
   // Window plan, coordinator-written before dispatch.
-  std::vector<Time> bounds_;
-  std::vector<char> dispatch_;  // shard has work inside its bound
-  std::vector<Time> tn_scratch_;
+  Time bound_ = 0;
+  std::vector<char> dispatch_;  // shard has work inside the bound
 
   // Adaptive state.
   int window_shift_ = 0;                  // effective lookahead = L >> shift
@@ -164,7 +156,6 @@ class ShardGroup {
   std::uint64_t windows_ = 0;
   std::uint64_t cross_records_ = 0;
   std::uint64_t busy0_ns_ = 0;
-  std::uint64_t windows0_ = 0;
 
   // Barrier state.
   static constexpr int kSpinBudget = 4096;

@@ -1,24 +1,6 @@
 #include "sim/simulator.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace dcp {
-
-Simulator::Simulator() {
-  // DCP_LANES=0 is the escape hatch back to one-heap-entry-per-packet
-  // scheduling — used by the digest-equality suite and for bisection when
-  // a lane bug is suspected.  Any other value (or unset) keeps lanes on.
-  if (const char* env = std::getenv("DCP_LANES")) {
-    if (std::strcmp(env, "0") == 0) use_lanes_ = false;
-  }
-  // DCP_DEVIRT=0 restores the virtual Node::receive hop at channel
-  // delivery (same bodies, vtable dispatch) — the A/B lever for the
-  // digest-equality suite and for bisecting dispatch-layer suspicion.
-  if (const char* env = std::getenv("DCP_DEVIRT")) {
-    if (std::strcmp(env, "0") == 0) use_devirt_ = false;
-  }
-}
 
 thread_local const Simulator* Simulator::tls_active_ = nullptr;
 

@@ -32,7 +32,7 @@ struct SeqRemap {
 
 class Simulator {
  public:
-  Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -76,8 +76,8 @@ class Simulator {
   /// Stops a `run()` in progress after the current event returns.
   void stop() { stopped_ = true; }
   /// True between stop() and the run loop noticing it.  Delivery lanes
-  /// consult this so same-time coalescing honours stop() exactly like the
-  /// plain one-event-per-packet heap would.
+  /// consult this so same-time coalescing honours stop() exactly as if
+  /// every delivery were its own heap event.
   bool stop_requested() const { return stopped_; }
 
   bool idle() const { return queue_.empty(); }
@@ -90,21 +90,7 @@ class Simulator {
   // only its earliest one in the heap (via Timer::arm_keyed_abs).  Because
   // one sequence number is consumed per logical event, exactly as if each
   // were schedule()d individually, the interleaving with every other event
-  // is bit-identical to the plain heap.
-
-  /// Whether Channels route deliveries through per-link lanes (default on;
-  /// the DCP_LANES=0 environment escape hatch or set_use_lanes(false)
-  /// selects the plain one-heap-entry-per-packet path).
-  bool use_lanes() const { return use_lanes_; }
-  void set_use_lanes(bool on) { use_lanes_ = on; }
-
-  /// Whether Channels static-dispatch deliveries to the concrete node type
-  /// cached at connect() time (default on; the DCP_DEVIRT=0 environment
-  /// escape hatch or set_use_devirt(false) selects the virtual
-  /// Node::receive hop).  Both paths run identical bodies, so outputs are
-  /// bit-identical — enforced by tests/test_devirt.cpp.
-  bool use_devirt() const { return use_devirt_; }
-  void set_use_devirt(bool on) { use_devirt_ = on; }
+  // is the one individual schedule() calls would produce.
 
   /// Stamps a logical event with the next global tie-break sequence.
   std::uint64_t alloc_event_seq() { return queue_.alloc_seq(); }
@@ -113,10 +99,9 @@ class Simulator {
   /// in the heap — i.e. a lane may run it now without a heap round trip.
   bool lane_may_run(Time t, std::uint64_t seq) const { return queue_.before_top(t, seq); }
 
-  /// Accounts a lane-coalesced delivery so events_processed() matches the
-  /// plain heap (which would have popped one event for it).  The coalesced
-  /// record's (t, seq) becomes the current event key, so anything it
-  /// allocates logs the right parent in a shard window.
+  /// Accounts a lane-coalesced delivery as one event, as if the heap had
+  /// popped it.  The coalesced record's (t, seq) becomes the current event
+  /// key, so anything it allocates logs the right parent in a shard window.
   void note_coalesced_event(Time t, std::uint64_t seq) {
     ++events_processed_;
     queue_.set_current_event(t, seq);
@@ -130,8 +115,8 @@ class Simulator {
   /// EventQueue::arena_bytes) — one term of ShardGroup::arena_bytes().
   std::uint64_t event_arena_bytes() const { return queue_.arena_bytes(); }
 
-  /// High-water mark of the scheduling heap — O(active links + timers)
-  /// under the two-level scheduler vs O(packets in flight) without it.
+  /// High-water mark of the scheduling heap: O(active links + timers)
+  /// under the two-level scheduler, not O(packets in flight).
   std::size_t peak_heap_size() const { return queue_.peak_heap_size(); }
 
   /// The invariant-checking observer armed on this simulation, if any (see
@@ -156,12 +141,6 @@ class Simulator {
   void begin_shard_window(std::vector<ShardSeqAlloc>* log) { queue_.begin_shard_window(log); }
   void end_shard_window(const std::vector<std::uint64_t>& committed) {
     queue_.end_shard_window(committed);
-  }
-
-  /// Inserts a cross-shard boundary event with its committed (t, seq) key —
-  /// consumed at a window barrier, never during parallel execution.
-  void schedule_cross(Time t, std::uint64_t seq, EventCallback fn) {
-    queue_.push_keyed(t, seq, std::move(fn));
   }
 
   /// Registered components holding stamped-but-unfired sequences outside
@@ -204,8 +183,6 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t events_processed_ = 0;
   bool stopped_ = false;
-  bool use_lanes_ = true;
-  bool use_devirt_ = true;
   CheckObserver* check_observer_ = nullptr;
   std::vector<std::function<void(const SeqRemap&)>> remap_hooks_;
 };

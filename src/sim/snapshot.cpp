@@ -12,8 +12,6 @@ std::vector<std::uint8_t> SnapshotImage::encode() const {
   auto* self = const_cast<SnapshotImage*>(this);
   io.pod(self->fingerprint);
   io.pod(self->shards);
-  io.pod(self->lanes);
-  io.pod(self->devirt);
   io.pod(self->at);
   io.pod(self->setup_seq_end);
   io.pod(self->next_seq);
@@ -36,8 +34,6 @@ bool SnapshotImage::decode(const std::vector<std::uint8_t>& bytes, SnapshotImage
   if (!io.ok() || magic != kMagic || version != kVersion) return false;
   io.pod(out.fingerprint);
   io.pod(out.shards);
-  io.pod(out.lanes);
-  io.pod(out.devirt);
   io.pod(out.at);
   io.pod(out.setup_seq_end);
   io.pod(out.next_seq);

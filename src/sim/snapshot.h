@@ -8,11 +8,11 @@
 // from its spec (topology, schemes, flows — the deterministic setup
 // phase), then overlays the saved dynamic state on top: scalar fields are
 // copied, persistent timers are re-armed with their exact saved (time,
-// sequence) heap keys, and in-flight packets are re-pushed by their owning
-// modules via push_keyed.  Because the event order of a run is fully
-// determined by the globally unique (t, seq) keys, the resumed run is
-// bit-identical — same digest, same events_processed — to the
-// uninterrupted one.
+// sequence) heap keys, and in-flight packets are re-parked in their
+// channel's lane or inbox, whose head timer is re-armed with the head's
+// saved key.  Because the event order of a run is fully determined by the
+// globally unique (t, seq) keys, the resumed run is bit-identical — same
+// digest, same events_processed — to the uninterrupted one.
 //
 // StateIO is the single bidirectional visitor both directions share: every
 // module implements ONE `checkpoint(StateIO&)` member that reads like a
@@ -302,12 +302,10 @@ struct SnapshotClock {
 /// ddmin path).
 struct SnapshotImage {
   static constexpr std::uint32_t kMagic = 0x44435053;  // "DCPS"
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   std::uint64_t fingerprint = 0;
   std::uint32_t shards = 1;
-  std::uint8_t lanes = 1;
-  std::uint8_t devirt = 1;
   Time at = 0;  // every event with t < at has run; none at t >= at has
   std::uint64_t setup_seq_end = 0;
   std::uint64_t next_seq = 0;
@@ -320,9 +318,8 @@ struct SnapshotImage {
   static bool decode(const std::vector<std::uint8_t>& bytes, SnapshotImage& out);
 
   bool operator==(const SnapshotImage& o) const {
-    return fingerprint == o.fingerprint && shards == o.shards && lanes == o.lanes &&
-           devirt == o.devirt && at == o.at && setup_seq_end == o.setup_seq_end &&
-           next_seq == o.next_seq &&
+    return fingerprint == o.fingerprint && shards == o.shards && at == o.at &&
+           setup_seq_end == o.setup_seq_end && next_seq == o.next_seq &&
            [&] {
              if (clocks.size() != o.clocks.size()) return false;
              for (std::size_t i = 0; i < clocks.size(); ++i) {

@@ -34,7 +34,7 @@ class DwrrPolicy final : public SchedulerPolicy {
   // policy to this final type via the Kind tag and calls them statically,
   // so the whole DWRR decision compiles into the transmit path.
   int select(const std::vector<FifoQueue>& queues,
-             const std::array<bool, kNumQueueClasses>& paused) override {
+             const std::array<bool, kNumQueueClasses>& paused) {
     // Fast path: the class holding the round is still eligible and its
     // deficit covers its head-of-line packet.  This is exactly the loop's
     // first iteration (which performs no writes in that case), short of the
@@ -47,7 +47,7 @@ class DwrrPolicy final : public SchedulerPolicy {
     return select_slow(queues, paused);
   }
 
-  void charge(int queue, std::uint32_t bytes) override {
+  void charge(int queue, std::uint32_t bytes) {
     deficit_[queue] -= static_cast<double>(bytes);
     if (deficit_[queue] < 0) deficit_[queue] = 0;
   }

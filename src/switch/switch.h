@@ -131,8 +131,8 @@ class Switch final : public Node {
   void checkpoint(StateIO& io);
 
   using Node::receive;
-  /// Virtual path (DCP_DEVIRT=0 / custom callers): same body as the
-  /// statically-dispatched entry below, so outputs are bit-identical.
+  /// Virtual entry for callers holding a Node* (tests, tools): same body
+  /// as the statically-dispatched entry below.
   void receive(PacketPtr pkt, std::uint32_t in_port) override { receive_fast(std::move(pkt), in_port); }
 
   /// Statically-dispatched delivery entry (Channel::dispatch_receive casts

@@ -150,26 +150,6 @@ Time Network::ideal_fct(NodeId src, NodeId dst, std::uint64_t bytes) const {
   return t;
 }
 
-void Network::run_until_done(Time max_time) {
-  if (shards_ != nullptr && shards_->sharded()) {
-    run_until_done_sharded(max_time);
-    return;
-  }
-  // Run in slices so we can stop as soon as all flows complete.  Two
-  // rules keep a snapshot-resumed run bit-identical to the uninterrupted
-  // one: slices align to an absolute grid (not now + slice), and
-  // completion is only tested AT grid boundaries — so both runs stop at
-  // the same boundary and execute the same trailing timer events, no
-  // matter where in a slice the resume point fell.
-  const Time slice = std::max<Time>(microseconds(100), max_time / 10000);
-  while (sim_.now() < max_time) {
-    if (sim_.now() % slice == 0 && all_flows_done()) break;
-    const Time next = std::min(max_time, (sim_.now() / slice + 1) * slice);
-    sim_.run(next);
-    if (sim_.idle()) break;
-  }
-}
-
 void Network::set_check_observer_all(CheckObserver* ob) {
   if (shards_ != nullptr) {
     for (int i = 0; i < shards_->size(); ++i) shards_->sim(i).set_check_observer(ob);
@@ -316,35 +296,20 @@ void Network::commit_window_effects(Time frontier) {
   for (auto& h : hosts_) h->prune_stat_journal(frontier);
 }
 
-void Network::run_until_done_sharded(Time max_time) {
-  finalize_shards();
-  // Absolute slice grid, for the same resume-alignment reason as the
-  // serial loop above.
-  const Time slice = std::max<Time>(microseconds(100), max_time / 10000);
-  while (sim_.now() < max_time) {
-    if (sim_.now() % slice == 0 && all_flows_done()) break;
-    const Time boundary = std::min(max_time, (sim_.now() / slice + 1) * slice);
-    bool drained = false;
-    for (;;) {
-      const Time tn = shards_->next_time();
-      if (tn == kTimeInfinity) {
-        drained = true;
-        break;
-      }
-      if (tn > boundary) break;
-      commit_window_effects(shards_->run_window_adaptive(boundary));
+bool Network::run_windows(Time bound) {
+  for (;;) {
+    const Time tn = shards_->next_time();
+    if (tn == kTimeInfinity) {
+      commit_window_effects(kTimeInfinity);
+      return true;
     }
-    // Every shard has executed everything at or below the boundary (window
-    // bounds are capped there), so any still-deferred effect is now final.
-    commit_window_effects(drained ? kTimeInfinity : boundary);
-    if (drained) {
-      // Serial semantics: an idle break leaves the clock at the last
-      // executed event; across shards that is the latest shard clock.
-      sim_.sync_now(shards_->max_now());
-      break;
-    }
-    shards_->sync_now(boundary);
+    if (tn > bound) break;
+    commit_window_effects(shards_->run_window(bound));
   }
+  // Every shard has executed everything at or below the bound (window
+  // bounds are capped there), so any still-deferred effect is now final.
+  commit_window_effects(bound);
+  return false;
 }
 
 Switch::Stats Network::total_switch_stats() const {
@@ -371,74 +336,37 @@ Switch::Stats Network::total_switch_stats() const {
   return total;
 }
 
-
-void Network::run_to(Time t) {
-  if (shards_ != nullptr && shards_->sharded()) {
-    run_to_sharded(t);
-    return;
-  }
-  sim_.run(t - 1);
-}
-
 Time Network::run_to_paused(Time t, Time max_time) {
-  if (shards_ != nullptr && shards_->sharded()) return run_to_paused_sharded(t, max_time);
+  const bool sharded = shards_ != nullptr && shards_->sharded();
+  if (sharded) finalize_shards();
+  // Slices align to an absolute grid (not now + slice) and completion is
+  // tested only AT grid boundaries, so a snapshot-resumed run stops where
+  // the uninterrupted one does, no matter where in a slice it resumed.
   const Time slice = std::max<Time>(microseconds(100), max_time / 10000);
   while (sim_.now() < max_time) {
     if (sim_.now() % slice == 0 && all_flows_done()) break;
     const Time next = std::min(max_time, (sim_.now() / slice + 1) * slice);
     if (next >= t) {
-      sim_.run(t - 1);
+      if (sharded) {
+        run_windows(t - 1);
+      } else {
+        sim_.run(t - 1);
+      }
       return t;
     }
-    sim_.run(next);
-    if (sim_.idle()) break;
-  }
-  return sim_.now() + 1;
-}
-
-Time Network::run_to_paused_sharded(Time t, Time max_time) {
-  finalize_shards();
-  const Time slice = std::max<Time>(microseconds(100), max_time / 10000);
-  while (sim_.now() < max_time) {
-    if (sim_.now() % slice == 0 && all_flows_done()) break;
-    const Time boundary = std::min(max_time, (sim_.now() / slice + 1) * slice);
-    if (boundary >= t) {
-      for (;;) {
-        const Time tn = shards_->next_time();
-        if (tn == kTimeInfinity || tn >= t) break;
-        commit_window_effects(shards_->run_window_adaptive(t - 1));
-      }
-      commit_window_effects(t - 1);
-      return t;
-    }
-    bool drained = false;
-    for (;;) {
-      const Time tn = shards_->next_time();
-      if (tn == kTimeInfinity) {
-        drained = true;
-        break;
-      }
-      if (tn > boundary) break;
-      commit_window_effects(shards_->run_window_adaptive(boundary));
-    }
-    commit_window_effects(drained ? kTimeInfinity : boundary);
-    if (drained) {
+    if (!sharded) {
+      sim_.run(next);
+      if (sim_.idle()) break;
+    } else if (run_windows(next)) {
+      // An idle break leaves the clock at the last executed event; across
+      // shards that is the latest shard clock.
       sim_.sync_now(shards_->max_now());
       break;
+    } else {
+      shards_->sync_now(next);
     }
-    shards_->sync_now(boundary);
   }
   return sim_.now() + 1;
-}
-
-void Network::run_to_sharded(Time t) {
-  finalize_shards();
-  for (;;) {
-    const Time tn = shards_->next_time();
-    if (tn == kTimeInfinity || tn >= t) break;
-    commit_window_effects(shards_->run_window_adaptive(t - 1));
-  }
-  commit_window_effects(t - 1);
 }
 
 void Network::prepare_shard_run() {

@@ -116,24 +116,23 @@ class Network {
   /// pipeline latency + serialization of the remaining bytes + ACK return.
   Time ideal_fct(NodeId src, NodeId dst, std::uint64_t bytes) const;
 
+  // ---- Running ------------------------------------------------------------
   /// Runs the simulation until all flows complete or `max_time` elapses.
-  void run_until_done(Time max_time);
+  void run_until_done(Time max_time) { run_to_paused(kTimeInfinity, max_time); }
+  /// The one canonical run loop.  Runs in slices on an absolute grid of
+  /// max(100us, max_time / 10000) and stops at the first grid boundary
+  /// where every flow is done, when the queues drain, or at max_time —
+  /// pausing early, at a barrier-safe snapshot point, once the next slice
+  /// would reach `t`: every event with time strictly below `t` has run
+  /// and, under sharding, every window barrier is committed.  Returns the
+  /// pause point actually reached — t when the run is still live there, or
+  /// (stop + 1) when it ended before t.  Resuming with run_until_done() is
+  /// bit-identical to a run that never stopped: both follow the same grid
+  /// and test completion only on its boundaries, so they stop at the same
+  /// boundary and run the same trailing timer events.
+  Time run_to_paused(Time t, Time max_time);
 
   // ---- Checkpoint/restore (sim/snapshot.h) ------------------------------
-  /// Runs every event with time strictly below `t` — and, under sharding,
-  /// commits every window barrier — leaving the world at a barrier-safe
-  /// snapshot point.  Resuming with run_until_done() is bit-identical to a
-  /// run that never stopped.
-  void run_to(Time t);
-  /// Like run_to(t), but follows run_until_done(max_time)'s CANONICAL
-  /// trajectory: same slice grid, same stop-at-boundary-when-done rule.
-  /// Returns the barrier-safe pause point actually reached — t when the
-  /// canonical run is still live there, or (canonical stop + 1) when the
-  /// run would have ended before t.  Snapshots must use this, not
-  /// run_to(): running a finished world past its canonical stopping
-  /// boundary executes trailing timer events the uninterrupted run never
-  /// sees, and the resumed digest would not match.
-  Time run_to_paused(Time t, Time max_time);
   /// Restore prep on a freshly built target: flips shard-run mode on
   /// (mailbox channels, journals, remap hooks) without running a window,
   /// so cross-shard state can be overlaid.  No-op when serial.
@@ -174,15 +173,16 @@ class Network {
   /// Lazily flips the network into sharded-run mode: locates cut channels,
   /// computes the lookahead, arms journals and remap hooks.
   void finalize_shards();
-  void run_to_sharded(Time t);
-  Time run_to_paused_sharded(Time t, Time max_time);
+  /// Runs shard windows until nothing at or below `bound` is pending, then
+  /// commits the barrier effects up to it.  Returns true when every shard
+  /// has drained.
+  bool run_windows(Time bound);
   /// Barrier step: finalize pending flows in serial order, fire deferred
   /// rx listeners, prune journals.  Only effects at or below `frontier`
   /// (the group's commit frontier — every shard has executed everything up
   /// to it) are applied; later ones stay pending so cross-barrier listener
   /// order matches the serial run exactly.
   void commit_window_effects(Time frontier);
-  void run_until_done_sharded(Time max_time);
   void finalize_flow_at(const PendingFinalize& p);
 
   Simulator& sim_;

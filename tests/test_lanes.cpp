@@ -1,50 +1,25 @@
 // The two-level scheduler: delivery lanes, deadline-class timers and far
-// events must reproduce the plain one-heap-entry-per-packet schedule BIT
-// FOR BIT.  Mechanism tests pin down lane FIFO order, same-time
-// coalescing, lazy dooming on mid-flight cuts and the deadline heap's lazy
-// extend/cancel; the digest suites then prove equality end-to-end across
-// the Fig 1/10/17 experiment shapes and a 200-seed fuzz batch, with the
-// DCP_LANES=0 escape hatch selecting the plain path.
+// events must fire every logical event at the (t, seq) its own heap entry
+// would have.  These tests pin down lane FIFO order, same-time coalescing,
+// lazy dooming on mid-flight cuts, hand-off drop and far-end corruption,
+// the lane's checkpoint section, the deadline heap's lazy extend/cancel
+// and far-event ordering; end-to-end outputs are pinned by the golden
+// corpus (test_golden.cpp).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "check/fuzzer.h"
-#include "harness/experiment.h"
-#include "harness/sweep.h"
 #include "net/channel.h"
 #include "net/node.h"
 #include "net/packet.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
+#include "sim/snapshot.h"
 
 namespace dcp {
 namespace {
-
-/// Scoped DCP_LANES override: Simulator reads the variable at construction,
-/// so set it before building the fixture / running the experiment.
-class ScopedLanesEnv {
- public:
-  explicit ScopedLanesEnv(bool lanes_on) {
-    const char* prev = std::getenv("DCP_LANES");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    setenv("DCP_LANES", lanes_on ? "1" : "0", 1);
-  }
-  ~ScopedLanesEnv() {
-    if (had_prev_) {
-      setenv("DCP_LANES", prev_.c_str(), 1);
-    } else {
-      unsetenv("DCP_LANES");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
 
 class SinkNode final : public Node {
  public:
@@ -84,7 +59,6 @@ TEST(Lane, BackToBackMtuOnSaturatedLink) {
   // serializing (extra == serialization, gap zero).  All three must arrive,
   // in order, spaced exactly one serialization time apart.
   LaneFixture f;
-  f.sim.set_use_lanes(true);
   SinkNode sink(f.sim, f.log);
   Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
   ch.connect(&sink, 3);
@@ -112,7 +86,6 @@ TEST(Lane, BackToBackMtuOnSaturatedLink) {
 
 TEST(Lane, HoldsFifoWithOnlyHeadInHeap) {
   LaneFixture f;
-  f.sim.set_use_lanes(true);
   SinkNode sink(f.sim, f.log);
   Channel ch(f.sim, Bandwidth::gbps(100), microseconds(5));
   ch.connect(&sink, 0);
@@ -136,39 +109,31 @@ TEST(Lane, HoldsFifoWithOnlyHeadInHeap) {
 }
 
 TEST(Lane, SameTimeDeliveriesCoalesceInIssueOrder) {
-  // Two wires funneling into one sink with identical delivery instants:
-  // arrivals keep issue order, and the lane path charges exactly as many
-  // events as the plain path would have popped.
-  auto run = [](bool lanes) {
-    LaneFixture f;
-    f.sim.set_use_lanes(lanes);
-    SinkNode sink(f.sim, f.log);
-    Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
-    ch.connect(&sink, 0);
-    for (int i = 0; i < 3; ++i) {
-      Packet p = data_packet(64);
-      p.psn = static_cast<std::uint32_t>(i);
-      ch.deliver(p, 0);  // all three arrive at exactly propagation time
-    }
-    f.sim.run();
-    std::vector<std::uint32_t> psns;
-    for (const auto& a : sink.arrivals) {
-      EXPECT_EQ(a.t, microseconds(1));
-      psns.push_back(a.pkt.psn);
-    }
-    return std::pair<std::vector<std::uint32_t>, std::uint64_t>(psns, f.sim.events_processed());
-  };
-  const auto lanes_on = run(true);
-  const auto lanes_off = run(false);
-  EXPECT_EQ(lanes_on.first, (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(lanes_on, lanes_off);
+  // Three deliveries landing at the same instant: arrivals keep issue
+  // order, and the coalesced run still charges one event per delivery.
+  LaneFixture f;
+  SinkNode sink(f.sim, f.log);
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 0);
+  for (int i = 0; i < 3; ++i) {
+    Packet p = data_packet(64);
+    p.psn = static_cast<std::uint32_t>(i);
+    ch.deliver(p, 0);  // all three arrive at exactly propagation time
+  }
+  f.sim.run();
+  std::vector<std::uint32_t> psns;
+  for (const auto& a : sink.arrivals) {
+    EXPECT_EQ(a.t, microseconds(1));
+    psns.push_back(a.pkt.psn);
+  }
+  EXPECT_EQ(psns, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(f.sim.events_processed(), 3u);
 }
 
 TEST(Lane, MidFlightCutDoomsLazily) {
   // Drop-in-flight cut: O(1) epoch bump, no heap surgery.  Parked records
   // are doomed lazily and account as in-flight losses when they surface.
   LaneFixture f;
-  f.sim.set_use_lanes(true);
   SinkNode sink(f.sim, f.log);
   Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
   ch.connect(&sink, 0);
@@ -183,8 +148,8 @@ TEST(Lane, MidFlightCutDoomsLazily) {
 
   f.sim.run();
   EXPECT_TRUE(sink.arrivals.empty());
-  // delivered_packets counts wire hand-off at deliver() time (same as the
-  // plain path); the mid-flight kills show up only as in_flight_dropped.
+  // delivered_packets counts wire hand-off at deliver() time; the
+  // mid-flight kills show up only as in_flight_dropped.
   EXPECT_EQ(ch.delivered_packets(), 2u);
   EXPECT_EQ(ch.in_flight_dropped(), 2u);
   EXPECT_EQ(ch.lane_pending(), 0u);
@@ -195,7 +160,6 @@ TEST(Lane, DefaultCutPolicyDeliversInFlight) {
   // PR 3's cut semantics through the lane path: without drop-in-flight the
   // photons past the cut still arrive; only subsequent traffic is lost.
   LaneFixture f;
-  f.sim.set_use_lanes(true);
   SinkNode sink(f.sim, f.log);
   Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
   ch.connect(&sink, 0);
@@ -208,6 +172,124 @@ TEST(Lane, DefaultCutPolicyDeliversInFlight) {
   EXPECT_EQ(ch.delivered_packets(), 1u);
   EXPECT_EQ(ch.in_flight_dropped(), 0u);
   EXPECT_EQ(ch.discarded_packets(), 1u);
+}
+
+TEST(Lane, HandOffFaultsNeverEnterTheLane) {
+  // Random drops and blackholes are decided at hand-off: the frame never
+  // occupies the wire, so nothing parks in the lane and no arrival event
+  // is ever charged.
+  LaneFixture f;
+  SinkNode sink(f.sim, f.log);
+  Rng rng(1);
+  ChannelFault fault;
+  fault.rng = &rng;
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 0);
+  ch.set_fault(&fault);
+
+  fault.drop_rate = 1.0;
+  ch.deliver(data_packet(1000), 0);
+  fault.drop_rate = 0.0;
+  fault.blackhole_refs = 1;
+  ch.deliver(data_packet(1000), 0);
+  EXPECT_EQ(ch.lane_pending(), 0u);
+  EXPECT_TRUE(f.sim.idle());
+
+  f.sim.run();
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(fault.dropped, 1u);
+  EXPECT_EQ(fault.blackholed, 1u);
+  EXPECT_EQ(ch.discarded_packets(), 2u);
+  EXPECT_EQ(ch.delivered_packets(), 0u);
+  EXPECT_EQ(f.sim.events_processed(), 0u);
+}
+
+TEST(Lane, CorruptFrameRidesTheLaneAndDiesOnArrival) {
+  // Corruption is drawn at hand-off but takes effect at the far end: the
+  // frame occupies the wire (counted delivered, parked in the lane, one
+  // arrival event each) and then fails CRC instead of reaching the node.
+  LaneFixture f;
+  SinkNode sink(f.sim, f.log);
+  Rng rng(1);
+  ChannelFault fault;
+  fault.corrupt_rate = 1.0;
+  fault.rng = &rng;
+  Channel ch(f.sim, Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 0);
+  ch.set_fault(&fault);
+
+  ch.deliver(data_packet(1000), 0);
+  ch.deliver(data_packet(1000), 0);
+  EXPECT_EQ(ch.lane_pending(), 2u);
+  EXPECT_EQ(fault.corrupted, 0u);  // the CRC check happens on arrival
+
+  f.sim.run();
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(fault.corrupted, 2u);
+  EXPECT_EQ(ch.delivered_packets(), 2u);
+  EXPECT_EQ(ch.discarded_packets(), 0u);
+  EXPECT_EQ(f.sim.events_processed(), 2u);
+  EXPECT_EQ(f.sim.now(), microseconds(1));
+}
+
+TEST(Lane, CheckpointReparksRecordsWithTheirStamps) {
+  // The channel's checkpoint section carries each parked record's (t, seq)
+  // stamp, cut epoch and corrupt flag.  A fresh channel loaded from it
+  // re-arms the head timer and delivers exactly what the original does,
+  // and re-saving it reproduces the section byte for byte.
+  LaneFixture a;
+  SinkNode sink_a(a.sim, a.log);
+  Rng rng(1);
+  ChannelFault corrupt_all;
+  corrupt_all.corrupt_rate = 1.0;
+  corrupt_all.rng = &rng;
+  Channel ch_a(a.sim, Bandwidth::gbps(100), microseconds(1));
+  ch_a.connect(&sink_a, 2);
+  const Time ser = ch_a.serialization(1000);
+  for (int i = 0; i < 3; ++i) {
+    Packet p = data_packet(1000);
+    p.psn = static_cast<std::uint32_t>(i);
+    ch_a.set_fault(i == 1 ? &corrupt_all : nullptr);  // psn 1 fails CRC
+    ch_a.deliver(std::move(p), (i + 1) * ser);
+  }
+  ch_a.set_fault(nullptr);
+
+  std::vector<std::uint8_t> image;
+  StateIO saver = StateIO::saver(image);
+  ch_a.checkpoint(saver);
+  ASSERT_TRUE(saver.ok()) << saver.error();
+
+  LaneFixture b;
+  SinkNode sink_b(b.sim, b.log);
+  Channel ch_b(b.sim, Bandwidth::gbps(100), microseconds(1));
+  ch_b.connect(&sink_b, 2);
+  StateIO loader = StateIO::loader(image);
+  ch_b.checkpoint(loader);
+  ASSERT_TRUE(loader.ok()) << loader.error();
+  EXPECT_EQ(loader.bytes_consumed(), image.size());
+  EXPECT_EQ(ch_b.lane_pending(), 3u);
+  EXPECT_EQ(ch_b.delivered_packets(), 3u);
+
+  std::vector<std::uint8_t> resaved;
+  StateIO again = StateIO::saver(resaved);
+  ch_b.checkpoint(again);
+  ASSERT_TRUE(again.ok()) << again.error();
+  EXPECT_EQ(resaved, image);
+
+  a.sim.run();
+  b.sim.run();
+  ASSERT_EQ(sink_a.arrivals.size(), 2u);
+  ASSERT_EQ(sink_b.arrivals.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(sink_b.arrivals[i].t, sink_a.arrivals[i].t);
+    EXPECT_EQ(sink_b.arrivals[i].pkt.psn, sink_a.arrivals[i].pkt.psn);
+    EXPECT_EQ(sink_b.arrivals[i].port, 2u);
+  }
+  EXPECT_EQ(sink_b.arrivals[0].pkt.psn, 0u);
+  EXPECT_EQ(sink_b.arrivals[1].pkt.psn, 2u);
+  EXPECT_EQ(sink_b.arrivals[1].t, 3 * ser + microseconds(1));
+  EXPECT_EQ(b.sim.events_processed(), a.sim.events_processed());
+  EXPECT_EQ(ch_b.lane_pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,149 +429,6 @@ TEST(FarEvents, SlotRecyclesCleanlyIntoMainHeap) {
   }
   EXPECT_EQ(fires, 200);
   EXPECT_TRUE(sim.idle());
-}
-
-// ---------------------------------------------------------------------------
-// Digest equality: lanes on == lanes off, bit for bit
-// ---------------------------------------------------------------------------
-
-struct TrialDigest {
-  double goodput = 0.0;
-  Time elapsed = 0;
-  bool completed = false;
-  std::uint64_t retransmitted = 0;
-  std::uint64_t events = 0;
-
-  bool operator==(const TrialDigest&) const = default;
-};
-
-/// Fig 10/17 shape: scheme x injected-loss matrix of long testbed flows.
-std::vector<TrialDigest> long_flow_matrix(bool lanes, unsigned jobs) {
-  ScopedLanesEnv env(lanes);
-  const SchemeKind kinds[] = {SchemeKind::kDcp, SchemeKind::kRackTlp, SchemeKind::kIrn,
-                              SchemeKind::kTimeout};
-  const double rates[] = {0.0, 0.005, 0.02};
-  struct Trial {
-    SchemeKind k;
-    double rate;
-  };
-  std::vector<Trial> trials;
-  for (double rate : rates) {
-    for (SchemeKind k : kinds) trials.push_back({k, rate});
-  }
-  SweepRunner pool(jobs);
-  pool.set_progress(false);
-  return pool.run(trials.size(), [&](std::size_t i) {
-    LongFlowParams p;
-    p.scheme = trials[i].k;
-    p.loss_rate = trials[i].rate;
-    p.flow_bytes = 2ull * 1000 * 1000;
-    p.max_time = milliseconds(20);
-    const LongFlowResult r = run_long_flow(p);
-    TrialDigest d;
-    d.goodput = r.goodput_gbps;
-    d.elapsed = r.elapsed;
-    d.completed = r.completed;
-    d.retransmitted = r.sender.retransmitted_packets;
-    d.events = r.core.events_processed;
-    return d;
-  });
-}
-
-TEST(LaneDigest, LongFlowMatrixLanesOnOffBitIdentical) {
-  const std::vector<TrialDigest> on = long_flow_matrix(true, 1);
-  const std::vector<TrialDigest> off = long_flow_matrix(false, 1);
-  ASSERT_EQ(on.size(), off.size());
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i], off[i]) << "trial " << i;
-  }
-  // The matrix exercised recovery, not just clean delivery.
-  bool any_retx = false;
-  for (const TrialDigest& d : on) any_retx = any_retx || d.retransmitted > 0;
-  EXPECT_TRUE(any_retx);
-}
-
-TEST(LaneDigest, LongFlowMatrixLanesOnOffBitIdenticalUnderParallelSweep) {
-  // DCP_JOBS=8 shape: worker threads each build their own Simulator, so the
-  // lane/heap choice must be equal per-trial regardless of scheduling.
-  const std::vector<TrialDigest> on = long_flow_matrix(true, 8);
-  const std::vector<TrialDigest> off = long_flow_matrix(false, 8);
-  ASSERT_EQ(on.size(), off.size());
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i], off[i]) << "trial " << i;
-  }
-  EXPECT_EQ(on, long_flow_matrix(true, 1));  // and jobs are digest-invisible
-}
-
-/// Fig 1 shape: WebSearch background load on the CLOS fabric.
-std::vector<TrialDigest> websearch_matrix(bool lanes, unsigned jobs) {
-  ScopedLanesEnv env(lanes);
-  const std::uint64_t seeds[] = {11, 23};
-  const SchemeKind kinds[] = {SchemeKind::kDcp, SchemeKind::kIrn};
-  SweepRunner pool(jobs);
-  pool.set_progress(false);
-  return pool.run(4, [&](std::size_t i) {
-    WebSearchParams p;
-    p.scheme = kinds[i % 2];
-    p.seed = seeds[i / 2];
-    p.clos.spines = 2;
-    p.clos.leaves = 2;
-    p.clos.hosts_per_leaf = 4;
-    p.load = 0.4;
-    p.num_flows = 100;
-    WebSearchResult r = run_websearch(p);
-    TrialDigest d;
-    d.goodput = r.background.overall().percentile(99.0);
-    d.completed = r.flows_completed == r.flows_total;
-    d.retransmitted = r.timeouts_background;
-    d.events = r.core.events_processed;
-    return d;
-  });
-}
-
-TEST(LaneDigest, WebsearchLanesOnOffBitIdenticalAcrossJobCounts) {
-  const std::vector<TrialDigest> baseline = websearch_matrix(true, 1);
-  EXPECT_EQ(baseline, websearch_matrix(false, 1));
-  EXPECT_EQ(baseline, websearch_matrix(true, 8));
-  EXPECT_EQ(baseline, websearch_matrix(false, 8));
-}
-
-// ---------------------------------------------------------------------------
-// 200-seed fuzz batch: verdicts identical lanes on/off, oracle clean
-// ---------------------------------------------------------------------------
-
-struct FuzzDigest {
-  bool violated = false;
-  std::string invariant;
-  Time at = 0;
-  std::size_t num_violations = 0;
-  bool all_complete = false;
-
-  bool operator==(const FuzzDigest&) const = default;
-};
-
-std::vector<FuzzDigest> fuzz_batch(bool lanes, unsigned jobs) {
-  ScopedLanesEnv env(lanes);
-  SweepRunner pool(jobs);
-  pool.set_progress(false);
-  return pool.run(200, [&](std::size_t i) {
-    const FuzzScenario s = generate_fuzz_scenario(/*seed=*/1000 + i);
-    const FuzzVerdict v = run_fuzz_scenario(s);
-    return FuzzDigest{v.violated, v.invariant, v.at, v.num_violations, v.all_complete};
-  });
-}
-
-TEST(LaneFuzz, TwoHundredSeedsCleanAndIdenticalLanesOnOff) {
-  // Crossed axes on purpose: lanes-on under the parallel pool vs lanes-off
-  // serial.  Equality proves the lane scheduler AND the job count are both
-  // invisible to the invariant oracle across 200 random scenarios.
-  const std::vector<FuzzDigest> on = fuzz_batch(true, 8);
-  const std::vector<FuzzDigest> off = fuzz_batch(false, 1);
-  ASSERT_EQ(on.size(), off.size());
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i], off[i]) << "seed " << 1000 + i;
-    EXPECT_FALSE(on[i].violated) << "seed " << 1000 + i << ": " << on[i].invariant;
-  }
 }
 
 }  // namespace

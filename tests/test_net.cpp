@@ -190,6 +190,15 @@ TEST(Port, OnDequeueFiresForEveryTransmittedPacket) {
   EXPECT_EQ(port.stats().tx_bytes, 2500u);
 }
 
+TEST(Port, ConcretePoliciesCarryTheirKindTags) {
+  // Port::try_transmit static-casts its policy on this tag, with no generic
+  // fallback, so each concrete policy must report its own kind.
+  const StrictPriorityPolicy strict;
+  const DwrrPolicy dwrr(std::array<double, kNumQueueClasses>{1.0, 1.0});
+  EXPECT_EQ(strict.kind(), SchedulerPolicy::Kind::kStrict);
+  EXPECT_EQ(dwrr.kind(), SchedulerPolicy::Kind::kDwrr);
+}
+
 TEST(Dwrr, SplitsBandwidthByWeight) {
   NetFixture f;
   SinkNode sink(f.sim, f.log);

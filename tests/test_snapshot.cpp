@@ -2,16 +2,16 @@
 // a run resumed from a snapshot at time T must be BIT-IDENTICAL to the run
 // that never stopped — same WorldDigest (per-flow completion stamps and
 // stats, switch counters) and same events_processed — across every
-// snapshottable scheme, serial and sharded event cores, lane-coalesced and
-// per-packet heaps, devirtualized and virtual dispatch.  Also covers
-// re-save byte-equality (save(restore(img)) == img), the TcpLite
-// unsupported-scheme refusal, warm-booted sweeps, a 200-seed oracle-armed
-// fuzz batch through the restore path, and snapshot-accelerated ddmin
-// shrink equivalence on the injected-bug needle.
+// snapshottable scheme and serial and sharded event cores.  Also covers
+// re-save byte-equality (save(restore(img)) == img), image versioning, the
+// TcpLite unsupported-scheme refusal, warm-booted sweeps, a 200-seed
+// oracle-armed fuzz batch through the restore path, and snapshot-
+// accelerated ddmin shrink equivalence on the injected-bug needle.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -185,28 +185,20 @@ TEST(Snapshot, FaultedOracleArmedResumeBitIdentical) {
   }
 }
 
-TEST(Snapshot, ShardLanesDevirtMatrix) {
+TEST(Snapshot, ShardResumeMatrix) {
   // Fault-free scenario (fault plans force serial); leaves=4 admits 4
-  // shards.  Every (shards, lanes, devirt) combination must resume
-  // bit-identically to its own uninterrupted run.
+  // shards.  Every (scheme, shards) combination must resume bit-identically
+  // to its own uninterrupted run.
   for (SchemeKind k : {SchemeKind::kDcp, SchemeKind::kIrn}) {
     const FuzzScenario s = clean_scenario(k);
     for (int shards : {1, 4}) {
-      for (const char* lanes : {"0", "1"}) {
-        for (const char* devirt : {"0", "1"}) {
-          ScopedEnv e1("DCP_SHARDS", std::to_string(shards));
-          ScopedEnv e2("DCP_LANES", lanes);
-          ScopedEnv e3("DCP_DEVIRT", devirt);
-          const WorldSpec ws = spec_for(s);
-          const std::string what = std::string(scheme_name(k)) + " shards=" +
-                                   std::to_string(shards) + " lanes=" + lanes +
-                                   " devirt=" + devirt;
-          const WorldDigest cold = cold_digest(ws);
-          const WorldDigest warm = resumed_digest(ws, microseconds(75), what.c_str());
-          EXPECT_EQ(cold.value, warm.value) << what;
-          EXPECT_EQ(cold.events, warm.events) << what;
-        }
-      }
+      ScopedEnv e("DCP_SHARDS", std::to_string(shards));
+      const WorldSpec ws = spec_for(s);
+      const std::string what = std::string(scheme_name(k)) + " shards=" + std::to_string(shards);
+      const WorldDigest cold = cold_digest(ws);
+      const WorldDigest warm = resumed_digest(ws, microseconds(75), what.c_str());
+      EXPECT_EQ(cold.value, warm.value) << what;
+      EXPECT_EQ(cold.events, warm.events) << what;
     }
   }
 }
@@ -249,6 +241,27 @@ TEST(Snapshot, ImageEncodeDecodeRoundTrip) {
   std::vector<std::uint8_t> corrupt = bytes;
   corrupt[0] ^= 0xff;  // magic
   EXPECT_FALSE(SnapshotImage::decode(corrupt, back));
+}
+
+TEST(Snapshot, DecodeRefusesVersion1Image) {
+  SnapshotImage img;
+  img.clocks.resize(1);
+  img.state = {0xAB, 0xCD};
+  const std::vector<std::uint8_t> bytes = img.encode();
+  SnapshotImage back;
+  ASSERT_TRUE(SnapshotImage::decode(bytes, back));
+
+  // The version word follows the 4-byte magic.  Stamping version 1 on an
+  // otherwise well-formed image must be refused on the version alone...
+  const std::uint32_t v1 = 1;
+  std::vector<std::uint8_t> stamped = bytes;
+  std::memcpy(stamped.data() + 4, &v1, sizeof v1);
+  EXPECT_FALSE(SnapshotImage::decode(stamped, back));
+  // ...and so must a true version-1 layout, which carried two execution-
+  // mode bytes (lanes, devirt) after magic, version, fingerprint, shards.
+  std::vector<std::uint8_t> legacy = stamped;
+  legacy.insert(legacy.begin() + 20, {1, 1});
+  EXPECT_FALSE(SnapshotImage::decode(legacy, back));
 }
 
 TEST(Snapshot, TcpSchemeRefusesSnapshot) {

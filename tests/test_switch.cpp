@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "host/host.h"
 #include "net/node.h"
 #include "switch/switch.h"
 #include "topo/clos.h"
@@ -401,6 +402,18 @@ TEST(SwitchPfc, PauseFrameFreezesOnlyPausedClass) {
   sw.receive(std::move(resume), p);
   f.sim.run();
   EXPECT_EQ(x->arrivals.size(), 2u);
+}
+
+TEST(SwitchDispatch, ConcreteEndpointsCarryTheirKindTags) {
+  // Channel::connect caches these tags: switches and hosts are delivered to
+  // through their static receive_fast entries, custom nodes (test sinks,
+  // tools) through the virtual Node::receive hop.
+  SwitchFixture f;
+  Switch sw(f.sim, f.log, 1, "sw", SwitchConfig{}, /*seed=*/1);
+  Host h(f.sim, f.log, 2, "h", Bandwidth::gbps(100), microseconds(1));
+  EXPECT_EQ(sw.kind(), NodeKind::kSwitch);
+  EXPECT_EQ(h.kind(), NodeKind::kHost);
+  EXPECT_EQ(f.sink(3)->kind(), NodeKind::kOther);
 }
 
 }  // namespace
