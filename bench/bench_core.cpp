@@ -94,7 +94,7 @@ CorePerf micro_lane_burst(int rounds, int burst) {
 /// static-dispatch + hot/cold-split work targets.  A 4:1-oversubscribed
 /// ingress wire feeds one egress port, so the data queue builds past the
 /// (shallow) trim threshold and every receive outcome runs: classification,
-/// ECMP-cache hit, data enqueue, trim-to-HO, control-queue enqueue, and
+/// route lookup, data enqueue, trim-to-HO, control-queue enqueue, and
 /// over-threshold ACK drop.  The channel static-dispatches every arrival
 /// into Switch::receive_fast.
 CorePerf micro_switch_receive(int rounds, int burst) {
@@ -120,7 +120,7 @@ CorePerf micro_switch_receive(int rounds, int burst) {
     for (int i = 0; i < burst; ++i) {
       Packet p;
       p.dst = kDst;
-      p.flow = static_cast<FlowId>(i % 32);  // a few flows: the route cache engages
+      p.flow = static_cast<FlowId>(i % 32);  // a few flows over one single-port route
       if (i % 8 == 7) {  // returning DCP ACK (dropped when over threshold)
         p.type = PktType::kAck;
         p.tag = DcpTag::kAck;

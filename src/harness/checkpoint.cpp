@@ -1,8 +1,8 @@
 #include "harness/checkpoint.h"
 
-#include <algorithm>
 #include <cstring>
 
+#include "harness/sweep.h"
 #include "topo/fattree.h"
 
 namespace dcp {
@@ -27,23 +27,6 @@ void hash_pod(Fnv64& h, const T& v) {
     std::memcpy(&lane, p + i, sizeof v - i);
     h.u64(lane);
   }
-}
-
-int resolve_shards(const WorldSpec& spec) {
-  if (spec.force_shards > 0) return spec.force_shards;
-  // run_fuzz policy: fault-free scenarios honour DCP_SHARDS (bit-identical
-  // to serial by construction); fault plans run serial — the injector has
-  // no shard ordering story.  The clamp is the partition-unit count: leaf
-  // groups on CLOS, pods on a fat-tree.
-  int nshards = 1;
-  if (!spec.scenario.faults.has_effect()) {
-    if (const char* e = std::getenv("DCP_SHARDS")) {
-      const int units = spec.scenario.fattree_k > 0 ? spec.scenario.fattree_k
-                                                    : spec.scenario.leaves;
-      nshards = std::max(1, std::min(std::atoi(e), units));
-    }
-  }
-  return nshards;
 }
 
 }  // namespace
@@ -89,11 +72,15 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
   // Mirrors run_fuzz_scenario's construction order exactly; any deviation
   // breaks the rebuild's bit-identity with the run the image was saved
   // from.
-  shards_ = std::make_unique<ShardGroup>(resolve_shards(spec_));
+  const FuzzScenario& s = spec_.scenario;
+  // The partition unit is a pod on a fat-tree and a leaf group on a Clos.
+  const int units = s.fattree_k > 0 ? s.fattree_k : s.leaves;
+  shards_ = std::make_unique<ShardGroup>(
+      spec_.force_shards > 0 ? spec_.force_shards
+                             : resolve_shards(units, s.faults.has_effect()));
   log_ = std::make_unique<Logger>(LogLevel::kError);
   net_ = std::make_unique<Network>(*shards_, *log_);
 
-  const FuzzScenario& s = spec_.scenario;
   SchemeSetup setup = make_scheme(s.scheme);
   if (s.fattree_k > 0) {
     FatTreeParams ft;

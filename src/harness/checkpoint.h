@@ -44,8 +44,8 @@ struct WorldSpec {
   /// Replaces the scheme's transport factory (broken test doubles).
   std::shared_ptr<TransportFactory> factory_override;
   bool oracle = true;
-  /// Overrides the shard count (0 = run_fuzz policy: DCP_SHARDS clamped
-  /// to the leaf count when fault-free, serial otherwise).
+  /// Overrides the shard count (0 = resolve_shards over the scenario's
+  /// pods or leaves: DCP_SHARDS when fault-free, serial otherwise).
   int force_shards = 0;
 
   /// Hashes every rebuild-relevant field; snapshots refuse a mismatched

@@ -1,26 +1,14 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <unordered_map>
+
+#include "harness/sweep.h"
 
 namespace dcp {
 
 namespace {
-
-// Shard count for a run: DCP_SHARDS (default 1 — the serial escape hatch),
-// clamped to the topology's natural partition count.  Fault plans force
-// serial: the injector mutates switches/channels from timer events with no
-// shard-ordering story, and fault runs are not on the hot benchmark path.
-int resolve_shards(int topo_max, bool has_faults) {
-  if (has_faults) return 1;
-  // Re-read per run (not cached): the digest tests flip the variable
-  // between calls inside one process.
-  const char* s = std::getenv("DCP_SHARDS");
-  const int v = s != nullptr ? std::atoi(s) : 1;
-  return std::min(v < 1 ? 1 : v, topo_max);
-}
 
 // Attaches a FaultInjector + RecoveryStats pair to a run when the plan has
 // any effect.  Plans whose actions are all no-ops attach nothing, keeping

@@ -1,5 +1,6 @@
 #include "harness/sweep.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +33,17 @@ unsigned sweep_jobs() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
+}
+
+int resolve_shards(int units, bool has_faults) {
+  if (has_faults) return 1;
+  long n = 1;
+  if (const char* v = std::getenv("DCP_SHARDS")) {
+    char* end = nullptr;
+    const long s = std::strtol(v, &end, 10);
+    if (end != v && *end == '\0') n = s;
+  }
+  return static_cast<int>(std::clamp<long>(n, 1, std::max(units, 1)));
 }
 
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(jobs < 1 ? 1 : jobs) {
@@ -95,22 +107,6 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_
     return;
   }
 
-  if (jobs_ == 1) {
-    // Serial path: identical to the loops the bench binaries used to run.
-    WorkerStats ws;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto s0 = std::chrono::steady_clock::now();
-      job(i);
-      ws.busy_seconds += seconds_since(s0);
-      ++ws.trials;
-      if (progress_) print_progress(i + 1, n);
-    }
-    ws.pool = PacketPool::local().stats();
-    worker_stats_[0] = ws;
-    last_wall_seconds_ = seconds_since(t0);
-    return;
-  }
-
   {
     std::lock_guard<std::mutex> lk(m_);
     job_ = &job;
@@ -122,7 +118,7 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_
     ++generation_;
   }
   cv_work_.notify_all();
-  work(0);  // the caller pulls trials too
+  work(0);  // the caller pulls trials too (all of them when jobs_ == 1)
   {
     std::unique_lock<std::mutex> lk(m_);
     cv_done_.wait(lk, [&] { return workers_idle_ == jobs_; });

@@ -32,6 +32,15 @@ namespace dcp {
 /// otherwise std::thread::hardware_concurrency().
 unsigned sweep_jobs();
 
+/// Shard count for one run: DCP_SHARDS when set (values < 1 clamp to 1,
+/// unset or unparsable means 1), capped at `units`, the topology's
+/// partition-unit count (leaf groups on a Clos, pods on a fat-tree,
+/// regions on a WAN).  A fault plan with an effect forces 1: the injector
+/// mutates switches and channels from timer events with no shard-ordering
+/// story.  Re-read on every call, so a process may flip the variable
+/// between runs.
+int resolve_shards(int units, bool has_faults);
+
 class SweepRunner {
  public:
   /// Per-worker observability: how many trials each pool thread executed,

@@ -23,7 +23,7 @@
 //         true deadline is stored beside the slot; stale entries are
 //         re-keyed (keeping their original sequence) or dropped only when
 //         they surface at this heap's top.
-//       - oheap_ : ONE-SHOT events (plain push(), far-future push_far()).
+//       - oheap_ : ONE-SHOT events (push(), push_keyed()).
 //         One-shots are fire-and-forget: they are never re-keyed and
 //         almost never cancelled, so this heap is NON-TRACKING — sifting
 //         moves 24-byte records without maintaining any position array
@@ -115,17 +115,6 @@ class EventQueue {
     pos_[idx] = kOneshotLive;
     opush(HeapEntry{t, seq, idx});
     return (static_cast<EventId>(gen_[idx]) << 32) | (idx + 1);
-  }
-
-  /// push() for FAR events: one-shots expected to sit a long time before
-  /// firing (staggered flow starts, experiment-end probes).  One-shots all
-  /// live in the non-tracking heap, where a far entry sinks once and is
-  /// never compared against by near-term traffic sifting shallower than
-  /// it.  Firing order is identical to push() — the sequence number is
-  /// allocated here, at call time.
-  template <typename F>
-  EventId push_far(Time t, F&& fn) {
-    return push_keyed(t, take_seq(), std::forward<F>(fn));
   }
 
   /// Cancels a pending event.  For one-shots this is an O(1) lazy

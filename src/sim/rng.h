@@ -2,7 +2,6 @@
 // Deterministic random-number utilities.  Every stochastic component takes
 // a seed so experiments are exactly reproducible.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <random>
@@ -84,57 +83,6 @@ class Rng {
 
  private:
   std::mt19937_64 gen_;
-};
-
-/// Buffered uniform-[0,1) draws for hot Bernoulli sites.  A refill pulls
-/// kBatch values from the caller's engine through the same distribution
-/// `Rng::uniform()` constructs (it is stateless on every implementation we
-/// build against, consuming exactly one engine word per double), so the
-/// k-th `next()` returns bit-identically the k-th `uniform()` would have —
-/// what the batch buys is one tight loop instead of a distribution
-/// construction and two function calls per draw.
-///
-/// The caveat is ordering: a refill consumes engine words *ahead* of time,
-/// so the owner must be the engine's only consumer while batching — any
-/// interleaved direct draw from the same engine would see a shifted
-/// stream.  Owners gate on that (see Switch::draw_chance: batching is
-/// enabled only under load-balancing policies whose port selection never
-/// touches the base RNG).
-class UniformPrefetch {
- public:
-  double next(std::mt19937_64& gen) {
-    if (pos_ == filled_) refill(gen);
-    return buf_[pos_++];
-  }
-
-  /// Checkpoint hook: unconsumed prefetched draws are part of the stream
-  /// position and must survive a restore bit-exactly.
-  template <typename IO>
-  void checkpoint(IO& io) {
-    io.pod(buf_);
-    std::uint64_t p = pos_;
-    std::uint64_t f = filled_;
-    io.pod(p);
-    io.pod(f);
-    if (!io.saving()) {
-      pos_ = static_cast<std::size_t>(p);
-      filled_ = static_cast<std::size_t>(f);
-    }
-  }
-
- private:
-  static constexpr std::size_t kBatch = 64;
-
-  void refill(std::mt19937_64& gen) {
-    std::uniform_real_distribution<double> dist(0.0, 1.0);
-    for (std::size_t i = 0; i < kBatch; ++i) buf_[i] = dist(gen);
-    pos_ = 0;
-    filled_ = kBatch;
-  }
-
-  std::array<double, kBatch> buf_{};
-  std::size_t pos_ = 0;
-  std::size_t filled_ = 0;
 };
 
 }  // namespace dcp

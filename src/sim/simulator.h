@@ -57,14 +57,6 @@ class Simulator {
   EventId schedule_at(Time t, F&& fn) {
     return queue_.push(t < now_ ? now_ : t, std::forward<F>(fn));
   }
-  /// schedule_at() for one-shots that sit a long time before firing
-  /// (staggered flow starts): the entry parks in the deadline heap so hot
-  /// packet events never sift across it.  Same firing order as
-  /// schedule_at() — the tie-break sequence is allocated here.
-  template <typename F>
-  EventId schedule_at_far(Time t, F&& fn) {
-    return queue_.push_far(t < now_ ? now_ : t, std::forward<F>(fn));
-  }
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Runs until the queue drains or simulated time exceeds `until`.

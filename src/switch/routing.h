@@ -81,11 +81,9 @@ class RouteTable {
       multi_lists_.push_back({e, egress_port});
       e = kMultiBit | static_cast<std::uint32_t>(multi_lists_.size() - 1);
     }
-    ++version_;
   }
   void clear_routes(NodeId dst) {
     if (dst >= base_ && dst - base_ < entries_.size()) entries_[dst - base_] = kNoRoute;
-    ++version_;
   }
 
   /// Shared fallback for every destination without a specific entry.  The
@@ -93,7 +91,6 @@ class RouteTable {
   /// calls would have produced, so ECMP picks are unchanged.
   void set_default_routes(std::vector<std::uint32_t> ports) {
     default_group_ = std::move(ports);
-    ++version_;
   }
   const std::vector<std::uint32_t>& default_routes() const { return default_group_; }
 
@@ -110,9 +107,6 @@ class RouteTable {
   }
 
   bool has_route(NodeId dst) const { return !candidates(dst).empty(); }
-
-  /// Bumped on every mutation; cached decisions key on it.
-  std::uint32_t version() const { return version_; }
 
   /// Bytes of table storage (capacity, not size) — the arena accounting hook.
   std::size_t memory_bytes() const {
@@ -146,76 +140,6 @@ class RouteTable {
   std::vector<std::uint32_t> entries_;             // port, kMultiBit|idx, or kNoRoute
   std::vector<std::vector<std::uint32_t>> multi_lists_;
   std::vector<std::uint32_t> default_group_;
-  std::uint32_t version_ = 0;
-};
-
-/// Direct-mapped cache of ECMP port picks, one per (flow, hop).
-///
-/// ECMP is a pure function of (ecmp hash key, candidate set), and the key
-/// itself is fixed for a given (flow, path_id, direction) — so a hit keyed
-/// on those fields returns exactly the port the full lookup would compute,
-/// while skipping both the 3×mix64 hash and the modulo.  Caching is
-/// output-invisible.  Entries carry the epoch under which they were
-/// filled; `Switch` bumps its epoch on any routing change (table mutation
-/// or link flap), so stale picks miss instead of steering packets into
-/// withdrawn ports.  Only kEcmp decisions are cached — adaptive/spray/
-/// flowlet picks are load- or RNG-dependent per packet.
-class RouteCache {
- public:
-  struct Slot {
-    FlowId flow = UINT64_MAX;
-    NodeId dst = UINT32_MAX;     // flow id is direction-agnostic; dst is not
-    std::uint32_t path_id = 0;
-    std::uint32_t epoch = 0;
-    std::uint32_t port = 0;
-  };
-
-  static constexpr std::size_t kDefaultSlots = 512;  // power of two
-
-  /// `slots` is rounded up to a power of two.  The default matches the
-  /// historical fixed size; topology builders scale it with the expected
-  /// concurrent (flow, hop) population — at fat-tree k=16+ the 512-slot
-  /// cache thrashes under 10k flows and every miss repays the full
-  /// hash+modulo lookup the cache exists to skip.
-  explicit RouteCache(std::size_t slots = kDefaultSlots) {
-    std::size_t n = 1;
-    while (n < slots) n <<= 1;
-    slots_.resize(n);
-    mask_ = n - 1;
-  }
-
-  std::size_t capacity() const { return slots_.size(); }
-
-  /// Returns the cached port, or UINT32_MAX on miss.
-  std::uint32_t lookup(FlowId flow, NodeId dst, std::uint32_t path_id, std::uint32_t epoch) {
-    const Slot& s = slots_[index(flow, dst)];
-    if (s.flow == flow && s.dst == dst && s.path_id == path_id && s.epoch == epoch) {
-      ++hits_;
-      return s.port;
-    }
-    ++misses_;
-    return UINT32_MAX;
-  }
-  void insert(FlowId flow, NodeId dst, std::uint32_t path_id, std::uint32_t epoch,
-              std::uint32_t port) {
-    slots_[index(flow, dst)] = Slot{flow, dst, path_id, epoch, port};
-  }
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  std::size_t index(FlowId flow, NodeId dst) const {
-    // One multiply spreads sequential flow ids; fold dst so a flow's two
-    // directions land in different slots.
-    return ((flow ^ (static_cast<std::uint64_t>(dst) << 17)) * 0x9E3779B97F4A7C15ull >> 48) &
-           mask_;
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 /// Per-flow flowlet state for LbPolicy::kFlowlet.

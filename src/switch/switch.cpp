@@ -14,13 +14,7 @@ Switch::Switch(Simulator& sim, Logger& log, NodeId id, std::string name, SwitchC
       rng_(seed),
       fault_rng_(Rng::substream(seed, /*tag=*/0xfa017u)),
       flowlets_(cfg.flowlet_gap),
-      rcache_(cfg.route_cache_slots),
-      buffer_(cfg.buffer_bytes, 0, cfg.pfc) {
-  // Spray/adaptive/flowlet port selection draws from rng_, which would
-  // interleave with (and shift) a prefetched batch; hash-based policies
-  // never touch it, so there the chance() sites can batch safely.
-  batched_draws_ = cfg_.lb == LbPolicy::kEcmp || cfg_.lb == LbPolicy::kSourcePath;
-}
+      buffer_(cfg.buffer_bytes, 0, cfg.pfc) {}
 
 std::uint32_t Switch::add_port(Bandwidth bw, Time propagation) {
   const auto idx = static_cast<std::uint32_t>(ports_.size());
@@ -41,10 +35,9 @@ void Switch::set_link_up(std::uint32_t port, bool up) {
   ports_[port]->channel().set_up(up);  // anything already queued is lost
   any_port_down_ = false;
   for (bool u : port_up_) any_port_down_ = any_port_down_ || !u;
-  ++flap_epoch_;  // every cached route pick made before the flap goes stale
 }
 
-bool Switch::route_slow(const PacketHot& pkt, std::uint32_t& eport) {
+bool Switch::pick_egress(const PacketHot& pkt, std::uint32_t& eport) {
   RouteView candidates = routes_.candidates(pkt.dst);
   if (any_port_down_) {
     // Failure detection has withdrawn the dead links from the candidate
@@ -68,9 +61,6 @@ bool Switch::route_slow(const PacketHot& pkt, std::uint32_t& eport) {
         return ports_[p]->queued_bytes(static_cast<int>(QueueClass::kData));
       },
       rng_, sim_.now(), &flowlets_);
-  if (cfg_.route_cache && cfg_.lb == LbPolicy::kEcmp) {
-    rcache_.insert(pkt.flow, pkt.dst, pkt.path_id, route_epoch(), eport);
-  }
   return true;
 }
 
@@ -102,7 +92,7 @@ bool Switch::ecn_mark_decision(std::uint64_t qbytes) {
   if (qbytes >= cfg_.ecn_kmax_bytes) return true;
   const double span = static_cast<double>(cfg_.ecn_kmax_bytes - cfg_.ecn_kmin_bytes);
   const double p = cfg_.ecn_pmax * static_cast<double>(qbytes - cfg_.ecn_kmin_bytes) / span;
-  return draw_chance(p);
+  return rng_.chance(p);
 }
 
 void Switch::egress_enqueue(PacketPtr pkt, std::uint32_t eport, std::uint32_t in_port) {
@@ -230,10 +220,7 @@ void Switch::checkpoint(StateIO& io) {
   io.pod(cfg_);
   rng_.checkpoint(io);
   fault_rng_.checkpoint(io);
-  chance_buf_.checkpoint(io);
-  io.pod(batched_draws_);
   io.pod(any_port_down_);
-  io.pod(flap_epoch_);
   // vector<bool> has no contiguous storage; element-wise bytes.
   std::uint64_t nup = port_up_.size();
   io.pod(nup);

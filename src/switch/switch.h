@@ -59,16 +59,6 @@ struct SwitchConfig {
 
   LbPolicy lb = LbPolicy::kEcmp;
   Time flowlet_gap = microseconds(50);  // for LbPolicy::kFlowlet
-
-  // Per-switch ECMP decision cache (see RouteCache).  Output-invisible;
-  // off only for A/B checks like tests/test_route_cache.cpp.
-  bool route_cache = true;
-  // Cache size in slots (rounded up to a power of two).  The historical
-  // 512 default suits small Clos fabrics; topology builders scale it with
-  // the expected concurrent (flow, hop) population — see
-  // FatTreeParams::route_cache_slots.  Sizing is output-invisible: a hit
-  // returns exactly what the full lookup computes.
-  std::uint32_t route_cache_slots = RouteCache::kDefaultSlots;
 };
 
 class Switch final : public Node {
@@ -119,15 +109,9 @@ class Switch final : public Node {
   void set_link_up(std::uint32_t port, bool up);
   bool link_up(std::uint32_t port) const { return port_up_[port]; }
 
-  /// Epoch every cached routing decision is stamped with: any route-table
-  /// mutation or link flap changes it, invalidating the whole cache.
-  std::uint32_t route_epoch() const { return routes_.version() + flap_epoch_; }
-  const RouteCache& route_cache() const { return rcache_; }
-
   /// Checkpoint hook (sim/snapshot.h): runtime config (fault rates), RNG
   /// streams, link state, flowlets, shared buffer, PFC bookkeeping, stats
-  /// and every port.  Routes and the ECMP cache are not serialized: routes
-  /// are setup-built and the cache is output-invisible (it refills cold).
+  /// and every port.  Routes are not serialized: they are setup-built.
   void checkpoint(StateIO& io);
 
   using Node::receive;
@@ -135,11 +119,11 @@ class Switch final : public Node {
   /// as the statically-dispatched entry below.
   void receive(PacketPtr pkt, std::uint32_t in_port) override { receive_fast(std::move(pkt), in_port); }
 
-  /// Statically-dispatched delivery entry (Channel::dispatch_receive casts
-  /// to the final type and calls this non-virtually).  Header-visible so
-  /// per-packet classification and the ECMP cache hit inline into the
-  /// channel's arrival; the rare outcomes — cache miss, PFC frame,
-  /// injected loss — take out-of-line helpers.
+  /// Statically-dispatched delivery entry (Channel::arrive casts to the
+  /// final type and calls this non-virtually).  Header-visible so
+  /// per-packet classification inlines into the channel's arrival; the
+  /// rare outcomes — PFC frame, no route, injected loss — take
+  /// out-of-line helpers.
   void receive_fast(PacketPtr pkt, std::uint32_t in_port) {
     maybe_trace(*pkt, in_port);
     const PktType ty = pkt->type;
@@ -149,29 +133,21 @@ class Switch final : public Node {
       ports_[in_port]->set_paused(pkt->pause_class, ty == PktType::kPfcPause);
       return;
     }
-    // ECMP fast path: the pick is a pure function of the packet's hash key
-    // and the candidate set, both fixed per (flow, path_id, direction) — so
-    // a cache hit skips the table walk, the hash and the modulo entirely.
-    // Epoch stamping (route_epoch()) makes flaps and table edits miss.
-    std::uint32_t eport = UINT32_MAX;
-    if (cfg_.route_cache && cfg_.lb == LbPolicy::kEcmp) {
-      eport = rcache_.lookup(pkt->flow, pkt->dst, pkt->path_id, route_epoch());
-    }
-    if (eport == UINT32_MAX && !route_slow(*pkt, eport)) return;  // no route: dropped
+    std::uint32_t eport = 0;
+    if (!pick_egress(*pkt, eport)) return;  // no route: dropped
     // Forced loss (testbed experiments): the P4 switch trims DCP data
     // packets and plainly drops everything else.
     if (cfg_.inject_loss_rate > 0.0 && ty == PktType::kData &&
-        draw_chance(cfg_.inject_loss_rate) && !apply_injected_loss(*pkt)) {
+        rng_.chance(cfg_.inject_loss_rate) && !apply_injected_loss(*pkt)) {
       return;  // dropped (a trim falls through as a header-only packet)
     }
     egress_enqueue(std::move(pkt), eport, in_port);
   }
 
  private:
-  /// Route-cache miss path: candidate walk (minus withdrawn links), LB
-  /// port selection, cache fill.  Returns false when the packet has no
-  /// route (accounted + dropped).
-  bool route_slow(const PacketHot& pkt, std::uint32_t& eport);
+  /// Candidate walk (minus withdrawn links) and LB port selection.
+  /// Returns false when the packet has no route (accounted + dropped).
+  bool pick_egress(const PacketHot& pkt, std::uint32_t& eport);
   /// An injected-loss draw fired: trims DCP data in place (returns true —
   /// the packet lives on as header-only) or accounts a drop (false).
   bool apply_injected_loss(PacketHot& pkt);
@@ -179,26 +155,15 @@ class Switch final : public Node {
   void on_port_dequeue(const PacketHot& pkt);
   bool ecn_mark_decision(std::uint64_t qbytes);
   void trim_to_header_only(PacketHot& pkt) const;
-  bool draw_chance(double p) {
-    if (batched_draws_) return chance_buf_.next(rng_.engine()) < p;
-    return rng_.chance(p);
-  }
 
   SwitchConfig cfg_;
   Rng rng_;
   Rng fault_rng_;  // dedicated stream: drawn only while a fault rate is armed
-  // Loss-injection / ECN Bernoulli draws come from a prefetched batch when
-  // the LB policy's port selection never draws from rng_ (ECMP, source
-  // routing) — the only case where batching keeps the stream bit-identical.
-  UniformPrefetch chance_buf_;
-  bool batched_draws_ = false;
   std::vector<std::unique_ptr<Port>> ports_;
   std::vector<bool> port_up_;
   bool any_port_down_ = false;
   FlowletTable flowlets_;
   RouteTable routes_;
-  RouteCache rcache_;
-  std::uint32_t flap_epoch_ = 0;          // bumped by set_link_up
   std::vector<std::uint32_t> alive_scratch_;  // reused live-candidate filter
   SharedBuffer buffer_;
   // pause_sent_[port][class]: we have PAUSEd that upstream and not yet RESUMEd.

@@ -12,25 +12,12 @@ FatTreeTopology build_fattree(Network& net, FatTreeParams p) {
   const int half = p.k / 2;
   const int shards = net.shard_count();
 
-  // Route cache sized for the concurrent (flow, hop) population: 4 slots
-  // per host absorbs both directions of a couple of active flows per host
-  // without evictions.  Clamped so small trees keep the historical default
-  // and giant ones stay a few hundred KB per switch.
-  SwitchConfig swcfg = p.sw;
-  if (p.route_cache_slots != 0) {
-    swcfg.route_cache_slots = p.route_cache_slots;
-  } else {
-    const std::uint64_t want = static_cast<std::uint64_t>(p.hosts()) * 4;
-    swcfg.route_cache_slots = static_cast<std::uint32_t>(
-        std::clamp<std::uint64_t>(want, RouteCache::kDefaultSlots, 8192));
-  }
-
   // Core switches, spread round-robin across shards: every agg<->core link
   // is then the (only) shard cut, so the conservative lookahead equals one
   // link propagation.
   for (int c = 0; c < p.cores(); ++c) {
     net.set_build_shard(shards > 0 ? c % shards : 0);
-    topo.core.push_back(net.add_switch("core" + std::to_string(c), swcfg));
+    topo.core.push_back(net.add_switch("core" + std::to_string(c), p.sw));
   }
 
   topo.edge.resize(static_cast<std::size_t>(p.pods()));
@@ -43,10 +30,10 @@ FatTreeTopology build_fattree(Network& net, FatTreeParams p) {
     net.set_build_shard(pod * shards / p.pods());
     for (int i = 0; i < half; ++i) {
       topo.agg[static_cast<std::size_t>(pod)].push_back(
-          net.add_switch("agg" + std::to_string(pod) + "_" + std::to_string(i), swcfg));
+          net.add_switch("agg" + std::to_string(pod) + "_" + std::to_string(i), p.sw));
     }
     for (int i = 0; i < half; ++i) {
-      Switch* e = net.add_switch("edge" + std::to_string(pod) + "_" + std::to_string(i), swcfg);
+      Switch* e = net.add_switch("edge" + std::to_string(pod) + "_" + std::to_string(i), p.sw);
       topo.edge[static_cast<std::size_t>(pod)].push_back(e);
       for (int h = 0; h < half; ++h) {
         Host* host = net.add_host(

@@ -15,10 +15,6 @@ struct FatTreeParams {
   Bandwidth link = Bandwidth::gbps(100);
   Time link_delay = microseconds(1);
   SwitchConfig sw;
-  // Per-switch ECMP route-cache slots; 0 sizes it from the topology
-  // (4 x hosts, clamped to [512, 8192]) so 10k-flow runs at k=16-32 do not
-  // thrash the historical 512-slot direct-mapped cache.  Output-invisible.
-  std::uint32_t route_cache_slots = 0;
 
   int pods() const { return k; }
   int hosts() const { return k * k * k / 4; }

@@ -104,12 +104,10 @@ FlowId Network::start_flow(FlowSpec spec) {
   src->add_sender(factory_->make_sender(src->sim(), *src, spec, tcfg_));
 
   SenderTransport* snd = src->sender(spec.id);
-  // Far event: with staggered arrivals hundreds of starts sit pending for
-  // most of the run; parking them keeps the packet heap shallow.  The
-  // start runs on the source host's shard (== sim_ in serial builds).
+  // The start runs on the source host's shard (== sim_ in serial builds).
   // The id is kept so a snapshot restore can cancel starts the saved run
   // already executed (cancel_started_flows).
-  start_ev_.push_back(src->sim().schedule_at_far(spec.start_time, [snd] { snd->start(); }));
+  start_ev_.push_back(src->sim().schedule_at(spec.start_time, [snd] { snd->start(); }));
   return spec.id;
 }
 

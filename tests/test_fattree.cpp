@@ -49,6 +49,45 @@ TEST(FatTree, RoutesOfferFullMultipath) {
   EXPECT_EQ(t.agg[0][0]->routes().candidates(near).size(), 1u);  // down
 }
 
+TEST(FatTree, UpRoutesAreOneDefaultGroupPerSwitch) {
+  Fixture f;
+  FatTreeParams p;
+  p.k = 4;
+  p.sw = make_scheme(SchemeKind::kDcp).sw;
+  FatTreeTopology t = build_fattree(f.net, p);
+  const int half = p.k / 2;
+  // The switch each entry of a candidate list leads to, in list order.
+  auto peers = [](Switch* sw, RouteView ports) {
+    std::vector<const Node*> out;
+    for (std::uint32_t port : ports) out.push_back(sw->port(port).channel().peer());
+    return out;
+  };
+  const NodeId far = t.hosts[15]->id();  // pod 3
+  for (int pod = 0; pod < 2; ++pod) {
+    for (int i = 0; i < half; ++i) {
+      // Edge: the uplinks to the pod's aggs, in install (agg index) order,
+      // shared by every destination off this edge.
+      Switch* e = t.edge[static_cast<std::size_t>(pod)][static_cast<std::size_t>(i)];
+      std::vector<const Node*> aggs;
+      for (Switch* a : t.agg[static_cast<std::size_t>(pod)]) aggs.push_back(a);
+      EXPECT_EQ(peers(e, e->routes().default_routes()), aggs);
+      EXPECT_EQ(e->routes().candidates(far).begin(), e->routes().default_routes().data());
+
+      // Aggregation: the uplinks to cores [i*half, (i+1)*half), in order.
+      Switch* a = t.agg[static_cast<std::size_t>(pod)][static_cast<std::size_t>(i)];
+      std::vector<const Node*> cores;
+      for (int j = 0; j < half; ++j) cores.push_back(t.core[static_cast<std::size_t>(i * half + j)]);
+      EXPECT_EQ(peers(a, a->routes().default_routes()), cores);
+      EXPECT_EQ(a->routes().candidates(far).begin(), a->routes().default_routes().data());
+    }
+  }
+  // Cores have no way up: every host has exactly one down-route.
+  for (Switch* c : t.core) {
+    EXPECT_TRUE(c->routes().default_routes().empty());
+    for (Host* h : t.hosts) EXPECT_EQ(c->routes().candidates(h->id()).size(), 1u);
+  }
+}
+
 TEST(FatTree, PathInfoTiers) {
   Fixture f;
   FatTreeParams p;

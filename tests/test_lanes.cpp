@@ -389,15 +389,15 @@ TEST(DeadlineTimer, EqualTimeOrderAcrossHeapsFollowsAllocation) {
 }
 
 // ---------------------------------------------------------------------------
-// Far events (one-shots parked in the deadline heap)
+// Far events (one-shots scheduled long before they fire, like flow starts)
 // ---------------------------------------------------------------------------
 
 TEST(FarEvents, InterleaveWithNearEventsInScheduleOrder) {
   Simulator sim;
   std::vector<int> order;
-  sim.schedule_at_far(microseconds(20), [&] { order.push_back(2); });
+  sim.schedule_at(microseconds(20), [&] { order.push_back(2); });
   sim.schedule_at(microseconds(10), [&] { order.push_back(1); });
-  sim.schedule_at_far(microseconds(30), [&] { order.push_back(4); });
+  sim.schedule_at(microseconds(30), [&] { order.push_back(4); });
   sim.schedule_at(microseconds(30), [&] { order.push_back(5); });  // later seq, same t
   sim.schedule_at(microseconds(25), [&] { order.push_back(3); });
   sim.run();
@@ -408,8 +408,8 @@ TEST(FarEvents, InterleaveWithNearEventsInScheduleOrder) {
 TEST(FarEvents, CancelRemovesExactlyOnce) {
   Simulator sim;
   int fires = 0;
-  const EventId id = sim.schedule_at_far(microseconds(10), [&] { ++fires; });
-  const EventId keep = sim.schedule_at_far(microseconds(20), [&] { ++fires; });
+  const EventId id = sim.schedule_at(microseconds(10), [&] { ++fires; });
+  const EventId keep = sim.schedule_at(microseconds(20), [&] { ++fires; });
   sim.cancel(id);
   sim.cancel(id);  // stale handle: no-op
   sim.run();
@@ -418,12 +418,12 @@ TEST(FarEvents, CancelRemovesExactlyOnce) {
 }
 
 TEST(FarEvents, SlotRecyclesCleanlyIntoMainHeap) {
-  // A slot that held a far event must come back as an ordinary main-heap
-  // slot with no deadline-heap residue.
+  // A one-shot's slot is recycled once it fires: round after round of a
+  // far start plus a near event leaves nothing live behind.
   Simulator sim;
   int fires = 0;
   for (int round = 0; round < 100; ++round) {
-    sim.schedule_at_far(sim.now() + microseconds(1), [&] { ++fires; });
+    sim.schedule_at(sim.now() + microseconds(1), [&] { ++fires; });
     sim.schedule(microseconds(2), [&] { ++fires; });
     sim.run();
   }

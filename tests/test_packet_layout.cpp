@@ -41,7 +41,7 @@ static_assert(sizeof(PacketPtr) == sizeof(void*), "the datapath handle must stay
 
 // The hot record must keep the classification fields the switch reads
 // within the first half of its cache line (tag/type/queue_class are the
-// per-hop branch inputs; flow/dst feed the ECMP cache key).
+// per-hop branch inputs; flow/dst feed the route lookup and ECMP hash).
 static_assert(offsetof(PacketHot, flow) == 0);
 static_assert(offsetof(PacketHot, dst) < 32);
 static_assert(offsetof(PacketHot, wire_bytes) < 32);

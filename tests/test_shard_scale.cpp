@@ -1,8 +1,8 @@
 // Fat-tree scale coverage for the sharded simulator: the DCP_SHARDS
 // identity matrix on k=8/k=16 smoke workloads, the fault-plan serial
-// fallback, the fat-tree-in-pool oracle fuzz batch, and the k=16
-// route-cache thrash regression.  Suite names start with ShardScale so
-// CI's TSan job picks them up (see .github/workflows/ci.yml).
+// fallback and the fat-tree-in-pool oracle fuzz batch.  Suite names start
+// with ShardScale so CI's TSan job picks them up (see
+// .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
@@ -45,24 +45,19 @@ struct FatTreeRunConfig {
   int shards = 1;
   std::size_t num_flows = 48;
   Time max_time = milliseconds(2);
-  std::uint32_t route_cache_slots = 0;  // 0 = derived from topology
   bool oracle = false;
-  // kDcp runs adaptive LB; the route-pick cache only arms under ECMP, so
-  // cache-behavior tests switch to the ECMP-routed IRN scheme.
-  SchemeKind scheme = SchemeKind::kDcp;
 };
 
-RunDigest run_fattree(const FatTreeRunConfig& c, std::uint64_t* cache_misses = nullptr) {
+RunDigest run_fattree(const FatTreeRunConfig& c) {
   ShardGroup group(c.shards);
   Logger log(LogLevel::kOff);
   Network net(group, log);
 
-  SchemeSetup s = make_scheme(c.scheme, SchemeOptions{});
+  SchemeSetup s = make_scheme(SchemeKind::kDcp, SchemeOptions{});
   s.sw.inject_loss_rate = 0.005;
   FatTreeParams fp;
   fp.k = c.k;
   fp.sw = s.sw;
-  fp.route_cache_slots = c.route_cache_slots;
   FatTreeTopology topo = build_fattree(net, fp);
   apply_scheme(net, s);
 
@@ -91,10 +86,6 @@ RunDigest run_fattree(const FatTreeRunConfig& c, std::uint64_t* cache_misses = n
     d.mix(rec.receiver.out_of_order_packets);
   }
   d.events = group.events_processed();
-  if (cache_misses != nullptr) {
-    *cache_misses = 0;
-    for (const auto& sw : net.switches()) *cache_misses += sw->route_cache().misses();
-  }
   return d;
 }
 
@@ -271,54 +262,6 @@ TEST(ShardScaleFuzz, FatTreeScenarioReproRoundTrips) {
   ASSERT_TRUE(parsed.has_value()) << err;
   EXPECT_EQ(*parsed, s);
   EXPECT_EQ(parsed->num_hosts(), 16);
-}
-
-// ---------------------------------------------------------------------------
-// Route-cache sizing at scale
-// ---------------------------------------------------------------------------
-
-TEST(ShardScaleRouteCache, K16DerivedCapacityStopsThrash) {
-  // Derived sizing at k=16: 4 x 1024 hosts = 4096 slots.  Against the
-  // historical fixed 512 slots the same workload must (a) produce the
-  // bit-identical digest — sizing is output-invisible — and (b) miss
-  // less: with hundreds of concurrent (flow, hop) picks per switch, 512
-  // direct-mapped slots evict live entries continuously.
-  FatTreeRunConfig derived;
-  derived.k = 16;
-  derived.num_flows = 48;
-  derived.max_time = milliseconds(1);
-  derived.scheme = SchemeKind::kIrnEcmp;  // ECMP: the only LB that arms the cache
-  FatTreeRunConfig fixed = derived;
-  fixed.route_cache_slots = 512;
-
-  std::uint64_t misses_derived = 0, misses_fixed = 0;
-  const RunDigest d1 = run_fattree(derived, &misses_derived);
-  const RunDigest d2 = run_fattree(fixed, &misses_fixed);
-  EXPECT_EQ(d1, d2) << "route-cache capacity leaked into simulation results";
-  EXPECT_LT(misses_derived, misses_fixed)
-      << "derived capacity (" << misses_derived << " misses) should beat 512 slots ("
-      << misses_fixed << " misses)";
-}
-
-TEST(ShardScaleRouteCache, DerivedCapacityMatchesTopology) {
-  ShardGroup group(1);
-  Logger log(LogLevel::kOff);
-  Network net(group, log);
-  FatTreeParams fp;
-  fp.k = 8;  // 128 hosts -> 4x = 512 exactly at the clamp floor
-  build_fattree(net, fp);
-  for (const auto& sw : net.switches()) {
-    EXPECT_EQ(sw->route_cache().capacity(), 512u);
-  }
-
-  ShardGroup group2(1);
-  Network net2(group2, log);
-  FatTreeParams fp2;
-  fp2.k = 16;  // 1024 hosts -> 4096 slots
-  build_fattree(net2, fp2);
-  for (const auto& sw : net2.switches()) {
-    EXPECT_EQ(sw->route_cache().capacity(), 4096u);
-  }
 }
 
 }  // namespace

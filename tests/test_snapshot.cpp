@@ -251,14 +251,19 @@ TEST(Snapshot, DecodeRefusesVersion1Image) {
   SnapshotImage back;
   ASSERT_TRUE(SnapshotImage::decode(bytes, back));
 
-  // The version word follows the 4-byte magic.  Stamping version 1 on an
-  // otherwise well-formed image must be refused on the version alone...
-  const std::uint32_t v1 = 1;
+  // The version word follows the 4-byte magic.  Stamping an older version
+  // on an otherwise well-formed image must be refused on the version
+  // alone: version 2's switch section still carried the route-cache
+  // config, a prefetched-draw buffer and a flap epoch...
   std::vector<std::uint8_t> stamped = bytes;
-  std::memcpy(stamped.data() + 4, &v1, sizeof v1);
-  EXPECT_FALSE(SnapshotImage::decode(stamped, back));
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    std::memcpy(stamped.data() + 4, &old_version, sizeof old_version);
+    EXPECT_FALSE(SnapshotImage::decode(stamped, back)) << "version " << old_version;
+  }
   // ...and so must a true version-1 layout, which carried two execution-
   // mode bytes (lanes, devirt) after magic, version, fingerprint, shards.
+  const std::uint32_t v1 = 1;
+  std::memcpy(stamped.data() + 4, &v1, sizeof v1);
   std::vector<std::uint8_t> legacy = stamped;
   legacy.insert(legacy.begin() + 20, {1, 1});
   EXPECT_FALSE(SnapshotImage::decode(legacy, back));

@@ -1,12 +1,15 @@
 // The parallel sweep engine: results are indexed by trial (never by
-// completion order), every trial runs exactly once, DCP_JOBS semantics
-// hold, and — the property the whole evaluation suite rests on — a sweep
-// run with 8 workers is bit-identical to the same sweep run serially.
+// completion order), every trial runs exactly once, DCP_JOBS and
+// DCP_SHARDS semantics hold, and — the property the whole evaluation
+// suite rests on — a sweep run with 8 workers is bit-identical to the
+// same sweep run serially.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -91,6 +94,50 @@ TEST(SweepJobs, EnvOverrideAndClamp) {
   EXPECT_EQ(sweep_jobs(), 1u);  // < 1 clamps to serial
   ASSERT_EQ(unsetenv("DCP_JOBS"), 0);
   EXPECT_GE(sweep_jobs(), 1u);  // hardware_concurrency fallback
+}
+
+/// Sets (or, for nullptr, unsets) DCP_SHARDS for one scope.
+class ScopedShardsEnv {
+ public:
+  explicit ScopedShardsEnv(const char* value) {
+    if (const char* prev = std::getenv("DCP_SHARDS")) prev_ = prev;
+    if (value != nullptr) {
+      setenv("DCP_SHARDS", value, 1);
+    } else {
+      unsetenv("DCP_SHARDS");
+    }
+  }
+  ~ScopedShardsEnv() {
+    if (prev_) {
+      setenv("DCP_SHARDS", prev_->c_str(), 1);
+    } else {
+      unsetenv("DCP_SHARDS");
+    }
+  }
+
+ private:
+  std::optional<std::string> prev_;
+};
+
+TEST(SweepShards, EnvOverrideClampAndFaultFallback) {
+  const struct {
+    const char* env;
+    bool has_faults;
+    int want;
+  } cases[] = {
+      {nullptr, false, 1},  // unset: serial
+      {"abc", false, 1},    // unparsable: serial
+      {"0", false, 1},      // < 1 clamps to serial
+      {"-2", false, 1},
+      {"4", false, 4},      // in range: honoured
+      {"16", false, 8},     // above the 8 partition units: capped at them
+      {"4", true, 1},       // a fault plan forces serial
+  };
+  for (const auto& c : cases) {
+    ScopedShardsEnv env(c.env);
+    EXPECT_EQ(resolve_shards(/*units=*/8, c.has_faults), c.want)
+        << "DCP_SHARDS=" << (c.env != nullptr ? c.env : "(unset)") << " faults=" << c.has_faults;
+  }
 }
 
 TEST(SweepAggregator, ConcurrentAddsSumExactly) {

@@ -1,10 +1,14 @@
-// Unit tests for the switch: routing/LB, packet trimming, the lossless
-// control queue, ECN marking, loss injection, shared buffer and PFC.
+// Unit tests for the switch: the route table, routing/LB, packet
+// trimming, the lossless control queue, ECN marking, loss injection,
+// shared buffer, PFC and the switch's checkpoint section.
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "host/host.h"
 #include "net/node.h"
+#include "sim/snapshot.h"
 #include "switch/switch.h"
 #include "topo/clos.h"
 
@@ -41,6 +45,62 @@ Packet dcp_data(NodeId src, NodeId dst, std::uint32_t psn = 0) {
   p.payload_bytes = 1000;
   p.ecn_capable = true;
   return p;
+}
+
+TEST(RouteTable, DenseTableBasics) {
+  RouteTable rt;
+  EXPECT_FALSE(rt.has_route(0));
+  EXPECT_TRUE(rt.candidates(99).empty());  // out of range: no route, no crash
+
+  rt.add_route(5, 2);
+  rt.add_route(5, 3);
+  rt.add_route(1, 7);
+  EXPECT_TRUE(rt.has_route(5));
+  EXPECT_EQ(rt.candidates(5), (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(rt.candidates(1), (std::vector<std::uint32_t>{7}));
+  EXPECT_FALSE(rt.has_route(4));  // hole between installed dsts
+
+  rt.clear_routes(5);
+  EXPECT_FALSE(rt.has_route(5));
+  EXPECT_TRUE(rt.has_route(1));
+}
+
+TEST(RouteTable, DefaultGroupServesUnsetDestinations) {
+  RouteTable rt;
+  const std::vector<std::uint32_t> up{3, 4};
+  rt.set_default_routes(up);
+  EXPECT_EQ(rt.candidates(0), up);  // empty table: everything goes up
+  rt.add_route(10, 1);
+  rt.add_route(12, 2);
+  EXPECT_EQ(rt.candidates(10), (std::vector<std::uint32_t>{1}));  // specific entry wins
+  EXPECT_EQ(rt.candidates(11), up);  // hole inside the dense window
+  EXPECT_EQ(rt.candidates(2), up);   // below the window
+  EXPECT_EQ(rt.candidates(99), up);  // above the window
+  rt.clear_routes(10);
+  EXPECT_EQ(rt.candidates(10), up);  // a cleared entry falls back too
+  EXPECT_EQ(rt.default_routes(), up);
+}
+
+TEST(RouteTable, FrontGrowthKeepsInstalledEntries) {
+  // The dense window starts at the first installed id; a later, smaller id
+  // shifts every entry back.  Inline ports and spill-list indices must
+  // both survive the shift.
+  RouteTable rt;
+  rt.add_route(10, 1);
+  rt.add_route(12, 2);
+  rt.add_route(12, 3);  // two ports: a spill-list entry
+  rt.add_route(4, 5);   // below the window: front growth
+  EXPECT_EQ(rt.candidates(4), (std::vector<std::uint32_t>{5}));
+  EXPECT_EQ(rt.candidates(10), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(rt.candidates(12), (std::vector<std::uint32_t>{2, 3}));
+  for (NodeId hole : {3u, 5u, 9u, 11u, 13u}) EXPECT_FALSE(rt.has_route(hole)) << hole;
+
+  rt.add_route(0, 6);  // grow again, down to id 0
+  rt.add_route(10, 7);  // an inline entry becomes a list after the shifts
+  EXPECT_EQ(rt.candidates(0), (std::vector<std::uint32_t>{6}));
+  EXPECT_EQ(rt.candidates(4), (std::vector<std::uint32_t>{5}));
+  EXPECT_EQ(rt.candidates(10), (std::vector<std::uint32_t>{1, 7}));
+  EXPECT_EQ(rt.candidates(12), (std::vector<std::uint32_t>{2, 3}));
 }
 
 TEST(SwitchRouting, ForwardsToRoutedPort) {
@@ -96,6 +156,41 @@ TEST(SwitchLb, EcmpIsFlowStable) {
     if (sw.port(p).stats().tx_packets > 0) ++used;
   }
   EXPECT_EQ(used, 1);
+}
+
+TEST(SwitchLb, EcmpSpreadsDistinctFlowsAcrossCandidates) {
+  SwitchFixture f;
+  SwitchConfig cfg;
+  cfg.lb = LbPolicy::kEcmp;
+  Switch sw(f.sim, f.log, 100, "sw", cfg, 1);
+  SinkNode* x = f.sink(5);
+  std::vector<std::uint32_t> ports;
+  for (int i = 0; i < 4; ++i) {
+    const auto p = sw.add_port(Bandwidth::gbps(100), 0);
+    sw.connect(p, x, 0);
+    sw.routes().add_route(5, p);
+    ports.push_back(p);
+  }
+  // 64 flows x 4 packets: each flow hashes to one port, and the flows
+  // between them cover every candidate.
+  constexpr int kFlows = 64;
+  constexpr int kPerFlow = 4;
+  for (int fl = 0; fl < kFlows; ++fl) {
+    for (int i = 0; i < kPerFlow; ++i) {
+      Packet p = dcp_data(1, 5, static_cast<std::uint32_t>(i));
+      p.flow = static_cast<FlowId>(fl);
+      sw.receive(std::move(p), 0);
+    }
+  }
+  f.sim.run();
+  std::uint64_t total = 0;
+  for (auto p : ports) {
+    const std::uint64_t tx = sw.port(p).stats().tx_packets;
+    EXPECT_EQ(tx % kPerFlow, 0u) << "a flow split across ports";
+    EXPECT_GE(tx, static_cast<std::uint64_t>(kFlows * kPerFlow / 8)) << "port " << p;
+    total += tx;
+  }
+  EXPECT_EQ(total, static_cast<std::uint64_t>(kFlows * kPerFlow));
 }
 
 TEST(SwitchLb, AdaptiveRoutingPicksLeastLoaded) {
@@ -402,6 +497,85 @@ TEST(SwitchPfc, PauseFrameFreezesOnlyPausedClass) {
   sw.receive(std::move(resume), p);
   f.sim.run();
   EXPECT_EQ(x->arrivals.size(), 2u);
+}
+
+/// An ECMP switch that trims DCP data and drops everything else at a 30%
+/// injected loss rate, with four equal-cost ports toward host 5.
+std::pair<std::unique_ptr<Switch>, SinkNode*> lossy_ecmp_switch(SwitchFixture& f) {
+  SwitchConfig cfg;
+  cfg.lb = LbPolicy::kEcmp;
+  cfg.trimming = true;
+  cfg.inject_loss_rate = 0.3;
+  auto sw = std::make_unique<Switch>(f.sim, f.log, 100, "sw", cfg, /*seed=*/7);
+  SinkNode* x = f.sink(5);
+  for (int i = 0; i < 4; ++i) {
+    const auto p = sw->add_port(Bandwidth::gbps(100), microseconds(1));
+    sw->connect(p, x, 0);
+    sw->routes().add_route(5, p);
+  }
+  return {std::move(sw), x};
+}
+
+/// Schedules packets [first, first + n) from `t0`, one every 200 ns (too
+/// slow for any queue to build, so every loss is an injected-loss draw).
+/// Odd packets are non-DCP, so draws both trim and drop.
+void feed_lossy(SwitchFixture& f, Switch& sw, Time t0, int first, int n) {
+  for (int i = first; i < first + n; ++i) {
+    f.sim.schedule_at(t0 + (i - first) * 200 * kNanosecond, [&sw, i] {
+      Packet p = dcp_data(1, 5, static_cast<std::uint32_t>(i));
+      p.flow = static_cast<FlowId>(i % 8);
+      if (i % 2 == 1) p.tag = DcpTag::kNonDcp;
+      sw.receive(std::move(p), 0);
+    });
+  }
+}
+
+TEST(SwitchCheckpoint, EcmpLossDrawsSurviveRoundTrip) {
+  // A switch restored from a mid-run checkpoint must make the same
+  // injected-loss decisions as the switch that kept running: the image
+  // carries the base RNG's position.
+  SwitchFixture fa;
+  auto [a, sink_a] = lossy_ecmp_switch(fa);
+  feed_lossy(fa, *a, 0, 0, 100);
+  fa.sim.run();
+  const Time pause = fa.sim.now();
+  const Switch::Stats at_pause = a->stats();
+  ASSERT_GT(at_pause.injected_trims, 0u);
+  ASSERT_GT(at_pause.injected_drops, 0u);
+
+  std::vector<std::uint8_t> image;
+  StateIO saver = StateIO::saver(image);
+  a->checkpoint(saver);
+  ASSERT_TRUE(saver.ok()) << saver.error();
+
+  SwitchFixture fb;
+  auto [b, sink_b] = lossy_ecmp_switch(fb);
+  StateIO loader = StateIO::loader(image);
+  b->checkpoint(loader);
+  ASSERT_TRUE(loader.ok()) << loader.error();
+  EXPECT_EQ(loader.bytes_consumed(), image.size());
+  fb.sim.schedule_at(pause, [] {});  // bring the restored clock to the pause
+  fb.sim.run();
+
+  const std::size_t seen = sink_a->arrivals.size();
+  feed_lossy(fa, *a, pause, 100, 200);
+  feed_lossy(fb, *b, pause, 100, 200);
+  fa.sim.run();
+  fb.sim.run();
+
+  const Switch::Stats& sa = a->stats();
+  const Switch::Stats& sb = b->stats();
+  EXPECT_GT(sa.injected_trims, at_pause.injected_trims);
+  EXPECT_GT(sa.injected_drops, at_pause.injected_drops);
+  EXPECT_EQ(sb.injected_trims, sa.injected_trims);
+  EXPECT_EQ(sb.injected_drops, sa.injected_drops);
+  EXPECT_EQ(sb.forwarded, sa.forwarded);
+  EXPECT_EQ(sb.ho_seen, sa.ho_seen);
+  ASSERT_EQ(sink_b->arrivals.size(), sink_a->arrivals.size() - seen);
+  for (std::size_t i = 0; i < sink_b->arrivals.size(); ++i) {
+    EXPECT_EQ(sink_b->arrivals[i].psn, sink_a->arrivals[seen + i].psn) << i;
+    EXPECT_EQ(sink_b->arrivals[i].type, sink_a->arrivals[seen + i].type) << i;
+  }
 }
 
 TEST(SwitchDispatch, ConcreteEndpointsCarryTheirKindTags) {
