@@ -1,10 +1,7 @@
 #include "check/fuzzer.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "check/invariant_oracle.h"
@@ -27,50 +24,7 @@ constexpr std::uint64_t kTagFaults = 0xfa0175;
 // Fault-injection seed for the run itself (probability draws on links).
 constexpr std::uint64_t kTagInject = 0xfa5eed;
 
-// Same grammar as fault_plan.cpp (whose helpers are file-static).
-std::string time_str(Time t) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9gus", to_us(t));
-  return buf;
-}
-
-bool parse_time_str(const std::string& v, Time* out) {
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str()) return false;
-  const std::string unit(end);
-  if (unit == "ns") *out = nanoseconds(x);
-  else if (unit == "us" || unit.empty()) *out = microseconds(x);
-  else if (unit == "ms") *out = milliseconds(x);
-  else if (unit == "s") *out = seconds(x);
-  else return false;
-  return true;
-}
-
-std::string trim_copy(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 }  // namespace
-
-std::optional<SchemeKind> scheme_from_name(const std::string& name) {
-  std::string low;
-  for (char c : name) low += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  static constexpr SchemeKind kAll[] = {
-      SchemeKind::kPfc,  SchemeKind::kIrn,     SchemeKind::kIrnEcmp,
-      SchemeKind::kMpRdma, SchemeKind::kDcp,   SchemeKind::kCx5,
-      SchemeKind::kTimeout, SchemeKind::kRackTlp, SchemeKind::kTcp,
-      SchemeKind::kFec};
-  for (SchemeKind k : kAll) {
-    std::string n = scheme_name(k);
-    for (char& c : n) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (n == low) return k;
-  }
-  return std::nullopt;
-}
 
 FuzzScenario generate_fuzz_scenario(std::uint64_t seed) {
   FuzzScenario s;
@@ -222,14 +176,6 @@ bool reproduces(ShrinkCtx& c, const FuzzScenario& s, Time bound) {
   c.st.events_skipped += skipped;
   c.st.events_executed += w->events_processed() - skipped;
   const FuzzVerdict v = w->finalize_verdict(c.opt.trace_events);
-  const char* dbg = std::getenv("DCP_DEBUG_SHRINK");
-  if (dbg != nullptr && *dbg != '\0') {
-    std::fprintf(stderr, "[shrink] run=%zu bound=%lld skipped=%llu exec=%llu acts=%zu flows=%zu viol=%d\n",
-                 c.st.runs, static_cast<long long>(bound),
-                 static_cast<unsigned long long>(skipped),
-                 static_cast<unsigned long long>(w->events_processed() - skipped),
-                 s.faults.actions.size(), s.flows.size(), v.violated ? 1 : 0);
-  }
   return v.violated && v.invariant == c.inv;
 }
 
@@ -385,11 +331,11 @@ std::string write_fuzz_repro(const FuzzScenario& s, const FuzzVerdict& v) {
   out += "leaves = " + std::to_string(s.leaves) + "\n";
   out += "hosts_per_leaf = " + std::to_string(s.hosts_per_leaf) + "\n";
   if (s.fattree_k > 0) out += "fattree_k = " + std::to_string(s.fattree_k) + "\n";
-  out += "max_time = " + time_str(s.max_time) + "\n";
+  out += "max_time = " + time_to_str(s.max_time) + "\n";
   for (const FuzzFlow& f : s.flows) {
     out += "flow src=" + std::to_string(f.src) + " dst=" + std::to_string(f.dst) +
            " bytes=" + std::to_string(f.bytes) + " msg=" + std::to_string(f.msg_bytes) +
-           " start=" + time_str(f.start) + "\n";
+           " start=" + time_to_str(f.start) + "\n";
   }
   out += "[faults]\n";
   out += s.faults.to_config_text();
@@ -426,7 +372,7 @@ std::optional<FuzzScenario> parse_fuzz_scenario(const std::string& text, std::st
     ++line_no;
     const std::size_t hash = raw.find('#');
     if (hash != std::string::npos) raw.resize(hash);
-    const std::string line = trim_copy(raw);
+    const std::string line = trim(raw);
     if (line.empty()) continue;
     if (line == "[scenario]") {
       section = Section::kScenario;
@@ -454,14 +400,15 @@ std::optional<FuzzScenario> parse_fuzz_scenario(const std::string& text, std::st
         }
         const std::string key = kv.substr(0, eq);
         const std::string val = kv.substr(eq + 1);
-        bool ok = true;
-        if (key == "src") f.src = std::atoi(val.c_str());
-        else if (key == "dst") f.dst = std::atoi(val.c_str());
-        else if (key == "bytes") f.bytes = std::strtoull(val.c_str(), nullptr, 10);
-        else if (key == "msg") f.msg_bytes = std::strtoull(val.c_str(), nullptr, 10);
-        else if (key == "start") ok = parse_time_str(val, &f.start);
-        else ok = false;
-        if (!ok) return fail("line " + std::to_string(line_no) + ": bad flow key '" + key + "'");
+        bool ok = false;
+        if (key == "src") ok = parse_int(val, &f.src);
+        else if (key == "dst") ok = parse_int(val, &f.dst);
+        else if (key == "bytes") ok = parse_uint(val, &f.bytes);
+        else if (key == "msg") ok = parse_uint(val, &f.msg_bytes);
+        else if (key == "start") ok = parse_time(val, &f.start);
+        if (!ok) {
+          return fail("line " + std::to_string(line_no) + ": bad flow entry '" + kv + "'");
+        }
       }
       s.flows.push_back(f);
       continue;
@@ -470,20 +417,19 @@ std::optional<FuzzScenario> parse_fuzz_scenario(const std::string& text, std::st
     if (eq == std::string::npos) {
       return fail("line " + std::to_string(line_no) + ": expected key = value");
     }
-    const std::string key = trim_copy(line.substr(0, eq));
-    const std::string val = trim_copy(line.substr(eq + 1));
-    bool ok = true;
-    if (key == "seed") s.seed = std::strtoull(val.c_str(), nullptr, 10);
+    const std::string key = trim(line.substr(0, eq));
+    const std::string val = trim(line.substr(eq + 1));
+    bool ok = false;
+    if (key == "seed") ok = parse_uint(val, &s.seed);
     else if (key == "scheme") {
-      auto k = scheme_from_name(val);
+      const auto k = scheme_from_name(val);
       ok = k.has_value();
       if (ok) s.scheme = *k;
-    } else if (key == "spines") s.spines = std::atoi(val.c_str());
-    else if (key == "leaves") s.leaves = std::atoi(val.c_str());
-    else if (key == "hosts_per_leaf") s.hosts_per_leaf = std::atoi(val.c_str());
-    else if (key == "fattree_k") s.fattree_k = std::atoi(val.c_str());
-    else if (key == "max_time") ok = parse_time_str(val, &s.max_time);
-    else ok = false;
+    } else if (key == "spines") ok = parse_int(val, &s.spines);
+    else if (key == "leaves") ok = parse_int(val, &s.leaves);
+    else if (key == "hosts_per_leaf") ok = parse_int(val, &s.hosts_per_leaf);
+    else if (key == "fattree_k") ok = parse_int(val, &s.fattree_k);
+    else if (key == "max_time") ok = parse_time(val, &s.max_time);
     if (!ok) return fail("line " + std::to_string(line_no) + ": bad entry '" + line + "'");
   }
 

@@ -119,7 +119,4 @@ std::string write_fuzz_repro(const FuzzScenario& s, const FuzzVerdict& v);
 std::optional<FuzzScenario> parse_fuzz_scenario(const std::string& text,
                                                 std::string* error = nullptr);
 
-/// Inverse of scheme_name(); nullopt for unknown names.
-std::optional<SchemeKind> scheme_from_name(const std::string& name);
-
 }  // namespace dcp

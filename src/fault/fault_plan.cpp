@@ -1,12 +1,62 @@
 #include "fault/fault_plan.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 namespace dcp {
+
 namespace {
+
+// std::from_chars over the whole token: it takes no leading whitespace or
+// '+', and no '-' for an unsigned type.
+template <typename T>
+bool from_whole_token(std::string_view v, T* out) {
+  T x{};
+  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (ec != std::errc() || ptr != v.data() + v.size()) return false;
+  *out = x;
+  return true;
+}
+
+}  // namespace
+
+bool parse_uint(const std::string& v, std::uint64_t* out) { return from_whole_token(v, out); }
+
+bool parse_int(const std::string& v, int* out) { return from_whole_token(v, out); }
+
+bool parse_double(const std::string& v, double* out) {
+  double x = 0;
+  if (!from_whole_token(v, &x) || !std::isfinite(x)) return false;
+  *out = x;
+  return true;
+}
+
+bool parse_time(const std::string& v, Time* out) {
+  // "s" last: it also ends the other three units.
+  static constexpr std::pair<std::string_view, Time> kUnits[] = {
+      {"ns", kNanosecond}, {"us", kMicrosecond}, {"ms", kMillisecond}, {"s", kSecond}};
+  std::string_view num = v;
+  Time unit = kMicrosecond;
+  for (const auto& [suffix, scale] : kUnits) {
+    if (num.ends_with(suffix)) {
+      num.remove_suffix(suffix.size());
+      unit = scale;
+      break;
+    }
+  }
+  double x = 0;
+  if (!parse_double(std::string(num), &x)) return false;
+  const double ps = x * static_cast<double>(unit);
+  // 2^63: every double below it converts to Time without overflow.
+  if (!(std::fabs(ps) < static_cast<double>(kTimeInfinity))) return false;
+  *out = static_cast<Time>(ps);
+  return true;
+}
 
 // Times serialize as microseconds: every Time this library manipulates is
 // ps-exact at us granularity, and %.9g keeps sub-us values lossless for the
@@ -17,39 +67,28 @@ std::string time_to_str(Time t) {
   return buf;
 }
 
-bool parse_time(const std::string& v, Time* out) {
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str()) return false;
-  const std::string unit(end);
-  if (unit == "ns") *out = nanoseconds(x);
-  else if (unit == "us" || unit.empty()) *out = microseconds(x);
-  else if (unit == "ms") *out = milliseconds(x);
-  else if (unit == "s") *out = seconds(x);
-  else return false;
-  return true;
+std::string trim(const std::string& s) {
+  std::size_t b = 0, e = s.size();
+  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  return s.substr(b, e - b);
 }
+
+namespace {
 
 bool parse_target(const std::string& v, std::uint32_t* out) {
   if (v == "all" || v == "*") {
     *out = FaultAction::kAll;
     return true;
   }
-  char* end = nullptr;
-  const unsigned long x = std::strtoul(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') return false;
+  std::uint64_t x = 0;
+  if (!parse_uint(v, &x) || x >= FaultAction::kAll) return false;
   *out = static_cast<std::uint32_t>(x);
   return true;
 }
 
 std::string target_to_str(std::uint32_t t) {
   return t == FaultAction::kAll ? "all" : std::to_string(t);
-}
-
-bool parse_double(const std::string& v, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(v.c_str(), &end);
-  return end != v.c_str() && *end == '\0';
 }
 
 }  // namespace
@@ -123,12 +162,10 @@ std::optional<FaultPlan> parse_fault_plan(const std::string& text, std::string* 
     ++line_no;
     const std::size_t hash = raw.find('#');
     if (hash != std::string::npos) raw.resize(hash);
-    std::size_t b = 0, e = raw.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(raw[b]))) ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(raw[e - 1]))) --e;
-    if (b == e) continue;
+    const std::string line = trim(raw);
+    if (line.empty()) continue;
     std::string err;
-    auto a = parse_fault_action(raw.substr(b, e - b), &err);
+    auto a = parse_fault_action(line, &err);
     if (!a) {
       if (error != nullptr) *error = "fault line " + std::to_string(line_no) + ": " + err;
       return std::nullopt;

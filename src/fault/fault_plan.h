@@ -111,4 +111,23 @@ std::optional<FaultAction> parse_fault_action(const std::string& line, std::stri
 /// Parses a plan: one action per non-empty line, `#` comments allowed.
 std::optional<FaultPlan> parse_fault_plan(const std::string& text, std::string* error = nullptr);
 
+// --- Token grammar shared by every text format ------------------------------
+// Fault plans, experiment configs (harness/config.h) and fuzz repro files
+// (check/fuzzer.h) read values through these helpers.  A number is accepted
+// only when it is the whole token: no surrounding whitespace, no trailing
+// characters, no sign on an unsigned field, no overflow and no non-finite
+// value.  On failure they return false and leave *out untouched.
+
+bool parse_uint(const std::string& v, std::uint64_t* out);
+bool parse_int(const std::string& v, int* out);
+bool parse_double(const std::string& v, double* out);
+/// A time: a number with an optional unit `ns`, `us`, `ms` or `s` (bare
+/// numbers are microseconds), within the picosecond range of Time.
+bool parse_time(const std::string& v, Time* out);
+/// Serializes a time for parse_time(): microseconds, with %.9g keeping
+/// every value this library schedules exact.
+std::string time_to_str(Time t);
+/// `s` without leading and trailing whitespace.
+std::string trim(const std::string& s);
+
 }  // namespace dcp

@@ -11,13 +11,6 @@
 namespace dcp {
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
@@ -35,22 +28,6 @@ bool parse_bool(const std::string& v, bool& out) {
     return true;
   }
   return false;
-}
-
-bool parse_scheme(const std::string& v, SchemeKind& out) {
-  const std::string l = lower(v);
-  if (l == "dcp") out = SchemeKind::kDcp;
-  else if (l == "irn") out = SchemeKind::kIrn;
-  else if (l == "irn-ecmp") out = SchemeKind::kIrnEcmp;
-  else if (l == "pfc") out = SchemeKind::kPfc;
-  else if (l == "mprdma" || l == "mp-rdma") out = SchemeKind::kMpRdma;
-  else if (l == "cx5" || l == "gbn") out = SchemeKind::kCx5;
-  else if (l == "timeout") out = SchemeKind::kTimeout;
-  else if (l == "racktlp" || l == "rack-tlp") out = SchemeKind::kRackTlp;
-  else if (l == "tcp") out = SchemeKind::kTcp;
-  else if (l == "fec") out = SchemeKind::kFec;
-  else return false;
-  return true;
 }
 
 }  // namespace
@@ -101,129 +78,145 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
     const std::string val = trim(line.substr(eq + 1));
     if (val.empty()) return fail(line_no, "empty value for '" + key + "'");
 
+    // Keys named *_us / *_ms take a bare number in that unit.
+    const auto time_in = [&val](const char* unit, Time* out) { return parse_time(val + unit, out); };
+    std::uint64_t u = 0;
+    int i = 0;
+    Time t = 0;
+    bool ok = true;
+
     if (in_scheme) {
-      try {
-        if (key == "kind" || key == "scheme") {
-          if (!parse_scheme(val, scheme)) return fail(line_no, "unknown scheme '" + val + "'");
-        } else if (key == "fec_k") {
-          opt.fec_k = static_cast<std::uint32_t>(std::stoul(val));
-          if (opt.fec_k == 0) return fail(line_no, "fec_k must be >= 1");
-        } else if (key == "fec_m") {
-          opt.fec_m = static_cast<std::uint32_t>(std::stoul(val));
-          if (opt.fec_m == 0) return fail(line_no, "fec_m must be >= 1");
-        } else if (key == "fec_stream_window_bytes") {
-          opt.fec_stream_window_bytes = std::stoull(val);
-        } else if (key == "fec_nack_delay_us") {
-          opt.fec_nack_delay = microseconds(std::stod(val));
-        } else {
-          return fail(line_no, "unknown [scheme] key '" + key + "'");
+      if (key == "kind" || key == "scheme") {
+        const auto k = scheme_from_name(val);
+        if (!k) return fail(line_no, "unknown scheme '" + val + "'");
+        scheme = *k;
+      } else if (key == "fec_k" || key == "fec_m") {
+        if ((ok = parse_uint(val, &u))) {
+          if (u == 0) return fail(line_no, key + " must be >= 1");
+          if (u > 256) return fail(line_no, "fec_k + fec_m must be <= 256");
+          (key == "fec_k" ? opt.fec_k : opt.fec_m) = static_cast<std::uint32_t>(u);
         }
-      } catch (const std::exception&) {
-        return fail(line_no, "bad numeric value '" + val + "' for '" + key + "'");
+      } else if (key == "fec_stream_window_bytes") {
+        ok = parse_uint(val, &opt.fec_stream_window_bytes);
+      } else if (key == "fec_nack_delay_us") {
+        ok = time_in("us", &opt.fec_nack_delay);
+      } else {
+        return fail(line_no, "unknown [scheme] key '" + key + "'");
       }
+      if (!ok) return fail(line_no, "bad numeric value '" + val + "' for '" + key + "'");
       if (opt.fec_k + opt.fec_m > 256) return fail(line_no, "fec_k + fec_m must be <= 256");
       continue;
     }
 
-    try {
-      if (key == "experiment") {
-        const std::string l = lower(val);
-        if (l == "websearch") cfg.kind = ExperimentConfig::Kind::kWebSearch;
-        else if (l == "longflow") cfg.kind = ExperimentConfig::Kind::kLongFlow;
-        else if (l == "collective") cfg.kind = ExperimentConfig::Kind::kCollective;
-        else if (l == "unequal_paths") cfg.kind = ExperimentConfig::Kind::kUnequalPaths;
-        else if (l == "fault_drill" || l == "faultdrill") {
-          cfg.kind = ExperimentConfig::Kind::kFaultDrill;
-        } else if (l == "wanflow" || l == "wan_flow") {
-          cfg.kind = ExperimentConfig::Kind::kWanFlow;
-        } else return fail(line_no, "unknown experiment '" + val + "'");
-      } else if (key == "scheme") {
-        if (!parse_scheme(val, scheme)) return fail(line_no, "unknown scheme '" + val + "'");
-      } else if (key == "with_cc") {
-        if (!parse_bool(val, opt.with_cc)) return fail(line_no, "bad bool '" + val + "'");
-      } else if (key == "cc") {
-        const std::string l = lower(val);
-        if (l == "dcqcn") opt.cc_type = CcConfig::Type::kDcqcn;
-        else if (l == "timely") opt.cc_type = CcConfig::Type::kTimely;
-        else return fail(line_no, "unknown cc '" + val + "'");
-      } else if (key == "load") {
-        cfg.websearch.load = std::stod(val);
-      } else if (key == "flows") {
-        cfg.websearch.num_flows = std::stoul(val);
-      } else if (key == "seed") {
-        cfg.websearch.seed = std::stoull(val);
-        cfg.longflow.seed = std::stoull(val);
-        cfg.faultdrill.seed = std::stoull(val);
-        cfg.wanflow.seed = std::stoull(val);
-      } else if (key == "dist") {
-        const std::string l = lower(val);
-        if (l == "websearch") cfg.websearch.dist = WorkloadDist::kWebSearch;
-        else if (l == "datamining") cfg.websearch.dist = WorkloadDist::kDataMining;
-        else return fail(line_no, "unknown dist '" + val + "'");
-      } else if (key == "spines") {
-        cfg.websearch.clos.spines = std::stoi(val);
-        cfg.collective.clos.spines = std::stoi(val);
-        cfg.faultdrill.clos.spines = std::stoi(val);
-      } else if (key == "leaves") {
-        cfg.websearch.clos.leaves = std::stoi(val);
-        cfg.collective.clos.leaves = std::stoi(val);
-        cfg.faultdrill.clos.leaves = std::stoi(val);
-      } else if (key == "hosts_per_leaf") {
-        cfg.websearch.clos.hosts_per_leaf = std::stoi(val);
-        cfg.collective.clos.hosts_per_leaf = std::stoi(val);
-        cfg.faultdrill.clos.hosts_per_leaf = std::stoi(val);
-      } else if (key == "leaf_spine_delay_us") {
-        cfg.websearch.clos.leaf_spine_delay = microseconds(std::stod(val));
-      } else if (key == "incast") {
-        if (!parse_bool(val, cfg.websearch.with_incast)) {
-          return fail(line_no, "bad bool '" + val + "'");
-        }
-      } else if (key == "incast_fan_in") {
-        cfg.websearch.incast.fan_in = std::stoi(val);
-      } else if (key == "incast_load") {
-        cfg.websearch.incast.load = std::stod(val);
-      } else if (key == "incast_bytes") {
-        cfg.websearch.incast.bytes_per_sender = std::stoull(val);
-      } else if (key == "loss_rate") {
-        cfg.longflow.loss_rate = std::stod(val);
-      } else if (key == "flow_bytes") {
-        cfg.longflow.flow_bytes = std::stoull(val);
-        cfg.faultdrill.flow_bytes = std::stoull(val);
-        cfg.wanflow.flow_bytes = std::stoull(val);
-      } else if (key == "regions") {
-        cfg.wanflow.wan.regions = std::stoi(val);
-      } else if (key == "hosts_per_region") {
-        cfg.wanflow.wan.hosts_per_region = std::stoi(val);
-      } else if (key == "wan_delay_ms") {
-        cfg.wanflow.wan.wan_delay = milliseconds(std::stod(val));
-      } else if (key == "wan_loss_rate") {
-        cfg.wanflow.wan.wan_loss_rate = std::stod(val);
-      } else if (key == "collective_kind") {
-        const std::string l = lower(val);
-        if (l == "allreduce") cfg.collective.kind = CollectiveKind::kAllReduce;
-        else if (l == "alltoall") cfg.collective.kind = CollectiveKind::kAllToAll;
-        else return fail(line_no, "unknown collective '" + val + "'");
-      } else if (key == "groups") {
-        cfg.collective.groups = std::stoi(val);
-      } else if (key == "members") {
-        cfg.collective.members_per_group = std::stoi(val);
-      } else if (key == "collective_bytes") {
-        cfg.collective.total_bytes = std::stoull(val);
-      } else if (key == "ratio") {
-        cfg.unequal_ratio = std::stod(val);
-      } else if (key == "max_time_ms") {
-        const Time t = milliseconds(std::stod(val));
+    if (key == "experiment") {
+      const std::string l = lower(val);
+      if (l == "websearch") cfg.kind = ExperimentConfig::Kind::kWebSearch;
+      else if (l == "longflow") cfg.kind = ExperimentConfig::Kind::kLongFlow;
+      else if (l == "collective") cfg.kind = ExperimentConfig::Kind::kCollective;
+      else if (l == "unequal_paths") cfg.kind = ExperimentConfig::Kind::kUnequalPaths;
+      else if (l == "fault_drill" || l == "faultdrill") {
+        cfg.kind = ExperimentConfig::Kind::kFaultDrill;
+      } else if (l == "wanflow" || l == "wan_flow") {
+        cfg.kind = ExperimentConfig::Kind::kWanFlow;
+      } else return fail(line_no, "unknown experiment '" + val + "'");
+    } else if (key == "scheme") {
+      const auto k = scheme_from_name(val);
+      if (!k) return fail(line_no, "unknown scheme '" + val + "'");
+      scheme = *k;
+    } else if (key == "with_cc") {
+      if (!parse_bool(val, opt.with_cc)) return fail(line_no, "bad bool '" + val + "'");
+    } else if (key == "cc") {
+      const std::string l = lower(val);
+      if (l == "dcqcn") opt.cc_type = CcConfig::Type::kDcqcn;
+      else if (l == "timely") opt.cc_type = CcConfig::Type::kTimely;
+      else return fail(line_no, "unknown cc '" + val + "'");
+    } else if (key == "load") {
+      ok = parse_double(val, &cfg.websearch.load);
+    } else if (key == "flows") {
+      if ((ok = parse_uint(val, &u))) cfg.websearch.num_flows = u;
+    } else if (key == "seed") {
+      if ((ok = parse_uint(val, &u))) {
+        cfg.websearch.seed = u;
+        cfg.longflow.seed = u;
+        cfg.faultdrill.seed = u;
+        cfg.wanflow.seed = u;
+      }
+    } else if (key == "dist") {
+      const std::string l = lower(val);
+      if (l == "websearch") cfg.websearch.dist = WorkloadDist::kWebSearch;
+      else if (l == "datamining") cfg.websearch.dist = WorkloadDist::kDataMining;
+      else return fail(line_no, "unknown dist '" + val + "'");
+    } else if (key == "spines") {
+      if ((ok = parse_int(val, &i))) {
+        cfg.websearch.clos.spines = i;
+        cfg.collective.clos.spines = i;
+        cfg.faultdrill.clos.spines = i;
+      }
+    } else if (key == "leaves") {
+      if ((ok = parse_int(val, &i))) {
+        cfg.websearch.clos.leaves = i;
+        cfg.collective.clos.leaves = i;
+        cfg.faultdrill.clos.leaves = i;
+      }
+    } else if (key == "hosts_per_leaf") {
+      if ((ok = parse_int(val, &i))) {
+        cfg.websearch.clos.hosts_per_leaf = i;
+        cfg.collective.clos.hosts_per_leaf = i;
+        cfg.faultdrill.clos.hosts_per_leaf = i;
+      }
+    } else if (key == "leaf_spine_delay_us") {
+      ok = time_in("us", &cfg.websearch.clos.leaf_spine_delay);
+    } else if (key == "incast") {
+      if (!parse_bool(val, cfg.websearch.with_incast)) {
+        return fail(line_no, "bad bool '" + val + "'");
+      }
+    } else if (key == "incast_fan_in") {
+      ok = parse_int(val, &cfg.websearch.incast.fan_in);
+    } else if (key == "incast_load") {
+      ok = parse_double(val, &cfg.websearch.incast.load);
+    } else if (key == "incast_bytes") {
+      ok = parse_uint(val, &cfg.websearch.incast.bytes_per_sender);
+    } else if (key == "loss_rate") {
+      ok = parse_double(val, &cfg.longflow.loss_rate);
+    } else if (key == "flow_bytes") {
+      if ((ok = parse_uint(val, &u))) {
+        cfg.longflow.flow_bytes = u;
+        cfg.faultdrill.flow_bytes = u;
+        cfg.wanflow.flow_bytes = u;
+      }
+    } else if (key == "regions") {
+      ok = parse_int(val, &cfg.wanflow.wan.regions);
+    } else if (key == "hosts_per_region") {
+      ok = parse_int(val, &cfg.wanflow.wan.hosts_per_region);
+    } else if (key == "wan_delay_ms") {
+      ok = time_in("ms", &cfg.wanflow.wan.wan_delay);
+    } else if (key == "wan_loss_rate") {
+      ok = parse_double(val, &cfg.wanflow.wan.wan_loss_rate);
+    } else if (key == "collective_kind") {
+      const std::string l = lower(val);
+      if (l == "allreduce") cfg.collective.kind = CollectiveKind::kAllReduce;
+      else if (l == "alltoall") cfg.collective.kind = CollectiveKind::kAllToAll;
+      else return fail(line_no, "unknown collective '" + val + "'");
+    } else if (key == "groups") {
+      ok = parse_int(val, &cfg.collective.groups);
+    } else if (key == "members") {
+      ok = parse_int(val, &cfg.collective.members_per_group);
+    } else if (key == "collective_bytes") {
+      ok = parse_uint(val, &cfg.collective.total_bytes);
+    } else if (key == "ratio") {
+      ok = parse_double(val, &cfg.unequal_ratio);
+    } else if (key == "max_time_ms") {
+      if ((ok = time_in("ms", &t))) {
         cfg.websearch.max_time = t;
         cfg.longflow.max_time = t;
         cfg.collective.max_time = t;
         cfg.faultdrill.max_time = t;
         cfg.wanflow.max_time = t;
-      } else {
-        return fail(line_no, "unknown key '" + key + "'");
       }
-    } catch (const std::exception&) {
-      return fail(line_no, "bad numeric value '" + val + "' for '" + key + "'");
+    } else {
+      return fail(line_no, "unknown key '" + key + "'");
     }
+    if (!ok) return fail(line_no, "bad numeric value '" + val + "' for '" + key + "'");
   }
 
   cfg.websearch.scheme = scheme;

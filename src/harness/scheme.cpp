@@ -1,6 +1,7 @@
 #include "harness/scheme.h"
 
 #include <algorithm>
+#include <cctype>
 
 #include "core/dcp_transport.h"
 #include "transports/fec.h"
@@ -27,6 +28,25 @@ const char* scheme_name(SchemeKind k) {
     case SchemeKind::kFec: return "FEC";
   }
   return "?";
+}
+
+std::optional<SchemeKind> scheme_from_name(const std::string& name) {
+  const auto lower = [](std::string s) {
+    for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return s;
+  };
+  const std::string low = lower(name);
+  if (low == "mprdma") return SchemeKind::kMpRdma;
+  if (low == "gbn") return SchemeKind::kCx5;
+  if (low == "racktlp") return SchemeKind::kRackTlp;
+  static constexpr SchemeKind kAll[] = {
+      SchemeKind::kPfc,     SchemeKind::kIrn,     SchemeKind::kIrnEcmp, SchemeKind::kMpRdma,
+      SchemeKind::kDcp,     SchemeKind::kCx5,     SchemeKind::kTimeout, SchemeKind::kRackTlp,
+      SchemeKind::kTcp,     SchemeKind::kFec};
+  for (SchemeKind k : kAll) {
+    if (lower(scheme_name(k)) == low) return k;
+  }
+  return std::nullopt;
 }
 
 std::uint64_t bdp_bytes(Bandwidth rate, Time rtt) {

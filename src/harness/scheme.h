@@ -15,6 +15,7 @@
 //   FEC      : erasure-coded streaming + lossy     + ECMP (WAN tier)
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "host/transport.h"
@@ -37,6 +38,10 @@ enum class SchemeKind {
 };
 
 const char* scheme_name(SchemeKind k);
+/// Inverse of scheme_name(), case-insensitive, also accepting the config
+/// aliases `mprdma`, `gbn` (CX5's RNIC-GBN) and `racktlp`; nullopt for
+/// unknown names.
+std::optional<SchemeKind> scheme_from_name(const std::string& name);
 
 struct SchemeOptions {
   bool with_cc = false;               // integrate congestion control (§6.3)

@@ -117,20 +117,10 @@ void Host::remap_stat_journal(const SeqRemap& remap) {
   }
 }
 
-void Host::prune_stat_journal(Time frontier) {
+void Host::prune_stat_journal() {
   for (auto& [id, log] : journal_) {
-    if (log.size() <= 1) continue;
-    // Entries ascend in (t, seq); keep everything past the frontier (a
-    // deferred finalize may still key into it) plus the latest at-or-below
-    // entry, which any frontier-straddling lookup falls back to.
-    std::size_t first_after = log.size();
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      if (log[i].t > frontier) {
-        first_after = i;
-        break;
-      }
-    }
-    if (first_after > 1) log.erase(log.begin(), log.begin() + (first_after - 1));
+    // Entries ascend in (t, seq): the latest is the last.
+    if (log.size() > 1) log.erase(log.begin(), log.end() - 1);
   }
 }
 

@@ -84,12 +84,9 @@ class Host final : public Node {
   /// Barrier: commit provisional stamps (window remap hook).
   void remap_stat_journal(const SeqRemap& remap);
   /// Barrier, after finalizations: drop entries no future finalize can
-  /// key into.  Under adaptive windows effects past the commit frontier
-  /// stay deferred, so every snapshot with t > frontier is kept along with
-  /// each flow's latest entry at or below it (any later finalize key is
-  /// strictly above the frontier).  kTimeInfinity reduces to "latest per
-  /// flow".
-  void prune_stat_journal(Time frontier);
+  /// key into.  Every later finalize key lies beyond the window just
+  /// committed, so each flow keeps only its latest entry.
+  void prune_stat_journal();
 
  private:
   RnicScheduler nic_;

@@ -154,11 +154,11 @@ void Channel::fire_lane() {
     arrive(std::move(p), epoch, corrupt, sim_);
 
     // Same-time run coalescing: deliver the next record without a heap
-    // round trip iff it is due NOW, the run loop was not stopped, and
-    // nothing else anywhere in the simulation precedes it.  The armed
-    // timer IS the candidate heap top, so it is pulled out before probing.
+    // round trip iff it is due NOW and nothing else anywhere in the
+    // simulation precedes it.  The armed timer IS the candidate heap top,
+    // so it is pulled out before probing.
     LaneRecord* next = lane_head_;
-    if (next == nullptr || next->t != sim_.now() || sim_.stop_requested()) return;
+    if (next == nullptr || next->t != sim_.now()) return;
     lane_timer_.cancel();
     if (!sim_.lane_may_run(next->t, next->seq)) {
       lane_timer_.arm_keyed_abs(next->t, next->seq);

@@ -62,28 +62,6 @@ void EventQueue::end_shard_window(const std::vector<std::uint64_t>& committed) {
   };
   for (HeapEntry& e : heap_) fix(e);
   for (HeapEntry& e : dheap_) fix(e);
-  for (HeapEntry& e : oheap_) fix(e);
-}
-
-void EventQueue::compact_oheap() {
-  std::vector<HeapEntry> live;
-  live.reserve(olive_);
-  for (const HeapEntry& e : oheap_) {
-    if (pos_[e.slot] == kOneshotLive) {
-      live.push_back(e);
-    } else {
-      release(e.slot);
-      --odead_;
-    }
-  }
-  oheap_ = std::move(live);
-  // Floyd build: sift each internal node down, last parent first.
-  if (oheap_.size() > 1) {
-    for (std::size_t i = (oheap_.size() - 2) >> 2; ; --i) {
-      osift_down(i, oheap_[i]);
-      if (i == 0) break;
-    }
-  }
 }
 
 }  // namespace dcp

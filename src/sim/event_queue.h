@@ -11,24 +11,23 @@
 //     index.
 //   * Callbacks are EventCallback (small-buffer optimized, move-only) —
 //     no per-event std::function heap allocation.
-//   * Ordering uses THREE 4-ary min-heaps sharing one global (time,
+//   * Ordering uses TWO 4-ary min-heaps sharing one global (time,
 //     sequence) key space, so the merged firing order is exactly that of a
 //     single heap:
 //       - heap_  : persistent timers (index-tracked via a flat per-slot
 //         position array, so timer_cancel / re-arm removes an entry in
-//         place in O(log n)).
-//       - dheap_ : DEADLINE-class timers (retransmission timeouts,
-//         keepalives) — re-armed far more often than they fire.  Pushing a
-//         deadline forward is O(1): the parked entry goes stale and the
-//         true deadline is stored beside the slot; stale entries are
-//         re-keyed (keeping their original sequence) or dropped only when
-//         they surface at this heap's top.
-//       - oheap_ : ONE-SHOT events (push(), push_keyed()).
-//         One-shots are fire-and-forget: they are never re-keyed and
-//         almost never cancelled, so this heap is NON-TRACKING — sifting
-//         moves 24-byte records without maintaining any position array
-//         (one fewer store per level, and cancel() degrades to an O(1)
-//         lazy tombstone reclaimed when the entry surfaces).
+//         place in O(log n)).  Lane heads and port serialization timers
+//         live here, so it stays O(active links) deep.
+//       - dheap_ : entries that wait long and are rarely touched before
+//         they fire — DEADLINE-class timers (retransmission timeouts,
+//         keepalives, re-armed far more often than they fire) and ONE-SHOT
+//         events (push(): flow starts, fault actions).  Each entry's true
+//         firing time is stored beside its slot.  Pushing a deadline
+//         forward is O(1): the parked entry goes stale.  Cancelling a
+//         deadline timer or a one-shot is O(1): the true time becomes
+//         "never".  Stale entries are re-keyed (keeping their original
+//         sequence) or dropped — a dropped one-shot's slot recycled — only
+//         when they surface at this heap's top.
 //     The sequence number preserves FIFO order among simultaneous events;
 //     each heap's top is kept accurate so next_time() stays O(1).
 //   * EventIds are generation-stamped handles: (generation << 32) | slot+1.
@@ -37,7 +36,7 @@
 //     can never hit a recycled slot.
 //   * Two-level scheduling support: components that own a naturally
 //     ordered stream of events (a Channel's delivery lane, a periodic
-//     timer) keep only ONE entry in the heap.  alloc_seq()/push_keyed()
+//     timer) keep only ONE entry in the heap.  alloc_seq()/timer_arm_keyed()
 //     let them stamp each logical event with a global sequence number at
 //     creation and enter the heap with that exact (time, seq) key later,
 //     so the merged firing order is identical to scheduling every logical
@@ -93,76 +92,63 @@ class EventQueue {
   /// same instant fire in the order they were scheduled.  Templated on the
   /// callable so the closure is constructed directly in its slab slot —
   /// passing a prebuilt EventCallback still works (one move), but a lambda
-  /// at the call site skips the temporary + relocate entirely.
+  /// at the call site skips the temporary + relocate entirely.  The entry
+  /// parks in the deadline heap with its true time equal to its key.
   template <typename F>
   EventId push(Time t, F&& fn) {
-    return push_keyed(t, take_seq(), std::forward<F>(fn));
+    const std::uint64_t seq = take_seq();
+    const std::uint32_t idx = alloc_slot();
+    fn_of(idx).emplace(std::forward<F>(fn));
+    deadline_[idx] = t;
+    dheap_.emplace_back();
+    sift_up(dheap_, dheap_.size() - 1, HeapEntry{t, seq, idx});
+    return (static_cast<EventId>(gen_[idx]) << 32) | (idx + 1);
   }
 
   /// Allocates the next tie-break sequence number.  A caller that manages
   /// its own ordered event stream stamps each logical event with one of
-  /// these at creation time; entering the heap later via push_keyed() or
-  /// timer_arm_keyed() with the stamped value reproduces exactly the
-  /// firing order push() would have produced.
+  /// these at creation time; entering the heap later via timer_arm_keyed()
+  /// with the stamped value reproduces exactly the firing order push()
+  /// would have produced.
   std::uint64_t alloc_seq() { return take_seq(); }
 
-  /// push() with an explicit tie-break sequence (from alloc_seq(), or a
-  /// committed cross-shard sequence).
-  template <typename F>
-  EventId push_keyed(Time t, std::uint64_t seq, F&& fn) {
-    const std::uint32_t idx = alloc_slot();
-    fn_of(idx).emplace(std::forward<F>(fn));
-    pos_[idx] = kOneshotLive;
-    opush(HeapEntry{t, seq, idx});
-    return (static_cast<EventId>(gen_[idx]) << 32) | (idx + 1);
-  }
-
-  /// Cancels a pending event.  For one-shots this is an O(1) lazy
-  /// tombstone (the callback is destroyed now; the heap entry evaporates
-  /// when it surfaces).  Cancelling an already-fired, already-cancelled,
+  /// Cancels a pending one-shot in O(1): the callback is destroyed now, and
+  /// the parked entry is dropped (its slot recycled) when it surfaces at the
+  /// deadline heap's top.  Cancelling an already-fired, already-cancelled,
   /// or invalid id is a harmless no-op: the generation stamp in the handle
   /// no longer matches the slot.
   void cancel(EventId id);
 
-  bool empty() const { return heap_.empty() && dheap_.empty() && olive_ == 0; }
-  std::size_t size() const { return heap_.size() + dheap_.size() + olive_; }
+  bool empty() const { return heap_.empty() && dheap_.empty(); }
+  /// Entries parked in both heaps.  A cancelled one-shot or deadline timer
+  /// still counts until its entry surfaces at the deadline heap's top.
+  std::size_t size() const { return heap_.size() + dheap_.size(); }
 
   /// Time of the earliest pending event; kTimeInfinity when empty.  O(1).
-  /// (Each heap's top is kept accurate — see settle_dtop / drain_otop.)
+  /// (Both heap tops are kept accurate — see settle_dtop.)
   Time next_time() const {
     Time m = heap_.empty() ? kTimeInfinity : heap_[0].t;
     if (!dheap_.empty() && dheap_[0].t < m) m = dheap_[0].t;
-    if (!oheap_.empty() && oheap_[0].t < m) m = oheap_[0].t;
     return m;
   }
 
   /// True when an event keyed (t, seq) would fire before everything
   /// currently pending — the coalescing probe of the two-level scheduler.
   bool before_top(Time t, std::uint64_t seq) const {
-    if (!heap_.empty() &&
-        !(t < heap_[0].t || (t == heap_[0].t && seq < heap_[0].seq))) {
-      return false;
-    }
-    if (!dheap_.empty() &&
-        !(t < dheap_[0].t || (t == dheap_[0].t && seq < dheap_[0].seq))) {
-      return false;
-    }
-    if (!oheap_.empty() &&
-        !(t < oheap_[0].t || (t == oheap_[0].t && seq < oheap_[0].seq))) {
-      return false;
-    }
-    return true;
+    const HeapEntry e{t, seq, 0};
+    return (heap_.empty() || earlier(e, heap_[0])) && (dheap_.empty() || earlier(e, dheap_[0]));
   }
 
   /// Pops the earliest event and runs it, setting `now` to its time first.
-  /// Returns false if the queue is empty.  One-shot slots are recycled
-  /// (generation bumped) before the callback runs, so the callback may
-  /// freely schedule and cancel — including its own, now stale, id.
-  /// Persistent timer slots keep their callback and may re-arm themselves.
+  /// Returns false if the queue is empty.  A one-shot's handles die
+  /// (generation bumped) before its callback runs, so the callback may
+  /// freely schedule and cancel — including its own, now stale, id; the
+  /// slot is recycled after the callback returns.  Persistent timer slots
+  /// keep their callback and may re-arm themselves.
   bool pop_and_run(Time& now);
 
   /// Fused next_time() + pop_and_run(): the run loop's one call per event.
-  /// Selects the earliest of the three heap tops ONCE, and runs it only if
+  /// Selects the earlier of the two heap tops ONCE, and runs it only if
   /// its time is <= `until`.  kBeyond leaves the event in place (its time
   /// was finite but past the bound); kEmpty means nothing is pending.
   enum class PopResult : std::uint8_t { kRan, kEmpty, kBeyond };
@@ -203,7 +189,7 @@ class EventQueue {
   std::size_t slots_allocated() const { return gen_.size(); }
 
   /// Slab footprint: callback chunks plus the per-slot metadata arrays and
-  /// the three heaps' storage.  Counts capacity (slabs never shrink), so
+  /// both heaps' storage.  Counts capacity (slabs never shrink), so
   /// it tracks the queue's real high-water memory.
   std::uint64_t arena_bytes() const {
     const std::uint64_t slots = gen_.size();
@@ -212,15 +198,13 @@ class EventQueue {
         + 2 * sizeof(std::uint8_t)                         // persistent_, in_dheap_
         + sizeof(Time) + sizeof(std::uint32_t);            // deadline_, free_
     return slots * per_slot +
-           static_cast<std::uint64_t>(heap_.capacity() + dheap_.capacity() +
-                                      oheap_.capacity()) *
-               sizeof(HeapEntry);
+           static_cast<std::uint64_t>(heap_.capacity() + dheap_.capacity()) * sizeof(HeapEntry);
   }
 
   /// High-water mark of the first-level heap — the figure the two-level
   /// scheduler shrinks from O(packets in flight + flows) to O(active
   /// links).  Deadline-class and one-shot entries are excluded: they park
-  /// in their own heaps precisely so timer events never sift across them.
+  /// in the deadline heap precisely so timer events never sift across them.
   std::size_t peak_heap_size() const { return peak_heap_; }
 
   // --- Space-parallel sharding hooks (see sim/shard.h) ----------------------
@@ -236,7 +220,7 @@ class EventQueue {
   void begin_shard_window(std::vector<ShardSeqAlloc>* log) { shard_log_ = log; }
 
   /// Leaves window mode and rewrites every provisional sequence still
-  /// pending in the three heaps with its committed value (`committed[i]`
+  /// pending in either heap with its committed value (`committed[i]`
   /// for provisional id i).  The per-shard mapping is strictly increasing
   /// and every committed value exceeds every previously committed one, so
   /// relabeling preserves all heap invariants in place — no re-heapify.
@@ -256,9 +240,9 @@ class EventQueue {
   }
 
   // --- Checkpoint/restore hooks (see sim/snapshot.h) ------------------------
-  // Pending one-shots are never serialized (their owners re-push them via
-  // push_keyed with saved keys); persistent timers ARE, as (heap, key)
-  // tuples.  Heap *arrangement* is not observable — pop order is fully
+  // Pending one-shots are never serialized (their owners re-schedule them
+  // on restore); persistent timers ARE, as (heap, key) tuples.  Heap
+  // *arrangement* is not observable — pop order is fully
   // determined by the globally unique (t, seq) keys — so restoring by
   // reinsertion reproduces execution bit-exactly even though the internal
   // array layout may differ from the uninterrupted run.
@@ -335,15 +319,10 @@ class EventQueue {
   static constexpr std::uint32_t kChunkShift = 9;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;  // 512 events
   static constexpr std::uint32_t kNoPos = UINT32_MAX;
-  // pos_[] sentinels for slots parked in the non-tracking one-shot heap:
-  // membership is tracked, position is not.
-  static constexpr std::uint32_t kOneshotLive = UINT32_MAX - 1;
-  static constexpr std::uint32_t kOneshotDead = UINT32_MAX - 2;
 
   /// Heap entries carry the full ordering key inline so sifting compares
   /// contiguous records; only the per-slot position array is written while
-  /// entries move (one store per level) — and not at all in the one-shot
-  /// heap.
+  /// entries move (one store per level).
   struct HeapEntry {
     Time t;
     std::uint64_t seq;  // FIFO tie-break among equal times
@@ -392,55 +371,31 @@ class EventQueue {
   void sift_up(std::vector<HeapEntry>& h, std::size_t pos, HeapEntry e);
   void sift_down(std::vector<HeapEntry>& h, std::size_t pos, HeapEntry e);
   void sift_root_to_bottom(std::vector<HeapEntry>& h, HeapEntry e);
-  /// Earliest of the three heap tops under the global (t, seq) order
+  /// Earlier of the two heap tops under the global (t, seq) order
   /// (sequences are globally unique, so cross-heap ties cannot occur).
-  /// 0 = main (timers), 1 = deadline, 2 = one-shot, -1 = all empty.
+  /// 0 = main (timers), 1 = deadline heap, -1 = both empty.
   int select_top() const {
-    int which = -1;
-    const HeapEntry* top = nullptr;
-    if (!heap_.empty()) {
-      which = 0;
-      top = &heap_[0];
-    }
-    if (!dheap_.empty() && (top == nullptr || earlier(dheap_[0], *top))) {
-      which = 1;
-      top = &dheap_[0];
-    }
-    if (!oheap_.empty() && (top == nullptr || earlier(oheap_[0], *top))) {
-      which = 2;
-    }
-    return which;
+    if (dheap_.empty()) return heap_.empty() ? -1 : 0;
+    if (heap_.empty()) return 1;
+    return earlier(dheap_[0], heap_[0]) ? 1 : 0;
   }
   void run_top(int which, Time& now);
   /// Restores the invariant "the deadline heap's top entry matches its
-  /// slot's true deadline": drops lazily-cancelled tops, re-keys lazily-
-  /// extended ones (their key only grows, so an in-place sift_down; the
-  /// entry keeps its original sequence, so re-keying never consumes one).
+  /// slot's true time": drops lazily-cancelled tops (recycling a one-shot's
+  /// slot), re-keys lazily-extended ones (their key only grows, so an
+  /// in-place sift_down; the entry keeps its original sequence, so
+  /// re-keying never consumes one).
   void settle_dtop();
-
-  // --- Non-tracking one-shot heap helpers ----------------------------------
-  void opush(const HeapEntry& e);
-  void opop_root();
-  /// Drops tombstoned entries off the one-shot heap's top so it is always
-  /// live (next_time()'s O(1) contract).
-  void drain_otop();
-  /// Rebuilds oheap_ without tombstones once they outnumber live entries.
-  void compact_oheap();
-  void osift_up(std::size_t pos, HeapEntry e);
-  void osift_down(std::size_t pos, HeapEntry e);
 
   std::vector<std::unique_ptr<EventCallback[]>> chunks_;  // stable storage
   std::vector<std::uint32_t> gen_;   // per-slot generation stamp
   std::vector<std::uint32_t> pos_;   // per-slot heap position (kNoPos = free)
   std::vector<std::uint8_t> persistent_;  // slot is a timer (callback survives fire)
-  std::vector<std::uint8_t> in_dheap_;    // pending entry lives in the deadline heap
-  std::vector<Time> deadline_;       // true deadline of a deadline-class timer
+  std::vector<std::uint8_t> in_dheap_;    // a timer's pending entry lives in dheap_
+  std::vector<Time> deadline_;       // true time of a dheap_ entry (never = cancelled)
   std::vector<std::uint32_t> free_;  // recycled slot indices
   std::vector<HeapEntry> heap_;      // persistent timers (index-tracked)
-  std::vector<HeapEntry> dheap_;     // deadline class: rarely-firing deadlines
-  std::vector<HeapEntry> oheap_;     // one-shots (non-tracking)
-  std::size_t olive_ = 0;            // live (non-tombstoned) one-shot entries
-  std::size_t odead_ = 0;            // tombstones still parked in oheap_
+  std::vector<HeapEntry> dheap_;     // deadline timers + one-shots (index-tracked)
   std::uint64_t next_seq_ = 1;
   std::uint64_t* seq_src_ = &next_seq_;  // shared counter in sharded setup
   std::vector<ShardSeqAlloc>* shard_log_ = nullptr;  // non-null inside a window
@@ -463,8 +418,7 @@ class EventQueue {
 // header-visible lets the run loop (simulator.cpp), the delivery lanes
 // (channel.cpp) and the port serialization timers (port.cpp) inline the
 // whole schedule->fire machinery without LTO.  Cold maintenance (grow,
-// timer_create/destroy, shard-window relabeling, one-shot compaction)
-// stays in event_queue.cpp.
+// timer_create/destroy, shard-window relabeling) stays in event_queue.cpp.
 
 inline void EventQueue::cancel(EventId id) {
   const std::uint64_t slot_part = id & 0xFFFFFFFFull;
@@ -474,17 +428,15 @@ inline void EventQueue::cancel(EventId id) {
 
   if (gen_[idx] != static_cast<std::uint32_t>(id >> 32)) return;  // stale handle
   if (persistent_[idx]) return;  // timers are managed via timer_* only
-  if (pos_[idx] != kOneshotLive) return;  // not pending (or already tombstoned)
 
-  // Lazy cancel: destroy the callback now (releasing captured resources),
-  // leave a tombstone the heap reclaims when the entry surfaces.
+  // A matching one-shot handle is always parked in the deadline heap (firing
+  // bumps the generation).  Lazy cancel, as for deadline timers: destroy the
+  // callback now (releasing captured resources) and let the entry drop out
+  // when it surfaces.
   fn_of(idx).reset();
-  pos_[idx] = kOneshotDead;
+  deadline_[idx] = kTimeInfinity;
   ++gen_[idx];  // invalidates every outstanding handle to this slot
-  --olive_;
-  ++odead_;
-  drain_otop();
-  if (odead_ > 64 && odead_ > olive_) compact_oheap();
+  if (pos_[idx] == 0) settle_dtop();
 }
 
 inline void EventQueue::timer_arm_keyed(std::uint32_t timer, Time t, std::uint64_t seq) {
@@ -559,10 +511,15 @@ inline void EventQueue::settle_dtop() {
     const Time dl = deadline_[top.slot];
     if (dl == top.t) return;  // accurate: this deadline is real
     if (dl == kTimeInfinity) {
-      // Lazily cancelled: drop the entry.
+      // Lazily cancelled: drop the entry.  A timer keeps its slot; a
+      // cancelled one-shot's slot finally returns to the pool.
       const HeapEntry last = dheap_.back();
       dheap_.pop_back();
-      pos_[top.slot] = kNoPos;
+      if (persistent_[top.slot]) {
+        pos_[top.slot] = kNoPos;
+      } else {
+        release(top.slot);
+      }
       if (!dheap_.empty()) sift_root_to_bottom(dheap_, last);
       continue;
     }
@@ -578,85 +535,57 @@ inline void EventQueue::settle_dtop() {
 }
 
 inline void EventQueue::run_top(int which, Time& now) {
-  if (which == 2) {
-    // One-shot: pop, invalidate, run IN PLACE.  drain_otop() afterwards
-    // keeps the top live so next_time() stays O(1)-accurate.
-    const HeapEntry top = oheap_[0];
-    now = top.t;
-    cur_time_ = top.t;
-    cur_parent_ = top.seq;
-    opop_root();
-    --olive_;
-    // Handles die here (cancel of the running event's own id is a stale
-    // no-op), but the slot joins the free list only AFTER the callback
-    // returns: a reentrant push can then never reuse this storage, which
-    // makes running the callback in place safe — skipping the relocate
-    // (a kInlineSize-byte move through an indirect call) that popping
-    // by-move paid on every event.
-    pos_[top.slot] = kNoPos;
-    ++gen_[top.slot];
-    EventCallback& fn = fn_of(top.slot);
-    fn();
-    fn.reset();
-    free_.push_back(top.slot);
-    drain_otop();
-    return;
-  }
-
   if (which == 0) {
+    // Only persistent timers enter the main heap.  The callback stays in
+    // place and may re-arm its own slot.  Root removal is DEFERRED: the
+    // spent entry's key precedes every other main-heap key that can exist
+    // during the callback, so it pins the root and timer_arm_keyed can fuse
+    // a self re-arm into one sift_down.
     const std::uint32_t idx = heap_[0].slot;
     now = heap_[0].t;
     cur_time_ = heap_[0].t;
     cur_parent_ = heap_[0].seq;
-
-    if (persistent_[idx]) {
-      // Timer: the callback stays in place and may re-arm its own slot.
-      // Root removal is DEFERRED: the spent entry's key precedes every
-      // other main-heap key that can exist during the callback, so it pins
-      // the root and timer_arm_keyed can fuse a self re-arm into one
-      // sift_down.
-      pos_[idx] = kNoPos;
-      deferred_root_ = idx;
-      fn_of(idx)();
-      if (deferred_root_ == idx) {
-        // Not re-armed (or re-armed into the deadline class): physically
-        // remove the spent root now.
-        deferred_root_ = kNoPos;
-        const HeapEntry last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty()) sift_root_to_bottom(heap_, last);
-      }
-      return;
+    pos_[idx] = kNoPos;
+    deferred_root_ = idx;
+    fn_of(idx)();
+    if (deferred_root_ == idx) {
+      // Not re-armed (or re-armed into the deadline class): physically
+      // remove the spent root now.
+      deferred_root_ = kNoPos;
+      const HeapEntry last = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_root_to_bottom(heap_, last);
     }
-    const HeapEntry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_root_to_bottom(heap_, last);
-
-    EventCallback fn = std::move(fn_of(idx));
-    release(idx);  // recycled before running: reentrant schedule/cancel is safe
-    fn();
     return;
   }
 
-  // Deadline heap fires: the top is accurate by the settle_dtop invariant.
+  // Deadline heap fires: the top is accurate by the settle_dtop invariant,
+  // and settling again before the callback keeps it so while it runs.
   const HeapEntry top = dheap_[0];
   const HeapEntry last = dheap_.back();
   dheap_.pop_back();
   if (!dheap_.empty()) sift_root_to_bottom(dheap_, last);
   settle_dtop();
   pos_[top.slot] = kNoPos;
-  deadline_[top.slot] = kTimeInfinity;
   now = top.t;
   cur_time_ = top.t;
   cur_parent_ = top.seq;
-  if (!persistent_[top.slot]) {
-    in_dheap_[top.slot] = 0;
-    EventCallback fn = std::move(fn_of(top.slot));
-    release(top.slot);  // recycled before running, same as the main path
-    fn();
+  if (persistent_[top.slot]) {
+    deadline_[top.slot] = kTimeInfinity;
+    fn_of(top.slot)();
     return;
   }
-  fn_of(top.slot)();
+  // One-shot: invalidate, run IN PLACE.  Handles die here (cancel of the
+  // running event's own id is a stale no-op), but the slot joins the free
+  // list only AFTER the callback returns: a reentrant push can then never
+  // reuse this storage, which makes running the callback in place safe —
+  // skipping the relocate (a kInlineSize-byte move through an indirect
+  // call) that popping by-move would pay on every event.
+  ++gen_[top.slot];
+  EventCallback& fn = fn_of(top.slot);
+  fn();
+  fn.reset();
+  free_.push_back(top.slot);
 }
 
 inline bool EventQueue::pop_and_run(Time& now) {
@@ -669,80 +598,13 @@ inline bool EventQueue::pop_and_run(Time& now) {
 inline EventQueue::PopResult EventQueue::pop_and_run_bounded(Time until, Time& now) {
   const int which = select_top();
   if (which < 0) return PopResult::kEmpty;
-  const Time t = which == 0 ? heap_[0].t : which == 1 ? dheap_[0].t : oheap_[0].t;
+  const Time t = which == 0 ? heap_[0].t : dheap_[0].t;
   if (t > until) return PopResult::kBeyond;
   run_top(which, now);
   return PopResult::kRan;
 }
 
-// --- Non-tracking one-shot heap ---------------------------------------------
-
-inline void EventQueue::opush(const HeapEntry& e) {
-  ++olive_;
-  oheap_.emplace_back();  // placeholder; osift_up writes the entry in place
-  osift_up(oheap_.size() - 1, e);
-}
-
-inline void EventQueue::opop_root() {
-  const HeapEntry last = oheap_.back();
-  oheap_.pop_back();
-  if (oheap_.empty()) return;
-  // Bottom-up pop, same scheme as sift_root_to_bottom but without position
-  // maintenance: promote the minimum child down to a leaf, then bubble the
-  // (late) replacement up from there — it rarely moves.
-  const std::size_t n = oheap_.size();
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t first = (pos << 2) + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t end = first + 4 < n ? first + 4 : n;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(oheap_[c], oheap_[best])) best = c;
-    }
-    oheap_[pos] = oheap_[best];
-    pos = best;
-  }
-  osift_up(pos, last);
-}
-
-inline void EventQueue::drain_otop() {
-  while (!oheap_.empty() && pos_[oheap_[0].slot] == kOneshotDead) {
-    release(oheap_[0].slot);  // the tombstoned slot finally returns to the pool
-    --odead_;
-    opop_root();
-  }
-}
-
-inline void EventQueue::osift_up(std::size_t pos, HeapEntry e) {
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) >> 2;
-    const HeapEntry& p = oheap_[parent];
-    if (!earlier(e, p)) break;
-    oheap_[pos] = p;
-    pos = parent;
-  }
-  oheap_[pos] = e;
-}
-
-inline void EventQueue::osift_down(std::size_t pos, HeapEntry e) {
-  const std::size_t n = oheap_.size();
-  for (;;) {
-    const std::size_t first = (pos << 2) + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t end = first + 4 < n ? first + 4 : n;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(oheap_[c], oheap_[best])) best = c;
-    }
-    if (!earlier(oheap_[best], e)) break;
-    oheap_[pos] = oheap_[best];
-    pos = best;
-  }
-  oheap_[pos] = e;
-}
-
-// --- Index-tracked heaps (timers + deadlines) --------------------------------
+// --- Index-tracked heaps -----------------------------------------------------
 
 inline void EventQueue::remove_from_heap(std::vector<HeapEntry>& h, std::size_t pos) {
   const HeapEntry last = h.back();

@@ -140,7 +140,7 @@ Time ShardGroup::run_window(Time cap) {
 
   // One uniform bound opening at the globally earliest pending event (see
   // the file header).  Per-shard bounds would let the earliest shard race
-  // ahead and commit its beyond-frontier allocations a window early; a
+  // ahead and commit allocations past a slower shard's clock a window early; a
   // same-time tie against a slower shard's later-committed event then
   // breaks the wrong way.  Adaptivity lives in the window LENGTH (`ahead`,
   // shrunk under cross-shard pressure) and in dispatch: shards with nothing

@@ -18,8 +18,8 @@
 // the same-time tie-break — holds only if no shard allocates at a time
 // another shard has yet to reach.  Shards with no event inside the bound
 // are not dispatched at all (their worker stays parked), and the call
-// returns the bound as the commit frontier: every event at or below it
-// has executed on every shard, so barrier effects up to it are final (see
+// returns the bound: every event at or below it has executed on every
+// shard, so every barrier effect the window recorded is final (see
 // Network::commit_window_effects).
 //
 // Determinism: all shards draw setup-phase tie-break sequences from ONE
@@ -97,9 +97,9 @@ class ShardGroup {
   /// shards with work inside the bound run to it (inclusive) in parallel,
   /// then the window commits — merge allocation logs -> committed
   /// sequences -> heap rewrite -> component remap hooks -> cut-channel
-  /// mailbox drains.  Returns the commit frontier (the bound): every shard
-  /// has executed everything at or below it, so barrier effects up to it
-  /// are final.  An unsharded group just runs its simulator to `cap`.
+  /// mailbox drains.  Returns the window's bound: every shard has executed
+  /// everything at or below it.  An unsharded group just runs its
+  /// simulator to `cap`.
   Time run_window(Time cap);
 
   // ---- Instrumentation (read between windows, coordinator thread) -------

@@ -38,7 +38,7 @@ class Simulator {
 
   Time now() const { return now_; }
 
-  /// The Simulator whose run()/run_one() loop is executing on THIS thread
+  /// The Simulator whose run() loop is executing on THIS thread
   /// (nullptr outside a run loop).  Cross-shard observers (the invariant
   /// oracle) use it to stamp timestamps with the executing shard's clock —
   /// reading any other shard's now() from a hook is a data race.
@@ -61,16 +61,6 @@ class Simulator {
 
   /// Runs until the queue drains or simulated time exceeds `until`.
   void run(Time until = kTimeInfinity);
-
-  /// Runs a single event; returns false when the queue is empty.
-  bool run_one();
-
-  /// Stops a `run()` in progress after the current event returns.
-  void stop() { stopped_ = true; }
-  /// True between stop() and the run loop noticing it.  Delivery lanes
-  /// consult this so same-time coalescing honours stop() exactly as if
-  /// every delivery were its own heap event.
-  bool stop_requested() const { return stopped_; }
 
   bool idle() const { return queue_.empty(); }
   Time next_event_time() const { return queue_.next_time(); }
@@ -174,7 +164,6 @@ class Simulator {
   EventQueue queue_;
   Time now_ = 0;
   std::uint64_t events_processed_ = 0;
-  bool stopped_ = false;
   CheckObserver* check_observer_ = nullptr;
   std::vector<std::function<void(const SeqRemap&)>> remap_hooks_;
 };

@@ -224,47 +224,22 @@ void Network::finalize_flow_at(const PendingFinalize& p) {
   for (auto& fn : tx_listeners_) fn(record(p.id));
 }
 
-void Network::commit_window_effects(Time frontier) {
+void Network::commit_window_effects() {
   // Gather the per-shard pending lists and apply them in committed
   // (t, seq) order — the order the serial run would have fired them in.
   // Listener order matters because listeners mutate ordered state
   // (flow-id assignment in collectives, completion counters).
-  //
-  // Window bounds are uniform, so every effect recorded this window is
-  // timestamped at or below the frontier and applies right here.  The
-  // frontier filter still guards the general case: an effect above it —
-  // possible only if a caller commits below some shard's bound — stays in
-  // its per-shard list (its seq was committed at this barrier, and
-  // SeqRemap passes committed values through untouched at the next one)
-  // until the frontier catches up.
   std::vector<PendingFinalize> fins;
   std::vector<PendingRx> rxs;
-  bool any_pending = false;
   for (auto& v : pending_fin_) {
-    any_pending = any_pending || !v.empty();
-    std::size_t keep = 0;
-    for (auto& p : v) {
-      if (p.t <= frontier) {
-        fins.push_back(std::move(p));
-      } else {
-        v[keep++] = std::move(p);
-      }
-    }
-    v.resize(keep);
+    for (auto& p : v) fins.push_back(std::move(p));
+    v.clear();
   }
   for (auto& v : pending_rx_) {
-    any_pending = any_pending || !v.empty();
-    std::size_t keep = 0;
-    for (auto& p : v) {
-      if (p.t <= frontier) {
-        rxs.push_back(p);
-      } else {
-        v[keep++] = p;
-      }
-    }
-    v.resize(keep);
+    rxs.insert(rxs.end(), v.begin(), v.end());
+    v.clear();
   }
-  if (!any_pending) return;
+  if (fins.empty() && rxs.empty()) return;
   auto before = [](Time at, std::uint64_t as, Time bt, std::uint64_t bs) {
     return at != bt ? at < bt : as < bs;
   };
@@ -288,26 +263,19 @@ void Network::commit_window_effects(Time frontier) {
       ++fi;
     }
   }
-  // Any finalize key still to come lies strictly beyond the frontier, so
-  // per flow only the latest journal entry at or below it — plus every
-  // entry beyond it — can ever be looked up again.
-  for (auto& h : hosts_) h->prune_stat_journal(frontier);
+  // Any finalize key still to come lies beyond the window just committed,
+  // so per flow only the latest journal entry can ever be looked up again.
+  for (auto& h : hosts_) h->prune_stat_journal();
 }
 
 bool Network::run_windows(Time bound) {
   for (;;) {
     const Time tn = shards_->next_time();
-    if (tn == kTimeInfinity) {
-      commit_window_effects(kTimeInfinity);
-      return true;
-    }
-    if (tn > bound) break;
-    commit_window_effects(shards_->run_window(bound));
+    if (tn == kTimeInfinity) return true;
+    if (tn > bound) return false;
+    shards_->run_window(bound);
+    commit_window_effects();
   }
-  // Every shard has executed everything at or below the bound (window
-  // bounds are capped there), so any still-deferred effect is now final.
-  commit_window_effects(bound);
-  return false;
 }
 
 Switch::Stats Network::total_switch_stats() const {

@@ -173,16 +173,15 @@ class Network {
   /// Lazily flips the network into sharded-run mode: locates cut channels,
   /// computes the lookahead, arms journals and remap hooks.
   void finalize_shards();
-  /// Runs shard windows until nothing at or below `bound` is pending, then
-  /// commits the barrier effects up to it.  Returns true when every shard
+  /// Runs shard windows, committing each one's barrier effects, until
+  /// nothing at or below `bound` is pending.  Returns true when every shard
   /// has drained.
   bool run_windows(Time bound);
-  /// Barrier step: finalize pending flows in serial order, fire deferred
-  /// rx listeners, prune journals.  Only effects at or below `frontier`
-  /// (the group's commit frontier — every shard has executed everything up
-  /// to it) are applied; later ones stay pending so cross-barrier listener
-  /// order matches the serial run exactly.
-  void commit_window_effects(Time frontier);
+  /// Barrier step after each window: finalize pending flows and fire
+  /// deferred rx listeners in serial (t, seq) order, then prune journals.
+  /// Every effect recorded in the window lies at or below its bound, which
+  /// all shards have reached, so all of them apply.
+  void commit_window_effects();
   void finalize_flow_at(const PendingFinalize& p);
 
   Simulator& sim_;

@@ -197,12 +197,43 @@ TEST(Fuzzer, ReproFileRoundTrips) {
 TEST(Fuzzer, SchemeNamesRoundTrip) {
   for (SchemeKind k : {SchemeKind::kPfc, SchemeKind::kIrn, SchemeKind::kIrnEcmp,
                        SchemeKind::kMpRdma, SchemeKind::kDcp, SchemeKind::kCx5,
-                       SchemeKind::kTimeout, SchemeKind::kRackTlp, SchemeKind::kTcp}) {
+                       SchemeKind::kTimeout, SchemeKind::kRackTlp, SchemeKind::kTcp,
+                       SchemeKind::kFec}) {
     const auto back = scheme_from_name(scheme_name(k));
     ASSERT_TRUE(back.has_value()) << scheme_name(k);
     EXPECT_EQ(*back, k);
   }
+  // Config-file aliases, any case.
+  EXPECT_EQ(scheme_from_name("mprdma"), SchemeKind::kMpRdma);
+  EXPECT_EQ(scheme_from_name("GBN"), SchemeKind::kCx5);
+  EXPECT_EQ(scheme_from_name("racktlp"), SchemeKind::kRackTlp);
+  EXPECT_EQ(scheme_from_name("irn-ecmp"), SchemeKind::kIrnEcmp);
   EXPECT_FALSE(scheme_from_name("no-such-scheme").has_value());
+}
+
+TEST(Fuzzer, ReproParseRejectsMalformedNumbers) {
+  const std::string head =
+      "[scenario]\nseed = 1\nscheme = DCP\nspines = 1\nleaves = 2\nhosts_per_leaf = 1\n"
+      "max_time = 50000us\n";
+  std::string err;
+  ASSERT_TRUE(
+      parse_fuzz_scenario(head + "flow src=0 dst=1 bytes=4096 msg=0 start=1us\n", &err).has_value())
+      << err;
+  // Malformed numbers must fail closed: read as a numeric prefix, or
+  // wrapped from a negative, they would make --replay run another scenario.
+  const std::pair<std::string, const char*> bad[] = {
+      {head + "flow src=0 dst=1 bytes=abc msg=0 start=1us\n", "line 8"},
+      {head + "flow src=1x dst=0 bytes=4096 msg=0 start=1us\n", "line 8"},
+      {head + "flow src=0 dst=1 bytes=-1000 msg=0 start=1us\n", "line 8"},
+      {"[scenario]\nseed = 1\nspines = 2x\nflow src=0 dst=1 bytes=4096\n", "line 3"},
+      {head + "flow src=0 dst=1 bytes=4096 msg=0 start=1usx\n", "line 8"},
+      {"[scenario]\nseed = 1e3\nflow src=0 dst=1 bytes=4096\n", "line 2"},
+  };
+  for (const auto& [text, line] : bad) {
+    err.clear();
+    EXPECT_FALSE(parse_fuzz_scenario(text, &err).has_value()) << text;
+    EXPECT_NE(err.find(line), std::string::npos) << err;
+  }
 }
 
 // Parallel fuzz batches must report exactly what the serial loop reports:

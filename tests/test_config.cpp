@@ -52,6 +52,17 @@ TEST(Config, ErrorsNameTheLine) {
   EXPECT_FALSE(parse_experiment_config("load = not_a_number\n", &err).has_value());
   EXPECT_NE(err.find("line 1"), std::string::npos);
 
+  // Numbers must be the whole token, and unsigned fields take no sign.
+  for (const char* text : {"flows = 10x\n", "load = 0.3abc\n", "spines = 4.7\n", "seed = -1\n",
+                           "flows = -5\n", "max_time_ms = inf\n"}) {
+    err.clear();
+    EXPECT_FALSE(parse_experiment_config(std::string("scheme = dcp\n") + text, &err).has_value())
+        << text;
+    EXPECT_NE(err.find("line 2"), std::string::npos) << text << ": " << err;
+  }
+  EXPECT_FALSE(parse_experiment_config("[scheme]\nfec_k = 8x\n", &err).has_value());
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+
   EXPECT_FALSE(parse_experiment_config("just a line without equals\n", &err).has_value());
   EXPECT_FALSE(parse_experiment_config("scheme = klingon\n", &err).has_value());
   EXPECT_FALSE(parse_experiment_config("with_cc = maybe\n", &err).has_value());

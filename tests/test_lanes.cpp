@@ -365,6 +365,23 @@ TEST(DeadlineTimer, ReArmFromOwnCallbackKeepsRunning) {
   EXPECT_FALSE(self.pending());
 }
 
+TEST(DeadlineTimer, ExtendedDeadlineAndOneShotFireInKeyOrder) {
+  // The RTO is stamped before a one-shot, then lazily extended to the
+  // one-shot's instant while an earlier event keeps it off the top.  When
+  // it surfaces it is re-keyed with its ORIGINAL sequence, so it still
+  // fires first — re-keying must not draw a fresh sequence.
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule(microseconds(5), [&] { order.push_back('e'); });
+  Timer rto(sim, [&] { order.push_back('r'); });
+  rto.arm_deadline(microseconds(10));
+  sim.schedule(microseconds(20), [&] { order.push_back('o'); });
+  rto.arm_deadline_at(microseconds(20));  // parked entry goes stale
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'e', 'r', 'o'}));
+  EXPECT_EQ(sim.now(), microseconds(20));
+}
+
 TEST(DeadlineTimer, EqualTimeOrderAcrossHeapsFollowsAllocation) {
   // A main-heap event and a deadline entry at the same instant fire in
   // sequence-allocation order — the global (t, seq) merge is heap-blind.
@@ -415,6 +432,65 @@ TEST(FarEvents, CancelRemovesExactlyOnce) {
   sim.run();
   EXPECT_EQ(fires, 1);
   sim.cancel(keep);  // cancel-after-fire: no-op (generation stamped)
+}
+
+TEST(FarEvents, CancelBelowTheTopNeverFiresAndRecyclesItsSlot) {
+  EventQueue q;
+  int fires = 0;
+  q.push(10, [&] { ++fires; });
+  const EventId doomed = q.push(20, [] { FAIL() << "cancelled one-shot fired"; });
+  q.push(30, [&] { ++fires; });
+  q.cancel(doomed);
+  // Below the top the cancelled entry stays parked: it still counts in
+  // size(), and the earliest pending time is untouched.
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.next_time(), 10);
+  Time now = 0;
+  ASSERT_TRUE(q.pop_and_run(now));  // t=10 fires; the dead entry surfaces and drops
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 30);
+  while (q.pop_and_run(now)) {
+  }
+  EXPECT_EQ(fires, 2);
+  EXPECT_TRUE(q.empty());
+
+  // Churn: each round parks a far one-shot and cancels it below the top.
+  // About 200 dead entries stay parked at any time; each must hand its
+  // slot back when it surfaces, or the slab grows every round.
+  for (int i = 1; i <= 64; ++i) q.push(now + i, [&] { ++fires; });
+  const std::size_t plateau = q.slots_allocated();
+  for (int round = 0; round < 20000; ++round) {
+    const EventId far = q.push(now + 200, [] { FAIL() << "cancelled one-shot fired"; });
+    q.push(now + 65, [&] { ++fires; });
+    q.cancel(far);
+    ASSERT_TRUE(q.pop_and_run(now));
+  }
+  EXPECT_EQ(q.slots_allocated(), plateau);
+  EXPECT_EQ(fires, 2 + 20000);
+}
+
+TEST(FarEvents, OneShotMayCancelAndPushFromItsOwnCallback) {
+  // A one-shot runs in its slot: its handle is stale once it starts, and
+  // the slot is freed only after it returns, so a push from inside lands
+  // in another slot and the running closure stays intact.
+  EventQueue q;
+  std::vector<int> order;
+  EventId self = kInvalidEvent;
+  EventId sibling = kInvalidEvent;
+  EventId child = kInvalidEvent;
+  self = q.push(10, [&, tag = 1] {
+    child = q.push(10, [&] { order.push_back(3); });  // same instant, later seq
+    q.cancel(self);     // own handle: a stale no-op
+    q.cancel(sibling);  // still pending: cancelled
+    order.push_back(tag);
+  });
+  sibling = q.push(20, [&] { order.push_back(2); });
+  Time now = 0;
+  while (q.pop_and_run(now)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_NE(child & 0xFFFFFFFFull, self & 0xFFFFFFFFull);
+  EXPECT_EQ(now, 10);
 }
 
 TEST(FarEvents, SlotRecyclesCleanlyIntoMainHeap) {

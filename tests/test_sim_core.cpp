@@ -187,20 +187,6 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(Simulator, StopHaltsRun) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1, [&] {
-    fired++;
-    sim.stop();
-  });
-  sim.schedule(2, [&] { fired++; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, ScheduleAtInPastClampsToNow) {
   Simulator sim;
   sim.schedule(microseconds(3), [] {});
