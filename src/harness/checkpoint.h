@@ -73,7 +73,10 @@ class SimWorld {
   SimWorld& operator=(const SimWorld&) = delete;
 
   /// Schemes whose transports implement checkpoint_extra.  TcpLite (the
-  /// software-stack proxy) is out of scope; its runs simply never snapshot.
+  /// software-stack proxy) is the one exception: its kernel-delay stages
+  /// park each ACK and data packet in a one-shot closure, and a restore
+  /// re-arms only module-owned timers, so it cannot rebuild them.  Both of
+  /// its ends fail the stream explicitly; its runs simply never snapshot.
   static bool snapshot_supported(SchemeKind k) { return k != SchemeKind::kTcp; }
 
   const WorldSpec& spec() const { return spec_; }

@@ -41,6 +41,22 @@ struct FaultHarness {
   }
 };
 
+// The readout every one-flow runner shares: completion, elapsed time, the
+// end stats (live ones if the flow did not finish inside the budget) and
+// goodput over the elapsed time.
+template <typename Result>
+void read_single_flow(Network& net, FlowId id, Time now, Result& r) {
+  const FlowRecord& rec = net.record(id);
+  r.completed = rec.complete();
+  r.elapsed = r.completed ? rec.fct() : now;
+  r.receiver = r.completed ? rec.receiver : net.host(rec.spec.dst)->receiver(id)->stats();
+  r.sender = r.completed ? rec.sender : net.host(rec.spec.src)->sender(id)->stats();
+  if (r.elapsed > 0) {
+    r.goodput_gbps = static_cast<double>(r.receiver.bytes_received) * 8.0 /
+                     (static_cast<double>(r.elapsed) / kSecond) / 1e9;
+  }
+}
+
 }  // namespace
 
 LongFlowResult run_long_flow(const LongFlowParams& p) {
@@ -75,18 +91,7 @@ LongFlowResult run_long_flow(const LongFlowParams& p) {
   LongFlowResult r;
   r.core = timer.finish();
   faults.finish(r.fault_episodes, r.wire);
-  const FlowRecord& rec = net.record(id);
-  r.completed = rec.complete();
-  r.elapsed = r.completed ? rec.fct() : sim.now();
-  // Live stats if the flow did not finish inside the budget.
-  Host* dst = net.host(spec.dst);
-  Host* src = net.host(spec.src);
-  r.receiver = rec.complete() ? rec.receiver : dst->receiver(id)->stats();
-  r.sender = rec.complete() ? rec.sender : src->sender(id)->stats();
-  if (r.elapsed > 0) {
-    r.goodput_gbps = static_cast<double>(r.receiver.bytes_received) * 8.0 /
-                     (static_cast<double>(r.elapsed) / kSecond) / 1e9;
-  }
+  read_single_flow(net, id, sim.now(), r);
   r.sw = net.total_switch_stats();
   return r;
 }
@@ -179,17 +184,7 @@ FaultDrillResult run_fault_drill(const FaultDrillParams& p) {
     r.violations = oracle->violations();
   }
   faults.finish(r.fault_episodes, r.wire);
-  const FlowRecord& rec = net.record(id);
-  r.completed = rec.complete();
-  r.elapsed = r.completed ? rec.fct() : sim.now();
-  Host* dst = net.host(spec.dst);
-  Host* src = net.host(spec.src);
-  r.receiver = rec.complete() ? rec.receiver : dst->receiver(id)->stats();
-  r.sender = rec.complete() ? rec.sender : src->sender(id)->stats();
-  if (r.elapsed > 0) {
-    r.goodput_gbps = static_cast<double>(r.receiver.bytes_received) * 8.0 /
-                     (static_cast<double>(r.elapsed) / kSecond) / 1e9;
-  }
+  read_single_flow(net, id, sim.now(), r);
   r.sw = net.total_switch_stats();
   return r;
 }
@@ -241,17 +236,7 @@ WanFlowResult run_wan_flow(const WanFlowParams& p) {
     oracle->finalize();
     r.violations = oracle->violations();
   }
-  const FlowRecord& rec = net.record(id);
-  r.completed = rec.complete();
-  r.elapsed = r.completed ? rec.fct() : sim.now();
-  Host* dst = net.host(spec.dst);
-  Host* src = net.host(spec.src);
-  r.receiver = rec.complete() ? rec.receiver : dst->receiver(id)->stats();
-  r.sender = rec.complete() ? rec.sender : src->sender(id)->stats();
-  if (r.elapsed > 0) {
-    r.goodput_gbps = static_cast<double>(r.receiver.bytes_received) * 8.0 /
-                     (static_cast<double>(r.elapsed) / kSecond) / 1e9;
-  }
+  read_single_flow(net, id, sim.now(), r);
   r.wire_dropped = topo.wire_dropped();
   return r;
 }

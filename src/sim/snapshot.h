@@ -165,8 +165,7 @@ class StateIO {
   }
 
   /// std::vector<bool> (protocol bitmaps): no contiguous storage, so one
-  /// byte per bit.  Load re-sizes to the saved size (covers lazily-grown
-  /// bitmaps like TimeoutSender::retx_pending_).
+  /// byte per bit.  Load re-sizes to the saved size.
   void vbool(std::vector<bool>& v) {
     std::uint64_t n = v.size();
     pod(n);
@@ -302,7 +301,7 @@ struct SnapshotClock {
 /// ddmin path).
 struct SnapshotImage {
   static constexpr std::uint32_t kMagic = 0x44435053;  // "DCPS"
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
 
   std::uint64_t fingerprint = 0;
   std::uint32_t shards = 1;

@@ -22,8 +22,7 @@ FecSender::FecSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig 
       layout_(cfg_.fec_k, cfg_.fec_m, total_packets()),
       group_acked_(layout_.groups, false),
       group_payload_sent_(layout_.groups, 0),
-      retx_pending_(layout_.wire_total, false),
-      retx_scan_(layout_.wire_total) {}
+      retx_(layout_.wire_total) {}
 
 std::uint64_t FecSender::window_limit() const {
   return cfg_.fec_stream_window_bytes > 0 ? cfg_.fec_stream_window_bytes : cc_->window_bytes();
@@ -31,7 +30,7 @@ std::uint64_t FecSender::window_limit() const {
 
 bool FecSender::protocol_has_packet() {
   if (done()) return false;
-  if (retx_count_ > 0) return true;
+  if (!retx_.empty()) return true;
   advance_past_acked();
   return snd_nxt_wire_ < layout_.wire_total && window_used_ < window_limit();
 }
@@ -73,13 +72,7 @@ Packet FecSender::make_fec_packet(std::uint32_t wire_psn, bool retransmit) {
 }
 
 Packet FecSender::protocol_next_packet() {
-  if (retx_count_ > 0) {
-    while (retx_scan_ < retx_pending_.size() && !retx_pending_[retx_scan_]) ++retx_scan_;
-    const std::uint32_t psn = retx_scan_;
-    retx_pending_[psn] = false;
-    --retx_count_;
-    return make_fec_packet(psn, /*retransmit=*/true);
-  }
+  if (!retx_.empty()) return make_fec_packet(retx_.pop(), /*retransmit=*/true);
   advance_past_acked();
   const std::uint32_t psn = snd_nxt_wire_++;
   Packet p = make_fec_packet(psn, /*retransmit=*/false);
@@ -96,22 +89,14 @@ void FecSender::ack_group(std::uint32_t g) {
   window_used_ -= std::min(window_used_, group_payload_sent_[g]);
   // Any retransmissions still queued for the group are moot.
   const std::uint32_t end = std::min<std::uint32_t>(layout_.wire_end(g), snd_nxt_wire_);
-  for (std::uint32_t p = layout_.wire_begin(g); p < end; ++p) {
-    if (retx_pending_[p]) {
-      retx_pending_[p] = false;
-      --retx_count_;
-    }
-  }
+  for (std::uint32_t p = layout_.wire_begin(g); p < end; ++p) retx_.remove(p);
   cc_->on_ack(group_payload_sent_[g]);
 }
 
 void FecSender::queue_retx(std::uint32_t wire_psn) {
   if (wire_psn >= snd_nxt_wire_) return;  // never sent: still streaming
   if (group_acked_[layout_.group_of(wire_psn)]) return;
-  if (retx_pending_[wire_psn]) return;
-  retx_pending_[wire_psn] = true;
-  ++retx_count_;
-  if (wire_psn < retx_scan_) retx_scan_ = wire_psn;
+  retx_.push(wire_psn);
 }
 
 void FecSender::on_rto() {
@@ -288,9 +273,7 @@ void FecSender::checkpoint_extra(StateIO& io) {
   io.pod(acked_groups_);
   io.vec(group_payload_sent_);
   io.pod(window_used_);
-  io.vbool(retx_pending_);
-  io.pod(retx_count_);
-  io.pod(retx_scan_);
+  retx_.checkpoint(io);
   io.timer(rto_);
 }
 

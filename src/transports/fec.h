@@ -16,6 +16,7 @@
 
 #include "host/transport.h"
 #include "transports/ec_codec.h"
+#include "transports/selective_repeat.h"
 
 namespace dcp {
 
@@ -94,9 +95,7 @@ class FecSender final : public SenderTransport {
   // never charged — they are what unwedges a closed window).
   std::vector<std::uint64_t> group_payload_sent_;
   std::uint64_t window_used_ = 0;
-  std::vector<bool> retx_pending_;  // indexed by wire PSN, data PSNs only
-  std::uint32_t retx_count_ = 0;
-  std::uint32_t retx_scan_ = 0;
+  RetxQueue retx_;  // wire PSNs, data PSNs only
   Timer rto_{sim_, [this] { on_rto(); }};  // deadline-class: re-armed per group ACK
 };
 

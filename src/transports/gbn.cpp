@@ -32,12 +32,11 @@ void GbnSender::on_rto() {
   if (done()) return;
   stats_.timeouts++;
   cc_->on_timeout();
-  rewind("rto");
+  rewind();
   arm_rto();
 }
 
-void GbnSender::rewind(const char* why) {
-  (void)why;
+void GbnSender::rewind() {
   snd_nxt_ = snd_una_;
   last_rewind_una_ = snd_una_;
   kick_nic();
@@ -74,7 +73,7 @@ void GbnSender::on_packet(Packet pkt) {
       }
       // One rewind per loss event: further NAKs carrying the same ePSN are
       // echoes of out-of-order packets already in flight.
-      if (snd_una_ != last_rewind_una_ && snd_nxt_ > snd_una_) rewind("nak");
+      if (snd_una_ != last_rewind_una_ && snd_nxt_ > snd_una_) rewind();
       return;
     }
     default:

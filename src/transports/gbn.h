@@ -28,7 +28,7 @@ class GbnSender final : public SenderTransport {
  private:
   void arm_rto();
   void on_rto();
-  void rewind(const char* why);
+  void rewind();
   std::uint64_t inflight_bytes() const;
 
   std::uint32_t snd_una_ = 0;  // oldest unacknowledged PSN

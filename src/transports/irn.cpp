@@ -6,39 +6,25 @@
 
 namespace dcp {
 
-std::uint64_t IrnSender::inflight_bytes() const {
+bool IrnSender::protocol_has_packet() {
   // Unacked bytes between the cumulative ACK and snd_nxt; SACKed holes are
   // a second-order correction we ignore (IRN uses the same approximation).
-  return static_cast<std::uint64_t>(snd_nxt_ - snd_una_) * cfg_.mtu_payload;
-}
-
-bool IrnSender::protocol_has_packet() {
-  if (done()) return false;
-  if (has_retx()) return true;
-  return snd_nxt_ < total_packets() && inflight_bytes() < cc_->window_bytes();
+  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * cfg_.mtu_payload <
+                        cc_->window_bytes());
 }
 
 Packet IrnSender::protocol_next_packet() {
   // Retransmissions take precedence over new data.
-  if (has_retx()) {
-    while (retx_scan_ < retx_pending_.size() && !retx_pending_[retx_scan_]) ++retx_scan_;
-    const std::uint32_t psn = retx_scan_;
-    retx_pending_[psn] = false;
-    --retx_count_;
-    Packet p = make_data_packet(psn, HeaderSizes::kRoceData + (psn == 0 ? HeaderSizes::kReth : 0));
-    p.tag = DcpTag::kNonDcp;
-    p.is_retransmit = true;
-    return p;
-  }
-  const std::uint32_t psn = snd_nxt_++;
+  const auto [psn, retx] = sb_.next_psn();
   Packet p = make_data_packet(psn, HeaderSizes::kRoceData + (psn == 0 ? HeaderSizes::kReth : 0));
   p.tag = DcpTag::kNonDcp;
+  p.is_retransmit = retx;
   return p;
 }
 
 void IrnSender::arm_rto() {
-  const std::uint32_t outstanding = snd_nxt_ - snd_una_;
-  const Time rto = outstanding <= cfg_.rto_low_threshold_pkts ? cfg_.rto_low : cfg_.rto_high;
+  const Time rto =
+      sb_.outstanding() <= cfg_.rto_low_threshold_pkts ? cfg_.rto_low : cfg_.rto_high;
   rto_.arm_deadline(rto);
 }
 
@@ -46,22 +32,13 @@ void IrnSender::on_rto() {
   if (done()) return;
   stats_.timeouts++;
   cc_->on_timeout();
-  // Selective timeout recovery: every unacked outstanding packet becomes
-  // eligible for (re)transmission again.
-  // Re-mark every unacked outstanding packet.  The count must cover
-  // *all* pending bits (including ones already marked by fast retransmit)
-  // or previously marked PSNs would never be popped again.
-  retx_count_ = 0;
-  retx_scan_ = total_packets();
-  loss_scan_ = snd_una_;
-  for (std::uint32_t p = snd_una_; p < snd_nxt_; ++p) {
-    retx_done_[p] = false;
-    if (!acked_[p]) {
-      retx_pending_[p] = true;
-      ++retx_count_;
-      if (p < retx_scan_) retx_scan_ = p;
-    }
-  }
+  // Selective timeout recovery: the queue becomes exactly the unacked
+  // outstanding packets (a PSN cumulatively acked while queued is
+  // forgotten, not resent), and each may be fast-retransmitted again.
+  sb_.retx().clear();
+  sb_.mark_outstanding_lost();
+  std::fill(retx_done_.begin() + sb_.una(), retx_done_.begin() + sb_.nxt(), false);
+  loss_scan_ = sb_.una();
   enter_recovery();
   arm_rto();
   kick_nic();
@@ -70,7 +47,7 @@ void IrnSender::on_rto() {
 void IrnSender::enter_recovery() {
   if (!in_recovery_) {
     in_recovery_ = true;
-    recovery_high_ = snd_nxt_;
+    recovery_high_ = sb_.nxt();
   }
 }
 
@@ -78,21 +55,12 @@ void IrnSender::scan_for_losses() {
   // A packet is lost iff it is unacked and a higher PSN has been SACKed;
   // each packet is fast-retransmitted at most once per recovery episode.
   // The watermark skips ranges already classified this episode.
-  std::uint32_t p = std::max(snd_una_, loss_scan_);
-  const std::uint32_t end = std::min(highest_sacked_, snd_nxt_);
+  std::uint32_t p = std::max(sb_.una(), loss_scan_);
+  const std::uint32_t end = std::min(highest_sacked_, sb_.nxt());
   for (; p < end; ++p) {
-    if (!acked_[p] && !retx_done_[p] && !retx_pending_[p]) {
-      retx_pending_[p] = true;
-      retx_done_[p] = true;
-      ++retx_count_;
-      if (p < retx_scan_) retx_scan_ = p;
-    }
+    if (!retx_done_[p] && sb_.mark_lost(p)) retx_done_[p] = true;
   }
   if (end > loss_scan_) loss_scan_ = end;
-}
-
-void IrnSender::advance_una() {
-  while (snd_una_ < total_packets() && acked_[snd_una_]) ++snd_una_;
 }
 
 void IrnSender::on_packet(Packet pkt) {
@@ -108,24 +76,18 @@ void IrnSender::on_packet(Packet pkt) {
       return;
   }
 
-  const std::uint32_t old_una = snd_una_;
   if (pkt.echo_ts >= 0) cc_->on_rtt_sample(sim_.now() - pkt.echo_ts);
-  // Cumulative part.
-  for (std::uint32_t p = snd_una_; p < pkt.ack_psn && p < total_packets(); ++p) acked_[p] = true;
-  // Selective part.
+  sb_.cumulative_ack(pkt.ack_psn);
   if (pkt.type == PktType::kSack && pkt.sack_psn < total_packets()) {
-    acked_[pkt.sack_psn] = true;
+    sb_.sack(pkt.sack_psn);
     if (pkt.sack_psn + 1 > highest_sacked_) highest_sacked_ = pkt.sack_psn + 1;
-    if (retx_pending_[pkt.sack_psn]) {
-      retx_pending_[pkt.sack_psn] = false;
-      --retx_count_;
-    }
+    sb_.retx().remove(pkt.sack_psn);
   }
-  advance_una();
-  if (snd_una_ > highest_sacked_) highest_sacked_ = snd_una_;
+  const std::uint32_t newly = sb_.advance();
+  if (sb_.una() > highest_sacked_) highest_sacked_ = sb_.una();
 
-  if (snd_una_ > old_una) {
-    cc_->on_ack(static_cast<std::uint64_t>(snd_una_ - old_una) * cfg_.mtu_payload);
+  if (newly > 0) {
+    cc_->on_ack(static_cast<std::uint64_t>(newly) * cfg_.mtu_payload);
     arm_rto();
   }
 
@@ -136,10 +98,10 @@ void IrnSender::on_packet(Packet pkt) {
   }
 
   // Exit condition: cumulative ACK passed everything outstanding at entry.
-  if (in_recovery_ && snd_una_ >= recovery_high_) {
+  if (in_recovery_ && sb_.una() >= recovery_high_) {
     in_recovery_ = false;
     std::fill(retx_done_.begin(), retx_done_.end(), false);
-    loss_scan_ = snd_una_;  // fresh episode: everything may be rescanned
+    loss_scan_ = sb_.una();  // fresh episode: everything may be rescanned
   }
 
   // Any SACK (an out-of-order indication) triggers/extends loss recovery.
@@ -151,35 +113,19 @@ void IrnSender::on_packet(Packet pkt) {
 }
 
 void IrnReceiver::on_packet(Packet pkt) {
-  if (pkt.type != PktType::kData) return;
-  stats_.data_packets++;
-
-  if (ecn_enabled_ && pkt.ecn_ce && cnp_.should_send(sim_.now())) {
-    send_control(make_control(PktType::kCnp, HeaderSizes::kCnp));
-  }
-
-  if (pkt.psn >= total_packets()) return;
-  if (received_[pkt.psn]) {
-    stats_.duplicate_packets++;
-  } else {
-    received_[pkt.psn] = true;
-    received_count_++;
-    stats_.bytes_received += pkt.payload_bytes;
-    if (pkt.psn != expected_) stats_.out_of_order_packets++;
-    while (expected_ < total_packets() && received_[expected_]) ++expected_;
-    if (complete()) mark_complete();
-  }
+  if (!admit(pkt)) return;
+  place(pkt);
 
   // In-order arrivals produce a cumulative ACK; out-of-order arrivals (or
   // duplicates, which imply sender-side confusion) produce a SACK.
-  if (pkt.psn + 1 == expected_ || pkt.psn < expected_) {
+  if (pkt.psn + 1 == expected() || pkt.psn < expected()) {
     Packet ack = make_control(PktType::kAck, HeaderSizes::kRoceAck);
-    ack.ack_psn = expected_;
+    ack.ack_psn = expected();
     ack.echo_ts = pkt.sent_at;
     send_control(std::move(ack));
   } else {
     Packet sack = make_control(PktType::kSack, HeaderSizes::kRoceAck + 4);
-    sack.ack_psn = expected_;
+    sack.ack_psn = expected();
     sack.sack_psn = pkt.psn;
     sack.echo_ts = pkt.sent_at;
     send_control(std::move(sack));
@@ -188,24 +134,13 @@ void IrnReceiver::on_packet(Packet pkt) {
 
 
 void IrnSender::checkpoint_extra(StateIO& io) {
-  io.vbool(acked_);
-  io.vbool(retx_pending_);
+  sb_.checkpoint(io);
   io.vbool(retx_done_);
-  io.pod(retx_count_);
-  io.pod(retx_scan_);
-  io.pod(snd_una_);
-  io.pod(snd_nxt_);
   io.pod(highest_sacked_);
   io.pod(loss_scan_);
   io.pod(in_recovery_);
   io.pod(recovery_high_);
   io.timer(rto_);
-}
-
-void IrnReceiver::checkpoint_extra(StateIO& io) {
-  io.vbool(received_);
-  io.pod(received_count_);
-  io.pod(expected_);
 }
 
 }  // namespace dcp

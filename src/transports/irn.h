@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "host/transport.h"
+#include "transports/selective_repeat.h"
 
 namespace dcp {
 
@@ -22,17 +23,10 @@ class IrnSender final : public SenderTransport {
  public:
   IrnSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
       : SenderTransport(sim, host, spec, cfg),
-        acked_(total_packets(), false),
-        retx_pending_(total_packets(), false),
+        sb_(total_packets()),
         retx_done_(total_packets(), false) {}
   void on_packet(Packet pkt) override;
-  bool done() const override { return snd_una_ >= total_packets(); }
-
-  bool in_recovery() const { return in_recovery_; }
-  std::uint32_t snd_una() const { return snd_una_; }
-  std::uint32_t snd_nxt() const { return snd_nxt_; }
-  std::uint32_t retx_count() const { return retx_count_; }
-  bool rto_armed() const { return rto_.pending(); }
+  bool done() const override { return sb_.done(); }
 
  protected:
   bool protocol_has_packet() override;
@@ -45,17 +39,9 @@ class IrnSender final : public SenderTransport {
   void on_rto();
   void enter_recovery();
   void scan_for_losses();
-  void advance_una();
-  std::uint64_t inflight_bytes() const;
-  bool has_retx() const { return retx_count_ > 0; }
 
-  std::vector<bool> acked_;        // sender-side bitmap (cumulative+selective)
-  std::vector<bool> retx_pending_; // marked lost, awaiting retransmission
+  Scoreboard sb_;
   std::vector<bool> retx_done_;    // retransmitted once in this episode
-  std::uint32_t retx_count_ = 0;
-  std::uint32_t retx_scan_ = 0;    // next index to pop from retx_pending_
-  std::uint32_t snd_una_ = 0;
-  std::uint32_t snd_nxt_ = 0;
   std::uint32_t highest_sacked_ = 0;  // highest PSN ever (s)acked + 1
   // Loss-scan watermark: below it every packet is acked or already
   // fast-retransmitted this episode, so each SACK only scans the newly
@@ -67,21 +53,10 @@ class IrnSender final : public SenderTransport {
   Timer rto_{sim_, [this] { on_rto(); }};  // deadline-class: re-armed per ACK
 };
 
-class IrnReceiver final : public ReceiverTransport {
+class IrnReceiver final : public OooReceiver {
  public:
-  IrnReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
-      : ReceiverTransport(sim, host, spec, cfg), received_(total_packets(), false) {}
-
+  using OooReceiver::OooReceiver;
   void on_packet(Packet pkt) override;
-  bool complete() const override { return received_count_ >= total_packets(); }
-
- protected:
-  void checkpoint_extra(StateIO& io) override;
-
- private:
-  std::vector<bool> received_;
-  std::uint32_t received_count_ = 0;
-  std::uint32_t expected_ = 0;  // cumulative ePSN
 };
 
 class IrnFactory final : public TransportFactory {

@@ -7,24 +7,11 @@
 namespace dcp {
 
 bool MpRdmaSender::protocol_has_packet() {
-  if (done()) return false;
-  if (retx_count_ > 0) return true;
-  const double inflight_pkts = static_cast<double>(snd_nxt_ - snd_una_);
-  return snd_nxt_ < total_packets() && inflight_pkts < cwnd_pkts_;
+  return sb_.has_packet(static_cast<double>(sb_.outstanding()) < cwnd_pkts_);
 }
 
 Packet MpRdmaSender::protocol_next_packet() {
-  std::uint32_t psn;
-  bool retx = false;
-  if (retx_count_ > 0) {
-    while (retx_scan_ < retx_pending_.size() && !retx_pending_[retx_scan_]) ++retx_scan_;
-    psn = retx_scan_;
-    retx_pending_[psn] = false;
-    --retx_count_;
-    retx = true;
-  } else {
-    psn = snd_nxt_++;
-  }
+  const auto [psn, retx] = sb_.next_psn();
   Packet p = make_data_packet(psn, HeaderSizes::kRoceData + (psn == 0 ? HeaderSizes::kReth : 0));
   p.tag = DcpTag::kNonDcp;
   p.is_retransmit = retx;
@@ -38,14 +25,7 @@ void MpRdmaSender::on_rto() {
   if (done()) return;
   stats_.timeouts++;
   cc_->on_timeout();
-  retx_scan_ = total_packets();
-  for (std::uint32_t p = snd_una_; p < snd_nxt_; ++p) {
-    if (!acked_[p] && !retx_pending_[p]) {
-      retx_pending_[p] = true;
-      ++retx_count_;
-      if (p < retx_scan_) retx_scan_ = p;
-    }
-  }
+  sb_.mark_outstanding_lost();
   cwnd_pkts_ = std::max(1.0, cwnd_pkts_ / 2.0);
   arm_rto();
   kick_nic();
@@ -59,12 +39,7 @@ void MpRdmaSender::on_packet(Packet pkt) {
       return;
     case PktType::kNack: {
       // Receiver dropped an out-of-window packet; retransmit just it.
-      if (pkt.sack_psn < total_packets() && !acked_[pkt.sack_psn] &&
-          !retx_pending_[pkt.sack_psn]) {
-        retx_pending_[pkt.sack_psn] = true;
-        ++retx_count_;
-        if (pkt.sack_psn < retx_scan_) retx_scan_ = pkt.sack_psn;
-      }
+      if (pkt.sack_psn < total_packets()) sb_.mark_lost(pkt.sack_psn);
       cwnd_pkts_ = std::max(1.0, cwnd_pkts_ - 1.0);
       kick_nic();
       return;
@@ -84,18 +59,13 @@ void MpRdmaSender::on_packet(Packet pkt) {
     cwnd_pkts_ = std::min(max_cwnd_pkts_, cwnd_pkts_ + 1.0 / cwnd_pkts_);
   }
 
-  const std::uint32_t old_una = snd_una_;
-  for (std::uint32_t p = snd_una_; p < pkt.ack_psn && p < total_packets(); ++p) acked_[p] = true;
+  sb_.cumulative_ack(pkt.ack_psn);
   if (pkt.type == PktType::kSack && pkt.sack_psn < total_packets()) {
-    acked_[pkt.sack_psn] = true;
-    if (retx_pending_[pkt.sack_psn]) {
-      retx_pending_[pkt.sack_psn] = false;
-      --retx_count_;
-    }
+    sb_.sack(pkt.sack_psn);
+    sb_.retx().remove(pkt.sack_psn);
   }
-  while (snd_una_ < total_packets() && acked_[snd_una_]) ++snd_una_;
-  if (snd_una_ > old_una) {
-    cc_->on_ack(static_cast<std::uint64_t>(snd_una_ - old_una) * cfg_.mtu_payload);
+  if (const std::uint32_t newly = sb_.advance()) {
+    cc_->on_ack(static_cast<std::uint64_t>(newly) * cfg_.mtu_payload);
     arm_rto();
   }
   if (done()) {
@@ -107,62 +77,27 @@ void MpRdmaSender::on_packet(Packet pkt) {
 }
 
 void MpRdmaReceiver::on_packet(Packet pkt) {
-  if (pkt.type != PktType::kData) return;
-  stats_.data_packets++;
-
-  if (ecn_enabled_ && pkt.ecn_ce && cnp_.should_send(sim_.now())) {
-    send_control(make_control(PktType::kCnp, HeaderSizes::kCnp));
-  }
-  if (pkt.psn >= total_packets()) return;
-
+  if (!admit(pkt)) return;
   // Bounded reordering tolerance: beyond the window the packet cannot be
   // placed (MP-RDMA's on-NIC metadata is limited) and is dropped + NACKed.
-  if (pkt.psn >= expected_ + cfg_.mp_ooo_window_pkts) {
+  if (pkt.psn >= expected() + cfg_.mp_ooo_window_pkts) {
     stats_.out_of_order_packets++;
     Packet nack = make_control(PktType::kNack, HeaderSizes::kRoceAck + 4);
-    nack.ack_psn = expected_;
+    nack.ack_psn = expected();
     nack.sack_psn = pkt.psn;
     send_control(std::move(nack));
     return;
   }
-
-  if (received_[pkt.psn]) {
-    stats_.duplicate_packets++;
-  } else {
-    received_[pkt.psn] = true;
-    received_count_++;
-    stats_.bytes_received += pkt.payload_bytes;
-    if (pkt.psn != expected_) stats_.out_of_order_packets++;
-    while (expected_ < total_packets() && received_[expected_]) ++expected_;
-    if (complete()) mark_complete();
-  }
-
-  Packet ack = make_control(PktType::kSack, HeaderSizes::kRoceAck + 4);
-  ack.ack_psn = expected_;
-  ack.sack_psn = pkt.psn;
-  ack.ecn_ce = pkt.ecn_ce;  // echo drives the sender's per-ACK window rule
-  ack.echo_ts = pkt.sent_at;
-  send_control(std::move(ack));
+  place(pkt);
+  send_sack(pkt);  // its CE echo drives the sender's per-ACK window rule
 }
 
-
 void MpRdmaSender::checkpoint_extra(StateIO& io) {
-  io.vbool(acked_);
-  io.vbool(retx_pending_);
-  io.pod(retx_count_);
-  io.pod(retx_scan_);
-  io.pod(snd_una_);
-  io.pod(snd_nxt_);
+  sb_.checkpoint(io);
   io.pod(cwnd_pkts_);
   io.pod(max_cwnd_pkts_);
   io.pod(vp_rr_);
   io.timer(rto_);
-}
-
-void MpRdmaReceiver::checkpoint_extra(StateIO& io) {
-  io.vbool(received_);
-  io.pod(received_count_);
-  io.pod(expected_);
 }
 
 }  // namespace dcp

@@ -1,7 +1,8 @@
 #pragma once
 // MP-RDMA (Lu et al., NSDI 2018) — packet-level multipath RDMA with an
 // ECN-driven adaptive congestion window.  Requires a lossless (PFC) fabric
-// because its loss recovery is GBN-grade (paper Table 2: fails R1/R3).
+// (paper Table 2: fails R1/R3): a packet lost in the fabric is resent only
+// after an RTO.
 //
 // Model: the sender sprays packets over `path_count` virtual paths
 // (switches honour path_id in SourcePath mode), grows its window by 1/cwnd
@@ -11,9 +12,8 @@
 // are dropped and NACKed — the "cannot control OOO degree" behaviour §6.2
 // observes.
 
-#include <vector>
-
 #include "host/transport.h"
+#include "transports/selective_repeat.h"
 
 namespace dcp {
 
@@ -21,15 +21,14 @@ class MpRdmaSender final : public SenderTransport {
  public:
   MpRdmaSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
       : SenderTransport(sim, host, spec, cfg),
-        acked_(total_packets(), false),
-        retx_pending_(total_packets(), false),
+        sb_(total_packets()),
         cwnd_pkts_(static_cast<double>(cfg.cc.window_bytes) / cfg.mtu_payload) {
     if (cwnd_pkts_ < 1.0) cwnd_pkts_ = 1.0;
     max_cwnd_pkts_ = 2.0 * cwnd_pkts_;
   }
 
   void on_packet(Packet pkt) override;
-  bool done() const override { return snd_una_ >= total_packets(); }
+  bool done() const override { return sb_.done(); }
 
   double cwnd_pkts() const { return cwnd_pkts_; }
 
@@ -43,33 +42,17 @@ class MpRdmaSender final : public SenderTransport {
   void arm_rto();
   void on_rto();
 
-  std::vector<bool> acked_;
-  std::vector<bool> retx_pending_;
-  std::uint32_t retx_count_ = 0;
-  std::uint32_t retx_scan_ = 0;
-  std::uint32_t snd_una_ = 0;
-  std::uint32_t snd_nxt_ = 0;
+  Scoreboard sb_;
   double cwnd_pkts_;
   double max_cwnd_pkts_;
   std::uint32_t vp_rr_ = 0;  // virtual-path round robin
   Timer rto_{sim_, [this] { on_rto(); }};  // deadline-class: re-armed per ACK
 };
 
-class MpRdmaReceiver final : public ReceiverTransport {
+class MpRdmaReceiver final : public OooReceiver {
  public:
-  MpRdmaReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
-      : ReceiverTransport(sim, host, spec, cfg), received_(total_packets(), false) {}
-
+  using OooReceiver::OooReceiver;
   void on_packet(Packet pkt) override;
-  bool complete() const override { return received_count_ >= total_packets(); }
-
- protected:
-  void checkpoint_extra(StateIO& io) override;
-
- private:
-  std::vector<bool> received_;
-  std::uint32_t received_count_ = 0;
-  std::uint32_t expected_ = 0;
 };
 
 class MpRdmaFactory final : public TransportFactory {

@@ -9,33 +9,18 @@
 namespace dcp {
 
 bool RackTlpSender::protocol_has_packet() {
-  if (done()) return false;
-  if (retx_count_ > 0) return true;
-  const std::uint64_t inflight =
-      static_cast<std::uint64_t>(snd_nxt_ - snd_una_) * cfg_.mtu_payload;
-  return snd_nxt_ < total_packets() && inflight < cc_->window_bytes();
+  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * cfg_.mtu_payload <
+                        cc_->window_bytes());
 }
 
 Packet RackTlpSender::protocol_next_packet() {
-  std::uint32_t psn;
-  bool retx = false;
-  if (retx_count_ > 0) {
-    while (retx_scan_ < retx_pending_.size() && !retx_pending_[retx_scan_]) ++retx_scan_;
-    psn = retx_scan_;
-    retx_pending_[psn] = false;
-    --retx_count_;
-    retx = true;
-  } else {
-    psn = snd_nxt_++;
-  }
+  const auto [psn, retx] = sb_.next_psn();
   Packet p = make_data_packet(psn, HeaderSizes::kRoceData + (psn == 0 ? HeaderSizes::kReth : 0));
   p.tag = DcpTag::kNonDcp;
   p.is_retransmit = retx;
   xmit_ts_[psn] = sim_.now();  // RACK: every transmission re-timestamps
   return p;
 }
-
-void RackTlpSender::arm_rack_timer(Time deadline) { rack_.arm_deadline_at(deadline); }
 
 void RackTlpSender::on_rack() {
   detect_losses();
@@ -47,14 +32,8 @@ void RackTlpSender::arm_tlp() { tlp_.arm_deadline(2 * srtt_); }
 void RackTlpSender::on_tlp() {
   if (done()) return;
   // Tail loss probe: resend the newest unacked packet to elicit a SACK.
-  for (std::uint32_t p = snd_nxt_; p > snd_una_; --p) {
-    const std::uint32_t psn = p - 1;
-    if (!acked_[psn] && !retx_pending_[psn]) {
-      retx_pending_[psn] = true;
-      ++retx_count_;
-      retx_scan_ = std::min(retx_scan_, psn);
-      break;
-    }
+  for (std::uint32_t p = sb_.nxt(); p > sb_.una(); --p) {
+    if (sb_.mark_lost(p - 1)) break;
   }
   arm_tlp();
   kick_nic();
@@ -66,14 +45,7 @@ void RackTlpSender::on_rto() {
   if (done()) return;
   stats_.timeouts++;
   cc_->on_timeout();
-  retx_scan_ = total_packets();
-  for (std::uint32_t p = snd_una_; p < snd_nxt_; ++p) {
-    if (!acked_[p] && !retx_pending_[p]) {
-      retx_pending_[p] = true;
-      ++retx_count_;
-      if (p < retx_scan_) retx_scan_ = p;
-    }
-  }
+  sb_.mark_outstanding_lost();
   arm_rto();
   kick_nic();
 }
@@ -83,18 +55,16 @@ void RackTlpSender::detect_losses() {
   // reo_wnd = one estimated RTT (paper's description of the mechanism).
   const Time reo_wnd = srtt_;
   Time next_deadline = kTimeInfinity;
-  for (std::uint32_t p = snd_una_; p < snd_nxt_; ++p) {
-    if (acked_[p] || retx_pending_[p] || xmit_ts_[p] < 0) continue;
+  for (std::uint32_t p = sb_.una(); p < sb_.nxt(); ++p) {
+    if (sb_.acked(p) || sb_.retx().contains(p) || xmit_ts_[p] < 0) continue;
     if (xmit_ts_[p] + reo_wnd <= rack_xmit_ts_) {
-      retx_pending_[p] = true;
-      ++retx_count_;
-      if (p < retx_scan_) retx_scan_ = p;
+      sb_.mark_lost(p);
     } else if (xmit_ts_[p] < rack_xmit_ts_) {
       // Could still be declared lost once reo_wnd elapses.
       next_deadline = std::min(next_deadline, sim_.now() + (xmit_ts_[p] + reo_wnd - rack_xmit_ts_));
     }
   }
-  if (next_deadline != kTimeInfinity) arm_rack_timer(next_deadline);
+  if (next_deadline != kTimeInfinity) rack_.arm_deadline_at(next_deadline);
 }
 
 void RackTlpSender::on_packet(Packet pkt) {
@@ -110,28 +80,18 @@ void RackTlpSender::on_packet(Packet pkt) {
       return;
   }
 
-  const std::uint32_t old_una = snd_una_;
-  for (std::uint32_t p = snd_una_; p < pkt.ack_psn && p < total_packets(); ++p) {
-    if (!acked_[p]) {
-      acked_[p] = true;
-      rack_xmit_ts_ = std::max(rack_xmit_ts_, xmit_ts_[p]);
-    }
-  }
-  if (pkt.type == PktType::kSack && pkt.sack_psn < total_packets() && !acked_[pkt.sack_psn]) {
-    acked_[pkt.sack_psn] = true;
+  sb_.cumulative_ack(pkt.ack_psn, [this](std::uint32_t p) {
+    rack_xmit_ts_ = std::max(rack_xmit_ts_, xmit_ts_[p]);
+  });
+  if (pkt.type == PktType::kSack && pkt.sack_psn < total_packets() && sb_.sack(pkt.sack_psn)) {
     rack_xmit_ts_ = std::max(rack_xmit_ts_, xmit_ts_[pkt.sack_psn]);
     // RTT sample from the echoed packet.
     const Time sample = sim_.now() - xmit_ts_[pkt.sack_psn];
     srtt_ = (7 * srtt_ + sample) / 8;
-    if (retx_pending_[pkt.sack_psn]) {
-      retx_pending_[pkt.sack_psn] = false;
-      --retx_count_;
-    }
+    sb_.retx().remove(pkt.sack_psn);
   }
-  while (snd_una_ < total_packets() && acked_[snd_una_]) ++snd_una_;
-
-  if (snd_una_ > old_una) {
-    cc_->on_ack(static_cast<std::uint64_t>(snd_una_ - old_una) * cfg_.mtu_payload);
+  if (const std::uint32_t newly = sb_.advance()) {
+    cc_->on_ack(static_cast<std::uint64_t>(newly) * cfg_.mtu_payload);
   }
   if (done()) {
     rack_.cancel();
@@ -148,13 +108,8 @@ void RackTlpSender::on_packet(Packet pkt) {
 
 
 void RackTlpSender::checkpoint_extra(StateIO& io) {
-  io.vbool(acked_);
-  io.vbool(retx_pending_);
+  sb_.checkpoint(io);
   io.vec(xmit_ts_);
-  io.pod(retx_count_);
-  io.pod(retx_scan_);
-  io.pod(snd_una_);
-  io.pod(snd_nxt_);
   io.pod(srtt_);
   io.pod(rack_xmit_ts_);
   io.timer(rack_);

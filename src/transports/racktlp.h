@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "host/transport.h"
-#include "transports/timeout.h"  // OooReceiver
+#include "transports/selective_repeat.h"
 
 namespace dcp {
 
@@ -21,14 +21,11 @@ class RackTlpSender final : public SenderTransport {
  public:
   RackTlpSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
       : SenderTransport(sim, host, spec, cfg),
-        acked_(total_packets(), false),
-        retx_pending_(total_packets(), false),
+        sb_(total_packets()),
         xmit_ts_(total_packets(), -1) {}
 
   void on_packet(Packet pkt) override;
-  bool done() const override { return snd_una_ >= total_packets(); }
-
-  Time srtt() const { return srtt_; }
+  bool done() const override { return sb_.done(); }
 
  protected:
   bool protocol_has_packet() override;
@@ -41,20 +38,14 @@ class RackTlpSender final : public SenderTransport {
 
  private:
   void detect_losses();
-  void arm_rack_timer(Time deadline);
   void arm_tlp();
   void arm_rto();
   void on_rack();
   void on_tlp();
   void on_rto();
 
-  std::vector<bool> acked_;
-  std::vector<bool> retx_pending_;
+  Scoreboard sb_;
   std::vector<Time> xmit_ts_;  // last transmission time per PSN (the cost!)
-  std::uint32_t retx_count_ = 0;
-  std::uint32_t retx_scan_ = 0;
-  std::uint32_t snd_una_ = 0;
-  std::uint32_t snd_nxt_ = 0;
   Time srtt_ = microseconds(20);
   Time rack_xmit_ts_ = -1;  // newest delivered packet's transmission time
   // All three are deadline-class (re-armed far more often than they fire).

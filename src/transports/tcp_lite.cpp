@@ -1,5 +1,7 @@
 #include "transports/tcp_lite.h"
 
+#include "sim/snapshot.h"
+
 #include <algorithm>
 
 #include "host/host.h"
@@ -7,31 +9,15 @@
 namespace dcp {
 
 bool TcpLiteSender::protocol_has_packet() {
-  if (done()) return false;
-  if (retx_count_ > 0) return true;
-  const double inflight = static_cast<double>(snd_nxt_ - snd_una_);
-  return snd_nxt_ < total_packets() && inflight < cwnd_pkts_;
+  return sb_.has_packet(static_cast<double>(sb_.outstanding()) < cwnd_pkts_);
 }
 
 Packet TcpLiteSender::protocol_next_packet() {
-  std::uint32_t psn;
-  bool retx = false;
-  if (retx_count_ > 0) {
-    while (retx_scan_ < retx_pending_.size() && !retx_pending_[retx_scan_]) ++retx_scan_;
-    psn = retx_scan_;
-    retx_pending_[psn] = false;
-    --retx_count_;
-    retx = true;
-  } else {
-    psn = snd_nxt_++;
-  }
+  const auto [psn, retx] = sb_.next_psn();
   // TCP/IP header ~ Ethernet + IP + TCP(20).
   Packet p = make_data_packet(psn, HeaderSizes::kEth + HeaderSizes::kIp + 20);
   p.tag = DcpTag::kNonDcp;
   p.is_retransmit = retx;
-  // Host processing throughput cap: stretch this packet's pacing gap to the
-  // software-stack rate (slower than the CC line rate).
-  // (Applied via a longer wire-independent eligibility gap.)
   return p;
 }
 
@@ -44,44 +30,28 @@ void TcpLiteSender::on_rto() {
   stats_.timeouts++;
   ssthresh_pkts_ = std::max(2.0, cwnd_pkts_ / 2.0);
   cwnd_pkts_ = 1.0;
-  if (retx_pending_.empty()) retx_pending_.assign(total_packets(), false);
-  retx_scan_ = total_packets();
-  for (std::uint32_t p = snd_una_; p < snd_nxt_; ++p) {
-    if (!acked_[p] && !retx_pending_[p]) {
-      retx_pending_[p] = true;
-      ++retx_count_;
-      if (p < retx_scan_) retx_scan_ = p;
-    }
-  }
+  sb_.mark_outstanding_lost();
   arm_rto();
   kick_nic();
 }
 
 void TcpLiteSender::handle_ack(const Packet& pkt) {
-  const std::uint32_t old_una = snd_una_;
-  for (std::uint32_t p = snd_una_; p < pkt.ack_psn && p < total_packets(); ++p) acked_[p] = true;
-  while (snd_una_ < total_packets() && acked_[snd_una_]) ++snd_una_;
-
-  if (snd_una_ > old_una) {
+  sb_.cumulative_ack(pkt.ack_psn);
+  if (const std::uint32_t newly = sb_.advance()) {
     dup_acks_ = 0;
     // Slow start / congestion avoidance.
-    const double delta = static_cast<double>(snd_una_ - old_una);
+    const double delta = static_cast<double>(newly);
     if (cwnd_pkts_ < ssthresh_pkts_) {
       cwnd_pkts_ += delta;
     } else {
       cwnd_pkts_ += delta / cwnd_pkts_;
     }
     arm_rto();
-  } else if (pkt.ack_psn == snd_una_ && snd_nxt_ > snd_una_) {
+  } else if (pkt.ack_psn == sb_.una() && sb_.outstanding() > 0) {
     if (++dup_acks_ == 3) {
       ssthresh_pkts_ = std::max(2.0, cwnd_pkts_ / 2.0);
       cwnd_pkts_ = ssthresh_pkts_;
-      if (retx_pending_.empty()) retx_pending_.assign(total_packets(), false);
-      if (!acked_[snd_una_] && !retx_pending_[snd_una_]) {
-        retx_pending_[snd_una_] = true;
-        ++retx_count_;
-        if (snd_una_ < retx_scan_) retx_scan_ = snd_una_;
-      }
+      sb_.mark_lost(sb_.una());
     }
   }
   if (done()) {
@@ -104,27 +74,25 @@ void TcpLiteSender::on_packet(Packet pkt) {
 void TcpLiteReceiver::on_packet(Packet pkt) {
   if (pkt.type != PktType::kData) return;
   // Kernel receive path latency (interrupt + softirq + socket copy).
-  sim_.schedule(cfg_.sw_stack_delay / 2, [this, p = PacketPtr::make(std::move(pkt))]() mutable {
-    process(std::move(*p));
-  });
+  sim_.schedule(cfg_.sw_stack_delay / 2,
+                [this, p = PacketPtr::make(std::move(pkt))] { process(*p); });
 }
 
-void TcpLiteReceiver::process(Packet pkt) {
+void TcpLiteReceiver::process(const Packet& pkt) {
   stats_.data_packets++;
   if (pkt.psn >= total_packets()) return;
-  if (received_[pkt.psn]) {
-    stats_.duplicate_packets++;
-  } else {
-    received_[pkt.psn] = true;
-    received_count_++;
-    stats_.bytes_received += pkt.payload_bytes;
-    if (pkt.psn != expected_) stats_.out_of_order_packets++;
-    while (expected_ < total_packets() && received_[expected_]) ++expected_;
-    if (complete()) mark_complete();
-  }
+  place(pkt);
   Packet ack = make_control(PktType::kAck, HeaderSizes::kEth + HeaderSizes::kIp + 20);
-  ack.ack_psn = expected_;
+  ack.ack_psn = expected();
   send_control(std::move(ack));
+}
+
+void TcpLiteSender::checkpoint_extra(StateIO& io) {
+  io.fail("TcpLite does not snapshot: kernel-delay closures hold its ACKs");
+}
+
+void TcpLiteReceiver::checkpoint_extra(StateIO& io) {
+  io.fail("TcpLite does not snapshot: kernel-delay closures hold its data packets");
 }
 
 }  // namespace dcp

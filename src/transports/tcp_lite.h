@@ -7,26 +7,26 @@
 // on each side) — capturing why RDMA offload wins, which is the figure's
 // entire point.
 
-#include <vector>
-
 #include "host/transport.h"
+#include "transports/selective_repeat.h"
 
 namespace dcp {
 
+// Neither end snapshots: each parks its packets in kernel-delay closures,
+// which a re-armed restore cannot rebuild (SimWorld::snapshot_supported).
 class TcpLiteSender final : public SenderTransport {
  public:
   TcpLiteSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
-      : SenderTransport(sim, host, spec, stack_capped(cfg)),
-        acked_(total_packets(), false),
-        cwnd_pkts_(10.0) {}
+      : SenderTransport(sim, host, spec, stack_capped(cfg)), sb_(total_packets()) {}
 
   void on_packet(Packet pkt) override;
-  bool done() const override { return snd_una_ >= total_packets(); }
+  bool done() const override { return sb_.done(); }
 
  protected:
   bool protocol_has_packet() override;
   Packet protocol_next_packet() override;
   void on_start() override { arm_rto(); }
+  void checkpoint_extra(StateIO& io) override;
 
  private:
   /// Pacing at the host-processing rate instead of NIC line rate.
@@ -39,32 +39,23 @@ class TcpLiteSender final : public SenderTransport {
   void on_rto();
   void handle_ack(const Packet& pkt);
 
-  std::vector<bool> acked_;
-  std::vector<bool> retx_pending_;
-  std::uint32_t retx_count_ = 0;
-  std::uint32_t retx_scan_ = 0;
-  std::uint32_t snd_una_ = 0;
-  std::uint32_t snd_nxt_ = 0;
-  double cwnd_pkts_;
+  Scoreboard sb_;
+  double cwnd_pkts_ = 10.0;
   double ssthresh_pkts_ = 1e9;
   std::uint32_t dup_acks_ = 0;
   Timer rto_{sim_, [this] { on_rto(); }};  // deadline-class: re-armed per ACK
 };
 
-class TcpLiteReceiver final : public ReceiverTransport {
+class TcpLiteReceiver final : public OooReceiver {
  public:
-  TcpLiteReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
-      : ReceiverTransport(sim, host, spec, cfg), received_(total_packets(), false) {}
-
+  using OooReceiver::OooReceiver;
   void on_packet(Packet pkt) override;
-  bool complete() const override { return received_count_ >= total_packets(); }
+
+ protected:
+  void checkpoint_extra(StateIO& io) override;
 
  private:
-  void process(Packet pkt);
-
-  std::vector<bool> received_;
-  std::uint32_t received_count_ = 0;
-  std::uint32_t expected_ = 0;
+  void process(const Packet& pkt);
 };
 
 class TcpLiteFactory final : public TransportFactory {

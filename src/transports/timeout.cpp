@@ -7,27 +7,15 @@
 namespace dcp {
 
 bool TimeoutSender::protocol_has_packet() {
-  if (done()) return false;
-  if (retx_count_ > 0) return true;
-  const std::uint64_t inflight =
-      static_cast<std::uint64_t>(snd_nxt_ - snd_una_) * cfg_.mtu_payload;
-  return snd_nxt_ < total_packets() && inflight < cc_->window_bytes();
+  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * cfg_.mtu_payload <
+                        cc_->window_bytes());
 }
 
 Packet TimeoutSender::protocol_next_packet() {
-  if (retx_count_ > 0) {
-    while (retx_scan_ < retx_pending_.size() && !retx_pending_[retx_scan_]) ++retx_scan_;
-    const std::uint32_t psn = retx_scan_;
-    retx_pending_[psn] = false;
-    --retx_count_;
-    Packet p = make_data_packet(psn, HeaderSizes::kRoceData + (psn == 0 ? HeaderSizes::kReth : 0));
-    p.tag = DcpTag::kNonDcp;
-    p.is_retransmit = true;
-    return p;
-  }
-  const std::uint32_t psn = snd_nxt_++;
+  const auto [psn, retx] = sb_.next_psn();
   Packet p = make_data_packet(psn, HeaderSizes::kRoceData + (psn == 0 ? HeaderSizes::kReth : 0));
   p.tag = DcpTag::kNonDcp;
+  p.is_retransmit = retx;
   return p;
 }
 
@@ -37,15 +25,7 @@ void TimeoutSender::on_rto() {
   if (done()) return;
   stats_.timeouts++;
   cc_->on_timeout();
-  if (retx_pending_.empty()) retx_pending_.assign(total_packets(), false);
-  retx_scan_ = total_packets();
-  for (std::uint32_t p = snd_una_; p < snd_nxt_; ++p) {
-    if (!acked_[p] && !retx_pending_[p]) {
-      retx_pending_[p] = true;
-      ++retx_count_;
-      if (p < retx_scan_) retx_scan_ = p;
-    }
-  }
+  sb_.mark_outstanding_lost();
   arm_rto();
   kick_nic();
 }
@@ -62,13 +42,12 @@ void TimeoutSender::on_packet(Packet pkt) {
     default:
       return;
   }
-  const std::uint32_t old_una = snd_una_;
   if (pkt.echo_ts >= 0) cc_->on_rtt_sample(sim_.now() - pkt.echo_ts);
-  for (std::uint32_t p = snd_una_; p < pkt.ack_psn && p < total_packets(); ++p) acked_[p] = true;
-  if (pkt.type == PktType::kSack && pkt.sack_psn < total_packets()) acked_[pkt.sack_psn] = true;
-  while (snd_una_ < total_packets() && acked_[snd_una_]) ++snd_una_;
-  if (snd_una_ > old_una) {
-    cc_->on_ack(static_cast<std::uint64_t>(snd_una_ - old_una) * cfg_.mtu_payload);
+  sb_.cumulative_ack(pkt.ack_psn);
+  // A SACK never dequeues: an RTO resends all it queued.
+  if (pkt.type == PktType::kSack && pkt.sack_psn < total_packets()) sb_.sack(pkt.sack_psn);
+  if (const std::uint32_t newly = sb_.advance()) {
+    cc_->on_ack(static_cast<std::uint64_t>(newly) * cfg_.mtu_payload);
     arm_rto();
   }
   if (done()) {
@@ -79,46 +58,9 @@ void TimeoutSender::on_packet(Packet pkt) {
   kick_nic();
 }
 
-void OooReceiver::on_packet(Packet pkt) {
-  if (pkt.type != PktType::kData) return;
-  stats_.data_packets++;
-  if (ecn_enabled_ && pkt.ecn_ce && cnp_.should_send(sim_.now())) {
-    send_control(make_control(PktType::kCnp, HeaderSizes::kCnp));
-  }
-  if (pkt.psn >= total_packets()) return;
-  if (received_[pkt.psn]) {
-    stats_.duplicate_packets++;
-  } else {
-    received_[pkt.psn] = true;
-    received_count_++;
-    stats_.bytes_received += pkt.payload_bytes;
-    if (pkt.psn != expected_) stats_.out_of_order_packets++;
-    while (expected_ < total_packets() && received_[expected_]) ++expected_;
-    if (complete()) mark_complete();
-  }
-  Packet ack = make_control(PktType::kSack, HeaderSizes::kRoceAck + 4);
-  ack.ack_psn = expected_;
-  ack.sack_psn = pkt.psn;
-  ack.ecn_ce = pkt.ecn_ce;  // echo for window-based CCs
-  ack.echo_ts = pkt.sent_at;
-  send_control(std::move(ack));
-}
-
-
 void TimeoutSender::checkpoint_extra(StateIO& io) {
-  io.vbool(acked_);
-  io.vbool(retx_pending_);
-  io.pod(retx_count_);
-  io.pod(retx_scan_);
-  io.pod(snd_una_);
-  io.pod(snd_nxt_);
+  sb_.checkpoint(io);
   io.timer(rto_);
-}
-
-void OooReceiver::checkpoint_extra(StateIO& io) {
-  io.vbool(received_);
-  io.pod(received_count_);
-  io.pod(expected_);
 }
 
 }  // namespace dcp

@@ -4,19 +4,18 @@
 // cumulative ACKs, but the sender has *no* fast retransmission — every
 // loss waits for an RTO, which then selectively resends unacked packets.
 
-#include <vector>
-
 #include "host/transport.h"
+#include "transports/selective_repeat.h"
 
 namespace dcp {
 
 class TimeoutSender final : public SenderTransport {
  public:
   TimeoutSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
-      : SenderTransport(sim, host, spec, cfg), acked_(total_packets(), false) {}
+      : SenderTransport(sim, host, spec, cfg), sb_(total_packets()) {}
 
   void on_packet(Packet pkt) override;
-  bool done() const override { return snd_una_ >= total_packets(); }
+  bool done() const override { return sb_.done(); }
 
  protected:
   bool protocol_has_packet() override;
@@ -28,31 +27,8 @@ class TimeoutSender final : public SenderTransport {
   void arm_rto();
   void on_rto();
 
-  std::vector<bool> acked_;
-  std::vector<bool> retx_pending_;
-  std::uint32_t retx_count_ = 0;
-  std::uint32_t retx_scan_ = 0;
-  std::uint32_t snd_una_ = 0;
-  std::uint32_t snd_nxt_ = 0;
+  Scoreboard sb_;
   Timer rto_{sim_, [this] { on_rto(); }};  // deadline-class: re-armed per ACK
-};
-
-/// Out-of-order-accepting receiver with cumulative ACKs + per-packet echo
-/// (ack_psn = ePSN, sack_psn = this packet) so the sender can clear state.
-class OooReceiver : public ReceiverTransport {
- public:
-  OooReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
-      : ReceiverTransport(sim, host, spec, cfg), received_(total_packets(), false) {}
-
-  void on_packet(Packet pkt) override;
-  bool complete() const override { return received_count_ >= total_packets(); }
-
- protected:
-  void checkpoint_extra(StateIO& io) override;
-
-  std::vector<bool> received_;
-  std::uint32_t received_count_ = 0;
-  std::uint32_t expected_ = 0;
 };
 
 class TimeoutFactory final : public TransportFactory {

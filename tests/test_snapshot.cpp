@@ -254,9 +254,10 @@ TEST(Snapshot, DecodeRefusesVersion1Image) {
   // The version word follows the 4-byte magic.  Stamping an older version
   // on an otherwise well-formed image must be refused on the version
   // alone: version 2's switch section still carried the route-cache
-  // config, a prefetched-draw buffer and a flap epoch...
+  // config, a prefetched-draw buffer and a flap epoch, and version 3's
+  // selective-repeat transports saved their queue count and cursor...
   std::vector<std::uint8_t> stamped = bytes;
-  for (const std::uint32_t old_version : {1u, 2u}) {
+  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
     std::memcpy(stamped.data() + 4, &old_version, sizeof old_version);
     EXPECT_FALSE(SnapshotImage::decode(stamped, back)) << "version " << old_version;
   }

@@ -1,15 +1,22 @@
 // Behavioural tests for the baseline transports: GBN go-back semantics,
 // IRN selective repeat + loss-recovery mode, timeout-only recovery,
-// RACK-TLP loss detection, and MP-RDMA multipath windowing.
+// RACK-TLP loss detection, MP-RDMA multipath windowing, and the shared
+// selective-repeat retransmission queue.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "check/observer.h"
 #include "harness/scheme.h"
+#include "sim/snapshot.h"
 #include "topo/clos.h"
 #include "topo/dumbbell.h"
 #include "topo/testbed.h"
 #include "transports/irn.h"
 #include "transports/mprdma.h"
+#include "transports/selective_repeat.h"
 
 namespace dcp {
 namespace {
@@ -208,6 +215,157 @@ TEST(MpRdma, EcnShrinksWindow) {
   EXPECT_LT(snd->cwnd_pkts(), bdp_pkts);  // shrunk below initial window
   net.run_until_done(seconds(2));
   for (FlowId id : ids) ASSERT_TRUE(net.record(id).complete());
+}
+
+// Two RTOs with no NIC drain between them (PFC holds the sender's NIC
+// paused) re-mark every outstanding PSN twice.  The retransmission queue
+// must still pop only queued PSNs once RESUME arrives: a cursor left past
+// a queued PSN walks off the end of the flow, sending PSNs that do not
+// exist while the real ones stay queued forever.
+class RtoWhilePaused : public ::testing::TestWithParam<SchemeKind> {};
+
+TEST_P(RtoWhilePaused, QueueDrainsOnlyTheFlowsPsnsAfterResume) {
+  Fixture f(GetParam(), 1.0);  // every first transmission is dropped
+  Host* src = f.star.hosts[0];
+  struct PastEnd final : CheckObserver {
+    NodeId host = kInvalidNode;
+    int sent = 0;
+    void on_host_send(const Packet& pkt) override {
+      if (pkt.src == host && pkt.type == PktType::kData && pkt.psn >= 20) ++sent;
+    }
+  } past_end;
+  past_end.host = src->id();
+  f.sim.set_check_observer(&past_end);
+  const FlowId id = f.flow(0, 2, 20'000);  // PSNs 0..19
+
+  Packet pfc;
+  pfc.type = PktType::kPfcPause;
+  f.sim.schedule_at(microseconds(5), [&] { src->receive(pfc, 0); });
+  f.sim.schedule_at(milliseconds(3), [&] {
+    f.star.sw->config().inject_loss_rate = 0.0;
+    pfc.type = PktType::kPfcResume;
+    src->receive(pfc, 0);
+  });
+  f.net.run_until_done(milliseconds(50));
+  f.sim.set_check_observer(nullptr);
+
+  const FlowRecord& rec = f.net.record(id);
+  EXPECT_TRUE(rec.complete());
+  EXPECT_EQ(rec.receiver.bytes_received, 20'000u);
+  EXPECT_EQ(past_end.sent, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(SelectiveRepeat, RtoWhilePaused,
+                         ::testing::Values(SchemeKind::kTimeout, SchemeKind::kIrn,
+                                           SchemeKind::kMpRdma, SchemeKind::kRackTlp,
+                                           SchemeKind::kTcp),
+                         [](const auto& info) {
+                           std::string n = scheme_name(info.param);
+                           for (auto& c : n) {
+                             if (c == '-') c = '_';
+                           }
+                           return n;
+                         });
+
+// Which acknowledgements dequeue a queued PSN is a per-scheme rule.  With
+// the NIC paused after an RTO queued PSNs 0..9, the sender learns that
+// PSNs 0 and 1 arrived (cumulative ACK), then gets SACKs for PSN 5 (new)
+// and PSN 1 (already acked), and one more RTO fires before RESUME.  What
+// RESUME drains shows each rule: Timeout never dequeues, RACK-TLP dequeues
+// only a newly acked PSN, MP-RDMA and IRN always dequeue, and only IRN's
+// RTO forgets the PSNs cumulatively acked while queued.
+struct DequeueCase {
+  SchemeKind kind;
+  std::vector<std::uint32_t> drained;
+};
+
+class SackDequeueRules : public ::testing::TestWithParam<DequeueCase> {};
+
+TEST_P(SackDequeueRules, ResumeDrainsWhatTheSchemeKeptQueued) {
+  Fixture f(GetParam().kind, 1.0);  // every first transmission is dropped
+  Host* src = f.star.hosts[0];
+  const FlowId id = f.flow(0, 2, 10'000);  // PSNs 0..9
+  Packet pfc;
+  pfc.type = PktType::kPfcPause;
+  f.sim.schedule_at(microseconds(5), [&] { src->receive(pfc, 0); });
+  f.sim.run(microseconds(1500));
+
+  SenderTransport* snd = src->sender(id);
+  for (const auto& [type, sack_psn] : {std::pair{PktType::kAck, 0u}, {PktType::kSack, 5u},
+                                      {PktType::kSack, 1u}}) {
+    Packet ack;
+    ack.type = type;
+    ack.flow = id;
+    ack.ack_psn = 2;
+    ack.sack_psn = sack_psn;
+    snd->on_packet(ack);
+  }
+
+  struct Drained final : CheckObserver {
+    NodeId host = kInvalidNode;
+    std::vector<std::uint32_t> psns;
+    void on_host_send(const Packet& pkt) override {
+      if (pkt.src == host && pkt.type == PktType::kData) psns.push_back(pkt.psn);
+    }
+  } drained;
+  drained.host = src->id();
+  f.sim.schedule_at(milliseconds(3), [&] {
+    f.sim.set_check_observer(&drained);
+    pfc.type = PktType::kPfcResume;
+    src->receive(pfc, 0);
+  });
+  f.sim.run(milliseconds(3) + microseconds(1));  // the drain, before any ACK returns
+  f.sim.set_check_observer(nullptr);
+  EXPECT_EQ(drained.psns, GetParam().drained);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SelectiveRepeat, SackDequeueRules,
+    ::testing::Values(DequeueCase{SchemeKind::kTimeout, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+                      DequeueCase{SchemeKind::kRackTlp, {0, 1, 2, 3, 4, 6, 7, 8, 9}},
+                      DequeueCase{SchemeKind::kMpRdma, {0, 2, 3, 4, 6, 7, 8, 9}},
+                      DequeueCase{SchemeKind::kIrn, {2, 3, 4, 6, 7, 8, 9}}),
+    [](const auto& info) {
+      std::string n = scheme_name(info.param.kind);
+      for (auto& c : n) {
+        if (c == '-') c = '_';
+      }
+      return n;
+    });
+
+TEST(RetxQueue, RestoreRebuildsCountAndCursorFromTheBitmap) {
+  RetxQueue q(8);
+  q.push(5);
+  q.push(2);
+  EXPECT_EQ(q.pop(), 2u);  // the cursor now sits at 2
+  q.push(7);
+  std::vector<std::uint8_t> image;
+  StateIO save = StateIO::saver(image);
+  q.checkpoint(save);
+  ASSERT_TRUE(save.ok());
+
+  RetxQueue back(8);
+  StateIO load = StateIO::loader(image);
+  back.checkpoint(load);
+  ASSERT_TRUE(load.ok());
+  EXPECT_EQ(back.pop(), 5u);
+  EXPECT_EQ(back.pop(), 7u);
+  EXPECT_TRUE(back.empty());
+}
+
+TEST(Scoreboard, RestoreRejectsAWindowOutsideTheFlow) {
+  Scoreboard sb(4);
+  std::vector<std::uint8_t> image;
+  StateIO save = StateIO::saver(image);
+  sb.checkpoint(save);
+  ASSERT_TRUE(save.ok());
+  // snd_nxt is the image's last word: point it past the flow's 4 PSNs.
+  const std::uint32_t nxt = 5;
+  std::memcpy(image.data() + image.size() - sizeof nxt, &nxt, sizeof nxt);
+  Scoreboard back(4);
+  StateIO load = StateIO::loader(image);
+  back.checkpoint(load);
+  EXPECT_FALSE(load.ok());
 }
 
 }  // namespace
