@@ -259,7 +259,7 @@ void InvariantOracle::check_bounded_tracking(FlowId id, FlowState& f) {
   // never with the flow.  The generous constant absorbs bookkeeping
   // (eMSN, flags) while still catching any per-packet or per-message-count
   // structure, which grows with the flow length.
-  const std::uint64_t outstanding = net_.transport_config().outstanding_msgs;
+  const std::uint64_t outstanding = kDcpOutstandingMsgs;
   const std::uint64_t bound = outstanding * 16 + 64;
   const std::uint64_t mem = rx->tracker().memory_bytes();
   if (mem > bound) {

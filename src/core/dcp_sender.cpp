@@ -51,9 +51,9 @@ bool DcpSender::protocol_has_packet() {
   if (inflight_bytes_estimate() >= cc_->window_bytes()) return false;
   if (!rq_.staging_empty() || !timeout_retx_.empty()) return true;
   if (snd_nxt_ >= layout_.total_pkts) return false;
-  // Message window: at most `outstanding_msgs` messages in flight (the
+  // Message window: at most kDcpOutstandingMsgs messages in flight (the
   // receiver tracks exactly that many counters).
-  return layout_.msn_of_psn(snd_nxt_) < una_msn_ + cfg_.outstanding_msgs;
+  return layout_.msn_of_psn(snd_nxt_) < una_msn_ + kDcpOutstandingMsgs;
 }
 
 Packet DcpSender::protocol_next_packet() {

@@ -59,6 +59,11 @@ struct MessageLayout {
   }
 };
 
+/// DCP's outstanding-message window (NCCL-style per-QP cap): the sender
+/// keeps at most this many messages in flight, so the receiver tracks
+/// exactly this many and the oracle bounds tracking state by it.
+inline constexpr std::uint32_t kDcpOutstandingMsgs = 8;
+
 struct DcpSenderStats {
   std::uint64_t ho_triggered_retx = 0;
   std::uint64_t timeout_retx_packets = 0;
@@ -124,33 +129,47 @@ class DcpSender final : public SenderTransport {
 
 struct DcpReceiverStats {
   std::uint64_t ho_bounced = 0;
-  std::uint64_t stale_retry_packets = 0;
-  std::uint64_t counter_resets = 0;
+  std::uint64_t stale_retry_packets = 0;  // counter receiver only
+  std::uint64_t counter_resets = 0;       // counter receiver only
 };
 
-class DcpReceiver final : public ReceiverTransport {
+/// The receiver datapath both §4.5 trackers share: the HO bounce (§4.1
+/// step 2), the eMSN ACK with its cumulative arrival credit, the ACK
+/// keepalive, CNPs and per-message completion accounting.  A subclass only
+/// places data packets in its tracker and applies its duplicate rule.  The
+/// helpers are non-virtual and take the eMSN from the caller, so a
+/// tracker's packet path makes no virtual call; emsn() serves only the
+/// keepalive timer and complete().
+class DcpReceiverBase : public ReceiverTransport {
  public:
-  DcpReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg);
-
-  void on_packet(Packet pkt) override;
-  bool complete() const override { return tracker_.emsn() >= layout_.num_msgs; }
-
+  bool complete() const final { return emsn() >= layout_.num_msgs; }
+  /// Expected MSN: every message below it has completed.
+  virtual std::uint32_t emsn() const = 0;
   const DcpReceiverStats& dcp_stats() const { return dstats_; }
-  const MessageCounterTracker& tracker() const { return tracker_; }
 
  protected:
+  DcpReceiverBase(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg);
+
+  /// Everything an arrival does before tracking: bounces a header-only
+  /// packet; for a data packet counts it, feeds the keepalive, sends the
+  /// every-8-arrivals credit ACK and a CNP if due.  True iff `pkt` is a data
+  /// packet for the tracker to place.
+  bool admit(const Packet& pkt, std::uint32_t emsn);
+  void send_emsn_ack(std::uint32_t emsn);
+  /// Messages [from, to) completed, in eMSN order: accounts their bytes,
+  /// reports them to the oracle, ACKs eMSN `to` and raises the flow's
+  /// completion once every message is in.
+  void complete_messages(std::uint32_t from, std::uint32_t to);
   void checkpoint_extra(StateIO& io) override;
+
+  MessageLayout layout_;
+  DcpReceiverStats dstats_;
 
  private:
   void bounce_header_only(const Packet& pkt);
-  void send_emsn_ack();
   void arm_ack_keepalive();
   void on_keepalive();
 
-  MessageLayout layout_;
-  MessageCounterTracker tracker_;
-  std::vector<std::uint8_t> rretry_;  // ring: per outstanding message slot
-  DcpReceiverStats dstats_;
   // DCP ACKs are droppable at over-threshold switches (§4.2), and a lost
   // eMSN ACK can stall a message-window-limited sender until the coarse
   // timeout.  The receiver therefore repeats its latest eMSN ACK whenever
@@ -166,40 +185,48 @@ class DcpReceiver final : public ReceiverTransport {
   Timer keepalive_{sim_, [this] { on_keepalive(); }};
 };
 
-/// §4.5 "Orthogonality": a DCP receiver that keeps a traditional
-/// per-packet bitmap instead of the bitmap-free counters.  Functionally
-/// equivalent (same HO bounce, same eMSN ACKs, naturally idempotent across
-/// timeout rounds) but costs n bits instead of log2(n) — the trade-off
-/// Table 3 quantifies.  Exists to demonstrate that HO-based retransmission
-/// and order-tolerant reception do not depend on the counting scheme.
-class DcpBitmapReceiver final : public ReceiverTransport {
+/// The paper's receiver: bitmap-free tracking with per-message counters
+/// and sRetryNo/rRetryNo reconciliation across timeout rounds.
+class DcpReceiver final : public DcpReceiverBase {
  public:
-  DcpBitmapReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg);
+  DcpReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg);
 
   void on_packet(Packet pkt) override;
-  bool complete() const override { return emsn_ >= layout_.num_msgs; }
+  std::uint32_t emsn() const override { return tracker_.emsn(); }
 
-  std::uint64_t tracking_bytes() const { return (received_.size() + 7) / 8; }
-  std::uint32_t emsn() const { return emsn_; }
+  const MessageCounterTracker& tracker() const { return tracker_; }
 
  protected:
   void checkpoint_extra(StateIO& io) override;
 
  private:
-  void bounce_header_only(const Packet& pkt);
-  void send_emsn_ack();
-  void arm_ack_keepalive();
-  void on_keepalive();
+  MessageCounterTracker tracker_;
+  std::vector<std::uint8_t> rretry_;  // ring: per outstanding message slot
+};
 
-  MessageLayout layout_;
+/// §4.5 "Orthogonality": a DCP receiver that keeps a traditional
+/// per-packet bitmap instead of the bitmap-free counters, on the same
+/// datapath (tests/test_dcp_transport.cpp checks that the tracker is
+/// invisible to the protocol).  It costs n bits instead of log2(n) — the
+/// trade-off Table 3 quantifies — and is naturally idempotent across
+/// timeout rounds.  Exists to demonstrate that HO-based retransmission and
+/// order-tolerant reception do not depend on the counting scheme.
+class DcpBitmapReceiver final : public DcpReceiverBase {
+ public:
+  DcpBitmapReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg);
+
+  void on_packet(Packet pkt) override;
+  std::uint32_t emsn() const override { return emsn_; }
+
+  std::uint64_t tracking_bytes() const { return (received_.size() + 7) / 8; }
+
+ protected:
+  void checkpoint_extra(StateIO& io) override;
+
+ private:
   std::vector<bool> received_;  // the bitmap the paper's design eliminates
   std::uint32_t emsn_ = 0;
   std::uint32_t scan_ = 0;  // first PSN not known-received
-  Time last_activity_ = 0;
-  Time ka_backoff_ = microseconds(50);
-  int post_complete_kas_ = 0;
-  Time last_echo_ = -1;
-  Timer keepalive_{sim_, [this] { on_keepalive(); }};
 };
 
 class DcpFactory final : public TransportFactory {

@@ -69,9 +69,8 @@ std::uint64_t WorldSpec::fingerprint() const {
 }
 
 SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
-  // Mirrors run_fuzz_scenario's construction order exactly; any deviation
-  // breaks the rebuild's bit-identity with the run the image was saved
-  // from.
+  // Every world is built in this one order; any change to it breaks the
+  // rebuild's bit-identity with the run an image was saved from.
   const FuzzScenario& s = spec_.scenario;
   // The partition unit is a pod on a fat-tree and a leaf group on a Clos.
   const int units = s.fattree_k > 0 ? s.fattree_k : s.leaves;

@@ -4,9 +4,9 @@
 //
 // A WorldSpec is everything needed to rebuild the world bit-identically:
 // the fuzz scenario (topology, scheme, flows, fault plan), the injector
-// seed, and the optional factory override.  SimWorld replicates
-// run_fuzz_scenario's construction order exactly, then exposes
-// barrier-safe run_to() / save() / restore() on top, so that
+// seed, and the optional factory override.  SimWorld builds the world in
+// one fixed order (run_fuzz_scenario runs its scenarios in a SimWorld),
+// then exposes barrier-safe run_to() / save() / restore() on top, so that
 //
 //   SimWorld a(spec);  a.run_to(T);  a.save(img);  a.run_until_done();
 //   SimWorld b(spec);  b.restore(img);             b.run_until_done();

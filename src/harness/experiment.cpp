@@ -154,7 +154,6 @@ FaultDrillResult run_fault_drill(const FaultDrillParams& p) {
   SchemeSetup setup = make_scheme(p.scheme, p.opt);
   ClosParams clos = p.clos;
   clos.sw = setup.sw;
-  if (setup.sw.pfc.enabled) clos.sw.pfc.enabled = true;
   ClosTopology topo = build_clos(net, clos);
   apply_scheme(net, setup);
 
@@ -249,7 +248,6 @@ WebSearchResult run_websearch(const WebSearchParams& p) {
   SchemeSetup setup = make_scheme(p.scheme, p.opt);
   ClosParams clos = p.clos;
   clos.sw = setup.sw;
-  if (setup.sw.pfc.enabled) clos.sw.pfc.enabled = true;
   ClosTopology topo = build_clos(net, clos);
   apply_scheme(net, setup);
 
@@ -319,7 +317,6 @@ CollectiveResult run_collectives(const CollectiveExpParams& p) {
   if (p.use_clos) {
     ClosParams clos = p.clos;
     clos.sw = setup.sw;
-    if (setup.sw.pfc.enabled) clos.sw.pfc.enabled = true;
     ClosTopology topo = build_clos(net, clos);
     hosts = topo.hosts;
     rate = clos.link;
@@ -332,8 +329,6 @@ CollectiveResult run_collectives(const CollectiveExpParams& p) {
   }
   apply_scheme(net, setup);
 
-  const int total_members = p.groups * p.members_per_group;
-  (void)total_members;
   std::vector<std::unique_ptr<Collective>> collectives;
   CollectiveParams cp_template;
   cp_template.total_bytes = p.total_bytes;

@@ -44,22 +44,14 @@ struct TransportConfig {
   // Retransmission timers.
   Time rto_high = microseconds(320);
   Time rto_low = microseconds(100);
-  std::uint32_t rto_low_threshold_pkts = 3;  // few outstanding -> RTOlow (IRN)
-  // Delayed-ACK style coalescing for cumulative ACK schemes; 0 = per packet.
-  std::uint32_t ack_per_packets = 1;
   // DCP specifics.
   Time dcp_msg_timeout = milliseconds(1);    // coarse-grained fallback (§4.5)
   std::uint32_t retrans_batch = 16;          // RetransQ entries per PCIe fetch
   Time pcie_rtt = microseconds(1);           // host memory round trip
-  std::uint32_t outstanding_msgs = 8;        // NCCL-style per-QP cap
   // §4.5 orthogonality: swap the bitmap-free counters for a traditional
   // per-packet bitmap at the DCP receiver (same protocol, more memory).
   bool dcp_bitmap_receiver = false;
-  std::uint32_t path_count = 8;              // MP-RDMA virtual paths
   std::uint32_t mp_ooo_window_pkts = 64;     // MP-RDMA receiver OOO tolerance
-  // TCP software-stack proxy (Fig 8): host processing rate + latency.
-  Bandwidth sw_stack_rate = Bandwidth::gbps(30);
-  Time sw_stack_delay = microseconds(8);
   // FEC transport (transports/fec.h): (k, m) parity-group geometry, the
   // fire-and-forget stream window (0 = fall back to the CC window) and the
   // receiver's quiet-period NACK delay (0 = rto_low).

@@ -301,7 +301,7 @@ struct SnapshotClock {
 /// ddmin path).
 struct SnapshotImage {
   static constexpr std::uint32_t kMagic = 0x44435053;  // "DCPS"
-  static constexpr std::uint32_t kVersion = 4;
+  static constexpr std::uint32_t kVersion = 5;
 
   std::uint64_t fingerprint = 0;
   std::uint32_t shards = 1;

@@ -122,7 +122,6 @@ void Network::finalize_flow(FlowId id) {
   ++completed_;
   // Callbacks may start follow-up flows (collectives), reallocating
   // records_ — re-fetch the record per call rather than hold `rec`.
-  if (on_flow_complete) on_flow_complete(record(id));
   for (auto& fn : tx_listeners_) fn(record(id));
 }
 
@@ -220,7 +219,6 @@ void Network::finalize_flow_at(const PendingFinalize& p) {
   rec.receiver = dst->journal_stats_at(p.id, p.t, p.seq);
   ++completed_;
   // Same re-fetch discipline as finalize_flow: callbacks can grow records_.
-  if (on_flow_complete) on_flow_complete(record(p.id));
   for (auto& fn : tx_listeners_) fn(record(p.id));
 }
 

@@ -78,9 +78,8 @@ class Network {
   const std::vector<FlowRecord>& records() const { return records_; }
   FlowRecord& record(FlowId id) { return records_[index_.at(id)]; }
 
-  /// Per-flow completion hook (fires when the sender finishes).
-  std::function<void(const FlowRecord&)> on_flow_complete;
-  /// Additional listeners (workloads chaining dependent flows).
+  /// Per-flow completion listeners (fire when the sender finishes;
+  /// workloads chain dependent flows).
   void add_tx_listener(std::function<void(const FlowRecord&)> fn) {
     tx_listeners_.push_back(std::move(fn));
   }

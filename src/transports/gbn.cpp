@@ -94,15 +94,11 @@ void GbnReceiver::on_packet(Packet pkt) {
     expected_++;
     nak_outstanding_ = false;
     stats_.bytes_received += pkt.payload_bytes;
-    const bool last = expected_ >= total_packets();
-    if (last) mark_complete();
-    if (++since_ack_ >= cfg_.ack_per_packets || last || pkt.last_of_msg) {
-      since_ack_ = 0;
-      Packet ack = make_control(PktType::kAck, HeaderSizes::kRoceAck);
-      ack.ack_psn = expected_;
-      ack.echo_ts = pkt.sent_at;
-      send_control(std::move(ack));
-    }
+    if (complete()) mark_complete();
+    Packet ack = make_control(PktType::kAck, HeaderSizes::kRoceAck);
+    ack.ack_psn = expected_;
+    ack.echo_ts = pkt.sent_at;
+    send_control(std::move(ack));
     return;
   }
 
@@ -136,7 +132,6 @@ void GbnSender::checkpoint_extra(StateIO& io) {
 
 void GbnReceiver::checkpoint_extra(StateIO& io) {
   io.pod(expected_);
-  io.pod(since_ack_);
   io.pod(nak_outstanding_);
 }
 

@@ -53,7 +53,6 @@ class GbnReceiver final : public ReceiverTransport {
 
  private:
   std::uint32_t expected_ = 0;  // next in-order PSN
-  std::uint32_t since_ack_ = 0; // coalescing counter
   bool nak_outstanding_ = false;
 };
 

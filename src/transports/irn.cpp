@@ -6,6 +6,9 @@
 
 namespace dcp {
 
+// RTO_low applies while at most this many packets are outstanding.
+constexpr std::uint32_t kRtoLowThresholdPkts = 3;
+
 bool IrnSender::protocol_has_packet() {
   // Unacked bytes between the cumulative ACK and snd_nxt; SACKed holes are
   // a second-order correction we ignore (IRN uses the same approximation).
@@ -24,7 +27,7 @@ Packet IrnSender::protocol_next_packet() {
 
 void IrnSender::arm_rto() {
   const Time rto =
-      sb_.outstanding() <= cfg_.rto_low_threshold_pkts ? cfg_.rto_low : cfg_.rto_high;
+      sb_.outstanding() <= kRtoLowThresholdPkts ? cfg_.rto_low : cfg_.rto_high;
   rto_.arm_deadline(rto);
 }
 

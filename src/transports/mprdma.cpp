@@ -6,6 +6,8 @@
 
 namespace dcp {
 
+constexpr std::uint32_t kVirtualPaths = 8;
+
 bool MpRdmaSender::protocol_has_packet() {
   return sb_.has_packet(static_cast<double>(sb_.outstanding()) < cwnd_pkts_);
 }
@@ -15,7 +17,7 @@ Packet MpRdmaSender::protocol_next_packet() {
   Packet p = make_data_packet(psn, HeaderSizes::kRoceData + (psn == 0 ? HeaderSizes::kReth : 0));
   p.tag = DcpTag::kNonDcp;
   p.is_retransmit = retx;
-  p.path_id = vp_rr_++ % cfg_.path_count;  // per-packet virtual path
+  p.path_id = vp_rr_++ % kVirtualPaths;  // per-packet virtual path
   return p;
 }
 

@@ -4,7 +4,7 @@
 // (paper Table 2: fails R1/R3): a packet lost in the fabric is resent only
 // after an RTO.
 //
-// Model: the sender sprays packets over `path_count` virtual paths
+// Model: the sender sprays packets over eight virtual paths
 // (switches honour path_id in SourcePath mode), grows its window by 1/cwnd
 // per unmarked ACK and shrinks by 1/2 packet per ECN-marked ACK (the
 // NSDI'18 per-ACK rule).  The receiver accepts out-of-order packets inside

@@ -67,14 +67,14 @@ void TcpLiteSender::on_packet(Packet pkt) {
   // Kernel processing latency before the ACK reaches the TCP state machine.
   // Pool the packet so the deferred closure stays within the event's
   // inline capture budget (a by-value Packet would heap-allocate).
-  sim_.schedule(cfg_.sw_stack_delay / 2,
+  sim_.schedule(kTcpStackDelay / 2,
                 [this, p = PacketPtr::make(std::move(pkt))] { handle_ack(*p); });
 }
 
 void TcpLiteReceiver::on_packet(Packet pkt) {
   if (pkt.type != PktType::kData) return;
   // Kernel receive path latency (interrupt + softirq + socket copy).
-  sim_.schedule(cfg_.sw_stack_delay / 2,
+  sim_.schedule(kTcpStackDelay / 2,
                 [this, p = PacketPtr::make(std::move(pkt))] { process(*p); });
 }
 

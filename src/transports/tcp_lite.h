@@ -2,15 +2,18 @@
 // TcpLite: a kernel-TCP software-stack proxy used only for the Fig. 8
 // basic-validation bars (DCP / RNIC-GBN / TCP over two directly cabled
 // hosts).  It is a NewReno-flavoured window transport whose throughput is
-// capped by a modeled host processing rate (`sw_stack_rate`) and whose
-// latency is inflated by per-packet kernel processing (`sw_stack_delay`
-// on each side) — capturing why RDMA offload wins, which is the figure's
-// entire point.
+// capped by a modeled host processing rate (`kTcpStackRate`) and whose
+// latency is inflated by per-packet kernel processing (`kTcpStackDelay`,
+// split between the two ends) — capturing why RDMA offload wins, which is
+// the figure's entire point.
 
 #include "host/transport.h"
 #include "transports/selective_repeat.h"
 
 namespace dcp {
+
+inline constexpr Bandwidth kTcpStackRate = Bandwidth::gbps(30);
+inline constexpr Time kTcpStackDelay = microseconds(8);
 
 // Neither end snapshots: each parks its packets in kernel-delay closures,
 // which a re-armed restore cannot rebuild (SimWorld::snapshot_supported).
@@ -32,7 +35,7 @@ class TcpLiteSender final : public SenderTransport {
   /// Pacing at the host-processing rate instead of NIC line rate.
   static TransportConfig stack_capped(TransportConfig c) {
     c.cc.type = CcConfig::Type::kStaticWindow;
-    c.cc.line_rate = c.sw_stack_rate;
+    c.cc.line_rate = kTcpStackRate;
     return c;
   }
   void arm_rto();

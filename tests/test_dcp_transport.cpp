@@ -1,12 +1,19 @@
 // Behavioural tests for DCP-RNIC: message layout, header sizing, HO-based
-// retransmission, bitmap-free receiver counting, sRetryNo reconciliation
-// and the coarse-grained timeout fallback.
+// retransmission, bitmap-free receiver counting, sRetryNo reconciliation,
+// the coarse-grained timeout fallback and the §4.5 bitmap receiver.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <type_traits>
+
 #include "core/dcp_transport.h"
 #include "harness/scheme.h"
+#include "topo/clos.h"
 #include "topo/dumbbell.h"
+#include "workload/flowgen.h"
 
 namespace dcp {
 namespace {
@@ -326,6 +333,102 @@ TEST(DcpBitmapVariant, SilentLossStillRecoversViaTimeout) {
   // Bitmap dedupes the whole-message resends: duplicates recorded, bytes
   // counted once.
   EXPECT_GT(rec.receiver.duplicate_packets, 0u);
+}
+
+// Builds a topology for the scheme setup `s`, applies it and starts flows.
+using TrackerSetup = std::function<void(Network&, const SchemeSetup&)>;
+
+// The two trackers share one datapath, so swapping them must be invisible
+// to the protocol: every flow completes at the same instants with the same
+// sender counters, and its receiver delivers the same bytes and sends the
+// same ACKs and HO bounces.  (Duplicate and out-of-order counts are each
+// tracker's own bookkeeping.)
+void expect_tracker_invisible(const char* what, double loss, const TrackerSetup& setup) {
+  static_assert(std::has_unique_object_representations_v<SenderStats>);
+  auto run = [&](bool bitmap) {
+    Simulator sim;
+    Logger log{LogLevel::kOff};
+    Network net{sim, log};
+    SchemeSetup s = make_scheme(SchemeKind::kDcp);
+    s.sw.inject_loss_rate = loss;
+    s.tcfg.dcp_bitmap_receiver = bitmap;
+    setup(net, s);
+    net.run_until_done(seconds(5));
+    return net.records();
+  };
+  const std::vector<FlowRecord> counter = run(false);
+  const std::vector<FlowRecord> bitmap = run(true);
+  ASSERT_EQ(counter.size(), bitmap.size()) << what << " at loss " << loss;
+  std::size_t differ = 0;
+  double worst_fct_ratio = 1.0;
+  for (std::size_t i = 0; i < counter.size(); ++i) {
+    const FlowRecord& c = counter[i];
+    const FlowRecord& b = bitmap[i];
+    EXPECT_TRUE(c.complete() && b.complete()) << what << " at loss " << loss << ": flow " << i;
+    const bool same = c.tx_done == b.tx_done && c.rx_done == b.rx_done &&
+                      std::memcmp(&c.sender, &b.sender, sizeof c.sender) == 0 &&
+                      c.receiver.bytes_received == b.receiver.bytes_received &&
+                      c.receiver.acks_sent == b.receiver.acks_sent &&
+                      c.receiver.ho_received == b.receiver.ho_received;
+    if (same) continue;
+    ++differ;
+    if (c.fct() > 0) {
+      worst_fct_ratio = std::max(worst_fct_ratio, static_cast<double>(b.fct()) / c.fct());
+    }
+  }
+  EXPECT_EQ(differ, 0u) << what << " at loss " << loss << ": " << differ << " of "
+                        << counter.size() << " flows differ; worst bitmap/counter FCT ratio "
+                        << worst_fct_ratio;
+}
+
+TEST(DcpBitmapVariant, TrackingIsInvisibleToTheProtocol) {
+  auto one_flow = [](std::uint64_t msg_bytes) {
+    return [msg_bytes](Network& net, const SchemeSetup& s) {
+      Star star = build_star(net, 3, s.sw);
+      apply_scheme(net, s);
+      FlowSpec spec;
+      spec.src = star.hosts[0]->id();
+      spec.dst = star.hosts[2]->id();
+      spec.bytes = 1'000'000;
+      spec.msg_bytes = msg_bytes;
+      net.start_flow(spec);
+    };
+  };
+  auto incast = [](Network& net, const SchemeSetup& s) {
+    Star star = build_star(net, 4, s.sw);
+    apply_scheme(net, s);
+    for (std::size_t i = 0; i < 3; ++i) {
+      FlowSpec spec;
+      spec.src = star.hosts[i]->id();
+      spec.dst = star.hosts[3]->id();
+      spec.bytes = 400'000;
+      spec.msg_bytes = 100'000;
+      net.start_flow(spec);
+    }
+  };
+  auto websearch = [](Network& net, const SchemeSetup& s) {
+    ClosParams clos;
+    clos.spines = 2;
+    clos.leaves = 2;
+    clos.hosts_per_leaf = 4;
+    clos.sw = s.sw;
+    ClosTopology topo = build_clos(net, clos);
+    apply_scheme(net, s);
+    FlowGenParams fg;
+    fg.load = 0.4;
+    fg.host_rate = clos.link;
+    fg.num_flows = 300;
+    fg.seed = 7;
+    generate_poisson_flows(net, topo.hosts, SizeDist::websearch(), fg);
+  };
+  for (double loss : {0.0, 0.02}) {
+    expect_tracker_invisible("1 MB in 200 KB messages", loss, one_flow(200'000));
+    expect_tracker_invisible("1 MB as one message", loss, one_flow(0));
+    expect_tracker_invisible("3-to-1 incast", loss, incast);
+  }
+  for (double loss : {0.0, 0.005}) {
+    expect_tracker_invisible("Clos websearch", loss, websearch);
+  }
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 // a run resumed from a snapshot at time T must be BIT-IDENTICAL to the run
 // that never stopped — same WorldDigest (per-flow completion stamps and
 // stats, switch counters) and same events_processed — across every
-// snapshottable scheme and serial and sharded event cores.  Also covers
-// re-save byte-equality (save(restore(img)) == img), image versioning, the
-// TcpLite unsupported-scheme refusal, warm-booted sweeps, a 200-seed
-// oracle-armed fuzz batch through the restore path, and snapshot-
-// accelerated ddmin shrink equivalence on the injected-bug needle.
+// snapshottable scheme, the §4.5 bitmap receiver, and serial and sharded
+// event cores.  Also covers re-save byte-equality (save(restore(img)) ==
+// img), image versioning, the TcpLite unsupported-scheme refusal,
+// warm-booted sweeps, a 200-seed oracle-armed fuzz batch through the
+// restore path, and snapshot-accelerated ddmin shrink equivalence on the
+// injected-bug needle.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 
 #include "check/broken.h"
 #include "check/fuzzer.h"
+#include "core/dcp_transport.h"
 #include "harness/checkpoint.h"
 #include "harness/sweep.h"
 
@@ -185,6 +187,42 @@ TEST(Snapshot, FaultedOracleArmedResumeBitIdentical) {
   }
 }
 
+// Every scheme builds the counter receiver, so the §4.5 bitmap variant is
+// reached through a factory override.
+class DcpBitmapFactory final : public TransportFactory {
+ public:
+  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
+                                               const TransportConfig& cfg) override {
+    return std::make_unique<DcpSender>(sim, host, spec, cfg);
+  }
+  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
+                                                   const FlowSpec& spec,
+                                                   const TransportConfig& cfg) override {
+    return std::make_unique<DcpBitmapReceiver>(sim, host, spec, cfg);
+  }
+  std::string name() const override { return "DCP-bitmap"; }
+};
+
+TEST(Snapshot, DcpBitmapReceiverResumesBitIdentical) {
+  FuzzOptions opt;
+  opt.factory_override = std::make_shared<DcpBitmapFactory>();
+  const FuzzScenario clean = clean_scenario(SchemeKind::kDcp);
+  const FuzzScenario faulted = faulted_scenario(SchemeKind::kDcp);
+  for (const FuzzScenario* s : {&clean, &faulted}) {
+    const char* what = s->faults.actions.empty() ? "clean" : "faulted";
+    const WorldSpec ws = fuzz_world_spec(*s, opt);
+    const WorldDigest cold = cold_digest(ws);
+    ASSERT_GT(cold.events, 0u);
+    for (double t_us : {10.0, 50.0, 75.0, 150.0, 400.0}) {
+      const WorldDigest warm = resumed_digest(ws, microseconds(t_us), what);
+      EXPECT_EQ(cold.value, warm.value) << what << ": digest drift after resume at " << t_us
+                                        << "us";
+      EXPECT_EQ(cold.events, warm.events)
+          << what << ": events_processed drift after resume at " << t_us << "us";
+    }
+  }
+}
+
 TEST(Snapshot, ShardResumeMatrix) {
   // Fault-free scenario (fault plans force serial); leaves=4 admits 4
   // shards.  Every (scheme, shards) combination must resume bit-identically
@@ -254,10 +292,12 @@ TEST(Snapshot, DecodeRefusesVersion1Image) {
   // The version word follows the 4-byte magic.  Stamping an older version
   // on an otherwise well-formed image must be refused on the version
   // alone: version 2's switch section still carried the route-cache
-  // config, a prefetched-draw buffer and a flap epoch, and version 3's
-  // selective-repeat transports saved their queue count and cursor...
+  // config, a prefetched-draw buffer and a flap epoch, version 3's
+  // selective-repeat transports saved their queue count and cursor, and
+  // version 4's GBN receiver saved an ACK-coalescing counter and its DCP
+  // receivers laid out their shared datapath fields per tracker...
   std::vector<std::uint8_t> stamped = bytes;
-  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u}) {
     std::memcpy(stamped.data() + 4, &old_version, sizeof old_version);
     EXPECT_FALSE(SnapshotImage::decode(stamped, back)) << "version " << old_version;
   }
