@@ -9,7 +9,7 @@
 #include "core/tracking.h"
 #include "net/packet_pool.h"
 #include "sim/event_queue.h"
-#include "switch/scheduler.h"
+#include "net/port.h"
 
 namespace {
 
@@ -39,7 +39,8 @@ void BM_LinkedChunkTracker(benchmark::State& state) {
 BENCHMARK(BM_LinkedChunkTracker)->Arg(0)->Arg(128)->Arg(448);
 
 void BM_MessageCounterTracker(benchmark::State& state) {
-  MessageCounterTracker t(std::vector<std::uint32_t>(1u << 16, 1u << 14), 8);
+  constexpr std::uint64_t kMsgBytes = std::uint64_t{kMtuPayload} << 14;
+  MessageCounterTracker t(MessageLayout(kMsgBytes << 16, kMsgBytes), 8);
   std::uint32_t psn = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(t.on_packet(psn % (1u << 14)));

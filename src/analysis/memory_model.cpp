@@ -1,7 +1,5 @@
 #include "analysis/memory_model.h"
 
-#include <vector>
-
 #include "core/tracking.h"
 
 namespace dcp {
@@ -31,7 +29,9 @@ TrackingMemoryRow linked_chunk_row(const TrackingMemoryInputs& in) {
 }
 
 TrackingMemoryRow dcp_row(const TrackingMemoryInputs& in) {
-  MessageCounterTracker t(std::vector<std::uint32_t>(in.outstanding_msgs, 1), in.outstanding_msgs);
+  // One single-packet message per tracked slot.
+  const MessageLayout layout(std::uint64_t{in.outstanding_msgs} * kMtuPayload, kMtuPayload);
+  MessageCounterTracker t(layout, in.outstanding_msgs);
   // Counters + eMSN/rRetryNo QPC fields (~16 B of per-QP context).
   const std::uint64_t per_qp = t.memory_bytes() + 16;
   return {"DCP", per_qp, per_qp, per_qp * in.qps, per_qp * in.qps};

@@ -31,8 +31,9 @@ std::vector<PacketRatePoint> packet_rate_sweep(int max_degree, int stride, doubl
 
     BdpBitmapTracker bdp(window);
     LinkedChunkTracker chunk(window * 4);
-    // DCP: geometry doesn't matter for cost; one message of many packets.
-    MessageCounterTracker dcpt(std::vector<std::uint32_t>(64, 1u << 20), 8);
+    // DCP: geometry doesn't matter for cost; 64 messages of 2^20 packets.
+    constexpr std::uint64_t kMsgBytes = std::uint64_t{kMtuPayload} << 20;
+    MessageCounterTracker dcpt(MessageLayout(64 * kMsgBytes, kMsgBytes), 8);
 
     PacketRatePoint p;
     p.ooo_degree = d;

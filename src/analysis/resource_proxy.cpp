@@ -24,7 +24,7 @@ std::vector<ResourceRow> resource_proxy_rows(std::uint32_t bdp_pkts) {
                              static_cast<std::uint64_t>(bdp_pkts) * 8, 3.0});
 
   // DCP: message counters only; the RetransQ lives in *host* memory.
-  MessageCounterTracker t(std::vector<std::uint32_t>(8, 1), 8);
+  MessageCounterTracker t(MessageLayout(8 * kMtuPayload, kMtuPayload), 8);
   rows.push_back(
       ResourceRow{"DCP-RNIC", sizeof(DcpSender), sizeof(DcpReceiver), t.memory_bytes() + 16, 1.0});
 

@@ -10,9 +10,9 @@ std::unique_ptr<CongestionControl> make_cc(Simulator& sim, const CcConfig& cfg) 
     case CcConfig::Type::kStaticWindow:
       return std::make_unique<StaticWindowCc>(cfg.line_rate, cfg.window_bytes);
     case CcConfig::Type::kDcqcn:
-      return std::make_unique<DcqcnRp>(sim, cfg.line_rate, cfg.window_bytes, cfg.dcqcn);
+      return std::make_unique<DcqcnRp>(sim, cfg.line_rate, cfg.window_bytes);
     case CcConfig::Type::kTimely:
-      return std::make_unique<TimelyCc>(cfg.line_rate, cfg.window_bytes, cfg.timely);
+      return std::make_unique<TimelyCc>(cfg.line_rate, cfg.window_bytes);
   }
   return nullptr;
 }

@@ -55,35 +55,10 @@ class StaticWindowCc final : public CongestionControl {
   std::uint64_t window_;
 };
 
-struct DcqcnParams {
-  double g = 1.0 / 16.0;              // alpha EWMA gain
-  Time alpha_timer = microseconds(55);
-  Time rate_increase_timer = microseconds(55);
-  std::uint64_t byte_counter = 1024 * 1024;  // 100G-scale: events come fast
-  double rai_gbps = 1.0;              // additive increase step
-  double rhai_gbps = 5.0;             // hyper increase step
-  int fast_recovery_rounds = 5;       // F in the DCQCN paper
-  double min_rate_gbps = 0.1;
-  Time cnp_min_interval = microseconds(50);  // NP-side CNP pacing
-};
-
-struct TimelyParams {
-  Time t_low = microseconds(30);    // below: additive increase
-  Time t_high = microseconds(150);  // above: multiplicative decrease
-  Time min_rtt = microseconds(8);
-  double ewma_alpha = 0.46;         // gradient smoothing
-  double beta = 0.8;                // multiplicative decrease factor
-  double rai_gbps = 1.0;            // additive increase step
-  int hai_threshold = 5;            // negative-gradient streak for HAI mode
-  double min_rate_gbps = 0.5;
-};
-
 struct CcConfig {
   enum class Type { kStaticWindow, kDcqcn, kTimely } type = Type::kStaticWindow;
   Bandwidth line_rate = Bandwidth::gbps(100);
   std::uint64_t window_bytes = 150 * 1024;  // ~BDP for 100G * 12us
-  DcqcnParams dcqcn;
-  TimelyParams timely;
 };
 
 /// Builds a CC instance; DCQCN needs the simulator for its timers.

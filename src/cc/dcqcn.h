@@ -13,7 +13,16 @@ namespace dcp {
 
 class DcqcnRp final : public CongestionControl {
  public:
-  DcqcnRp(Simulator& sim, Bandwidth line_rate, std::uint64_t window, DcqcnParams p);
+  static constexpr double kG = 1.0 / 16.0;  // alpha EWMA gain
+  static constexpr Time kAlphaTimer = microseconds(55);
+  static constexpr Time kRateIncreaseTimer = microseconds(55);
+  static constexpr std::uint64_t kByteCounter = 1024 * 1024;  // 100G-scale: events come fast
+  static constexpr double kRaiGbps = 1.0;      // additive increase step
+  static constexpr double kRhaiGbps = 5.0;     // hyper increase step
+  static constexpr int kFastRecoveryRounds = 5;  // F in the DCQCN paper
+  static constexpr double kMinRateGbps = 0.1;
+
+  DcqcnRp(Simulator& sim, Bandwidth line_rate, std::uint64_t window);
 
   Bandwidth rate() const override { return Bandwidth::gbps(rc_gbps_); }
   std::uint64_t window_bytes() const override { return window_; }
@@ -37,7 +46,6 @@ class DcqcnRp final : public CongestionControl {
   void on_rate_timer();
 
   Simulator& sim_;
-  DcqcnParams p_;
   double line_gbps_;
   std::uint64_t window_;
 
@@ -53,14 +61,14 @@ class DcqcnRp final : public CongestionControl {
   Timer rate_timer_{sim_, [this] { on_rate_timer(); }};
 };
 
-/// Receiver-side CNP pacing: at most one CNP per flow per interval.
+/// Receiver-side CNP pacing: at most one CNP per flow per kMinInterval.
 class CnpGenerator {
  public:
-  explicit CnpGenerator(Time min_interval = microseconds(50)) : interval_(min_interval) {}
+  static constexpr Time kMinInterval = microseconds(50);
 
   /// Called when an ECN-CE data packet arrives; true = emit a CNP now.
   bool should_send(Time now) {
-    if (last_ == -1 || now - last_ >= interval_) {
+    if (last_ == -1 || now - last_ >= kMinInterval) {
       last_ = now;
       return true;
     }
@@ -74,7 +82,6 @@ class CnpGenerator {
   }
 
  private:
-  Time interval_;
   Time last_ = -1;
 };
 

@@ -11,32 +11,32 @@ void TimelyCc::on_rtt_sample(Time rtt) {
   }
   const double new_diff_us = to_us(rtt - prev_rtt_);
   prev_rtt_ = rtt;
-  rtt_diff_ = (1.0 - p_.ewma_alpha) * rtt_diff_ + p_.ewma_alpha * new_diff_us;
-  gradient_ = rtt_diff_ / to_us(p_.min_rtt);
+  rtt_diff_ = (1.0 - kEwmaAlpha) * rtt_diff_ + kEwmaAlpha * new_diff_us;
+  gradient_ = rtt_diff_ / to_us(kMinRtt);
 
-  if (rtt < p_.t_low) {
+  if (rtt < kTLow) {
     // Far below target: additive increase regardless of gradient.
-    rate_gbps_ = std::min(line_gbps_, rate_gbps_ + p_.rai_gbps);
+    rate_gbps_ = std::min(line_gbps_, rate_gbps_ + kRaiGbps);
     ++neg_gradient_streak_;
     return;
   }
-  if (rtt > p_.t_high) {
+  if (rtt > kTHigh) {
     // Way above target: multiplicative decrease bounded by T_high/rtt.
     const double factor =
-        std::max(p_.beta, 1.0 - p_.beta * (1.0 - to_us(p_.t_high) / to_us(rtt)));
-    rate_gbps_ = std::max(p_.min_rate_gbps, rate_gbps_ * factor);
+        std::max(kBeta, 1.0 - kBeta * (1.0 - to_us(kTHigh) / to_us(rtt)));
+    rate_gbps_ = std::max(kMinRateGbps, rate_gbps_ * factor);
     neg_gradient_streak_ = 0;
     return;
   }
   if (gradient_ <= 0) {
     ++neg_gradient_streak_;
     const double step =
-        neg_gradient_streak_ >= p_.hai_threshold ? 5.0 * p_.rai_gbps : p_.rai_gbps;
+        neg_gradient_streak_ >= kHaiThreshold ? 5.0 * kRaiGbps : kRaiGbps;
     rate_gbps_ = std::min(line_gbps_, rate_gbps_ + step);
   } else {
     neg_gradient_streak_ = 0;
     rate_gbps_ =
-        std::max(p_.min_rate_gbps, rate_gbps_ * (1.0 - p_.beta * std::min(gradient_, 1.0)));
+        std::max(kMinRateGbps, rate_gbps_ * (1.0 - kBeta * std::min(gradient_, 1.0)));
   }
 }
 

@@ -15,9 +15,17 @@ namespace dcp {
 
 class TimelyCc final : public CongestionControl {
  public:
-  TimelyCc(Bandwidth line_rate, std::uint64_t window, TimelyParams p)
-      : p_(p),
-        line_gbps_(line_rate.as_gbps()),
+  static constexpr Time kTLow = microseconds(30);    // below: additive increase
+  static constexpr Time kTHigh = microseconds(150);  // above: multiplicative decrease
+  static constexpr Time kMinRtt = microseconds(8);
+  static constexpr double kEwmaAlpha = 0.46;  // gradient smoothing
+  static constexpr double kBeta = 0.8;        // multiplicative decrease factor
+  static constexpr double kRaiGbps = 1.0;     // additive increase step
+  static constexpr int kHaiThreshold = 5;     // negative-gradient streak for HAI mode
+  static constexpr double kMinRateGbps = 0.5;
+
+  TimelyCc(Bandwidth line_rate, std::uint64_t window)
+      : line_gbps_(line_rate.as_gbps()),
         window_(window),
         rate_gbps_(line_rate.as_gbps()) {}
 
@@ -26,7 +34,7 @@ class TimelyCc final : public CongestionControl {
 
   void on_rtt_sample(Time rtt) override;
   void on_timeout() override {
-    rate_gbps_ = std::max(p_.min_rate_gbps, rate_gbps_ * p_.beta);
+    rate_gbps_ = std::max(kMinRateGbps, rate_gbps_ * kBeta);
   }
 
   double current_rate_gbps() const { return rate_gbps_; }
@@ -36,7 +44,6 @@ class TimelyCc final : public CongestionControl {
   void checkpoint(StateIO& io) override;
 
  private:
-  TimelyParams p_;
   double line_gbps_;
   std::uint64_t window_;
   double rate_gbps_;

@@ -126,7 +126,7 @@ WorldSpec fuzz_world_spec(const FuzzScenario& s, const FuzzOptions& opt) {
 FuzzVerdict run_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt) {
   SimWorld w(fuzz_world_spec(s, opt));
   w.run_until_done();
-  return w.finalize_verdict(opt.trace_events);
+  return w.finalize_verdict();
 }
 
 namespace {
@@ -175,7 +175,7 @@ bool reproduces(ShrinkCtx& c, const FuzzScenario& s, Time bound) {
   w->run_until_done();
   c.st.events_skipped += skipped;
   c.st.events_executed += w->events_processed() - skipped;
-  const FuzzVerdict v = w->finalize_verdict(c.opt.trace_events);
+  const FuzzVerdict v = w->finalize_verdict();
   return v.violated && v.invariant == c.inv;
 }
 
@@ -232,7 +232,7 @@ FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt,
     w->run_until_done();
     st.runs++;
     st.events_executed += w->events_processed();
-    base = w->finalize_verdict(opt.trace_events);
+    base = w->finalize_verdict();
   }
   if (!base.violated) {
     st.actions_after = st.actions_before;

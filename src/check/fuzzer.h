@@ -67,7 +67,6 @@ struct FuzzOptions {
   /// Replaces the scheme's transport factory (broken test doubles; see
   /// check/broken.h).  The scenario's scheme still picks the switch config.
   std::shared_ptr<TransportFactory> factory_override;
-  std::size_t trace_events = 40;  // trace lines kept in the verdict
   /// Snapshot-accelerated shrinking (harness/checkpoint.h): ddmin probes
   /// restore from the latest prefix snapshot preceding the first removed
   /// fault action instead of re-running from t=0.  Restored probe runs are

@@ -38,14 +38,7 @@ const char* pkt_type_name(PktType t) {
 
 }  // namespace
 
-InvariantOracle::InvariantOracle(Network& net, OracleOptions opt)
-    : net_(net), sim_(net.sim()), opt_(opt) {
-  // The ring is indexed with a mask, so round its capacity up to a power
-  // of two.
-  std::size_t cap = 1;
-  while (cap < opt_.trace_capacity) cap <<= 1;
-  ring_.resize(cap);
-  ring_mask_ = cap - 1;
+InvariantOracle::InvariantOracle(Network& net) : net_(net), sim_(net.sim()) {
   prev_ = sim_.check_observer();
   net_.set_check_observer_all(this);
   mt_ = net_.shard_count() > 1;
@@ -54,7 +47,7 @@ InvariantOracle::InvariantOracle(Network& net, OracleOptions opt)
 
 InvariantOracle::~InvariantOracle() {
   net_.set_check_observer_all(prev_);
-  for (SharedBuffer* b : watched_) b->set_check_observer(nullptr);
+  for (SharedBuffer* b : watched_) b->set_check_observer(nullptr, nullptr);
 }
 
 void InvariantOracle::watch_buffer(SharedBuffer& buf) {
@@ -88,7 +81,7 @@ Time InvariantOracle::stamp() const {
 
 void InvariantOracle::violate(const char* invariant, std::string detail) {
   frozen_ = true;  // preserve the trace ring as it was at first failure
-  if (violations_.size() >= opt_.max_violations) {
+  if (violations_.size() >= kMaxViolations) {
     suppressed_++;
     return;
   }
@@ -97,7 +90,7 @@ void InvariantOracle::violate(const char* invariant, std::string detail) {
 
 void InvariantOracle::record(std::uint8_t kind, NodeId node, const Packet& pkt,
                              std::uint8_t site) {
-  if (frozen_ || ring_.empty()) return;
+  if (frozen_) return;
   TraceEv& e = ring_[ring_next_];
   e.at = stamp();
   e.kind = kind;
@@ -108,7 +101,7 @@ void InvariantOracle::record(std::uint8_t kind, NodeId node, const Packet& pkt,
   e.psn = pkt.psn;
   e.msn = pkt.msn;
   e.retry = pkt.retry_no;
-  ring_next_ = (ring_next_ + 1) & ring_mask_;
+  ring_next_ = (ring_next_ + 1) & (kTraceRingEvents - 1);
   if (ring_next_ == 0) ring_wrapped_ = true;
 }
 
@@ -226,7 +219,7 @@ void InvariantOracle::on_host_deliver(NodeId host, const Packet& pkt) {
 
 void InvariantOracle::on_msg_complete(FlowId id, std::uint32_t msn) {
   MaybeLock lk(mu_, mt_);
-  if (!frozen_ && !ring_.empty()) {
+  if (!frozen_) {
     Packet p;
     p.flow = id;
     p.msn = msn;
@@ -272,7 +265,7 @@ void InvariantOracle::check_bounded_tracking(FlowId id, FlowState& f) {
 
 void InvariantOracle::on_rx_complete(FlowId id) {
   MaybeLock lk(mu_, mt_);
-  if (!frozen_ && !ring_.empty()) {
+  if (!frozen_) {
     Packet p;
     p.flow = id;
     record('R', kInvalidNode, p);
@@ -286,7 +279,7 @@ void InvariantOracle::on_rx_complete(FlowId id) {
 
 void InvariantOracle::on_tx_complete(FlowId id) {
   MaybeLock lk(mu_, mt_);
-  if (!frozen_ && !ring_.empty()) {
+  if (!frozen_) {
     Packet p;
     p.flow = id;
     record('F', kInvalidNode, p);
@@ -317,18 +310,13 @@ void InvariantOracle::on_drop(DropSite site, NodeId node, const Packet& pkt) {
 // The clean-path replay runs inline at the SharedBuffer call sites (see
 // BufferShadow in check/observer.h); these hooks are the cold path — they
 // fire only when a step diverged, report it, and resync the shadow so one
-// bug reports once, not per event.  A buffer armed without a shadow (an
-// observer installed by hand) still gets the full per-call replay here.
+// bug reports once, not per event.
 
-void InvariantOracle::on_buffer_alloc(const SharedBuffer* buf, std::uint32_t in_port,
-                                      std::uint8_t cls, std::uint64_t bytes,
+void InvariantOracle::on_buffer_alloc(const SharedBuffer* buf, std::uint32_t /*in_port*/,
+                                      std::uint8_t /*cls*/, std::uint64_t bytes,
                                       std::uint64_t used_after) {
   MaybeLock lk(mu_, mt_);
   BufferShadow* sh = buf->check_shadow();
-  if (sh == nullptr) {
-    sh = &buf_state(buf);
-    if (sh->on_alloc(in_port, cls, bytes, used_after) == ShadowFail::kNone) return;
-  }
   violate("buffer-conservation",
           fmt("alloc of %" PRIu64 " B: buffer reports %" PRIu64 " B used, ledger %" PRIu64,
               bytes, used_after, sh->used));
@@ -340,10 +328,6 @@ void InvariantOracle::on_buffer_release(const SharedBuffer* buf, std::uint32_t i
                                         std::uint64_t used_after) {
   MaybeLock lk(mu_, mt_);
   BufferShadow* sh = buf->check_shadow();
-  if (sh == nullptr) {
-    sh = &buf_state(buf);
-    if (sh->on_release(in_port, cls, bytes, used_after) == ShadowFail::kNone) return;
-  }
   const std::size_t key = static_cast<std::size_t>(in_port) * kNumQueueClasses + cls;
   if (sh->last_fail == ShadowFail::kUnderflow) {
     violate("buffer-conservation",
@@ -384,8 +368,7 @@ void InvariantOracle::finalize() {
       // credited twice (e.g. counted by the decoder and again when the
       // retransmission landed), which completion-consistency alone can miss
       // when offsetting byte errors cancel out.
-      const std::uint64_t mtu = net_.transport_config().mtu_payload;
-      std::uint64_t data_pkts = mtu > 0 ? (rec.spec.bytes + mtu - 1) / mtu : 0;
+      std::uint64_t data_pkts = (rec.spec.bytes + kMtuPayload - 1) / kMtuPayload;
       if (data_pkts == 0) data_pkts = 1;
       const std::uint64_t recovered =
           rec.receiver.decode_recovered_packets + rec.receiver.nack_recovered_packets;
@@ -530,7 +513,7 @@ void InvariantOracle::checkpoint(StateIO& io) {
     s.vec(b.second->per_key);
     s.pod(b.second->last_fail);
   });
-  io.vec(ring_);
+  io.fixed(ring_, [](StateIO& s, TraceEv& e) { s.pod(e); });
   io.pod(ring_next_);
   io.pod(ring_wrapped_);
   io.pod(frozen_);
@@ -541,6 +524,9 @@ void InvariantOracle::checkpoint(StateIO& io) {
   });
   io.pod(suppressed_);
   io.pod(finalized_);
+  if (!io.saving() && io.ok() && ring_next_ >= kTraceRingEvents) {
+    io.fail("oracle: trace cursor outside the ring");
+  }
 }
 
 }  // namespace dcp

@@ -36,6 +36,7 @@
 //   oracle.finalize();
 //   ASSERT_TRUE(oracle.ok()) << oracle.summary();
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -57,14 +58,9 @@ struct InvariantViolation {
   Time at = 0;
 };
 
-struct OracleOptions {
-  std::size_t trace_capacity = 256;  // event-ring size behind trace_slice()
-  std::size_t max_violations = 64;   // stop recording beyond this many
-};
-
 class InvariantOracle final : public CheckObserver {
  public:
-  explicit InvariantOracle(Network& net, OracleOptions opt = {});
+  explicit InvariantOracle(Network& net);
   ~InvariantOracle() override;
   InvariantOracle(const InvariantOracle&) = delete;
   InvariantOracle& operator=(const InvariantOracle&) = delete;
@@ -161,7 +157,6 @@ class InvariantOracle final : public CheckObserver {
   // via stamp() — reading another shard's now() would be a data race.
   bool mt_ = false;
   std::mutex mu_;
-  OracleOptions opt_;
   CheckObserver* prev_ = nullptr;
   std::vector<SharedBuffer*> watched_;
   // Flow ids are dense (Network hands them out sequentially from 1), so the
@@ -176,13 +171,15 @@ class InvariantOracle final : public CheckObserver {
   // The clean-path replay runs inline at the alloc/release sites (see
   // check/observer.h), so the virtual hooks below only fire on divergence.
   std::vector<std::pair<const SharedBuffer*, std::unique_ptr<BufferShadow>>> buffers_;
-  std::vector<TraceEv> ring_;  // capacity rounded up to a power of two
-  std::size_t ring_mask_ = 0;
+  static constexpr std::size_t kTraceRingEvents = 256;  // the event ring behind trace_slice()
+  static constexpr std::size_t kMaxViolations = 64;     // stop recording beyond this many
+  static_assert((kTraceRingEvents & (kTraceRingEvents - 1)) == 0, "ring index is masked");
+  std::array<TraceEv, kTraceRingEvents> ring_{};
   std::size_t ring_next_ = 0;
   bool ring_wrapped_ = false;
   bool frozen_ = false;  // stop tracing after the first violation
   std::vector<InvariantViolation> violations_;
-  std::uint64_t suppressed_ = 0;  // violations beyond max_violations
+  std::uint64_t suppressed_ = 0;  // violations beyond kMaxViolations
   bool finalized_ = false;
 };
 

@@ -146,11 +146,9 @@ class CheckObserver {
   }
 
   // ---- Shared-buffer accounting -------------------------------------------
-  /// A SharedBuffer::alloc / release.  `buf` identifies the buffer
-  /// instance; `used_after` is its pool occupancy after the call.  When a
-  /// BufferShadow is installed alongside the observer these fire only on a
-  /// replay divergence (the shadow's `last_fail` says how it failed);
-  /// without a shadow every successful call is reported.
+  /// A SharedBuffer::alloc / release whose BufferShadow replay diverged
+  /// (the shadow's `last_fail` says how).  `buf` identifies the buffer
+  /// instance; `used_after` is its pool occupancy after the call.
   virtual void on_buffer_alloc(const SharedBuffer* buf, std::uint32_t in_port,
                                std::uint8_t cls, std::uint64_t bytes,
                                std::uint64_t used_after) {

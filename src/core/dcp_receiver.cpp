@@ -12,7 +12,7 @@ namespace dcp {
 
 DcpReceiverBase::DcpReceiverBase(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
     : ReceiverTransport(sim, host, spec, cfg),
-      layout_(spec.bytes, spec.msg_bytes, cfg.mtu_payload) {}
+      layout_(spec.bytes, spec.msg_bytes) {}
 
 void DcpReceiverBase::bounce_header_only(const Packet& pkt) {
   // §4.1 step 2: swap source/destination (IP + QPN) and forward the HO
@@ -110,7 +110,7 @@ void DcpReceiverBase::checkpoint_extra(StateIO& io) {
 
 DcpReceiver::DcpReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
     : DcpReceiverBase(sim, host, spec, cfg),
-      tracker_(layout_.all_msg_pkts(), kDcpOutstandingMsgs),
+      tracker_(layout_, kDcpOutstandingMsgs),
       rretry_(kDcpOutstandingMsgs, 0) {}
 
 void DcpReceiver::on_packet(Packet pkt) {
@@ -163,6 +163,8 @@ void DcpReceiver::checkpoint_extra(StateIO& io) {
   DcpReceiverBase::checkpoint_extra(io);
   tracker_.checkpoint(io);
   io.vec(rretry_);
+  if (io.saving() || !io.ok()) return;
+  if (rretry_.size() != kDcpOutstandingMsgs) io.fail("dcp receiver: rRetryNo ring size mismatch");
 }
 
 // ---------------------------------------------------------------------------
@@ -204,6 +206,11 @@ void DcpBitmapReceiver::checkpoint_extra(StateIO& io) {
   io.vbool(received_);
   io.pod(emsn_);
   io.pod(scan_);
+  if (io.saving() || !io.ok()) return;
+  if (received_.size() != layout_.total_pkts || emsn_ > layout_.num_msgs ||
+      scan_ > layout_.total_pkts) {
+    io.fail("dcp bitmap receiver: bitmap, eMSN or scan cursor outside the flow");
+  }
 }
 
 }  // namespace dcp

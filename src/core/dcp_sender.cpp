@@ -9,7 +9,7 @@ namespace dcp {
 
 DcpSender::DcpSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
     : SenderTransport(sim, host, spec, cfg),
-      layout_(spec.bytes, spec.msg_bytes, cfg.mtu_payload),
+      layout_(spec.bytes, spec.msg_bytes),
       sretry_(layout_.num_msgs, 0) {}
 
 Packet DcpSender::build_packet(std::uint32_t psn, bool retransmit, std::uint8_t retry_no) {
@@ -21,7 +21,7 @@ Packet DcpSender::build_packet(std::uint32_t psn, bool retransmit, std::uint8_t 
   p.retry_no = retry_no;
   p.is_retransmit = retransmit;
   p.has_reth = spec_.op != RdmaOp::kSend;
-  p.remote_addr = static_cast<std::uint64_t>(psn) * cfg_.mtu_payload;
+  p.remote_addr = static_cast<std::uint64_t>(psn) * kMtuPayload;
   p.last_of_msg = (psn + 1 == layout_.msg_start_psn(msn) + layout_.msg_pkts(msn));
   return p;
 }
@@ -30,7 +30,7 @@ std::uint64_t DcpSender::inflight_bytes_estimate() const {
   const std::uint64_t sent = stats_.data_packets_sent;
   const std::uint64_t accounted = rcnt_ + ho_total_ + flushed_;
   const std::uint64_t inflight_pkts = sent > accounted ? sent - accounted : 0;
-  return inflight_pkts * cfg_.mtu_payload;
+  return inflight_pkts * kMtuPayload;
 }
 
 bool DcpSender::protocol_has_packet() {
@@ -85,7 +85,7 @@ void DcpSender::start_fetch() {
   // Batch size: min(16, len, awin/MTU) — paper §4.3 step 2.
   std::uint64_t by_window = cc_->window_bytes() == CongestionControl::kNoWindowCap
                                 ? cfg_.retrans_batch
-                                : std::max<std::uint64_t>(1, cc_->window_bytes() / cfg_.mtu_payload);
+                                : std::max<std::uint64_t>(1, cc_->window_bytes() / kMtuPayload);
   fetch_batch_ = static_cast<std::size_t>(
       std::min<std::uint64_t>({cfg_.retrans_batch, rq_.len(), by_window}));
   // Deadline-class: armed once per fetch, always from idle, so the (t,seq)
@@ -184,7 +184,7 @@ void DcpSender::on_packet(Packet pkt) {
         una_msn_ = pkt.emsn;
         const std::uint64_t newly = static_cast<std::uint64_t>(layout_.msg_start_psn(una_msn_) -
                                                                layout_.msg_start_psn(prev)) *
-                                    cfg_.mtu_payload;
+                                    kMtuPayload;
         cc_->on_ack(newly);
         // Timeout-round retransmissions of acknowledged messages are moot.
         while (!timeout_retx_.empty() &&
@@ -225,6 +225,17 @@ void DcpSender::checkpoint_extra(StateIO& io) {
   io.pod(dstats_);
   io.timer(fetch_done_);
   io.timer(msg_timer_);
+  if (io.saving() || !io.ok()) return;
+  const auto in_flow = [this](const RetransQ::Entry& e) {
+    return e.msn < layout_.num_msgs && e.psn < layout_.total_pkts;
+  };
+  const bool retx_in_flow =
+      std::all_of(timeout_retx_.begin(), timeout_retx_.end(),
+                  [this](std::uint32_t psn) { return psn < layout_.total_pkts; });
+  if (sretry_.size() != layout_.num_msgs || snd_nxt_ > layout_.total_pkts ||
+      una_msn_ > layout_.num_msgs || !rq_.all_of(in_flow) || !retx_in_flow) {
+    io.fail("dcp sender: window, retry rounds or retransmission entries outside the flow");
+  }
 }
 
 }  // namespace dcp

@@ -2,19 +2,6 @@
 
 namespace dcp {
 
-MessageLayout::MessageLayout(std::uint64_t bytes, std::uint64_t msg_size,
-                             std::uint32_t mtu_payload)
-    : mtu(mtu_payload), flow_bytes(bytes) {
-  msg_bytes = (msg_size == 0 || msg_size >= bytes) ? (bytes == 0 ? 1 : bytes) : msg_size;
-  // Round the message size to whole packets so PSN -> MSN is a division.
-  const std::uint64_t pkts_full = (msg_bytes + mtu - 1) / mtu;
-  pkts_per_full_msg = static_cast<std::uint32_t>(pkts_full == 0 ? 1 : pkts_full);
-  total_pkts = static_cast<std::uint32_t>((bytes + mtu - 1) / mtu);
-  if (total_pkts == 0) total_pkts = 1;
-  num_msgs = (total_pkts + pkts_per_full_msg - 1) / pkts_per_full_msg;
-  if (num_msgs == 0) num_msgs = 1;
-}
-
 std::uint32_t dcp_data_header_bytes(RdmaOp op) {
   std::uint32_t hdr = HeaderSizes::kDcpHeaderOnly;  // 57: MAC+IP+UDP+BTH+MSN
   switch (op) {

@@ -23,42 +23,6 @@
 
 namespace dcp {
 
-/// Per-flow message geometry shared by the two ends: the flow is split
-/// into messages of spec.msg_bytes (0 = single message).
-struct MessageLayout {
-  std::uint32_t mtu = 1000;
-  std::uint64_t flow_bytes = 0;
-  std::uint64_t msg_bytes = 0;     // uniform, except the tail message
-  std::uint32_t num_msgs = 1;
-  std::uint32_t pkts_per_full_msg = 1;
-  std::uint32_t total_pkts = 1;
-
-  MessageLayout() = default;
-  MessageLayout(std::uint64_t bytes, std::uint64_t msg_size, std::uint32_t mtu_payload);
-
-  std::uint32_t msn_of_psn(std::uint32_t psn) const {
-    const std::uint32_t m = psn / pkts_per_full_msg;
-    return m >= num_msgs ? num_msgs - 1 : m;
-  }
-  std::uint32_t msg_start_psn(std::uint32_t msn) const { return msn * pkts_per_full_msg; }
-  std::uint32_t msg_pkts(std::uint32_t msn) const {
-    if (msn + 1 < num_msgs) return pkts_per_full_msg;
-    return total_pkts - msg_start_psn(num_msgs - 1);
-  }
-  /// Application bytes carried by message `msn` (tail may be short).
-  std::uint64_t msg_bytes_of(std::uint32_t msn) const {
-    const std::uint64_t start = static_cast<std::uint64_t>(msg_start_psn(msn)) * mtu;
-    const std::uint64_t end =
-        std::min<std::uint64_t>(flow_bytes, start + static_cast<std::uint64_t>(msg_pkts(msn)) * mtu);
-    return end > start ? end - start : 0;
-  }
-  std::vector<std::uint32_t> all_msg_pkts() const {
-    std::vector<std::uint32_t> v(num_msgs);
-    for (std::uint32_t m = 0; m < num_msgs; ++m) v[m] = msg_pkts(m);
-    return v;
-  }
-};
-
 /// DCP's outstanding-message window (NCCL-style per-QP cap): the sender
 /// keeps at most this many messages in flight, so the receiver tracks
 /// exactly this many and the oracle bounds tracking state by it.

@@ -8,6 +8,7 @@
 // which is the microarchitectural fix for challenge #1 (one-PCIe-RTT-per-
 // packet retransmission would cap goodput at ~4 Gbps).
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 
@@ -51,6 +52,13 @@ class RetransQ {
     Entry e = staging_.front();
     staging_.pop_front();
     return e;
+  }
+
+  /// True when `pred` holds for every queued entry, fetched or not.
+  template <typename Pred>
+  bool all_of(Pred pred) const {
+    return std::all_of(host_q_.begin(), host_q_.end(), pred) &&
+           std::all_of(staging_.begin(), staging_.end(), pred);
   }
 
   std::uint64_t total_pushed() const { return total_pushed_; }

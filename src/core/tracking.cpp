@@ -5,6 +5,22 @@
 namespace dcp {
 
 // ---------------------------------------------------------------------------
+// MessageLayout
+// ---------------------------------------------------------------------------
+
+MessageLayout::MessageLayout(std::uint64_t bytes, std::uint64_t msg_size) : flow_bytes(bytes) {
+  const std::uint64_t msg_bytes =
+      (msg_size == 0 || msg_size >= bytes) ? (bytes == 0 ? 1 : bytes) : msg_size;
+  // Round the message size to whole packets so PSN -> MSN is a division.
+  const std::uint64_t pkts_full = (msg_bytes + kMtuPayload - 1) / kMtuPayload;
+  pkts_per_full_msg = static_cast<std::uint32_t>(pkts_full == 0 ? 1 : pkts_full);
+  total_pkts = static_cast<std::uint32_t>((bytes + kMtuPayload - 1) / kMtuPayload);
+  if (total_pkts == 0) total_pkts = 1;
+  num_msgs = (total_pkts + pkts_per_full_msg - 1) / pkts_per_full_msg;
+  if (num_msgs == 0) num_msgs = 1;
+}
+
+// ---------------------------------------------------------------------------
 // BdpBitmapTracker
 // ---------------------------------------------------------------------------
 
@@ -112,28 +128,20 @@ std::uint64_t LinkedChunkTracker::memory_bytes() const {
 // MessageCounterTracker
 // ---------------------------------------------------------------------------
 
-MessageCounterTracker::MessageCounterTracker(std::vector<std::uint32_t> msg_pkts,
+MessageCounterTracker::MessageCounterTracker(const MessageLayout& layout,
                                              std::uint32_t outstanding)
-    : msg_pkts_(std::move(msg_pkts)), state_(outstanding), outstanding_(outstanding) {
-  msg_start_psn_.reserve(msg_pkts_.size() + 1);
-  std::uint32_t acc = 0;
-  for (std::uint32_t n : msg_pkts_) {
-    msg_start_psn_.push_back(acc);
-    acc += n;
-  }
-  msg_start_psn_.push_back(acc);
-}
+    : layout_(layout), state_(outstanding), outstanding_(outstanding) {}
 
 bool MessageCounterTracker::count_packet(std::uint32_t msn) {
-  if (msn < emsn_ || msn >= emsn_ + outstanding_ || msn >= msg_pkts_.size()) return false;
+  if (msn < emsn_ || msn >= emsn_ + outstanding_ || msn >= layout_.num_msgs) return false;
   MsgState& st = state_[msn % outstanding_];
   if (st.mcf) return false;  // already complete ("exactly once" makes this rare)
   ++st.counter;
-  if (st.counter >= msg_pkts_[msn]) {
+  if (st.counter >= layout_.msg_pkts(msn)) {
     st.mcf = true;
     st.cf = true;
     // Advance eMSN across completed messages, recycling their slots.
-    while (emsn_ < msg_pkts_.size() && state_[emsn_ % outstanding_].mcf) {
+    while (emsn_ < layout_.num_msgs && state_[emsn_ % outstanding_].mcf) {
       state_[emsn_ % outstanding_] = MsgState{};
       ++emsn_;
     }
@@ -148,36 +156,18 @@ void MessageCounterTracker::reset_message(std::uint32_t msn) {
 
 int MessageCounterTracker::on_packet(std::uint32_t psn) {
   // Locate the message (uniform sizes in hardware: a divide), bump counter.
-  std::uint32_t lo = 0, hi = static_cast<std::uint32_t>(msg_pkts_.size());
-  while (lo + 1 < hi) {
-    const std::uint32_t mid = (lo + hi) / 2;
-    if (msg_start_psn_[mid] <= psn) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  count_packet(lo);
+  count_packet(layout_.msn_of_psn(psn));
   return 1;  // single counter increment — constant, PSN-independent
 }
 
 bool MessageCounterTracker::is_received(std::uint32_t psn) const {
   // Message-granular knowledge only: true iff the covering message is done.
-  std::uint32_t lo = 0, hi = static_cast<std::uint32_t>(msg_pkts_.size());
-  while (lo + 1 < hi) {
-    const std::uint32_t mid = (lo + hi) / 2;
-    if (msg_start_psn_[mid] <= psn) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return message_complete(lo);
+  return message_complete(layout_.msn_of_psn(psn));
 }
 
 bool MessageCounterTracker::message_complete(std::uint32_t msn) const {
   if (msn < emsn_) return true;
-  if (msn >= emsn_ + outstanding_ || msn >= msg_pkts_.size()) return false;
+  if (msn >= emsn_ + outstanding_ || msn >= layout_.num_msgs) return false;
   return state_[msn % outstanding_].mcf;
 }
 

@@ -17,11 +17,44 @@
 // "Steps" count the sequential dependent accesses a 300 MHz pipeline would
 // make: the structures are exercised for real and report their own cost.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "net/packet.h"
+
 namespace dcp {
+
+/// Per-flow message geometry shared by the two ends and the counter
+/// tracker: the flow is split into messages of msg_size bytes rounded to
+/// whole packets (0 = single message), the last one possibly short.
+struct MessageLayout {
+  std::uint64_t flow_bytes = 0;
+  std::uint32_t num_msgs = 1;
+  std::uint32_t pkts_per_full_msg = 1;
+  std::uint32_t total_pkts = 1;
+
+  MessageLayout() = default;
+  MessageLayout(std::uint64_t bytes, std::uint64_t msg_size);
+
+  std::uint32_t msn_of_psn(std::uint32_t psn) const {
+    const std::uint32_t m = psn / pkts_per_full_msg;
+    return m >= num_msgs ? num_msgs - 1 : m;
+  }
+  std::uint32_t msg_start_psn(std::uint32_t msn) const { return msn * pkts_per_full_msg; }
+  std::uint32_t msg_pkts(std::uint32_t msn) const {
+    if (msn + 1 < num_msgs) return pkts_per_full_msg;
+    return total_pkts - msg_start_psn(num_msgs - 1);
+  }
+  /// Application bytes carried by message `msn` (tail may be short).
+  std::uint64_t msg_bytes_of(std::uint32_t msn) const {
+    const std::uint64_t start = static_cast<std::uint64_t>(msg_start_psn(msn)) * kMtuPayload;
+    const std::uint64_t end = std::min<std::uint64_t>(
+        flow_bytes, start + static_cast<std::uint64_t>(msg_pkts(msn)) * kMtuPayload);
+    return end > start ? end - start : 0;
+  }
+};
 
 class PacketTracker {
  public:
@@ -87,9 +120,9 @@ class LinkedChunkTracker final : public PacketTracker {
 /// (c) DCP's bitmap-free per-message counting.
 class MessageCounterTracker final : public PacketTracker {
  public:
-  /// `msg_pkts[i]` is the packet count of message i; `outstanding` bounds
-  /// the number of simultaneously tracked messages (NCCL default: 8).
-  MessageCounterTracker(std::vector<std::uint32_t> msg_pkts, std::uint32_t outstanding = 8);
+  /// `outstanding` bounds the number of simultaneously tracked messages
+  /// (NCCL default: 8).
+  explicit MessageCounterTracker(const MessageLayout& layout, std::uint32_t outstanding = 8);
 
   int on_packet(std::uint32_t psn) override;
   bool is_received(std::uint32_t psn) const override;  // message-granular
@@ -107,11 +140,16 @@ class MessageCounterTracker final : public PacketTracker {
   void reset_message(std::uint32_t msn);
 
   /// Checkpoint hook (sim/snapshot.h): the counter ring and eMSN cursor
-  /// (the geometry vectors are rebuilt from the flow spec).
+  /// (the layout is rebuilt from the flow spec).  A load whose ring size or
+  /// eMSN does not fit the flow fails the stream.
   template <typename IO>
   void checkpoint(IO& io) {
     io.vec(state_);
     io.pod(emsn_);
+    if (io.saving() || !io.ok()) return;
+    if (state_.size() != outstanding_ || emsn_ > layout_.num_msgs) {
+      io.fail("counter tracker: ring size or eMSN outside the flow");
+    }
   }
 
  private:
@@ -121,8 +159,7 @@ class MessageCounterTracker final : public PacketTracker {
     bool cf = false;            // CQE flag
   };
 
-  std::vector<std::uint32_t> msg_pkts_;
-  std::vector<std::uint32_t> msg_start_psn_;
+  MessageLayout layout_;
   std::vector<MsgState> state_;  // ring of `outstanding` entries
   std::uint32_t outstanding_;
   std::uint32_t emsn_ = 0;

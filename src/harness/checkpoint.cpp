@@ -131,7 +131,7 @@ void SimWorld::run_to(Time t) {
 
 void SimWorld::run_until_done() { net_->run_until_done(spec_.scenario.max_time); }
 
-FuzzVerdict SimWorld::finalize_verdict(std::size_t trace_events) {
+FuzzVerdict SimWorld::finalize_verdict() {
   FuzzVerdict v;
   v.all_complete = net_->all_flows_done();
   if (oracle_ == nullptr) return v;
@@ -142,7 +142,7 @@ FuzzVerdict SimWorld::finalize_verdict(std::size_t trace_events) {
     v.invariant = first->invariant;
     v.at = first->at;
     v.message = oracle_->summary();
-    v.trace = oracle_->trace_slice(trace_events);
+    v.trace = oracle_->trace_slice();
   }
   return v;
 }

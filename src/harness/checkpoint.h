@@ -98,7 +98,7 @@ class SimWorld {
   /// run_to() or restore() left the clocks.
   void run_until_done();
   /// Finalizes the oracle and assembles the fuzzer verdict.
-  FuzzVerdict finalize_verdict(std::size_t trace_events = 40);
+  FuzzVerdict finalize_verdict();
 
   /// Captures the full world state at the current (barrier-safe) point.
   /// Fails — world untouched — when the scheme or a module lacks

@@ -18,11 +18,11 @@ struct FaultHarness {
   std::unique_ptr<RecoveryStats> recovery;
   std::unordered_map<std::size_t, std::size_t> episode_of_action;
 
-  void attach(Network& net, const FaultPlan& plan, std::uint64_t fault_seed,
-              Time sample_interval = microseconds(20)) {
+  /// `seed` is the run's seed; the injector draws from a derived stream.
+  void attach(Network& net, const FaultPlan& plan, std::uint64_t seed) {
     if (!plan.has_effect()) return;
-    injector = std::make_unique<FaultInjector>(net, plan, fault_seed);
-    recovery = std::make_unique<RecoveryStats>(net, sample_interval);
+    injector = std::make_unique<FaultInjector>(net, plan, seed ^ 0xfa017);
+    recovery = std::make_unique<RecoveryStats>(net);
     injector->on_fault_start = [this](std::size_t i, const FaultAction& a, Time t) {
       episode_of_action[i] = recovery->begin_episode(fault_kind_name(a.kind), t);
     };
@@ -79,11 +79,11 @@ LongFlowResult run_long_flow(const LongFlowParams& p) {
   spec.dst = topo.hosts[tb.hosts_per_switch]->id();  // cross-switch
   spec.bytes = p.flow_bytes;
   spec.start_time = 0;
-  spec.msg_bytes = p.opt.msg_bytes;
+  spec.msg_bytes = kRunnerMsgBytes;
   const FlowId id = net.start_flow(spec);
 
   FaultHarness faults;
-  faults.attach(net, p.faults, /*fault_seed=*/p.seed ^ 0xfa017);
+  faults.attach(net, p.faults, p.seed);
 
   CorePerfTimer timer(shards);
   net.run_until_done(p.max_time);
@@ -120,7 +120,7 @@ UnequalPathsResult run_unequal_paths(SchemeKind scheme, double ratio, std::uint6
     spec.dst = topo.hosts[static_cast<std::size_t>(tb.hosts_per_switch + i)]->id();
     spec.bytes = flow_bytes;
     spec.start_time = 0;
-    spec.msg_bytes = opt.msg_bytes;
+    spec.msg_bytes = kRunnerMsgBytes;
     ids.push_back(net.start_flow(spec));
   }
   CorePerfTimer timer(sim);
@@ -171,7 +171,7 @@ FaultDrillResult run_fault_drill(const FaultDrillParams& p) {
   if (p.oracle) oracle = std::make_unique<InvariantOracle>(net);
 
   FaultHarness faults;
-  faults.attach(net, p.faults, p.fault_seed ^ p.seed, p.sample_interval);
+  faults.attach(net, p.faults, p.seed);
 
   CorePerfTimer timer(sim);
   net.run_until_done(p.max_time);
@@ -197,14 +197,15 @@ WanFlowResult run_wan_flow(const WanFlowParams& p) {
   SchemeOptions opt = p.opt;
   WanParams wan = p.wan;
   wan.wan_seed = p.seed;
-  if (p.auto_scale_timers) {
-    const Time rtt = 2 * (2 * wan.host_link_delay + wan.wan_delay);
-    opt.base_rtt = rtt;
-    opt.rto_high = 2 * rtt + microseconds(320);
-    opt.rto_low = rtt / 2 + microseconds(100);
-    opt.dcp_msg_timeout = 2 * rtt + milliseconds(1);
-    opt.line_rate = wan.wan_link;
-  }
+  // Base RTT, RTOs and the NACK delay follow the WAN round trip, not the
+  // datacenter defaults (a 320 us RTO under a 50 ms RTT would retransmit
+  // the whole flow many times over before the first ACK).
+  const Time rtt = 2 * (2 * wan.host_link_delay + wan.wan_delay);
+  opt.base_rtt = rtt;
+  opt.rto_high = 2 * rtt + microseconds(320);
+  opt.rto_low = rtt / 2 + microseconds(100);
+  opt.dcp_msg_timeout = 2 * rtt + milliseconds(1);
+  opt.line_rate = wan.wan_link;
   SchemeSetup setup = make_scheme(p.scheme, opt);
   wan.sw = setup.sw;
   // The long pipe must fit in the region switch: size buffers to the BDP
@@ -220,7 +221,7 @@ WanFlowResult run_wan_flow(const WanFlowParams& p) {
   spec.dst = topo.hosts[static_cast<std::size_t>(wan.hosts_per_region)]->id();  // region 1
   spec.bytes = p.flow_bytes;
   spec.start_time = 0;
-  spec.msg_bytes = opt.msg_bytes;
+  spec.msg_bytes = kRunnerMsgBytes;
   const FlowId id = net.start_flow(spec);
 
   std::unique_ptr<InvariantOracle> oracle;
@@ -256,7 +257,7 @@ WebSearchResult run_websearch(const WebSearchParams& p) {
   fg.host_rate = clos.link;
   fg.num_flows = p.num_flows;
   fg.seed = p.seed;
-  fg.msg_bytes = p.opt.msg_bytes;
+  fg.msg_bytes = kRunnerMsgBytes;
   generate_poisson_flows(
       net, topo.hosts,
       p.dist == WorkloadDist::kDataMining ? SizeDist::datamining() : SizeDist::websearch(), fg);
@@ -264,12 +265,12 @@ WebSearchResult run_websearch(const WebSearchParams& p) {
   if (p.with_incast) {
     IncastParams ip = p.incast;
     ip.host_rate = clos.link;
-    ip.msg_bytes = p.opt.msg_bytes;
+    ip.msg_bytes = kRunnerMsgBytes;
     generate_incast(net, topo.hosts, ip);
   }
 
   FaultHarness faults;
-  faults.attach(net, p.faults, /*fault_seed=*/p.seed ^ 0xfa017);
+  faults.attach(net, p.faults, p.seed);
 
   CorePerfTimer timer(shards);
   net.run_until_done(p.max_time);
@@ -332,7 +333,7 @@ CollectiveResult run_collectives(const CollectiveExpParams& p) {
   std::vector<std::unique_ptr<Collective>> collectives;
   CollectiveParams cp_template;
   cp_template.total_bytes = p.total_bytes;
-  cp_template.msg_bytes = p.opt.msg_bytes;
+  cp_template.msg_bytes = kRunnerMsgBytes;
 
   for (int g = 0; g < p.groups; ++g) {
     CollectiveParams cp = cp_template;

@@ -22,6 +22,11 @@
 
 namespace dcp {
 
+/// Message granularity (FlowSpec::msg_bytes) of every flow the runners
+/// below post.  14-bit counters support up to 16 MB per message at 1 KB
+/// MTU (§4.5); the fault drill posts its own, finer messages.
+inline constexpr std::uint64_t kRunnerMsgBytes = 4 * 1024 * 1024;
+
 // ---------------------------------------------------------------------------
 // Long-running flow on the testbed (Figs. 10, 17, long-haul)
 // ---------------------------------------------------------------------------
@@ -130,14 +135,12 @@ struct FaultDrillParams {
   ClosParams clos = small_drill_clos();
   std::uint64_t flow_bytes = 8ull * 1000 * 1000;
   // Receivers account unique bytes at *message completion*, so the drill
-  // posts the flow at a granularity well below sample_interval's worth of
-  // line rate — with one flow-sized message the goodput sampler would see
-  // nothing until the very end.
+  // posts the flow at a granularity well below what line rate delivers in
+  // one RecoveryStats::kSampleInterval — with one flow-sized message the
+  // goodput sampler would see nothing until the very end.
   std::uint64_t msg_bytes = 64 * 1024;
   Time max_time = milliseconds(100);
   std::uint64_t seed = 1;
-  std::uint64_t fault_seed = 0xfa017;
-  Time sample_interval = microseconds(20);
   /// Arms the InvariantOracle for the whole run; violations land in
   /// FaultDrillResult::violations.  Off by default (≈ zero-cost hooks).
   bool oracle = false;
@@ -182,10 +185,6 @@ struct WanFlowParams {
   std::uint64_t flow_bytes = 25ull * 1000 * 1000;
   Time max_time = seconds(10);
   std::uint64_t seed = 1;
-  /// Derive base_rtt / RTO / NACK timers from the WAN round trip instead
-  /// of the datacenter defaults (a 320 us RTO under a 50 ms RTT would
-  /// retransmit the whole flow many times over before the first ACK).
-  bool auto_scale_timers = true;
   bool oracle = false;
 };
 

@@ -69,7 +69,6 @@ SchemeSetup make_scheme(SchemeKind kind, const SchemeOptions& opt) {
 
   // Switch defaults.
   s.sw.buffer_bytes = opt.buffer_bytes;
-  s.sw.control_weight = opt.control_weight;
 
   auto enable_dcqcn = [&](std::uint64_t window) {
     s.tcfg.cc.type = opt.cc_type;
@@ -98,12 +97,6 @@ SchemeSetup make_scheme(SchemeKind kind, const SchemeOptions& opt) {
       s.sw.pfc.enabled = true;   // MP-RDMA requires a lossless fabric
       s.sw.ecn = true;           // its window rule is ECN-driven
       s.sw.lb = LbPolicy::kSourcePath;
-      // The receiver's bounded reordering tolerance scales with BDP (the
-      // NSDI'18 design sizes it from on-NIC metadata limits); it remains a
-      // fraction of the window, which is what the paper's "cannot control
-      // the OOO degree" observation exploits.
-      s.tcfg.mp_ooo_window_pkts = std::max<std::uint32_t>(
-          64, static_cast<std::uint32_t>(bdp / (4 * s.tcfg.mtu_payload)));
       break;
 
     case SchemeKind::kDcp:
@@ -162,8 +155,6 @@ SchemeSetup make_scheme(SchemeKind kind, const SchemeOptions& opt) {
       if (opt.with_cc) enable_dcqcn(2 * bdp);
       break;
   }
-
-  s.tcfg.mtu_payload = 1000;
   return s;
 }
 

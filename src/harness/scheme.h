@@ -51,14 +51,9 @@ struct SchemeOptions {
   Bandwidth line_rate = Bandwidth::gbps(100);
   Time base_rtt = microseconds(8);    // for BDP window sizing
   std::uint64_t buffer_bytes = 32ull * 1024 * 1024;
-  double control_weight = 4.0;        // DCP WRR weight
   Time rto_high = microseconds(320);
   Time rto_low = microseconds(100);
   Time dcp_msg_timeout = milliseconds(1);  // scale with RTT in cross-DC runs
-  // Message granularity for DCP's per-message tracking.  14-bit counters
-  // support up to 16 MB per message at 1 KB MTU (§4.5); general RPC-style
-  // flows post large messages, collectives use their own chunk size.
-  std::uint64_t msg_bytes = 4 * 1024 * 1024;
   // FEC geometry and stream window (transports/fec.h).  A zero stream
   // window defaults to 2 BDP so the sender keeps the long pipe full while
   // group ACKs are still in flight; a zero NACK delay defaults to

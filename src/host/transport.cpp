@@ -13,7 +13,7 @@ SenderTransport::SenderTransport(Simulator& sim, Host& host, FlowSpec spec,
       spec_(spec),
       cfg_(cfg),
       cc_(make_cc(sim, cfg.cc)) {
-  const std::uint64_t mtu = cfg_.mtu_payload;
+  const std::uint64_t mtu = kMtuPayload;
   total_pkts_ = static_cast<std::uint32_t>((spec_.bytes + mtu - 1) / mtu);
   if (total_pkts_ == 0) total_pkts_ = 1;  // zero-byte message still sends one packet
 }
@@ -68,7 +68,7 @@ void SenderTransport::finish() {
 
 std::uint32_t SenderTransport::payload_of(std::uint32_t psn) const {
   if (spec_.bytes == 0) return 0;
-  const std::uint64_t mtu = cfg_.mtu_payload;
+  const std::uint64_t mtu = kMtuPayload;
   const std::uint64_t offset = static_cast<std::uint64_t>(psn) * mtu;
   const std::uint64_t left = spec_.bytes - offset;
   return static_cast<std::uint32_t>(left < mtu ? left : mtu);
@@ -96,9 +96,8 @@ ReceiverTransport::ReceiverTransport(Simulator& sim, Host& host, FlowSpec spec,
       host_(host),
       spec_(spec),
       cfg_(cfg),
-      cnp_(cfg.cc.dcqcn.cnp_min_interval),
       ecn_enabled_(cfg.cc.type == CcConfig::Type::kDcqcn) {
-  const std::uint64_t mtu = cfg_.mtu_payload;
+  const std::uint64_t mtu = kMtuPayload;
   total_pkts_ = static_cast<std::uint32_t>((spec_.bytes + mtu - 1) / mtu);
   if (total_pkts_ == 0) total_pkts_ = 1;
 }

@@ -39,7 +39,6 @@ struct FlowSpec {
 };
 
 struct TransportConfig {
-  std::uint32_t mtu_payload = 1000;
   CcConfig cc;
   // Retransmission timers.
   Time rto_high = microseconds(320);
@@ -51,10 +50,9 @@ struct TransportConfig {
   // §4.5 orthogonality: swap the bitmap-free counters for a traditional
   // per-packet bitmap at the DCP receiver (same protocol, more memory).
   bool dcp_bitmap_receiver = false;
-  std::uint32_t mp_ooo_window_pkts = 64;     // MP-RDMA receiver OOO tolerance
   // FEC transport (transports/fec.h): (k, m) parity-group geometry, the
-  // fire-and-forget stream window (0 = fall back to the CC window) and the
-  // receiver's quiet-period NACK delay (0 = rto_low).
+  // fire-and-forget stream window and the receiver's quiet-period NACK
+  // delay.  make_scheme sets both for kFec.
   std::uint32_t fec_k = 8;
   std::uint32_t fec_m = 2;
   std::uint64_t fec_stream_window_bytes = 0;
@@ -123,7 +121,7 @@ class SenderTransport {
   /// network completion hook.
   void finish();
 
-  /// Total packets in this flow given the MTU.
+  /// Total packets in this flow given kMtuPayload.
   std::uint32_t total_packets() const { return total_pkts_; }
   std::uint32_t payload_of(std::uint32_t psn) const;
   /// Builds a data packet skeleton for the given PSN (addressing, sizes,

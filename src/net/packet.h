@@ -70,6 +70,10 @@ struct HeaderSizes {
   static constexpr std::uint32_t kCnp = kRoceAck;
 };
 
+/// Payload bytes of a full data packet (the 1 KB MTU of §6); a flow of B
+/// bytes is ceil(B / kMtuPayload) packets.
+inline constexpr std::uint32_t kMtuPayload = 1000;
+
 /// Queue class at switch egress ports.
 enum class QueueClass : std::uint8_t {
   kData = 0,     // normal data queue (lossy under DCP; lossless under PFC)

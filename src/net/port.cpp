@@ -1,12 +1,53 @@
 #include "net/port.h"
 
-// For the static select/charge dispatch below: DwrrPolicy's bodies are
-// header-inline, so including it here adds no link dependency on the
-// switch library.
 #include "sim/snapshot.h"
-#include "switch/scheduler.h"
 
 namespace dcp {
+
+void DwrrPolicy::checkpoint(StateIO& io) {
+  io.label(0xD3FC17u);
+  io.pod(deficit_);
+  io.pod(cur_);
+  io.pod(entered_);
+}
+
+int DwrrPolicy::select_slow(const std::vector<FifoQueue>& queues,
+                            const std::array<bool, kNumQueueClasses>& paused) {
+  const int n = static_cast<int>(queues.size());
+  int eligible = 0;
+  for (int c = 0; c < n; ++c) {
+    if (!queues[c].empty() && !paused[c]) ++eligible;
+  }
+  if (eligible == 0) return -1;
+
+  // Classic DWRR, one packet per call: the class holding the round keeps
+  // being served while its deficit covers its head-of-line packet; when it
+  // runs dry (or empties) the turn passes on, and each class earns
+  // weight × quantum once per turn.
+  for (int guard = 0; guard < 64 * n; ++guard) {
+    const int c = cur_;
+    if (queues[c].empty() || paused[c]) {
+      deficit_[c] = 0;  // empty queues must not hoard credit
+      cur_ = (cur_ + 1) % n;
+      entered_ = false;
+      continue;
+    }
+    if (!entered_) {
+      deficit_[c] += weights_[c] * kQuantumBytes;
+      entered_ = true;
+    }
+    const double need = static_cast<double>(queues[c].front().wire_bytes);
+    if (deficit_[c] >= need) return c;  // stays current for the next call
+    cur_ = (cur_ + 1) % n;
+    entered_ = false;
+  }
+  // Unreachable with positive weights; serve the first eligible class to be
+  // safe rather than stall the wire.
+  for (int c = 0; c < n; ++c) {
+    if (!queues[c].empty() && !paused[c]) return c;
+  }
+  return -1;
+}
 
 void Port::checkpoint(StateIO& io) {
   io.label(0x9047u);
@@ -15,7 +56,7 @@ void Port::checkpoint(StateIO& io) {
   io.pod(paused_);
   io.pod(transmitting_);
   io.pod(stats_);
-  policy_->checkpoint(io);
+  policy_.checkpoint(io);
   io.timer(tx_done_);
 }
 
@@ -44,17 +85,11 @@ std::uint64_t Port::total_queued_bytes() const {
 
 void Port::try_transmit() {
   if (transmitting_) return;
-  // Static dispatch on the policy tag cached at construction: both concrete
-  // policies are final with header-visible bodies, so the scheduling
-  // decision inlines here instead of taking two virtual hops per packet.
-  const bool dwrr = policy_kind_ == SchedulerPolicy::Kind::kDwrr;
-  const int c = dwrr ? static_cast<DwrrPolicy*>(policy_.get())->select(queues_, paused_)
-                     : static_cast<StrictPriorityPolicy*>(policy_.get())->select(queues_, paused_);
+  const int c = policy_.select(queues_, paused_);
   if (c < 0) return;
 
   PacketPtr pkt = queues_[c].pop();
-  // Strict priority keeps no deficit state.
-  if (dwrr) static_cast<DwrrPolicy*>(policy_.get())->charge(c, pkt->wire_bytes);
+  policy_.charge(c, pkt->wire_bytes);
   stats_.tx_packets++;
   stats_.tx_bytes += pkt->wire_bytes;
   stats_.tx_packets_by_class[c]++;

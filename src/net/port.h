@@ -1,11 +1,13 @@
 #pragma once
-// An egress port: a set of per-class FIFO queues, a scheduling policy,
-// per-class PFC pause state, and the outgoing Channel it drives.
+// An egress port: a set of per-class FIFO queues, the DWRR scheduler that
+// serves them, per-class PFC pause state, and the outgoing Channel it
+// drives.  Switches own ports; hosts transmit through their RnicScheduler.
 //
 // The port is a pull model: whenever the wire goes idle it asks the
-// scheduler which queue to serve next.  Switches install a DWRR scheduler
-// (control queue weighted over data, paper §4.2); hosts use strict
-// priority (ACK/HO bounce over data).
+// scheduler which queue to serve next.  DCP-Switch weights the control
+// queue (trimmed header-only packets) over the data queue so that its
+// drain rate covers the worst-case trim rate (paper §4.2; the weight
+// formula is wrr_control_weight in switch/scheduler.h).
 
 #include <array>
 #include <cstdint>
@@ -20,48 +22,49 @@
 
 namespace dcp {
 
-/// Chooses which queue class an egress port serves next.  The two final
-/// policies, StrictPriorityPolicy (below) and DwrrPolicy
-/// (switch/scheduler.h), are the only ones; Port calls their non-virtual
-/// select()/charge() through the kind() tag.
-class SchedulerPolicy {
+/// Byte-deficit weighted round robin across the queue classes.
+class DwrrPolicy {
  public:
-  /// Concrete-type tag, resolved once at Port construction: the per-packet
-  /// transmit path static-dispatches select()/charge() on it (the same
-  /// {kind, ptr} devirtualization as Channel -> Node delivery).
-  enum class Kind : std::uint8_t { kStrict, kDwrr };
-  virtual ~SchedulerPolicy() = default;
-  virtual Kind kind() const = 0;
+  /// Deficit credited per turn to a class of weight 1.
+  static constexpr std::uint32_t kQuantumBytes = 2048;
 
-  /// Checkpoint hook (sim/snapshot.h): policies with mutable round state
-  /// (DWRR deficits) override; stateless policies have nothing to save.
-  virtual void checkpoint(StateIO& io) { (void)io; }
-};
-
-/// Serves the lowest-index non-empty queue (class 0 first).  With a single
-/// class this is plain FIFO.
-class StrictPriorityPolicy final : public SchedulerPolicy {
- public:
-  /// `high_first` lists class indices from highest to lowest priority.
-  explicit StrictPriorityPolicy(std::vector<int> high_first) : order_(std::move(high_first)) {}
-  StrictPriorityPolicy() : order_{0, 1} {}
-
-  Kind kind() const override { return Kind::kStrict; }
+  /// `weights[i]` is the relative byte share of class i.  They may be
+  /// fractional (e.g. control weight 3.75 vs data weight 1).
+  explicit DwrrPolicy(std::array<double, kNumQueueClasses> weights) : weights_(weights) {}
 
   /// Returns the index of the queue to serve, or -1 if nothing is eligible.
-  /// `paused[i]` means class i must not be served (PFC).
+  /// `paused[i]` means class i must not be served (PFC).  Inline: the whole
+  /// decision compiles into Port's transmit path.
   int select(const std::vector<FifoQueue>& queues,
-             const std::array<bool, kNumQueueClasses>& paused) const {
-    for (int c : order_) {
-      if (static_cast<std::size_t>(c) < queues.size() && !queues[c].empty() && !paused[c]) {
-        return c;
-      }
+             const std::array<bool, kNumQueueClasses>& paused) {
+    // Fast path: the class holding the round is still eligible and its
+    // deficit covers its head-of-line packet.  This is exactly the loop's
+    // first iteration (which performs no writes in that case), short of the
+    // eligibility pre-scan — whose only effect, the eligible==0 early
+    // return, cannot apply when cur_ itself is eligible.
+    if (entered_ && !queues[cur_].empty() && !paused[cur_] &&
+        deficit_[cur_] >= static_cast<double>(queues[cur_].front().wire_bytes)) {
+      return cur_;
     }
-    return -1;
+    return select_slow(queues, paused);
   }
 
+  void charge(int queue, std::uint32_t bytes) {
+    deficit_[queue] -= static_cast<double>(bytes);
+    if (deficit_[queue] < 0) deficit_[queue] = 0;
+  }
+
+  /// Mutable round state (deficits, current class, quantum-credit flag);
+  /// the weights are construction-time config.
+  void checkpoint(StateIO& io);
+
  private:
-  std::vector<int> order_;
+  int select_slow(const std::vector<FifoQueue>& queues,
+                  const std::array<bool, kNumQueueClasses>& paused);
+  std::array<double, kNumQueueClasses> weights_;
+  std::array<double, kNumQueueClasses> deficit_{};
+  int cur_ = 0;        // queue currently holding the round
+  bool entered_ = false;  // quantum credited for this turn?
 };
 
 class Port {
@@ -73,13 +76,10 @@ class Port {
     std::uint64_t enqueued_packets = 0;
   };
 
+  /// `weights` are the DWRR byte shares of the queue classes.
   Port(Simulator& sim, Bandwidth bw, Time propagation,
-       std::unique_ptr<SchedulerPolicy> policy)
-      : sim_(sim),
-        channel_(sim, bw, propagation),
-        policy_(std::move(policy)),
-        policy_kind_(policy_->kind()),
-        queues_(kNumQueueClasses) {}
+       std::array<double, kNumQueueClasses> weights)
+      : sim_(sim), channel_(sim, bw, propagation), policy_(weights), queues_(kNumQueueClasses) {}
 
   Channel& channel() { return channel_; }
   const Channel& channel() const { return channel_; }
@@ -127,10 +127,7 @@ class Port {
   void* dequeue_ctx_ = nullptr;
   Simulator& sim_;
   Channel channel_;
-  std::unique_ptr<SchedulerPolicy> policy_;
-  // Cached policy_->kind(): try_transmit static-dispatches on it so the
-  // DWRR/strict select bodies inline into the transmit path.
-  SchedulerPolicy::Kind policy_kind_;
+  DwrrPolicy policy_;
   std::vector<FifoQueue> queues_;
   std::array<bool, kNumQueueClasses> paused_{};
   bool transmitting_ = false;

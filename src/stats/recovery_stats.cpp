@@ -7,8 +7,7 @@
 
 namespace dcp {
 
-RecoveryStats::RecoveryStats(Network& net, Time interval, double recover_threshold)
-    : net_(net), interval_(interval), threshold_(recover_threshold) {
+RecoveryStats::RecoveryStats(Network& net) : net_(net) {
   samples_.push_back(snapshot());  // t=0 anchor
   arm();
 }
@@ -24,7 +23,7 @@ void RecoveryStats::stop() {
 }
 
 void RecoveryStats::arm() {
-  ev_ = net_.sim().schedule(interval_, [this] {
+  ev_ = net_.sim().schedule(kSampleInterval, [this] {
     ev_ = kInvalidEvent;
     if (stopped_) return;
     samples_.push_back(snapshot());
@@ -92,7 +91,7 @@ void RecoveryStats::finalize() {
       }
     }
 
-    const double bar = threshold_ * e.baseline_gbps;
+    const double bar = kRecoverThreshold * e.baseline_gbps;
     e.dip_gbps = e.baseline_gbps;
     std::size_t recover_i = 0;
     for (std::size_t i = std::max<std::size_t>(onset, 1); i < samples_.size(); ++i) {

@@ -8,7 +8,7 @@
 // the run, finalize() turns the sample series into per-episode metrics:
 //
 //   time_to_recover   first time after fault onset that goodput is back at
-//                     >= threshold x the pre-fault baseline
+//                     >= kRecoverThreshold x the pre-fault baseline
 //   dip_frac          depth of the goodput dip, 1 - min/baseline in [0,1]
 //   dip_duration      total sampled time below the recovery threshold
 //   spurious_retx     spurious retransmissions attributable to the episode
@@ -43,10 +43,11 @@ class RecoveryStats {
     std::uint64_t timeouts = 0;
   };
 
-  /// Starts sampling every `interval`; recovery means goodput back at
-  /// `recover_threshold` x baseline.
-  explicit RecoveryStats(Network& net, Time interval = microseconds(20),
-                         double recover_threshold = 0.9);
+  static constexpr Time kSampleInterval = microseconds(20);
+  static constexpr double kRecoverThreshold = 0.9;  // recovered: goodput back at 0.9 x baseline
+
+  /// Starts sampling every kSampleInterval.
+  explicit RecoveryStats(Network& net);
   ~RecoveryStats();
   RecoveryStats(const RecoveryStats&) = delete;
   RecoveryStats& operator=(const RecoveryStats&) = delete;
@@ -81,8 +82,6 @@ class RecoveryStats {
   double goodput_gbps(std::size_t i) const;  // between samples i-1 and i
 
   Network& net_;
-  Time interval_;
-  double threshold_;
   EventId ev_ = kInvalidEvent;
   bool stopped_ = false;
   std::vector<Sample> samples_;

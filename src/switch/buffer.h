@@ -42,11 +42,9 @@ class SharedBuffer {
     used_ += bytes;
     if (used_ > max_used_) max_used_ = used_;
     if (in_port < ingress_bytes_.size()) ingress_bytes_[in_port][pfc_class] += bytes;
-    if (check_observer_ != nullptr) {
-      if (check_shadow_ == nullptr ||
-          check_shadow_->on_alloc(in_port, pfc_class, bytes, used_) != ShadowFail::kNone) {
-        check_observer_->on_buffer_alloc(this, in_port, pfc_class, bytes, used_);
-      }
+    if (check_shadow_ != nullptr &&
+        check_shadow_->on_alloc(in_port, pfc_class, bytes, used_) != ShadowFail::kNone) {
+      check_observer_->on_buffer_alloc(this, in_port, pfc_class, bytes, used_);
     }
     return true;
   }
@@ -55,11 +53,9 @@ class SharedBuffer {
   void release(std::uint32_t in_port, std::uint8_t pfc_class, std::uint64_t bytes) {
     used_ -= bytes;
     if (in_port < ingress_bytes_.size()) ingress_bytes_[in_port][pfc_class] -= bytes;
-    if (check_observer_ != nullptr) {
-      if (check_shadow_ == nullptr ||
-          check_shadow_->on_release(in_port, pfc_class, bytes, used_) != ShadowFail::kNone) {
-        check_observer_->on_buffer_release(this, in_port, pfc_class, bytes, used_);
-      }
+    if (check_shadow_ != nullptr &&
+        check_shadow_->on_release(in_port, pfc_class, bytes, used_) != ShadowFail::kNone) {
+      check_observer_->on_buffer_release(this, in_port, pfc_class, bytes, used_);
     }
   }
 
@@ -83,18 +79,16 @@ class SharedBuffer {
 
   const PfcConfig& pfc() const { return pfc_; }
 
-  /// Arms conservation checking (see check/observer.h).  The buffer has no
-  /// Simulator reference, so unlike the other hook sites the oracle
-  /// installs itself here directly.  With a `shadow`, each alloc/release
-  /// replays the accounting inline and the observer hears only about
-  /// divergences (alloc/release fire per switch hop — the hottest hook
-  /// pair in the armed path); without one, every successful call is
-  /// reported virtually.
-  void set_check_observer(CheckObserver* ob, BufferShadow* shadow = nullptr) {
+  /// Arms conservation checking (see check/observer.h); both null
+  /// disarms.  The buffer has no Simulator reference, so unlike the other
+  /// hook sites the oracle installs itself here directly.  Each
+  /// alloc/release replays the accounting inline in `shadow` and the
+  /// observer hears only about divergences (alloc/release fire per switch
+  /// hop — the hottest hook pair in the armed path).
+  void set_check_observer(CheckObserver* ob, BufferShadow* shadow) {
     check_observer_ = ob;
     check_shadow_ = shadow;
   }
-  CheckObserver* check_observer() const { return check_observer_; }
   BufferShadow* check_shadow() const { return check_shadow_; }
 
   /// PFC decision points: after alloc, should the (port, class) be paused?

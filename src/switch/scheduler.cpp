@@ -1,56 +1,6 @@
 #include "switch/scheduler.h"
 
-#include "sim/snapshot.h"
-
 namespace dcp {
-
-DwrrPolicy::DwrrPolicy(std::array<double, kNumQueueClasses> weights, std::uint32_t quantum_bytes)
-    : weights_(weights), quantum_(quantum_bytes) {}
-
-void DwrrPolicy::checkpoint(StateIO& io) {
-  io.label(0xD3FC17u);
-  io.pod(deficit_);
-  io.pod(cur_);
-  io.pod(entered_);
-}
-
-int DwrrPolicy::select_slow(const std::vector<FifoQueue>& queues,
-                            const std::array<bool, kNumQueueClasses>& paused) {
-  const int n = static_cast<int>(queues.size());
-  int eligible = 0;
-  for (int c = 0; c < n; ++c) {
-    if (!queues[c].empty() && !paused[c]) ++eligible;
-  }
-  if (eligible == 0) return -1;
-
-  // Classic DWRR, one packet per call: the class holding the round keeps
-  // being served while its deficit covers its head-of-line packet; when it
-  // runs dry (or empties) the turn passes on, and each class earns
-  // weight × quantum once per turn.
-  for (int guard = 0; guard < 64 * n; ++guard) {
-    const int c = cur_;
-    if (queues[c].empty() || paused[c]) {
-      deficit_[c] = 0;  // empty queues must not hoard credit
-      cur_ = (cur_ + 1) % n;
-      entered_ = false;
-      continue;
-    }
-    if (!entered_) {
-      deficit_[c] += weights_[c] * quantum_;
-      entered_ = true;
-    }
-    const double need = static_cast<double>(queues[c].front().wire_bytes);
-    if (deficit_[c] >= need) return c;  // stays current for the next call
-    cur_ = (cur_ + 1) % n;
-    entered_ = false;
-  }
-  // Unreachable with positive weights; serve the first eligible class to be
-  // safe rather than stall the wire.
-  for (int c = 0; c < n; ++c) {
-    if (!queues[c].empty() && !paused[c]) return c;
-  }
-  return -1;
-}
 
 double wrr_control_weight(int incast_scale_n, double size_ratio_r, double fallback) {
   const double denom = size_ratio_r - static_cast<double>(incast_scale_n) + 1.0;

@@ -18,9 +18,8 @@ Switch::Switch(Simulator& sim, Logger& log, NodeId id, std::string name, SwitchC
 
 std::uint32_t Switch::add_port(Bandwidth bw, Time propagation) {
   const auto idx = static_cast<std::uint32_t>(ports_.size());
-  auto policy = std::make_unique<DwrrPolicy>(
-      std::array<double, kNumQueueClasses>{1.0, cfg_.control_weight});
-  auto port = std::make_unique<Port>(sim_, bw, propagation, std::move(policy));
+  auto port = std::make_unique<Port>(
+      sim_, bw, propagation, std::array<double, kNumQueueClasses>{1.0, cfg_.control_weight});
   port->set_dequeue_hook(
       [](void* sw, const PacketHot& p) { static_cast<Switch*>(sw)->on_port_dequeue(p); }, this);
   ports_.push_back(std::move(port));

@@ -133,7 +133,7 @@ Host* Network::host(NodeId id) {
 Time Network::ideal_fct(NodeId src, NodeId dst, std::uint64_t bytes) const {
   PathInfo pi;
   if (path_info) pi = path_info(src, dst);
-  const std::uint64_t mtu = tcfg_.mtu_payload;
+  const std::uint64_t mtu = kMtuPayload;
   const std::uint64_t pkts = bytes == 0 ? 1 : (bytes + mtu - 1) / mtu;
   const std::uint64_t hdr = HeaderSizes::kDcpHeaderOnly + HeaderSizes::kReth;
   const std::uint64_t wire = bytes + pkts * hdr;

@@ -62,7 +62,6 @@ class Network {
   void set_factory(std::shared_ptr<TransportFactory> f) { factory_ = std::move(f); }
   TransportFactory* factory() { return factory_.get(); }
   void set_transport_config(const TransportConfig& cfg) { tcfg_ = cfg; }
-  TransportConfig& transport_config() { return tcfg_; }
 
   /// Registers and schedules a flow; returns its id.  spec.id/sport are
   /// assigned here.

@@ -24,15 +24,11 @@ FecSender::FecSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig 
       group_payload_sent_(layout_.groups, 0),
       retx_(layout_.wire_total) {}
 
-std::uint64_t FecSender::window_limit() const {
-  return cfg_.fec_stream_window_bytes > 0 ? cfg_.fec_stream_window_bytes : cc_->window_bytes();
-}
-
 bool FecSender::protocol_has_packet() {
   if (done()) return false;
   if (!retx_.empty()) return true;
   advance_past_acked();
-  return snd_nxt_wire_ < layout_.wire_total && window_used_ < window_limit();
+  return snd_nxt_wire_ < layout_.wire_total && window_used_ < cfg_.fec_stream_window_bytes;
 }
 
 void FecSender::advance_past_acked() {
@@ -149,12 +145,11 @@ FecReceiver::FecReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportCon
     : ReceiverTransport(sim, host, spec, cfg),
       layout_(cfg_.fec_k, cfg_.fec_m, total_packets()),
       received_(layout_.wire_total, false),
-      group_(layout_.groups),
-      nack_delay_(cfg_.fec_nack_delay > 0 ? cfg_.fec_nack_delay : cfg_.rto_low) {}
+      group_(layout_.groups) {}
 
 std::uint32_t FecReceiver::payload_of_data(std::uint32_t data_idx) const {
   if (spec_.bytes == 0) return 0;
-  const std::uint64_t mtu = cfg_.mtu_payload;
+  const std::uint64_t mtu = kMtuPayload;
   const std::uint64_t offset = static_cast<std::uint64_t>(data_idx) * mtu;
   const std::uint64_t left = spec_.bytes - offset;
   return static_cast<std::uint32_t>(left < mtu ? left : mtu);
@@ -235,7 +230,7 @@ void FecReceiver::on_packet(Packet pkt) {
     // Duplicate into a completed group re-ACKs it: this is how a lost
     // group ACK (or a spurious RTO burst) converges at the sender.
     if (gs.complete) send_group_ack(g, pkt);
-    if (!complete()) arm_nack(nack_delay_);
+    if (!complete()) arm_nack(cfg_.fec_nack_delay);
     return;
   }
 
@@ -249,7 +244,7 @@ void FecReceiver::on_packet(Packet pkt) {
     // overtaken by its own repair): no new payload bytes.
     stats_.duplicate_packets++;
     send_group_ack(g, pkt);
-    if (!complete()) arm_nack(nack_delay_);
+    if (!complete()) arm_nack(cfg_.fec_nack_delay);
     return;
   }
   if (is_data) {
@@ -263,7 +258,7 @@ void FecReceiver::on_packet(Packet pkt) {
     complete_group(g);
     send_group_ack(g, pkt);
   }
-  if (!complete()) arm_nack(nack_delay_);
+  if (!complete()) arm_nack(cfg_.fec_nack_delay);
 }
 
 

@@ -84,7 +84,6 @@ class FecSender final : public SenderTransport {
   void queue_retx(std::uint32_t wire_psn);
   void arm_rto() { rto_.arm_deadline(cfg_.rto_high); }
   void on_rto();
-  std::uint64_t window_limit() const;
 
   FecLayout layout_;
   std::uint32_t snd_nxt_wire_ = 0;
@@ -129,7 +128,6 @@ class FecReceiver final : public ReceiverTransport {
   std::uint32_t groups_done_cum_ = 0;  // contiguous complete-group cursor
   std::uint32_t max_seen_group_ = 0;
   std::uint32_t expected_wire_ = 0;  // next in-order wire PSN (OOO stat only)
-  Time nack_delay_;
   Timer nack_timer_{sim_, [this] { on_nack_timer(); }};
 };
 

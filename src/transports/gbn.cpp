@@ -7,7 +7,7 @@
 namespace dcp {
 
 std::uint64_t GbnSender::inflight_bytes() const {
-  return static_cast<std::uint64_t>(snd_nxt_ - snd_una_) * cfg_.mtu_payload;
+  return static_cast<std::uint64_t>(snd_nxt_ - snd_una_) * kMtuPayload;
 }
 
 bool GbnSender::protocol_has_packet() {
@@ -52,7 +52,7 @@ void GbnSender::on_packet(Packet pkt) {
       if (pkt.echo_ts >= 0) cc_->on_rtt_sample(sim_.now() - pkt.echo_ts);
       if (pkt.ack_psn > snd_una_) {
         const std::uint64_t newly =
-            static_cast<std::uint64_t>(pkt.ack_psn - snd_una_) * cfg_.mtu_payload;
+            static_cast<std::uint64_t>(pkt.ack_psn - snd_una_) * kMtuPayload;
         snd_una_ = pkt.ack_psn;
         if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
         cc_->on_ack(newly);

@@ -12,7 +12,7 @@ constexpr std::uint32_t kRtoLowThresholdPkts = 3;
 bool IrnSender::protocol_has_packet() {
   // Unacked bytes between the cumulative ACK and snd_nxt; SACKed holes are
   // a second-order correction we ignore (IRN uses the same approximation).
-  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * cfg_.mtu_payload <
+  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * kMtuPayload <
                         cc_->window_bytes());
 }
 
@@ -90,7 +90,7 @@ void IrnSender::on_packet(Packet pkt) {
   if (sb_.una() > highest_sacked_) highest_sacked_ = sb_.una();
 
   if (newly > 0) {
-    cc_->on_ack(static_cast<std::uint64_t>(newly) * cfg_.mtu_payload);
+    cc_->on_ack(static_cast<std::uint64_t>(newly) * kMtuPayload);
     arm_rto();
   }
 

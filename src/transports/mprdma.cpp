@@ -1,5 +1,7 @@
 #include "transports/mprdma.h"
 
+#include <algorithm>
+
 #include "sim/snapshot.h"
 
 #include "host/host.h"
@@ -67,7 +69,7 @@ void MpRdmaSender::on_packet(Packet pkt) {
     sb_.retx().remove(pkt.sack_psn);
   }
   if (const std::uint32_t newly = sb_.advance()) {
-    cc_->on_ack(static_cast<std::uint64_t>(newly) * cfg_.mtu_payload);
+    cc_->on_ack(static_cast<std::uint64_t>(newly) * kMtuPayload);
     arm_rto();
   }
   if (done()) {
@@ -78,11 +80,20 @@ void MpRdmaSender::on_packet(Packet pkt) {
   kick_nic();
 }
 
+std::uint32_t MpRdmaReceiver::ooo_window_pkts() const {
+  // The reordering tolerance scales with the BDP window (the NSDI'18
+  // design sizes it from on-NIC metadata limits); it remains a fraction of
+  // the window, which is what the paper's "cannot control the OOO degree"
+  // observation exploits.
+  return std::max<std::uint32_t>(
+      64, static_cast<std::uint32_t>(cfg_.cc.window_bytes / (4 * kMtuPayload)));
+}
+
 void MpRdmaReceiver::on_packet(Packet pkt) {
   if (!admit(pkt)) return;
   // Bounded reordering tolerance: beyond the window the packet cannot be
   // placed (MP-RDMA's on-NIC metadata is limited) and is dropped + NACKed.
-  if (pkt.psn >= expected() + cfg_.mp_ooo_window_pkts) {
+  if (pkt.psn >= expected() + ooo_window_pkts()) {
     stats_.out_of_order_packets++;
     Packet nack = make_control(PktType::kNack, HeaderSizes::kRoceAck + 4);
     nack.ack_psn = expected();

@@ -8,9 +8,9 @@
 // (switches honour path_id in SourcePath mode), grows its window by 1/cwnd
 // per unmarked ACK and shrinks by 1/2 packet per ECN-marked ACK (the
 // NSDI'18 per-ACK rule).  The receiver accepts out-of-order packets inside
-// a bounded reordering window of `mp_ooo_window_pkts`; beyond it, packets
-// are dropped and NACKed — the "cannot control OOO degree" behaviour §6.2
-// observes.
+// a bounded reordering window (a quarter of the BDP window, at least 64
+// packets); beyond it, packets are dropped and NACKed — the "cannot
+// control OOO degree" behaviour §6.2 observes.
 
 #include "host/transport.h"
 #include "transports/selective_repeat.h"
@@ -22,7 +22,7 @@ class MpRdmaSender final : public SenderTransport {
   MpRdmaSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
       : SenderTransport(sim, host, spec, cfg),
         sb_(total_packets()),
-        cwnd_pkts_(static_cast<double>(cfg.cc.window_bytes) / cfg.mtu_payload) {
+        cwnd_pkts_(static_cast<double>(cfg.cc.window_bytes) / kMtuPayload) {
     if (cwnd_pkts_ < 1.0) cwnd_pkts_ = 1.0;
     max_cwnd_pkts_ = 2.0 * cwnd_pkts_;
   }
@@ -53,6 +53,9 @@ class MpRdmaReceiver final : public OooReceiver {
  public:
   using OooReceiver::OooReceiver;
   void on_packet(Packet pkt) override;
+
+ private:
+  std::uint32_t ooo_window_pkts() const;
 };
 
 class MpRdmaFactory final : public TransportFactory {

@@ -9,7 +9,7 @@
 namespace dcp {
 
 bool RackTlpSender::protocol_has_packet() {
-  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * cfg_.mtu_payload <
+  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * kMtuPayload <
                         cc_->window_bytes());
 }
 
@@ -91,7 +91,7 @@ void RackTlpSender::on_packet(Packet pkt) {
     sb_.retx().remove(pkt.sack_psn);
   }
   if (const std::uint32_t newly = sb_.advance()) {
-    cc_->on_ack(static_cast<std::uint64_t>(newly) * cfg_.mtu_payload);
+    cc_->on_ack(static_cast<std::uint64_t>(newly) * kMtuPayload);
   }
   if (done()) {
     rack_.cancel();

@@ -7,7 +7,7 @@
 namespace dcp {
 
 bool TimeoutSender::protocol_has_packet() {
-  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * cfg_.mtu_payload <
+  return sb_.has_packet(static_cast<std::uint64_t>(sb_.outstanding()) * kMtuPayload <
                         cc_->window_bytes());
 }
 
@@ -47,7 +47,7 @@ void TimeoutSender::on_packet(Packet pkt) {
   // A SACK never dequeues: an RTO resends all it queued.
   if (pkt.type == PktType::kSack && pkt.sack_psn < total_packets()) sb_.sack(pkt.sack_psn);
   if (const std::uint32_t newly = sb_.advance()) {
-    cc_->on_ack(static_cast<std::uint64_t>(newly) * cfg_.mtu_payload);
+    cc_->on_ack(static_cast<std::uint64_t>(newly) * kMtuPayload);
     arm_rto();
   }
   if (done()) {

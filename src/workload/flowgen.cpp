@@ -19,13 +19,7 @@ std::vector<FlowId> generate_poisson_flows(Network& net, const std::vector<Host*
     std::size_t src = rng.pick_index(hosts.size());
     std::size_t dst = rng.pick_index(hosts.size());
     int guard = 0;
-    while ((dst == src ||
-            (p.inter_rack_only && p.hosts_per_group > 0 &&
-             src / static_cast<std::size_t>(p.hosts_per_group) ==
-                 dst / static_cast<std::size_t>(p.hosts_per_group))) &&
-           guard++ < 64) {
-      dst = rng.pick_index(hosts.size());
-    }
+    while (dst == src && guard++ < 64) dst = rng.pick_index(hosts.size());
     if (dst == src) dst = (src + 1) % hosts.size();
 
     FlowSpec spec;

@@ -17,8 +17,6 @@ struct FlowGenParams {
   std::uint64_t seed = 42;
   std::uint64_t msg_bytes = 1024 * 1024;  // DCP message granularity
   RdmaOp op = RdmaOp::kWrite;
-  bool inter_rack_only = false;    // force src/dst on different leaves
-  int hosts_per_group = 0;         // needed by inter_rack_only
 };
 
 /// Registers `num_flows` Poisson arrivals with WebSearch (or custom) sizes

@@ -31,7 +31,7 @@ TEST(MakeCc, BuildsRequestedType) {
 
 TEST(Dcqcn, CnpCutsRate) {
   Simulator sim;
-  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000, DcqcnParams{});
+  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000);
   EXPECT_DOUBLE_EQ(cc.current_rate_gbps(), 100.0);
   cc.on_cnp();
   // alpha starts at 1, g=1/16: alpha' ~ 1, cut ~ rc*(1-alpha/2) ~ 50%.
@@ -41,16 +41,15 @@ TEST(Dcqcn, CnpCutsRate) {
 
 TEST(Dcqcn, RepeatedCnpsConvergeTowardMinRate) {
   Simulator sim;
-  DcqcnParams p;
-  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000, p);
+  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000);
   for (int i = 0; i < 50; ++i) cc.on_cnp();
   EXPECT_LE(cc.current_rate_gbps(), 1.0);
-  EXPECT_GE(cc.current_rate_gbps(), p.min_rate_gbps);
+  EXPECT_GE(cc.current_rate_gbps(), DcqcnRp::kMinRateGbps);
 }
 
 TEST(Dcqcn, RateRecoversViaTimers) {
   Simulator sim;
-  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000, DcqcnParams{});
+  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000);
   cc.on_cnp();
   const double cut = cc.current_rate_gbps();
   sim.run(milliseconds(20));
@@ -64,7 +63,7 @@ TEST(Dcqcn, RateRecoversViaTimers) {
 
 TEST(Dcqcn, AlphaDecaysWithoutCnps) {
   Simulator sim;
-  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000, DcqcnParams{});
+  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000);
   cc.on_cnp();
   const double a0 = cc.alpha();
   sim.run(milliseconds(2));
@@ -73,18 +72,20 @@ TEST(Dcqcn, AlphaDecaysWithoutCnps) {
 
 TEST(Dcqcn, ByteCounterTriggersIncrease) {
   Simulator sim;
-  DcqcnParams p;
-  p.byte_counter = 10'000;
-  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000, p);
+  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000);
   cc.on_cnp();
   const double cut = cc.current_rate_gbps();
-  for (int i = 0; i < 20; ++i) cc.on_ack(10'000);
+  // Acks short of the byte counter leave the rate alone; the ack that
+  // completes it triggers an increase event.
+  cc.on_ack(DcqcnRp::kByteCounter - 1);
+  EXPECT_DOUBLE_EQ(cc.current_rate_gbps(), cut);
+  cc.on_ack(1);
   EXPECT_GT(cc.current_rate_gbps(), cut);
 }
 
 TEST(Dcqcn, TimeoutResetsAggressively) {
   Simulator sim;
-  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000, DcqcnParams{});
+  DcqcnRp cc(sim, Bandwidth::gbps(100), 100'000);
   cc.on_timeout();
   EXPECT_LE(cc.current_rate_gbps(), 51.0);
   EXPECT_DOUBLE_EQ(cc.alpha(), 1.0);
@@ -93,7 +94,8 @@ TEST(Dcqcn, TimeoutResetsAggressively) {
 }
 
 TEST(CnpGenerator, PacesToOnePerInterval) {
-  CnpGenerator g(microseconds(50));
+  static_assert(CnpGenerator::kMinInterval == microseconds(50));
+  CnpGenerator g;
   EXPECT_TRUE(g.should_send(0));
   EXPECT_FALSE(g.should_send(microseconds(10)));
   EXPECT_FALSE(g.should_send(microseconds(49)));
@@ -112,13 +114,12 @@ namespace dcp {
 namespace {
 
 TEST(Timely, StartsAtLineRate) {
-  TimelyCc cc(Bandwidth::gbps(100), 100'000, TimelyParams{});
+  TimelyCc cc(Bandwidth::gbps(100), 100'000);
   EXPECT_DOUBLE_EQ(cc.current_rate_gbps(), 100.0);
 }
 
 TEST(Timely, LowRttAdditiveIncreaseCapsAtLine) {
-  TimelyParams p;
-  TimelyCc cc(Bandwidth::gbps(100), 100'000, p);
+  TimelyCc cc(Bandwidth::gbps(100), 100'000);
   cc.on_timeout();  // knock the rate down first
   const double down = cc.current_rate_gbps();
   EXPECT_LT(down, 100.0);
@@ -128,16 +129,14 @@ TEST(Timely, LowRttAdditiveIncreaseCapsAtLine) {
 }
 
 TEST(Timely, HighRttMultiplicativeDecrease) {
-  TimelyParams p;
-  TimelyCc cc(Bandwidth::gbps(100), 100'000, p);
+  TimelyCc cc(Bandwidth::gbps(100), 100'000);
   for (int i = 0; i < 20; ++i) cc.on_rtt_sample(microseconds(400));  // > t_high
   EXPECT_LT(cc.current_rate_gbps(), 50.0);
-  EXPECT_GE(cc.current_rate_gbps(), p.min_rate_gbps);
+  EXPECT_GE(cc.current_rate_gbps(), TimelyCc::kMinRateGbps);
 }
 
 TEST(Timely, RisingGradientInBandDecreases) {
-  TimelyParams p;
-  TimelyCc cc(Bandwidth::gbps(100), 100'000, p);
+  TimelyCc cc(Bandwidth::gbps(100), 100'000);
   // RTTs inside [t_low, t_high] but steadily rising: positive gradient.
   for (int i = 0; i < 30; ++i) {
     cc.on_rtt_sample(microseconds(40) + i * microseconds(3));
@@ -147,8 +146,7 @@ TEST(Timely, RisingGradientInBandDecreases) {
 }
 
 TEST(Timely, FlatInBandRttRecovers) {
-  TimelyParams p;
-  TimelyCc cc(Bandwidth::gbps(100), 100'000, p);
+  TimelyCc cc(Bandwidth::gbps(100), 100'000);
   for (int i = 0; i < 20; ++i) cc.on_rtt_sample(microseconds(400));
   const double low = cc.current_rate_gbps();
   // Stable in-band RTT: zero gradient -> additive (then hyper) increase.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "harness/sweep.h"
 #include "sim/logger.h"
 #include "sim/simulator.h"
+#include "sim/snapshot.h"
 #include "switch/buffer.h"
 #include "topo/network.h"
 
@@ -117,6 +119,32 @@ TEST(BufferConservation, ReleaseWithoutAllocIsImmediate) {
   buf.release(2, 0, 500);  // wrong ingress key: nothing was charged there
   ASSERT_FALSE(oracle.ok());
   EXPECT_EQ(oracle.first()->invariant, "buffer-conservation") << oracle.summary();
+}
+
+TEST(InvariantOracle, RestoreRejectsATraceCursorOutsideTheRing) {
+  Simulator sim;
+  Logger log{LogLevel::kOff};
+  Network net{sim, log};
+  InvariantOracle oracle(net);
+  std::vector<std::uint8_t> image;
+  StateIO save = StateIO::saver(image);
+  oracle.checkpoint(save);
+  ASSERT_TRUE(save.ok());
+
+  Simulator sim2;
+  Network net2{sim2, log};
+  InvariantOracle back(net2);
+  StateIO clean = StateIO::loader(image);
+  back.checkpoint(clean);
+  ASSERT_TRUE(clean.ok()) << clean.error();
+  // The ring cursor is followed by ring_wrapped_, frozen_, the empty
+  // violation list, suppressed_ and finalized_.
+  const std::size_t cursor_at = image.size() - (1 + 1 + 8 + 8 + 1) - 8;
+  const std::uint64_t past_ring = 256;  // the ring holds 256 events
+  std::memcpy(image.data() + cursor_at, &past_ring, sizeof past_ring);
+  StateIO load = StateIO::loader(image);
+  back.checkpoint(load);
+  EXPECT_FALSE(load.ok());
 }
 
 TEST(BufferConservation, BalancedTrafficStaysClean) {

@@ -11,6 +11,7 @@
 
 #include "core/dcp_transport.h"
 #include "harness/scheme.h"
+#include "sim/snapshot.h"
 #include "topo/clos.h"
 #include "topo/dumbbell.h"
 #include "workload/flowgen.h"
@@ -19,7 +20,7 @@ namespace dcp {
 namespace {
 
 TEST(MessageLayout, SingleMessageWhenMsgBytesZero) {
-  MessageLayout l(10'000, 0, 1000);
+  MessageLayout l(10'000, 0);
   EXPECT_EQ(l.num_msgs, 1u);
   EXPECT_EQ(l.total_pkts, 10u);
   EXPECT_EQ(l.msg_pkts(0), 10u);
@@ -27,7 +28,7 @@ TEST(MessageLayout, SingleMessageWhenMsgBytesZero) {
 }
 
 TEST(MessageLayout, UniformMessagesWithTail) {
-  MessageLayout l(10'500, 4'000, 1000);
+  MessageLayout l(10'500, 4'000);
   EXPECT_EQ(l.total_pkts, 11u);
   EXPECT_EQ(l.pkts_per_full_msg, 4u);
   EXPECT_EQ(l.num_msgs, 3u);
@@ -42,7 +43,7 @@ TEST(MessageLayout, UniformMessagesWithTail) {
 }
 
 TEST(MessageLayout, ZeroByteFlowStillHasOnePacket) {
-  MessageLayout l(0, 0, 1000);
+  MessageLayout l(0, 0);
   EXPECT_EQ(l.total_pkts, 1u);
   EXPECT_EQ(l.num_msgs, 1u);
 }
@@ -429,6 +430,183 @@ TEST(DcpBitmapVariant, TrackingIsInvisibleToTheProtocol) {
   for (double loss : {0.0, 0.005}) {
     expect_tracker_invisible("Clos websearch", loss, websearch);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint sections check what they load.  Each tampered image below
+// keeps the stream aligned (a scalar overwritten in place, a container's
+// size prefix changed together with its elements), so only the section's
+// own check can refuse it; without one the image loads with ok() and the
+// state is later used as an index.  Offsets count back from the end of the
+// section, whose tail fields have fixed sizes, and are cross-checked
+// against the live transport before tampering.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kTamperPkts = 200;
+constexpr std::uint32_t kTamperMsgs = 10;
+// Bytes StateIO::timer writes: kind, heap time, heap sequence, deadline.
+constexpr std::size_t kTimerBytes = 1 + sizeof(Time) + sizeof(std::uint64_t) + sizeof(Time);
+
+// One lossy DCP flow of kTamperPkts packets in kTamperMsgs messages.  Its
+// transports exist from start_flow on, so an unrun copy is a load target.
+struct LossyDcpFlow {
+  Simulator sim;
+  Logger log{LogLevel::kOff};
+  Network net{sim, log};
+  FlowId id = 0;
+
+  explicit LossyDcpFlow(bool bitmap_receiver) {
+    SchemeSetup s = make_scheme(SchemeKind::kDcp);
+    s.sw.inject_loss_rate = 0.3;
+    s.tcfg.dcp_bitmap_receiver = bitmap_receiver;
+    Star star = build_star(net, 3, s.sw);
+    apply_scheme(net, s);
+    FlowSpec spec;
+    spec.src = star.hosts[0]->id();
+    spec.dst = star.hosts[2]->id();
+    spec.bytes = std::uint64_t{kTamperPkts} * kMtuPayload;
+    spec.msg_bytes = spec.bytes / kTamperMsgs;
+    id = net.start_flow(spec);
+  }
+  SenderTransport& sender() { return *net.host(net.record(id).spec.src)->sender(id); }
+  ReceiverTransport& receiver() { return *net.host(net.record(id).spec.dst)->receiver(id); }
+  // Steps the run until `ready` holds; false if it never does.
+  bool run_until(const std::function<bool()>& ready) {
+    while (!ready()) {
+      if (sim.now() >= milliseconds(5)) return false;
+      sim.run(sim.now() + nanoseconds(200));
+    }
+    return true;
+  }
+};
+
+template <typename Transport>
+std::vector<std::uint8_t> save_section(Transport& t) {
+  std::vector<std::uint8_t> img;
+  StateIO io = StateIO::saver(img);
+  t.checkpoint(io);
+  EXPECT_TRUE(io.ok()) << io.error();
+  return img;
+}
+
+// Loads `img` into the sender (or receiver) of a fresh, unrun copy.
+bool loads(const std::vector<std::uint8_t>& img, bool sender, bool bitmap_receiver) {
+  LossyDcpFlow twin(bitmap_receiver);
+  StateIO io = StateIO::loader(img);
+  if (sender) {
+    twin.sender().checkpoint(io);
+  } else {
+    twin.receiver().checkpoint(io);
+  }
+  return io.ok();
+}
+
+template <typename T>
+T read_at(const std::vector<std::uint8_t>& img, std::size_t off) {
+  T v;
+  std::memcpy(&v, img.data() + off, sizeof v);
+  return v;
+}
+
+template <typename T>
+std::vector<std::uint8_t> overwrite(std::vector<std::uint8_t> img, std::size_t off, T v) {
+  std::memcpy(img.data() + off, &v, sizeof v);
+  return img;
+}
+
+// Drops the last element (`elem` bytes) of the container whose u64 size
+// prefix sits at `prefix`, and the prefix with it.
+std::vector<std::uint8_t> shrink(std::vector<std::uint8_t> img, std::size_t prefix,
+                                 std::size_t elem) {
+  const auto n = read_at<std::uint64_t>(img, prefix);
+  img = overwrite<std::uint64_t>(std::move(img), prefix, n - 1);
+  const auto last = static_cast<std::ptrdiff_t>(prefix + 8 + (n - 1) * elem);
+  img.erase(img.begin() + last, img.begin() + last + static_cast<std::ptrdiff_t>(elem));
+  return img;
+}
+
+TEST(DcpSender, RestoreRejectsStateOutsideTheFlow) {
+  LossyDcpFlow w(false);
+  auto* snd = dynamic_cast<DcpSender*>(&w.sender());
+  ASSERT_NE(snd, nullptr);
+  // Some messages acked and a bounced HO queued in the RetransQ.
+  ASSERT_TRUE(w.run_until([&] { return snd->una_msn() > 0 && snd->retransq().len() > 0; }));
+  ASSERT_EQ(snd->stats().timeouts, 0u);  // so no timeout-round PSNs are queued
+  const std::vector<std::uint8_t> img = save_section(*snd);
+  ASSERT_TRUE(loads(img, true, false));
+
+  // Tail after una_msn_: last_progress_, timeout_backoff_, dstats_ and the
+  // fetch and message timers.  Before it: snd_nxt_, then sRetryNo (size
+  // prefix, one byte per message), then the empty timeout-round PSN queue.
+  const std::size_t una_at =
+      img.size() - (sizeof(Time) + sizeof(int) + sizeof(DcpSenderStats) + 2 * kTimerBytes) - 4;
+  const std::size_t nxt_at = una_at - 4;
+  const std::size_t sretry_at = nxt_at - kTamperMsgs - 8;
+  const std::size_t timeout_retx_at = sretry_at - 8;
+  // Head: label, SenderStats, started_at_, finished_, next_allowed_ (no CC
+  // state without CC), then the RetransQ's host queue of {msn, psn}.
+  const std::size_t hostq_at = 4 + sizeof(SenderStats) + sizeof(Time) + 1 + sizeof(Time);
+  ASSERT_EQ(read_at<std::uint32_t>(img, una_at), snd->una_msn());
+  ASSERT_EQ(read_at<std::uint64_t>(img, sretry_at), kTamperMsgs);
+  ASSERT_EQ(read_at<std::uint64_t>(img, timeout_retx_at), 0u);
+  ASSERT_EQ(read_at<std::uint64_t>(img, hostq_at), snd->retransq().len());
+
+  EXPECT_FALSE(loads(overwrite(img, nxt_at, kTamperPkts + 1), true, false)) << "snd_nxt";
+  EXPECT_FALSE(loads(overwrite(img, una_at, kTamperMsgs + 1), true, false)) << "una_msn";
+  EXPECT_FALSE(loads(shrink(img, sretry_at, 1), true, false)) << "sRetryNo size";
+  EXPECT_FALSE(loads(overwrite(img, hostq_at + 8 + 4, kTamperPkts), true, false))
+      << "RetransQ entry PSN";
+  std::vector<std::uint8_t> retx = overwrite<std::uint64_t>(img, timeout_retx_at, 1);
+  const std::uint32_t past_end = kTamperPkts;
+  const auto* b = reinterpret_cast<const std::uint8_t*>(&past_end);
+  retx.insert(retx.begin() + static_cast<std::ptrdiff_t>(timeout_retx_at + 8), b, b + 4);
+  EXPECT_FALSE(loads(retx, true, false)) << "timeout-round PSN";
+}
+
+TEST(DcpReceiver, RestoreRejectsRingsOrEmsnOutsideTheFlow) {
+  LossyDcpFlow w(false);
+  auto* rcv = dynamic_cast<DcpReceiver*>(&w.receiver());
+  ASSERT_NE(rcv, nullptr);
+  ASSERT_TRUE(w.run_until([&] { return rcv->emsn() >= 2; }));
+  const std::vector<std::uint8_t> img = save_section(*rcv);
+  ASSERT_TRUE(loads(img, false, false));
+
+  // Bytes of one counter-ring slot, from a one-slot tracker's section:
+  // size prefix, the slot, eMSN.
+  MessageCounterTracker one_slot(MessageLayout(kMtuPayload, 0), 1);
+  const std::size_t slot = save_section(one_slot).size() - 8 - 4;
+  // Tail: the counter ring (size prefix, one slot per outstanding
+  // message), eMSN, the rRetryNo ring (size prefix, one byte per slot).
+  const std::size_t rretry_at = img.size() - kDcpOutstandingMsgs - 8;
+  const std::size_t emsn_at = rretry_at - 4;
+  const std::size_t ring_at = emsn_at - kDcpOutstandingMsgs * slot - 8;
+  ASSERT_EQ(read_at<std::uint64_t>(img, rretry_at), kDcpOutstandingMsgs);
+  ASSERT_EQ(read_at<std::uint32_t>(img, emsn_at), rcv->emsn());
+  ASSERT_EQ(read_at<std::uint64_t>(img, ring_at), kDcpOutstandingMsgs);
+
+  EXPECT_FALSE(loads(shrink(img, rretry_at, 1), false, false)) << "rRetryNo ring";
+  EXPECT_FALSE(loads(shrink(img, ring_at, slot), false, false)) << "counter ring";
+  EXPECT_FALSE(loads(overwrite(img, emsn_at, kTamperMsgs + 1), false, false)) << "eMSN";
+}
+
+TEST(DcpBitmapReceiver, RestoreRejectsBitmapEmsnOrCursorOutsideTheFlow) {
+  LossyDcpFlow w(true);
+  auto* rcv = dynamic_cast<DcpBitmapReceiver*>(&w.receiver());
+  ASSERT_NE(rcv, nullptr);
+  ASSERT_TRUE(w.run_until([&] { return rcv->emsn() >= 2; }));
+  const std::vector<std::uint8_t> img = save_section(*rcv);
+  ASSERT_TRUE(loads(img, false, true));
+
+  // Tail: the bitmap (size prefix, one byte per packet), eMSN, scan cursor.
+  const std::size_t scan_at = img.size() - 4;
+  const std::size_t emsn_at = scan_at - 4;
+  const std::size_t bitmap_at = emsn_at - kTamperPkts - 8;
+  ASSERT_EQ(read_at<std::uint32_t>(img, emsn_at), rcv->emsn());
+  ASSERT_EQ(read_at<std::uint64_t>(img, bitmap_at), kTamperPkts);
+
+  EXPECT_FALSE(loads(overwrite(img, scan_at, kTamperPkts + 1), false, true)) << "scan cursor";
+  EXPECT_FALSE(loads(overwrite(img, emsn_at, kTamperMsgs + 1), false, true)) << "eMSN";
+  EXPECT_FALSE(loads(shrink(img, bitmap_at, 1), false, true)) << "bitmap size";
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the network primitives: packets, channels, queues, ports
-// and the schedulers driving them.
+// and the DWRR scheduler driving them.
 
 #include <gtest/gtest.h>
 
@@ -132,10 +132,12 @@ TEST(FifoQueue, ByteAccounting) {
   EXPECT_EQ(q.max_bytes_seen(), 300u);
 }
 
+constexpr std::array<double, kNumQueueClasses> kEqualWeights{1.0, 1.0};
+
 TEST(Port, ServesPacketsBackToBackAtLineRate) {
   NetFixture f;
   SinkNode sink(f.sim, f.log);
-  Port port(f.sim, Bandwidth::gbps(100), 0, std::make_unique<StrictPriorityPolicy>());
+  Port port(f.sim, Bandwidth::gbps(100), 0, kEqualWeights);
   port.connect(&sink, 0);
   for (int i = 0; i < 3; ++i) port.enqueue(data_packet(1000));
   f.sim.run();
@@ -149,7 +151,7 @@ TEST(Port, ServesPacketsBackToBackAtLineRate) {
 TEST(Port, PauseBlocksAndResumeReleases) {
   NetFixture f;
   SinkNode sink(f.sim, f.log);
-  Port port(f.sim, Bandwidth::gbps(100), 0, std::make_unique<StrictPriorityPolicy>());
+  Port port(f.sim, Bandwidth::gbps(100), 0, kEqualWeights);
   port.connect(&sink, 0);
   port.set_paused(static_cast<int>(QueueClass::kData), true);
   port.enqueue(data_packet(1000));
@@ -160,26 +162,10 @@ TEST(Port, PauseBlocksAndResumeReleases) {
   EXPECT_EQ(sink.arrivals.size(), 1u);
 }
 
-TEST(Port, StrictPriorityServesControlFirst) {
-  NetFixture f;
-  SinkNode sink(f.sim, f.log);
-  // Control (class 1) strictly before data (class 0).
-  Port port(f.sim, Bandwidth::gbps(100), 0,
-            std::make_unique<StrictPriorityPolicy>(std::vector<int>{1, 0}));
-  port.connect(&sink, 0);
-  // Occupy the wire, then enqueue one of each class.
-  port.enqueue(data_packet(1000));
-  port.enqueue(data_packet(1000));
-  port.enqueue(data_packet(57, QueueClass::kControl));
-  f.sim.run();
-  ASSERT_EQ(sink.arrivals.size(), 3u);
-  EXPECT_EQ(sink.arrivals[1].pkt.queue_class, QueueClass::kControl);
-}
-
 TEST(Port, OnDequeueFiresForEveryTransmittedPacket) {
   NetFixture f;
   SinkNode sink(f.sim, f.log);
-  Port port(f.sim, Bandwidth::gbps(100), 0, std::make_unique<StrictPriorityPolicy>());
+  Port port(f.sim, Bandwidth::gbps(100), 0, kEqualWeights);
   port.connect(&sink, 0);
   int dequeued = 0;
   port.set_dequeue_hook([](void* n, const PacketHot&) { ++*static_cast<int*>(n); }, &dequeued);
@@ -190,21 +176,11 @@ TEST(Port, OnDequeueFiresForEveryTransmittedPacket) {
   EXPECT_EQ(port.stats().tx_bytes, 2500u);
 }
 
-TEST(Port, ConcretePoliciesCarryTheirKindTags) {
-  // Port::try_transmit static-casts its policy on this tag, with no generic
-  // fallback, so each concrete policy must report its own kind.
-  const StrictPriorityPolicy strict;
-  const DwrrPolicy dwrr(std::array<double, kNumQueueClasses>{1.0, 1.0});
-  EXPECT_EQ(strict.kind(), SchedulerPolicy::Kind::kStrict);
-  EXPECT_EQ(dwrr.kind(), SchedulerPolicy::Kind::kDwrr);
-}
-
 TEST(Dwrr, SplitsBandwidthByWeight) {
   NetFixture f;
   SinkNode sink(f.sim, f.log);
   // Control weighted 3x over data, equal packet sizes.
-  Port port(f.sim, Bandwidth::gbps(100), 0,
-            std::make_unique<DwrrPolicy>(std::array<double, kNumQueueClasses>{1.0, 3.0}));
+  Port port(f.sim, Bandwidth::gbps(100), 0, std::array<double, kNumQueueClasses>{1.0, 3.0});
   port.connect(&sink, 0);
   for (int i = 0; i < 400; ++i) {
     port.enqueue(data_packet(1000, QueueClass::kData));
@@ -224,8 +200,7 @@ TEST(Dwrr, SplitsBandwidthByWeight) {
 TEST(Dwrr, WorkConservingWhenOneQueueEmpty) {
   NetFixture f;
   SinkNode sink(f.sim, f.log);
-  Port port(f.sim, Bandwidth::gbps(100), 0,
-            std::make_unique<DwrrPolicy>(std::array<double, kNumQueueClasses>{1.0, 8.0}));
+  Port port(f.sim, Bandwidth::gbps(100), 0, std::array<double, kNumQueueClasses>{1.0, 8.0});
   port.connect(&sink, 0);
   for (int i = 0; i < 10; ++i) port.enqueue(data_packet(1000, QueueClass::kData));
   f.sim.run();

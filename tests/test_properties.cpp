@@ -14,6 +14,7 @@
 #include "check/invariant_oracle.h"
 #include "core/dcp_transport.h"
 #include "harness/scheme.h"
+#include "net/port.h"
 #include "switch/scheduler.h"
 #include "topo/clos.h"
 #include "topo/dumbbell.h"

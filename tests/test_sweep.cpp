@@ -26,7 +26,7 @@ TEST(Sweep, ResultsIndexedByTrialNotCompletionOrder) {
   // results vector must still map i -> f(i).
   const std::vector<std::size_t> out = pool.run(64, [](std::size_t i) {
     volatile std::size_t spin = (64 - i) * 1000;
-    while (spin > 0) --spin;
+    while (spin > 0) spin = spin - 1;
     return i * i;
   });
   ASSERT_EQ(out.size(), 64u);

@@ -65,7 +65,7 @@ TEST(LinkedChunk, TracksBitsCorrectlyAcrossChunks) {
 }
 
 TEST(MessageCounter, CompletesExactlyAtMessageSize) {
-  MessageCounterTracker t({3, 2}, 8);
+  MessageCounterTracker t(MessageLayout(5 * kMtuPayload, 3 * kMtuPayload), 8);  // 3 + 2 pkts
   EXPECT_FALSE(t.message_complete(0));
   t.count_packet(0);
   t.count_packet(0);
@@ -76,7 +76,7 @@ TEST(MessageCounter, CompletesExactlyAtMessageSize) {
 }
 
 TEST(MessageCounter, OutOfOrderMessageCompletionHoldsEmsn) {
-  MessageCounterTracker t({2, 2, 2}, 8);
+  MessageCounterTracker t(MessageLayout(6 * kMtuPayload, 2 * kMtuPayload), 8);  // 3 x 2 pkts
   // Complete message 1 first; eMSN must stay 0 (in-order CQE delivery).
   t.count_packet(1);
   t.count_packet(1);
@@ -89,7 +89,7 @@ TEST(MessageCounter, OutOfOrderMessageCompletionHoldsEmsn) {
 }
 
 TEST(MessageCounter, RejectsOutOfWindowAndStale) {
-  MessageCounterTracker t(std::vector<std::uint32_t>(20, 1), 4);
+  MessageCounterTracker t(MessageLayout(20 * kMtuPayload, kMtuPayload), 4);  // 20 x 1 pkt
   EXPECT_FALSE(t.count_packet(7));  // beyond eMSN + outstanding
   t.count_packet(0);
   EXPECT_EQ(t.emsn(), 1u);
@@ -97,7 +97,7 @@ TEST(MessageCounter, RejectsOutOfWindowAndStale) {
 }
 
 TEST(MessageCounter, ResetRestartsCounting) {
-  MessageCounterTracker t({3}, 8);
+  MessageCounterTracker t(MessageLayout(3 * kMtuPayload, 0), 8);  // one 3-pkt message
   t.count_packet(0);
   t.count_packet(0);
   t.reset_message(0);
@@ -109,13 +109,13 @@ TEST(MessageCounter, ResetRestartsCounting) {
 }
 
 TEST(MessageCounter, ConstantSingleStep) {
-  MessageCounterTracker t(std::vector<std::uint32_t>(64, 1000), 8);
+  MessageCounterTracker t(MessageLayout(64'000 * kMtuPayload, 1000 * kMtuPayload), 8);
   EXPECT_EQ(t.on_packet(0), 1);
   EXPECT_EQ(t.on_packet(999), 1);
 }
 
 TEST(MessageCounter, MemoryIsTwoBytesPerTrackedMessage) {
-  MessageCounterTracker t(std::vector<std::uint32_t>(100, 5), 8);
+  MessageCounterTracker t(MessageLayout(500 * kMtuPayload, 5 * kMtuPayload), 8);
   EXPECT_EQ(t.memory_bytes(), 16u);  // paper: 2 B per message × 8
 }
 
@@ -133,25 +133,23 @@ class TrackerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TrackerEquivalence, MessageCompletionMatchesReferenceBitmap) {
   Rng rng(GetParam());
+  // A uniform-plus-tail geometry: num_msgs - 1 messages of `full` packets,
+  // then a tail of 1..full packets whose last packet may be short.
   const std::uint32_t num_msgs = 1 + static_cast<std::uint32_t>(rng.uniform_int(1, 6));
-  std::vector<std::uint32_t> msg_pkts;
-  std::uint32_t total = 0;
-  for (std::uint32_t m = 0; m < num_msgs; ++m) {
-    msg_pkts.push_back(1 + static_cast<std::uint32_t>(rng.uniform_int(0, 9)));
-    total += msg_pkts.back();
-  }
-  MessageCounterTracker dcp_tracker(msg_pkts, 8);
+  const std::uint32_t full = 1 + static_cast<std::uint32_t>(rng.uniform_int(0, 9));
+  const std::uint32_t tail = 1 + static_cast<std::uint32_t>(rng.uniform_int(0, full - 1));
+  std::vector<std::uint32_t> msg_pkts(num_msgs - 1, full);
+  msg_pkts.push_back(tail);
+  const std::uint32_t total = (num_msgs - 1) * full + tail;
+  const auto short_by = static_cast<std::uint64_t>(rng.uniform_int(0, kMtuPayload - 1));
+  const MessageLayout layout(std::uint64_t{total} * kMtuPayload - short_by,
+                             std::uint64_t{full} * kMtuPayload);
+  ASSERT_EQ(layout.num_msgs, num_msgs);
+  ASSERT_EQ(layout.total_pkts, total);
+  MessageCounterTracker dcp_tracker(layout, 8);
 
   // Reference: exact per-packet bitmap.
   std::vector<bool> ref(total, false);
-  auto msg_of = [&](std::uint32_t psn) {
-    std::uint32_t acc = 0;
-    for (std::uint32_t m = 0; m < num_msgs; ++m) {
-      acc += msg_pkts[m];
-      if (psn < acc) return m;
-    }
-    return num_msgs - 1;
-  };
   auto ref_msg_complete = [&](std::uint32_t m) {
     std::uint32_t start = 0;
     for (std::uint32_t i = 0; i < m; ++i) start += msg_pkts[i];
@@ -167,9 +165,8 @@ TEST_P(TrackerEquivalence, MessageCompletionMatchesReferenceBitmap) {
   std::shuffle(order.begin(), order.end(), rng.engine());
 
   for (std::uint32_t psn : order) {
-    const std::uint32_t m = msg_of(psn);
     ref[psn] = true;
-    dcp_tracker.count_packet(m);
+    dcp_tracker.on_packet(psn);
     for (std::uint32_t q = 0; q < num_msgs; ++q) {
       // Within the active window the two views must agree exactly.
       if (q >= dcp_tracker.emsn() && q < dcp_tracker.emsn() + 8) {
