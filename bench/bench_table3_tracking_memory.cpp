@@ -12,8 +12,7 @@ int main() {
   using namespace dcp;
   banner("Table 3: memory overhead for packet tracking (400G, 10us RTT)");
 
-  TrackingMemoryInputs in;
-  const auto rows = {bdp_bitmap_row(in), linked_chunk_row(in), dcp_row(in)};
+  const auto rows = {bdp_bitmap_row(), linked_chunk_row(), dcp_row()};
 
   Table t({"Scheme", "Per-QP (intra-DC)", "10k QPs (intra-DC)"});
   for (const TrackingMemoryRow& r : rows) {
@@ -32,6 +31,6 @@ int main() {
   std::printf("\nBDP = %u packets.  Paper reference: 320B / 80B~320B / 32B per QP and\n"
               "3MB / 0.76MB~3MB / 0.3MB for 10k QPs.  The BDP bitmap exceeds typical\n"
               "RNIC SRAM (~2MB) as connections scale; DCP needs log2(n) bits.\n",
-              bdp_packets(in));
+              bdp_packets());
   return 0;
 }

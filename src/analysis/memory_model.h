@@ -14,22 +14,20 @@ struct TrackingMemoryRow {
   std::uint64_t total_10k_qps_max;
 };
 
-struct TrackingMemoryInputs {
-  double gbps = 400.0;
-  double rtt_us = 10.0;
-  std::uint32_t mtu_bytes = 1000;
-  std::uint32_t bitmaps_per_qp = 5;  // RNIC designs keep several BDP bitmaps
-  std::uint32_t outstanding_msgs = 8;
-  std::uint32_t qps = 10'000;
-};
+/// The paper's intra-DC geometry.  The MTU and the DCP message window are
+/// the simulator's own: kMtuPayload and kDcpOutstandingMsgs.
+inline constexpr double kTable3Gbps = 400.0;
+inline constexpr double kTable3RttUs = 10.0;
+inline constexpr std::uint32_t kTable3BitmapsPerQp = 5;  // RNIC designs keep several BDP bitmaps
+inline constexpr std::uint32_t kTable3Qps = 10'000;
 
-std::uint32_t bdp_packets(const TrackingMemoryInputs& in);
+std::uint32_t bdp_packets();
 
 /// Rows: BDP-sized, Linked chunk, DCP — min/max per QP and fleet totals.
 /// Computed from the same structures the simulator uses, instantiated at
 /// the BDP geometry.
-TrackingMemoryRow bdp_bitmap_row(const TrackingMemoryInputs& in);
-TrackingMemoryRow linked_chunk_row(const TrackingMemoryInputs& in);
-TrackingMemoryRow dcp_row(const TrackingMemoryInputs& in);
+TrackingMemoryRow bdp_bitmap_row();
+TrackingMemoryRow linked_chunk_row();
+TrackingMemoryRow dcp_row();
 
 }  // namespace dcp

@@ -122,7 +122,7 @@ class MessageCounterTracker final : public PacketTracker {
  public:
   /// `outstanding` bounds the number of simultaneously tracked messages
   /// (NCCL default: 8).
-  explicit MessageCounterTracker(const MessageLayout& layout, std::uint32_t outstanding = 8);
+  MessageCounterTracker(const MessageLayout& layout, std::uint32_t outstanding);
 
   int on_packet(std::uint32_t psn) override;
   bool is_received(std::uint32_t psn) const override;  // message-granular

@@ -252,16 +252,4 @@ WorldDigest SimWorld::digest() const {
   return d;
 }
 
-WarmBoot::WarmBoot(const WorldSpec& spec, Time t) : spec_(spec) {
-  SimWorld w(spec_);
-  w.run_to(t);
-  ok_ = w.save(img_, &err_);
-}
-
-std::unique_ptr<SimWorld> WarmBoot::boot(std::string* error) const {
-  auto w = std::make_unique<SimWorld>(spec_);
-  if (!w->restore(img_, /*allow_spec_delta=*/false, error)) return nullptr;
-  return w;
-}
-
 }  // namespace dcp

@@ -132,27 +132,4 @@ class SimWorld {
 /// --at-time) and tests rebuild the exact world a fuzz verdict came from.
 WorldSpec fuzz_world_spec(const FuzzScenario& s, const FuzzOptions& opt);
 
-/// Warm-boot helper for sweeps: runs the spec's common prefix once, keeps
-/// the snapshot, and boots per-trial worlds that skip straight to t.
-class WarmBoot {
- public:
-  /// Builds the world, runs it to t, saves the image.  ok() is false when
-  /// the scheme cannot snapshot — callers fall back to cold boots.
-  WarmBoot(const WorldSpec& spec, Time t);
-
-  bool ok() const { return ok_; }
-  const std::string& error() const { return err_; }
-  const SnapshotImage& image() const { return img_; }
-
-  /// A fresh world restored to t (skipping the prefix events).  Thread-safe
-  /// once constructed: trials on a SweepRunner pool may boot concurrently.
-  std::unique_ptr<SimWorld> boot(std::string* error = nullptr) const;
-
- private:
-  WorldSpec spec_;
-  SnapshotImage img_;
-  bool ok_ = false;
-  std::string err_;
-};
-
 }  // namespace dcp

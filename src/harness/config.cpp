@@ -235,18 +235,6 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
   return cfg;
 }
 
-std::string scheme_config_text(SchemeKind kind, const SchemeOptions& opt) {
-  std::string name = lower(scheme_name(kind));
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "[scheme]\nkind = %s\nfec_k = %u\nfec_m = %u\n"
-                "fec_stream_window_bytes = %llu\nfec_nack_delay_us = %.9g\n",
-                name.c_str(), opt.fec_k, opt.fec_m,
-                static_cast<unsigned long long>(opt.fec_stream_window_bytes),
-                static_cast<double>(opt.fec_nack_delay) / kMicrosecond);
-  return buf;
-}
-
 std::optional<ExperimentConfig> load_experiment_config(const std::string& path,
                                                        std::string* error) {
   std::ifstream in(path);

@@ -25,10 +25,9 @@
 //   link_flap at=2ms dur=500us sw=0 port=1
 //   drop at=5ms dur=1ms rate=0.01
 //
-// An optional `[scheme]` section carries scheme-specific knobs (today: the
-// FEC tier's group geometry and stream window); scheme_config_text()
-// serializes it back, and parsing that text reproduces the same values —
-// the same round-trip contract FaultPlan::to_config_text() provides:
+// An optional `[scheme]` section picks the scheme and carries its
+// scheme-specific knobs (today: the FEC tier's group geometry and stream
+// window); like `scheme = ...`, it applies to every experiment:
 //
 //   [scheme]
 //   kind = fec
@@ -64,10 +63,6 @@ struct ExperimentConfig {
   double unequal_ratio = 4.0;
   FaultPlan faults;  // parsed [faults] section; copied into the params above
 };
-
-/// Serializes the scheme + its `[scheme]`-section knobs back to config
-/// text; parse_experiment_config() round-trips it exactly.
-std::string scheme_config_text(SchemeKind kind, const SchemeOptions& opt);
 
 /// Parses config text.  On failure returns nullopt and, if `error` is
 /// non-null, a message naming the offending line/key.

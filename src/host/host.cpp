@@ -8,9 +8,7 @@
 
 namespace dcp {
 
-void Host::receive_fast(PacketPtr pkt, std::uint32_t in_port) {
-  maybe_trace(*pkt, in_port);
-  (void)in_port;
+void Host::receive_fast(PacketPtr pkt, std::uint32_t /*in_port*/) {
   if (pkt->type == PktType::kPfcPause || pkt->type == PktType::kPfcResume) {
     nic_.set_paused(pkt->type == PktType::kPfcPause);
     return;

@@ -18,9 +18,9 @@ class StateIO;
 
 class Host final : public Node {
  public:
-  Host(Simulator& sim, Logger& log, NodeId id, std::string name, Bandwidth nic_bw,
+  Host(Simulator& sim, Logger& log, NodeId id, const std::string& name, Bandwidth nic_bw,
        Time link_propagation)
-      : Node(sim, log, id, std::move(name), NodeKind::kHost),
+      : Node(sim, log, id, name, NodeKind::kHost),
         nic_(sim, nic_bw, link_propagation) {}
 
   RnicScheduler& nic() { return nic_; }

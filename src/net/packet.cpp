@@ -1,28 +1,8 @@
 #include "net/packet.h"
 
-#include <cstdio>
-
 #include "sim/rng.h"
 
 namespace dcp {
-
-std::string Packet::brief() const {
-  const char* t = "?";
-  switch (type) {
-    case PktType::kData: t = "DATA"; break;
-    case PktType::kAck: t = "ACK"; break;
-    case PktType::kSack: t = "SACK"; break;
-    case PktType::kNack: t = "NACK"; break;
-    case PktType::kCnp: t = "CNP"; break;
-    case PktType::kHeaderOnly: t = "HO"; break;
-    case PktType::kPfcPause: t = "PAUSE"; break;
-    case PktType::kPfcResume: t = "RESUME"; break;
-  }
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "%s flow=%llu %u->%u psn=%u msn=%u %uB", t,
-                static_cast<unsigned long long>(flow), src, dst, psn, msn, wire_bytes);
-  return buf;
-}
 
 namespace {
 

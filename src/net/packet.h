@@ -17,7 +17,6 @@
 // PacketHot::assign() is the scatter at injection time.
 
 #include <cstdint>
-#include <string>
 
 #include "sim/time.h"
 
@@ -152,14 +151,12 @@ struct Packet {
 
   Packet() = default;
   /// Gather from a pooled hot/cold pair.  Implicit on purpose: it keeps
-  /// every `const Packet&` call site (observers, trace hooks, transports
-  /// taking the packet by value) compiling against a PacketHot, while the
-  /// hot path stays explicit about where the gather happens.
+  /// every `const Packet&` call site (observers, transports taking the
+  /// packet by value) compiling against a PacketHot, while the hot path
+  /// stays explicit about where the gather happens.
   Packet(const PacketHot& h);  // NOLINT(google-explicit-constructor)
 
   bool is_control() const { return type != PktType::kData; }
-
-  std::string brief() const;
 };
 
 /// Count of lazy cold-record initializations on the calling thread —
@@ -265,8 +262,6 @@ struct alignas(64) PacketHot {
     c.is_retransmit = f.is_retransmit;
     cold_valid = true;
   }
-
-  std::string brief() const { return Packet(*this).brief(); }
 };
 
 inline Packet::Packet(const PacketHot& h)

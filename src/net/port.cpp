@@ -77,12 +77,6 @@ void Port::set_paused(int queue_class, bool paused) {
   if (!paused) try_transmit();
 }
 
-std::uint64_t Port::total_queued_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& q : queues_) total += q.bytes();
-  return total;
-}
-
 void Port::try_transmit() {
   if (transmitting_) return;
   const int c = policy_.select(queues_, paused_);

@@ -101,7 +101,6 @@ class Port {
 
   const FifoQueue& queue(int c) const { return queues_[c]; }
   std::uint64_t queued_bytes(int c) const { return queues_[c].bytes(); }
-  std::uint64_t total_queued_bytes() const;
   bool idle() const { return !transmitting_; }
   const Stats& stats() const { return stats_; }
 

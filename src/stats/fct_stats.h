@@ -37,7 +37,6 @@ class FctStats {
 
   std::size_t flows() const { return count_; }
   PercentileEstimator& overall() { return overall_; }
-  std::vector<FctBucket>& buckets() { return buckets_; }
 
   /// Percentile of slowdown per bucket; rows with no samples report 0.
   std::vector<double> per_bucket_percentile(double p);

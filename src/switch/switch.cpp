@@ -7,9 +7,9 @@
 
 namespace dcp {
 
-Switch::Switch(Simulator& sim, Logger& log, NodeId id, std::string name, SwitchConfig cfg,
-               std::uint64_t seed)
-    : Node(sim, log, id, std::move(name), NodeKind::kSwitch),
+Switch::Switch(Simulator& sim, Logger& log, NodeId id, const std::string& name,
+               SwitchConfig cfg, std::uint64_t seed)
+    : Node(sim, log, id, name, NodeKind::kSwitch),
       cfg_(cfg),
       rng_(seed),
       fault_rng_(Rng::substream(seed, /*tag=*/0xfa017u)),

@@ -84,7 +84,7 @@ class Switch final : public Node {
     std::uint64_t no_route = 0;
   };
 
-  Switch(Simulator& sim, Logger& log, NodeId id, std::string name, SwitchConfig cfg,
+  Switch(Simulator& sim, Logger& log, NodeId id, const std::string& name, SwitchConfig cfg,
          std::uint64_t seed);
 
   /// Adds an egress port of the given speed; returns its index.  The peer
@@ -125,7 +125,6 @@ class Switch final : public Node {
   /// rare outcomes — PFC frame, no route, injected loss — take
   /// out-of-line helpers.
   void receive_fast(PacketPtr pkt, std::uint32_t in_port) {
-    maybe_trace(*pkt, in_port);
     const PktType ty = pkt->type;
     if (ty == PktType::kPfcPause || ty == PktType::kPfcResume) {
       // PAUSE/RESUME from the downstream neighbour applies to our egress

@@ -60,15 +60,13 @@ TEST(Table2, OnlyDcpMeetsAllRequirements) {
 }
 
 TEST(Table3, BdpGeometry) {
-  TrackingMemoryInputs in;
-  EXPECT_EQ(bdp_packets(in), 500u);  // 400G x 10us / 1KB
+  EXPECT_EQ(bdp_packets(), 500u);  // 400G x 10us / 1KB
 }
 
 TEST(Table3, DcpOrdersOfMagnitudeSmaller) {
-  TrackingMemoryInputs in;
-  const auto bdp = bdp_bitmap_row(in);
-  const auto chunk = linked_chunk_row(in);
-  const auto dcp = dcp_row(in);
+  const auto bdp = bdp_bitmap_row();
+  const auto chunk = linked_chunk_row();
+  const auto dcp = dcp_row();
   EXPECT_GT(bdp.per_qp_bytes_max, 100u);
   EXPECT_LE(dcp.per_qp_bytes_max, 64u);
   EXPECT_LT(dcp.per_qp_bytes_max, bdp.per_qp_bytes_max / 5);
@@ -76,7 +74,7 @@ TEST(Table3, DcpOrdersOfMagnitudeSmaller) {
   EXPECT_LT(chunk.per_qp_bytes_min, chunk.per_qp_bytes_max);
   EXPECT_LE(chunk.per_qp_bytes_max, bdp.per_qp_bytes_max * 2);
   // Fleet totals scale by QP count.
-  EXPECT_EQ(dcp.total_10k_qps_max, dcp.per_qp_bytes_max * in.qps);
+  EXPECT_EQ(dcp.total_10k_qps_max, dcp.per_qp_bytes_max * kTable3Qps);
 }
 
 TEST(Fig7, DcpFlatOthersDegrade) {

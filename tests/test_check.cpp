@@ -3,7 +3,8 @@
 // The InvariantOracle is itself load-bearing test infrastructure, so this
 // suite checks the checker: deliberately broken transports (check/broken.h)
 // must each trip *exactly* the invariant their bug violates, clean runs must
-// stay clean, and the scenario fuzzer must be a pure function of its seed —
+// stay clean, arming the oracle must leave every run bit-identical, and the
+// scenario fuzzer must be a pure function of its seed —
 // generation, verdict and repro file alike — with a shrinker that reduces a
 // padded 50-action plan to the handful of actions that matter.
 
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,11 +20,14 @@
 #include "check/broken.h"
 #include "check/fuzzer.h"
 #include "check/invariant_oracle.h"
+#include "harness/checkpoint.h"
+#include "harness/scheme.h"
 #include "harness/sweep.h"
 #include "sim/logger.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
 #include "switch/buffer.h"
+#include "topo/dumbbell.h"
 #include "topo/network.h"
 
 namespace dcp {
@@ -162,6 +167,151 @@ TEST(BufferConservation, BalancedTrafficStaysClean) {
   }
   oracle.finalize();
   EXPECT_TRUE(oracle.ok()) << oracle.summary();
+}
+
+// The seam's contract (check/observer.h): an armed observer only reads.
+// Every fuzz seed must end with the same digest and the same event count
+// whether the oracle is armed or not.
+TEST(InvariantOracle, ArmingNeverPerturbsTheRun) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    WorldSpec spec = fuzz_world_spec(generate_fuzz_scenario(seed), FuzzOptions{});
+    spec.force_shards = 1;
+    auto run = [&spec](bool oracle) {
+      spec.oracle = oracle;
+      SimWorld w(spec);
+      w.run_until_done();
+      return w.digest();
+    };
+    const WorldDigest armed = run(true);
+    const WorldDigest unarmed = run(false);
+    EXPECT_EQ(armed.value, unarmed.value) << "seed " << seed;
+    EXPECT_EQ(armed.events, unarmed.events) << "seed " << seed;
+  }
+}
+
+// The same contract on a two-shard event core, where the armed oracle
+// serializes hooks from both workers.  Fault plans are cleared: a faulted
+// scenario runs serially under the default shard choice (see SimWorld).
+TEST(InvariantOracle, ArmingNeverPerturbsAShardedRun) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    FuzzScenario sc = generate_fuzz_scenario(seed);
+    sc.faults = FaultPlan{};
+    WorldSpec spec = fuzz_world_spec(sc, FuzzOptions{});
+    spec.force_shards = 2;
+    auto run = [&spec](bool oracle) {
+      spec.oracle = oracle;
+      SimWorld w(spec);
+      EXPECT_EQ(w.shard_count(), 2);
+      w.run_until_done();
+      return w.digest();
+    };
+    const WorldDigest armed = run(true);
+    const WorldDigest unarmed = run(false);
+    EXPECT_EQ(armed.value, unarmed.value) << "seed " << seed;
+    EXPECT_EQ(armed.events, unarmed.events) << "seed " << seed;
+  }
+}
+
+// Observers stack on the one seam: an oracle armed over another observer
+// hands the seam back to it when destroyed.
+TEST(InvariantOracle, DestructionHandsTheSeamBack) {
+  Simulator sim;
+  Logger log{LogLevel::kOff};
+  Network net{sim, log};
+  CheckObserver tap;
+  sim.set_check_observer(&tap);
+  {
+    InvariantOracle oracle(net);
+    EXPECT_EQ(sim.check_observer(), &oracle);
+  }
+  EXPECT_EQ(sim.check_observer(), &tap);
+}
+
+/// A clean DCP star of three hosts with the oracle armed; run() moves one
+/// flow from host 0 to host 2.
+struct OracleStar {
+  Simulator sim;
+  Logger log{LogLevel::kOff};
+  Network net{sim, log};
+  Star star;
+  SharedBuffer stray{64 * 1024, 4};  // outlives the oracle that watches it
+  std::unique_ptr<InvariantOracle> oracle;
+
+  OracleStar() {
+    SchemeSetup s = make_scheme(SchemeKind::kDcp);
+    star = build_star(net, 3, s.sw);
+    apply_scheme(net, s);
+    oracle = std::make_unique<InvariantOracle>(net);
+  }
+
+  void run(std::uint64_t bytes) {
+    FlowSpec spec;
+    spec.src = star.hosts[0]->id();
+    spec.dst = star.hosts[2]->id();
+    spec.bytes = bytes;
+    const FlowId id = net.start_flow(spec);
+    net.run_until_done(seconds(1));
+    ASSERT_TRUE(net.record(id).complete());
+  }
+};
+
+std::vector<std::string> lines_of(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t at = 0;
+  for (std::size_t nl; (nl = s.find('\n', at)) != std::string::npos; at = nl + 1) {
+    out.push_back(s.substr(at, nl - at));
+  }
+  EXPECT_EQ(at, s.size()) << "trace_slice ends without a newline";
+  return out;
+}
+
+// trace_slice() prints one readable line per event: time, what happened,
+// flow, packet type and sequence numbers, and the node.
+TEST(InvariantOracle, TraceSliceRendersReadableLines) {
+  OracleStar f;
+  f.run(2 * kMtuPayload);
+  f.oracle->finalize();
+  ASSERT_TRUE(f.oracle->ok()) << f.oracle->summary();
+
+  const std::vector<std::string> five = lines_of(f.oracle->trace_slice(5));
+  ASSERT_EQ(five.size(), 5u);
+  for (const std::string& line : five) {
+    EXPECT_NE(line.find("us  "), std::string::npos) << line;
+    EXPECT_NE(line.find(" flow=1 "), std::string::npos) << line;
+    EXPECT_NE(line.find(" psn="), std::string::npos) << line;
+  }
+  const std::string all = f.oracle->trace_slice(256);
+  for (const char* word : {"send", "deliver", " data ", " ack ", "node="}) {
+    EXPECT_NE(all.find(word), std::string::npos) << word << "\n" << all;
+  }
+}
+
+// The ring behind trace_slice() holds the newest 256 events, and a shorter
+// slice is the tail of a longer one.
+TEST(InvariantOracle, TraceRingHoldsTheNewestEvents) {
+  OracleStar f;
+  f.run(300'000);  // 300 data packets: well over 256 events
+  const std::vector<std::string> all = lines_of(f.oracle->trace_slice(1000));
+  ASSERT_EQ(all.size(), 256u);
+  const std::vector<std::string> tail = lines_of(f.oracle->trace_slice(10));
+  EXPECT_EQ(tail, std::vector<std::string>(all.end() - 10, all.end()));
+}
+
+// Recording freezes at the first violation, so the slice shows the events
+// that led up to it and nothing after.
+TEST(InvariantOracle, TraceFreezesAtTheFirstViolation) {
+  OracleStar f;
+  f.oracle->watch_buffer(f.stray);
+  std::string at_violation;
+  f.sim.schedule(microseconds(3), [&] {
+    f.stray.release(0, 0, 500);  // nothing was charged: a violation now
+    at_violation = f.oracle->trace_slice(256);
+  });
+  f.run(100'000);
+  ASSERT_FALSE(f.oracle->ok());
+  EXPECT_EQ(f.oracle->first()->invariant, "buffer-conservation");
+  EXPECT_FALSE(at_violation.empty());
+  EXPECT_EQ(f.oracle->trace_slice(256), at_violation);
 }
 
 // ---------------------------------------------------------------------------

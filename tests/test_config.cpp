@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "harness/config.h"
 
 namespace dcp {
@@ -204,19 +207,19 @@ TEST(Config, SchemeSectionParsesKnobs) {
 }
 
 TEST(Config, SchemeSectionRoundTripsEveryScheme) {
-  const SchemeKind kinds[] = {SchemeKind::kPfc,     SchemeKind::kIrn,  SchemeKind::kIrnEcmp,
-                              SchemeKind::kMpRdma,  SchemeKind::kDcp,  SchemeKind::kCx5,
-                              SchemeKind::kTimeout, SchemeKind::kRackTlp, SchemeKind::kTcp,
-                              SchemeKind::kFec};
-  for (SchemeKind k : kinds) {
-    SchemeOptions opt;
-    opt.fec_k = 6;
-    opt.fec_m = 2;
-    opt.fec_stream_window_bytes = 123456;
-    opt.fec_nack_delay = microseconds(75);
-    auto cfg = parse_experiment_config(scheme_config_text(k, opt));
-    ASSERT_TRUE(cfg.has_value()) << scheme_name(k);
-    EXPECT_EQ(cfg->websearch.scheme, k) << scheme_name(k);
+  const std::pair<const char*, SchemeKind> kinds[] = {
+      {"pfc", SchemeKind::kPfc},         {"irn", SchemeKind::kIrn},
+      {"irn-ecmp", SchemeKind::kIrnEcmp}, {"mp-rdma", SchemeKind::kMpRdma},
+      {"dcp", SchemeKind::kDcp},         {"cx5", SchemeKind::kCx5},
+      {"timeout", SchemeKind::kTimeout}, {"rack-tlp", SchemeKind::kRackTlp},
+      {"tcp", SchemeKind::kTcp},         {"fec", SchemeKind::kFec}};
+  for (const auto& [name, k] : kinds) {
+    const std::string text = std::string("[scheme]\nkind = ") + name +
+                             "\nfec_k = 6\nfec_m = 2\nfec_stream_window_bytes = 123456\n"
+                             "fec_nack_delay_us = 75\n";
+    auto cfg = parse_experiment_config(text);
+    ASSERT_TRUE(cfg.has_value()) << name;
+    EXPECT_EQ(cfg->websearch.scheme, k) << name;
     EXPECT_EQ(cfg->websearch.opt.fec_k, 6u);
     EXPECT_EQ(cfg->websearch.opt.fec_m, 2u);
     EXPECT_EQ(cfg->websearch.opt.fec_stream_window_bytes, 123456u);

@@ -147,6 +147,33 @@ TEST(E2eDcp, PfcKeepsGbnLossless) {
   EXPECT_GT(sw.pauses_sent, 0u);           // and it actually paused
 }
 
+// The network keeps one record per started flow, in start order, holding
+// the flow's spec and what its receiver got.
+TEST(E2eRecords, OneRecordPerFlowInStartOrder) {
+  E2eFixture f;
+  SchemeSetup s = make_scheme(SchemeKind::kDcp);
+  Star t = build_star(f.net, 3, s.sw);
+  apply_scheme(f.net, s);
+
+  std::vector<FlowId> ids;
+  for (std::size_t i = 0; i < 4; ++i) {
+    ids.push_back(one_flow(f.net, t.hosts[i % 2], t.hosts[2], 50'000 + i * 1000));
+  }
+  f.net.run_until_done(seconds(1));
+
+  ASSERT_EQ(f.net.flows_started(), 4u);
+  ASSERT_EQ(f.net.records().size(), 4u);
+  EXPECT_TRUE(f.net.all_flows_done());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const FlowRecord& rec = f.net.records()[i];
+    EXPECT_EQ(&rec, &f.net.record(ids[i]));
+    EXPECT_EQ(rec.spec.src, t.hosts[i % 2]->id());
+    EXPECT_EQ(rec.spec.dst, t.hosts[2]->id());
+    EXPECT_EQ(rec.spec.bytes, 50'000 + i * 1000);
+    EXPECT_EQ(rec.receiver.bytes_received, rec.spec.bytes);
+  }
+}
+
 TEST(E2eTestbed, CrossSwitchFlowsUseParallelLinks) {
   E2eFixture f;
   SchemeSetup s = make_scheme(SchemeKind::kDcp);

@@ -36,8 +36,10 @@ void* operator new(std::size_t n, std::align_val_t a) {
   if (posix_memalign(&p, static_cast<std::size_t>(a), n) == 0) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined, they show gcc a `new`-allocated pointer
+// reaching a bare std::free, and it warns -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 

@@ -4,10 +4,10 @@
 // stats, switch counters) and same events_processed — across every
 // snapshottable scheme, the §4.5 bitmap receiver, and serial and sharded
 // event cores.  Also covers re-save byte-equality (save(restore(img)) ==
-// img), image versioning, the TcpLite unsupported-scheme refusal,
-// warm-booted sweeps, a 200-seed oracle-armed fuzz batch through the
-// restore path, and snapshot-accelerated ddmin shrink equivalence on the
-// injected-bug needle.
+// img), image versioning, the TcpLite unsupported-scheme refusal, pooled
+// restores from one shared image, a 200-seed oracle-armed fuzz batch
+// through the restore path, and snapshot-accelerated ddmin shrink
+// equivalence on the injected-bug needle.
 
 #include <gtest/gtest.h>
 
@@ -339,22 +339,31 @@ TEST(Snapshot, RestoreRefusesMismatchedSpec) {
   EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
 }
 
-TEST(Snapshot, WarmBootSweepMatchesColdRuns) {
+// Eight pooled trials restore concurrently from one shared image: each
+// builds its own world, so the image is the only state they share.
+TEST(Snapshot, PooledRestoresFromOneImageMatchColdRuns) {
   const WorldSpec ws = spec_for(clean_scenario(SchemeKind::kDcp));
   const WorldDigest cold = cold_digest(ws);
 
-  WarmBoot wb(ws, microseconds(60));
-  ASSERT_TRUE(wb.ok()) << wb.error();
+  SnapshotImage img;
+  {
+    SimWorld prefix(ws);
+    prefix.run_to(microseconds(60));
+    std::string err;
+    ASSERT_TRUE(prefix.save(img, &err)) << err;
+  }
 
   SweepRunner pool(4);
   pool.set_progress(false);
   auto digests = pool.run(8, [&](std::size_t) {
+    SimWorld w(ws);
     std::string err;
-    std::unique_ptr<SimWorld> w = wb.boot(&err);
-    EXPECT_NE(w, nullptr) << err;
-    if (w == nullptr) return WorldDigest{};
-    w->run_until_done();
-    return w->digest();
+    if (!w.restore(img, /*allow_spec_delta=*/false, &err)) {
+      ADD_FAILURE() << "restore failed: " << err;
+      return WorldDigest{};
+    }
+    w.run_until_done();
+    return w.digest();
   });
   for (const WorldDigest& d : digests) {
     EXPECT_EQ(cold.value, d.value);

@@ -71,6 +71,18 @@ TEST(FctStats, BucketsBySize) {
   EXPECT_EQ(s.flows(), 3u);
 }
 
+TEST(FctStats, EmptyBucketsReportZero) {
+  FctStats s({1000, 1'000'000});
+  s.add(fake_record(500, microseconds(4)), microseconds(2));  // bucket 0, slowdown 2
+  EXPECT_EQ(s.per_bucket_percentile(50), (std::vector<double>{2.0, 0.0, 0.0}));
+  EXPECT_EQ(s.per_bucket_percentile(99), (std::vector<double>{2.0, 0.0, 0.0}));
+}
+
+TEST(FctStats, BucketEdgesEndWithTheCatchAll) {
+  const FctStats s({1000, 1'000'000});
+  EXPECT_EQ(s.bucket_edges(), (std::vector<std::uint64_t>{1000, 1'000'000, UINT64_MAX}));
+}
+
 TEST(FctStats, IncompleteFlowsIgnored) {
   FctStats s({1000});
   FlowRecord r = fake_record(500, microseconds(4));
