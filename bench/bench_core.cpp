@@ -91,7 +91,7 @@ CorePerf micro_lane_burst(int rounds, int burst) {
 }
 
 /// One switch hop under a mixed data/ACK/header-only stream — the path the
-/// static-dispatch + hot/cold-split work targets.  A 4:1-oversubscribed
+/// static-dispatch work and the per-hop packet prefix target.  A 4:1-oversubscribed
 /// ingress wire feeds one egress port, so the data queue builds past the
 /// (shallow) trim threshold and every receive outcome runs: classification,
 /// route lookup, data enqueue, trim-to-HO, control-queue enqueue, and
@@ -444,7 +444,7 @@ int run_check(const char* json_path) {
 
   // Switch-datapath micro: short (so noisier than the macro), hence the
   // wider 0.70x floor — still tight enough that losing the static dispatch
-  // or fattening PacketHot past a cache line shows up.  Skipped (with a
+  // or pushing per-hop packet fields past a cache line shows up.  Skipped (with a
   // note) against committed files that predate the entry.
   const double sw_committed = json_metric(ss.str(), "micro_switch_receive", "events_per_sec");
   if (sw_committed > 0.0) {

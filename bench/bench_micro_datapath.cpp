@@ -100,7 +100,7 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_EventQueueCancelHeavy);
 
 // Pooled packet churn: acquire, fill, move, release — the per-hop cost of
-// the PacketPtr datapath vs copying ~130-byte Packets by value.
+// the PacketPtr datapath vs copying 96-byte Packets by value.
 void BM_PacketPool(benchmark::State& state) {
   std::uint32_t i = 0;
   for (auto _ : state) {

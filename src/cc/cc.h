@@ -31,7 +31,6 @@ class CongestionControl {
   /// (consumed by delay-based CCs such as TIMELY).
   virtual void on_rtt_sample(Time rtt) { (void)rtt; }
   virtual void on_cnp() {}
-  virtual void on_ecn_echo() {}
   virtual void on_timeout() {}
 
   /// Checkpoint hook (sim/snapshot.h): CCs with runtime state (DCQCN,

@@ -37,7 +37,6 @@ class ToyFactory final : public TransportFactory {
   std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
                                                    const FlowSpec& spec,
                                                    const TransportConfig& cfg) override;
-  std::string name() const override { return "toy"; }
 
  private:
   ToyBug bug_;
@@ -51,7 +50,6 @@ class BrokenDcpFactory final : public TransportFactory {
   std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
                                                    const FlowSpec& spec,
                                                    const TransportConfig& cfg) override;
-  std::string name() const override { return "DCP+dup-completion"; }
 };
 
 }  // namespace dcp

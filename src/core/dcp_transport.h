@@ -207,7 +207,6 @@ class DcpFactory final : public TransportFactory {
     }
     return std::make_unique<DcpReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "DCP"; }
 };
 
 /// Wire size of a DCP data packet header for the given operation: 57 B base

@@ -16,6 +16,11 @@
 //
 // "Steps" count the sequential dependent accesses a 300 MHz pipeline would
 // make: the structures are exercised for real and report their own cost.
+//
+// All three offer the same calls, used through templates: on_packet(psn)
+// marks a PSN received and returns the steps it took; is_received(psn);
+// advance_head(psn) says PSNs below `psn` will never be queried again; and
+// memory_bytes() is the on-NIC memory currently committed.
 
 #include <algorithm>
 #include <cstdint>
@@ -56,30 +61,15 @@ struct MessageLayout {
   }
 };
 
-class PacketTracker {
- public:
-  virtual ~PacketTracker() = default;
-
-  /// Marks PSN received; returns the number of sequential steps taken.
-  virtual int on_packet(std::uint32_t psn) = 0;
-  virtual bool is_received(std::uint32_t psn) const = 0;
-  /// Advances the window head: PSNs below `psn` will never be queried again.
-  virtual void advance_head(std::uint32_t psn) = 0;
-  /// Bytes of on-NIC memory currently committed by this tracker.
-  virtual std::uint64_t memory_bytes() const = 0;
-  virtual const char* name() const = 0;
-};
-
 /// (a) Fixed BDP-sized bitmap.
-class BdpBitmapTracker final : public PacketTracker {
+class BdpBitmapTracker {
  public:
   explicit BdpBitmapTracker(std::uint32_t window_pkts);
 
-  int on_packet(std::uint32_t psn) override;
-  bool is_received(std::uint32_t psn) const override;
-  void advance_head(std::uint32_t psn) override;
-  std::uint64_t memory_bytes() const override;
-  const char* name() const override { return "BDP-sized"; }
+  int on_packet(std::uint32_t psn);
+  bool is_received(std::uint32_t psn) const;
+  void advance_head(std::uint32_t psn);
+  std::uint64_t memory_bytes() const;
 
  private:
   std::vector<std::uint64_t> bits_;  // circular bitmap
@@ -88,19 +78,16 @@ class BdpBitmapTracker final : public PacketTracker {
 };
 
 /// (b) Linked chunks of 128 bits allocated from a pool on demand.
-class LinkedChunkTracker final : public PacketTracker {
+class LinkedChunkTracker {
  public:
   static constexpr std::uint32_t kChunkBits = 128;
 
   explicit LinkedChunkTracker(std::uint32_t max_window_pkts = 1u << 20);
 
-  int on_packet(std::uint32_t psn) override;
-  bool is_received(std::uint32_t psn) const override;
-  void advance_head(std::uint32_t psn) override;
-  std::uint64_t memory_bytes() const override;
-  const char* name() const override { return "Linked chunk"; }
-
-  std::size_t chunks_allocated() const { return chunks_.size(); }
+  int on_packet(std::uint32_t psn);
+  bool is_received(std::uint32_t psn) const;
+  void advance_head(std::uint32_t psn);
+  std::uint64_t memory_bytes() const;
 
  private:
   struct Chunk {
@@ -118,17 +105,16 @@ class LinkedChunkTracker final : public PacketTracker {
 };
 
 /// (c) DCP's bitmap-free per-message counting.
-class MessageCounterTracker final : public PacketTracker {
+class MessageCounterTracker {
  public:
   /// `outstanding` bounds the number of simultaneously tracked messages
   /// (NCCL default: 8).
   MessageCounterTracker(const MessageLayout& layout, std::uint32_t outstanding);
 
-  int on_packet(std::uint32_t psn) override;
-  bool is_received(std::uint32_t psn) const override;  // message-granular
-  void advance_head(std::uint32_t /*psn*/) override {}
-  std::uint64_t memory_bytes() const override;
-  const char* name() const override { return "DCP"; }
+  int on_packet(std::uint32_t psn);
+  bool is_received(std::uint32_t psn) const;  // message-granular
+  void advance_head(std::uint32_t /*psn*/) {}
+  std::uint64_t memory_bytes() const;
 
   bool message_complete(std::uint32_t msn) const;
   std::uint32_t emsn() const { return emsn_; }

@@ -114,8 +114,6 @@ class SimWorld {
   WorldDigest digest() const;
 
  private:
-  Simulator& shard_sim(int i) { return shards_->sim(i); }
-
   WorldSpec spec_;
   std::unique_ptr<ShardGroup> shards_;
   std::unique_ptr<Logger> log_;

@@ -247,35 +247,6 @@ std::optional<ExperimentConfig> load_experiment_config(const std::string& path,
   return parse_experiment_config(ss.str(), error);
 }
 
-namespace {
-
-// Renders the per-episode recovery table into the report string.
-std::string recovery_table_text(const std::vector<RecoveryStats::Episode>& episodes) {
-  if (episodes.empty()) return {};
-  std::vector<std::vector<std::string>> rows = RecoveryStats::table_rows(episodes);
-  std::vector<std::string> headers = RecoveryStats::table_headers();
-  std::vector<std::size_t> width(headers.size());
-  for (std::size_t c = 0; c < headers.size(); ++c) width[c] = headers[c].size();
-  for (const auto& row : rows) {
-    for (std::size_t c = 0; c < row.size() && c < width.size(); ++c) {
-      width[c] = std::max(width[c], row[c].size());
-    }
-  }
-  std::string out;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      out += cells[c];
-      if (c + 1 < cells.size()) out.append(width[c] - cells[c].size() + 2, ' ');
-    }
-    out += '\n';
-  };
-  emit(headers);
-  for (const auto& row : rows) emit(row);
-  return out;
-}
-
-}  // namespace
-
 std::string run_configured_experiment(const ExperimentConfig& cfg) {
   char buf[256];
   std::string out;
@@ -342,7 +313,11 @@ std::string run_configured_experiment(const ExperimentConfig& cfg) {
                     static_cast<unsigned long long>(r.wire.corrupted),
                     static_cast<unsigned long long>(r.wire.blackholed));
       out = buf;
-      out += recovery_table_text(r.fault_episodes);
+      if (!r.fault_episodes.empty()) {
+        Table t(RecoveryStats::table_headers());
+        for (auto& row : RecoveryStats::table_rows(r.fault_episodes)) t.add_row(std::move(row));
+        out += t.str();
+      }
       break;
     }
   }

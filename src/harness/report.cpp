@@ -5,7 +5,7 @@
 
 namespace dcp {
 
-void Table::print(std::FILE* out) const {
+std::string Table::str() const {
   std::vector<std::size_t> width(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();
   for (const auto& row : rows_) {
@@ -13,19 +13,24 @@ void Table::print(std::FILE* out) const {
       width[c] = std::max(width[c], row[c].size());
     }
   }
+  std::string out;
   auto line = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < width.size(); ++c) {
-      const std::string& s = c < cells.size() ? cells[c] : std::string();
-      std::fprintf(out, "%c %-*s", c == 0 ? '|' : '|', static_cast<int>(width[c]), s.c_str());
+      const bool has = c < cells.size();
+      out += "| ";
+      if (has) out += cells[c];
+      out.append(width[c] - (has ? cells[c].size() : 0), ' ');
     }
-    std::fprintf(out, "|\n");
+    out += "|\n";
   };
   line(headers_);
   for (std::size_t c = 0; c < width.size(); ++c) {
-    std::fprintf(out, "|%s", std::string(width[c] + 1, '-').c_str());
+    out += '|';
+    out.append(width[c] + 1, '-');
   }
-  std::fprintf(out, "|\n");
+  out += "|\n";
   for (const auto& row : rows_) line(row);
+  return out;
 }
 
 std::string Table::num(double v, int precision) {

@@ -13,7 +13,10 @@ class Table {
   explicit Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
   void add_row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
-  void print(std::FILE* out = stdout) const;
+  /// The rendered table: a header row, a rule, then one row per add_row,
+  /// every column padded to its widest cell.
+  std::string str() const;
+  void print(std::FILE* out = stdout) const { std::fputs(str().c_str(), out); }
 
   static std::string num(double v, int precision = 2);
   static std::string bytes_human(std::uint64_t b);

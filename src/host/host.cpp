@@ -14,10 +14,9 @@ void Host::receive_fast(PacketPtr pkt, std::uint32_t /*in_port*/) {
     return;
   }
 
-  // End of the pooled path: gather the flat packet (the delivery's one
-  // cold-record read), return the slot, and hand the value to the
-  // transport state machines.
-  Packet flat(*pkt);
+  // End of the pooled path: copy the record out, return the slot, and hand
+  // the value to the transport state machines.
+  Packet flat = *pkt;
   pkt.reset();
   if (CheckObserver* ob = sim_.check_observer()) ob->on_host_deliver(id(), flat);
 

@@ -31,9 +31,9 @@ class Host final : public Node {
   /// as the statically-dispatched entry.
   void receive(PacketPtr pkt, std::uint32_t in_port) override { receive_fast(std::move(pkt), in_port); }
   /// Statically-dispatched delivery entry (Channel::arrive casts to the
-  /// final type and calls this non-virtually).  Gathers the flat
-  /// packet once — the cold record's only read on the delivery path — and
-  /// hands it to the transport state machines by value.
+  /// final type and calls this non-virtually).  Copies the packet out of
+  /// its pool slot once and hands it to the transport state machines by
+  /// value.
   void receive_fast(PacketPtr pkt, std::uint32_t in_port);
 
   void add_sender(std::unique_ptr<SenderTransport> s);

@@ -83,14 +83,11 @@ void RnicScheduler::kick() {
 void RnicScheduler::checkpoint(StateIO& io, Host& host) {
   io.label(0x121Cu);
   channel_.checkpoint(io);
-  // Control queue: flat packet records in FIFO order.
+  // Control queue: packet records in FIFO order.
   std::uint64_t nq = control_q_.size();
   io.pod(nq);
   if (io.saving()) {
-    for (auto& p : control_q_) {
-      Packet flat(*p);
-      io.pod(flat);
-    }
+    for (auto& p : control_q_) io.pod(*p);
   } else {
     if (!control_q_.empty()) {
       io.fail("restore target NIC has queued control packets");

@@ -208,7 +208,6 @@ class TransportFactory {
   virtual std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
                                                            const FlowSpec& spec,
                                                            const TransportConfig& cfg) = 0;
-  virtual std::string name() const = 0;
 };
 
 }  // namespace dcp

@@ -56,7 +56,6 @@ void Channel::deliver_slow(PacketPtr pkt, Time extra) {
   const bool corrupt =
       fault_ != nullptr && fault_->corrupt_rate > 0.0 && fault_->rng->chance(fault_->corrupt_rate);
   delivered_packets_++;
-  delivered_bytes_ += pkt->wire_bytes;
   const std::uint32_t epoch = cut_epoch_;
 
   if (cross_dst_sim_ != nullptr) {
@@ -235,7 +234,6 @@ void Channel::checkpoint(StateIO& io) {
   io.pod(drop_in_flight_on_cut_);
   io.pod(cut_epoch_);
   io.pod(delivered_packets_);
-  io.pod(delivered_bytes_);
   io.pod(discarded_packets_);
   io.pod(in_flight_dropped_);
   if (io.saving() && !outbox_.empty()) {
@@ -253,12 +251,11 @@ void Channel::checkpoint(StateIO& io) {
       std::uint64_t seq = r->seq;
       std::uint32_t epoch = r->epoch;
       std::uint8_t corrupt = r->corrupt ? 1 : 0;
-      Packet flat(*r->pkt);
       io.pod(t);
       io.seq(seq);
       io.pod(epoch);
       io.pod(corrupt);
-      io.pod(flat);
+      io.pod(*r->pkt);
     }
   } else {
     if (lane_head_ != nullptr) {

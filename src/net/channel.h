@@ -99,7 +99,6 @@ class Channel {
       return;
     }
     delivered_packets_++;
-    delivered_bytes_ += pkt->wire_bytes;
     LaneRecord* r = LanePool::local().acquire();
     r->t = sim_.now() + extra + propagation_;
     r->seq = sim_.alloc_event_seq();
@@ -129,14 +128,12 @@ class Channel {
   /// (their send-time epoch no longer matches) and still reach the head at
   /// their stamped times, where they account as in-flight drops.
   void set_drop_in_flight_on_cut(bool drop) { drop_in_flight_on_cut_ = drop; }
-  bool drop_in_flight_on_cut() const { return drop_in_flight_on_cut_; }
 
   /// Fault-injection state (see ChannelFault).  Pass nullptr to detach.
   void set_fault(ChannelFault* f) { fault_ = f; }
   ChannelFault* fault() const { return fault_; }
 
   std::uint64_t delivered_packets() const { return delivered_packets_; }
-  std::uint64_t delivered_bytes() const { return delivered_bytes_; }
   std::uint64_t discarded_packets() const { return discarded_packets_; }
   std::uint64_t in_flight_dropped() const { return in_flight_dropped_; }
 
@@ -161,7 +158,6 @@ class Channel {
   /// simulator for cut edges, nullptr for shard-internal channels (which
   /// only need their parked lane stamps remapped at barriers).
   void enable_shard_mode(Simulator* dst_sim);
-  bool cross_shard() const { return cross_dst_sim_ != nullptr; }
   /// Barrier-only: commits outbox stamps and hands the batch to the
   /// destination shard (runs on the coordinator with all shards parked).
   /// Returns the number of records moved — the ShardGroup's mailbox-
@@ -218,7 +214,6 @@ class Channel {
   std::uint32_t cut_epoch_ = 0;  // bumped by drop-in-flight cuts
   ChannelFault* fault_ = nullptr;
   std::uint64_t delivered_packets_ = 0;
-  std::uint64_t delivered_bytes_ = 0;
   std::uint64_t discarded_packets_ = 0;
   std::uint64_t in_flight_dropped_ = 0;
 

@@ -1,137 +1,39 @@
 #pragma once
-// A freelist pool of pooled packet records and the owning handle that
-// moves them through the datapath.
+// The pool of in-flight packets and the owning handle that moves them
+// through the datapath.
 //
-// The seed simulator copied the ~130-byte Packet struct at every stage of
-// every hop: into the egress FifoQueue, out of it, into the delivery
-// closure (which std::function heap-allocated), and into the receiver.
-// With the pool, a packet is materialized once at injection and then a
-// single 8-byte PacketPtr travels through queues, events, and channels;
+// The seed simulator copied the Packet struct at every stage of every hop:
+// into the egress FifoQueue, out of it, into the delivery closure (which
+// std::function heap-allocated), and into the receiver.  With the pool, a
+// packet is copied once at injection into a 64-byte-aligned slot, and then
+// a single 8-byte PacketPtr travels through queues, events and channels;
 // dropping a packet (tail-drop, link down, trim-refused) is just letting
-// the handle die, which recycles the slot.
-//
-// Storage is structure-of-arrays: each pool slot is a PacketHot (one
-// cache line — everything the switch/port/lane path reads) permanently
-// paired with a PacketCold in a parallel slab (host-transport fields,
-// initialized lazily).  A blank acquire writes only the hot line; the
-// cold record is first touched at injection (assign) or on demand
-// (cold()) — a packet that dies in the fabric never pulls its cold line
-// into cache.
-//
-// The pool is thread-local: simulations on the same thread share one
-// freelist (harmless — packets are pure value state and nothing in the
-// simulator depends on slot addresses), while simulations on different
-// threads never contend.  Slabs are chunked and never shrink, so the
-// steady-state acquire/release cycle performs zero heap allocations.
-//
-// Thread exit does NOT free the slabs: a shard worker's packets can still
-// be in flight when the ShardGroup joins the thread (teardown releases
-// them on the coordinator, into *its* freelist), so a dying pool donates
-// its slabs and unclaimed slots to a process-wide retired store that new
-// pools draw from before allocating fresh slabs.  Donated hot slots keep
-// their cold_slot pairing; the paired cold slabs park in the cold store
-// purely to stay alive.  See pool_retire.h.
-
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <type_traits>
-#include <vector>
+// the handle die, which recycles the slot.  Each slot starts a cache line,
+// so the per-hop prefix of the record (net/packet.h) is one line.
 
 #include "net/packet.h"
+#include "net/slab_pool.h"
 
 namespace dcp {
 
-class PacketPool {
- public:
-  struct Stats {
-    std::uint64_t acquires = 0;
-    std::uint64_t releases = 0;
-    std::size_t slots = 0;    // total slots ever allocated
-    std::size_t in_use = 0;   // currently checked out
-  };
+using PacketPool = SlabPool<Packet, 64>;
 
-  /// The calling thread's pool.
-  static PacketPool& local();
-
-  PacketPool() = default;
-  ~PacketPool();
-  PacketPool(const PacketPool&) = delete;
-  PacketPool& operator=(const PacketPool&) = delete;
-
-  PacketHot* acquire() {
-    if (free_.empty()) grow();
-    PacketHot* p = free_.back();
-    free_.pop_back();
-    ++acquires_;
-    return p;
-  }
-
-  void release(PacketHot* p) {
-    ++releases_;
-    free_.push_back(p);
-  }
-
-  Stats stats() const {
-    // Cross-thread teardown releases can park foreign-slab slots in this
-    // freelist, so clamp rather than underflow.
-    return Stats{acquires_, releases_, slots_,
-                 free_.size() >= slots_ ? 0 : slots_ - free_.size()};
-  }
-
-  /// Slab footprint of every slot this pool has ever acquired (hot + cold
-  /// records, including slots adopted from the retired store — their slabs
-  /// live elsewhere but the memory is held on this pool's behalf).
-  std::uint64_t arena_bytes() const {
-    return static_cast<std::uint64_t>(slots_) * (sizeof(PacketHot) + sizeof(PacketCold));
-  }
-
- private:
-  // Chunks grow geometrically (512 slots doubling to a 64Ki cap): a 10k-host
-  // fat-tree with ~1M packets in flight takes ~30 slab allocations instead
-  // of ~2000, while small runs keep the historical one-page footprint.
-  static constexpr std::size_t kChunkPackets = 512;
-  static constexpr std::size_t kMaxChunkPackets = 65536;
-
-  void grow();
-
-  std::vector<std::unique_ptr<PacketHot[]>> chunks_;
-  // Parallel slabs: chunk i's slot j is paired with cold_chunks_[i][j] at
-  // allocation time and the pairing never changes.
-  std::vector<std::unique_ptr<PacketCold[]>> cold_chunks_;
-  std::vector<PacketHot*> free_;
-  std::size_t slots_ = 0;        // owned + reclaimed (chunk sizes vary)
-  std::size_t next_chunk_ = kChunkPackets;
-  std::size_t reclaimed_ = 0;  // slots adopted from the retired store
-  std::uint64_t acquires_ = 0;
-  std::uint64_t releases_ = 0;
-};
+static_assert(alignof(PacketPool::Slot) == 64 && sizeof(PacketPool::Slot) == 128,
+              "pool slots must start a cache line, and a Packet must fit two");
 
 /// Move-only owning handle to a pooled packet.  8 bytes; returns the slot
-/// to the thread-local pool when it goes out of scope.  Dereferencing
-/// yields the hot record; `Packet flat(*ptr)` gathers the full packet and
-/// `ptr->cold()` reaches the cold fields directly.
+/// to the thread-local pool when it goes out of scope.
 class PacketPtr {
  public:
   PacketPtr() = default;
 
-  /// A fresh default packet from the pool.  Initializes the HOT record
-  /// only — the cold record stays untouched until cold()/assign() (a
-  /// packet dropped in the fabric never writes those bytes).
-  static PacketPtr make() {
+  /// A pooled copy of `src` (a default packet when omitted), made once at
+  /// injection into the datapath.
+  static PacketPtr make(const Packet& src = Packet{}) {
     PacketPtr p(PacketPool::local().acquire());
-    p.p_->init_hot();
+    *p.p_ = src;
     return p;
   }
-
-  /// A pooled copy of `src` (the one full scatter a packet's lifetime
-  /// pays, at injection into the datapath).
-  static PacketPtr make(const Packet& src) {
-    PacketPtr p(PacketPool::local().acquire());
-    p.p_->assign(src);
-    return p;
-  }
-  static PacketPtr make(Packet&& src) { return make(static_cast<const Packet&>(src)); }
 
   PacketPtr(PacketPtr&& other) noexcept : p_(other.p_) { other.p_ = nullptr; }
   PacketPtr& operator=(PacketPtr&& other) noexcept {
@@ -153,33 +55,29 @@ class PacketPtr {
     }
   }
 
-  PacketHot& operator*() const { return *p_; }
-  PacketHot* operator->() const { return p_; }
-  PacketHot* get() const { return p_; }
+  Packet& operator*() const { return *p_; }
+  Packet* operator->() const { return p_; }
+  Packet* get() const { return p_; }
   explicit operator bool() const { return p_ != nullptr; }
 
   /// Detaches the raw pooled pointer without releasing it — for intrusive
   /// structures (delivery-lane records) that park packets outside a handle.
   /// The caller owns the slot until it re-wraps it with adopt().
-  PacketHot* release_raw() {
-    PacketHot* p = p_;
+  Packet* release_raw() {
+    Packet* p = p_;
     p_ = nullptr;
     return p;
   }
 
   /// Re-wraps a pointer previously taken via release_raw().
-  static PacketPtr adopt(PacketHot* p) { return PacketPtr(p); }
+  static PacketPtr adopt(Packet* p) { return PacketPtr(p); }
 
  private:
-  explicit PacketPtr(PacketHot* p) : p_(p) {}
+  explicit PacketPtr(Packet* p) : p_(p) {}
 
-  PacketHot* p_ = nullptr;
+  Packet* p_ = nullptr;
 };
 
-static_assert(std::is_trivially_copyable_v<Packet> &&
-                  std::is_trivially_copyable_v<PacketHot> &&
-                  std::is_trivially_copyable_v<PacketCold>,
-              "packet records must stay plain value types: the pool recycles "
-              "slots by assignment and never runs destructors");
+static_assert(sizeof(PacketPtr) == sizeof(void*), "the datapath handle must stay 8 bytes");
 
 }  // namespace dcp

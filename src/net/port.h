@@ -108,7 +108,7 @@ class Port {
   /// it hits the wire.  The owner (switch) uses it to release shared-buffer
   /// and PFC ingress accounting.  A raw (fn, ctx) pair rather than a
   /// std::function: this fires once per transmitted packet on the hot path.
-  using DequeueHook = void (*)(void* ctx, const PacketHot&);
+  using DequeueHook = void (*)(void* ctx, const Packet&);
   void set_dequeue_hook(DequeueHook fn, void* ctx) {
     dequeue_fn_ = fn;
     dequeue_ctx_ = ctx;

@@ -1,7 +1,7 @@
 #pragma once
 // FIFO packet queue with byte accounting, used for every egress queue class.
 // Stores pooled packet handles: pushing and popping moves 8 bytes, not the
-// ~130-byte Packet struct.
+// 96-byte Packet struct.
 
 #include <cstdint>
 #include <deque>
@@ -29,23 +29,20 @@ class FifoQueue {
     return p;
   }
 
-  const PacketHot& front() const { return *q_.front(); }
+  const Packet& front() const { return *q_.front(); }
   bool empty() const { return q_.empty(); }
   std::size_t packets() const { return q_.size(); }
   std::uint64_t bytes() const { return bytes_; }
   std::uint64_t max_bytes_seen() const { return max_bytes_seen_; }
 
-  /// Checkpoint hook (sim/snapshot.h): queued packets in FIFO order as
-  /// flat records; byte accounting is rebuilt by re-pushing.
+  /// Checkpoint hook (sim/snapshot.h): queued packets in FIFO order;
+  /// byte accounting is rebuilt by re-pushing.
   template <typename IO>
   void checkpoint(IO& io) {
     std::uint64_t n = q_.size();
     io.pod(n);
     if (io.saving()) {
-      for (PacketPtr& p : q_) {
-        Packet flat(*p);
-        io.pod(flat);
-      }
+      for (PacketPtr& p : q_) io.pod(*p);
     } else {
       if (!q_.empty()) {
         io.fail("restore target FIFO queue non-empty");

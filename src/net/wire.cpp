@@ -188,9 +188,9 @@ std::vector<std::uint8_t> encode(const Packet& pkt, bool include_payload) {
   const std::uint8_t ecn_bits = pkt.ecn_ce ? 0b11 : (pkt.ecn_capable ? 0b10 : 0b00);
   w.u8(static_cast<std::uint8_t>((static_cast<std::uint8_t>(pkt.tag) << 2) | ecn_bits));
   w.u16(ip_total);
-  w.u16(static_cast<std::uint16_t>(pkt.uid));  // IP id: diagnostic
-  w.u16(0x4000);                               // DF
-  w.u8(64);                                    // TTL
+  w.u16(0);       // IP id
+  w.u16(0x4000);  // DF
+  w.u8(64);       // TTL
   w.u8(kIpProtoUdp);
   w.u16(0);  // checksum placeholder
   w.u32(ip_of_node(pkt.src));
@@ -263,8 +263,7 @@ std::optional<Packet> decode(std::span<const std::uint8_t> bytes) {
   pkt.ecn_ce = (tos & 0b11) == 0b11;
   pkt.ecn_capable = (tos & 0b11) != 0b00;
   const std::uint16_t ip_total = r.u16();
-  pkt.uid = r.u16();
-  r.skip(2);  // flags/frag
+  r.skip(4);  // id, flags/frag
   r.skip(1);  // ttl
   if (r.u8() != kIpProtoUdp) return std::nullopt;
   const std::uint16_t stored_csum = r.u16();

@@ -110,8 +110,8 @@ class ShardGroup {
   std::uint64_t busy_ns(int i) const;
   /// Total cross-shard mailbox records drained at barriers.
   std::uint64_t cross_records() const { return cross_records_; }
-  /// Bytes held by every shard's slab arenas (packet hot/cold, lane and
-  /// event records).  Workers publish their thread-local pool footprints
+  /// Bytes held by every shard's slab arenas (packet, lane and event
+  /// records).  Workers publish their thread-local pool footprints
   /// at each barrier; shard 0's pools are read directly, so this must be
   /// called on the coordinator thread.
   std::uint64_t arena_bytes() const;

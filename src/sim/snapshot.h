@@ -83,8 +83,6 @@ class StateIO {
     setup_end_ = saved_setup_end;
     delta_ = delta;
   }
-  std::uint64_t saved_setup_end() const { return setup_end_; }
-  std::int64_t seq_delta() const { return delta_; }
   /// Rewrites one saved sequence into the restore target's numbering.
   std::uint64_t translate_seq(std::uint64_t s) const {
     return s >= setup_end_ ? static_cast<std::uint64_t>(static_cast<std::int64_t>(s) - delta_)
@@ -301,7 +299,7 @@ struct SnapshotClock {
 /// ddmin path).
 struct SnapshotImage {
   static constexpr std::uint32_t kMagic = 0x44435053;  // "DCPS"
-  static constexpr std::uint32_t kVersion = 5;
+  static constexpr std::uint32_t kVersion = 6;
 
   std::uint64_t fingerprint = 0;
   std::uint32_t shards = 1;

@@ -26,10 +26,8 @@ constexpr Time microseconds(double us) { return static_cast<Time>(us * kMicrosec
 constexpr Time milliseconds(double ms) { return static_cast<Time>(ms * kMillisecond); }
 constexpr Time seconds(double s) { return static_cast<Time>(s * kSecond); }
 
-constexpr double to_ns(Time t) { return static_cast<double>(t) / kNanosecond; }
 constexpr double to_us(Time t) { return static_cast<double>(t) / kMicrosecond; }
 constexpr double to_ms(Time t) { return static_cast<double>(t) / kMillisecond; }
-constexpr double to_sec(Time t) { return static_cast<double>(t) / kSecond; }
 
 /// Bandwidth expressed as picoseconds per byte, the natural unit for
 /// computing serialization delays with integer arithmetic.

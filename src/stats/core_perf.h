@@ -26,7 +26,7 @@ struct CorePerf {
   std::uint64_t pool_acquires = 0;  // PacketPool handouts during the window
   std::size_t pool_slots = 0;       // executing thread's pool capacity after
   std::size_t event_slots = 0;      // the run's EventQueue slab capacity
-  // Slab-arena footprint after the window (packet hot/cold, lane and event
+  // Slab-arena footprint after the window (packet, lane and event
   // records over every shard — see ShardGroup::arena_bytes) and the
   // process's peak RSS, so bench_core can gate memory alongside ev/s.
   std::uint64_t arena_bytes = 0;

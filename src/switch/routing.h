@@ -224,11 +224,8 @@ std::uint32_t least_loaded(RouteView candidates, QueueDepthFn&& queue_bytes, Rng
 /// Picks an egress port index into `candidates`.
 /// `queue_bytes(port)` must return the egress data-queue depth for adaptive
 /// routing decisions; `flowlets` may be null unless policy is kFlowlet.
-/// Templated over the packet representation (flat Packet or the pooled
-/// PacketHot record — only flow/path_id and the ecmp_key fields are read,
-/// all of which live in the hot record).
-template <typename P, typename QueueDepthFn>
-std::uint32_t select_port(LbPolicy policy, const P& pkt, RouteView candidates,
+template <typename QueueDepthFn>
+std::uint32_t select_port(LbPolicy policy, const Packet& pkt, RouteView candidates,
                           QueueDepthFn&& queue_bytes, Rng& rng, Time now = 0,
                           FlowletTable* flowlets = nullptr) {
   if (candidates.size() == 1) return candidates[0];

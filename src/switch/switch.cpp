@@ -21,7 +21,7 @@ std::uint32_t Switch::add_port(Bandwidth bw, Time propagation) {
   auto port = std::make_unique<Port>(
       sim_, bw, propagation, std::array<double, kNumQueueClasses>{1.0, cfg_.control_weight});
   port->set_dequeue_hook(
-      [](void* sw, const PacketHot& p) { static_cast<Switch*>(sw)->on_port_dequeue(p); }, this);
+      [](void* sw, const Packet& p) { static_cast<Switch*>(sw)->on_port_dequeue(p); }, this);
   ports_.push_back(std::move(port));
   port_up_.push_back(true);
   pause_sent_.push_back({});
@@ -36,7 +36,7 @@ void Switch::set_link_up(std::uint32_t port, bool up) {
   for (bool u : port_up_) any_port_down_ = any_port_down_ || !u;
 }
 
-bool Switch::pick_egress(const PacketHot& pkt, std::uint32_t& eport) {
+bool Switch::pick_egress(const Packet& pkt, std::uint32_t& eport) {
   RouteView candidates = routes_.candidates(pkt.dst);
   if (any_port_down_) {
     // Failure detection has withdrawn the dead links from the candidate
@@ -63,7 +63,7 @@ bool Switch::pick_egress(const PacketHot& pkt, std::uint32_t& eport) {
   return true;
 }
 
-bool Switch::apply_injected_loss(PacketHot& pkt) {
+bool Switch::apply_injected_loss(Packet& pkt) {
   if (cfg_.trimming && pkt.tag == DcpTag::kData) {
     trim_to_header_only(pkt);
     if (CheckObserver* ob = sim_.check_observer()) ob->on_trim(id(), pkt);
@@ -77,7 +77,7 @@ bool Switch::apply_injected_loss(PacketHot& pkt) {
   return false;
 }
 
-void Switch::trim_to_header_only(PacketHot& pkt) const {
+void Switch::trim_to_header_only(Packet& pkt) const {
   pkt.type = PktType::kHeaderOnly;
   pkt.tag = DcpTag::kHeaderOnly;
   pkt.queue_class = QueueClass::kControl;
@@ -198,7 +198,7 @@ void Switch::egress_enqueue(PacketPtr pkt, std::uint32_t eport, std::uint32_t in
   }
 }
 
-void Switch::on_port_dequeue(const PacketHot& pkt) {
+void Switch::on_port_dequeue(const Packet& pkt) {
   const auto cls = static_cast<std::uint8_t>(pkt.queue_class);
   const std::uint32_t in_port = pkt.acct_in_port;
   if (in_port == UINT32_MAX) return;  // not buffer-accounted (should not happen)

@@ -146,14 +146,14 @@ class Switch final : public Node {
  private:
   /// Candidate walk (minus withdrawn links) and LB port selection.
   /// Returns false when the packet has no route (accounted + dropped).
-  bool pick_egress(const PacketHot& pkt, std::uint32_t& eport);
+  bool pick_egress(const Packet& pkt, std::uint32_t& eport);
   /// An injected-loss draw fired: trims DCP data in place (returns true —
   /// the packet lives on as header-only) or accounts a drop (false).
-  bool apply_injected_loss(PacketHot& pkt);
+  bool apply_injected_loss(Packet& pkt);
   void egress_enqueue(PacketPtr pkt, std::uint32_t eport, std::uint32_t in_port);
-  void on_port_dequeue(const PacketHot& pkt);
+  void on_port_dequeue(const Packet& pkt);
   bool ecn_mark_decision(std::uint64_t qbytes);
-  void trim_to_header_only(PacketHot& pkt) const;
+  void trim_to_header_only(Packet& pkt) const;
 
   SwitchConfig cfg_;
   Rng rng_;

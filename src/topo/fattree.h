@@ -18,8 +18,6 @@ struct FatTreeParams {
 
   int pods() const { return k; }
   int hosts() const { return k * k * k / 4; }
-  int edge_per_pod() const { return k / 2; }
-  int agg_per_pod() const { return k / 2; }
   int cores() const { return k * k / 4; }
 };
 

@@ -52,7 +52,6 @@ struct FecLayout {
     const std::uint32_t cut = full_groups * stride();
     return psn < cut ? psn / stride() : full_groups;
   }
-  std::uint32_t index_in(std::uint32_t psn) const { return psn - wire_begin(group_of(psn)); }
   bool is_data(std::uint32_t psn) const {
     const std::uint32_t g = group_of(psn);
     return psn - wire_begin(g) < k_of(g);
@@ -142,7 +141,6 @@ class FecFactory final : public TransportFactory {
                                                    const TransportConfig& cfg) override {
     return std::make_unique<FecReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "FEC"; }
 };
 
 }  // namespace dcp

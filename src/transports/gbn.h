@@ -67,7 +67,6 @@ class GbnFactory final : public TransportFactory {
                                                    const TransportConfig& cfg) override {
     return std::make_unique<GbnReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "RNIC-GBN"; }
 };
 
 }  // namespace dcp

@@ -70,7 +70,6 @@ class IrnFactory final : public TransportFactory {
                                                    const TransportConfig& cfg) override {
     return std::make_unique<IrnReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "IRN"; }
 };
 
 }  // namespace dcp

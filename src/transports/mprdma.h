@@ -69,7 +69,6 @@ class MpRdmaFactory final : public TransportFactory {
                                                    const TransportConfig& cfg) override {
     return std::make_unique<MpRdmaReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "MP-RDMA"; }
 };
 
 }  // namespace dcp

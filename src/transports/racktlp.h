@@ -65,7 +65,6 @@ class RackTlpFactory final : public TransportFactory {
                                                    const TransportConfig& cfg) override {
     return std::make_unique<OooReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "RACK-TLP"; }
 };
 
 }  // namespace dcp

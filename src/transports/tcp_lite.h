@@ -72,7 +72,6 @@ class TcpLiteFactory final : public TransportFactory {
                                                    const TransportConfig& cfg) override {
     return std::make_unique<TcpLiteReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "TCP"; }
 };
 
 }  // namespace dcp

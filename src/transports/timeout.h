@@ -42,7 +42,6 @@ class TimeoutFactory final : public TransportFactory {
                                                    const TransportConfig& cfg) override {
     return std::make_unique<OooReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "Timeout"; }
 };
 
 }  // namespace dcp

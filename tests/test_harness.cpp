@@ -3,18 +3,37 @@
 
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
+#include "core/dcp_transport.h"
 #include "harness/experiment.h"
+#include "transports/fec.h"
+#include "transports/gbn.h"
+#include "transports/irn.h"
+#include "transports/mprdma.h"
+#include "transports/racktlp.h"
+#include "transports/tcp_lite.h"
+#include "transports/timeout.h"
 
 namespace dcp {
 namespace {
 
+const std::type_info& factory_type(SchemeKind k) {
+  const SchemeSetup s = make_scheme(k);
+  return typeid(*s.factory);
+}
+
 TEST(Scheme, FactoriesMatchKinds) {
-  EXPECT_EQ(make_scheme(SchemeKind::kDcp).factory->name(), "DCP");
-  EXPECT_EQ(make_scheme(SchemeKind::kIrn).factory->name(), "IRN");
-  EXPECT_EQ(make_scheme(SchemeKind::kPfc).factory->name(), "RNIC-GBN");
-  EXPECT_EQ(make_scheme(SchemeKind::kCx5).factory->name(), "RNIC-GBN");
-  EXPECT_EQ(make_scheme(SchemeKind::kMpRdma).factory->name(), "MP-RDMA");
-  EXPECT_EQ(make_scheme(SchemeKind::kRackTlp).factory->name(), "RACK-TLP");
+  EXPECT_EQ(factory_type(SchemeKind::kDcp), typeid(DcpFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kIrn), typeid(IrnFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kIrnEcmp), typeid(IrnFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kPfc), typeid(GbnFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kCx5), typeid(GbnFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kMpRdma), typeid(MpRdmaFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kTimeout), typeid(TimeoutFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kRackTlp), typeid(RackTlpFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kTcp), typeid(TcpLiteFactory));
+  EXPECT_EQ(factory_type(SchemeKind::kFec), typeid(FecFactory));
 }
 
 TEST(Scheme, SwitchConfigReflectsScheme) {

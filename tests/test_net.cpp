@@ -168,7 +168,7 @@ TEST(Port, OnDequeueFiresForEveryTransmittedPacket) {
   Port port(f.sim, Bandwidth::gbps(100), 0, kEqualWeights);
   port.connect(&sink, 0);
   int dequeued = 0;
-  port.set_dequeue_hook([](void* n, const PacketHot&) { ++*static_cast<int*>(n); }, &dequeued);
+  port.set_dequeue_hook([](void* n, const Packet&) { ++*static_cast<int*>(n); }, &dequeued);
   for (int i = 0; i < 5; ++i) port.enqueue(data_packet(500));
   f.sim.run();
   EXPECT_EQ(dequeued, 5);

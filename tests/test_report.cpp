@@ -49,6 +49,24 @@ TEST(TableTest, PrintsAlignedColumns) {
   for (const auto& l : lines) EXPECT_EQ(l.size(), lines[0].size());
 }
 
+TEST(TableTest, PrintWritesStr) {
+  Table t({"A", "LongHeader"});
+  t.add_row({"x", "1"});
+  t.add_row({"yyyy"});  // a short row pads its missing cells
+  const std::string expected =
+      "| A   | LongHeader|\n"
+      "|-----|-----------|\n"
+      "| x   | 1         |\n"
+      "| yyyy|           |\n";
+  EXPECT_EQ(t.str(), expected);
+  char buf[512] = {};
+  std::FILE* mem = fmemopen(buf, sizeof(buf), "w");
+  ASSERT_NE(mem, nullptr);
+  t.print(mem);
+  std::fclose(mem);
+  EXPECT_EQ(std::string(buf), expected);
+}
+
 TEST(FullScaleFlag, ReadsEnvironment) {
   unsetenv("DCP_FULL_SCALE");
   EXPECT_FALSE(full_scale());

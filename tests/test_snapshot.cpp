@@ -200,7 +200,6 @@ class DcpBitmapFactory final : public TransportFactory {
                                                    const TransportConfig& cfg) override {
     return std::make_unique<DcpBitmapReceiver>(sim, host, spec, cfg);
   }
-  std::string name() const override { return "DCP-bitmap"; }
 };
 
 TEST(Snapshot, DcpBitmapReceiverResumesBitIdentical) {
@@ -293,11 +292,13 @@ TEST(Snapshot, DecodeRefusesVersion1Image) {
   // on an otherwise well-formed image must be refused on the version
   // alone: version 2's switch section still carried the route-cache
   // config, a prefetched-draw buffer and a flap epoch, version 3's
-  // selective-repeat transports saved their queue count and cursor, and
+  // selective-repeat transports saved their queue count and cursor,
   // version 4's GBN receiver saved an ACK-coalescing counter and its DCP
-  // receivers laid out their shared datapath fields per tracker...
+  // receivers laid out their shared datapath fields per tracker, and
+  // version 5 saved packets in the old field order with a uid and each
+  // channel's delivered-byte count...
   std::vector<std::uint8_t> stamped = bytes;
-  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u}) {
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u, 5u}) {
     std::memcpy(stamped.data() + 4, &old_version, sizeof old_version);
     EXPECT_FALSE(SnapshotImage::decode(stamped, back)) << "version " << old_version;
   }
