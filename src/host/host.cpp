@@ -87,7 +87,7 @@ void Host::journal_receiver_stats(FlowId id) {
   if (r == nullptr) return;
   std::vector<StatSnap>& log = journal_[id];
   const Time t = sim_.current_event_time();
-  const std::uint64_t seq = sim_.current_event_seq();
+  const std::uint64_t seq = sim_.current_event_seq(*this);
   if (!log.empty() && log.back().t == t && log.back().seq == seq) {
     log.back().stats = r->stats();  // same event touched the stats twice
     return;
@@ -108,10 +108,11 @@ ReceiverStats Host::journal_stats_at(FlowId id, Time t, std::uint64_t seq) {
   return r != nullptr ? r->stats() : ReceiverStats{};
 }
 
-void Host::remap_stat_journal(const SeqRemap& remap) {
+bool Host::commit_stamps(const SeqRemap& remap) {
   for (auto& [id, log] : journal_) {
     for (StatSnap& s : log) s.seq = remap(s.seq);
   }
+  return false;
 }
 
 void Host::prune_stat_journal() {

@@ -16,7 +16,7 @@ namespace dcp {
 
 class StateIO;
 
-class Host final : public Node {
+class Host final : public Node, private StampHolder {
  public:
   Host(Simulator& sim, Logger& log, NodeId id, const std::string& name, Bandwidth nic_bw,
        Time link_propagation)
@@ -70,19 +70,18 @@ class Host final : public Node {
   // executed past that point within the same window.  With the journal on,
   // every mutation point (receiver packet dispatch here, control sends in
   // ReceiverTransport::send_control) snapshots the stats keyed by the
-  // event executing on this host's shard.
+  // event executing on this host's shard.  A provisional key lists the
+  // host as a StampHolder, and the barrier commits it.
 
   void enable_stat_journal() { journal_on_ = true; }
   bool stat_journal_on() const { return journal_on_; }
   /// Appends a snapshot of flow `id`'s receiver stats keyed by the current
-  /// event; provisional stamps are committed by remap_stat_journal().
+  /// event.
   void journal_receiver_stats(FlowId id);
   /// Latest snapshot strictly before finalize key (t, seq); keys are
   /// globally unique so "at or before" is equivalent.  Falls back to the
   /// live stats when nothing has been journaled for the flow.
   ReceiverStats journal_stats_at(FlowId id, Time t, std::uint64_t seq);
-  /// Barrier: commit provisional stamps (window remap hook).
-  void remap_stat_journal(const SeqRemap& remap);
   /// Barrier, after finalizations: drop entries no future finalize can
   /// key into.  Every later finalize key lies beyond the window just
   /// committed, so each flow keeps only its latest entry.
@@ -108,8 +107,11 @@ class Host final : public Node {
   };
   bool journal_on_ = false;
   // Entries per flow are appended in execution order, which is ascending
-  // committed (t, seq) — the window remap is order-preserving.
+  // committed (t, seq) — the window commit is order-preserving.
   std::unordered_map<FlowId, std::vector<StatSnap>> journal_;
+
+  /// Barrier (StampHolder): commits the journal's provisional keys.
+  bool commit_stamps(const SeqRemap& remap) override;
 };
 
 }  // namespace dcp

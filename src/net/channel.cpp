@@ -64,7 +64,7 @@ void Channel::deliver_slow(PacketPtr pkt, Time extra) {
     // below, keeps the merged order bit-identical to the serial run.
     CrossRecord cr;
     cr.t = sim_.now() + extra + propagation_;
-    cr.seq = sim_.alloc_event_seq();
+    cr.seq = sim_.alloc_event_seq(*this);
     cr.epoch = epoch;
     cr.corrupt = corrupt;
     cr.pkt = *pkt;
@@ -74,7 +74,7 @@ void Channel::deliver_slow(PacketPtr pkt, Time extra) {
 
   LaneRecord* r = LanePool::local().acquire();
   r->t = sim_.now() + extra + propagation_;
-  r->seq = sim_.alloc_event_seq();
+  r->seq = sim_.alloc_event_seq(*this);
   r->pkt = pkt.release_raw();
   r->next = nullptr;
   r->epoch = epoch;
@@ -168,28 +168,29 @@ void Channel::fire_lane() {
   }
 }
 
-void Channel::enable_shard_mode(Simulator* dst_sim) {
-  cross_dst_sim_ = dst_sim;
-  if (dst_sim != nullptr && cross_timer_ == nullptr) {
-    cross_timer_ = std::make_unique<Timer>(*dst_sim, [this] { cross_arrive_next(); });
+void Channel::make_cut_edge(Simulator& dst_sim) {
+  cross_dst_sim_ = &dst_sim;
+  if (cross_timer_ == nullptr) {
+    cross_timer_ = std::make_unique<Timer>(dst_sim, [this] { cross_arrive_next(); });
   }
-  // Parked lane records carry window-provisional stamps; commit them at
-  // every barrier (the heap mirror is rewritten by end_shard_window).
-  sim_.add_seq_remap_hook([this](const SeqRemap& remap) {
-    for (LaneRecord* r = lane_head_; r != nullptr; r = r->next) r->seq = remap(r->seq);
-  });
 }
 
-std::size_t Channel::drain_cross(const SeqRemap& remap) {
+bool Channel::commit_stamps(const SeqRemap& remap) {
+  // The lane head's heap mirror is relabeled by end_shard_window; the
+  // records behind it are re-armed from these stamps as the head fires.
+  for (LaneRecord* r = lane_head_; r != nullptr; r = r->next) r->seq = remap(r->seq);
+  for (CrossRecord& r : outbox_) r.seq = remap(r.seq);
+  return !outbox_.empty();
+}
+
+std::size_t Channel::drain() {
   const std::size_t moved = outbox_.size();
-  if (moved == 0) return 0;
   auto earlier = [](const CrossRecord& a, const CrossRecord& b) {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   };
-  // Commit the window's stamps, then sort the batch once: delivery times
-  // are near-monotone (the clock advances; only serialization backlog
-  // reorders), so this is almost always a no-op pass.
-  for (CrossRecord& r : outbox_) r.seq = remap(r.seq);
+  // Sort the committed batch once: delivery times are near-monotone (the
+  // clock advances; only serialization backlog reorders), so this is
+  // almost always a no-op pass.
   std::sort(outbox_.begin(), outbox_.end(), earlier);
   // Drop the consumed prefix, then splice the batch in one merge pass —
   // leftover records (arrival times beyond the windows run so far) stay
@@ -323,7 +324,7 @@ void Channel::checkpoint(StateIO& io) {
     }
     inbox_.push_back(std::move(r));
   }
-  // One heap entry mirrors the head, exactly as drain_cross leaves it.
+  // One heap entry mirrors the head, exactly as drain() leaves it.
   if (io.ok() && !inbox_.empty()) {
     cross_timer_->arm_keyed_abs(inbox_.front().t, inbox_.front().seq);
   }

@@ -38,7 +38,7 @@ class StateIO;
 /// One cross-shard delivery riding a cut channel (see sim/shard.h): the
 /// packet is copied by value so the source shard's pool slot never leaves
 /// its owning thread.  `seq` is provisional until the window barrier
-/// remaps it; the destination shard re-pools the bytes on arrival.
+/// commits it; the destination shard re-pools the bytes on arrival.
 struct CrossRecord {
   Time t = 0;
   std::uint64_t seq = 0;
@@ -64,7 +64,7 @@ struct ChannelFault {
   bool active() const { return drop_rate > 0.0 || corrupt_rate > 0.0 || blackhole_refs > 0; }
 };
 
-class Channel {
+class Channel final : private StampHolder {
  public:
   Channel(Simulator& sim, Bandwidth bw, Time propagation)
       : sim_(sim), bw_(bw), propagation_(propagation) {}
@@ -101,7 +101,7 @@ class Channel {
     delivered_packets_++;
     LaneRecord* r = LanePool::local().acquire();
     r->t = sim_.now() + extra + propagation_;
-    r->seq = sim_.alloc_event_seq();
+    r->seq = sim_.alloc_event_seq(*this);
     r->pkt = pkt.release_raw();
     r->next = nullptr;
     r->epoch = cut_epoch_;
@@ -146,7 +146,7 @@ class Channel {
   // A channel whose endpoints live on different shards becomes a mailbox:
   // deliver() stamps one sequence (exactly like the lane path) and parks a
   // CrossRecord in the source-thread outbox; at the window barrier the
-  // coordinator remaps the stamps, sorts the batch by (t, seq) and merges
+  // coordinator commits the stamps, sorts the batch by (t, seq) and merges
   // it into the destination-side inbox FIFO in one pass.  Like a delivery
   // lane, only the inbox HEAD occupies the destination heap — a persistent
   // timer keyed with the head's exact (t, seq), re-armed as records pop —
@@ -154,15 +154,9 @@ class Channel {
   // bit-identical to the serial lane, without one heap insert per record
   // at the barrier.
 
-  /// Puts the channel in shard mode.  `dst_sim` is the destination shard's
-  /// simulator for cut edges, nullptr for shard-internal channels (which
-  /// only need their parked lane stamps remapped at barriers).
-  void enable_shard_mode(Simulator* dst_sim);
-  /// Barrier-only: commits outbox stamps and hands the batch to the
-  /// destination shard (runs on the coordinator with all shards parked).
-  /// Returns the number of records moved — the ShardGroup's mailbox-
-  /// pressure signal for adaptive window sizing.
-  std::size_t drain_cross(const SeqRemap& remap);
+  /// Makes the channel a cut edge whose far end runs on `dst_sim`, the
+  /// destination shard's simulator.
+  void make_cut_edge(Simulator& dst_sim);
   std::size_t cross_pending() const {
     return outbox_.size() + (inbox_.size() - inbox_head_);
   }
@@ -203,6 +197,14 @@ class Channel {
   void fire_lane();
   void cross_arrive_next();
 
+  /// Barrier (StampHolder): commits the stamps of the lane records and
+  /// the outbox; true when the outbox holds records to drain.
+  bool commit_stamps(const SeqRemap& remap) override;
+  /// Barrier, after every shard's heaps are relabeled: sorts the outbox
+  /// and merges it into the destination inbox.  Returns the number of
+  /// records moved — the ShardGroup's mailbox-pressure signal.
+  std::size_t drain() override;
+
   Simulator& sim_;
   Bandwidth bw_;
   Time propagation_;
@@ -228,7 +230,7 @@ class Channel {
   std::vector<CrossRecord> inbox_;
   std::size_t inbox_head_ = 0;
   // Persistent keyed timer on the DESTINATION shard's simulator mirroring
-  // the inbox head (created by enable_shard_mode — the destination is not
+  // the inbox head (created by make_cut_edge — the destination is not
   // known at construction).
   std::unique_ptr<Timer> cross_timer_;
 

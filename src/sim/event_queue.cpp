@@ -55,13 +55,22 @@ void EventQueue::timer_destroy(std::uint32_t timer) {
   release(timer);
 }
 
-void EventQueue::end_shard_window(const std::vector<std::uint64_t>& committed) {
+void EventQueue::list(StampHolder& holder) {
+  holder.listed_ = true;
+  holders_.push_back(&holder);
+}
+
+void EventQueue::end_shard_window(const std::vector<std::uint64_t>& committed,
+                                  std::vector<StampHolder*>& drains) {
   shard_log_ = nullptr;
-  const auto fix = [&committed](HeapEntry& e) {
-    if (e.seq & kProvisionalSeq) e.seq = committed[e.seq & ~kProvisionalSeq];
-  };
-  for (HeapEntry& e : heap_) fix(e);
-  for (HeapEntry& e : dheap_) fix(e);
+  const SeqRemap remap{&committed};
+  for (HeapEntry& e : heap_) e.seq = remap(e.seq);
+  for (HeapEntry& e : dheap_) e.seq = remap(e.seq);
+  for (StampHolder* h : holders_) {
+    h->listed_ = false;
+    if (h->commit_stamps(remap)) drains.push_back(h);
+  }
+  holders_.clear();
 }
 
 }  // namespace dcp

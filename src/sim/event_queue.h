@@ -51,9 +51,12 @@
 //     high-bit-flagged sequences and logs (allocation time, allocating
 //     event) per draw, and the window barrier merges the per-shard logs
 //     into the exact sequence numbers the serial run would have assigned
-//     (see remap_shard_seqs).  Unsharded runs pay one predictable branch
-//     per allocation.
+//     (ShardGroup::commit_window).  A component that keeps a stamp outside
+//     the heaps (a StampHolder) is listed once per window when it takes a
+//     provisional one, so end_shard_window commits exactly the listed
+//     holders.  Unsharded runs pay one predictable branch per allocation.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -74,6 +77,33 @@ inline constexpr EventId kInvalidEvent = 0;
 struct ShardSeqAlloc {
   Time t;
   std::uint64_t parent;
+};
+
+struct SeqRemap;
+
+/// A component that keeps tie-break stamps outside the event heaps: a
+/// channel's lane records or cut-edge outbox, a host's receiver-stat
+/// journal, a network's pending window effects.  It takes every stamp
+/// through EventQueue::alloc_seq(holder) or current_event_seq(holder); in
+/// a shard window the first provisional stamp lists the holder on that
+/// queue, and the window barrier commits exactly the listed holders (see
+/// sim/shard.h).  Outside windows nothing is listed.
+class StampHolder {
+ public:
+  /// Barrier: rewrites every provisional stamp held with its committed
+  /// value.  Returns true when the holder also has a drain to run once
+  /// every shard's heaps hold committed keys (a cut edge's outbox).
+  virtual bool commit_stamps(const SeqRemap& remap) = 0;
+  /// Barrier, after every dispatched shard's commit: hands committed
+  /// records to another shard.  Returns the number of records moved.
+  virtual std::size_t drain() { return 0; }
+
+ protected:
+  ~StampHolder() = default;
+
+ private:
+  friend class EventQueue;
+  bool listed_ = false;  // on a queue's holder list for the current window
 };
 
 class EventQueue {
@@ -105,12 +135,17 @@ class EventQueue {
     return (static_cast<EventId>(gen_[idx]) << 32) | (idx + 1);
   }
 
-  /// Allocates the next tie-break sequence number.  A caller that manages
-  /// its own ordered event stream stamps each logical event with one of
-  /// these at creation time; entering the heap later via timer_arm_keyed()
-  /// with the stamped value reproduces exactly the firing order push()
-  /// would have produced.
-  std::uint64_t alloc_seq() { return take_seq(); }
+  /// Allocates the next tie-break sequence number as a stamp `holder`
+  /// keeps.  A caller that manages its own ordered event stream stamps
+  /// each logical event with one of these at creation time; entering the
+  /// heap later via timer_arm_keyed() with the stamped value reproduces
+  /// exactly the firing order push() would have produced.  In a shard
+  /// window the holder is listed for the barrier commit.
+  std::uint64_t alloc_seq(StampHolder& holder) {
+    if (shard_log_ == nullptr) return (*seq_src_)++;
+    if (!holder.listed_) list(holder);
+    return take_seq();
+  }
 
   /// Cancels a pending one-shot in O(1): the callback is destroyed now, and
   /// the parked entry is dropped (its slot recycled) when it surfaces at the
@@ -224,14 +259,23 @@ class EventQueue {
   /// for provisional id i).  The per-shard mapping is strictly increasing
   /// and every committed value exceeds every previously committed one, so
   /// relabeling preserves all heap invariants in place — no re-heapify.
-  void end_shard_window(const std::vector<std::uint64_t>& committed);
+  /// Then commits the holders listed this window, appending to `drains`
+  /// those with a drain to run after every shard has been relabeled.
+  void end_shard_window(const std::vector<std::uint64_t>& committed,
+                        std::vector<StampHolder*>& drains);
 
   /// (time, sequence) of the event currently executing — the "parent" a
-  /// window-mode allocation is logged under, also used to stamp receiver
-  /// stat journals.  Valid during pop_and_run (and lane coalescing, which
-  /// refreshes it via set_current_event).
+  /// window-mode allocation is logged under.  Valid during pop_and_run
+  /// (and lane coalescing, which refreshes it via set_current_event).
   Time current_event_time() const { return cur_time_; }
   std::uint64_t current_event_seq() const { return cur_parent_; }
+  /// The current event's sequence as a stamp `holder` keeps (receiver
+  /// stat journals, deferred flow finalizations): when it is provisional
+  /// the holder is listed for the barrier commit.
+  std::uint64_t current_event_seq(StampHolder& holder) {
+    if ((cur_parent_ & kProvisionalSeq) != 0 && !holder.listed_) list(holder);
+    return cur_parent_;
+  }
   /// Lane coalescing runs a logical event without a pop; the lane refreshes
   /// the current-event key so allocations inside it log the right parent.
   void set_current_event(Time t, std::uint64_t seq) {
@@ -344,6 +388,9 @@ class EventQueue {
     }
     return (*seq_src_)++;
   }
+  /// Out of line: runs once per holder per window, and keeps the inline
+  /// stamping paths as small as they were without holders.
+  void list(StampHolder& holder);
 
   void grow();
   std::uint32_t alloc_slot() {
@@ -411,6 +458,19 @@ class EventQueue {
   // insert.  Otherwise the stale root is removed after the callback
   // returns.
   std::uint32_t deferred_root_ = kNoPos;
+  std::vector<StampHolder*> holders_;  // took a provisional stamp this window
+};
+
+/// Rewrites a provisional (window-local) sequence into its committed
+/// global value; committed sequences pass through unchanged.  Handed to
+/// StampHolder::commit_stamps at every shard-window barrier.
+struct SeqRemap {
+  const std::vector<std::uint64_t>* committed = nullptr;
+  std::uint64_t operator()(std::uint64_t s) const {
+    return (s & EventQueue::kProvisionalSeq) != 0
+               ? (*committed)[s & ~EventQueue::kProvisionalSeq]
+               : s;
+  }
 };
 
 // --- Inline hot path ---------------------------------------------------------

@@ -32,7 +32,6 @@ ShardGroup::ShardGroup(int n) {
   for (int i = 0; i < n; ++i) sims_.push_back(std::make_unique<Simulator>());
   logs_.resize(sims_.size());
   committed_.resize(sims_.size());
-  cross_drains_.resize(sims_.size());
   dispatch_.resize(sims_.size(), 0);
   if (sharded()) {
     // One sequence space: setup-phase allocations interleave across shard
@@ -241,22 +240,20 @@ void ShardGroup::commit_window() {
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (dispatch_[i] == 0) continue;
+    if (dispatch_[i] == 0) continue;  // a parked shard took no stamp
     // Leave window mode, rewriting every provisional key still parked in
-    // the shard's heaps, then let components (lanes, journals, pending
-    // finalizations) commit the stamps they hold outside the queue.
-    sims_[i]->end_shard_window(committed_[i]);
-    sims_[i]->run_seq_remap_hooks(SeqRemap{&committed_[i]});
+    // the shard's heaps, then commit the holders (lanes, outboxes,
+    // journals, pending lists) that took a stamp in this window.
+    sims_[i]->end_shard_window(committed_[i], drains_);
   }
-  // Cut-channel mailbox drains, with the window's cross-record total fed
+  // Cut-edge mailbox drains, only once every shard's heaps hold committed
+  // keys (see the file header), with the window's cross-record total fed
   // back into the adaptive window size: heavy mailbox traffic means the
   // windows admitted more cross-shard skew than the merge absorbs cheaply
   // (shrink the effective lookahead); light windows grow it back.
   std::size_t cross = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dispatch_[i] == 0) continue;  // a parked shard sent nothing
-    for (auto& drain : cross_drains_[i]) cross += drain(SeqRemap{&committed_[i]});
-  }
+  for (StampHolder* h : drains_) cross += h->drain();
+  drains_.clear();
   cross_records_ += cross;
   if (cross > kShrinkAt && window_shift_ < kMaxShift) {
     ++window_shift_;

@@ -33,6 +33,18 @@
 // orders and digests are bit-identical to DCP_SHARDS=1 (proof sketch in
 // docs/architecture.md, "Sharded simulation").
 //
+// Barrier commit (commit_window), on the coordinator with every shard
+// parked: (1) the merge; (2) per dispatched shard, relabel the heaps and
+// commit the stamp holders that shard's queue listed this window — each
+// lane, outbox, journal or pending list lists itself on its first
+// provisional stamp, so the barrier's cost follows the window's traffic,
+// not the topology's size; (3) the drains of the cut-edge outboxes that
+// took records.  The drains must come last: each arms a destination inbox
+// timer with a committed key, and a committed key inserted into a heap
+// that still holds provisional keys sifts above them (provisional keys
+// sort after every committed one), so the in-place relabel would leave
+// the heap out of order.
+//
 // Threading: shard 0 runs on the caller's thread; shards 1..n-1 each get a
 // dedicated worker pinned to their Simulator (keeping the thread-local
 // pools coherent).  Dispatch uses one go-word per worker (bumped only
@@ -44,7 +56,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -74,15 +85,6 @@ class ShardGroup {
   void set_lookahead(Time l) { lookahead_ = l; }
   Time lookahead() const { return lookahead_; }
 
-  /// Registers a barrier drain for a cut channel whose SOURCE lives on
-  /// `src_shard`: runs on the coordinator with every shard parked, with
-  /// the source shard's remap for the window just ended.  Returns the
-  /// number of cross-shard records it moved — the group's mailbox-pressure
-  /// signal for adaptive window sizing.
-  void add_cross_drain(int src_shard, std::function<std::size_t(const SeqRemap&)> fn) {
-    cross_drains_[static_cast<std::size_t>(src_shard)].push_back(std::move(fn));
-  }
-
   /// Earliest pending event over all shards (mailboxes are always empty
   /// between windows, so this is exact).
   Time next_time() const;
@@ -96,9 +98,9 @@ class ShardGroup {
   /// Runs one adaptive window (see file header) capped at `cap`: the
   /// shards with work inside the bound run to it (inclusive) in parallel,
   /// then the window commits — merge allocation logs -> committed
-  /// sequences -> heap rewrite -> component remap hooks -> cut-channel
-  /// mailbox drains.  Returns the window's bound: every shard has executed
-  /// everything at or below it.  An unsharded group just runs its
+  /// sequences -> per shard, heap relabel and listed stamp holders ->
+  /// cut-edge mailbox drains.  Returns the window's bound: every shard has
+  /// executed everything at or below it.  An unsharded group just runs its
   /// simulator to `cap`.
   Time run_window(Time cap);
 
@@ -142,7 +144,7 @@ class ShardGroup {
   std::uint64_t global_seq_ = 1;  // mirrors EventQueue's initial next_seq_
   std::vector<std::vector<ShardSeqAlloc>> logs_;
   std::vector<std::vector<std::uint64_t>> committed_;
-  std::vector<std::vector<std::function<std::size_t(const SeqRemap&)>>> cross_drains_;
+  std::vector<StampHolder*> drains_;  // outboxes with records, this barrier
 
   // Window plan, coordinator-written before dispatch.
   Time bound_ = 0;

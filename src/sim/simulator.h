@@ -6,7 +6,6 @@
 // can run side by side in one process.
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -17,18 +16,6 @@
 namespace dcp {
 
 class CheckObserver;
-
-/// Rewrites a provisional (window-local) sequence into its committed
-/// global value; committed sequences pass through unchanged.  Handed to
-/// seq-remap hooks at every shard-window barrier (see sim/shard.h).
-struct SeqRemap {
-  const std::vector<std::uint64_t>* committed = nullptr;
-  std::uint64_t operator()(std::uint64_t s) const {
-    return (s & EventQueue::kProvisionalSeq) != 0
-               ? (*committed)[s & ~EventQueue::kProvisionalSeq]
-               : s;
-  }
-};
 
 class Simulator {
  public:
@@ -74,8 +61,9 @@ class Simulator {
   // were schedule()d individually, the interleaving with every other event
   // is the one individual schedule() calls would produce.
 
-  /// Stamps a logical event with the next global tie-break sequence.
-  std::uint64_t alloc_event_seq() { return queue_.alloc_seq(); }
+  /// Stamps a logical event that `holder` keeps with the next global
+  /// tie-break sequence (see StampHolder for the shard-window contract).
+  std::uint64_t alloc_event_seq(StampHolder& holder) { return queue_.alloc_seq(holder); }
 
   /// True when a logical event keyed (t, seq) precedes everything pending
   /// in the heap — i.e. a lane may run it now without a heap round trip.
@@ -109,30 +97,29 @@ class Simulator {
 
   // --- Space-parallel sharding support (see sim/shard.h) --------------------
   // A ShardGroup gives every shard its own Simulator but one logical
-  // sequence space; these hooks are inert (and the remap-hook list empty)
-  // in ordinary single-simulator runs.
+  // sequence space; these hooks are inert in ordinary single-simulator
+  // runs, where no StampHolder is ever listed.
 
-  /// (time, seq) key of the event currently executing — stamps receiver
-  /// stat journals and window allocation logs.
+  /// (time, seq) key of the event currently executing — the parent logged
+  /// for window allocations.
   Time current_event_time() const { return queue_.current_event_time(); }
   std::uint64_t current_event_seq() const { return queue_.current_event_seq(); }
+  /// The current event's sequence as a stamp `holder` keeps (receiver
+  /// stat journals, deferred flow finalizations).
+  std::uint64_t current_event_seq(StampHolder& holder) { return queue_.current_event_seq(holder); }
 
   /// Setup-phase shared sequence counter (nullptr restores the private one).
   void set_shared_seq(std::uint64_t* shared) { queue_.set_shared_seq(shared); }
-  /// Window-mode entry/exit; see EventQueue::begin_shard_window.
+  /// Window-mode entry/exit; see EventQueue::begin_shard_window and
+  /// end_shard_window.  Exit relabels the heaps and commits the stamp
+  /// holders listed this window.  Holders with a cross-shard drain are
+  /// appended to `drains` for the group to run once every shard has been
+  /// relabeled: a drain arms another shard's heap with a committed key,
+  /// which would sift above that heap's still-provisional keys.
   void begin_shard_window(std::vector<ShardSeqAlloc>* log) { queue_.begin_shard_window(log); }
-  void end_shard_window(const std::vector<std::uint64_t>& committed) {
-    queue_.end_shard_window(committed);
-  }
-
-  /// Registered components holding stamped-but-unfired sequences outside
-  /// the event queue (channel lane records, receiver stat journals, pending
-  /// flow finalizations) rewrite them here at every window barrier.
-  void add_seq_remap_hook(std::function<void(const SeqRemap&)> hook) {
-    remap_hooks_.push_back(std::move(hook));
-  }
-  void run_seq_remap_hooks(const SeqRemap& remap) {
-    for (auto& h : remap_hooks_) h(remap);
+  void end_shard_window(const std::vector<std::uint64_t>& committed,
+                        std::vector<StampHolder*>& drains) {
+    queue_.end_shard_window(committed, drains);
   }
 
   /// Advances the clock to a window/slice boundary without running events
@@ -165,7 +152,6 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t events_processed_ = 0;
   CheckObserver* check_observer_ = nullptr;
-  std::vector<std::function<void(const SeqRemap&)>> remap_hooks_;
 };
 
 /// A persistent, self-rescheduling event: the callback is registered once

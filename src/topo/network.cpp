@@ -59,12 +59,13 @@ void Network::wire_host_hooks(Host* h) {
     // the exact point the serial finalize would read them and defer the
     // shared-state mutation to the barrier.
     Simulator& hs = h->sim();
+    PendingEffects& pe = pending_[static_cast<std::size_t>(shard_of(h->id()))];
     PendingFinalize p;
     p.id = id;
     p.t = hs.current_event_time();
-    p.seq = hs.current_event_seq();
+    p.seq = hs.current_event_seq(pe);
     if (auto* s = h->sender(id)) p.sender = s->stats();
-    pending_fin_[static_cast<std::size_t>(shard_of(h->id()))].push_back(std::move(p));
+    pe.fin.push_back(std::move(p));
   };
   h->on_receiver_done = [this, h](FlowId id) {
     FlowRecord& rec = record(id);
@@ -77,8 +78,8 @@ void Network::wire_host_hooks(Host* h) {
     }
     if (!rx_listeners_.empty()) {
       Simulator& hs = h->sim();
-      pending_rx_[static_cast<std::size_t>(shard_of(h->id()))].push_back(
-          PendingRx{id, hs.current_event_time(), hs.current_event_seq()});
+      PendingEffects& pe = pending_[static_cast<std::size_t>(shard_of(h->id()))];
+      pe.rx.push_back(PendingRx{id, hs.current_event_time(), hs.current_event_seq(pe)});
     }
   };
 }
@@ -158,43 +159,20 @@ void Network::set_check_observer_all(CheckObserver* ob) {
 void Network::finalize_shards() {
   if (shards_finalized_) return;
   shards_finalized_ = true;
-  const int n = shards_->size();
-  pending_fin_.resize(static_cast<std::size_t>(n));
-  pending_rx_.resize(static_cast<std::size_t>(n));
+  // Sized once, before any window lists one of them as a stamp holder.
+  pending_.resize(static_cast<std::size_t>(shards_->size()));
+  for (auto& h : hosts_) h->enable_stat_journal();
 
-  // Window-provisional stamps held outside the event heaps: pending
-  // finalizations/rx notifications and receiver-stat journals.
-  for (int i = 0; i < n; ++i) {
-    shards_->sim(i).add_seq_remap_hook([this, i](const SeqRemap& remap) {
-      for (auto& p : pending_fin_[static_cast<std::size_t>(i)]) p.seq = remap(p.seq);
-      for (auto& p : pending_rx_[static_cast<std::size_t>(i)]) p.seq = remap(p.seq);
-    });
-  }
-  for (auto& h : hosts_) {
-    h->enable_stat_journal();
-    Host* hp = h.get();
-    hp->sim().add_seq_remap_hook(
-        [hp](const SeqRemap& remap) { hp->remap_stat_journal(remap); });
-  }
-
-  // Classify every channel: a channel whose endpoints live on different
-  // shards becomes a mailbox edge (and contributes to the lookahead); a
-  // same-shard channel only needs its lane stamps committed at barriers.
+  // A channel whose endpoints live on different shards becomes a mailbox
+  // edge (and contributes to the lookahead).  Every stamp holder, cut edge
+  // or not, lists itself at its first stamp in a window.
   Time min_cut = kTimeInfinity;
   auto wire = [&](Channel& ch, int src_shard) {
     Node* peer = ch.peer();
-    if (peer == nullptr) {
-      ch.enable_shard_mode(nullptr);
-      return;
-    }
+    if (peer == nullptr) return;
     const int dst_shard = shard_of(peer->id());
-    if (dst_shard == src_shard) {
-      ch.enable_shard_mode(nullptr);
-      return;
-    }
-    ch.enable_shard_mode(&shards_->sim(dst_shard));
-    shards_->add_cross_drain(src_shard,
-                             [&ch](const SeqRemap& remap) { return ch.drain_cross(remap); });
+    if (dst_shard == src_shard) return;
+    ch.make_cut_edge(shards_->sim(dst_shard));
     if (ch.propagation() < min_cut) min_cut = ch.propagation();
   };
   for (auto& h : hosts_) wire(h->nic().channel(), shard_of(h->id()));
@@ -208,6 +186,12 @@ void Network::finalize_shards() {
   assert(min_cut == kTimeInfinity || min_cut > 0);
   shards_->set_lookahead(min_cut == kTimeInfinity ? milliseconds(1) : min_cut);
   shard_run_active_ = true;
+}
+
+bool Network::PendingEffects::commit_stamps(const SeqRemap& remap) {
+  for (PendingFinalize& p : fin) p.seq = remap(p.seq);
+  for (PendingRx& p : rx) p.seq = remap(p.seq);
+  return false;
 }
 
 void Network::finalize_flow_at(const PendingFinalize& p) {
@@ -229,13 +213,11 @@ void Network::commit_window_effects() {
   // (flow-id assignment in collectives, completion counters).
   std::vector<PendingFinalize> fins;
   std::vector<PendingRx> rxs;
-  for (auto& v : pending_fin_) {
-    for (auto& p : v) fins.push_back(std::move(p));
-    v.clear();
-  }
-  for (auto& v : pending_rx_) {
-    rxs.insert(rxs.end(), v.begin(), v.end());
-    v.clear();
+  for (PendingEffects& pe : pending_) {
+    for (auto& p : pe.fin) fins.push_back(std::move(p));
+    pe.fin.clear();
+    rxs.insert(rxs.end(), pe.rx.begin(), pe.rx.end());
+    pe.rx.clear();
   }
   if (fins.empty() && rxs.empty()) return;
   auto before = [](Time at, std::uint64_t as, Time bt, std::uint64_t bs) {
@@ -348,11 +330,9 @@ void Network::cancel_started_flows(Time t) {
 
 void Network::checkpoint(StateIO& io) {
   io.label(0x4E7733u);
-  for (auto& v : pending_fin_) {
-    if (!v.empty()) return io.fail("snapshot off-barrier: pending finalizations");
-  }
-  for (auto& v : pending_rx_) {
-    if (!v.empty()) return io.fail("snapshot off-barrier: pending rx notifications");
+  for (const PendingEffects& pe : pending_) {
+    if (!pe.fin.empty()) return io.fail("snapshot off-barrier: pending finalizations");
+    if (!pe.rx.empty()) return io.fail("snapshot off-barrier: pending rx notifications");
   }
   io.pod(completed_);
   io.pod(next_sport_);

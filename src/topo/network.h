@@ -132,7 +132,7 @@ class Network {
 
   // ---- Checkpoint/restore (sim/snapshot.h) ------------------------------
   /// Restore prep on a freshly built target: flips shard-run mode on
-  /// (mailbox channels, journals, remap hooks) without running a window,
+  /// (cut-edge mailboxes, journals) without running a window,
   /// so cross-shard state can be overlaid.  No-op when serial.
   void prepare_shard_run();
   /// Restore prep: cancels the flow-start events of flows whose start time
@@ -167,9 +167,16 @@ class Network {
     Time t = 0;
     std::uint64_t seq = 0;
   };
+  /// One shard's deferred window effects.  Their keys are the deferring
+  /// events' stamps, so the lists are a StampHolder on that shard.
+  struct PendingEffects final : StampHolder {
+    std::vector<PendingFinalize> fin;
+    std::vector<PendingRx> rx;
+    bool commit_stamps(const SeqRemap& remap) override;
+  };
 
   /// Lazily flips the network into sharded-run mode: locates cut channels,
-  /// computes the lookahead, arms journals and remap hooks.
+  /// computes the lookahead, arms journals.
   void finalize_shards();
   /// Runs shard windows, committing each one's barrier effects, until
   /// nothing at or below `bound` is pending.  Returns true when every shard
@@ -189,8 +196,7 @@ class Network {
   std::vector<int> shard_of_node_;
   bool shards_finalized_ = false;
   bool shard_run_active_ = false;
-  std::vector<std::vector<PendingFinalize>> pending_fin_;  // [shard], own thread only
-  std::vector<std::vector<PendingRx>> pending_rx_;         // [shard], own thread only
+  std::vector<PendingEffects> pending_;  // [shard], own thread only
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::unordered_map<NodeId, Host*> host_by_id_;

@@ -1,11 +1,14 @@
 // Space-parallel sharding mechanics: the ShardGroup window/barrier
 // coordinator, the shared setup sequence counter, provisional-sequence
-// commitment and the cross-shard channel mailbox.  End-to-end digest
-// equality against the serial path lives in test_shard_digest.cpp; this
-// file pins down the moving parts in isolation.
+// commitment (the stamp-holder list) and the cross-shard channel mailbox.
+// End-to-end digest equality against the serial path lives in
+// test_shard_digest.cpp; this file pins down the moving parts in isolation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/channel.h"
@@ -33,6 +36,25 @@ class SinkNode final : public Node {
   std::vector<Arrival> arrivals;
 };
 
+/// Firing order of a run: (time, id) per recorded event — a packet's psn,
+/// or a negative marker for a non-packet event.
+using Trace = std::vector<std::pair<Time, std::int64_t>>;
+
+/// Appends each arrival's (time, psn) to a shared trace, so arrivals and
+/// other events can be checked in one firing order.
+class TraceSink final : public Node {
+ public:
+  TraceSink(Simulator& sim, Logger& log, Trace& trace)
+      : Node(sim, log, 0, "trace"), trace_(trace) {}
+  using Node::receive;
+  void receive(PacketPtr pkt, std::uint32_t /*in_port*/) override {
+    trace_.emplace_back(sim_.now(), pkt->psn);
+  }
+
+ private:
+  Trace& trace_;
+};
+
 Packet data_packet(std::uint32_t bytes, std::uint32_t psn = 0) {
   Packet p;
   p.type = PktType::kData;
@@ -41,6 +63,18 @@ Packet data_packet(std::uint32_t bytes, std::uint32_t psn = 0) {
   p.psn = psn;
   return p;
 }
+
+/// A test-local stamp holder: keeps one stamp and counts the barriers
+/// that commit it.
+struct CountingHolder final : StampHolder {
+  std::uint64_t stamp = 0;
+  int commits = 0;
+  bool commit_stamps(const SeqRemap& remap) override {
+    stamp = remap(stamp);
+    ++commits;
+    return false;
+  }
+};
 
 /// Runs windows until nothing at or below `cap` is pending — the way
 /// Network's run loop drives the window entry.
@@ -73,9 +107,10 @@ TEST(ShardGroup, SetupSequencesComeFromOneSharedCounter) {
   // Before any window runs, both shards must allocate from the same stream
   // so topology construction is bit-identical to a serial build.
   ShardGroup g(2);
-  const std::uint64_t a = g.sim(0).alloc_event_seq();
-  const std::uint64_t b = g.sim(1).alloc_event_seq();
-  const std::uint64_t c = g.sim(0).alloc_event_seq();
+  CountingHolder holder;
+  const std::uint64_t a = g.sim(0).alloc_event_seq(holder);
+  const std::uint64_t b = g.sim(1).alloc_event_seq(holder);
+  const std::uint64_t c = g.sim(0).alloc_event_seq(holder);
   EXPECT_EQ(b, a + 1);
   EXPECT_EQ(c, b + 1);
 }
@@ -173,6 +208,106 @@ TEST(ShardGroup, ShardsWithNothingDueStayParked) {
 }
 
 // ---------------------------------------------------------------------------
+// Stamp holders: listed once per window, committed only at that barrier
+// ---------------------------------------------------------------------------
+
+/// Two logical shards allocate in each of four 1us windows, and the holder
+/// takes one stamp, in the first.  An unsharded group maps both logical
+/// shards onto its one simulator, so it runs the same events in the same
+/// order.
+void stamp_once_scenario(ShardGroup& g, CountingHolder& holder) {
+  auto sim = [&g](int i) -> Simulator& { return g.sim(std::min(i, g.size() - 1)); };
+  for (int k = 0; k < 4; ++k) {
+    for (int i = 0; i < 2; ++i) {
+      Simulator& s = sim(i);
+      s.schedule_at(microseconds(k) + nanoseconds(100 * (i + 1)), [&s] { s.schedule(1, [] {}); });
+    }
+  }
+  Simulator& s1 = sim(1);
+  s1.schedule_at(nanoseconds(500), [&s1, &holder] { holder.stamp = s1.alloc_event_seq(holder); });
+}
+
+TEST(ShardGroup, AStampHolderIsCommittedOnlyAtTheBarrierOfItsWindow) {
+  ShardGroup serial(1);
+  CountingHolder serial_holder;
+  stamp_once_scenario(serial, serial_holder);
+  serial.run_window(microseconds(10));
+  EXPECT_NE(serial_holder.stamp, 0u);
+  EXPECT_EQ(serial_holder.commits, 0);  // an unsharded run lists nothing
+
+  ShardGroup g(2);
+  g.set_lookahead(microseconds(1));
+  CountingHolder holder;
+  stamp_once_scenario(g, holder);
+  // The first window spans [100ns, 1.1us) and holds the stamp: its
+  // barrier commits it to the value the serial run assigned.
+  EXPECT_EQ(g.run_window(microseconds(10)), nanoseconds(1100) - 1);
+  EXPECT_EQ(holder.commits, 1);
+  EXPECT_EQ(holder.stamp, serial_holder.stamp);
+
+  // Three more windows dispatch the holder's shard, and their barriers
+  // never visit the holder.
+  run_through(g, microseconds(10));
+  EXPECT_EQ(g.windows(), 4u);
+  EXPECT_GT(g.sim(1).events_processed(), 4u);
+  EXPECT_EQ(holder.commits, 1);
+  EXPECT_EQ(holder.stamp, serial_holder.stamp);
+}
+
+/// A same-shard lane whose 10us propagation spans many 1us windows, so its
+/// records stay parked across barriers, with same-instant competitors
+/// scheduled before and after the packets they tie with.  Builds on `s`,
+/// calls `run`, and returns the firing order.
+template <typename Run>
+Trace parked_lane_trace(Simulator& s, Run run) {
+  Logger log{LogLevel::kOff};
+  Trace trace;
+  TraceSink sink(s, log, trace);
+  Channel ch(s, Bandwidth::gbps(100), microseconds(10));
+  ch.connect(&sink, 0);
+  Timer late(s, [&trace, &s] { trace.emplace_back(s.now(), -4); });
+  auto send = [&ch](std::uint32_t psn, Time extra) { ch.deliver(data_packet(64, psn), extra); };
+  auto mark_at = [&trace, &s](Time t, std::int64_t id) {
+    s.schedule_at(t, [&trace, &s, id] { trace.emplace_back(s.now(), id); });
+  };
+  s.schedule_at(0, [&] { send(0, 0); });
+  s.schedule_at(microseconds(1), [&] { mark_at(microseconds(12), -1); });
+  s.schedule_at(microseconds(2), [&] {
+    send(1, 0);
+    send(2, 0);
+  });
+  s.schedule_at(microseconds(3), [&] {
+    send(3, microseconds(2));
+    mark_at(microseconds(12), -2);
+  });
+  s.schedule_at(nanoseconds(3500), [&] { send(4, 0); });  // lands before psn 3
+  s.schedule_at(microseconds(5), [&] { mark_at(nanoseconds(13500), -3); });
+  s.schedule_at(microseconds(6), [&] { late.arm_at(microseconds(15)); });
+  run();
+  return trace;
+}
+
+TEST(ShardGroup, LaneRecordsParkedAcrossBarriersFireInSerialOrder) {
+  Simulator serial;
+  const Trace want = parked_lane_trace(serial, [&serial] { serial.run(microseconds(20)); });
+  // Each competitor fires on the side of its tie that its stamp's age
+  // gives it; psn 2 and marker -2 only keep their order if psn 2's stamp,
+  // parked behind psn 1 through several barriers, was committed.
+  const Trace expected = {{microseconds(10), 0},  {microseconds(12), -1},
+                          {microseconds(12), 1},  {microseconds(12), 2},
+                          {microseconds(12), -2}, {nanoseconds(13500), 4},
+                          {nanoseconds(13500), -3}, {microseconds(15), 3},
+                          {microseconds(15), -4}};
+  EXPECT_EQ(want, expected);
+
+  ShardGroup g(2);
+  g.set_lookahead(microseconds(1));
+  const Trace got = parked_lane_trace(g.sim(0), [&g] { run_through(g, microseconds(20)); });
+  EXPECT_EQ(got, want);
+  EXPECT_GE(g.windows(), 10u);
+}
+
+// ---------------------------------------------------------------------------
 // Cross-shard mailbox
 // ---------------------------------------------------------------------------
 
@@ -185,8 +320,7 @@ struct CrossFixture {
   CrossFixture() {
     g.set_lookahead(microseconds(1));
     ch.connect(&sink, 4);
-    ch.enable_shard_mode(&g.sim(1));
-    g.add_cross_drain(0, [this](const SeqRemap& remap) { return ch.drain_cross(remap); });
+    ch.make_cut_edge(g.sim(1));
   }
 };
 
@@ -327,6 +461,40 @@ TEST(ShardCross, MaxNowTracksTheLastExecutedEvent) {
   EXPECT_TRUE(f.g.idle());
   // The arrival on shard 1 is the globally last event.
   EXPECT_EQ(f.g.max_now(), ser + microseconds(1));
+}
+
+/// Shard 1 (the destination) arms a persistent main-heap timer for T
+/// early in a window; later in the same window shard 0 sends a cut-edge
+/// packet that also arrives at T.  Returns the arrivals seen when the timer
+/// fired and the arrival's time.  `shards` == 1 runs it unsharded.
+std::pair<std::size_t, Time> timer_vs_cut_arrival(int shards) {
+  ShardGroup g(shards);
+  g.set_lookahead(microseconds(1));
+  Logger log{LogLevel::kOff};
+  Simulator& dst = g.sim(shards - 1);
+  SinkNode sink(dst, log);
+  Channel ch(g.sim(0), Bandwidth::gbps(100), microseconds(1));
+  ch.connect(&sink, 0);
+  if (shards > 1) ch.make_cut_edge(dst);
+  const Time t = microseconds(1) + nanoseconds(100);
+  std::size_t seen_by_timer = SIZE_MAX;
+  Timer timer(dst, [&] { seen_by_timer = sink.arrivals.size(); });
+  dst.schedule_at(0, [&timer, t] { timer.arm_at(t); });
+  g.sim(0).schedule_at(nanoseconds(100), [&ch] { ch.deliver(data_packet(64), 0); });
+  run_through(g, microseconds(5));
+  EXPECT_EQ(sink.arrivals.size(), 1u);
+  return {seen_by_timer, sink.arrivals.empty() ? -1 : sink.arrivals[0].t};
+}
+
+TEST(ShardCross, DrainsRunAfterTheDestinationHeapIsRelabeled) {
+  // The timer's key was allocated first, so it fires first.  A drain run
+  // before shard 1's relabel would insert the arrival's committed key
+  // above the timer's still-provisional one, and the relabel would leave
+  // the arrival at the heap root.
+  const auto serial = timer_vs_cut_arrival(1);
+  EXPECT_EQ(serial.first, 0u);
+  EXPECT_EQ(serial.second, microseconds(1) + nanoseconds(100));
+  EXPECT_EQ(timer_vs_cut_arrival(2), serial);
 }
 
 }  // namespace
