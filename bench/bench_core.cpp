@@ -26,7 +26,6 @@
 #include "stats/core_perf.h"
 #include "switch/switch.h"
 #include "topo/network.h"
-#include "transports/ec_codec.h"
 
 namespace {
 
@@ -142,44 +141,6 @@ CorePerf micro_switch_receive(int rounds, int burst) {
   }
   CorePerf p;
   p.events_processed = sim.events_processed();
-  p.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return p;
-}
-
-/// GF(256) codec throughput at the FEC tier's wire shape: encode k
-/// MTU-sized chunks into m parity, erase the worst case (the first m data
-/// chunks), decode the group back.  "Events" are chunks pushed through the
-/// coder — k+m out of encode plus k out of decode per round — so
-/// events/sec is the chunk rate the streaming sender/receiver pair could
-/// sustain at 1000-byte chunks.
-CorePerf micro_fec_codec(unsigned k, unsigned m, int rounds) {
-  const EcCodec codec(k, m);
-  std::vector<std::vector<std::uint8_t>> data(k, std::vector<std::uint8_t>(1000));
-  for (unsigned i = 0; i < k; ++i) {
-    for (std::size_t b = 0; b < data[i].size(); ++b) {
-      data[i][b] = static_cast<std::uint8_t>(i * 151 + b * 7 + 1);
-    }
-  }
-  std::uint8_t sink = 0;
-  std::uint64_t chunks = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < rounds; ++r) {
-    std::vector<std::vector<std::uint8_t>> all = data;
-    for (auto& p : codec.encode(data)) all.push_back(std::move(p));
-    std::vector<bool> present(k + m, true);
-    for (unsigned i = 0; i < m; ++i) {
-      present[i] = false;
-      all[i].clear();
-    }
-    if (!codec.decode(all, present)) {
-      chunks = 0;  // poison the entry: a failed decode is a loud regression
-      break;
-    }
-    sink ^= all[0][500];
-    chunks += 2 * k + m;
-  }
-  CorePerf p;
-  p.events_processed = chunks + (sink == 255 ? 1 : 0);  // keep the work live
   p.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return p;
 }
@@ -384,11 +345,28 @@ double json_metric(const std::string& text, const std::string& bench, const std:
   return std::strtod(text.c_str() + k + key.size(), nullptr);
 }
 
+enum class Bound { kFloor, kCeiling };
+
+/// Prints one --check verdict line and returns whether the gate held:
+/// `fresh` must reach `factor` x `base` (a floor) or stay at or below it
+/// (a ceiling).  Values print in millions of `unit`.
+bool gate(const char* name, double fresh, const char* base_name, double base, double factor,
+          Bound bound, const char* unit) {
+  const double limit = factor * base;
+  const bool ok = bound == Bound::kFloor ? fresh >= limit : fresh <= limit;
+  std::printf("perf-check %s: fresh %.3gM%s vs %s %.3gM%s (%s %.2fx = %.3gM%s) -> %s\n", name,
+              fresh / 1e6, unit, base_name, base / 1e6, unit,
+              bound == Bound::kFloor ? "floor" : "ceiling", factor, limit / 1e6, unit,
+              ok ? "OK" : "REGRESSION");
+  return ok;
+}
+
 /// `bench_core --check <committed BENCH_core.json>`: the CI perf-smoke
 /// gate.  Re-measures the macro workload (best of 3) and fails when it
 /// runs below 0.75x the committed events/sec — wide enough for shared-
 /// runner noise, tight enough that losing the two-level scheduler's win
-/// (~1.5x) trips it.
+/// (~1.5x) trips it.  Every gate runs and prints its verdict, so one slow
+/// spell cannot hide the others; the exit code is 1 if any failed.
 int run_check(const char* json_path) {
   std::ifstream in(json_path);
   if (!in) {
@@ -406,12 +384,9 @@ int run_check(const char* json_path) {
   CorePerf fresh = macro_websearch(/*oracle=*/false);
   for (int i = 1; i < 3; ++i) fresh = min_wall(fresh, macro_websearch(/*oracle=*/false));
 
-  const double floor = 0.75 * committed;
   const double got = fresh.events_per_sec();
-  std::printf("perf-check macro_websearch_clos_loss: fresh %.3gM ev/s vs committed %.3gM "
-              "(floor 0.75x = %.3gM) -> %s\n",
-              got / 1e6, committed / 1e6, floor / 1e6, got >= floor ? "OK" : "REGRESSION");
-  if (got < floor) return 1;
+  bool ok = gate("macro_websearch_clos_loss", got, "committed", committed, 0.75, Bound::kFloor,
+                 " ev/s");
 
   // Memory gate: the same macro workload must not blow past 2.5x the
   // committed slab-arena footprint or peak RSS — wide enough for allocator
@@ -422,22 +397,14 @@ int run_check(const char* json_path) {
   const double rss_committed =
       json_metric(ss.str(), "macro_websearch_clos_loss", "peak_rss_bytes");
   if (arena_committed > 0.0 && fresh.arena_bytes > 0) {
-    const double ceil = 2.5 * arena_committed;
-    const double a = static_cast<double>(fresh.arena_bytes);
-    std::printf("perf-check arena_bytes: fresh %.3gMB vs committed %.3gMB "
-                "(ceiling 2.5x = %.3gMB) -> %s\n",
-                a / 1e6, arena_committed / 1e6, ceil / 1e6, a <= ceil ? "OK" : "REGRESSION");
-    if (a > ceil) return 1;
+    ok &= gate("arena_bytes", static_cast<double>(fresh.arena_bytes), "committed",
+               arena_committed, 2.5, Bound::kCeiling, "B");
   } else {
     std::printf("perf-check arena_bytes: skipped (no committed entry)\n");
   }
   if (rss_committed > 0.0 && fresh.peak_rss_bytes > 0) {
-    const double ceil = 2.5 * rss_committed;
-    const double r = static_cast<double>(fresh.peak_rss_bytes);
-    std::printf("perf-check peak_rss_bytes: fresh %.3gMB vs committed %.3gMB "
-                "(ceiling 2.5x = %.3gMB) -> %s\n",
-                r / 1e6, rss_committed / 1e6, ceil / 1e6, r <= ceil ? "OK" : "REGRESSION");
-    if (r > ceil) return 1;
+    ok &= gate("peak_rss_bytes", static_cast<double>(fresh.peak_rss_bytes), "committed",
+               rss_committed, 2.5, Bound::kCeiling, "B");
   } else {
     std::printf("perf-check peak_rss_bytes: skipped (no committed entry)\n");
   }
@@ -452,13 +419,8 @@ int run_check(const char* json_path) {
     for (int i = 1; i < 3; ++i) {
       sw = min_wall(sw, micro_switch_receive(1500, 512));
     }
-    const double sw_floor = 0.70 * sw_committed;
-    const double sw_got = sw.events_per_sec();
-    std::printf("perf-check micro_switch_receive: fresh %.3gM ev/s vs committed %.3gM "
-                "(floor 0.70x = %.3gM) -> %s\n",
-                sw_got / 1e6, sw_committed / 1e6, sw_floor / 1e6,
-                sw_got >= sw_floor ? "OK" : "REGRESSION");
-    if (sw_got < sw_floor) return 1;
+    ok &= gate("micro_switch_receive", sw.events_per_sec(), "committed", sw_committed, 0.70,
+               Bound::kFloor, " ev/s");
   } else {
     std::printf("perf-check micro_switch_receive: skipped (no committed entry)\n");
   }
@@ -472,33 +434,24 @@ int run_check(const char* json_path) {
   if (snap_committed > 0.0) {
     CorePerf snap = micro_snapshot_save_restore(200);
     for (int i = 1; i < 3; ++i) snap = min_wall(snap, micro_snapshot_save_restore(200));
-    const double snap_floor = 0.60 * snap_committed;
-    const double snap_got = snap.events_per_sec();
-    std::printf("perf-check micro_snapshot_save_restore: fresh %.3gM bytes/s vs committed %.3gM "
-                "(floor 0.60x = %.3gM) -> %s\n",
-                snap_got / 1e6, snap_committed / 1e6, snap_floor / 1e6,
-                snap_got >= snap_floor ? "OK" : "REGRESSION");
-    if (snap_got < snap_floor) return 1;
+    ok &= gate("micro_snapshot_save_restore", snap.events_per_sec(), "committed", snap_committed,
+               0.60, Bound::kFloor, " bytes/s");
   } else {
     std::printf("perf-check micro_snapshot_save_restore: skipped (no committed entry)\n");
   }
 
   // Sharded gate: only meaningful where the two shard workers get real
   // cores.  On >= 4 hardware threads the sharded macro must beat serial
-  // by > 1.5x (single trial); below that the windows time-slice one core
+  // by 1.5x (single trial); below that the windows time-slice one core
   // and the number says nothing, so the gate is skipped.
   if (std::thread::hardware_concurrency() >= 4) {
-    const CorePerf sharded = macro_websearch_sharded(2);
-    const double speedup = sharded.events_per_sec() / got;
-    std::printf("perf-check macro_websearch_sharded: %.3gM ev/s, %.2fx vs serial "
-                "(floor 1.5x) -> %s\n",
-                sharded.events_per_sec() / 1e6, speedup, speedup > 1.5 ? "OK" : "REGRESSION");
-    if (speedup <= 1.5) return 1;
+    ok &= gate("macro_websearch_sharded", macro_websearch_sharded(2).events_per_sec(), "serial",
+               got, 1.5, Bound::kFloor, " ev/s");
   } else {
     std::printf("perf-check macro_websearch_sharded: skipped (%u hardware threads < 4)\n",
                 std::thread::hardware_concurrency());
   }
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace
@@ -513,10 +466,6 @@ int main(int argc, char** argv) {
       {"micro_lane_burst", micro_lane_burst(/*rounds=*/2000, /*burst=*/512), 0.0});
   entries.push_back(
       {"micro_switch_receive", micro_switch_receive(/*rounds=*/1500, /*burst=*/512), 0.0});
-  // FEC codec at the default (8, 2) and the widest swept (16, 4) geometry;
-  // no seed column (the coder is new with the FEC tier).
-  entries.push_back({"micro_fec_codec_8_2", micro_fec_codec(8, 2, 20000), 0.0});
-  entries.push_back({"micro_fec_codec_16_4", micro_fec_codec(16, 4, 10000), 0.0});
   // Checkpoint round-trip bandwidth (state bytes through StateIO per
   // second); no seed column (the subsystem is new).
   entries.push_back({"micro_snapshot_save_restore", micro_snapshot_save_restore(400), 0.0});

@@ -193,21 +193,7 @@ class DcpBitmapReceiver final : public DcpReceiverBase {
   std::uint32_t scan_ = 0;  // first PSN not known-received
 };
 
-class DcpFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<DcpSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    if (cfg.dcp_bitmap_receiver) {
-      return std::make_unique<DcpBitmapReceiver>(sim, host, spec, cfg);
-    }
-    return std::make_unique<DcpReceiver>(sim, host, spec, cfg);
-  }
-};
+using DcpFactory = TransportPair<DcpSender, DcpReceiver>;
 
 /// Wire size of a DCP data packet header for the given operation: 57 B base
 /// (incl. MSN), plus RETH in *every* packet for one-sided ops, plus SSN for

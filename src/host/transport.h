@@ -47,9 +47,6 @@ struct TransportConfig {
   Time dcp_msg_timeout = milliseconds(1);    // coarse-grained fallback (§4.5)
   std::uint32_t retrans_batch = 16;          // RetransQ entries per PCIe fetch
   Time pcie_rtt = microseconds(1);           // host memory round trip
-  // §4.5 orthogonality: swap the bitmap-free counters for a traditional
-  // per-packet bitmap at the DCP receiver (same protocol, more memory).
-  bool dcp_bitmap_receiver = false;
   // FEC transport (transports/fec.h): (k, m) parity-group geometry, the
   // fire-and-forget stream window and the receiver's quiet-period NACK
   // delay.  make_scheme sets both for kFec.
@@ -208,6 +205,22 @@ class TransportFactory {
   virtual std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
                                                            const FlowSpec& spec,
                                                            const TransportConfig& cfg) = 0;
+};
+
+/// Every scheme's factory: builds sender S and receiver R from (sim, host,
+/// spec, cfg).  Each scheme names its pair, e.g. GbnFactory in gbn.h.
+template <class S, class R>
+class TransportPair final : public TransportFactory {
+ public:
+  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
+                                               const TransportConfig& cfg) override {
+    return std::make_unique<S>(sim, host, spec, cfg);
+  }
+  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
+                                                   const FlowSpec& spec,
+                                                   const TransportConfig& cfg) override {
+    return std::make_unique<R>(sim, host, spec, cfg);
+  }
 };
 
 }  // namespace dcp

@@ -254,7 +254,7 @@ void FecReceiver::on_packet(Packet pkt) {
   } else {
     gs.got_parity++;
   }
-  if (EcCodec::recoverable(layout_.k_of(g), gs.got_data, gs.got_parity)) {
+  if (layout_.decodable(g, gs.got_data, gs.got_parity)) {
     complete_group(g);
     send_group_ack(g, pkt);
   }

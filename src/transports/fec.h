@@ -1,9 +1,9 @@
 #pragma once
 // Erasure-coded reliability tier (the seventh scheme): the sender cuts the
 // message into (k, m) parity groups — k data chunks followed by m parity
-// chunks computed by the GF(256) MDS codec in ec_codec.h — and streams the
-// whole stride fire-and-forget, gated only by a byte window.  The receiver
-// completes a group as soon as ANY k of its k + m chunks arrive (counting
+// chunks of an MDS erasure code — and streams the whole stride
+// fire-and-forget, gated only by a byte window.  The receiver completes a
+// group as soon as ANY k of its k + m chunks arrive (counting
 // parity-decoded data as delivered) and group-ACKs it; only a group that
 // loses MORE than m chunks falls back to per-group NACK selective repeat,
 // driven by a quiet-period timer on the receiver plus the usual RTO
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "host/transport.h"
-#include "transports/ec_codec.h"
 #include "transports/selective_repeat.h"
 
 namespace dcp {
@@ -23,8 +22,8 @@ namespace dcp {
 /// Wire layout shared by both ends: data packets 0..total_data-1 are dealt
 /// into groups of k, each group followed by its m parity packets, and the
 /// whole train is numbered by one strictly increasing wire PSN.  A tail
-/// group with rem < k data chunks still carries m parity chunks (the codec
-/// simply runs at (rem, m)).
+/// group with rem < k data chunks still carries m parity chunks, so it is
+/// a (rem, m) code.
 struct FecLayout {
   std::uint32_t k = 1;
   std::uint32_t m = 1;
@@ -46,6 +45,11 @@ struct FecLayout {
 
   std::uint32_t stride() const { return k + m; }
   std::uint32_t k_of(std::uint32_t g) const { return g < full_groups ? k : rem; }
+  /// Packets carry sizes, not bytes, so decoding is a count: an MDS code
+  /// rebuilds group g's data from any k_of(g) of its k_of(g) + m chunks.
+  bool decodable(std::uint32_t g, std::uint32_t got_data, std::uint32_t got_parity) const {
+    return got_data + got_parity >= k_of(g);
+  }
   std::uint32_t wire_begin(std::uint32_t g) const { return g * stride(); }
   std::uint32_t wire_end(std::uint32_t g) const { return wire_begin(g) + k_of(g) + m; }
   std::uint32_t group_of(std::uint32_t psn) const {
@@ -130,17 +134,6 @@ class FecReceiver final : public ReceiverTransport {
   Timer nack_timer_{sim_, [this] { on_nack_timer(); }};
 };
 
-class FecFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<FecSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    return std::make_unique<FecReceiver>(sim, host, spec, cfg);
-  }
-};
+using FecFactory = TransportPair<FecSender, FecReceiver>;
 
 }  // namespace dcp

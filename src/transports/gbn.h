@@ -56,17 +56,6 @@ class GbnReceiver final : public ReceiverTransport {
   bool nak_outstanding_ = false;
 };
 
-class GbnFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<GbnSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    return std::make_unique<GbnReceiver>(sim, host, spec, cfg);
-  }
-};
+using GbnFactory = TransportPair<GbnSender, GbnReceiver>;
 
 }  // namespace dcp

@@ -59,17 +59,6 @@ class IrnReceiver final : public OooReceiver {
   void on_packet(Packet pkt) override;
 };
 
-class IrnFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<IrnSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    return std::make_unique<IrnReceiver>(sim, host, spec, cfg);
-  }
-};
+using IrnFactory = TransportPair<IrnSender, IrnReceiver>;
 
 }  // namespace dcp

@@ -58,17 +58,6 @@ class MpRdmaReceiver final : public OooReceiver {
   std::uint32_t ooo_window_pkts() const;
 };
 
-class MpRdmaFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<MpRdmaSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    return std::make_unique<MpRdmaReceiver>(sim, host, spec, cfg);
-  }
-};
+using MpRdmaFactory = TransportPair<MpRdmaSender, MpRdmaReceiver>;
 
 }  // namespace dcp

@@ -54,17 +54,6 @@ class RackTlpSender final : public SenderTransport {
   Timer rto_{sim_, [this] { on_rto(); }};
 };
 
-class RackTlpFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<RackTlpSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    return std::make_unique<OooReceiver>(sim, host, spec, cfg);
-  }
-};
+using RackTlpFactory = TransportPair<RackTlpSender, OooReceiver>;
 
 }  // namespace dcp

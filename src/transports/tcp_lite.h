@@ -61,17 +61,6 @@ class TcpLiteReceiver final : public OooReceiver {
   void process(const Packet& pkt);
 };
 
-class TcpLiteFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<TcpLiteSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    return std::make_unique<TcpLiteReceiver>(sim, host, spec, cfg);
-  }
-};
+using TcpLiteFactory = TransportPair<TcpLiteSender, TcpLiteReceiver>;
 
 }  // namespace dcp

@@ -31,17 +31,6 @@ class TimeoutSender final : public SenderTransport {
   Timer rto_{sim_, [this] { on_rto(); }};  // deadline-class: re-armed per ACK
 };
 
-class TimeoutFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<TimeoutSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    return std::make_unique<OooReceiver>(sim, host, spec, cfg);
-  }
-};
+using TimeoutFactory = TransportPair<TimeoutSender, OooReceiver>;
 
 }  // namespace dcp

@@ -35,36 +35,4 @@ std::vector<FlowId> generate_poisson_flows(Network& net, const std::vector<Host*
   return ids;
 }
 
-std::vector<FlowId> generate_permutation(Network& net, const std::vector<Host*>& hosts,
-                                         std::uint64_t bytes, Time start, std::uint64_t seed,
-                                         std::uint64_t msg_bytes) {
-  Rng rng(seed);
-  const std::size_t n = hosts.size();
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  // Fisher-Yates into a derangement: reshuffle until no fixed points
-  // (expected ~e tries; guaranteed for n >= 2 eventually).
-  bool ok = false;
-  while (!ok) {
-    for (std::size_t i = n - 1; i > 0; --i) {
-      const std::size_t j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i)));
-      std::swap(perm[i], perm[j]);
-    }
-    ok = true;
-    for (std::size_t i = 0; i < n; ++i) ok = ok && perm[i] != i;
-  }
-  std::vector<FlowId> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    FlowSpec spec;
-    spec.src = hosts[i]->id();
-    spec.dst = hosts[perm[i]]->id();
-    spec.bytes = bytes;
-    spec.start_time = start;
-    spec.msg_bytes = msg_bytes;
-    ids.push_back(net.start_flow(spec));
-  }
-  return ids;
-}
-
 }  // namespace dcp

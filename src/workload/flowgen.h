@@ -25,14 +25,4 @@ struct FlowGenParams {
 std::vector<FlowId> generate_poisson_flows(Network& net, const std::vector<Host*>& hosts,
                                            const SizeDist& dist, const FlowGenParams& p);
 
-/// Permutation traffic: every host sends one flow of `bytes` to a distinct
-/// partner (a random derangement), all starting at `start`.  The classic
-/// fabric stress pattern: every NIC is both a sender and a receiver at
-/// full rate, and cross-fabric load is perfectly admissible — any loss or
-/// slowdown is the fabric's fault, not oversubscription.
-std::vector<FlowId> generate_permutation(Network& net, const std::vector<Host*>& hosts,
-                                         std::uint64_t bytes, Time start = 0,
-                                         std::uint64_t seed = 9,
-                                         std::uint64_t msg_bytes = 4 * 1024 * 1024);
-
 }  // namespace dcp

@@ -241,13 +241,16 @@ TEST(DcpTransport, MessageWindowNeverExceedsOutstandingLimit) {
 // the protocol level while paying n bits instead of log2(n).
 // ---------------------------------------------------------------------------
 
+// Every scheme builds the counter receiver; these tests swap in the bitmap.
+using DcpBitmapFactory = TransportPair<DcpSender, DcpBitmapReceiver>;
+
 TEST(DcpBitmapVariant, CompletesUnderTrimmingLikeCounterReceiver) {
   Simulator sim;
   Logger log{LogLevel::kOff};
   Network net{sim, log};
   SchemeSetup s = make_scheme(SchemeKind::kDcp);
   s.sw.inject_loss_rate = 0.05;
-  s.tcfg.dcp_bitmap_receiver = true;
+  s.factory = std::make_shared<DcpBitmapFactory>();
   Star star = build_star(net, 3, s.sw);
   apply_scheme(net, s);
 
@@ -278,7 +281,7 @@ TEST(DcpBitmapVariant, MatchesCounterReceiverResults) {
     Network net{sim, log};
     SchemeSetup s = make_scheme(SchemeKind::kDcp);
     s.sw.inject_loss_rate = 0.02;
-    s.tcfg.dcp_bitmap_receiver = bitmap;
+    if (bitmap) s.factory = std::make_shared<DcpBitmapFactory>();
     Star star = build_star(net, 4, s.sw);
     apply_scheme(net, s);
     std::vector<FlowId> ids;
@@ -317,7 +320,7 @@ TEST(DcpBitmapVariant, SilentLossStillRecoversViaTimeout) {
   SchemeSetup s = make_scheme(SchemeKind::kDcp);
   s.sw.trimming = false;  // silent drops
   s.sw.inject_loss_rate = 0.05;
-  s.tcfg.dcp_bitmap_receiver = true;
+  s.factory = std::make_shared<DcpBitmapFactory>();
   Star star = build_star(net, 3, s.sw);
   apply_scheme(net, s);
   FlowSpec spec;
@@ -352,7 +355,7 @@ void expect_tracker_invisible(const char* what, double loss, const TrackerSetup&
     Network net{sim, log};
     SchemeSetup s = make_scheme(SchemeKind::kDcp);
     s.sw.inject_loss_rate = loss;
-    s.tcfg.dcp_bitmap_receiver = bitmap;
+    if (bitmap) s.factory = std::make_shared<DcpBitmapFactory>();
     setup(net, s);
     net.run_until_done(seconds(5));
     return net.records();
@@ -458,7 +461,7 @@ struct LossyDcpFlow {
   explicit LossyDcpFlow(bool bitmap_receiver) {
     SchemeSetup s = make_scheme(SchemeKind::kDcp);
     s.sw.inject_loss_rate = 0.3;
-    s.tcfg.dcp_bitmap_receiver = bitmap_receiver;
+    if (bitmap_receiver) s.factory = std::make_shared<DcpBitmapFactory>();
     Star star = build_star(net, 3, s.sw);
     apply_scheme(net, s);
     FlowSpec spec;

@@ -1,231 +1,24 @@
-// FEC reliability tier: GF(256) codec algebra, the (k, m) group transport
+// FEC reliability tier: the (k, m) wire layout and its decode rule, the
+// receiver fed exact loss patterns chunk by chunk, the group transport
 // end-to-end on the testbed and the WAN, recovery-counter accounting, and
 // determinism — a FEC sweep must be bit-identical across DCP_JOBS, and the
 // oracle-armed fuzz batch must stay clean with the scheme forced to FEC.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <numeric>
-#include <string>
 #include <vector>
 
 #include "check/fuzzer.h"
+#include "check/observer.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
-#include "transports/ec_codec.h"
+#include "topo/dumbbell.h"
 #include "transports/fec.h"
 
 namespace dcp {
 namespace {
-
-// ---------------------------------------------------------------------------
-// GF(256) arithmetic
-// ---------------------------------------------------------------------------
-
-TEST(EcCodec, FieldAxioms) {
-  // Spot-check the multiplicative structure: inverses invert, division
-  // round-trips, and 1 is the identity.
-  for (unsigned a = 1; a < 256; ++a) {
-    const std::uint8_t x = static_cast<std::uint8_t>(a);
-    EXPECT_EQ(gf_mul(x, gf_inv(x)), 1) << "a=" << a;
-    EXPECT_EQ(gf_mul(x, 1), x);
-    EXPECT_EQ(gf_div(x, x), 1);
-  }
-  EXPECT_EQ(gf_mul(0, 123), 0);
-  // A known product in GF(256)/0x11d: 2 * 128 = 0x1d (the reduction).
-  EXPECT_EQ(gf_mul(2, 128), 0x1d);
-}
-
-std::vector<std::vector<std::uint8_t>> make_chunks(unsigned k, std::size_t len,
-                                                   std::uint64_t seed) {
-  std::vector<std::vector<std::uint8_t>> data(k);
-  std::uint64_t s = seed;
-  for (unsigned i = 0; i < k; ++i) {
-    data[i].resize(len);
-    for (std::size_t b = 0; b < len; ++b) {
-      s = s * 6364136223846793005ull + 1442695040888963407ull;
-      data[i][b] = static_cast<std::uint8_t>(s >> 33);
-    }
-  }
-  return data;
-}
-
-// Erase `lose` chunk indices, decode, and require the data chunks back
-// bit-exactly.
-void round_trip(unsigned k, unsigned m, const std::vector<unsigned>& lose) {
-  const EcCodec codec(k, m);
-  const auto data = make_chunks(k, 64, 0xfec0de + k * 31 + m);
-  const auto parity = codec.encode(data);
-  ASSERT_EQ(parity.size(), m);
-
-  std::vector<std::vector<std::uint8_t>> chunks = data;
-  for (const auto& p : parity) chunks.push_back(p);
-  std::vector<bool> present(k + m, true);
-  for (unsigned idx : lose) {
-    present[idx] = false;
-    chunks[idx].clear();
-  }
-  ASSERT_TRUE(codec.decode(chunks, present));
-  for (unsigned i = 0; i < k; ++i) {
-    EXPECT_EQ(chunks[i], data[i]) << "chunk " << i << " (k=" << k << ", m=" << m << ")";
-  }
-}
-
-TEST(EcCodec, XorParityRecoversAnySingleLoss) {
-  // m == 1 degenerates to plain XOR parity: any one loss is recoverable.
-  for (unsigned idx = 0; idx < 5; ++idx) round_trip(/*k=*/4, /*m=*/1, {idx});
-}
-
-TEST(EcCodec, RecoversExactlyMLosses) {
-  // MDS guarantee: any m erasures out of k+m decode.  Sweep loss patterns
-  // mixing data and parity positions.
-  round_trip(8, 2, {0, 1});    // two data chunks
-  round_trip(8, 2, {3, 9});    // one data, one parity
-  round_trip(8, 2, {8, 9});    // both parity (trivial: data intact)
-  round_trip(8, 2, {0, 7});    // first and last data
-  round_trip(16, 4, {0, 5, 11, 19});
-  round_trip(16, 4, {12, 13, 14, 15});
-  round_trip(4, 3, {0, 2, 6});
-  round_trip(2, 2, {0, 1});    // all data lost, rebuilt purely from parity
-}
-
-TEST(EcCodec, MorePlusOneLossesFailClosed) {
-  // m+1 erasures leave fewer than k chunks: decode must refuse (the
-  // transport then falls back to per-group NACK repair).
-  const unsigned k = 8, m = 2;
-  const EcCodec codec(k, m);
-  const auto data = make_chunks(k, 32, 99);
-  const auto parity = codec.encode(data);
-
-  std::vector<std::vector<std::uint8_t>> chunks = data;
-  for (const auto& p : parity) chunks.push_back(p);
-  std::vector<bool> present(k + m, true);
-  present[0] = present[1] = present[8] = false;  // m+1 = 3 losses
-  chunks[0].clear();
-  chunks[1].clear();
-  chunks[8].clear();
-  EXPECT_FALSE(codec.decode(chunks, present));
-
-  EXPECT_TRUE(EcCodec::recoverable(k, /*have_data=*/6, /*have_parity=*/2));
-  EXPECT_FALSE(EcCodec::recoverable(k, /*have_data=*/6, /*have_parity=*/1));
-  EXPECT_TRUE(EcCodec::recoverable(k, /*have_data=*/8, /*have_parity=*/0));
-}
-
-TEST(EcCodec, UnevenTailChunksZeroPad) {
-  // The tail group's last data chunk is shorter than the rest; parity is
-  // sized to the widest chunk and decode zero-pads internally.
-  const unsigned k = 3, m = 2;
-  const EcCodec codec(k, m);
-  std::vector<std::vector<std::uint8_t>> data = {
-      {1, 2, 3, 4, 5}, {9, 8, 7, 6, 5}, {42, 43}};
-  const auto parity = codec.encode(data);
-  ASSERT_EQ(parity[0].size(), 5u);
-
-  std::vector<std::vector<std::uint8_t>> chunks = data;
-  for (const auto& p : parity) chunks.push_back(p);
-  std::vector<bool> present(k + m, true);
-  present[0] = present[2] = false;
-  const std::vector<std::uint8_t> want0 = chunks[0];
-  const std::vector<std::uint8_t> want2 = chunks[2];
-  chunks[0].clear();
-  chunks[2].clear();
-  ASSERT_TRUE(codec.decode(chunks, present));
-  EXPECT_EQ(chunks[0], want0);
-  // Reconstruction works over the padded width; the short chunk comes back
-  // zero-extended, with its real prefix intact.
-  ASSERT_GE(chunks[2].size(), want2.size());
-  for (std::size_t i = 0; i < want2.size(); ++i) EXPECT_EQ(chunks[2][i], want2[i]);
-  for (std::size_t i = want2.size(); i < chunks[2].size(); ++i) EXPECT_EQ(chunks[2][i], 0);
-}
-
-// ---------------------------------------------------------------------------
-// SIMD region kernels
-// ---------------------------------------------------------------------------
-
-/// Pins the kernel level for one test and restores the hardware-resolved
-/// level on exit, so test order never leaks a forced level.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(int level) : prev_(ec_simd_level()) { set_ec_simd_level(level); }
-  ~ScopedSimdLevel() { set_ec_simd_level(prev_); }
-
- private:
-  int prev_;
-};
-
-std::vector<std::uint8_t> make_bytes(std::size_t n, std::uint64_t seed) {
-  std::vector<std::uint8_t> v(n);
-  std::uint64_t s = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    v[i] = static_cast<std::uint8_t>(s >> 33);
-  }
-  return v;
-}
-
-TEST(EcCodec, RegionKernelsMatchScalarReferenceAtEveryLevel) {
-  // Every vector path must produce table-exact GF(256) results: compare
-  // gf_mul_region_acc / gf_mul_region at each selectable level against a
-  // per-byte gf_mul reference.  Odd lengths exercise the scalar tail after
-  // the 16/32-byte vector body; coefficients cover 0, 1, and high bits
-  // (the reduction path).
-  const int hw = ec_simd_level();
-  for (const std::size_t n : {std::size_t{1}, std::size_t{15}, std::size_t{16},
-                              std::size_t{33}, std::size_t{257}, std::size_t{1021}}) {
-    const auto src = make_bytes(n, 0xabc + n);
-    const auto dst0 = make_bytes(n, 0xdef + n);
-    for (const std::uint8_t coef : {0, 1, 2, 0x1d, 0x80, 0xff}) {
-      std::vector<std::uint8_t> want_acc = dst0;
-      for (std::size_t i = 0; i < n; ++i) want_acc[i] ^= gf_mul(coef, src[i]);
-      std::vector<std::uint8_t> want_scale = dst0;
-      for (std::size_t i = 0; i < n; ++i) want_scale[i] = gf_mul(coef, dst0[i]);
-
-      for (int level = 0; level <= hw; ++level) {
-        ScopedSimdLevel pin(level);
-        std::vector<std::uint8_t> acc = dst0;
-        gf_mul_region_acc(acc.data(), src.data(), n, coef);
-        EXPECT_EQ(acc, want_acc) << "acc level=" << level << " n=" << n
-                                 << " coef=" << int(coef);
-        std::vector<std::uint8_t> scale = dst0;
-        gf_mul_region(scale.data(), n, coef);
-        EXPECT_EQ(scale, want_scale) << "scale level=" << level << " n=" << n
-                                     << " coef=" << int(coef);
-      }
-    }
-  }
-}
-
-TEST(EcCodec, EncodeDecodeBitIdenticalAcrossSimdLevels) {
-  // The whole codec, not just the kernels: parity bytes and reconstructed
-  // data must match the scalar path at every level the hardware offers.
-  const int hw = ec_simd_level();
-  const unsigned k = 8, m = 3;
-  const auto data = make_chunks(k, 1021, 0x51dd);  // odd length: vector + tail
-
-  std::vector<std::vector<std::uint8_t>> scalar_parity;
-  {
-    ScopedSimdLevel pin(0);
-    scalar_parity = EcCodec(k, m).encode(data);
-  }
-  for (int level = 1; level <= hw; ++level) {
-    ScopedSimdLevel pin(level);
-    const EcCodec codec(k, m);
-    EXPECT_EQ(codec.encode(data), scalar_parity) << "encode level=" << level;
-
-    std::vector<std::vector<std::uint8_t>> chunks = data;
-    for (const auto& p : scalar_parity) chunks.push_back(p);
-    std::vector<bool> present(k + m, true);
-    present[1] = present[4] = present[k] = false;  // two data + one parity
-    chunks[1].clear();
-    chunks[4].clear();
-    chunks[k].clear();
-    ASSERT_TRUE(codec.decode(chunks, present)) << "decode level=" << level;
-    for (unsigned i = 0; i < k; ++i) {
-      EXPECT_EQ(chunks[i], data[i]) << "decode level=" << level << " chunk " << i;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Wire layout
@@ -252,6 +45,162 @@ TEST(FecLayout, GroupGeometry) {
   EXPECT_TRUE(l.is_data(11));
   EXPECT_EQ(l.data_index(11), 9u);
   EXPECT_EQ(l.data_index(5), 4u);
+}
+
+TEST(FecLayout, GroupDecodesFromAnyKChunks) {
+  // MDS rule: a group decodes once any k of its k + m chunks arrived, in
+  // any mix of data and parity; one chunk short of k is a NACK round.
+  const FecLayout l(/*k=*/8, /*m=*/2, /*total_data=*/19);
+  EXPECT_TRUE(l.decodable(0, /*got_data=*/6, /*got_parity=*/2));
+  EXPECT_FALSE(l.decodable(0, /*got_data=*/6, /*got_parity=*/1));
+  EXPECT_TRUE(l.decodable(0, /*got_data=*/8, /*got_parity=*/0));
+  // The tail group holds rem = 3 data chunks, so 3 of its 5 decode it.
+  ASSERT_EQ(l.k_of(2), 3u);
+  EXPECT_TRUE(l.decodable(2, /*got_data=*/1, /*got_parity=*/2));
+  EXPECT_TRUE(l.decodable(2, /*got_data=*/3, /*got_parity=*/0));
+  EXPECT_FALSE(l.decodable(2, /*got_data=*/2, /*got_parity=*/0));
+  EXPECT_FALSE(l.decodable(2, /*got_data=*/0, /*got_parity=*/2));
+}
+
+// ---------------------------------------------------------------------------
+// Receiver, driven chunk by chunk
+// ---------------------------------------------------------------------------
+
+/// Records the NACKs the receiving host puts on the wire.
+class NackLog final : public CheckObserver {
+ public:
+  void on_host_send(const Packet& pkt) override {
+    if (pkt.type == PktType::kNack) requested.push_back(pkt.sack_psn);
+  }
+  std::vector<std::uint32_t> requested;  // wire PSNs, in send order
+};
+
+/// A (k=4, m=2) FEC flow between two cabled hosts whose sender never starts
+/// within the test, so every chunk the receiver sees is one the test hands
+/// it: exact loss patterns that ambient random loss cannot pin down.
+struct FecRxFixture {
+  NackLog nacks;  // declared first: outlives the simulator that points at it
+  Simulator sim;
+  Logger log{LogLevel::kOff};
+  Network net{sim, log};
+  FlowId id = 0;
+  ReceiverTransport* rx = nullptr;
+  FecLayout layout;
+
+  explicit FecRxFixture(std::uint64_t bytes)
+      : layout(4, 2, static_cast<std::uint32_t>((bytes + kMtuPayload - 1) / kMtuPayload)) {
+    SchemeOptions opt;
+    opt.fec_k = 4;
+    opt.fec_m = 2;
+    const BackToBack b2b = build_back_to_back(net);
+    apply_scheme(net, make_scheme(SchemeKind::kFec, opt));
+    sim.set_check_observer(&nacks);
+    FlowSpec spec;
+    spec.src = b2b.a->id();
+    spec.dst = b2b.b->id();
+    spec.bytes = bytes;
+    spec.start_time = seconds(1);
+    id = net.start_flow(spec);
+    rx = b2b.b->receiver(id);
+  }
+
+  /// Hands wire chunk `psn` to the receiver; data chunks carry their slice
+  /// of the flow's bytes, parity chunks carry a full MTU of redundancy.
+  void deliver(std::uint32_t psn, bool retransmit = false) {
+    const FlowSpec& spec = net.record(id).spec;
+    Packet p;
+    p.type = PktType::kData;
+    p.flow = id;
+    p.src = spec.src;
+    p.dst = spec.dst;
+    p.psn = psn;
+    p.is_retransmit = retransmit;
+    p.payload_bytes = kMtuPayload;
+    if (layout.is_data(psn)) {
+      const std::uint64_t left = spec.bytes - std::uint64_t{layout.data_index(psn)} * kMtuPayload;
+      p.payload_bytes = static_cast<std::uint32_t>(std::min<std::uint64_t>(left, kMtuPayload));
+    }
+    p.wire_bytes = p.payload_bytes + 64;
+    rx->on_packet(p);
+  }
+};
+
+TEST(FecReceiver, GroupCompletesOnTheKthChunkInAnyMix) {
+  // 12 data chunks: three full groups of 4 data + 2 parity (wire PSNs 0-17).
+  FecRxFixture f(12'000);
+  f.deliver(0);
+  f.deliver(1);
+  f.deliver(4);  // parity: 3 of 4 chunks, one short of k
+  EXPECT_EQ(f.rx->stats().bytes_received, 2'000u);
+  EXPECT_EQ(f.rx->stats().decode_recovered_packets, 0u);
+  EXPECT_EQ(f.rx->stats().acks_sent, 0u);
+  f.deliver(5);  // second parity: k chunks, data 2 and 3 rebuilt
+  EXPECT_EQ(f.rx->stats().decode_recovered_packets, 2u);
+  EXPECT_EQ(f.rx->stats().bytes_received, 4'000u);
+  EXPECT_EQ(f.rx->stats().acks_sent, 1u);  // the group ACK
+  EXPECT_FALSE(f.rx->complete());
+}
+
+TEST(FecReceiver, DuplicateChunkDoesNotCountTowardK) {
+  // Only distinct chunks decode: a repeated data chunk must not stand in
+  // for a missing one.
+  FecRxFixture f(12'000);
+  f.deliver(0);
+  f.deliver(0);
+  f.deliver(1);
+  f.deliver(4);
+  EXPECT_EQ(f.rx->stats().duplicate_packets, 1u);
+  EXPECT_EQ(f.rx->stats().decode_recovered_packets, 0u);
+  EXPECT_EQ(f.rx->stats().acks_sent, 0u);
+  f.deliver(5);
+  EXPECT_EQ(f.rx->stats().decode_recovered_packets, 2u);
+  EXPECT_EQ(f.rx->stats().acks_sent, 1u);
+}
+
+TEST(FecReceiver, LateChunkOfDecodedGroupIsDuplicateAndReAcked) {
+  FecRxFixture f(12'000);
+  for (std::uint32_t psn : {0u, 1u, 4u, 5u}) f.deliver(psn);
+  ASSERT_EQ(f.rx->stats().acks_sent, 1u);
+  f.deliver(2);  // the data chunk the decode already rebuilt
+  EXPECT_EQ(f.rx->stats().duplicate_packets, 1u);
+  EXPECT_EQ(f.rx->stats().bytes_received, 4'000u);
+  EXPECT_EQ(f.rx->stats().decode_recovered_packets, 2u);
+  EXPECT_EQ(f.rx->stats().acks_sent, 2u);  // re-ACK in case the first was lost
+}
+
+TEST(FecReceiver, TailGroupDecodesFromItsOwnK) {
+  // 10,500 B = 11 data chunks: groups 0 and 1 are full, the tail group holds
+  // rem = 3 data chunks (wire PSNs 12-14, the last one 500 B) and parity
+  // 15-16.  Three of its five chunks decode it, and the decode credits the
+  // short last chunk's real size.
+  FecRxFixture f(10'500);
+  ASSERT_EQ(f.layout.groups, 3u);
+  ASSERT_EQ(f.layout.k_of(2), 3u);
+  for (std::uint32_t psn : {0u, 1u, 2u, 3u, 6u, 7u, 8u, 9u}) f.deliver(psn);
+  f.deliver(12);
+  f.deliver(15);
+  EXPECT_FALSE(f.rx->complete());
+  f.deliver(16);
+  EXPECT_TRUE(f.rx->complete());
+  EXPECT_EQ(f.rx->stats().decode_recovered_packets, 2u);
+  EXPECT_EQ(f.rx->stats().bytes_received, 10'500u);
+  EXPECT_GE(f.net.record(f.id).rx_done, 0);
+}
+
+TEST(FecReceiver, QuietGroupShortOfKNacksOnlyItsMissingData) {
+  // Group 0 gets data 0, 1 and parity 4: one chunk short.  After the quiet
+  // period the receiver asks for data 2 and 3, never for the lost parity 5;
+  // one retransmitted data chunk then completes the group by decode.
+  FecRxFixture f(12'000);
+  f.deliver(0);
+  f.deliver(1);
+  f.deliver(4);
+  f.sim.run(microseconds(200));  // past the NACK delay, short of the RTO follow-up
+  EXPECT_EQ(f.nacks.requested, (std::vector<std::uint32_t>{2, 3}));
+  f.deliver(2, /*retransmit=*/true);
+  EXPECT_EQ(f.rx->stats().nack_recovered_packets, 1u);
+  EXPECT_EQ(f.rx->stats().decode_recovered_packets, 1u);
+  EXPECT_EQ(f.rx->stats().bytes_received, 4'000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <memory>
+#include <string>
 #include <typeinfo>
 
 #include "core/dcp_transport.h"
 #include "harness/experiment.h"
+#include "topo/dumbbell.h"
 #include "transports/fec.h"
 #include "transports/gbn.h"
 #include "transports/irn.h"
@@ -35,6 +39,57 @@ TEST(Scheme, FactoriesMatchKinds) {
   EXPECT_EQ(factory_type(SchemeKind::kTcp), typeid(TcpLiteFactory));
   EXPECT_EQ(factory_type(SchemeKind::kFec), typeid(FecFactory));
 }
+
+// Each factory is a TransportPair alias, so FactoriesMatchKinds cannot see
+// which pair it names: build both ends of one flow and read their types.
+struct SchemeEnds {
+  SchemeKind kind;
+  const std::type_info* sender;
+  const std::type_info* receiver;
+};
+
+class SchemeFactory : public ::testing::TestWithParam<SchemeEnds> {};
+
+TEST_P(SchemeFactory, BuildsTheSchemesSenderAndReceiver) {
+  const SchemeEnds& want = GetParam();
+  Simulator sim;
+  Logger log{LogLevel::kOff};
+  Network net{sim, log};
+  const BackToBack b2b = build_back_to_back(net);
+  const SchemeSetup s = make_scheme(want.kind);
+  FlowSpec spec;
+  spec.src = b2b.a->id();
+  spec.dst = b2b.b->id();
+  spec.bytes = 10'000;
+  const std::unique_ptr<SenderTransport> snd = s.factory->make_sender(sim, *b2b.a, spec, s.tcfg);
+  const std::unique_ptr<ReceiverTransport> rcv =
+      s.factory->make_receiver(sim, *b2b.b, spec, s.tcfg);
+  const SenderTransport& snd_ref = *snd;
+  const ReceiverTransport& rcv_ref = *rcv;
+  EXPECT_EQ(typeid(snd_ref), *want.sender);
+  EXPECT_EQ(typeid(rcv_ref), *want.receiver);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, SchemeFactory,
+    ::testing::Values(
+        SchemeEnds{SchemeKind::kPfc, &typeid(GbnSender), &typeid(GbnReceiver)},
+        SchemeEnds{SchemeKind::kIrn, &typeid(IrnSender), &typeid(IrnReceiver)},
+        SchemeEnds{SchemeKind::kIrnEcmp, &typeid(IrnSender), &typeid(IrnReceiver)},
+        SchemeEnds{SchemeKind::kMpRdma, &typeid(MpRdmaSender), &typeid(MpRdmaReceiver)},
+        SchemeEnds{SchemeKind::kDcp, &typeid(DcpSender), &typeid(DcpReceiver)},
+        SchemeEnds{SchemeKind::kCx5, &typeid(GbnSender), &typeid(GbnReceiver)},
+        SchemeEnds{SchemeKind::kTimeout, &typeid(TimeoutSender), &typeid(OooReceiver)},
+        SchemeEnds{SchemeKind::kRackTlp, &typeid(RackTlpSender), &typeid(OooReceiver)},
+        SchemeEnds{SchemeKind::kTcp, &typeid(TcpLiteSender), &typeid(TcpLiteReceiver)},
+        SchemeEnds{SchemeKind::kFec, &typeid(FecSender), &typeid(FecReceiver)}),
+    [](const ::testing::TestParamInfo<SchemeEnds>& info) {
+      std::string name;
+      for (const char c : std::string(scheme_name(info.param.kind))) {
+        if (std::isalnum(static_cast<unsigned char>(c))) name += c;
+      }
+      return name;
+    });
 
 TEST(Scheme, SwitchConfigReflectsScheme) {
   EXPECT_TRUE(make_scheme(SchemeKind::kDcp).sw.trimming);

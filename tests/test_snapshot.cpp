@@ -189,18 +189,7 @@ TEST(Snapshot, FaultedOracleArmedResumeBitIdentical) {
 
 // Every scheme builds the counter receiver, so the §4.5 bitmap variant is
 // reached through a factory override.
-class DcpBitmapFactory final : public TransportFactory {
- public:
-  std::unique_ptr<SenderTransport> make_sender(Simulator& sim, Host& host, const FlowSpec& spec,
-                                               const TransportConfig& cfg) override {
-    return std::make_unique<DcpSender>(sim, host, spec, cfg);
-  }
-  std::unique_ptr<ReceiverTransport> make_receiver(Simulator& sim, Host& host,
-                                                   const FlowSpec& spec,
-                                                   const TransportConfig& cfg) override {
-    return std::make_unique<DcpBitmapReceiver>(sim, host, spec, cfg);
-  }
-};
+using DcpBitmapFactory = TransportPair<DcpSender, DcpBitmapReceiver>;
 
 TEST(Snapshot, DcpBitmapReceiverResumesBitIdentical) {
   FuzzOptions opt;

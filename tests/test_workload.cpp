@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "topo/dumbbell.h"
 #include "transports/gbn.h"
 #include "workload/flowgen.h"
@@ -132,48 +130,6 @@ TEST(Incast, BurstsSeparatedByLoadInterval) {
   // Mean interval = burst_bits / (load * rate) ~ 2.1 ms at these numbers;
   // with exponential jitter just check it is "large".
   EXPECT_GT(t1 - t0, microseconds(50));
-}
-
-TEST(Permutation, EveryHostSendsAndReceivesExactlyOnce) {
-  WorkloadFixture f;
-  const auto ids = generate_permutation(f.net, f.star.hosts, 10'000);
-  ASSERT_EQ(ids.size(), f.star.hosts.size());
-  std::map<NodeId, int> tx, rx;
-  for (FlowId id : ids) {
-    const auto& spec = f.net.record(id).spec;
-    EXPECT_NE(spec.src, spec.dst);  // derangement: no self-flows
-    tx[spec.src]++;
-    rx[spec.dst]++;
-  }
-  for (auto* h : f.star.hosts) {
-    EXPECT_EQ(tx[h->id()], 1);
-    EXPECT_EQ(rx[h->id()], 1);
-  }
-}
-
-TEST(Permutation, AdmissibleLoadRunsNearLineRate) {
-  // On a non-blocking star, a permutation is perfectly admissible: every
-  // flow should finish in roughly the serialization time of its bytes.
-  WorkloadFixture f;
-  f.net.set_factory(std::make_shared<GbnFactory>());
-  const std::uint64_t bytes = 1'000'000;
-  const auto ids = generate_permutation(f.net, f.star.hosts, bytes);
-  f.net.run_until_done(seconds(2));
-  for (FlowId id : ids) {
-    const FlowRecord& rec = f.net.record(id);
-    ASSERT_TRUE(rec.complete());
-    // 1 MB at 100G ~ 85 us; allow generous scheduling slack.
-    EXPECT_LT(rec.fct(), microseconds(200));
-  }
-}
-
-TEST(Permutation, DeterministicForSeed) {
-  WorkloadFixture f1, f2;
-  const auto a = generate_permutation(f1.net, f1.star.hosts, 1000, 0, 123);
-  const auto b = generate_permutation(f2.net, f2.star.hosts, 1000, 0, 123);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(f1.net.record(a[i]).spec.dst, f2.net.record(b[i]).spec.dst);
-  }
 }
 
 }  // namespace
