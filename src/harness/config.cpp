@@ -47,6 +47,7 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
   std::istringstream in(text);
   std::string raw;
   int line_no = 0;
+  int fabric_line = 0;  // the last line that sized the Clos fabric
   while (std::getline(in, raw)) {
     ++line_no;
     const std::size_t hash = raw.find('#');
@@ -146,23 +147,16 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
       if (l == "websearch") cfg.websearch.dist = WorkloadDist::kWebSearch;
       else if (l == "datamining") cfg.websearch.dist = WorkloadDist::kDataMining;
       else return fail(line_no, "unknown dist '" + val + "'");
-    } else if (key == "spines") {
+    } else if (key == "spines" || key == "leaves" || key == "hosts_per_leaf") {
       if ((ok = parse_int(val, &i))) {
-        cfg.websearch.clos.spines = i;
-        cfg.collective.clos.spines = i;
-        cfg.faultdrill.clos.spines = i;
-      }
-    } else if (key == "leaves") {
-      if ((ok = parse_int(val, &i))) {
-        cfg.websearch.clos.leaves = i;
-        cfg.collective.clos.leaves = i;
-        cfg.faultdrill.clos.leaves = i;
-      }
-    } else if (key == "hosts_per_leaf") {
-      if ((ok = parse_int(val, &i))) {
-        cfg.websearch.clos.hosts_per_leaf = i;
-        cfg.collective.clos.hosts_per_leaf = i;
-        cfg.faultdrill.clos.hosts_per_leaf = i;
+        if (i < 1) return fail(line_no, key + " must be >= 1");
+        int ClosParams::*field = key == "spines"   ? &ClosParams::spines
+                                 : key == "leaves" ? &ClosParams::leaves
+                                                   : &ClosParams::hosts_per_leaf;
+        cfg.websearch.clos.*field = i;
+        cfg.collective.clos.*field = i;
+        cfg.faultdrill.clos.*field = i;
+        fabric_line = line_no;
       }
     } else if (key == "leaf_spine_delay_us") {
       ok = time_in("us", &cfg.websearch.clos.leaf_spine_delay);
@@ -217,6 +211,11 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
       return fail(line_no, "unknown key '" + key + "'");
     }
     if (!ok) return fail(line_no, "bad numeric value '" + val + "' for '" + key + "'");
+  }
+  // Every flow needs two distinct hosts.
+  if (const int n = cfg.websearch.clos.num_hosts(); n < 2) {
+    return fail(fabric_line, "leaves * hosts_per_leaf = " + std::to_string(n) +
+                                 ": the fabric needs at least two hosts");
   }
 
   cfg.websearch.scheme = scheme;

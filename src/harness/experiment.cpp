@@ -42,15 +42,15 @@ struct FaultHarness {
 };
 
 // The readout every one-flow runner shares: completion, elapsed time, the
-// end stats (live ones if the flow did not finish inside the budget) and
-// goodput over the elapsed time.
+// end stats (as of the stop for an end that did not finish inside the
+// budget) and goodput over the elapsed time.
 template <typename Result>
 void read_single_flow(Network& net, FlowId id, Time now, Result& r) {
   const FlowRecord& rec = net.record(id);
   r.completed = rec.complete();
   r.elapsed = r.completed ? rec.fct() : now;
-  r.receiver = r.completed ? rec.receiver : net.host(rec.spec.dst)->receiver(id)->stats();
-  r.sender = r.completed ? rec.sender : net.host(rec.spec.src)->sender(id)->stats();
+  r.receiver = rec.receiver;
+  r.sender = rec.sender;
   if (r.elapsed > 0) {
     r.goodput_gbps = static_cast<double>(r.receiver.bytes_received) * 8.0 /
                      (static_cast<double>(r.elapsed) / kSecond) / 1e9;
@@ -135,9 +135,7 @@ UnequalPathsResult run_unequal_paths(SchemeKind scheme, double ratio, std::uint6
       g = static_cast<double>(rec.spec.bytes) * 8.0 /
           (static_cast<double>(rec.fct()) / kSecond) / 1e9;
     } else {
-      Host* dst = net.host(rec.spec.dst);
-      const auto& st = dst->receiver(rec.spec.id)->stats();
-      g = static_cast<double>(st.bytes_received) * 8.0 /
+      g = static_cast<double>(rec.receiver.bytes_received) * 8.0 /
           (static_cast<double>(sim.now()) / kSecond) / 1e9;
     }
     r.flow_goodputs[i] = g;

@@ -25,7 +25,6 @@ void Host::receive_fast(PacketPtr pkt, std::uint32_t /*in_port*/) {
     case PktType::kData: {
       if (auto* r = receiver(flow)) {
         r->on_packet(std::move(flat));
-        if (journal_on_) journal_receiver_stats(flow);
         return;
       }
       break;
@@ -45,7 +44,6 @@ void Host::receive_fast(PacketPtr pkt, std::uint32_t /*in_port*/) {
       // Second leg (receiver -> sender): drives HO-based retransmission.
       if (auto* r = receiver(flow)) {
         r->on_packet(std::move(flat));
-        if (journal_on_) journal_receiver_stats(flow);
         return;
       }
       if (auto* s = sender(flow)) {
@@ -82,46 +80,6 @@ SenderTransport* Host::sender(FlowId id) {
   return last_sender_;
 }
 
-void Host::journal_receiver_stats(FlowId id) {
-  ReceiverTransport* r = receiver(id);
-  if (r == nullptr) return;
-  std::vector<StatSnap>& log = journal_[id];
-  const Time t = sim_.current_event_time();
-  const std::uint64_t seq = sim_.current_event_seq(*this);
-  if (!log.empty() && log.back().t == t && log.back().seq == seq) {
-    log.back().stats = r->stats();  // same event touched the stats twice
-    return;
-  }
-  log.push_back(StatSnap{t, seq, r->stats()});
-}
-
-ReceiverStats Host::journal_stats_at(FlowId id, Time t, std::uint64_t seq) {
-  auto it = journal_.find(id);
-  if (it != journal_.end()) {
-    const std::vector<StatSnap>& log = it->second;
-    for (std::size_t i = log.size(); i > 0; --i) {
-      const StatSnap& s = log[i - 1];
-      if (s.t < t || (s.t == t && s.seq <= seq)) return s.stats;
-    }
-  }
-  ReceiverTransport* r = receiver(id);
-  return r != nullptr ? r->stats() : ReceiverStats{};
-}
-
-bool Host::commit_stamps(const SeqRemap& remap) {
-  for (auto& [id, log] : journal_) {
-    for (StatSnap& s : log) s.seq = remap(s.seq);
-  }
-  return false;
-}
-
-void Host::prune_stat_journal() {
-  for (auto& [id, log] : journal_) {
-    // Entries ascend in (t, seq): the latest is the last.
-    if (log.size() > 1) log.erase(log.begin(), log.end() - 1);
-  }
-}
-
 ReceiverTransport* Host::receiver(FlowId id) {
   if (id == last_receiver_id_ && last_receiver_ != nullptr) return last_receiver_;
   auto it = receivers_.find(id);
@@ -130,7 +88,6 @@ ReceiverTransport* Host::receiver(FlowId id) {
   last_receiver_ = it->second.get();
   return last_receiver_;
 }
-
 
 void Host::checkpoint(StateIO& io) {
   io.label(0x4057u);
@@ -166,43 +123,7 @@ void Host::checkpoint(StateIO& io) {
   if (!io.ok()) return;
   nic_.checkpoint(io, *this);
   io.pod(unroutable_);
-  // Receiver-stat journal (sharded runs): per flow, ascending (t, seq).
-  std::vector<FlowId> jids;
-  jids.reserve(journal_.size());
-  for (auto& kv : journal_) jids.push_back(kv.first);
-  std::sort(jids.begin(), jids.end());
-  std::uint64_t jn = jids.size();
-  io.pod(jn);
-  if (io.saving()) {
-    for (FlowId id : jids) {
-      FlowId rid = id;
-      io.pod(rid);
-      auto& v = journal_.at(id);
-      std::uint64_t vn = v.size();
-      io.pod(vn);
-      for (auto& snap : v) {
-        io.pod(snap.t);
-        io.seq(snap.seq);
-        io.pod(snap.stats);
-      }
-    }
-  } else {
-    journal_.clear();
-    for (std::uint64_t i = 0; i < jn && io.ok(); ++i) {
-      FlowId id = 0;
-      io.pod(id);
-      std::uint64_t vn = 0;
-      io.pod(vn);
-      auto& v = journal_[id];
-      v.reserve(vn);
-      for (std::uint64_t k = 0; k < vn && io.ok(); ++k) {
-        StatSnap snap{};
-        io.pod(snap.t);
-        io.seq(snap.seq);
-        io.pod(snap.stats);
-        v.push_back(snap);
-      }
-    }
+  if (!io.saving()) {
     last_sender_id_ = UINT64_MAX;
     last_sender_ = nullptr;
     last_receiver_id_ = UINT64_MAX;

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "host/rnic_scheduler.h"
 #include "host/transport.h"
@@ -16,7 +15,7 @@ namespace dcp {
 
 class StateIO;
 
-class Host final : public Node, private StampHolder {
+class Host final : public Node {
  public:
   Host(Simulator& sim, Logger& log, NodeId id, const std::string& name, Bandwidth nic_bw,
        Time link_propagation)
@@ -59,33 +58,9 @@ class Host final : public Node, private StampHolder {
   std::uint64_t unroutable_packets() const { return unroutable_; }
 
   /// Checkpoint hook (sim/snapshot.h): every per-flow transport (sorted by
-  /// flow id), the NIC scheduler, and the receiver-stat journal.  The MRU
-  /// transport memo is reset on load rather than saved (pure cache).
+  /// flow id) and the NIC scheduler.  The MRU transport memo is reset on
+  /// load rather than saved (pure cache).
   void checkpoint(StateIO& io);
-
-  // --- Sharded-run receiver-stat journal ---------------------------------
-  // A sharded run finalizes flows at window barriers, but the FlowRecord
-  // must capture the receiver's stats exactly as they stood at the
-  // finalizing event's (t, seq) — the receiver's shard may already have
-  // executed past that point within the same window.  With the journal on,
-  // every mutation point (receiver packet dispatch here, control sends in
-  // ReceiverTransport::send_control) snapshots the stats keyed by the
-  // event executing on this host's shard.  A provisional key lists the
-  // host as a StampHolder, and the barrier commits it.
-
-  void enable_stat_journal() { journal_on_ = true; }
-  bool stat_journal_on() const { return journal_on_; }
-  /// Appends a snapshot of flow `id`'s receiver stats keyed by the current
-  /// event.
-  void journal_receiver_stats(FlowId id);
-  /// Latest snapshot strictly before finalize key (t, seq); keys are
-  /// globally unique so "at or before" is equivalent.  Falls back to the
-  /// live stats when nothing has been journaled for the flow.
-  ReceiverStats journal_stats_at(FlowId id, Time t, std::uint64_t seq);
-  /// Barrier, after finalizations: drop entries no future finalize can
-  /// key into.  Every later finalize key lies beyond the window just
-  /// committed, so each flow keeps only its latest entry.
-  void prune_stat_journal();
 
  private:
   RnicScheduler nic_;
@@ -99,19 +74,6 @@ class Host final : public Node, private StampHolder {
   FlowId last_receiver_id_ = UINT64_MAX;
   ReceiverTransport* last_receiver_ = nullptr;
   std::uint64_t unroutable_ = 0;
-
-  struct StatSnap {
-    Time t;
-    std::uint64_t seq;
-    ReceiverStats stats;
-  };
-  bool journal_on_ = false;
-  // Entries per flow are appended in execution order, which is ascending
-  // committed (t, seq) — the window commit is order-preserving.
-  std::unordered_map<FlowId, std::vector<StatSnap>> journal_;
-
-  /// Barrier (StampHolder): commits the journal's provisional keys.
-  bool commit_stamps(const SeqRemap& remap) override;
 };
 
 }  // namespace dcp

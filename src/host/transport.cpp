@@ -105,9 +105,6 @@ ReceiverTransport::ReceiverTransport(Simulator& sim, Host& host, FlowSpec spec,
 void ReceiverTransport::send_control(Packet pkt) {
   stats_.acks_sent++;
   host_.nic().send_control(std::move(pkt));
-  // Control sends can fire outside a packet dispatch (keepalive timers), so
-  // this mutation point journals itself in sharded runs.
-  if (host_.stat_journal_on()) host_.journal_receiver_stats(spec_.id);
 }
 
 Packet ReceiverTransport::make_control(PktType type, std::uint32_t wire_bytes) {

@@ -82,12 +82,12 @@ struct ShardSeqAlloc {
 struct SeqRemap;
 
 /// A component that keeps tie-break stamps outside the event heaps: a
-/// channel's lane records or cut-edge outbox, a host's receiver-stat
-/// journal, a network's pending window effects.  It takes every stamp
-/// through EventQueue::alloc_seq(holder) or current_event_seq(holder); in
-/// a shard window the first provisional stamp lists the holder on that
-/// queue, and the window barrier commits exactly the listed holders (see
-/// sim/shard.h).  Outside windows nothing is listed.
+/// channel's lane records or cut-edge outbox, a network's pending window
+/// effects.  It takes every stamp through EventQueue::alloc_seq(holder) or
+/// current_event_seq(holder); in a shard window the first provisional
+/// stamp lists the holder on that queue, and the window barrier commits
+/// exactly the listed holders (see sim/shard.h).  Outside windows nothing
+/// is listed.
 class StampHolder {
  public:
   /// Barrier: rewrites every provisional stamp held with its committed
@@ -269,9 +269,9 @@ class EventQueue {
   /// (and lane coalescing, which refreshes it via set_current_event).
   Time current_event_time() const { return cur_time_; }
   std::uint64_t current_event_seq() const { return cur_parent_; }
-  /// The current event's sequence as a stamp `holder` keeps (receiver
-  /// stat journals, deferred flow finalizations): when it is provisional
-  /// the holder is listed for the barrier commit.
+  /// The current event's sequence as a stamp `holder` keeps (deferred
+  /// flow completions): when it is provisional the holder is listed for
+  /// the barrier commit.
   std::uint64_t current_event_seq(StampHolder& holder) {
     if ((cur_parent_ & kProvisionalSeq) != 0 && !holder.listed_) list(holder);
     return cur_parent_;

@@ -242,8 +242,8 @@ void ShardGroup::commit_window() {
   for (std::size_t i = 0; i < n; ++i) {
     if (dispatch_[i] == 0) continue;  // a parked shard took no stamp
     // Leave window mode, rewriting every provisional key still parked in
-    // the shard's heaps, then commit the holders (lanes, outboxes,
-    // journals, pending lists) that took a stamp in this window.
+    // the shard's heaps, then commit the holders (lanes, outboxes, pending
+    // lists) that took a stamp in this window.
     sims_[i]->end_shard_window(committed_[i], drains_);
   }
   // Cut-edge mailbox drains, only once every shard's heaps hold committed

@@ -36,9 +36,9 @@
 // Barrier commit (commit_window), on the coordinator with every shard
 // parked: (1) the merge; (2) per dispatched shard, relabel the heaps and
 // commit the stamp holders that shard's queue listed this window — each
-// lane, outbox, journal or pending list lists itself on its first
-// provisional stamp, so the barrier's cost follows the window's traffic,
-// not the topology's size; (3) the drains of the cut-edge outboxes that
+// lane, outbox or pending list lists itself on its first provisional
+// stamp, so the barrier's cost follows the window's traffic, not the
+// topology's size; (3) the drains of the cut-edge outboxes that
 // took records.  The drains must come last: each arms a destination inbox
 // timer with a committed key, and a committed key inserted into a heap
 // that still holds provisional keys sifts above them (provisional keys

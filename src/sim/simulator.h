@@ -104,8 +104,8 @@ class Simulator {
   /// for window allocations.
   Time current_event_time() const { return queue_.current_event_time(); }
   std::uint64_t current_event_seq() const { return queue_.current_event_seq(); }
-  /// The current event's sequence as a stamp `holder` keeps (receiver
-  /// stat journals, deferred flow finalizations).
+  /// The current event's sequence as a stamp `holder` keeps (deferred
+  /// flow completions).
   std::uint64_t current_event_seq(StampHolder& holder) { return queue_.current_event_seq(holder); }
 
   /// Setup-phase shared sequence counter (nullptr restores the private one).

@@ -299,7 +299,7 @@ struct SnapshotClock {
 /// ddmin path).
 struct SnapshotImage {
   static constexpr std::uint32_t kMagic = 0x44435053;  // "DCPS"
-  static constexpr std::uint32_t kVersion = 6;
+  static constexpr std::uint32_t kVersion = 7;
 
   std::uint64_t fingerprint = 0;
   std::uint32_t shards = 1;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "check/observer.h"
 #include "sim/snapshot.h"
@@ -50,38 +52,35 @@ void Network::direct_link(Host* a, Host* b) {
 }
 
 void Network::wire_host_hooks(Host* h) {
+  // Each end records its own stats on h's shard, at its own completion
+  // (both hooks fire once per transport).  Only the shared effects, the
+  // completion count and the listeners, wait for a sharded run's barrier.
   h->on_sender_done = [this, h](FlowId id) {
-    if (!shard_run_active_) {
-      finalize_flow(id);
-      return;
-    }
-    // Window phase, source shard's thread: snapshot the sender stats at
-    // the exact point the serial finalize would read them and defer the
-    // shared-state mutation to the barrier.
-    Simulator& hs = h->sim();
-    PendingEffects& pe = pending_[static_cast<std::size_t>(shard_of(h->id()))];
-    PendingFinalize p;
-    p.id = id;
-    p.t = hs.current_event_time();
-    p.seq = hs.current_event_seq(pe);
-    if (auto* s = h->sender(id)) p.sender = s->stats();
-    pe.fin.push_back(std::move(p));
+    FlowRecord& rec = record(id);
+    rec.tx_done = h->sim().now();
+    rec.sender = h->sender(id)->stats();
+    end_done(*h, id, /*tx=*/true);
   };
   h->on_receiver_done = [this, h](FlowId id) {
     FlowRecord& rec = record(id);
-    rec.rx_done = h->sim().now();  // h's shard executes this event
-    if (!shard_run_active_) {
-      // A listener may start follow-up flows (collectives), reallocating
-      // records_ — re-fetch the record per call rather than hold `rec`.
-      for (auto& fn : rx_listeners_) fn(record(id));
-      return;
-    }
-    if (!rx_listeners_.empty()) {
-      Simulator& hs = h->sim();
-      PendingEffects& pe = pending_[static_cast<std::size_t>(shard_of(h->id()))];
-      pe.rx.push_back(PendingRx{id, hs.current_event_time(), hs.current_event_seq(pe)});
-    }
+    rec.rx_done = h->sim().now();
+    rec.receiver = h->receiver(id)->stats();
+    end_done(*h, id, /*tx=*/false);
   };
+}
+
+void Network::end_done(Host& h, FlowId id, bool tx) {
+  if (!shard_run_active_) return apply_end_done(id, tx);
+  Simulator& hs = h.sim();
+  PendingEffects& pe = pending_[static_cast<std::size_t>(shard_of(h.id()))];
+  pe.done.push_back(PendingDone{id, hs.current_event_time(), hs.current_event_seq(pe), tx});
+}
+
+void Network::apply_end_done(FlowId id, bool tx) {
+  if (tx) ++completed_;
+  // A listener may start follow-up flows (collectives), reallocating
+  // records_ — re-fetch the record per call rather than hold a reference.
+  for (auto& fn : tx ? tx_listeners_ : rx_listeners_) fn(record(id));
 }
 
 FlowId Network::start_flow(FlowSpec spec) {
@@ -92,7 +91,11 @@ FlowId Network::start_flow(FlowSpec spec) {
 
   Host* src = host_by_id_.at(spec.src);
   Host* dst = host_by_id_.at(spec.dst);
-  assert(src != dst && "loopback flows are not modeled");
+  if (src == dst) {
+    // Loopback flows are not modeled; refused in every build.
+    std::fprintf(stderr, "Network::start_flow: loopback flow on host %u refused\n", spec.src);
+    std::abort();
+  }
 
   FlowRecord rec;
   rec.spec = spec;
@@ -110,20 +113,6 @@ FlowId Network::start_flow(FlowSpec spec) {
   // already executed (cancel_started_flows).
   start_ev_.push_back(src->sim().schedule_at(spec.start_time, [snd] { snd->start(); }));
   return spec.id;
-}
-
-void Network::finalize_flow(FlowId id) {
-  FlowRecord& rec = record(id);
-  if (rec.tx_done >= 0) return;
-  rec.tx_done = sim_.now();
-  Host* src = host_by_id_.at(rec.spec.src);
-  Host* dst = host_by_id_.at(rec.spec.dst);
-  if (auto* s = src->sender(id)) rec.sender = s->stats();
-  if (auto* r = dst->receiver(id)) rec.receiver = r->stats();
-  ++completed_;
-  // Callbacks may start follow-up flows (collectives), reallocating
-  // records_ — re-fetch the record per call rather than hold `rec`.
-  for (auto& fn : tx_listeners_) fn(record(id));
 }
 
 Host* Network::host(NodeId id) {
@@ -161,7 +150,6 @@ void Network::finalize_shards() {
   shards_finalized_ = true;
   // Sized once, before any window lists one of them as a stamp holder.
   pending_.resize(static_cast<std::size_t>(shards_->size()));
-  for (auto& h : hosts_) h->enable_stat_journal();
 
   // A channel whose endpoints live on different shards becomes a mailbox
   // edge (and contributes to the lookahead).  Every stamp holder, cut edge
@@ -189,63 +177,25 @@ void Network::finalize_shards() {
 }
 
 bool Network::PendingEffects::commit_stamps(const SeqRemap& remap) {
-  for (PendingFinalize& p : fin) p.seq = remap(p.seq);
-  for (PendingRx& p : rx) p.seq = remap(p.seq);
+  for (PendingDone& d : done) d.seq = remap(d.seq);
   return false;
 }
 
-void Network::finalize_flow_at(const PendingFinalize& p) {
-  FlowRecord& rec = record(p.id);
-  if (rec.tx_done >= 0) return;
-  rec.tx_done = p.t;
-  rec.sender = p.sender;
-  Host* dst = host_by_id_.at(rec.spec.dst);
-  rec.receiver = dst->journal_stats_at(p.id, p.t, p.seq);
-  ++completed_;
-  // Same re-fetch discipline as finalize_flow: callbacks can grow records_.
-  for (auto& fn : tx_listeners_) fn(record(p.id));
-}
-
 void Network::commit_window_effects() {
-  // Gather the per-shard pending lists and apply them in committed
-  // (t, seq) order — the order the serial run would have fired them in.
-  // Listener order matters because listeners mutate ordered state
-  // (flow-id assignment in collectives, completion counters).
-  std::vector<PendingFinalize> fins;
-  std::vector<PendingRx> rxs;
+  // Gather the per-shard lists and apply them in committed (t, seq) order
+  // — the order the serial run would have applied them in (a shard's list
+  // is in execution order, so the stable sort keeps one event's effects
+  // in order).  Listener order matters because listeners mutate ordered
+  // state (flow-id assignment in collectives, completion counters).
+  std::vector<PendingDone> done;
   for (PendingEffects& pe : pending_) {
-    for (auto& p : pe.fin) fins.push_back(std::move(p));
-    pe.fin.clear();
-    rxs.insert(rxs.end(), pe.rx.begin(), pe.rx.end());
-    pe.rx.clear();
+    done.insert(done.end(), pe.done.begin(), pe.done.end());
+    pe.done.clear();
   }
-  if (fins.empty() && rxs.empty()) return;
-  auto before = [](Time at, std::uint64_t as, Time bt, std::uint64_t bs) {
-    return at != bt ? at < bt : as < bs;
-  };
-  std::sort(fins.begin(), fins.end(), [&](const PendingFinalize& a, const PendingFinalize& b) {
-    return before(a.t, a.seq, b.t, b.seq);
+  std::stable_sort(done.begin(), done.end(), [](const PendingDone& a, const PendingDone& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   });
-  std::sort(rxs.begin(), rxs.end(), [&](const PendingRx& a, const PendingRx& b) {
-    return before(a.t, a.seq, b.t, b.seq);
-  });
-  std::size_t fi = 0;
-  std::size_t ri = 0;
-  while (fi < fins.size() || ri < rxs.size()) {
-    const bool take_rx =
-        fi == fins.size() ||
-        (ri < rxs.size() && before(rxs[ri].t, rxs[ri].seq, fins[fi].t, fins[fi].seq));
-    if (take_rx) {
-      for (auto& fn : rx_listeners_) fn(record(rxs[ri].id));
-      ++ri;
-    } else {
-      finalize_flow_at(fins[fi]);
-      ++fi;
-    }
-  }
-  // Any finalize key still to come lies beyond the window just committed,
-  // so per flow only the latest journal entry can ever be looked up again.
-  for (auto& h : hosts_) h->prune_stat_journal();
+  for (const PendingDone& d : done) apply_end_done(d.id, d.tx);
 }
 
 bool Network::run_windows(Time bound) {
@@ -312,6 +262,12 @@ Time Network::run_to_paused(Time t, Time max_time) {
       shards_->sync_now(next);
     }
   }
+  // The run ended: every end that never completed records its live stats.
+  for (FlowRecord& rec : records_) {
+    const FlowId id = rec.spec.id;
+    if (rec.rx_done < 0) rec.receiver = host_by_id_.at(rec.spec.dst)->receiver(id)->stats();
+    if (rec.tx_done < 0) rec.sender = host_by_id_.at(rec.spec.src)->sender(id)->stats();
+  }
   return sim_.now() + 1;
 }
 
@@ -331,8 +287,7 @@ void Network::cancel_started_flows(Time t) {
 void Network::checkpoint(StateIO& io) {
   io.label(0x4E7733u);
   for (const PendingEffects& pe : pending_) {
-    if (!pe.fin.empty()) return io.fail("snapshot off-barrier: pending finalizations");
-    if (!pe.rx.empty()) return io.fail("snapshot off-barrier: pending rx notifications");
+    if (!pe.done.empty()) return io.fail("snapshot off-barrier: pending flow completions");
   }
   io.pod(completed_);
   io.pod(next_sport_);

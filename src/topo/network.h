@@ -28,6 +28,9 @@ struct PathInfo {
   Bandwidth bottleneck = Bandwidth::gbps(100);
 };
 
+/// Each end's stats are copied when that end completes (the sender's at
+/// tx_done, the receiver's at rx_done); an end that never completes holds
+/// its live stats as of the stop of Network::run_to_paused.
 struct FlowRecord {
   FlowSpec spec;
   Time rx_done = -1;  // receiver has every byte
@@ -64,7 +67,7 @@ class Network {
   void set_transport_config(const TransportConfig& cfg) { tcfg_ = cfg; }
 
   /// Registers and schedules a flow; returns its id.  spec.id/sport are
-  /// assigned here.
+  /// assigned here.  A loopback flow (src == dst) aborts with a message.
   FlowId start_flow(FlowSpec spec);
 
   /// Shifts the UDP source-port sequence (varies ECMP hashing across
@@ -124,16 +127,17 @@ class Network {
   /// would reach `t`: every event with time strictly below `t` has run
   /// and, under sharding, every window barrier is committed.  Returns the
   /// pause point actually reached — t when the run is still live there, or
-  /// (stop + 1) when it ended before t.  Resuming with run_until_done() is
-  /// bit-identical to a run that never stopped: both follow the same grid
-  /// and test completion only on its boundaries, so they stop at the same
-  /// boundary and run the same trailing timer events.
+  /// (stop + 1) when it ended before t; at that stop, not at a pause, every
+  /// end that never completed records its live stats.  Resuming with
+  /// run_until_done() is bit-identical to a run that never stopped: both
+  /// follow the same grid and test completion only on its boundaries, so
+  /// they stop at the same boundary and run the same trailing timer events.
   Time run_to_paused(Time t, Time max_time);
 
   // ---- Checkpoint/restore (sim/snapshot.h) ------------------------------
   /// Restore prep on a freshly built target: flips shard-run mode on
-  /// (cut-edge mailboxes, journals) without running a window,
-  /// so cross-shard state can be overlaid.  No-op when serial.
+  /// (cut-edge mailboxes) without running a window, so cross-shard
+  /// state can be overlaid.  No-op when serial.
   void prepare_shard_run();
   /// Restore prep: cancels the flow-start events of flows whose start time
   /// lies strictly before `t` — the saved run already executed them, and
@@ -149,45 +153,39 @@ class Network {
 
  private:
   void wire_host_hooks(Host* h);
-  void finalize_flow(FlowId id);
+  /// One end of flow `id` completed on h's shard: applies the shared
+  /// effects now, or defers them to the barrier during a shard window.
+  void end_done(Host& h, FlowId id, bool tx);
+  /// The shared effects of an end's completion: a sender's bumps the
+  /// completion count, then that end's listeners fire.
+  void apply_end_done(FlowId id, bool tx);
   Simulator& build_sim() { return shards_ != nullptr ? shards_->sim(build_shard_) : sim_; }
 
-  /// One sender-done observed during a window, finalized at the barrier.
-  /// The sender's stats are snapshotted HERE (at the exact serial read
-  /// point — later events in the window must not leak in); the receiver's
-  /// come from the destination host's journal at the same key.
-  struct PendingFinalize {
+  /// One end completion observed during a window, applied at the barrier.
+  struct PendingDone {
     FlowId id = 0;
     Time t = 0;
     std::uint64_t seq = 0;
-    SenderStats sender;
+    bool tx = false;  // the sender's end; else the receiver's
   };
-  struct PendingRx {
-    FlowId id = 0;
-    Time t = 0;
-    std::uint64_t seq = 0;
-  };
-  /// One shard's deferred window effects.  Their keys are the deferring
-  /// events' stamps, so the lists are a StampHolder on that shard.
+  /// One shard's deferred completions.  Their keys are the deferring
+  /// events' stamps, so the list is a StampHolder on that shard.
   struct PendingEffects final : StampHolder {
-    std::vector<PendingFinalize> fin;
-    std::vector<PendingRx> rx;
+    std::vector<PendingDone> done;
     bool commit_stamps(const SeqRemap& remap) override;
   };
 
-  /// Lazily flips the network into sharded-run mode: locates cut channels,
-  /// computes the lookahead, arms journals.
+  /// Lazily flips the network into sharded-run mode: locates cut channels
+  /// and computes the lookahead.
   void finalize_shards();
   /// Runs shard windows, committing each one's barrier effects, until
   /// nothing at or below `bound` is pending.  Returns true when every shard
   /// has drained.
   bool run_windows(Time bound);
-  /// Barrier step after each window: finalize pending flows and fire
-  /// deferred rx listeners in serial (t, seq) order, then prune journals.
-  /// Every effect recorded in the window lies at or below its bound, which
-  /// all shards have reached, so all of them apply.
+  /// Barrier step after each window: applies the deferred completions in
+  /// serial (t, seq) order.  Every effect recorded in the window lies at or
+  /// below its bound, which all shards have reached, so all of them apply.
   void commit_window_effects();
-  void finalize_flow_at(const PendingFinalize& p);
 
   Simulator& sim_;
   Logger& log_;

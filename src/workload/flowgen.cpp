@@ -4,6 +4,7 @@ namespace dcp {
 
 std::vector<FlowId> generate_poisson_flows(Network& net, const std::vector<Host*>& hosts,
                                            const SizeDist& dist, const FlowGenParams& p) {
+  if (hosts.size() < 2) return {};
   Rng rng(p.seed);
   std::vector<FlowId> ids;
   ids.reserve(p.num_flows);

@@ -21,7 +21,8 @@ struct FlowGenParams {
 
 /// Registers `num_flows` Poisson arrivals with WebSearch (or custom) sizes
 /// between uniformly random distinct hosts.  Returns the generated specs'
-/// flow ids.
+/// flow ids; with fewer than two hosts there is no such pair, so it
+/// registers nothing and returns none.
 std::vector<FlowId> generate_poisson_flows(Network& net, const std::vector<Host*>& hosts,
                                            const SizeDist& dist, const FlowGenParams& p);
 

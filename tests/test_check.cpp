@@ -89,6 +89,36 @@ TEST(BrokenToys, ForgedHoTripsHoConservation) {
   EXPECT_EQ(v.num_violations, 1u) << v.message;
 }
 
+TEST(BrokenToys, SilentDeadlockReportsWhatArrived) {
+  // The clean toy never retransmits, so a total drop window strands its
+  // flow and the run quiesces.  The verdict and the flow record must both
+  // carry what the sink holds, not zero.
+  FuzzScenario s = toy_scenario();
+  s.flows[0].bytes = 200'000;
+  FaultAction drop;
+  drop.kind = FaultKind::kDrop;
+  drop.at = microseconds(5);
+  drop.duration = microseconds(1);
+  drop.rate = 1.0;
+  s.faults.actions.push_back(drop);
+  FuzzOptions opt;
+  opt.factory_override = std::make_shared<ToyFactory>(ToyBug::kNone);
+  SimWorld w(fuzz_world_spec(s, opt));
+  w.run_until_done();
+  const FuzzVerdict v = w.finalize_verdict();
+  ASSERT_TRUE(v.violated);
+  EXPECT_EQ(v.invariant, "no-silent-deadlock") << v.message;
+
+  const FlowRecord& rec = w.net().records().at(0);
+  const std::uint64_t held =
+      w.net().host(rec.spec.dst)->receiver(rec.spec.id)->stats().bytes_received;
+  EXPECT_GT(held, 0u);
+  EXPECT_LT(held, 200'000u);
+  EXPECT_EQ(rec.receiver.bytes_received, held);
+  EXPECT_NE(v.message.find(std::to_string(held) + " of 200000 B delivered"), std::string::npos)
+      << v.message;
+}
+
 TEST(BrokenToys, VerdictCarriesTraceAndTimestamp) {
   const FuzzVerdict v = run_toy(ToyBug::kDupComplete);
   ASSERT_TRUE(v.violated);

@@ -6,6 +6,9 @@
 #include <utility>
 
 #include "harness/config.h"
+#include "harness/scheme.h"
+#include "topo/dumbbell.h"
+#include "workload/flowgen.h"
 
 namespace dcp {
 namespace {
@@ -69,6 +72,52 @@ TEST(Config, ErrorsNameTheLine) {
   EXPECT_FALSE(parse_experiment_config("just a line without equals\n", &err).has_value());
   EXPECT_FALSE(parse_experiment_config("scheme = klingon\n", &err).has_value());
   EXPECT_FALSE(parse_experiment_config("with_cc = maybe\n", &err).has_value());
+}
+
+TEST(Config, FabricsWithFewerThanTwoHostsFailClosed) {
+  // Every flow needs two distinct hosts: an empty fabric used to crash the
+  // flow generator, and a one-host fabric ran loopback flows as completed.
+  const std::string base = "experiment = websearch\nscheme = dcp\nflows = 20\n";
+  std::string err;
+  EXPECT_FALSE(parse_experiment_config(base + "hosts_per_leaf = 0\n", &err).has_value());
+  EXPECT_NE(err.find("line 4"), std::string::npos) << err;
+  EXPECT_NE(err.find("hosts_per_leaf must be >= 1"), std::string::npos) << err;
+  for (const char* key : {"spines", "leaves"}) {
+    EXPECT_FALSE(parse_experiment_config(base + key + " = -2\n", &err).has_value()) << key;
+    EXPECT_NE(err.find(std::string(key) + " must be >= 1"), std::string::npos) << err;
+  }
+
+  EXPECT_FALSE(parse_experiment_config(base + "spines = 1\nleaves = 1\nhosts_per_leaf = 1\n", &err)
+                   .has_value());
+  EXPECT_NE(err.find("line 6"), std::string::npos) << err;
+  EXPECT_NE(err.find("leaves * hosts_per_leaf = 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("at least two hosts"), std::string::npos) << err;
+
+  EXPECT_TRUE(parse_experiment_config(base + "spines = 1\nleaves = 1\nhosts_per_leaf = 2\n", &err)
+                  .has_value())
+      << err;
+}
+
+TEST(ConfigDeathTest, FlowsNeedTwoDistinctHosts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Simulator sim;
+  Logger log{LogLevel::kOff};
+  Network net{sim, log};
+  SchemeSetup s = make_scheme(SchemeKind::kDcp);
+  const Star star = build_star(net, 2, s.sw);
+  apply_scheme(net, s);
+  // The generator has no pair of distinct hosts among fewer than two...
+  FlowGenParams p;
+  p.num_flows = 20;
+  EXPECT_TRUE(generate_poisson_flows(net, {star.hosts[0]}, SizeDist::websearch(), p).empty());
+  EXPECT_TRUE(generate_poisson_flows(net, {}, SizeDist::websearch(), p).empty());
+  EXPECT_EQ(net.flows_started(), 0u);
+  // ...and start_flow refuses a loopback flow in every build.
+  FlowSpec spec;
+  spec.src = star.hosts[1]->id();
+  spec.dst = spec.src;
+  spec.bytes = 4096;
+  EXPECT_DEATH(net.start_flow(spec), "loopback flow on host [0-9]+ refused");
 }
 
 TEST(Config, LongflowRuns) {

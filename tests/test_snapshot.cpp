@@ -103,7 +103,49 @@ FuzzScenario faulted_scenario(SchemeKind k) {
   return s;
 }
 
+/// The clean scenario with larger flows, cut by max_time while the last
+/// two are mid-transfer.
+FuzzScenario stopped_scenario(SchemeKind k) {
+  FuzzScenario s = clean_scenario(k);
+  s.max_time = microseconds(60);
+  s.flows = {
+      {0, 5, 8 * 1024, 4096, microseconds(5)},
+      {2, 7, 1024 * 1024, 16384, microseconds(10)},
+      {6, 1, 2 * 1024 * 1024, 0, microseconds(20)},
+  };
+  return s;
+}
+
 WorldSpec spec_for(const FuzzScenario& s) { return fuzz_world_spec(s, FuzzOptions{}); }
+
+void expect_same_records(const std::vector<FlowRecord>& want, const std::vector<FlowRecord>& got,
+                         const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const FlowRecord& a = want[i];
+    const FlowRecord& b = got[i];
+    const std::string at = what + ", flow " + std::to_string(a.spec.id);
+    EXPECT_EQ(a.spec.id, b.spec.id) << at;
+    EXPECT_EQ(a.rx_done, b.rx_done) << at;
+    EXPECT_EQ(a.tx_done, b.tx_done) << at;
+    EXPECT_EQ(a.sender.data_packets_sent, b.sender.data_packets_sent) << at;
+    EXPECT_EQ(a.sender.bytes_sent, b.sender.bytes_sent) << at;
+    EXPECT_EQ(a.sender.retransmitted_packets, b.sender.retransmitted_packets) << at;
+    EXPECT_EQ(a.sender.spurious_retransmissions, b.sender.spurious_retransmissions) << at;
+    EXPECT_EQ(a.sender.timeouts, b.sender.timeouts) << at;
+    EXPECT_EQ(a.sender.ho_received, b.sender.ho_received) << at;
+    EXPECT_EQ(a.sender.cnp_received, b.sender.cnp_received) << at;
+    EXPECT_EQ(a.sender.parity_packets_sent, b.sender.parity_packets_sent) << at;
+    EXPECT_EQ(a.receiver.data_packets, b.receiver.data_packets) << at;
+    EXPECT_EQ(a.receiver.duplicate_packets, b.receiver.duplicate_packets) << at;
+    EXPECT_EQ(a.receiver.out_of_order_packets, b.receiver.out_of_order_packets) << at;
+    EXPECT_EQ(a.receiver.bytes_received, b.receiver.bytes_received) << at;
+    EXPECT_EQ(a.receiver.ho_received, b.receiver.ho_received) << at;
+    EXPECT_EQ(a.receiver.acks_sent, b.receiver.acks_sent) << at;
+    EXPECT_EQ(a.receiver.decode_recovered_packets, b.receiver.decode_recovered_packets) << at;
+    EXPECT_EQ(a.receiver.nack_recovered_packets, b.receiver.nack_recovered_packets) << at;
+  }
+}
 
 WorldDigest cold_digest(const WorldSpec& ws) {
   SimWorld w(ws);
@@ -112,27 +154,31 @@ WorldDigest cold_digest(const WorldSpec& ws) {
 }
 
 /// Pauses a run at T, snapshots, restores into a FRESH world, finishes it,
-/// and returns the resumed digest.  Also asserts re-save byte-equality:
+/// and returns the resumed world.  Also asserts re-save byte-equality:
 /// saving the restored world again must reproduce the image exactly.
-WorldDigest resumed_digest(const WorldSpec& ws, Time t, const char* what) {
+std::unique_ptr<SimWorld> resumed_world(const WorldSpec& ws, Time t, const char* what) {
   SimWorld a(ws);
   a.run_to(t);
   SnapshotImage img;
   std::string err;
   EXPECT_TRUE(a.save(img, &err)) << what << ": save failed: " << err;
 
-  SimWorld b(ws);
-  EXPECT_TRUE(b.restore(img, /*allow_spec_delta=*/false, &err))
+  auto b = std::make_unique<SimWorld>(ws);
+  EXPECT_TRUE(b->restore(img, /*allow_spec_delta=*/false, &err))
       << what << ": restore failed: " << err;
 
   SnapshotImage resaved;
-  EXPECT_TRUE(b.save(resaved, &err)) << what << ": re-save failed: " << err;
+  EXPECT_TRUE(b->save(resaved, &err)) << what << ": re-save failed: " << err;
   EXPECT_TRUE(img == resaved) << what << ": re-save is not byte-identical (state "
                               << img.state.size() << " vs " << resaved.state.size()
                               << " bytes)";
 
-  b.run_until_done();
-  return b.digest();
+  b->run_until_done();
+  return b;
+}
+
+WorldDigest resumed_digest(const WorldSpec& ws, Time t, const char* what) {
+  return resumed_world(ws, t, what)->digest();
 }
 
 // ---------------------------------------------------------------------------
@@ -212,19 +258,57 @@ TEST(Snapshot, DcpBitmapReceiverResumesBitIdentical) {
 }
 
 TEST(Snapshot, ShardResumeMatrix) {
-  // Fault-free scenario (fault plans force serial); leaves=4 admits 4
-  // shards.  Every (scheme, shards) combination must resume bit-identically
-  // to its own uninterrupted run.
+  // Fault-free scenarios (fault plans force serial); leaves=4 admits 4
+  // shards.  Every (scenario, scheme, shards) run, uninterrupted or
+  // resumed, must give the serial run's flow records field by field and
+  // its digest.  The stopped scenario ends at max_time with two flows
+  // mid-transfer, so it also pins the records of the four ends that never
+  // completed: each holds its live stats at the stop.
   for (SchemeKind k : {SchemeKind::kDcp, SchemeKind::kIrn}) {
-    const FuzzScenario s = clean_scenario(k);
-    for (int shards : {1, 4}) {
-      ScopedEnv e("DCP_SHARDS", std::to_string(shards));
-      const WorldSpec ws = spec_for(s);
-      const std::string what = std::string(scheme_name(k)) + " shards=" + std::to_string(shards);
-      const WorldDigest cold = cold_digest(ws);
-      const WorldDigest warm = resumed_digest(ws, microseconds(75), what.c_str());
-      EXPECT_EQ(cold.value, warm.value) << what;
-      EXPECT_EQ(cold.events, warm.events) << what;
+    const struct {
+      const char* name;
+      FuzzScenario s;
+      Time pause;
+      std::size_t unfinished_ends;
+    } cases[] = {{"clean", clean_scenario(k), microseconds(75), 0},
+                 {"stopped", stopped_scenario(k), microseconds(30), 4}};
+    for (const auto& c : cases) {
+      const std::string name = std::string(scheme_name(k)) + " " + c.name;
+      WorldSpec ws = spec_for(c.s);
+      ws.force_shards = 1;
+      SimWorld serial(ws);
+      serial.run_until_done();
+
+      std::size_t unfinished = 0;
+      for (const FlowRecord& r : serial.net().records()) {
+        const FlowId id = r.spec.id;
+        if (r.rx_done < 0) {
+          ++unfinished;
+          const ReceiverStats& live = serial.net().host(r.spec.dst)->receiver(id)->stats();
+          EXPECT_GT(r.receiver.data_packets, 0u) << name << ", flow " << id;
+          EXPECT_EQ(std::memcmp(&r.receiver, &live, sizeof live), 0) << name << ", flow " << id;
+        }
+        if (r.tx_done < 0) {
+          ++unfinished;
+          const SenderStats& live = serial.net().host(r.spec.src)->sender(id)->stats();
+          EXPECT_GT(r.sender.data_packets_sent, 0u) << name << ", flow " << id;
+          EXPECT_EQ(std::memcmp(&r.sender, &live, sizeof live), 0) << name << ", flow " << id;
+        }
+      }
+      EXPECT_EQ(unfinished, c.unfinished_ends) << name;
+
+      for (int shards : {1, 2, 4}) {
+        ws.force_shards = shards;
+        const std::string what = name + " shards=" + std::to_string(shards);
+        SimWorld cold(ws);
+        cold.run_until_done();
+        expect_same_records(serial.net().records(), cold.net().records(), what);
+        EXPECT_EQ(serial.digest(), cold.digest()) << what;
+
+        const std::unique_ptr<SimWorld> warm = resumed_world(ws, c.pause, what.c_str());
+        expect_same_records(serial.net().records(), warm->net().records(), what + " resumed");
+        EXPECT_EQ(serial.digest(), warm->digest()) << what << " resumed";
+      }
     }
   }
 }
@@ -283,11 +367,12 @@ TEST(Snapshot, DecodeRefusesVersion1Image) {
   // config, a prefetched-draw buffer and a flap epoch, version 3's
   // selective-repeat transports saved their queue count and cursor,
   // version 4's GBN receiver saved an ACK-coalescing counter and its DCP
-  // receivers laid out their shared datapath fields per tracker, and
-  // version 5 saved packets in the old field order with a uid and each
-  // channel's delivered-byte count...
+  // receivers laid out their shared datapath fields per tracker, version 5
+  // saved packets in the old field order with a uid and each channel's
+  // delivered-byte count, and version 6's host sections ended with a
+  // receiver-stat journal...
   std::vector<std::uint8_t> stamped = bytes;
-  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u, 5u}) {
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u, 5u, 6u}) {
     std::memcpy(stamped.data() + 4, &old_version, sizeof old_version);
     EXPECT_FALSE(SnapshotImage::decode(stamped, back)) << "version " << old_version;
   }
