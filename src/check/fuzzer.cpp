@@ -5,10 +5,8 @@
 #include <sstream>
 
 #include "check/invariant_oracle.h"
-#include "fault/fault_injector.h"
 #include "harness/checkpoint.h"
 #include "sim/rng.h"
-#include "sim/snapshot.h"
 #include "topo/clos.h"
 
 namespace dcp {
@@ -129,79 +127,6 @@ FuzzVerdict run_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt) {
   return w.finalize_verdict();
 }
 
-namespace {
-
-/// No snapshot may be used for this candidate run (phases 2-4, which
-/// mutate the world's setup phase rather than its fault timeline).
-constexpr Time kNoRestore = -1;
-
-/// Shared state of one shrink: verdict target, run budget/accounting, and
-/// the prefix-snapshot ring saved from the *input* scenario's run.  Ring
-/// images stay valid for every Phase-1 candidate because candidates only
-/// ever REMOVE fault actions: a probe that removes nothing before time T
-/// is prefix-isomorphic with the input up to T, so the latest image with
-/// at <= T restores bit-exactly (modulo the constant setup-seq delta).
-struct ShrinkCtx {
-  const FuzzOptions& opt;
-  const std::string& inv;
-  ShrinkStats& st;
-  const std::size_t max_runs;
-  std::vector<SnapshotImage> ring;  // ascending .at
-};
-
-/// Runs one candidate, restoring from the latest ring snapshot whose time
-/// is <= `bound` when possible; cold-runs otherwise.  The restored run is
-/// bit-identical to a cold one, so the verdict cannot depend on `bound`.
-bool reproduces(ShrinkCtx& c, const FuzzScenario& s, Time bound) {
-  if (c.st.runs >= c.max_runs) return false;
-  c.st.runs++;
-  const WorldSpec spec = fuzz_world_spec(s, c.opt);
-  auto w = std::make_unique<SimWorld>(spec);
-  const SnapshotImage* best = nullptr;
-  for (const SnapshotImage& img : c.ring) {
-    if (img.at > bound) break;
-    best = &img;
-  }
-  std::uint64_t skipped = 0;
-  if (best != nullptr) {
-    std::string err;
-    if (w->restore(*best, /*allow_spec_delta=*/true, &err)) {
-      skipped = w->events_processed();
-    } else {
-      // A failed restore may leave partial state behind; cold-boot.
-      w = std::make_unique<SimWorld>(spec);
-    }
-  }
-  w->run_until_done();
-  c.st.events_skipped += skipped;
-  c.st.events_executed += w->events_processed() - skipped;
-  const FuzzVerdict v = w->finalize_verdict();
-  return v.violated && v.invariant == c.inv;
-}
-
-/// Snapshot times for the shrink ring: the distinct fault-action start
-/// times (a snapshot AT an action's time precedes its start event, so the
-/// action itself is still removable), thinned to at most eight.
-std::vector<Time> ring_boundaries(const FuzzScenario& s) {
-  std::vector<Time> at;
-  for (const FaultAction& a : s.faults.actions) {
-    if (a.at > 0) at.push_back(a.at);
-  }
-  std::sort(at.begin(), at.end());
-  at.erase(std::unique(at.begin(), at.end()), at.end());
-  constexpr std::size_t kMaxRing = 8;
-  if (at.size() <= kMaxRing) return at;
-  std::vector<Time> picked;
-  for (std::size_t k = 1; k <= kMaxRing; ++k) {
-    // Evenly spread, always including the latest boundary.
-    picked.push_back(at[k * at.size() / kMaxRing - 1]);
-  }
-  picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
-  return picked;
-}
-
-}  // namespace
-
 FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt,
                                   ShrinkStats* stats, std::size_t max_runs) {
   ShrinkStats local;
@@ -210,45 +135,24 @@ FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt,
   st.actions_before = s.faults.actions.size();
   st.flows_before = s.flows.size();
 
-  // Base run; with snapshots on it doubles as the ring-building run (the
-  // ring costs no extra simulation — images are saved at barrier-safe
-  // pauses of the run we needed anyway).
-  std::vector<SnapshotImage> ring;
-  FuzzVerdict base;
-  {
-    auto w = std::make_unique<SimWorld>(fuzz_world_spec(s, opt));
-    if (opt.use_snapshots && SimWorld::snapshot_supported(s.scheme)) {
-      for (Time b : ring_boundaries(s)) {
-        w->run_to(b);
-        SnapshotImage img;
-        if (w->save(img)) {
-          ring.push_back(std::move(img));
-        } else {
-          ring.clear();  // a module without checkpoint support: cold-run all
-          break;
-        }
-      }
-    }
-    w->run_until_done();
-    st.runs++;
-    st.events_executed += w->events_processed();
-    base = w->finalize_verdict();
-  }
+  st.runs++;
+  const FuzzVerdict base = run_fuzz_scenario(s, opt);
   if (!base.violated) {
     st.actions_after = st.actions_before;
     st.flows_after = st.flows_before;
     return s;
   }
-  const std::string& inv = base.invariant;
+  // One cold run per candidate, within the run budget.
+  const auto reproduces = [&](const FuzzScenario& cand) {
+    if (st.runs >= max_runs) return false;
+    st.runs++;
+    const FuzzVerdict v = run_fuzz_scenario(cand, opt);
+    return v.violated && v.invariant == base.invariant;
+  };
   FuzzScenario cur = s;
-  ShrinkCtx ctx{opt, inv, st, max_runs, std::move(ring)};
 
   // Phase 1: ddmin over fault actions — remove chunks, halving the chunk
-  // size whenever a whole pass removes nothing.  `floor` tracks the
-  // earliest action time removed from the input so far: a probe may only
-  // restore from snapshots before every action it drops (accumulated
-  // removals included), since the image was saved from the full input run.
-  Time floor = kTimeInfinity;
+  // size whenever a whole pass removes nothing.
   std::size_t chunk = std::max<std::size_t>(1, cur.faults.actions.size() / 2);
   while (!cur.faults.actions.empty()) {
     bool removed = false;
@@ -256,15 +160,10 @@ FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt,
       FuzzScenario cand = cur;
       auto& acts = cand.faults.actions;
       const std::size_t end = std::min(i + chunk, acts.size());
-      Time bound = floor;
-      for (std::size_t k = i; k < end; ++k) {
-        bound = std::min(bound, cur.faults.actions[k].at);
-      }
       acts.erase(acts.begin() + static_cast<std::ptrdiff_t>(i),
                  acts.begin() + static_cast<std::ptrdiff_t>(end));
-      if (reproduces(ctx, cand, bound)) {
+      if (reproduces(cand)) {
         cur = std::move(cand);
-        floor = bound;
         removed = true;  // the next candidate shifted into slot i
       } else {
         i = end;
@@ -278,7 +177,7 @@ FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt,
   for (std::size_t i = 0; cur.flows.size() > 1 && i < cur.flows.size();) {
     FuzzScenario cand = cur;
     cand.flows.erase(cand.flows.begin() + static_cast<std::ptrdiff_t>(i));
-    if (reproduces(ctx, cand, kNoRestore)) {
+    if (reproduces(cand)) {
       cur = std::move(cand);
     } else {
       ++i;
@@ -292,7 +191,7 @@ FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt,
       if (cur.flows[i].bytes >= 2000) {
         FuzzScenario cand = cur;
         cand.flows[i].bytes /= 2;
-        if (reproduces(ctx, cand, kNoRestore)) {
+        if (reproduces(cand)) {
           cur = std::move(cand);
           changed = true;
         }
@@ -300,7 +199,7 @@ FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt,
       if (cur.flows[i].msg_bytes >= 2048) {
         FuzzScenario cand = cur;
         cand.flows[i].msg_bytes /= 2;
-        if (reproduces(ctx, cand, kNoRestore)) {
+        if (reproduces(cand)) {
           cur = std::move(cand);
           changed = true;
         }
@@ -312,7 +211,7 @@ FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt,
   while (cur.max_time / 2 >= milliseconds(1)) {
     FuzzScenario cand = cur;
     cand.max_time /= 2;
-    if (!reproduces(ctx, cand, kNoRestore)) break;
+    if (!reproduces(cand)) break;
     cur = std::move(cand);
   }
 

@@ -67,12 +67,6 @@ struct FuzzOptions {
   /// Replaces the scheme's transport factory (broken test doubles; see
   /// check/broken.h).  The scenario's scheme still picks the switch config.
   std::shared_ptr<TransportFactory> factory_override;
-  /// Snapshot-accelerated shrinking (harness/checkpoint.h): ddmin probes
-  /// restore from the latest prefix snapshot preceding the first removed
-  /// fault action instead of re-running from t=0.  Restored probe runs are
-  /// bit-identical to cold ones, so the shrink result is byte-identical
-  /// with this on or off (run_fuzz --no-snapshot is the escape hatch).
-  bool use_snapshots = true;
 };
 
 struct FuzzVerdict {
@@ -95,19 +89,13 @@ struct ShrinkStats {
   std::size_t actions_after = 0;
   std::size_t flows_before = 0;
   std::size_t flows_after = 0;
-  /// Simulation events actually executed across all shrink runs, and
-  /// events skipped by restoring probes from prefix snapshots (0 with
-  /// use_snapshots off).  Both are deterministic, so
-  /// (executed + skipped) / executed is the exact event-for-event speedup
-  /// of snapshot-backed shrinking over cold re-runs.
-  std::uint64_t events_executed = 0;
-  std::uint64_t events_skipped = 0;
 };
 
 /// Minimizes a violating scenario while preserving its first-violation
 /// invariant id: ddmin over fault actions, then flow removal, then
-/// byte/message halving, then max_time halving.  Returns the input
-/// unchanged when it does not violate.  Bounded by `max_runs` re-runs.
+/// byte/message halving, then max_time halving.  Every candidate is one
+/// cold run.  Returns the input unchanged when it does not violate.
+/// Bounded by `max_runs` re-runs.
 FuzzScenario shrink_fuzz_scenario(const FuzzScenario& s, const FuzzOptions& opt = {},
                                   ShrinkStats* stats = nullptr, std::size_t max_runs = 500);
 

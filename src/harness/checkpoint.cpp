@@ -108,15 +108,9 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
   }
 
   if (spec_.oracle) oracle_ = std::make_unique<InvariantOracle>(*net_);
-  // Unconditional: with a no-effect plan the injector arms nothing and
-  // draws nothing, so it is event-stream-neutral — but its presence keeps
-  // the snapshot stream layout identical across ddmin candidates, letting
-  // the empty-plan probe (ddmin removing every action) restore too.
+  // Unconditional: a plan without effect arms nothing and draws nothing,
+  // so the injector is event-stream-neutral and needs no special case.
   inj_ = std::make_unique<FaultInjector>(*net_, s.faults, spec_.injector_seed);
-
-  // First sequence after the deterministic setup phase: the boundary of
-  // runtime-seq translation for prefix-isomorphic restores.
-  setup_seq_end_ = shards_->sim(0).snapshot_next_seq();
 }
 
 SimWorld::~SimWorld() = default;
@@ -159,7 +153,6 @@ bool SimWorld::save(SnapshotImage& out, std::string* error) {
   out.fingerprint = spec_.fingerprint();
   out.shards = static_cast<std::uint32_t>(shards_->size());
   out.at = at_;
-  out.setup_seq_end = setup_seq_end_;
   out.next_seq = shards_->sim(0).snapshot_next_seq();
   out.clocks.resize(static_cast<std::size_t>(shards_->size()));
   for (int i = 0; i < shards_->size(); ++i) {
@@ -173,13 +166,13 @@ bool SimWorld::save(SnapshotImage& out, std::string* error) {
 
   StateIO io = StateIO::saver(out.state);
   net_->checkpoint(io);
-  if (inj_ != nullptr) inj_->checkpoint(io);
+  inj_->checkpoint(io);
   if (oracle_ != nullptr) oracle_->checkpoint(io);
   if (!io.ok()) return fail("snapshot save: " + io.error());
   return true;
 }
 
-bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::string* error) {
+bool SimWorld::restore(const SnapshotImage& img, std::string* error) {
   auto fail = [&](const std::string& m) {
     if (error != nullptr) *error = m;
     return false;
@@ -187,7 +180,7 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
   if (!snapshot_supported(spec_.scenario.scheme)) {
     return fail(std::string("scheme not snapshottable: ") + scheme_name(spec_.scenario.scheme));
   }
-  if (!allow_spec_delta && img.fingerprint != spec_.fingerprint()) {
+  if (img.fingerprint != spec_.fingerprint()) {
     return fail("snapshot restore: spec fingerprint mismatch");
   }
   if (static_cast<int>(img.shards) != shards_->size()) {
@@ -197,11 +190,6 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
     return fail("snapshot restore: clock shape mismatch");
   }
 
-  // Runtime sequences shift by the setup-phase length difference between
-  // the image's spec and ours (zero when the specs match).
-  const std::int64_t delta = static_cast<std::int64_t>(img.setup_seq_end) -
-                             static_cast<std::int64_t>(setup_seq_end_);
-
   // Rebuild-side prep, mirroring what the saved run had already done by
   // its snapshot point: flip shard-run mode on (the saved run's first
   // window did), drop the start events of flows that had already started
@@ -210,12 +198,11 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
   // records) exist in creation order before their values are overlaid.
   net_->prepare_shard_run();
   net_->cancel_started_flows(img.at);
-  if (inj_ != nullptr) inj_->replay_to(img.at);
+  inj_->replay_to(img.at);
 
   StateIO io = StateIO::loader(img.state);
-  io.set_seq_context(img.setup_seq_end, delta);
   net_->checkpoint(io);
-  if (inj_ != nullptr) inj_->checkpoint(io);
+  inj_->checkpoint(io);
   if (oracle_ != nullptr) oracle_->checkpoint(io);
   if (!io.ok()) return fail("snapshot restore: " + io.error());
   if (io.bytes_consumed() != img.state.size()) {
@@ -226,11 +213,11 @@ bool SimWorld::restore(const SnapshotImage& img, bool allow_spec_delta, std::str
     Simulator& s = shards_->sim(i);
     const SnapshotClock& c = img.clocks[static_cast<std::size_t>(i)];
     s.restore_clock(c.now, c.events);
-    s.restore_current_event(c.cur_time, io.translate_seq(c.cur_seq));
+    s.restore_current_event(c.cur_time, c.cur_seq);
     s.settle_deadline_top();
   }
-  // One shared allocator across the group: restore once, translated.
-  shards_->sim(0).restore_next_seq(io.translate_seq(img.next_seq));
+  // One shared allocator across the group: restore it once.
+  shards_->sim(0).restore_next_seq(img.next_seq);
   at_ = img.at;
   return true;
 }

@@ -12,11 +12,8 @@
 //   SimWorld b(spec);  b.restore(img);             b.run_until_done();
 //
 // leaves a and b with identical digests AND identical events_processed —
-// the restored run is bit-for-bit the uninterrupted one.  Restore into a
-// world built from a *different but prefix-isomorphic* spec (the fuzzer's
-// ddmin probes, which drop fault actions whose first effect lies at or
-// after the snapshot time) is the allow_spec_delta path: runtime event
-// sequences are renumbered by the constant setup-phase delta.
+// the restored run is bit-for-bit the uninterrupted one.  An image only
+// restores into a world built from the spec it was saved from.
 
 #include <cstdint>
 #include <memory>
@@ -48,8 +45,8 @@ struct WorldSpec {
   /// pods or leaves: DCP_SHARDS when fault-free, serial otherwise).
   int force_shards = 0;
 
-  /// Hashes every rebuild-relevant field; snapshots refuse a mismatched
-  /// target unless the caller opts into the prefix-isomorphic delta path.
+  /// Hashes every rebuild-relevant field; restore refuses a target whose
+  /// fingerprint differs from the image's.
   std::uint64_t fingerprint() const;
 };
 
@@ -82,9 +79,7 @@ class SimWorld {
   const WorldSpec& spec() const { return spec_; }
   Network& net() { return *net_; }
   InvariantOracle* oracle() { return oracle_.get(); }
-  FaultInjector* injector() { return inj_.get(); }
   int shard_count() const { return shards_->size(); }
-  std::uint64_t setup_seq_end() const { return setup_seq_end_; }
   std::uint64_t events_processed() const;
 
   /// Pauses the CANONICAL run_until_done trajectory just before t: every
@@ -105,11 +100,10 @@ class SimWorld {
   /// checkpoint support.
   bool save(SnapshotImage& out, std::string* error = nullptr);
   /// Overlays a saved image onto this freshly built world.  Only legal
-  /// before any run_to/run_until_done call.  With allow_spec_delta the
-  /// image may come from a prefix-isomorphic spec (ddmin); otherwise the
-  /// fingerprints must match.  On failure the world must be discarded.
-  bool restore(const SnapshotImage& img, bool allow_spec_delta = false,
-               std::string* error = nullptr);
+  /// before any run_to/run_until_done call, and only with an image saved
+  /// from this world's spec (the fingerprints must match).  On failure
+  /// the world must be discarded.
+  bool restore(const SnapshotImage& img, std::string* error = nullptr);
 
   WorldDigest digest() const;
 
@@ -121,7 +115,6 @@ class SimWorld {
   std::vector<Host*> hosts_;  // scenario host-index order (CLOS or fat-tree)
   std::unique_ptr<InvariantOracle> oracle_;
   std::unique_ptr<FaultInjector> inj_;
-  std::uint64_t setup_seq_end_ = 0;
   Time at_ = 0;  // barrier-safe point: every event with t < at_ has run
 };
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "harness/report.h"
@@ -48,6 +49,7 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
   std::string raw;
   int line_no = 0;
   int fabric_line = 0;  // the last line that sized the Clos fabric
+  int collective_line = 0;  // the last line that set members or groups
   while (std::getline(in, raw)) {
     ++line_no;
     const std::size_t hash = raw.find('#');
@@ -191,10 +193,14 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
       if (l == "allreduce") cfg.collective.kind = CollectiveKind::kAllReduce;
       else if (l == "alltoall") cfg.collective.kind = CollectiveKind::kAllToAll;
       else return fail(line_no, "unknown collective '" + val + "'");
-    } else if (key == "groups") {
-      ok = parse_int(val, &cfg.collective.groups);
-    } else if (key == "members") {
-      ok = parse_int(val, &cfg.collective.members_per_group);
+    } else if (key == "groups" || key == "members") {
+      if ((ok = parse_int(val, &i))) {
+        // A group needs a second member to send to.
+        const int least = key == "groups" ? 1 : 2;
+        if (i < least) return fail(line_no, key + " must be >= " + std::to_string(least));
+        (key == "groups" ? cfg.collective.groups : cfg.collective.members_per_group) = i;
+        collective_line = line_no;
+      }
     } else if (key == "collective_bytes") {
       ok = parse_uint(val, &cfg.collective.total_bytes);
     } else if (key == "ratio") {
@@ -216,6 +222,20 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
   if (const int n = cfg.websearch.clos.num_hosts(); n < 2) {
     return fail(fabric_line, "leaves * hosts_per_leaf = " + std::to_string(n) +
                                  ": the fabric needs at least two hosts");
+  }
+  // run_collectives puts member m of group g on host (m * groups + g) mod
+  // hosts, which repeats after hosts / gcd(groups, hosts) members.
+  if (cfg.kind == ExperimentConfig::Kind::kCollective) {
+    const CollectiveExpParams& c = cfg.collective;
+    const int hosts = c.clos.num_hosts();
+    const int fit = hosts / std::gcd(c.groups, hosts);
+    if (c.members_per_group > fit) {
+      return fail(std::max(collective_line, fabric_line),
+                  "members = " + std::to_string(c.members_per_group) + " with groups = " +
+                      std::to_string(c.groups) + " on " + std::to_string(hosts) +
+                      " hosts puts two members of one group on one host (at most " +
+                      std::to_string(fit) + " fit)");
+    }
   }
 
   cfg.websearch.scheme = scheme;

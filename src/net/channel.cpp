@@ -253,7 +253,7 @@ void Channel::checkpoint(StateIO& io) {
       std::uint32_t epoch = r->epoch;
       std::uint8_t corrupt = r->corrupt ? 1 : 0;
       io.pod(t);
-      io.seq(seq);
+      io.pod(seq);
       io.pod(epoch);
       io.pod(corrupt);
       io.pod(*r->pkt);
@@ -270,7 +270,7 @@ void Channel::checkpoint(StateIO& io) {
       std::uint8_t corrupt = 0;
       Packet flat;
       io.pod(t);
-      io.seq(seq);
+      io.pod(seq);
       io.pod(epoch);
       io.pod(corrupt);
       io.pod(flat);
@@ -300,7 +300,7 @@ void Channel::checkpoint(StateIO& io) {
   // reproduces the image byte-for-byte.
   auto rec_io = [&io](CrossRecord& r) {
     io.pod(r.t);
-    io.seq(r.seq);
+    io.pod(r.seq);
     io.pod(r.epoch);
     io.pod(r.corrupt);
     io.pod(r.pkt);

@@ -13,7 +13,6 @@ std::vector<std::uint8_t> SnapshotImage::encode() const {
   io.pod(self->fingerprint);
   io.pod(self->shards);
   io.pod(self->at);
-  io.pod(self->setup_seq_end);
   io.pod(self->next_seq);
   io.each(self->clocks, [](StateIO& s, SnapshotClock& c) {
     s.pod(c.now);
@@ -35,7 +34,6 @@ bool SnapshotImage::decode(const std::vector<std::uint8_t>& bytes, SnapshotImage
   io.pod(out.fingerprint);
   io.pod(out.shards);
   io.pod(out.at);
-  io.pod(out.setup_seq_end);
   io.pod(out.next_seq);
   io.each(out.clocks, [](StateIO& s, SnapshotClock& c) {
     s.pod(c.now);

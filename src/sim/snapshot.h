@@ -21,13 +21,9 @@
 // re-save byte-equality (save(restore(image)) == image) a cheap, powerful
 // invariant tests can assert.
 //
-// Sequence translation: an image records `setup_seq_end`, the first
-// sequence number allocated after the deterministic setup phase.  When the
-// restore target was built from a *different but prefix-isomorphic* spec
-// (the fuzzer's ddmin probes remove fault actions, shifting every runtime
-// sequence by a constant), StateIO::seq() rewrites runtime sequences
-// (s >= setup_seq_end) by that constant delta on load; setup-phase keys
-// are left to the rebuild, which reproduces them exactly.
+// An image restores only into a world rebuilt from the spec it was saved
+// from, so every saved sequence number is already the restore target's:
+// nothing is renumbered on load.
 
 #include <cstdint>
 #include <cstring>
@@ -78,17 +74,6 @@ class StateIO {
     if (err_.empty()) err_ = std::move(msg);
   }
 
-  /// Arms runtime-sequence translation for load (see header comment).
-  void set_seq_context(std::uint64_t saved_setup_end, std::int64_t delta) {
-    setup_end_ = saved_setup_end;
-    delta_ = delta;
-  }
-  /// Rewrites one saved sequence into the restore target's numbering.
-  std::uint64_t translate_seq(std::uint64_t s) const {
-    return s >= setup_end_ ? static_cast<std::uint64_t>(static_cast<std::int64_t>(s) - delta_)
-                           : s;
-  }
-
   /// Raw trivially-copyable value (integers, enums, flat Packet records).
   /// Saving writes a padding-cleared copy so image bytes are a pure
   /// function of the object's *values* — struct padding holds
@@ -112,12 +97,6 @@ class StateIO {
       std::memcpy(&v, in_->data() + pos_, sizeof v);
       pos_ += sizeof v;
     }
-  }
-
-  /// A global tie-break sequence: saved raw, translated on load.
-  void seq(std::uint64_t& s) {
-    pod(s);
-    if (!saving() && ok()) s = translate_seq(s);
   }
 
   void str(std::string& s) {
@@ -232,42 +211,15 @@ class StateIO {
     if (!saving() && ok() && m != magic) fail("label mismatch @" + std::to_string(magic));
   }
 
-  /// A persistent timer's heap arm.  Save records the exact parked key;
-  /// load overlays it, except that setup-phase keys (seq < setup_seq_end)
-  /// defer to the rebuild's own — identical — arm, so they survive spec
-  /// deltas that renumber the setup phase tail (ddmin action removal never
-  /// reaches timers armed before the injector).
+  /// A persistent timer's heap arm.  Save records the exact parked key
+  /// and true deadline; load replaces whatever the rebuild armed with it.
   void timer(Timer& t) {
     EventQueue::TimerArm a = saving() ? t.arm_state() : EventQueue::TimerArm{};
     pod(a.kind);
     pod(a.t);
     pod(a.seq);
     pod(a.deadline);
-    if (saving() || !ok()) return;
-    if (a.kind == 0) {
-      t.restore_arm(EventQueue::TimerArm{});
-      return;
-    }
-    if (a.seq >= setup_end_) {
-      a.seq = translate_seq(a.seq);
-      t.restore_arm(a);
-      return;
-    }
-    if (a.kind == 2) {
-      // Setup-keyed deadline arm: the rebuild parked the identical entry;
-      // only the true deadline may have moved (O(1) runtime extensions
-      // never touch the parked key).  Keep the rebuild's key, overlay the
-      // saved deadline.
-      EventQueue::TimerArm cur = t.arm_state();
-      if (cur.kind == 2) {
-        cur.deadline = a.deadline;
-        t.restore_arm(cur);
-      } else {
-        t.restore_arm(a);
-      }
-    }
-    // Setup-keyed main arm (kind 1): the rebuild's arm is already
-    // bit-identical — leave it in place.
+    if (!saving() && ok()) t.restore_arm(a);
   }
 
   std::size_t bytes_consumed() const { return pos_; }
@@ -279,8 +231,6 @@ class StateIO {
   std::vector<std::uint8_t>* out_;
   const std::vector<std::uint8_t>* in_;
   std::size_t pos_ = 0;
-  std::uint64_t setup_end_ = ~0ull;  // no translation until armed
-  std::int64_t delta_ = 0;
   std::string err_;
 };
 
@@ -294,17 +244,14 @@ struct SnapshotClock {
 
 /// A versioned, self-describing simulation checkpoint.  `fingerprint`
 /// hashes the world spec the image was saved from; restore refuses a
-/// target built from a spec whose fingerprint differs (unless the caller
-/// explicitly supplies the seq delta of a prefix-isomorphic spec — the
-/// ddmin path).
+/// target built from a spec whose fingerprint differs.
 struct SnapshotImage {
   static constexpr std::uint32_t kMagic = 0x44435053;  // "DCPS"
-  static constexpr std::uint32_t kVersion = 7;
+  static constexpr std::uint32_t kVersion = 8;
 
   std::uint64_t fingerprint = 0;
   std::uint32_t shards = 1;
   Time at = 0;  // every event with t < at has run; none at t >= at has
-  std::uint64_t setup_seq_end = 0;
   std::uint64_t next_seq = 0;
   std::vector<SnapshotClock> clocks;  // one per shard
   std::vector<std::uint8_t> state;    // module payload (StateIO stream)
@@ -316,7 +263,7 @@ struct SnapshotImage {
 
   bool operator==(const SnapshotImage& o) const {
     return fingerprint == o.fingerprint && shards == o.shards && at == o.at &&
-           setup_seq_end == o.setup_seq_end && next_seq == o.next_seq &&
+           next_seq == o.next_seq &&
            [&] {
              if (clocks.size() != o.clocks.size()) return false;
              for (std::size_t i = 0; i < clocks.size(); ++i) {

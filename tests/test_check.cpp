@@ -486,7 +486,7 @@ TEST(InjectedBug, FuzzerFindsDuplicateCompletion) {
 // A handcrafted haystack: one blackhole that provokes retransmissions (and
 // with the broken receiver, the duplicate completion) buried under 49 filler
 // actions that barely perturb the run.  ddmin must strip the padding.
-TEST(InjectedBug, ShrinkerReducesFiftyActionsToAtMostThree) {
+FuzzScenario haystack_scenario() {
   FuzzScenario s;
   s.seed = 0;
   s.scheme = SchemeKind::kDcp;
@@ -518,27 +518,69 @@ TEST(InjectedBug, ShrinkerReducesFiftyActionsToAtMostThree) {
     s.faults.actions.push_back(filler);
     if (i == 24) s.faults.actions.push_back(needle);  // bury it mid-plan
   }
-  ASSERT_EQ(s.faults.actions.size(), 50u);
+  return s;
+}
 
+// A late needle behind a long clean prefix: one wire-drop burst guts a
+// small late flow's initial transmission, and the sender's coarse fallback
+// timer eventually retransmits, landing the violation at ~4.4 ms.  A large
+// bulk flow packs ~19k events into the first ~320 us, before every fault
+// action, and 49 late low-rate chaff drops pad the plan to 50 entries.
+FuzzScenario late_needle_scenario() {
+  FuzzScenario s;
+  s.seed = 7;
+  s.scheme = SchemeKind::kDcp;
+  s.spines = 1;
+  s.leaves = 2;
+  s.hosts_per_leaf = 2;
+  s.max_time = milliseconds(8);
+  s.flows = {{0, 2, 2 * 1024 * 1024, 0, microseconds(5)},  // bulk prefix
+             {1, 3, 8192, 4096, microseconds(400)}};       // needle
+  FaultAction drop;
+  drop.kind = FaultKind::kDrop;
+  drop.at = microseconds(398);
+  drop.duration = microseconds(45);
+  drop.rate = 0.95;
+  s.faults.actions.push_back(drop);
+  for (int i = 0; i < 49; ++i) {
+    FaultAction chaff;
+    chaff.kind = FaultKind::kDrop;
+    chaff.at = microseconds(500.0 + 10.0 * (i % 7));
+    chaff.duration = microseconds(5);
+    chaff.rate = 0.001;
+    s.faults.actions.push_back(chaff);
+  }
+  return s;
+}
+
+TEST(InjectedBug, ShrinkerReducesFiftyActionsToAtMostThree) {
   FuzzOptions opt;
   opt.factory_override = std::make_shared<BrokenDcpFactory>();
-  const FuzzVerdict before = run_fuzz_scenario(s, opt);
-  ASSERT_TRUE(before.violated) << "the needle did not provoke a retransmission";
-  ASSERT_EQ(before.invariant, "exactly-once-completion") << before.message;
+  const struct {
+    const char* name;
+    FuzzScenario s;
+  } cases[] = {{"haystack", haystack_scenario()}, {"late needle", late_needle_scenario()}};
+  for (const auto& c : cases) {
+    const FuzzScenario& s = c.s;
+    ASSERT_EQ(s.faults.actions.size(), 50u) << c.name;
+    const FuzzVerdict before = run_fuzz_scenario(s, opt);
+    ASSERT_TRUE(before.violated) << c.name << ": the needle did not provoke a retransmission";
+    ASSERT_EQ(before.invariant, "exactly-once-completion") << c.name << ": " << before.message;
 
-  ShrinkStats stats;
-  const FuzzScenario min = shrink_fuzz_scenario(s, opt, &stats);
-  EXPECT_EQ(stats.actions_before, 50u);
-  EXPECT_LE(stats.actions_after, 3u);
-  EXPECT_LE(min.faults.actions.size(), 3u);
-  EXPECT_GT(stats.runs, 0u);
+    ShrinkStats stats;
+    const FuzzScenario min = shrink_fuzz_scenario(s, opt, &stats);
+    EXPECT_EQ(stats.actions_before, 50u) << c.name;
+    EXPECT_LE(stats.actions_after, 3u) << c.name;
+    EXPECT_LE(min.faults.actions.size(), 3u) << c.name;
+    EXPECT_GT(stats.runs, 0u) << c.name;
 
-  // The minimized scenario still reproduces the same violation…
-  const FuzzVerdict after = run_fuzz_scenario(min, opt);
-  ASSERT_TRUE(after.violated);
-  EXPECT_EQ(after.invariant, "exactly-once-completion");
-  // …and shrinking is itself deterministic.
-  EXPECT_EQ(shrink_fuzz_scenario(s, opt), min);
+    // The minimized scenario still reproduces the same violation…
+    const FuzzVerdict after = run_fuzz_scenario(min, opt);
+    ASSERT_TRUE(after.violated) << c.name;
+    EXPECT_EQ(after.invariant, "exactly-once-completion") << c.name;
+    // …and shrinking is itself deterministic.
+    EXPECT_EQ(shrink_fuzz_scenario(s, opt), min) << c.name;
+  }
 }
 
 TEST(InjectedBug, ShrinkReturnsCleanScenariosUnchanged) {

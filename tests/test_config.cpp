@@ -98,6 +98,42 @@ TEST(Config, FabricsWithFewerThanTwoHostsFailClosed) {
       << err;
 }
 
+TEST(Config, CollectiveKeysFailClosed) {
+  // A one-member ring sends to itself, and a placement that wraps around
+  // the fabric puts two members of one group on one host: both started
+  // loopback flows, which start_flow refuses.
+  const std::string base = "experiment = collective\nscheme = dcp\n";
+  std::string err;
+  EXPECT_FALSE(parse_experiment_config(base + "members = 1\n", &err).has_value());
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("members must be >= 2"), std::string::npos) << err;
+  EXPECT_FALSE(parse_experiment_config(base + "groups = 0\n", &err).has_value());
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("groups must be >= 1"), std::string::npos) << err;
+
+  // 2 x 2 hosts, default 4 groups: gcd(4, 4) = 4, so one member per group fits.
+  const std::string small = base + "collective_kind = alltoall\nspines = 2\nleaves = 2\n"
+                                   "hosts_per_leaf = 2\n";
+  EXPECT_FALSE(parse_experiment_config(small + "members = 20\n", &err).has_value());
+  EXPECT_NE(err.find("line 7"), std::string::npos) << err;
+  EXPECT_NE(err.find("members = 20 with groups = 4 on 4 hosts"), std::string::npos) << err;
+  // Three groups interleave over all four hosts, so four members fit...
+  EXPECT_TRUE(parse_experiment_config(small + "groups = 3\nmembers = 4\n", &err).has_value())
+      << err;
+  // ...but not five, reported at the last line that shaped the placement.
+  EXPECT_FALSE(
+      parse_experiment_config(base + "groups = 3\nmembers = 5\nleaves = 2\nhosts_per_leaf = 2\n",
+                              &err)
+          .has_value());
+  EXPECT_NE(err.find("line 6"), std::string::npos) << err;
+  EXPECT_NE(err.find("at most 4 fit"), std::string::npos) << err;
+  // Placement only binds a collective experiment.
+  EXPECT_TRUE(parse_experiment_config("experiment = websearch\nleaves = 1\nhosts_per_leaf = 2\n",
+                                      &err)
+                  .has_value())
+      << err;
+}
+
 TEST(ConfigDeathTest, FlowsNeedTwoDistinctHosts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Simulator sim;

@@ -189,7 +189,7 @@ TEST(Golden, ResumedRunsMatchCorpusDigests) {
     std::string err;
     ASSERT_TRUE(a.save(img, &err)) << err;
     SimWorld b(ws);
-    ASSERT_TRUE(b.restore(img, false, &err)) << err;
+    ASSERT_TRUE(b.restore(img, &err)) << err;
     b.run_until_done();
     EXPECT_TRUE(cold.digest() == b.digest()) << scheme_name(k);
   }

@@ -5,9 +5,8 @@
 // snapshottable scheme, the §4.5 bitmap receiver, and serial and sharded
 // event cores.  Also covers re-save byte-equality (save(restore(img)) ==
 // img), image versioning, the TcpLite unsupported-scheme refusal, pooled
-// restores from one shared image, a 200-seed oracle-armed fuzz batch
-// through the restore path, and snapshot-accelerated ddmin shrink
-// equivalence on the injected-bug needle.
+// restores from one shared image, and a 200-seed oracle-armed fuzz batch
+// through the restore path.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +16,11 @@
 #include <string>
 #include <vector>
 
-#include "check/broken.h"
 #include "check/fuzzer.h"
 #include "core/dcp_transport.h"
 #include "harness/checkpoint.h"
 #include "harness/sweep.h"
+#include "transports/timeout.h"
 
 namespace dcp {
 namespace {
@@ -164,8 +163,7 @@ std::unique_ptr<SimWorld> resumed_world(const WorldSpec& ws, Time t, const char*
   EXPECT_TRUE(a.save(img, &err)) << what << ": save failed: " << err;
 
   auto b = std::make_unique<SimWorld>(ws);
-  EXPECT_TRUE(b->restore(img, /*allow_spec_delta=*/false, &err))
-      << what << ": restore failed: " << err;
+  EXPECT_TRUE(b->restore(img, &err)) << what << ": restore failed: " << err;
 
   SnapshotImage resaved;
   EXPECT_TRUE(b->save(resaved, &err)) << what << ": re-save failed: " << err;
@@ -181,6 +179,55 @@ WorldDigest resumed_digest(const WorldSpec& ws, Time t, const char* what) {
   return resumed_world(ws, t, what)->digest();
 }
 
+/// A Timeout-scheme receiver that arms one timer in each heap class while
+/// the world is built (start_flow constructs it), so both keys are drawn
+/// in the setup phase.  The first data packet extends the deadline timer
+/// lazily, which keeps its setup key and moves only its true deadline.
+/// Each timer records the (t, seq) key it fired under.
+class SetupArmedReceiver final : public OooReceiver {
+ public:
+  struct Fired {
+    Time t = -1;
+    std::uint64_t seq = 0;
+    bool operator==(const Fired&) const = default;
+  };
+  static constexpr Time kMainAt = microseconds(30);
+  static constexpr Time kDeadlineAt = microseconds(50);
+  static constexpr Time kExtendedAt = microseconds(90);
+
+  SetupArmedReceiver(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)
+      : OooReceiver(sim, host, spec, cfg) {
+    main_.arm_at(kMainAt);
+    deadline_.arm_deadline_at(kDeadlineAt);
+  }
+  void on_packet(Packet pkt) override {
+    if (!extended_) {
+      extended_ = true;
+      deadline_.arm_deadline_at(kExtendedAt);
+    }
+    OooReceiver::on_packet(std::move(pkt));
+  }
+
+  Fired main_fired;
+  Fired deadline_fired;
+
+ protected:
+  void checkpoint_extra(StateIO& io) override {
+    OooReceiver::checkpoint_extra(io);
+    io.pod(extended_);
+    io.pod(main_fired);
+    io.pod(deadline_fired);
+    io.timer(main_);
+    io.timer(deadline_);
+  }
+
+ private:
+  bool extended_ = false;
+  Timer main_{sim_, [this] { main_fired = {sim_.now(), sim_.current_event_seq()}; }};
+  Timer deadline_{sim_, [this] { deadline_fired = {sim_.now(), sim_.current_event_seq()}; }};
+};
+using SetupArmedFactory = TransportPair<TimeoutSender, SetupArmedReceiver>;
+
 // ---------------------------------------------------------------------------
 
 TEST(Snapshot, CleanResumeBitIdenticalAcrossSchemes) {
@@ -194,6 +241,35 @@ TEST(Snapshot, CleanResumeBitIdenticalAcrossSchemes) {
           << scheme_name(k) << ": digest drift after resume at " << t_us << "us";
       EXPECT_EQ(cold.events, warm.events)
           << scheme_name(k) << ": events_processed drift after resume at " << t_us << "us";
+    }
+  }
+
+  // Timers whose saved keys were drawn during setup, one per heap class.
+  // At 15 us neither has fired, and the first flow's deadline timer is
+  // already extended; at 60 us the main one has fired, and the deadline
+  // timer of each flow that is receiving has surfaced and been re-keyed at
+  // its true deadline, still under its setup seq.
+  FuzzOptions opt;
+  opt.factory_override = std::make_shared<SetupArmedFactory>();
+  const WorldSpec ws = fuzz_world_spec(clean_scenario(SchemeKind::kTimeout), opt);
+  SimWorld cold(ws);
+  cold.run_until_done();
+  const auto fired = [](SimWorld& w, const FlowRecord& r) {
+    const auto& rx =
+        dynamic_cast<SetupArmedReceiver&>(*w.net().host(r.spec.dst)->receiver(r.spec.id));
+    return std::pair{rx.main_fired, rx.deadline_fired};
+  };
+  for (const FlowRecord& r : cold.net().records()) {
+    const auto [main, deadline] = fired(cold, r);
+    EXPECT_EQ(main.t, SetupArmedReceiver::kMainAt);
+    EXPECT_GE(deadline.t, SetupArmedReceiver::kDeadlineAt);
+  }
+  for (double t_us : {15.0, 60.0, 200.0}) {
+    const std::string what = "setup-armed timers at " + std::to_string(t_us) + "us";
+    const std::unique_ptr<SimWorld> warm = resumed_world(ws, microseconds(t_us), what.c_str());
+    EXPECT_EQ(cold.digest(), warm->digest()) << what;
+    for (const FlowRecord& r : cold.net().records()) {
+      EXPECT_EQ(fired(cold, r), fired(*warm, r)) << what << ", flow " << r.spec.id;
     }
   }
 }
@@ -218,7 +294,7 @@ TEST(Snapshot, FaultedOracleArmedResumeBitIdentical) {
       ASSERT_TRUE(a.save(img, &err)) << scheme_name(k) << ": " << err;
 
       SimWorld b(ws);
-      ASSERT_TRUE(b.restore(img, false, &err)) << scheme_name(k) << ": " << err;
+      ASSERT_TRUE(b.restore(img, &err)) << scheme_name(k) << ": " << err;
       b.run_until_done();
       const WorldDigest wd = b.digest();
       const FuzzVerdict wv = b.finalize_verdict();
@@ -369,10 +445,11 @@ TEST(Snapshot, DecodeRefusesVersion1Image) {
   // version 4's GBN receiver saved an ACK-coalescing counter and its DCP
   // receivers laid out their shared datapath fields per tracker, version 5
   // saved packets in the old field order with a uid and each channel's
-  // delivered-byte count, and version 6's host sections ended with a
-  // receiver-stat journal...
+  // delivered-byte count, version 6's host sections ended with a
+  // receiver-stat journal, and version 7's header carried a setup-phase
+  // sequence bound between `at` and `next_seq`...
   std::vector<std::uint8_t> stamped = bytes;
-  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u, 5u, 6u}) {
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
     std::memcpy(stamped.data() + 4, &old_version, sizeof old_version);
     EXPECT_FALSE(SnapshotImage::decode(stamped, back)) << "version " << old_version;
   }
@@ -410,7 +487,7 @@ TEST(Snapshot, RestoreRefusesMismatchedSpec) {
   FuzzScenario other = faulted_scenario(SchemeKind::kDcp);
   other.flows[0].bytes += 1024;  // different world
   SimWorld b(spec_for(other));
-  EXPECT_FALSE(b.restore(img, /*allow_spec_delta=*/false, &err));
+  EXPECT_FALSE(b.restore(img, &err));
   EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
 }
 
@@ -433,7 +510,7 @@ TEST(Snapshot, PooledRestoresFromOneImageMatchColdRuns) {
   auto digests = pool.run(8, [&](std::size_t) {
     SimWorld w(ws);
     std::string err;
-    if (!w.restore(img, /*allow_spec_delta=*/false, &err)) {
+    if (!w.restore(img, &err)) {
       ADD_FAILURE() << "restore failed: " << err;
       return WorldDigest{};
     }
@@ -470,7 +547,7 @@ TEST(Snapshot, FuzzBatch200ThroughRestorePath) {
       continue;
     }
     SimWorld b(ws);
-    ASSERT_TRUE(b.restore(img, false, &err)) << "seed " << seed << ": " << err;
+    ASSERT_TRUE(b.restore(img, &err)) << "seed " << seed << ": " << err;
     b.run_until_done();
     const WorldDigest wd = b.digest();
     const FuzzVerdict wv = b.finalize_verdict();
@@ -484,86 +561,6 @@ TEST(Snapshot, FuzzBatch200ThroughRestorePath) {
   }
   // The batch must actually exercise the restore path, not skip everything.
   EXPECT_GE(restored, 150u);
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot-accelerated ddmin: shrinking with prefix snapshots must produce
-// a byte-identical repro to cold shrinking, while executing at least 3x
-// fewer simulation events (both counts are deterministic).
-
-FuzzScenario needle_scenario() {
-  // The injected duplicate-completion bug (BrokenDcpFactory) trips on the
-  // first retransmitted data packet.  One essential wire-drop burst guts a
-  // small late flow's initial transmission; the sender's coarse fallback
-  // timer (quiet >= dcp_msg_timeout, backed off) eventually retransmits,
-  // and the retry lands the violation at ~4.4ms.  A large clean bulk flow
-  // packs ~19k events into the first ~320us — BEFORE every fault action,
-  // so every ddmin probe's restore bound (min `at` over the removed chunk,
-  // >= 398us) lets the snapshot ring skip that whole prefix.  49 late
-  // low-rate chaff actions pad the plan to 50 entries; they share 7
-  // distinct start times so the ring (<= 8 distinct boundaries) keeps a
-  // snapshot at or before EVERY probe's bound.
-  FuzzScenario s;
-  s.seed = 7;
-  s.scheme = SchemeKind::kDcp;
-  s.spines = 1;
-  s.leaves = 2;
-  s.hosts_per_leaf = 2;
-  s.max_time = milliseconds(8);
-  s.flows = {{0, 2, 2 * 1024 * 1024, 0, microseconds(5)},  // bulk prefix
-             {1, 3, 8192, 4096, microseconds(400)}};       // needle
-  FaultAction drop;
-  drop.kind = FaultKind::kDrop;
-  drop.at = microseconds(398);
-  drop.duration = microseconds(45);
-  drop.rate = 0.95;
-  s.faults.actions.push_back(drop);
-
-  for (int i = 0; i < 49; ++i) {
-    FaultAction chaff;
-    chaff.kind = FaultKind::kDrop;
-    chaff.at = microseconds(500.0 + 10.0 * (i % 7));
-    chaff.duration = microseconds(5);
-    chaff.rate = 0.001;
-    s.faults.actions.push_back(chaff);
-  }
-  return s;
-}
-
-TEST(Snapshot, DdminShrinkEquivalentAndAtLeast3xCheaper) {
-  FuzzOptions with, without;
-  with.factory_override = std::make_shared<BrokenDcpFactory>();
-  without.factory_override = with.factory_override;
-  with.use_snapshots = true;
-  without.use_snapshots = false;
-
-  const FuzzScenario s = needle_scenario();
-  const FuzzVerdict base = run_fuzz_scenario(s, with);
-  ASSERT_TRUE(base.violated) << "needle scenario does not trip the injected bug";
-  ASSERT_EQ(base.invariant, "exactly-once-completion") << base.message;
-
-  ShrinkStats snap_st, cold_st;
-  const FuzzScenario snap_min = shrink_fuzz_scenario(s, with, &snap_st);
-  const FuzzScenario cold_min = shrink_fuzz_scenario(s, without, &cold_st);
-
-  // Identical shrink decisions => identical minimal scenario and repro.
-  EXPECT_TRUE(snap_min == cold_min);
-  EXPECT_EQ(snap_st.runs, cold_st.runs);
-  const FuzzVerdict sv = run_fuzz_scenario(snap_min, with);
-  const FuzzVerdict cv = run_fuzz_scenario(cold_min, without);
-  EXPECT_EQ(write_fuzz_repro(snap_min, sv), write_fuzz_repro(cold_min, cv));
-  EXPECT_LE(snap_min.faults.actions.size(), 3u);
-
-  // Cold shrink restores nothing.
-  EXPECT_EQ(cold_st.events_skipped, 0u);
-  // Snapshot shrink reaches the same verdicts while executing >= 3x fewer
-  // events.  Cold total == snap executed + snap skipped: every restored
-  // probe is bit-identical to its cold twin, so the skipped prefix events
-  // are exactly the ones the cold shrink re-executes.
-  EXPECT_EQ(cold_st.events_executed, snap_st.events_executed + snap_st.events_skipped);
-  EXPECT_GE(cold_st.events_executed, 3 * snap_st.events_executed)
-      << "snapshot ddmin executed " << snap_st.events_executed << " events, cold "
-      << cold_st.events_executed << " (skipped " << snap_st.events_skipped << ")";
 }
 
 }  // namespace

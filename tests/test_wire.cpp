@@ -14,7 +14,7 @@
 #include "check/observer.h"
 #include "core/dcp_transport.h"
 #include "harness/scheme.h"
-#include "net/wire.h"
+#include "support/wire.h"
 #include "sim/rng.h"
 #include "topo/dumbbell.h"
 

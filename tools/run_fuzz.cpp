@@ -44,7 +44,6 @@ struct Cli {
   std::string replay;
   std::string inject;
   bool selftest = false;
-  bool no_snapshot = false;  // cold-run every shrink probe
   long print_seed = -1;
   long budget_ms = 0;   // 0 = no wall-clock budget
   double at_time_us = -1;  // --at-time: time-travel point for --replay
@@ -54,7 +53,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: run_fuzz [--seed N] [--count N] [--out FILE] [--replay FILE]\n"
                "                [--print SEED] [--inject-bug dup-completion]\n"
-               "                [--time-budget-ms N] [--selftest] [--no-snapshot]\n"
+               "                [--time-budget-ms N] [--selftest]\n"
                "                [--at-time US]   (with --replay: pause the replay at\n"
                "                                 t=US microseconds, dump the world state\n"
                "                                 and recent event trace, prove the\n"
@@ -67,7 +66,6 @@ FuzzOptions make_options(const Cli& cli) {
   if (cli.inject == "dup-completion") {
     opt.factory_override = std::make_shared<BrokenDcpFactory>();
   }
-  opt.use_snapshots = !cli.no_snapshot;
   return opt;
 }
 
@@ -185,7 +183,7 @@ int run_time_travel(const Cli& cli, const FuzzScenario& s) {
   std::printf("snapshot: %zu state bytes at t=%.9gus\n", img.state.size(), to_us(img.at));
 
   SimWorld resumed(fuzz_world_spec(s, opt));
-  if (!resumed.restore(img, /*allow_spec_delta=*/false, &err)) {
+  if (!resumed.restore(img, &err)) {
     std::fprintf(stderr, "run_fuzz: restore failed: %s\n", err.c_str());
     return 2;
   }
@@ -338,8 +336,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage();
       cli.at_time_us = std::strtod(v, nullptr);
-    } else if (a == "--no-snapshot") {
-      cli.no_snapshot = true;
     } else if (a == "--selftest") {
       cli.selftest = true;
     } else {

@@ -145,7 +145,7 @@ int run(SchemeKind k, double t_us, double step_us, double end_us) {
               img.state.size(), a.events_processed());
 
   SimWorld warm(ws);
-  if (!warm.restore(img, false, &err)) {
+  if (!warm.restore(img, &err)) {
     std::printf("restore failed: %s\n", err.c_str());
     return 1;
   }
