@@ -115,7 +115,7 @@ BENCHMARK(BM_PacketPool);
 
 void BM_DwrrSelect(benchmark::State& state) {
   DwrrPolicy policy({1.0, 4.0});
-  std::vector<FifoQueue> queues(kNumQueueClasses);
+  PortQueues queues;
   Packet p;
   p.wire_bytes = 1000;
   for (int i = 0; i < 64; ++i) {

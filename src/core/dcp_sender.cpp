@@ -117,7 +117,17 @@ void DcpSender::on_msg_timeout() {
   const bool una_msg_sent = snd_nxt_ > layout_.msg_start_psn(una_msn_);
   const bool recovery_in_flight =
       !timeout_retx_.empty() || !rq_.staging_empty() || !rq_.host_empty();
+  const std::uint64_t accounted = rcnt_ + ho_total_ + flushed_;
   if (!quiet || !una_msg_sent || recovery_in_flight) {
+    // Queued recovery can wait behind a window full of silently lost
+    // packets, whose credit no arrival will ever return: write them off so
+    // the recovery goes out.
+    if (quiet && una_msg_sent && inflight_bytes_estimate() >= cc_->window_bytes() &&
+        stats_.data_packets_sent > accounted) {
+      flushed_ += stats_.data_packets_sent - accounted;
+      last_progress_ = sim_.now();
+      kick_nic();
+    }
     arm_msg_timer();
     return;
   }
@@ -125,7 +135,6 @@ void DcpSender::on_msg_timeout() {
   cc_->on_timeout();
   // Write off everything outstanding: whatever is unaccounted was lost
   // silently (the only way to reach a quiet timeout with credit missing).
-  const std::uint64_t accounted = rcnt_ + ho_total_ + flushed_;
   if (stats_.data_packets_sent > accounted) {
     flushed_ += stats_.data_packets_sent - accounted;
   }
@@ -216,7 +225,7 @@ void DcpSender::checkpoint_extra(StateIO& io) {
   io.pod(rcnt_);
   io.pod(ho_total_);
   io.pod(flushed_);
-  io.deq(timeout_retx_);
+  io.ring(timeout_retx_);
   io.vec(sretry_);
   io.pod(snd_nxt_);
   io.pod(una_msn_);

@@ -14,12 +14,12 @@
 // tracking via per-message counters, with eMSN-carrying ACKs.
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "core/retransq.h"
 #include "core/tracking.h"
 #include "host/transport.h"
+#include "sim/ring.h"
 
 namespace dcp {
 
@@ -74,8 +74,8 @@ class DcpSender final : public SenderTransport {
   std::uint64_t rcnt_ = 0;      // latest receiver arrival count seen
   std::uint64_t ho_total_ = 0;  // every HO arrival, stale or not
   std::uint64_t flushed_ = 0;
-  std::deque<std::uint32_t> timeout_retx_;  // PSNs queued by the coarse timer
-  std::vector<std::uint8_t> sretry_;        // per-message timeout round
+  Ring<std::uint32_t> timeout_retx_;  // PSNs queued by the coarse timer
+  std::vector<std::uint8_t> sretry_;  // per-message timeout round
   std::uint32_t snd_nxt_ = 0;
   std::uint32_t una_msn_ = 0;  // smallest unacknowledged MSN
   // The coarse timer fires only after a *quiet* period with no forward

@@ -10,7 +10,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
+
+#include "sim/ring.h"
 
 namespace dcp {
 
@@ -68,16 +69,16 @@ class RetransQ {
   /// Checkpoint hook (sim/snapshot.h): both queues plus the counters.
   template <typename IO>
   void checkpoint(IO& io) {
-    io.deq(host_q_);
-    io.deq(staging_);
+    io.ring(host_q_);
+    io.ring(staging_);
     io.pod(total_pushed_);
     io.pod(fetches_);
     io.pod(max_len_);
   }
 
  private:
-  std::deque<Entry> host_q_;   // in host memory
-  std::deque<Entry> staging_;  // on-NIC, already fetched
+  Ring<Entry> host_q_;   // in host memory
+  Ring<Entry> staging_;  // on-NIC, already fetched
   std::uint64_t total_pushed_ = 0;
   std::uint64_t fetches_ = 0;
   std::size_t max_len_ = 0;

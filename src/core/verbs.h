@@ -4,11 +4,11 @@
 // QP become DCP (or baseline) flows; completions are polled from a CQ.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/ring.h"
 #include "topo/network.h"
 
 namespace dcp::verbs {
@@ -48,7 +48,7 @@ class SharedReceiveQueue {
     wqes_.pop_front();
     return id;
   }
-  std::deque<std::uint64_t> wqes_;
+  Ring<std::uint64_t> wqes_;
   std::vector<QueuePair*> bound_;
 };
 
@@ -121,10 +121,10 @@ class QueuePair {
   QpState state_ = QpState::kReset;
   std::uint64_t rejected_posts_ = 0;
   std::size_t outstanding_ = 0;
-  std::deque<WorkCompletion> cq_;       // requester completions
-  std::deque<WorkCompletion> recv_cq_;  // responder completions
-  std::deque<RecvWqe> rq_;              // posted Receive WQEs
-  std::deque<WorkCompletion> unmatched_;  // arrived Sends awaiting a WQE (RNR)
+  Ring<WorkCompletion> cq_;         // requester completions
+  Ring<WorkCompletion> recv_cq_;    // responder completions
+  Ring<RecvWqe> rq_;                // posted Receive WQEs
+  Ring<WorkCompletion> unmatched_;  // arrived Sends awaiting a WQE (RNR)
   std::unordered_map<FlowId, std::uint64_t> wr_of_flow_;
 };
 

@@ -8,11 +8,11 @@
 // QP's own CC rate gates its eligibility, not the wire.
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "host/transport.h"
 #include "net/channel.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace dcp {
@@ -56,7 +56,7 @@ class RnicScheduler {
 
   Simulator& sim_;
   Channel channel_;
-  std::deque<PacketPtr> control_q_;
+  Ring<PacketPtr> control_q_;
   std::vector<SenderTransport*> senders_;
   std::size_t rr_ = 0;
   bool transmitting_ = false;

@@ -11,9 +11,9 @@ void DwrrPolicy::checkpoint(StateIO& io) {
   io.pod(entered_);
 }
 
-int DwrrPolicy::select_slow(const std::vector<FifoQueue>& queues,
+int DwrrPolicy::select_slow(const PortQueues& queues,
                             const std::array<bool, kNumQueueClasses>& paused) {
-  const int n = static_cast<int>(queues.size());
+  constexpr int n = kNumQueueClasses;
   int eligible = 0;
   for (int c = 0; c < n; ++c) {
     if (!queues[c].empty() && !paused[c]) ++eligible;

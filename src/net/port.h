@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "net/channel.h"
 #include "net/packet.h"
@@ -21,6 +20,9 @@
 #include "sim/simulator.h"
 
 namespace dcp {
+
+/// A port's egress queues, one per queue class, held inline.
+using PortQueues = std::array<FifoQueue, kNumQueueClasses>;
 
 /// Byte-deficit weighted round robin across the queue classes.
 class DwrrPolicy {
@@ -35,8 +37,7 @@ class DwrrPolicy {
   /// Returns the index of the queue to serve, or -1 if nothing is eligible.
   /// `paused[i]` means class i must not be served (PFC).  Inline: the whole
   /// decision compiles into Port's transmit path.
-  int select(const std::vector<FifoQueue>& queues,
-             const std::array<bool, kNumQueueClasses>& paused) {
+  int select(const PortQueues& queues, const std::array<bool, kNumQueueClasses>& paused) {
     // Fast path: the class holding the round is still eligible and its
     // deficit covers its head-of-line packet.  This is exactly the loop's
     // first iteration (which performs no writes in that case), short of the
@@ -59,8 +60,7 @@ class DwrrPolicy {
   void checkpoint(StateIO& io);
 
  private:
-  int select_slow(const std::vector<FifoQueue>& queues,
-                  const std::array<bool, kNumQueueClasses>& paused);
+  int select_slow(const PortQueues& queues, const std::array<bool, kNumQueueClasses>& paused);
   std::array<double, kNumQueueClasses> weights_;
   std::array<double, kNumQueueClasses> deficit_{};
   int cur_ = 0;        // queue currently holding the round
@@ -79,7 +79,7 @@ class Port {
   /// `weights` are the DWRR byte shares of the queue classes.
   Port(Simulator& sim, Bandwidth bw, Time propagation,
        std::array<double, kNumQueueClasses> weights)
-      : sim_(sim), channel_(sim, bw, propagation), policy_(weights), queues_(kNumQueueClasses) {}
+      : sim_(sim), channel_(sim, bw, propagation), policy_(weights) {}
 
   Channel& channel() { return channel_; }
   const Channel& channel() const { return channel_; }
@@ -127,7 +127,7 @@ class Port {
   Simulator& sim_;
   Channel channel_;
   DwrrPolicy policy_;
-  std::vector<FifoQueue> queues_;
+  PortQueues queues_;
   std::array<bool, kNumQueueClasses> paused_{};
   bool transmitting_ = false;
   Stats stats_;

@@ -1,14 +1,15 @@
 #pragma once
 // FIFO packet queue with byte accounting, used for every egress queue class.
 // Stores pooled packet handles: pushing and popping moves 8 bytes, not the
-// 96-byte Packet struct.
+// 96-byte Packet struct.  The handles sit in a Ring, so a queue that never
+// holds a packet allocates nothing.
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 
 #include "net/packet.h"
 #include "net/packet_pool.h"
+#include "sim/ring.h"
 
 namespace dcp {
 
@@ -58,7 +59,7 @@ class FifoQueue {
   }
 
  private:
-  std::deque<PacketPtr> q_;
+  Ring<PacketPtr> q_;
   std::uint64_t bytes_ = 0;
   std::uint64_t max_bytes_seen_ = 0;
 };

@@ -27,10 +27,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -156,21 +156,21 @@ class StateIO {
     }
   }
 
-  /// Deque of trivially-copyable records, size included.
+  /// Ring of trivially-copyable records in FIFO order, size included.
   template <typename T>
-  void deq(std::deque<T>& d) {
+  void ring(Ring<T>& r) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::uint64_t n = d.size();
+    std::uint64_t n = r.size();
     pod(n);
     if (!ok()) return;
     if (saving()) {
-      for (auto& e : d) pod(e);
+      for (auto& e : r) pod(e);
     } else {
-      d.clear();
+      r.clear();
       for (std::uint64_t i = 0; i < n && ok(); ++i) {
         T e{};
         pod(e);
-        d.push_back(e);
+        r.push_back(e);
       }
     }
   }

@@ -12,7 +12,7 @@ Switch::Switch(Simulator& sim, Logger& log, NodeId id, const std::string& name,
     : Node(sim, log, id, name, NodeKind::kSwitch),
       cfg_(cfg),
       rng_(seed),
-      fault_rng_(Rng::substream(seed, /*tag=*/0xfa017u)),
+      seed_(seed),
       flowlets_(cfg.flowlet_gap),
       buffer_(cfg.buffer_bytes, 0, cfg.pfc) {}
 
@@ -102,7 +102,7 @@ void Switch::egress_enqueue(PacketPtr pkt, std::uint32_t eport, std::uint32_t in
   // one breaks the lossless-control-plane property and is counted.
   if (pkt->queue_class == QueueClass::kControl || pkt->type == PktType::kHeaderOnly) {
     pkt->queue_class = QueueClass::kControl;
-    if (cfg_.inject_ho_loss_rate > 0.0 && fault_rng_.chance(cfg_.inject_ho_loss_rate)) {
+    if (cfg_.inject_ho_loss_rate > 0.0 && fault_rng().chance(cfg_.inject_ho_loss_rate)) {
       if (CheckObserver* ob = sim_.check_observer()) {
         ob->on_drop(DropSite::kSwitchCtrlFault, id(), *pkt);
       }
@@ -218,7 +218,9 @@ void Switch::checkpoint(StateIO& io) {
   io.label(0x51117C4u);
   io.pod(cfg_);
   rng_.checkpoint(io);
-  fault_rng_.checkpoint(io);
+  // Until its first draw the fault stream is its fresh seed's, so seeding
+  // it here saves the same bytes an eagerly seeded stream would.
+  fault_rng().checkpoint(io);
   io.pod(any_port_down_);
   // vector<bool> has no contiguous storage; element-wise bytes.
   std::uint64_t nup = port_up_.size();

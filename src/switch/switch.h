@@ -155,9 +155,17 @@ class Switch final : public Node {
   bool ecn_mark_decision(std::uint64_t qbytes);
   void trim_to_header_only(Packet& pkt) const;
 
+  /// The dedicated fault stream, seeded at its first draw: it is drawn
+  /// only while a fault rate is armed, and an mt19937_64 is 2.5 KB.
+  Rng& fault_rng() {
+    if (!fault_rng_) fault_rng_ = std::make_unique<Rng>(Rng::substream(seed_, /*tag=*/0xfa017u));
+    return *fault_rng_;
+  }
+
   SwitchConfig cfg_;
   Rng rng_;
-  Rng fault_rng_;  // dedicated stream: drawn only while a fault rate is armed
+  std::uint64_t seed_;
+  std::unique_ptr<Rng> fault_rng_;  // null until fault_rng()'s first call
   std::vector<std::unique_ptr<Port>> ports_;
   std::vector<bool> port_up_;
   bool any_port_down_ = false;

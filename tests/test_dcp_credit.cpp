@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "check/fuzzer.h"
 #include "core/dcp_transport.h"
+#include "harness/checkpoint.h"
 #include "harness/scheme.h"
 #include "topo/dumbbell.h"
 
@@ -98,6 +100,60 @@ TEST(DcpCredit, SilentLossFlushedByCoarseTimeout) {
   ASSERT_TRUE(rec.complete());
   EXPECT_GE(rec.sender.timeouts, 1u);
   EXPECT_EQ(rec.receiver.bytes_received, 500'000u);
+}
+
+/// One 512 KB single-message DCP flow across a 1-spine, 2-leaf Clos whose
+/// leaf-0 uplink blackholes from 30 us for `hole`.
+FuzzScenario blackholed_uplink(Time hole) {
+  FuzzScenario s;
+  s.scheme = SchemeKind::kDcp;
+  s.spines = 1;
+  s.leaves = 2;
+  s.hosts_per_leaf = 1;
+  s.max_time = milliseconds(100);
+  FuzzFlow f;
+  f.src = 0;
+  f.dst = 1;
+  f.bytes = 512 * 1024;
+  f.msg_bytes = 0;
+  f.start = microseconds(5);
+  s.flows.push_back(f);
+  FaultAction bh;
+  bh.kind = FaultKind::kBlackhole;
+  bh.at = microseconds(30);
+  bh.duration = hole;
+  bh.sw = 1;    // leaf 0
+  bh.port = 1;  // its uplink
+  s.faults.actions.push_back(bh);
+  return s;
+}
+
+TEST(DcpCredit, QueuedRecoveryBehindAWindowOfSilentLossesGoesOut) {
+  // The blackhole eats a window of data and then the whole first timeout
+  // round.  The second round's retransmissions queue behind a window that
+  // only silent losses fill; the quiet timer must write those off rather
+  // than defer forever while the receiver's keepalive hides the stall.
+  SimWorld w(fuzz_world_spec(blackholed_uplink(microseconds(2500)), {}));
+  w.run_until_done();
+  const FuzzVerdict v = w.finalize_verdict();
+  EXPECT_FALSE(v.violated) << v.message;
+  const FlowRecord& rec = w.net().records().at(0);
+  ASSERT_TRUE(rec.complete()) << rec.sender.data_packets_sent << " packets sent, "
+                              << rec.sender.timeouts << " timeouts";
+  EXPECT_EQ(rec.receiver.bytes_received, 512u * 1024u);
+  EXPECT_LT(rec.tx_done, milliseconds(10));
+}
+
+TEST(DcpCredit, ShortBlackholeRecoversThroughOneTimeoutRound) {
+  // Control case: a 1.5 ms hole lifts before the first round goes out.
+  SimWorld w(fuzz_world_spec(blackholed_uplink(microseconds(1500)), {}));
+  w.run_until_done();
+  const FuzzVerdict v = w.finalize_verdict();
+  EXPECT_FALSE(v.violated) << v.message;
+  const FlowRecord& rec = w.net().records().at(0);
+  ASSERT_TRUE(rec.complete());
+  EXPECT_GE(rec.sender.timeouts, 1u);
+  EXPECT_LT(rec.tx_done, milliseconds(3));
 }
 
 TEST(DcpKeepalive, LostFinalAckHealedWithoutCoarseTimeout) {

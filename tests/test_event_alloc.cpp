@@ -7,6 +7,9 @@
 // Method: warm each structure past its high-water mark first (slabs,
 // heap vector, freelists all reach capacity), snapshot the allocation
 // counter, churn, and assert the counter did not move.
+//
+// The same counter bounds the footprint: per-port state allocates nothing
+// until used, so a k=16 fat-tree builds within a fixed byte budget.
 
 #include <gtest/gtest.h>
 
@@ -16,22 +19,29 @@
 #include <new>
 #include <vector>
 
+#include "harness/scheme.h"
 #include "net/channel.h"
 #include "net/node.h"
 #include "net/packet_pool.h"
+#include "net/port.h"
+#include "net/queue.h"
 #include "sim/simulator.h"
+#include "topo/fattree.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};  // requested, never decremented
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new(std::size_t n, std::align_val_t a) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(a), n) == 0) return p;
   throw std::bad_alloc();
@@ -137,6 +147,61 @@ TEST(EventAlloc, PacketPoolChurnIsAllocationFree) {
     PacketPtr q = std::move(p);
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST(EventAlloc, PortForwardingASteadyStreamIsAllocationFree) {
+  Simulator sim;
+  Logger log(LogLevel::kOff);
+  PingPongNode sink(sim, log, 1);  // no `out`: every packet dies here
+  Port port(sim, Bandwidth::gbps(100), microseconds(1), {1.0, 4.0});
+  port.connect(&sink, 0);
+  Packet data;
+  data.wire_bytes = 1000;
+  Packet control = data;
+  control.queue_class = QueueClass::kControl;
+  // Bursts of eight, drained between bursts: each queue cycles through its
+  // storage the way a switch port's does.
+  auto stream = [&](int bursts) {
+    for (int b = 0; b < bursts; ++b) {
+      for (int i = 0; i < 8; ++i) port.enqueue(PacketPtr::make(i % 4 == 0 ? control : data));
+      sim.run();
+    }
+  };
+  stream(100);  // warm-up: pool slabs, event slab, lanes, queue storage
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  stream(500);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(sink.bounces, 600u * 8u);
+}
+
+TEST(EventAlloc, FifoQueueAllocatesNothingBeforeItsFirstPush) {
+  PacketPtr warm = PacketPtr::make();  // the pool's first slab
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  {
+    FifoQueue q;
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+    q.push(std::move(warm));
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 1u);
+  }
+}
+
+TEST(EventAlloc, FatTreeK16BuildFitsItsHeapBudget) {
+  // 5,120 switch ports carry 10,240 egress queues, and no queue holds a
+  // packet before the run starts.
+  const SchemeSetup s = make_scheme(SchemeKind::kDcp);
+  Simulator sim;
+  Logger log(LogLevel::kOff);
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  Network net(sim, log);
+  FatTreeParams p;
+  p.k = 16;
+  p.sw = s.sw;
+  build_fattree(net, p);
+  apply_scheme(net, s);
+  const std::uint64_t used = g_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(used, 8ull << 20) << used << " bytes requested";
 }
 
 }  // namespace

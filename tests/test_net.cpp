@@ -1,13 +1,16 @@
-// Unit tests for the network primitives: packets, channels, queues, ports
-// and the DWRR scheduler driving them.
+// Unit tests for the network primitives: packets, channels, the FIFO ring,
+// queues, ports and the DWRR scheduler driving them.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "net/channel.h"
 #include "net/node.h"
 #include "net/packet.h"
 #include "net/port.h"
 #include "net/queue.h"
+#include "sim/ring.h"
 #include "switch/scheduler.h"
 
 namespace dcp {
@@ -130,6 +133,70 @@ TEST(FifoQueue, ByteAccounting) {
   EXPECT_EQ(p->wire_bytes, 100u);
   EXPECT_EQ(q.bytes(), 200u);
   EXPECT_EQ(q.max_bytes_seen(), 300u);
+}
+
+std::vector<int> drain(Ring<int>& r) {
+  std::vector<int> out;
+  while (!r.empty()) {
+    out.push_back(r.front());
+    r.pop_front();
+  }
+  return out;
+}
+
+TEST(Ring, KeepsFifoOrderAcrossWraparound) {
+  // Walk the head round the first allocation (8 slots) many times at a
+  // depth below it.
+  Ring<int> r;
+  int next_in = 0;
+  int next_out = 0;
+  for (int i = 0; i < 5; ++i) r.push_back(next_in++);
+  for (int step = 0; step < 100; ++step) {
+    ASSERT_EQ(r.front(), next_out++);
+    r.pop_front();
+    r.push_back(next_in++);
+  }
+  EXPECT_EQ(r.size(), 5u);
+  std::vector<int> want;
+  for (int v = next_out; v < next_in; ++v) want.push_back(v);
+  EXPECT_EQ(drain(r), want);
+}
+
+TEST(Ring, GrowsWhileTheHeadSitsMidBuffer) {
+  Ring<int> r;
+  for (int i = 0; i < 6; ++i) r.push_back(i);
+  for (int i = 0; i < 4; ++i) r.pop_front();   // head mid-buffer: 4, 5
+  for (int i = 6; i < 30; ++i) r.push_back(i);  // wraps, then doubles twice
+  std::vector<int> want;
+  for (int i = 4; i < 30; ++i) want.push_back(i);
+  EXPECT_EQ(drain(r), want);
+}
+
+TEST(Ring, IterationFollowsFifoOrder) {
+  // Checkpoints serialize queues by iterating them.
+  Ring<int> r;
+  for (int i = 0; i < 7; ++i) r.push_back(i);
+  for (int i = 0; i < 5; ++i) r.pop_front();
+  for (int i = 7; i < 12; ++i) r.push_back(i);  // 5..11, wrapped
+  std::vector<int> seen;
+  for (int x : r) seen.push_back(x);
+  const Ring<int>& cr = r;
+  std::vector<int> seen_const(cr.begin(), cr.end());
+  const std::vector<int> want{5, 6, 7, 8, 9, 10, 11};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(seen_const, want);
+}
+
+TEST(Ring, DestroyingANonEmptyRingReturnsItsPacketsToThePool) {
+  PacketPool& pool = PacketPool::local();
+  const std::size_t in_use = pool.stats().in_use;
+  {
+    Ring<PacketPtr> r;
+    for (int i = 0; i < 20; ++i) r.push_back(PacketPtr::make());  // grows twice
+    r.pop_front();
+    EXPECT_EQ(pool.stats().in_use, in_use + 19);
+  }
+  EXPECT_EQ(pool.stats().in_use, in_use);
 }
 
 constexpr std::array<double, kNumQueueClasses> kEqualWeights{1.0, 1.0};

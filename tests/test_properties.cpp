@@ -171,7 +171,7 @@ class DwrrShareSweep : public ::testing::TestWithParam<int> {};  // weight*100
 TEST_P(DwrrShareSweep, ServedRatioTracksWeights) {
   const double w = GetParam() / 100.0;
   DwrrPolicy policy({1.0, w});
-  std::vector<FifoQueue> queues(kNumQueueClasses);
+  PortQueues queues;
   Packet p;
   p.wire_bytes = 1000;
   auto refill = [&] {
