@@ -18,7 +18,6 @@
 
 #include "check/fuzzer.h"
 #include "check/invariant_oracle.h"
-#include "harness/checkpoint.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
 #include "net/channel.h"
@@ -152,18 +151,16 @@ CorePerf micro_switch_receive(int rounds, int burst) {
 /// events/sec is StateIO overlay bandwidth; a restored-digest mismatch
 /// poisons the entry.
 CorePerf micro_snapshot_save_restore(int rounds) {
-  FuzzScenario s;
-  s.seed = 42;
-  s.scheme = SchemeKind::kDcp;
-  s.spines = 2;
-  s.leaves = 4;
-  s.hosts_per_leaf = 2;
-  s.max_time = milliseconds(5);
-  s.flows = {{0, 5, 64 * 1024, 4096, microseconds(5)},
+  WorldSpec spec = fuzz_spec(42);
+  spec.scheme = SchemeKind::kDcp;
+  spec.clos.spines = 2;
+  spec.clos.leaves = 4;
+  spec.clos.hosts_per_leaf = 2;
+  spec.max_time = milliseconds(5);
+  spec.flows = {{0, 5, 64 * 1024, 4096, microseconds(5)},
              {2, 7, 24 * 1024, 0, microseconds(20)},
              {6, 1, 96 * 1024, 16384, microseconds(40)},
              {4, 3, 8 * 1024, 4096, microseconds(120)}};
-  const WorldSpec spec = fuzz_world_spec(s, FuzzOptions{});
   SimWorld base(spec);
   base.run_to(microseconds(60));
 

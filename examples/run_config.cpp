@@ -42,11 +42,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("%s", run_configured_experiment(*cfg).c_str());
-    std::printf(
-        "\nrecognized keys: experiment scheme with_cc cc load flows seed dist\n"
-        "spines leaves hosts_per_leaf leaf_spine_delay_us incast incast_fan_in\n"
-        "incast_load incast_bytes loss_rate flow_bytes collective_kind groups\n"
-        "members collective_bytes ratio max_time_ms\n");
+    std::printf("\nrecognized keys:");
+    for (const std::string& key : config_keys()) std::printf(" %s", key.c_str());
+    std::printf("\nplus `flow src=.. dst=.. bytes=.. msg=.. start=..` lines and a [faults] "
+                "section\n");
     return 0;
   }
 

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -54,18 +53,20 @@ bool parse_time(const std::string& v, Time* out) {
   const double ps = x * static_cast<double>(unit);
   // 2^63: every double below it converts to Time without overflow.
   if (!(std::fabs(ps) < static_cast<double>(kTimeInfinity))) return false;
-  *out = static_cast<Time>(ps);
+  // To the nearest picosecond: a decimal in a coarser unit lands within an
+  // ulp of its picosecond count, possibly below it.
+  *out = static_cast<Time>(std::llround(ps));
   return true;
 }
 
-// Times serialize as microseconds: every Time this library manipulates is
-// ps-exact at us granularity, and %.9g keeps sub-us values lossless for the
-// magnitudes fault plans use.
-std::string time_to_str(Time t) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9gus", to_us(t));
-  return buf;
+std::string double_to_str(double x) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, x, std::chars_format::general).ptr);
 }
+
+// Below 2^51 ps a double carries a time to well under half a picosecond,
+// and parse_time() rounds to the nearest one.
+std::string time_to_str(Time t) { return double_to_str(to_us(t)) + "us"; }
 
 std::string trim(const std::string& s) {
   std::size_t b = 0, e = s.size();
@@ -177,7 +178,6 @@ std::optional<FaultPlan> parse_fault_plan(const std::string& text, std::string* 
 
 std::string FaultPlan::to_config_text() const {
   std::string out;
-  char buf[64];
   for (const FaultAction& a : actions) {
     out += fault_kind_name(a.kind);
     out += " at=" + time_to_str(a.at);
@@ -191,13 +191,9 @@ std::string FaultPlan::to_config_text() const {
     }
     if (a.kind == FaultKind::kDrop || a.kind == FaultKind::kCorrupt ||
         a.kind == FaultKind::kHoLoss) {
-      std::snprintf(buf, sizeof(buf), " rate=%.9g", a.rate);
-      out += buf;
+      out += " rate=" + double_to_str(a.rate);
     }
-    if (a.kind == FaultKind::kBufferShrink) {
-      std::snprintf(buf, sizeof(buf), " frac=%.9g", a.frac);
-      out += buf;
-    }
+    if (a.kind == FaultKind::kBufferShrink) out += " frac=" + double_to_str(a.frac);
     if (a.kind == FaultKind::kLinkFlap && a.drop_in_flight) out += " drop_inflight=true";
     out += '\n';
   }

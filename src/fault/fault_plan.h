@@ -124,8 +124,10 @@ bool parse_double(const std::string& v, double* out);
 /// A time: a number with an optional unit `ns`, `us`, `ms` or `s` (bare
 /// numbers are microseconds), within the picosecond range of Time.
 bool parse_time(const std::string& v, Time* out);
-/// Serializes a time for parse_time(): microseconds, with %.9g keeping
-/// every value this library schedules exact.
+/// The shortest decimal, in %g style, that parse_double() reads back as x.
+std::string double_to_str(double x);
+/// Serializes a time for parse_time(): microseconds, which parse_time()
+/// reads back to the same picosecond below 2^51 ps (37 minutes).
 std::string time_to_str(Time t);
 /// `s` without leading and trailing whitespace.
 std::string trim(const std::string& s);

@@ -1,281 +1,210 @@
 #include "harness/experiment.h"
 
-#include <algorithm>
 #include <memory>
-#include <unordered_map>
-
-#include "harness/sweep.h"
 
 namespace dcp {
 
 namespace {
 
-// Attaches a FaultInjector + RecoveryStats pair to a run when the plan has
-// any effect.  Plans whose actions are all no-ops attach nothing, keeping
-// the event sequence bit-identical to a fault-free run.
-struct FaultHarness {
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<RecoveryStats> recovery;
-  std::unordered_map<std::size_t, std::size_t> episode_of_action;
+WorldSpec runner_spec(SchemeKind scheme, const SchemeOptions& opt, std::uint64_t seed,
+                      Time max_time, const FaultPlan& faults) {
+  WorldSpec s;
+  s.scheme = scheme;
+  s.opt = opt;
+  s.seed = seed;
+  s.max_time = max_time;
+  s.faults = faults;
+  s.injector_seed = seed ^ kRunnerInjectorTag;
+  return s;
+}
 
-  /// `seed` is the run's seed; the injector draws from a derived stream.
-  void attach(Network& net, const FaultPlan& plan, std::uint64_t seed) {
-    if (!plan.has_effect()) return;
-    injector = std::make_unique<FaultInjector>(net, plan, seed ^ 0xfa017);
-    recovery = std::make_unique<RecoveryStats>(net);
-    injector->on_fault_start = [this](std::size_t i, const FaultAction& a, Time t) {
-      episode_of_action[i] = recovery->begin_episode(fault_kind_name(a.kind), t);
+// Hangs a RecoveryStats collector off the world's injector when the plan
+// has any effect; plans whose actions are all no-ops attach nothing,
+// keeping the event sequence bit-identical to a fault-free run.
+struct Recovery {
+  std::unique_ptr<RecoveryStats> stats;
+  std::vector<std::size_t> episode_of_action;  // an action reverts only after it started
+
+  explicit Recovery(SimWorld& w) : episode_of_action(w.spec().faults.actions.size()) {
+    if (!w.spec().faults.has_effect()) return;
+    stats = std::make_unique<RecoveryStats>(w.net());
+    w.injector().on_fault_start = [this](std::size_t i, const FaultAction& a, Time t) {
+      episode_of_action[i] = stats->begin_episode(fault_kind_name(a.kind), t);
     };
-    injector->on_fault_end = [this](std::size_t i, const FaultAction&, Time t) {
-      auto it = episode_of_action.find(i);
-      if (it != episode_of_action.end()) recovery->end_episode(it->second, t);
+    w.injector().on_fault_end = [this](std::size_t i, const FaultAction&, Time t) {
+      stats->end_episode(episode_of_action[i], t);
     };
   }
 
   // Finalizes the collector and copies episodes + wire counters out.
-  void finish(std::vector<RecoveryStats::Episode>& episodes, FaultInjector::Counters& wire) {
-    if (!injector) return;
-    recovery->finalize();
-    episodes = recovery->episodes();
-    wire = injector->counters();
+  void finish(SimWorld& w, std::vector<RecoveryStats::Episode>& episodes,
+              FaultInjector::Counters& wire) {
+    if (!stats) return;
+    stats->finalize();
+    episodes = stats->episodes();
+    wire = w.injector().counters();
   }
 };
+
+// Runs the world to completion and returns the substrate speed.
+CorePerf run_timed(SimWorld& w) {
+  CorePerfTimer timer(w.shards());
+  w.run_until_done();
+  return timer.finish();
+}
+
+double gbps(std::uint64_t bytes, Time elapsed) {
+  return static_cast<double>(bytes) * 8.0 / (static_cast<double>(elapsed) / kSecond) / 1e9;
+}
 
 // The readout every one-flow runner shares: completion, elapsed time, the
 // end stats (as of the stop for an end that did not finish inside the
 // budget) and goodput over the elapsed time.
 template <typename Result>
-void read_single_flow(Network& net, FlowId id, Time now, Result& r) {
-  const FlowRecord& rec = net.record(id);
+void read_single_flow(SimWorld& w, Result& r) {
+  const FlowRecord& rec = w.net().records().front();
   r.completed = rec.complete();
-  r.elapsed = r.completed ? rec.fct() : now;
+  r.elapsed = r.completed ? rec.fct() : w.net().sim().now();
   r.receiver = rec.receiver;
   r.sender = rec.sender;
-  if (r.elapsed > 0) {
-    r.goodput_gbps = static_cast<double>(r.receiver.bytes_received) * 8.0 /
-                     (static_cast<double>(r.elapsed) / kSecond) / 1e9;
-  }
+  if (r.elapsed > 0) r.goodput_gbps = gbps(r.receiver.bytes_received, r.elapsed);
+}
+
+std::vector<InvariantViolation> oracle_violations(SimWorld& w) {
+  if (w.oracle() == nullptr) return {};
+  w.oracle()->finalize();
+  return w.oracle()->violations();
 }
 
 }  // namespace
 
-LongFlowResult run_long_flow(const LongFlowParams& p) {
-  ShardGroup shards(resolve_shards(/*topo_max=*/2, p.faults.has_effect()));
-  Simulator& sim = shards.sim(0);
-  Logger log(LogLevel::kError);
-  Network net(shards, log);
+std::vector<WorldFlow> cross_flows(const WorldSpec& s, int count, std::uint64_t bytes,
+                                   std::uint64_t msg_bytes) {
+  std::vector<WorldFlow> flows;
+  for (int i = 0; i < count; ++i) flows.push_back({i, s.shape().far + i, bytes, msg_bytes, 0});
+  return flows;
+}
 
-  SchemeSetup setup = make_scheme(p.scheme, p.opt);
-  TestbedParams tb;
-  tb.sw = setup.sw;
-  tb.cross_link_delay = p.cross_link_delay;
-  TestbedTopology topo = build_testbed(net, tb);
-  // Loss is injected at switch 1 only (the paper manipulates one switch).
-  topo.sw1->config().inject_loss_rate = p.loss_rate;
-  apply_scheme(net, setup);
+WorldSpec long_flow_spec(const LongFlowParams& p) {
+  WorldSpec s = runner_spec(p.scheme, p.opt, p.seed, p.max_time, p.faults);
+  s.topo = TopoKind::kTestbed;
+  s.testbed.cross_link_delay = p.cross_link_delay;
+  s.loss_rate = p.loss_rate;
+  s.flows = cross_flows(s, 1, p.flow_bytes, kRunnerMsgBytes);
+  return s;
+}
 
-  FlowSpec spec;
-  spec.src = topo.hosts[0]->id();
-  spec.dst = topo.hosts[tb.hosts_per_switch]->id();  // cross-switch
-  spec.bytes = p.flow_bytes;
-  spec.start_time = 0;
-  spec.msg_bytes = kRunnerMsgBytes;
-  const FlowId id = net.start_flow(spec);
-
-  FaultHarness faults;
-  faults.attach(net, p.faults, p.seed);
-
-  CorePerfTimer timer(shards);
-  net.run_until_done(p.max_time);
-
+LongFlowResult read_long_flow(SimWorld& w) {
+  Recovery faults(w);
   LongFlowResult r;
-  r.core = timer.finish();
-  faults.finish(r.fault_episodes, r.wire);
-  read_single_flow(net, id, sim.now(), r);
-  r.sw = net.total_switch_stats();
+  r.core = run_timed(w);
+  faults.finish(w, r.fault_episodes, r.wire);
+  read_single_flow(w, r);
+  r.sw = w.net().total_switch_stats();
   return r;
 }
 
-UnequalPathsResult run_unequal_paths(SchemeKind scheme, double ratio, std::uint64_t flow_bytes,
-                                     const SchemeOptions& opt, std::uint16_t sport_base) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
-  net.set_sport_base(sport_base);
+LongFlowResult run_long_flow(const LongFlowParams& p) {
+  SimWorld w(long_flow_spec(p));
+  return read_long_flow(w);
+}
 
-  SchemeSetup setup = make_scheme(scheme, opt);
-  TestbedParams tb;
-  tb.sw = setup.sw;
+WorldSpec unequal_paths_spec(SchemeKind scheme, double ratio, std::uint64_t flow_bytes,
+                             const SchemeOptions& opt, std::uint16_t sport_base) {
+  WorldSpec s = runner_spec(scheme, opt, 1, milliseconds(500), {});
+  s.topo = TopoKind::kTestbed;
   // Two cross links with capacities 1 : 1/ratio (the paper modifies port
   // capacities to 1:1, 1:4, 1:10).
-  tb.cross_links = {Bandwidth::gbps(100), Bandwidth::gbps(100.0 / ratio)};
-  TestbedTopology topo = build_testbed(net, tb);
-  apply_scheme(net, setup);
+  s.testbed.cross_links = {Bandwidth::gbps(100), Bandwidth::gbps(100.0 / ratio)};
+  s.sport_base = sport_base;
+  s.flows = cross_flows(s, 2, flow_bytes, kRunnerMsgBytes);
+  return s;
+}
 
-  // Two senders on switch 1, two receivers on switch 2.
-  std::vector<FlowId> ids;
-  for (int i = 0; i < 2; ++i) {
-    FlowSpec spec;
-    spec.src = topo.hosts[static_cast<std::size_t>(i)]->id();
-    spec.dst = topo.hosts[static_cast<std::size_t>(tb.hosts_per_switch + i)]->id();
-    spec.bytes = flow_bytes;
-    spec.start_time = 0;
-    spec.msg_bytes = kRunnerMsgBytes;
-    ids.push_back(net.start_flow(spec));
-  }
-  CorePerfTimer timer(sim);
-  net.run_until_done(milliseconds(500));
-
+UnequalPathsResult read_unequal_paths(SimWorld& w) {
   UnequalPathsResult r;
-  r.core = timer.finish();
+  r.core = run_timed(w);
   for (int i = 0; i < 2; ++i) {
-    const FlowRecord& rec = net.record(ids[static_cast<std::size_t>(i)]);
-    double g = 0.0;
-    if (rec.complete()) {
-      g = static_cast<double>(rec.spec.bytes) * 8.0 /
-          (static_cast<double>(rec.fct()) / kSecond) / 1e9;
-    } else {
-      g = static_cast<double>(rec.receiver.bytes_received) * 8.0 /
-          (static_cast<double>(sim.now()) / kSecond) / 1e9;
-    }
-    r.flow_goodputs[i] = g;
+    const FlowRecord& rec = w.net().records().at(static_cast<std::size_t>(i));
+    r.flow_goodputs[i] = rec.complete() ? gbps(rec.spec.bytes, rec.fct())
+                                        : gbps(rec.receiver.bytes_received, w.net().sim().now());
   }
   r.avg_goodput_gbps = (r.flow_goodputs[0] + r.flow_goodputs[1]) / 2.0;
   return r;
 }
 
-FaultDrillResult run_fault_drill(const FaultDrillParams& p) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
+UnequalPathsResult run_unequal_paths(SchemeKind scheme, double ratio, std::uint64_t flow_bytes,
+                                     const SchemeOptions& opt, std::uint16_t sport_base) {
+  SimWorld w(unequal_paths_spec(scheme, ratio, flow_bytes, opt, sport_base));
+  return read_unequal_paths(w);
+}
 
-  SchemeSetup setup = make_scheme(p.scheme, p.opt);
-  ClosParams clos = p.clos;
-  clos.sw = setup.sw;
-  ClosTopology topo = build_clos(net, clos);
-  apply_scheme(net, setup);
-
+WorldSpec fault_drill_spec(const FaultDrillParams& p) {
+  WorldSpec s = runner_spec(p.scheme, p.opt, p.seed, p.max_time, p.faults);
+  s.clos = p.clos;
   // One long cross-rack flow: first host of the first leaf to the first
   // host of the last leaf, so every leaf-spine link is a candidate path.
-  FlowSpec spec;
-  spec.src = topo.hosts.front()->id();
-  spec.dst = topo.hosts[static_cast<std::size_t>(clos.num_hosts() - clos.hosts_per_leaf)]->id();
-  spec.bytes = p.flow_bytes;
-  spec.start_time = 0;
-  spec.msg_bytes = p.msg_bytes;
-  const FlowId id = net.start_flow(spec);
+  s.flows = cross_flows(s, 1, p.flow_bytes, p.msg_bytes);
+  s.oracle = p.oracle;
+  return s;
+}
 
-  std::unique_ptr<InvariantOracle> oracle;
-  if (p.oracle) oracle = std::make_unique<InvariantOracle>(net);
-
-  FaultHarness faults;
-  faults.attach(net, p.faults, p.seed);
-
-  CorePerfTimer timer(sim);
-  net.run_until_done(p.max_time);
-
+FaultDrillResult read_fault_drill(SimWorld& w) {
+  Recovery faults(w);
   FaultDrillResult r;
-  r.core = timer.finish();
-  if (oracle) {
-    oracle->finalize();
-    r.violations = oracle->violations();
-  }
-  faults.finish(r.fault_episodes, r.wire);
-  read_single_flow(net, id, sim.now(), r);
-  r.sw = net.total_switch_stats();
+  r.core = run_timed(w);
+  r.violations = oracle_violations(w);
+  faults.finish(w, r.fault_episodes, r.wire);
+  read_single_flow(w, r);
+  r.sw = w.net().total_switch_stats();
+  return r;
+}
+
+FaultDrillResult run_fault_drill(const FaultDrillParams& p) {
+  SimWorld w(fault_drill_spec(p));
+  return read_fault_drill(w);
+}
+
+WorldSpec wan_flow_spec(const WanFlowParams& p) {
+  WorldSpec s = runner_spec(p.scheme, p.opt, p.seed, p.max_time, {});
+  s.topo = TopoKind::kWan;
+  s.wan = p.wan;
+  s.flows = cross_flows(s, 1, p.flow_bytes, kRunnerMsgBytes);
+  s.oracle = p.oracle;
+  return s;
+}
+
+WanFlowResult read_wan_flow(SimWorld& w) {
+  WanFlowResult r;
+  r.core = run_timed(w);
+  r.violations = oracle_violations(w);
+  read_single_flow(w, r);
+  r.wire_dropped = w.wire_dropped();
   return r;
 }
 
 WanFlowResult run_wan_flow(const WanFlowParams& p) {
-  ShardGroup shards(resolve_shards(p.wan.regions, /*has_faults=*/false));
-  Simulator& sim = shards.sim(0);
-  Logger log(LogLevel::kError);
-  Network net(shards, log);
-
-  SchemeOptions opt = p.opt;
-  WanParams wan = p.wan;
-  wan.wan_seed = p.seed;
-  // Base RTT, RTOs and the NACK delay follow the WAN round trip, not the
-  // datacenter defaults (a 320 us RTO under a 50 ms RTT would retransmit
-  // the whole flow many times over before the first ACK).
-  const Time rtt = 2 * (2 * wan.host_link_delay + wan.wan_delay);
-  opt.base_rtt = rtt;
-  opt.rto_high = 2 * rtt + microseconds(320);
-  opt.rto_low = rtt / 2 + microseconds(100);
-  opt.dcp_msg_timeout = 2 * rtt + milliseconds(1);
-  opt.line_rate = wan.wan_link;
-  SchemeSetup setup = make_scheme(p.scheme, opt);
-  wan.sw = setup.sw;
-  // The long pipe must fit in the region switch: size buffers to the BDP
-  // (a 25 ms 100G span is ~312 MB of in-flight data per direction).
-  const std::uint64_t bdp = bdp_bytes(wan.wan_link, 2 * wan.wan_delay);
-  wan.sw.buffer_bytes = std::max(wan.sw.buffer_bytes, 2 * bdp);
-  wan.sw.max_data_queue_bytes = std::max(wan.sw.max_data_queue_bytes, 2 * bdp);
-  WanTopology topo = build_wan(net, wan);
-  apply_scheme(net, setup);
-
-  FlowSpec spec;
-  spec.src = topo.hosts[0]->id();
-  spec.dst = topo.hosts[static_cast<std::size_t>(wan.hosts_per_region)]->id();  // region 1
-  spec.bytes = p.flow_bytes;
-  spec.start_time = 0;
-  spec.msg_bytes = kRunnerMsgBytes;
-  const FlowId id = net.start_flow(spec);
-
-  std::unique_ptr<InvariantOracle> oracle;
-  if (p.oracle) oracle = std::make_unique<InvariantOracle>(net);
-
-  CorePerfTimer timer(shards);
-  net.run_until_done(p.max_time);
-
-  WanFlowResult r;
-  r.core = timer.finish();
-  if (oracle) {
-    oracle->finalize();
-    r.violations = oracle->violations();
-  }
-  read_single_flow(net, id, sim.now(), r);
-  r.wire_dropped = topo.wire_dropped();
-  return r;
+  SimWorld w(wan_flow_spec(p));
+  return read_wan_flow(w);
 }
 
-WebSearchResult run_websearch(const WebSearchParams& p) {
-  ShardGroup shards(resolve_shards(p.clos.leaves, p.faults.has_effect()));
-  Logger log(LogLevel::kError);
-  Network net(shards, log);
+WorldSpec websearch_spec(const WebSearchParams& p) {
+  WorldSpec s = runner_spec(p.scheme, p.opt, p.seed, p.max_time, p.faults);
+  s.clos = p.clos;
+  s.poisson_flows = p.num_flows;
+  s.load = p.load;
+  s.dist = p.dist;
+  s.with_incast = p.with_incast;
+  s.incast = p.incast;
+  return s;
+}
 
-  SchemeSetup setup = make_scheme(p.scheme, p.opt);
-  ClosParams clos = p.clos;
-  clos.sw = setup.sw;
-  ClosTopology topo = build_clos(net, clos);
-  apply_scheme(net, setup);
-
-  FlowGenParams fg;
-  fg.load = p.load;
-  fg.host_rate = clos.link;
-  fg.num_flows = p.num_flows;
-  fg.seed = p.seed;
-  fg.msg_bytes = kRunnerMsgBytes;
-  generate_poisson_flows(
-      net, topo.hosts,
-      p.dist == WorkloadDist::kDataMining ? SizeDist::datamining() : SizeDist::websearch(), fg);
-
-  if (p.with_incast) {
-    IncastParams ip = p.incast;
-    ip.host_rate = clos.link;
-    ip.msg_bytes = kRunnerMsgBytes;
-    generate_incast(net, topo.hosts, ip);
-  }
-
-  FaultHarness faults;
-  faults.attach(net, p.faults, p.seed);
-
-  CorePerfTimer timer(shards);
-  net.run_until_done(p.max_time);
-
+WebSearchResult read_websearch(SimWorld& w) {
+  Recovery faults(w);
   WebSearchResult r;
-  r.core = timer.finish();
-  faults.finish(r.fault_episodes, r.wire);
+  r.core = run_timed(w);
+  faults.finish(w, r.fault_episodes, r.wire);
+  const Network& net = w.net();
   for (const FlowRecord& rec : net.records()) {
     r.flows_total++;
     if (!rec.complete()) continue;
@@ -305,81 +234,46 @@ WebSearchResult run_websearch(const WebSearchParams& p) {
   return r;
 }
 
-CollectiveResult run_collectives(const CollectiveExpParams& p) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
+WebSearchResult run_websearch(const WebSearchParams& p) {
+  SimWorld w(websearch_spec(p));
+  return read_websearch(w);
+}
 
-  SchemeSetup setup = make_scheme(p.scheme, p.opt);
-  std::vector<Host*> hosts;
-  Bandwidth rate = Bandwidth::gbps(100);
-  if (p.use_clos) {
-    ClosParams clos = p.clos;
-    clos.sw = setup.sw;
-    ClosTopology topo = build_clos(net, clos);
-    hosts = topo.hosts;
-    rate = clos.link;
-  } else {
-    TestbedParams tb;
-    tb.sw = setup.sw;
-    TestbedTopology topo = build_testbed(net, tb);
-    hosts = topo.hosts;
-    rate = tb.host_link;
-  }
-  apply_scheme(net, setup);
+WorldSpec collectives_spec(const CollectiveExpParams& p) {
+  WorldSpec s = runner_spec(p.scheme, p.opt, 1, p.max_time, {});
+  s.topo = p.use_clos ? TopoKind::kClos : TopoKind::kTestbed;
+  s.clos = p.clos;
+  s.groups = p.groups;
+  s.members = p.members_per_group;
+  s.collective = p.kind;
+  s.collective_bytes = p.total_bytes;
+  return s;
+}
 
-  std::vector<std::unique_ptr<Collective>> collectives;
-  CollectiveParams cp_template;
-  cp_template.total_bytes = p.total_bytes;
-  cp_template.msg_bytes = kRunnerMsgBytes;
-
-  for (int g = 0; g < p.groups; ++g) {
-    CollectiveParams cp = cp_template;
-    cp.group_tag = g;
-    for (int m = 0; m < p.members_per_group; ++m) {
-      // Spread members across the topology: member m of group g is host
-      // m * groups + g, interleaving groups across racks like a real job
-      // placement would.
-      const std::size_t idx =
-          (static_cast<std::size_t>(m) * static_cast<std::size_t>(p.groups) +
-           static_cast<std::size_t>(g)) %
-          hosts.size();
-      cp.members.push_back(hosts[idx]->id());
-    }
-    if (p.kind == CollectiveKind::kAllReduce) {
-      collectives.push_back(std::make_unique<RingAllReduce>(net, cp));
-    } else {
-      collectives.push_back(std::make_unique<AllToAll>(net, cp));
-    }
-  }
-
-  // Collectives create flows dynamically; run until every group reports
-  // completion or the budget expires.
-  CorePerfTimer timer(sim);
-  while (sim.now() < p.max_time) {
-    bool all = true;
-    for (const auto& c : collectives) all = all && c->done();
-    if (all) break;
-    sim.run(std::min(p.max_time, sim.now() + milliseconds(1)));
-    if (sim.idle()) break;
-  }
-
+CollectiveResult read_collectives(SimWorld& w) {
+  const WorldSpec& s = w.spec();
   CollectiveResult r;
-  r.core = timer.finish();
+  r.core = run_timed(w);
   r.all_done = true;
-  for (const auto& c : collectives) {
+  for (const auto& c : w.collectives()) {
     r.all_done = r.all_done && c->done();
     r.jct_ms.push_back(to_ms(c->jct()));
   }
-  for (const FlowRecord& rec : net.records()) {
+  for (const FlowRecord& rec : w.net().records()) {
     if (rec.complete()) r.flow_fct_ms.push_back(to_ms(rec.fct()));
   }
-  CollectiveParams ideal_cp = cp_template;
-  ideal_cp.members.resize(static_cast<std::size_t>(p.members_per_group));
-  r.ideal_jct_ms = to_ms(p.kind == CollectiveKind::kAllReduce
-                             ? RingAllReduce::ideal_jct(ideal_cp, rate)
-                             : AllToAll::ideal_jct(ideal_cp, rate));
+  CollectiveParams ideal;
+  ideal.total_bytes = s.collective_bytes;
+  ideal.members.resize(static_cast<std::size_t>(s.members));
+  r.ideal_jct_ms = to_ms(s.collective == CollectiveKind::kAllReduce
+                             ? RingAllReduce::ideal_jct(ideal, s.shape().rate)
+                             : AllToAll::ideal_jct(ideal, s.shape().rate));
   return r;
+}
+
+CollectiveResult run_collectives(const CollectiveExpParams& p) {
+  SimWorld w(collectives_spec(p));
+  return read_collectives(w);
 }
 
 }  // namespace dcp

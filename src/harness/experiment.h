@@ -1,31 +1,28 @@
 #pragma once
 // One-call experiment runners shared by the bench binaries and the
-// integration tests.  Each builds its own Simulator + Network, deploys a
-// scheme, drives a workload, and returns the measurements the paper plots.
+// integration tests.  run_X(params) maps its params onto a WorldSpec
+// (X_spec), builds the SimWorld (harness/world.h), then runs it and reads
+// back the measurements the paper plots (read_X).  The readouts also serve
+// config files (harness/config.h), which describe a world directly.
 
 #include <cstdint>
 #include <vector>
 
-#include "check/invariant_oracle.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
-#include "harness/scheme.h"
+#include "harness/world.h"
 #include "stats/core_perf.h"
 #include "stats/fct_stats.h"
 #include "stats/recovery_stats.h"
-#include "topo/clos.h"
-#include "topo/testbed.h"
-#include "topo/wan.h"
-#include "workload/collective.h"
 #include "workload/flowgen.h"
-#include "workload/incast.h"
 
 namespace dcp {
 
-/// Message granularity (FlowSpec::msg_bytes) of every flow the runners
-/// below post.  14-bit counters support up to 16 MB per message at 1 KB
-/// MTU (§4.5); the fault drill posts its own, finer messages.
-inline constexpr std::uint64_t kRunnerMsgBytes = 4 * 1024 * 1024;
+/// The injector seed every runner derives from its run seed (seed ^ tag).
+inline constexpr std::uint64_t kRunnerInjectorTag = 0xfa017;
+
+/// The flows the one-flow runners post: flow i goes from host i to host
+/// shape().far + i, across the fabric.  All start at 0.
+std::vector<WorldFlow> cross_flows(const WorldSpec& s, int count, std::uint64_t bytes,
+                                   std::uint64_t msg_bytes);
 
 // ---------------------------------------------------------------------------
 // Long-running flow on the testbed (Figs. 10, 17, long-haul)
@@ -54,6 +51,8 @@ struct LongFlowResult {
   CorePerf core;  // simulator substrate speed for this run
 };
 
+WorldSpec long_flow_spec(const LongFlowParams& p);
+LongFlowResult read_long_flow(SimWorld& w);
 LongFlowResult run_long_flow(const LongFlowParams& p);
 
 // ---------------------------------------------------------------------------
@@ -68,6 +67,9 @@ struct UnequalPathsResult {
 
 /// Two cross-switch flows over two cross links with capacity `ratio`:1.
 /// `sport_base` varies the ECMP hash draw across trials.
+WorldSpec unequal_paths_spec(SchemeKind scheme, double ratio, std::uint64_t flow_bytes,
+                             const SchemeOptions& opt = {}, std::uint16_t sport_base = 10000);
+UnequalPathsResult read_unequal_paths(SimWorld& w);
 UnequalPathsResult run_unequal_paths(SchemeKind scheme, double ratio,
                                      std::uint64_t flow_bytes = 12ull * 1000 * 1000,
                                      const SchemeOptions& opt = {},
@@ -77,8 +79,6 @@ UnequalPathsResult run_unequal_paths(SchemeKind scheme, double ratio,
 // WebSearch background (+ optional incast) on the CLOS fabric
 // (Figs. 1, 2, 13, 15, 16; Table 5)
 // ---------------------------------------------------------------------------
-
-enum class WorkloadDist { kWebSearch, kDataMining };
 
 struct WebSearchParams {
   SchemeKind scheme = SchemeKind::kDcp;
@@ -117,6 +117,8 @@ struct WebSearchResult {
   CorePerf core;
 };
 
+WorldSpec websearch_spec(const WebSearchParams& p);
+WebSearchResult read_websearch(SimWorld& w);
 WebSearchResult run_websearch(const WebSearchParams& p);
 
 // ---------------------------------------------------------------------------
@@ -132,7 +134,7 @@ struct FaultDrillParams {
   SchemeKind scheme = SchemeKind::kDcp;
   SchemeOptions opt;
   FaultPlan faults;
-  ClosParams clos = small_drill_clos();
+  ClosParams clos = [] { ClosParams c; c.spines = c.leaves = c.hosts_per_leaf = 2; return c; }();
   std::uint64_t flow_bytes = 8ull * 1000 * 1000;
   // Receivers account unique bytes at *message completion*, so the drill
   // posts the flow at a granularity well below what line rate delivers in
@@ -144,14 +146,6 @@ struct FaultDrillParams {
   /// Arms the InvariantOracle for the whole run; violations land in
   /// FaultDrillResult::violations.  Off by default (≈ zero-cost hooks).
   bool oracle = false;
-
-  static ClosParams small_drill_clos() {
-    ClosParams c;
-    c.spines = 2;
-    c.leaves = 2;
-    c.hosts_per_leaf = 2;
-    return c;
-  }
 };
 
 struct FaultDrillResult {
@@ -167,6 +161,8 @@ struct FaultDrillResult {
   std::vector<InvariantViolation> violations;  // only when params.oracle
 };
 
+WorldSpec fault_drill_spec(const FaultDrillParams& p);
+FaultDrillResult read_fault_drill(SimWorld& w);
 FaultDrillResult run_fault_drill(const FaultDrillParams& p);
 
 // ---------------------------------------------------------------------------
@@ -199,13 +195,13 @@ struct WanFlowResult {
   std::vector<InvariantViolation> violations;  // only when params.oracle
 };
 
+WorldSpec wan_flow_spec(const WanFlowParams& p);
+WanFlowResult read_wan_flow(SimWorld& w);
 WanFlowResult run_wan_flow(const WanFlowParams& p);
 
 // ---------------------------------------------------------------------------
 // Collectives (Figs. 12, 14)
 // ---------------------------------------------------------------------------
-
-enum class CollectiveKind { kAllReduce, kAllToAll };
 
 struct CollectiveExpParams {
   SchemeKind scheme = SchemeKind::kDcp;
@@ -227,6 +223,8 @@ struct CollectiveResult {
   CorePerf core;
 };
 
+WorldSpec collectives_spec(const CollectiveExpParams& p);
+CollectiveResult read_collectives(SimWorld& w);
 CollectiveResult run_collectives(const CollectiveExpParams& p);
 
 }  // namespace dcp

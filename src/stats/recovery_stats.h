@@ -67,7 +67,6 @@ class RecoveryStats {
   /// Static so results that carry copied episodes can render them too.
   static std::vector<std::string> table_headers();
   static std::vector<std::vector<std::string>> table_rows(const std::vector<Episode>& episodes);
-  std::vector<std::vector<std::string>> table_rows() const { return table_rows(episodes_); }
 
  private:
   struct Sample {

@@ -16,7 +16,7 @@ inline constexpr Bandwidth kTcpStackRate = Bandwidth::gbps(30);
 inline constexpr Time kTcpStackDelay = microseconds(8);
 
 // Neither end snapshots: each parks its packets in kernel-delay closures,
-// which a re-armed restore cannot rebuild (SimWorld::snapshot_supported).
+// which a re-armed restore cannot rebuild (SimWorld::snapshot_refusal).
 class TcpLiteSender final : public SenderTransport {
  public:
   TcpLiteSender(Simulator& sim, Host& host, FlowSpec spec, TransportConfig cfg)

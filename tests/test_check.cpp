@@ -20,7 +20,7 @@
 #include "check/broken.h"
 #include "check/fuzzer.h"
 #include "check/invariant_oracle.h"
-#include "harness/checkpoint.h"
+#include "harness/config.h"
 #include "harness/scheme.h"
 #include "harness/sweep.h"
 #include "sim/logger.h"
@@ -39,15 +39,13 @@ namespace {
 
 // Minimal fabric for the toy protocol: two hosts under one spine, one flow,
 // loss-free (CX5 switch config: no trimming, no injected loss).
-FuzzScenario toy_scenario() {
-  FuzzScenario s;
-  s.seed = 0;
+WorldSpec toy_scenario() {
+  WorldSpec s = fuzz_spec(0);
   s.scheme = SchemeKind::kCx5;
-  s.spines = 1;
-  s.leaves = 2;
-  s.hosts_per_leaf = 1;
-  s.max_time = milliseconds(50);
-  FuzzFlow f;
+  s.clos.spines = 1;
+  s.clos.leaves = 2;
+  s.clos.hosts_per_leaf = 1;
+  WorldFlow f;
   f.src = 0;
   f.dst = 1;
   f.bytes = 8000;
@@ -57,9 +55,9 @@ FuzzScenario toy_scenario() {
 }
 
 FuzzVerdict run_toy(ToyBug bug) {
-  FuzzOptions opt;
-  opt.factory_override = std::make_shared<ToyFactory>(bug);
-  return run_fuzz_scenario(toy_scenario(), opt);
+  WorldSpec s = toy_scenario();
+  s.factory_override = std::make_shared<ToyFactory>(bug);
+  return run_fuzz_scenario(s);
 }
 
 TEST(BrokenToys, CleanToyPassesTheOracle) {
@@ -93,7 +91,7 @@ TEST(BrokenToys, SilentDeadlockReportsWhatArrived) {
   // The clean toy never retransmits, so a total drop window strands its
   // flow and the run quiesces.  The verdict and the flow record must both
   // carry what the sink holds, not zero.
-  FuzzScenario s = toy_scenario();
+  WorldSpec s = toy_scenario();
   s.flows[0].bytes = 200'000;
   FaultAction drop;
   drop.kind = FaultKind::kDrop;
@@ -101,9 +99,8 @@ TEST(BrokenToys, SilentDeadlockReportsWhatArrived) {
   drop.duration = microseconds(1);
   drop.rate = 1.0;
   s.faults.actions.push_back(drop);
-  FuzzOptions opt;
-  opt.factory_override = std::make_shared<ToyFactory>(ToyBug::kNone);
-  SimWorld w(fuzz_world_spec(s, opt));
+  s.factory_override = std::make_shared<ToyFactory>(ToyBug::kNone);
+  SimWorld w(s);
   w.run_until_done();
   const FuzzVerdict v = w.finalize_verdict();
   ASSERT_TRUE(v.violated);
@@ -204,8 +201,8 @@ TEST(BufferConservation, BalancedTrafficStaysClean) {
 // whether the oracle is armed or not.
 TEST(InvariantOracle, ArmingNeverPerturbsTheRun) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    WorldSpec spec = fuzz_world_spec(generate_fuzz_scenario(seed), FuzzOptions{});
-    spec.force_shards = 1;
+    WorldSpec spec = generate_fuzz_scenario(seed);
+    spec.shards = 1;
     auto run = [&spec](bool oracle) {
       spec.oracle = oracle;
       SimWorld w(spec);
@@ -224,10 +221,9 @@ TEST(InvariantOracle, ArmingNeverPerturbsTheRun) {
 // scenario runs serially under the default shard choice (see SimWorld).
 TEST(InvariantOracle, ArmingNeverPerturbsAShardedRun) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    FuzzScenario sc = generate_fuzz_scenario(seed);
-    sc.faults = FaultPlan{};
-    WorldSpec spec = fuzz_world_spec(sc, FuzzOptions{});
-    spec.force_shards = 2;
+    WorldSpec spec = generate_fuzz_scenario(seed);
+    spec.faults = FaultPlan{};
+    spec.shards = 2;
     auto run = [&spec](bool oracle) {
       spec.oracle = oracle;
       SimWorld w(spec);
@@ -350,7 +346,7 @@ TEST(InvariantOracle, TraceFreezesAtTheFirstViolation) {
 
 TEST(Fuzzer, GenerationIsAPureFunctionOfTheSeed) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
-    EXPECT_EQ(generate_fuzz_scenario(seed), generate_fuzz_scenario(seed)) << "seed " << seed;
+    EXPECT_TRUE(generate_fuzz_scenario(seed) == generate_fuzz_scenario(seed)) << "seed " << seed;
   }
 }
 
@@ -358,9 +354,9 @@ TEST(Fuzzer, GeneratedScenariosAreValid) {
   bool saw_faults = false;
   bool saw_multi_flow = false;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    const FuzzScenario s = generate_fuzz_scenario(seed);
+    const WorldSpec s = generate_fuzz_scenario(seed);
     ASSERT_GE(s.flows.size(), 1u) << "seed " << seed;
-    for (const FuzzFlow& f : s.flows) {
+    for (const WorldFlow& f : s.flows) {
       ASSERT_GE(f.src, 0);
       ASSERT_LT(f.src, s.num_hosts());
       ASSERT_GE(f.dst, 0);
@@ -377,7 +373,7 @@ TEST(Fuzzer, GeneratedScenariosAreValid) {
 
 TEST(Fuzzer, VerdictAndReproAreDeterministic) {
   for (std::uint64_t seed : {3ull, 11ull}) {
-    const FuzzScenario s = generate_fuzz_scenario(seed);
+    const WorldSpec s = generate_fuzz_scenario(seed);
     const FuzzVerdict a = run_fuzz_scenario(s);
     const FuzzVerdict b = run_fuzz_scenario(s);
     EXPECT_EQ(a.violated, b.violated);
@@ -389,16 +385,21 @@ TEST(Fuzzer, VerdictAndReproAreDeterministic) {
 
 TEST(Fuzzer, ReproFileRoundTrips) {
   for (std::uint64_t seed : {2ull, 9ull, 58ull}) {
-    const FuzzScenario s = generate_fuzz_scenario(seed);
+    const WorldSpec s = generate_fuzz_scenario(seed);
     FuzzVerdict v;  // round-trip must not depend on the verdict comments
     v.violated = true;
     v.invariant = "exactly-once-completion";
     v.trace = "  1.000us send psn=0\n";
     const std::string text = write_fuzz_repro(s, v);
     std::string err;
-    const auto parsed = parse_fuzz_scenario(text, &err);
+    const auto parsed = parse_experiment_config(text, &err);
     ASSERT_TRUE(parsed.has_value()) << err;
-    EXPECT_EQ(*parsed, s) << "seed " << seed;
+    WorldSpec back = parsed->spec;
+    back.oracle = true;  // run_fuzz --replay arms it; it has no text form
+    EXPECT_TRUE(back == s) << "seed " << seed << "\n" << text;
+    // Field by field too: identities written by a lossy writer would agree.
+    EXPECT_TRUE(back.flows == s.flows && back.faults == s.faults) << "seed " << seed;
+    EXPECT_EQ(back.max_time, s.max_time) << "seed " << seed;
   }
 }
 
@@ -421,11 +422,12 @@ TEST(Fuzzer, SchemeNamesRoundTrip) {
 
 TEST(Fuzzer, ReproParseRejectsMalformedNumbers) {
   const std::string head =
-      "[scenario]\nseed = 1\nscheme = DCP\nspines = 1\nleaves = 2\nhosts_per_leaf = 1\n"
-      "max_time = 50000us\n";
+      "# repro\nseed = 1\nscheme = DCP\nspines = 1\nleaves = 2\nhosts_per_leaf = 1\n"
+      "max_time_ms = 50000us\n";
   std::string err;
   ASSERT_TRUE(
-      parse_fuzz_scenario(head + "flow src=0 dst=1 bytes=4096 msg=0 start=1us\n", &err).has_value())
+      parse_experiment_config(head + "flow src=0 dst=1 bytes=4096 msg=0 start=1us\n", &err)
+          .has_value())
       << err;
   // Malformed numbers must fail closed: read as a numeric prefix, or
   // wrapped from a negative, they would make --replay run another scenario.
@@ -433,13 +435,13 @@ TEST(Fuzzer, ReproParseRejectsMalformedNumbers) {
       {head + "flow src=0 dst=1 bytes=abc msg=0 start=1us\n", "line 8"},
       {head + "flow src=1x dst=0 bytes=4096 msg=0 start=1us\n", "line 8"},
       {head + "flow src=0 dst=1 bytes=-1000 msg=0 start=1us\n", "line 8"},
-      {"[scenario]\nseed = 1\nspines = 2x\nflow src=0 dst=1 bytes=4096\n", "line 3"},
+      {"# repro\nseed = 1\nspines = 2x\nflow src=0 dst=1 bytes=4096\n", "line 3"},
       {head + "flow src=0 dst=1 bytes=4096 msg=0 start=1usx\n", "line 8"},
-      {"[scenario]\nseed = 1e3\nflow src=0 dst=1 bytes=4096\n", "line 2"},
+      {"# repro\nseed = 1e3\nflow src=0 dst=1 bytes=4096\n", "line 2"},
   };
   for (const auto& [text, line] : bad) {
     err.clear();
-    EXPECT_FALSE(parse_fuzz_scenario(text, &err).has_value()) << text;
+    EXPECT_FALSE(parse_experiment_config(text, &err).has_value()) << text;
     EXPECT_NE(err.find(line), std::string::npos) << err;
   }
 }
@@ -451,7 +453,7 @@ TEST(Fuzzer, PoolSizeDoesNotChangeVerdicts) {
   constexpr std::size_t kCount = 6;
   constexpr std::uint64_t kBase = 21;
   auto trial = [](std::size_t i) {
-    const FuzzScenario s = generate_fuzz_scenario(kBase + i);
+    const WorldSpec s = generate_fuzz_scenario(kBase + i);
     return write_fuzz_repro(s, run_fuzz_scenario(s));
   };
   SweepRunner serial(1);
@@ -468,12 +470,11 @@ TEST(Fuzzer, PoolSizeDoesNotChangeVerdicts) {
 // ---------------------------------------------------------------------------
 
 TEST(InjectedBug, FuzzerFindsDuplicateCompletion) {
-  FuzzOptions opt;
-  opt.factory_override = std::make_shared<BrokenDcpFactory>();
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    FuzzScenario s = generate_fuzz_scenario(seed);
+    WorldSpec s = generate_fuzz_scenario(seed);
     s.scheme = SchemeKind::kDcp;  // what run_fuzz --inject-bug does
-    const FuzzVerdict v = run_fuzz_scenario(s, opt);
+    s.factory_override = std::make_shared<BrokenDcpFactory>();
+    const FuzzVerdict v = run_fuzz_scenario(s);
     if (v.violated) {
       EXPECT_EQ(v.invariant, "exactly-once-completion") << v.message;
       SUCCEED() << "found at seed " << seed;
@@ -486,15 +487,13 @@ TEST(InjectedBug, FuzzerFindsDuplicateCompletion) {
 // A handcrafted haystack: one blackhole that provokes retransmissions (and
 // with the broken receiver, the duplicate completion) buried under 49 filler
 // actions that barely perturb the run.  ddmin must strip the padding.
-FuzzScenario haystack_scenario() {
-  FuzzScenario s;
-  s.seed = 0;
+WorldSpec haystack_scenario() {
+  WorldSpec s = fuzz_spec(0);
   s.scheme = SchemeKind::kDcp;
-  s.spines = 1;
-  s.leaves = 2;
-  s.hosts_per_leaf = 1;
-  s.max_time = milliseconds(50);
-  FuzzFlow f;
+  s.clos.spines = 1;
+  s.clos.leaves = 2;
+  s.clos.hosts_per_leaf = 1;
+  WorldFlow f;
   f.src = 0;
   f.dst = 1;
   f.bytes = 32 * 1024;
@@ -526,13 +525,12 @@ FuzzScenario haystack_scenario() {
 // timer eventually retransmits, landing the violation at ~4.4 ms.  A large
 // bulk flow packs ~19k events into the first ~320 us, before every fault
 // action, and 49 late low-rate chaff drops pad the plan to 50 entries.
-FuzzScenario late_needle_scenario() {
-  FuzzScenario s;
-  s.seed = 7;
+WorldSpec late_needle_scenario() {
+  WorldSpec s = fuzz_spec(7);
   s.scheme = SchemeKind::kDcp;
-  s.spines = 1;
-  s.leaves = 2;
-  s.hosts_per_leaf = 2;
+  s.clos.spines = 1;
+  s.clos.leaves = 2;
+  s.clos.hosts_per_leaf = 2;
   s.max_time = milliseconds(8);
   s.flows = {{0, 2, 2 * 1024 * 1024, 0, microseconds(5)},  // bulk prefix
              {1, 3, 8192, 4096, microseconds(400)}};       // needle
@@ -554,40 +552,39 @@ FuzzScenario late_needle_scenario() {
 }
 
 TEST(InjectedBug, ShrinkerReducesFiftyActionsToAtMostThree) {
-  FuzzOptions opt;
-  opt.factory_override = std::make_shared<BrokenDcpFactory>();
   const struct {
     const char* name;
-    FuzzScenario s;
+    WorldSpec s;
   } cases[] = {{"haystack", haystack_scenario()}, {"late needle", late_needle_scenario()}};
   for (const auto& c : cases) {
-    const FuzzScenario& s = c.s;
+    WorldSpec s = c.s;
+    s.factory_override = std::make_shared<BrokenDcpFactory>();
     ASSERT_EQ(s.faults.actions.size(), 50u) << c.name;
-    const FuzzVerdict before = run_fuzz_scenario(s, opt);
+    const FuzzVerdict before = run_fuzz_scenario(s);
     ASSERT_TRUE(before.violated) << c.name << ": the needle did not provoke a retransmission";
     ASSERT_EQ(before.invariant, "exactly-once-completion") << c.name << ": " << before.message;
 
     ShrinkStats stats;
-    const FuzzScenario min = shrink_fuzz_scenario(s, opt, &stats);
+    const WorldSpec min = shrink_fuzz_scenario(s, &stats);
     EXPECT_EQ(stats.actions_before, 50u) << c.name;
     EXPECT_LE(stats.actions_after, 3u) << c.name;
     EXPECT_LE(min.faults.actions.size(), 3u) << c.name;
     EXPECT_GT(stats.runs, 0u) << c.name;
 
     // The minimized scenario still reproduces the same violation…
-    const FuzzVerdict after = run_fuzz_scenario(min, opt);
+    const FuzzVerdict after = run_fuzz_scenario(min);
     ASSERT_TRUE(after.violated) << c.name;
     EXPECT_EQ(after.invariant, "exactly-once-completion") << c.name;
     // …and shrinking is itself deterministic.
-    EXPECT_EQ(shrink_fuzz_scenario(s, opt), min) << c.name;
+    EXPECT_TRUE(shrink_fuzz_scenario(s) == min) << c.name;
   }
 }
 
 TEST(InjectedBug, ShrinkReturnsCleanScenariosUnchanged) {
-  const FuzzScenario s = toy_scenario();  // stock transports, loss-free
+  const WorldSpec s = toy_scenario();  // stock transports, loss-free
   ShrinkStats stats;
-  const FuzzScenario out = shrink_fuzz_scenario(s, {}, &stats);
-  EXPECT_EQ(out, s);
+  const WorldSpec out = shrink_fuzz_scenario(s, &stats);
+  EXPECT_TRUE(out == s);
   EXPECT_EQ(stats.runs, 1u);  // one probe run, no shrink attempts
 }
 

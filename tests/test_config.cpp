@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "harness/config.h"
 #include "harness/scheme.h"
@@ -30,23 +34,40 @@ TEST(Config, ParsesFullWebsearchConfig) {
   auto cfg = parse_experiment_config(text, &err);
   ASSERT_TRUE(cfg.has_value()) << err;
   EXPECT_EQ(cfg->kind, ExperimentConfig::Kind::kWebSearch);
-  EXPECT_EQ(cfg->websearch.scheme, SchemeKind::kIrnEcmp);
-  EXPECT_TRUE(cfg->websearch.opt.with_cc);
-  EXPECT_EQ(cfg->websearch.opt.cc_type, CcConfig::Type::kTimely);
-  EXPECT_DOUBLE_EQ(cfg->websearch.load, 0.7);
-  EXPECT_EQ(cfg->websearch.num_flows, 123u);
-  EXPECT_EQ(cfg->websearch.dist, WorkloadDist::kDataMining);
-  EXPECT_EQ(cfg->websearch.clos.spines, 8);
-  EXPECT_TRUE(cfg->websearch.with_incast);
-  EXPECT_EQ(cfg->websearch.incast.fan_in, 31);
+  const WorldSpec& s = cfg->spec;
+  EXPECT_EQ(s.scheme, SchemeKind::kIrnEcmp);
+  EXPECT_TRUE(s.opt.with_cc);
+  EXPECT_EQ(s.opt.cc_type, CcConfig::Type::kTimely);
+  EXPECT_DOUBLE_EQ(s.load, 0.7);
+  EXPECT_EQ(s.poisson_flows, 123u);
+  EXPECT_EQ(s.dist, WorkloadDist::kDataMining);
+  EXPECT_EQ(s.topo, TopoKind::kClos);
+  EXPECT_EQ(s.clos.spines, 8);
+  EXPECT_TRUE(s.with_incast);
+  EXPECT_EQ(s.incast.fan_in, 31);
+  // The websearch runner's defaults fill what the file leaves out.
+  EXPECT_TRUE(s == [] {
+    WorldSpec want = websearch_spec({});
+    want.scheme = SchemeKind::kIrnEcmp;
+    want.opt.with_cc = true;
+    want.opt.cc_type = CcConfig::Type::kTimely;
+    want.load = 0.7;
+    want.poisson_flows = 123;
+    want.dist = WorkloadDist::kDataMining;
+    want.clos.spines = 8;
+    want.with_incast = true;
+    want.incast.fan_in = 31;
+    return want;
+  }()) << world_text(s);
 }
 
 TEST(Config, DefaultsAreSane) {
   auto cfg = parse_experiment_config("");
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->kind, ExperimentConfig::Kind::kWebSearch);
-  EXPECT_EQ(cfg->websearch.scheme, SchemeKind::kDcp);
-  EXPECT_FALSE(cfg->websearch.opt.with_cc);
+  EXPECT_EQ(cfg->spec.scheme, SchemeKind::kDcp);
+  EXPECT_FALSE(cfg->spec.opt.with_cc);
+  EXPECT_TRUE(cfg->spec == websearch_spec({}));
 }
 
 TEST(Config, ErrorsNameTheLine) {
@@ -134,6 +155,200 @@ TEST(Config, CollectiveKeysFailClosed) {
       << err;
 }
 
+TEST(Config, RangeKeysFailClosed) {
+  // Each of these used to run: regions and hosts_per_region off build_wan's
+  // range segfaulted or built past it, a zero Poisson or incast rate made
+  // an infinite gap, a zero ratio built a 0 Gbps link, and a negative
+  // leaf-spine or WAN delay segfaulted or hung.
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"experiment = wanflow\nregions = 1\n", "regions must be >= 2"},
+      {"experiment = wanflow\nregions = 9\n", "regions must be <= 8"},
+      {"experiment = wanflow\nhosts_per_region = 0\n", "hosts_per_region must be >= 1"},
+      {"experiment = websearch\nload = 0\n", "load must be > 0"},
+      {"experiment = websearch\nload = -0.5\n", "load must be > 0"},
+      {"experiment = websearch\nincast_load = 0\n", "incast_load must be > 0"},
+      {"experiment = unequal_paths\nratio = 0\n", "ratio must be > 0"},
+      {"experiment = unequal_paths\nratio = -4\n", "ratio must be > 0"},
+      {"experiment = websearch\nfattree_k = 3\n", "fattree_k must be even"},
+      {"experiment = websearch\nleaf_spine_delay_us = -1\n", "leaf_spine_delay_us must be >= 0"},
+      {"experiment = wanflow\nwan_delay_ms = -1\n", "wan_delay_ms must be >= 0"},
+      {"experiment = longflow\nmax_time_ms = -5\n", "max_time_ms must be >= 0"},
+      {"experiment = websearch\nflow src=0 dst=5 bytes=10 start=-5us\n",
+       "bad flow entry 'start=-5us'"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_FALSE(parse_experiment_config(c.text, &err).has_value()) << c.text;
+    EXPECT_NE(err.find("line 2"), std::string::npos) << c.text << ": " << err;
+    EXPECT_NE(err.find(c.message), std::string::npos) << c.text << ": " << err;
+  }
+}
+
+TEST(Config, UnbuildableCombinationsFailClosed) {
+  std::string err;
+  // Keys of two topologies describe no one world.
+  EXPECT_FALSE(parse_experiment_config("spines = 2\nregions = 3\n", &err).has_value());
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("'regions' describes a WAN, but line 1 describes a Clos"), std::string::npos)
+      << err;
+  // flow_bytes sizes the experiment's own flows: none under websearch, and
+  // explicit flow lines replace them.
+  EXPECT_FALSE(parse_experiment_config("flows = 3\nflow_bytes = 1000\n", &err).has_value());
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_FALSE(parse_experiment_config(
+                   "experiment = longflow\nflow_bytes = 1000\nflow src=0 dst=9 bytes=10\n", &err)
+                   .has_value());
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  // Flow endpoints index the world's hosts.
+  EXPECT_FALSE(parse_experiment_config(
+                   "spines = 1\nleaves = 2\nhosts_per_leaf = 1\nflow src=0 dst=2 bytes=10\n", &err)
+                   .has_value());
+  EXPECT_NE(err.find("line 4"), std::string::npos) << err;
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  // So must the experiment's own flows on the topology the keys build: a
+  // one-leaf drill would send to itself, and a second unequal-path flow
+  // needs a second host behind each switch.
+  for (const char* text : {"experiment = fault_drill\nleaves = 1\nhosts_per_leaf = 2\n",
+                           "experiment = unequal_paths\nleaves = 2\nhosts_per_leaf = 1\n"}) {
+    EXPECT_FALSE(parse_experiment_config(text, &err).has_value()) << text;
+    EXPECT_NE(err.find("line 3: flow endpoints out of range"), std::string::npos) << err;
+  }
+  // Flow lines replace the experiment's own flows, and the unequal-paths
+  // readout compares two.
+  EXPECT_FALSE(
+      parse_experiment_config("experiment = unequal_paths\nflow src=0 dst=8 bytes=1000\n", &err)
+          .has_value());
+  EXPECT_NE(err.find("line 2: unequal_paths compares two flows"), std::string::npos) << err;
+}
+
+TEST(Config, TopologyKeysPickTheWorld) {
+  // A topology key moves the experiment's world and its own flows with it:
+  // the long flow crosses a fat-tree from pod 0 to the last pod.
+  auto cfg = parse_experiment_config("experiment = longflow\nfattree_k = 4\nflow_bytes = 4096\n");
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->spec.topo, TopoKind::kFatTree);
+  ASSERT_EQ(cfg->spec.flows.size(), 1u);
+  EXPECT_EQ(cfg->spec.flows[0].src, 0);
+  EXPECT_EQ(cfg->spec.flows[0].dst, 12);
+  EXPECT_EQ(cfg->spec.flows[0].bytes, 4096u);
+  const std::string report = run_configured_experiment(*cfg);
+  EXPECT_NE(report.find("completed=yes"), std::string::npos) << report;
+}
+
+TEST(Config, FaultsReachCollectives) {
+  // A blackhole over the whole budget must stall a collective: the plan
+  // used to reach only the websearch, longflow and fault_drill worlds.
+  const char* text =
+      "experiment = collective\n"
+      "groups = 1\n"
+      "members = 4\n"
+      "collective_bytes = 1048576\n"
+      "max_time_ms = 20\n"
+      "[faults]\n"
+      "blackhole at=0us dur=20ms sw=all port=all\n";
+  auto cfg = parse_experiment_config(text);
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->spec.faults.actions.size(), 1u);
+  const std::string report = run_configured_experiment(*cfg);
+  EXPECT_NE(report.find("done=no"), std::string::npos) << report;
+}
+
+TEST(Config, KeyListIsTheParsersKeyTable) {
+  // example_run_config prints config_keys(); every listed key must be one
+  // the parser knows, and every key world_text writes must be listed.
+  const std::vector<std::string> keys = config_keys();
+  for (const std::string& k : keys) {
+    std::string err;
+    parse_experiment_config(k + " = @\n", &err);
+    EXPECT_EQ(err.find("unknown key"), std::string::npos) << k << ": " << err;
+  }
+  for (const char* k : {"regions", "hosts_per_region", "wan_delay_ms", "wan_loss_rate", "scheme",
+                        "fec_k", "fec_m", "fec_stream_window_bytes", "fec_nack_delay_us",
+                        "fattree_k", "injector_seed", "max_time_ms"}) {
+    EXPECT_NE(std::find(keys.begin(), keys.end(), k), keys.end()) << k;
+  }
+  std::string err;
+  EXPECT_FALSE(parse_experiment_config("kind = fec\n", &err).has_value());
+  EXPECT_NE(err.find("unknown key 'kind'"), std::string::npos) << err;
+  WorldSpec s = fault_drill_spec({});
+  s.poisson_flows = 3;
+  s.with_incast = true;
+  s.groups = 1;
+  std::istringstream in(world_text(s));
+  for (std::string line; std::getline(in, line) && line != "[faults]";) {
+    if (line.rfind("flow ", 0) == 0) continue;
+    const std::string key = line.substr(0, line.find(" = "));
+    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
+  }
+}
+
+TEST(Config, WorldTextRoundTripsEveryExperiment) {
+  // Each experiment's world, written and read back, is the same world:
+  // `experiment` picks only the readout, and the unequal-path links are
+  // written as their ratio (3 truncates to 239 ps/B, not 240).
+  for (const char* kind : {"websearch", "longflow", "collective", "unequal_paths", "fault_drill",
+                           "wanflow"}) {
+    for (const char* extra : {"", "ratio = 3\n"}) {
+      if (*extra != '\0' && std::string(kind) != "unequal_paths") continue;
+      const std::string text = std::string("experiment = ") + kind + "\nseed = 77\n" + extra +
+                               "incast = true\n[faults]\ndrop at=1ms rate=0.5\n";
+      auto cfg = parse_experiment_config(text);
+      ASSERT_TRUE(cfg.has_value()) << kind;
+      const std::string written = world_text(cfg->spec);
+      auto again = parse_experiment_config(written);
+      ASSERT_TRUE(again.has_value()) << kind << "\n" << written;
+      EXPECT_EQ(world_text(again->spec), written) << kind;
+      EXPECT_EQ(again->spec.injector_seed, 77u ^ kRunnerInjectorTag) << kind;
+      EXPECT_EQ(again->spec.testbed.cross_links, cfg->spec.testbed.cross_links) << kind;
+      EXPECT_TRUE(again->spec == cfg->spec) << kind << "\n" << written;
+    }
+  }
+}
+
+TEST(Config, WorldTextKeepsEveryDigit) {
+  // Values past nine significant digits: a fault rate, a buffer fraction,
+  // a Poisson load, and times that are not whole microseconds, above 1 ms
+  // and at 1 ps.  Each reads back exactly, field by field.
+  WorldSpec s = websearch_spec({});
+  s.load = 0.30000000000000004;
+  s.max_time = milliseconds(3) + 1;
+  s.opt.fec_nack_delay = microseconds(1500) + 7;
+  s.flows = {{0, 5, 4096, 0, 1'234'567'891}};
+  FaultAction drop;
+  drop.kind = FaultKind::kDrop;
+  drop.at = 1'000'000'001;
+  drop.duration = milliseconds(2) + 3;
+  drop.rate = 0.02000000001;
+  FaultAction shrink;
+  shrink.kind = FaultKind::kBufferShrink;
+  shrink.at = 1;
+  shrink.duration = microseconds(1);
+  shrink.frac = 1.0 / 3.0;
+  s.faults.actions = {drop, shrink};
+  const std::string text = world_text(s);
+  auto again = parse_experiment_config(text);
+  ASSERT_TRUE(again.has_value()) << text;
+  EXPECT_EQ(again->spec.load, s.load) << text;
+  EXPECT_EQ(again->spec.max_time, s.max_time) << text;
+  EXPECT_EQ(again->spec.opt.fec_nack_delay, s.opt.fec_nack_delay) << text;
+  EXPECT_TRUE(again->spec.flows == s.flows) << text;
+  EXPECT_TRUE(again->spec.faults == s.faults) << text;
+  EXPECT_TRUE(again->spec == s) << text;
+  // One picosecond or one ulp apart is another world.
+  WorldSpec off = s;
+  off.faults.actions[0].at += 1;
+  EXPECT_NE(off.fingerprint(), s.fingerprint());
+  off = s;
+  off.faults.actions[0].rate = std::nextafter(drop.rate, 1.0);
+  EXPECT_NE(off.fingerprint(), s.fingerprint());
+  off = s;
+  off.flows[0].start -= 1;
+  EXPECT_NE(off.fingerprint(), s.fingerprint());
+}
+
 TEST(ConfigDeathTest, FlowsNeedTwoDistinctHosts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Simulator sim;
@@ -212,16 +427,20 @@ TEST(Config, FaultsSectionParsesIntoPlan) {
   auto cfg = parse_experiment_config(text, &err);
   ASSERT_TRUE(cfg.has_value()) << err;
   EXPECT_EQ(cfg->kind, ExperimentConfig::Kind::kFaultDrill);
-  EXPECT_EQ(cfg->faultdrill.scheme, SchemeKind::kIrn);
-  EXPECT_EQ(cfg->faultdrill.flow_bytes, 3'000'000u);
-  ASSERT_EQ(cfg->faults.actions.size(), 3u);
-  EXPECT_EQ(cfg->faults.actions[0].kind, FaultKind::kLinkFlap);
-  EXPECT_TRUE(cfg->faults.actions[0].drop_in_flight);
-  EXPECT_DOUBLE_EQ(cfg->faults.actions[1].rate, 0.02);
-  // The plan fans out to every experiment that accepts one.
-  EXPECT_EQ(cfg->faultdrill.faults, cfg->faults);
-  EXPECT_EQ(cfg->websearch.faults, cfg->faults);
-  EXPECT_EQ(cfg->longflow.faults, cfg->faults);
+  const WorldSpec& s = cfg->spec;
+  EXPECT_EQ(s.scheme, SchemeKind::kIrn);
+  ASSERT_EQ(s.flows.size(), 1u);
+  EXPECT_EQ(s.flows[0].bytes, 3'000'000u);
+  ASSERT_EQ(s.faults.actions.size(), 3u);
+  EXPECT_EQ(s.faults.actions[0].kind, FaultKind::kLinkFlap);
+  EXPECT_TRUE(s.faults.actions[0].drop_in_flight);
+  EXPECT_DOUBLE_EQ(s.faults.actions[1].rate, 0.02);
+  // It is the runner's world: the same spec run_fault_drill builds.
+  FaultDrillParams p;
+  p.scheme = SchemeKind::kIrn;
+  p.flow_bytes = 3'000'000;
+  p.faults = s.faults;
+  EXPECT_TRUE(s == fault_drill_spec(p)) << world_text(s);
 }
 
 TEST(Config, FaultsSectionRoundTrips) {
@@ -234,10 +453,10 @@ TEST(Config, FaultsSectionRoundTrips) {
   auto cfg = parse_experiment_config(text);
   ASSERT_TRUE(cfg.has_value());
   // Serialize the parsed plan back into a config and re-parse: identical.
-  const std::string again_text = "[faults]\n" + cfg->faults.to_config_text();
+  const std::string again_text = "[faults]\n" + cfg->spec.faults.to_config_text();
   auto again = parse_experiment_config(again_text);
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(cfg->faults, again->faults);
+  EXPECT_EQ(cfg->spec.faults, again->spec.faults);
 }
 
 TEST(Config, FaultsSectionErrors) {
@@ -272,7 +491,7 @@ TEST(Config, SchemeSectionParsesKnobs) {
   const char* text =
       "experiment = wanflow\n"
       "[scheme]\n"
-      "kind = fec\n"
+      "scheme = fec\n"
       "fec_k = 12\n"
       "fec_m = 3\n"
       "fec_stream_window_bytes = 4000000\n"
@@ -281,14 +500,12 @@ TEST(Config, SchemeSectionParsesKnobs) {
   auto cfg = parse_experiment_config(text, &err);
   ASSERT_TRUE(cfg.has_value()) << err;
   EXPECT_EQ(cfg->kind, ExperimentConfig::Kind::kWanFlow);
-  EXPECT_EQ(cfg->wanflow.scheme, SchemeKind::kFec);
-  EXPECT_EQ(cfg->wanflow.opt.fec_k, 12u);
-  EXPECT_EQ(cfg->wanflow.opt.fec_m, 3u);
-  EXPECT_EQ(cfg->wanflow.opt.fec_stream_window_bytes, 4'000'000u);
-  EXPECT_EQ(cfg->wanflow.opt.fec_nack_delay, microseconds(250));
-  // The scheme fans out to every experiment, like [faults] does.
-  EXPECT_EQ(cfg->longflow.scheme, SchemeKind::kFec);
-  EXPECT_EQ(cfg->longflow.opt.fec_k, 12u);
+  EXPECT_EQ(cfg->spec.topo, TopoKind::kWan);
+  EXPECT_EQ(cfg->spec.scheme, SchemeKind::kFec);
+  EXPECT_EQ(cfg->spec.opt.fec_k, 12u);
+  EXPECT_EQ(cfg->spec.opt.fec_m, 3u);
+  EXPECT_EQ(cfg->spec.opt.fec_stream_window_bytes, 4'000'000u);
+  EXPECT_EQ(cfg->spec.opt.fec_nack_delay, microseconds(250));
 }
 
 TEST(Config, SchemeSectionRoundTripsEveryScheme) {
@@ -299,22 +516,26 @@ TEST(Config, SchemeSectionRoundTripsEveryScheme) {
       {"timeout", SchemeKind::kTimeout}, {"rack-tlp", SchemeKind::kRackTlp},
       {"tcp", SchemeKind::kTcp},         {"fec", SchemeKind::kFec}};
   for (const auto& [name, k] : kinds) {
-    const std::string text = std::string("[scheme]\nkind = ") + name +
+    const std::string text = std::string("[scheme]\nscheme = ") + name +
                              "\nfec_k = 6\nfec_m = 2\nfec_stream_window_bytes = 123456\n"
                              "fec_nack_delay_us = 75\n";
     auto cfg = parse_experiment_config(text);
     ASSERT_TRUE(cfg.has_value()) << name;
-    EXPECT_EQ(cfg->websearch.scheme, k) << name;
-    EXPECT_EQ(cfg->websearch.opt.fec_k, 6u);
-    EXPECT_EQ(cfg->websearch.opt.fec_m, 2u);
-    EXPECT_EQ(cfg->websearch.opt.fec_stream_window_bytes, 123456u);
-    EXPECT_EQ(cfg->websearch.opt.fec_nack_delay, microseconds(75));
+    EXPECT_EQ(cfg->spec.scheme, k) << name;
+    EXPECT_EQ(cfg->spec.opt.fec_k, 6u);
+    EXPECT_EQ(cfg->spec.opt.fec_m, 2u);
+    EXPECT_EQ(cfg->spec.opt.fec_stream_window_bytes, 123456u);
+    EXPECT_EQ(cfg->spec.opt.fec_nack_delay, microseconds(75));
+    // The canonical text writes the scheme back under its own name.
+    auto again = parse_experiment_config(world_text(cfg->spec));
+    ASSERT_TRUE(again.has_value()) << name;
+    EXPECT_EQ(again->spec.scheme, k) << name;
   }
 }
 
 TEST(Config, SchemeSectionErrors) {
   std::string err;
-  EXPECT_FALSE(parse_experiment_config("[scheme]\nkind = klingon\n", &err).has_value());
+  EXPECT_FALSE(parse_experiment_config("[scheme]\nscheme = klingon\n", &err).has_value());
   EXPECT_NE(err.find("line 2"), std::string::npos);
   EXPECT_FALSE(parse_experiment_config("[scheme]\nfec_k = 0\n", &err).has_value());
   EXPECT_FALSE(parse_experiment_config("[scheme]\nfec_k = 250\nfec_m = 10\n", &err).has_value());
@@ -332,13 +553,13 @@ TEST(Config, WanflowRunsEndToEnd) {
       "flow_bytes = 1000000\n"
       "max_time_ms = 2000\n"
       "[scheme]\n"
-      "kind = fec\n"
+      "scheme = fec\n"
       "fec_k = 8\n"
       "fec_m = 2\n";
   auto cfg = parse_experiment_config(text);
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->wanflow.wan.regions, 2);
-  EXPECT_EQ(cfg->wanflow.wan.wan_delay, milliseconds(2));
+  EXPECT_EQ(cfg->spec.wan.regions, 2);
+  EXPECT_EQ(cfg->spec.wan.wan_delay, milliseconds(2));
   const std::string report = run_configured_experiment(*cfg);
   EXPECT_NE(report.find("wanflow FEC"), std::string::npos);
   EXPECT_NE(report.find("completed=yes"), std::string::npos);

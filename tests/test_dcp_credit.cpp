@@ -5,7 +5,6 @@
 
 #include "check/fuzzer.h"
 #include "core/dcp_transport.h"
-#include "harness/checkpoint.h"
 #include "harness/scheme.h"
 #include "topo/dumbbell.h"
 
@@ -104,14 +103,14 @@ TEST(DcpCredit, SilentLossFlushedByCoarseTimeout) {
 
 /// One 512 KB single-message DCP flow across a 1-spine, 2-leaf Clos whose
 /// leaf-0 uplink blackholes from 30 us for `hole`.
-FuzzScenario blackholed_uplink(Time hole) {
-  FuzzScenario s;
+WorldSpec blackholed_uplink(Time hole) {
+  WorldSpec s = fuzz_spec(1);
   s.scheme = SchemeKind::kDcp;
-  s.spines = 1;
-  s.leaves = 2;
-  s.hosts_per_leaf = 1;
+  s.clos.spines = 1;
+  s.clos.leaves = 2;
+  s.clos.hosts_per_leaf = 1;
   s.max_time = milliseconds(100);
-  FuzzFlow f;
+  WorldFlow f;
   f.src = 0;
   f.dst = 1;
   f.bytes = 512 * 1024;
@@ -133,7 +132,7 @@ TEST(DcpCredit, QueuedRecoveryBehindAWindowOfSilentLossesGoesOut) {
   // round.  The second round's retransmissions queue behind a window that
   // only silent losses fill; the quiet timer must write those off rather
   // than defer forever while the receiver's keepalive hides the stall.
-  SimWorld w(fuzz_world_spec(blackholed_uplink(microseconds(2500)), {}));
+  SimWorld w(blackholed_uplink(microseconds(2500)));
   w.run_until_done();
   const FuzzVerdict v = w.finalize_verdict();
   EXPECT_FALSE(v.violated) << v.message;
@@ -146,7 +145,7 @@ TEST(DcpCredit, QueuedRecoveryBehindAWindowOfSilentLossesGoesOut) {
 
 TEST(DcpCredit, ShortBlackholeRecoversThroughOneTimeoutRound) {
   // Control case: a 1.5 ms hole lifts before the first round goes out.
-  SimWorld w(fuzz_world_spec(blackholed_uplink(microseconds(1500)), {}));
+  SimWorld w(blackholed_uplink(microseconds(1500)));
   w.run_until_done();
   const FuzzVerdict v = w.finalize_verdict();
   EXPECT_FALSE(v.violated) << v.message;

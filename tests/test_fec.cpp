@@ -346,7 +346,7 @@ TEST(FecFuzz, ForcedFecBatchOracleClean) {
   // The generated scenario pool with the scheme pinned to FEC: every
   // topology x workload x fault draw must run oracle-clean.
   for (std::size_t i = 0; i < 200; ++i) {
-    FuzzScenario s = generate_fuzz_scenario(/*seed=*/4200 + i);
+    WorldSpec s = generate_fuzz_scenario(/*seed=*/4200 + i);
     s.scheme = SchemeKind::kFec;
     const FuzzVerdict v = run_fuzz_scenario(s);
     EXPECT_FALSE(v.violated) << "seed " << 4200 + i << ": " << v.invariant << " — " << v.message;

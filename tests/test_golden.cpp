@@ -8,7 +8,7 @@
 //   DCP_UPDATE_GOLDEN=1 ./test_golden
 //
 // and the diff of tests/golden/digests.txt is reviewed in the same commit.
-// Digests are computed with force_shards=1 so the corpus is independent of
+// Digests are computed with shards=1 so the corpus is independent of
 // the ambient DCP_SHARDS (sharded digests are separately proven identical
 // in test_shard_digest / test_snapshot).
 
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "check/fuzzer.h"
-#include "harness/checkpoint.h"
 
 namespace dcp {
 namespace {
@@ -34,13 +33,12 @@ constexpr SchemeKind kAllSchemes[] = {
     SchemeKind::kTimeout, SchemeKind::kRackTlp, SchemeKind::kFec,
     SchemeKind::kTcp};
 
-FuzzScenario clean_scenario(SchemeKind k) {
-  FuzzScenario s;
-  s.seed = 42;
+WorldSpec clean_scenario(SchemeKind k) {
+  WorldSpec s = fuzz_spec(42);
   s.scheme = k;
-  s.spines = 2;
-  s.leaves = 4;
-  s.hosts_per_leaf = 2;
+  s.clos.spines = 2;
+  s.clos.leaves = 4;
+  s.clos.hosts_per_leaf = 2;
   s.max_time = milliseconds(5);
   s.flows = {
       {0, 5, 64 * 1024, 4096, microseconds(5)},
@@ -51,8 +49,8 @@ FuzzScenario clean_scenario(SchemeKind k) {
   return s;
 }
 
-FuzzScenario faulted_scenario(SchemeKind k) {
-  FuzzScenario s = clean_scenario(k);
+WorldSpec faulted_scenario(SchemeKind k) {
+  WorldSpec s = clean_scenario(k);
   auto add = [&](FaultKind kind, double at_us, double dur_us, double rate) {
     FaultAction a;
     a.kind = kind;
@@ -81,9 +79,8 @@ struct GoldenEntry {
 
 std::vector<GoldenEntry> compute_matrix() {
   std::vector<GoldenEntry> out;
-  auto run = [&](const std::string& name, const FuzzScenario& s) {
-    WorldSpec ws = fuzz_world_spec(s, FuzzOptions{});
-    ws.force_shards = 1;  // corpus is the serial reference digest
+  auto run = [&](const std::string& name, WorldSpec ws) {
+    ws.shards = 1;  // corpus is the serial reference digest
     SimWorld w(ws);
     w.run_until_done();
     out.push_back({name, w.digest()});
@@ -178,8 +175,8 @@ TEST(Golden, DigestMatrixMatchesCorpus) {
 // checkpoint path diverged from the plain path.
 TEST(Golden, ResumedRunsMatchCorpusDigests) {
   for (SchemeKind k : {SchemeKind::kDcp, SchemeKind::kIrn}) {
-    WorldSpec ws = fuzz_world_spec(faulted_scenario(k), FuzzOptions{});
-    ws.force_shards = 1;
+    WorldSpec ws = faulted_scenario(k);
+    ws.shards = 1;
     SimWorld cold(ws);
     cold.run_until_done();
 

@@ -40,6 +40,7 @@ class ScopedShardsEnv {
 
 struct TrialDigest {
   double goodput = 0.0;
+  double goodput2 = 0.0;  // a second flow's, where the trial has one
   Time elapsed = 0;
   bool completed = false;
   std::uint64_t retransmitted = 0;
@@ -123,6 +124,60 @@ TEST(ShardDigest, WebsearchShardedBitIdenticalToSerial) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], sharded[i]) << "trial " << i;
   }
+}
+
+// Unequal paths (Fig 11) and the fault drill now build through the shard
+// group too: the testbed splits at its cross links, the drill's Clos by
+// leaf group.  Each readout must not change with the shard count, and the
+// world must really run on two shards.
+TrialDigest read_digest(const WorldSpec& spec, int shards, bool drill) {
+  ScopedShardsEnv env(shards);
+  SimWorld w(spec);
+  EXPECT_EQ(w.shard_count(), shards);
+  TrialDigest d;
+  if (drill) {
+    const FaultDrillResult r = read_fault_drill(w);
+    d.goodput = r.goodput_gbps;
+    d.elapsed = r.elapsed;
+    d.completed = r.completed;
+    d.retransmitted = r.sender.retransmitted_packets;
+    d.events = r.core.events_processed;
+    EXPECT_TRUE(r.violations.empty());
+  } else {
+    const UnequalPathsResult r = read_unequal_paths(w);
+    d.goodput = r.flow_goodputs[0];
+    d.goodput2 = r.flow_goodputs[1];
+    d.events = r.core.events_processed;
+  }
+  return d;
+}
+
+TEST(ShardDigest, UnequalPathsShardedBitIdenticalToSerial) {
+  for (double ratio : {1.0, 4.0}) {
+    const WorldSpec spec =
+        unequal_paths_spec(SchemeKind::kDcp, ratio, 2ull * 1000 * 1000, {}, 10003);
+    EXPECT_EQ(read_digest(spec, 1, false), read_digest(spec, 2, false)) << "ratio " << ratio;
+  }
+}
+
+TEST(ShardDigest, FaultDrillEffectFreePlanShardedBitIdenticalToSerial) {
+  // Every action is a no-op (zero rate, zero duration), so the plan has no
+  // effect and does not force the serial path.
+  FaultDrillParams p;
+  p.flow_bytes = 2ull * 1000 * 1000;
+  p.max_time = milliseconds(20);
+  p.oracle = true;
+  FaultAction drop;
+  drop.kind = FaultKind::kDrop;
+  drop.at = microseconds(100);
+  drop.rate = 0.0;
+  FaultAction flap;
+  flap.kind = FaultKind::kLinkFlap;
+  flap.at = microseconds(200);
+  p.faults.actions = {drop, flap};
+  ASSERT_FALSE(p.faults.has_effect());
+  const WorldSpec spec = fault_drill_spec(p);
+  EXPECT_EQ(read_digest(spec, 1, true), read_digest(spec, 2, true));
 }
 
 TEST(ShardDigest, OverAskedShardCountClampsToTopology) {

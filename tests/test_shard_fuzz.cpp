@@ -51,7 +51,7 @@ std::vector<FuzzDigest> fuzz_batch(int shards) {
   ScopedShardsEnv env(shards);
   std::vector<FuzzDigest> out;
   for (std::size_t i = 0; i < 200; ++i) {
-    const FuzzScenario s = generate_fuzz_scenario(/*seed=*/2000 + i);
+    const WorldSpec s = generate_fuzz_scenario(/*seed=*/2000 + i);
     const FuzzVerdict v = run_fuzz_scenario(s);
     out.push_back(FuzzDigest{v.violated, v.invariant, v.at, v.num_violations, v.all_complete});
   }

@@ -14,7 +14,7 @@
 
 #include "check/fuzzer.h"
 #include "check/invariant_oracle.h"
-#include "harness/checkpoint.h"
+#include "harness/config.h"
 #include "harness/scheme.h"
 #include "sim/shard.h"
 #include "stats/core_perf.h"
@@ -160,13 +160,14 @@ class ScopedShardsEnv {
   std::string prev_;
 };
 
-FuzzScenario fattree_fault_scenario() {
-  FuzzScenario s;
+WorldSpec fattree_fault_scenario() {
+  WorldSpec s = fuzz_spec(1);
   s.scheme = SchemeKind::kDcp;
-  s.fattree_k = 4;  // 16 hosts
+  s.topo = TopoKind::kFatTree;
+  s.fattree.k = 4;  // 16 hosts
   s.max_time = milliseconds(10);
   for (int i = 0; i < 4; ++i) {
-    FuzzFlow f;
+    WorldFlow f;
     f.src = i;
     f.dst = 8 + i;  // cross-pod: the flow traverses the agg<->core cut
     f.bytes = 96 * 1024;
@@ -187,18 +188,18 @@ TEST(ShardScaleFallback, FaultPlanRunsSerialRegardlessOfShardsEnv) {
   // The injector has no shard ordering story, so a fault plan must force
   // the serial path: DCP_SHARDS=8 and an explicit serial run have to be
   // bit-identical, and the world's group must really be size 1.
-  const FuzzScenario s = fattree_fault_scenario();
+  const WorldSpec s = fattree_fault_scenario();
   WorldDigest serial, sharded_env;
   {
     ScopedShardsEnv env(1);
-    SimWorld w(fuzz_world_spec(s, {}));
+    SimWorld w(s);
     w.run_until_done();
     serial = w.digest();
     EXPECT_EQ(w.shard_count(), 1);
   }
   {
     ScopedShardsEnv env(8);
-    SimWorld w(fuzz_world_spec(s, {}));
+    SimWorld w(s);
     w.run_until_done();
     sharded_env = w.digest();
     EXPECT_EQ(w.shard_count(), 1) << "fault plan did not force serial fallback";
@@ -207,18 +208,18 @@ TEST(ShardScaleFallback, FaultPlanRunsSerialRegardlessOfShardsEnv) {
 }
 
 TEST(ShardScaleFallback, FaultFreeFatTreeScenarioHonoursShardsEnv) {
-  FuzzScenario s = fattree_fault_scenario();
+  WorldSpec s = fattree_fault_scenario();
   s.faults.actions.clear();
   WorldDigest serial, sharded;
   {
     ScopedShardsEnv env(1);
-    SimWorld w(fuzz_world_spec(s, {}));
+    SimWorld w(s);
     w.run_until_done();
     serial = w.digest();
   }
   {
     ScopedShardsEnv env(4);
-    SimWorld w(fuzz_world_spec(s, {}));
+    SimWorld w(s);
     w.run_until_done();
     sharded = w.digest();
     EXPECT_EQ(w.shard_count(), 4);  // clamp is the pod count
@@ -239,14 +240,15 @@ TEST(ShardScaleFuzz, HundredSeedOracleBatchWithFatTreePool) {
   ScopedShardsEnv env(8);
   int fattree_runs = 0, sharded_eligible = 0;
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    FuzzScenario s = generate_fuzz_scenario(seed);
+    WorldSpec s = generate_fuzz_scenario(seed);
     if (seed % 2 == 1) {
-      s.fattree_k = 4;
+      s.topo = TopoKind::kFatTree;
+      s.fattree.k = 4;
       ++fattree_runs;
     }
     if (!s.faults.has_effect()) ++sharded_eligible;
-    const FuzzVerdict v = run_fuzz_scenario(s, {});
-    EXPECT_FALSE(v.violated) << "seed " << seed << " (fattree_k=" << s.fattree_k
+    const FuzzVerdict v = run_fuzz_scenario(s);
+    EXPECT_FALSE(v.violated) << "seed " << seed << " (topo=" << static_cast<int>(s.topo)
                              << "): " << v.message << "\n"
                              << v.trace;
   }
@@ -255,13 +257,16 @@ TEST(ShardScaleFuzz, HundredSeedOracleBatchWithFatTreePool) {
 }
 
 TEST(ShardScaleFuzz, FatTreeScenarioReproRoundTrips) {
-  FuzzScenario s = fattree_fault_scenario();
+  const WorldSpec s = fattree_fault_scenario();
   const std::string text = write_fuzz_repro(s, FuzzVerdict{});
   std::string err;
-  const auto parsed = parse_fuzz_scenario(text, &err);
+  const auto parsed = parse_experiment_config(text, &err);
   ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(*parsed, s);
-  EXPECT_EQ(parsed->num_hosts(), 16);
+  WorldSpec back = parsed->spec;
+  back.oracle = true;  // run_fuzz --replay arms it; it has no text form
+  EXPECT_TRUE(back == s) << text;
+  EXPECT_TRUE(back.flows == s.flows && back.faults == s.faults) << text;
+  EXPECT_EQ(back.num_hosts(), 16);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Deterministic checkpoint/restore (sim/snapshot.h, harness/checkpoint.h):
+// Deterministic checkpoint/restore (sim/snapshot.h, harness/world.h):
 // a run resumed from a snapshot at time T must be BIT-IDENTICAL to the run
 // that never stopped — same WorldDigest (per-flow completion stamps and
 // stats, switch counters) and same events_processed — across every
@@ -18,7 +18,8 @@
 
 #include "check/fuzzer.h"
 #include "core/dcp_transport.h"
-#include "harness/checkpoint.h"
+#include "harness/config.h"
+#include "harness/experiment.h"
 #include "harness/sweep.h"
 #include "transports/timeout.h"
 
@@ -52,13 +53,12 @@ constexpr SchemeKind kSnapshottable[] = {
     SchemeKind::kMpRdma,  SchemeKind::kDcp,  SchemeKind::kCx5,
     SchemeKind::kTimeout, SchemeKind::kRackTlp, SchemeKind::kFec};
 
-FuzzScenario clean_scenario(SchemeKind k) {
-  FuzzScenario s;
-  s.seed = 42;
+WorldSpec clean_scenario(SchemeKind k) {
+  WorldSpec s = fuzz_spec(42);
   s.scheme = k;
-  s.spines = 2;
-  s.leaves = 4;
-  s.hosts_per_leaf = 2;
+  s.clos.spines = 2;
+  s.clos.leaves = 4;
+  s.clos.hosts_per_leaf = 2;
   s.max_time = milliseconds(5);
   s.flows = {
       {0, 5, 64 * 1024, 4096, microseconds(5)},
@@ -69,8 +69,8 @@ FuzzScenario clean_scenario(SchemeKind k) {
   return s;
 }
 
-FuzzScenario faulted_scenario(SchemeKind k) {
-  FuzzScenario s = clean_scenario(k);
+WorldSpec faulted_scenario(SchemeKind k) {
+  WorldSpec s = clean_scenario(k);
   auto add = [&](FaultKind kind, double at_us, double dur_us, double rate) {
     FaultAction a;
     a.kind = kind;
@@ -104,8 +104,8 @@ FuzzScenario faulted_scenario(SchemeKind k) {
 
 /// The clean scenario with larger flows, cut by max_time while the last
 /// two are mid-transfer.
-FuzzScenario stopped_scenario(SchemeKind k) {
-  FuzzScenario s = clean_scenario(k);
+WorldSpec stopped_scenario(SchemeKind k) {
+  WorldSpec s = clean_scenario(k);
   s.max_time = microseconds(60);
   s.flows = {
       {0, 5, 8 * 1024, 4096, microseconds(5)},
@@ -114,8 +114,6 @@ FuzzScenario stopped_scenario(SchemeKind k) {
   };
   return s;
 }
-
-WorldSpec spec_for(const FuzzScenario& s) { return fuzz_world_spec(s, FuzzOptions{}); }
 
 void expect_same_records(const std::vector<FlowRecord>& want, const std::vector<FlowRecord>& got,
                          const std::string& what) {
@@ -232,7 +230,7 @@ using SetupArmedFactory = TransportPair<TimeoutSender, SetupArmedReceiver>;
 
 TEST(Snapshot, CleanResumeBitIdenticalAcrossSchemes) {
   for (SchemeKind k : kSnapshottable) {
-    const WorldSpec ws = spec_for(clean_scenario(k));
+    const WorldSpec ws = clean_scenario(k);
     const WorldDigest cold = cold_digest(ws);
     ASSERT_GT(cold.events, 0u);
     for (double t_us : {15.0, 60.0, 200.0}) {
@@ -249,9 +247,8 @@ TEST(Snapshot, CleanResumeBitIdenticalAcrossSchemes) {
   // already extended; at 60 us the main one has fired, and the deadline
   // timer of each flow that is receiving has surfaced and been re-keyed at
   // its true deadline, still under its setup seq.
-  FuzzOptions opt;
-  opt.factory_override = std::make_shared<SetupArmedFactory>();
-  const WorldSpec ws = fuzz_world_spec(clean_scenario(SchemeKind::kTimeout), opt);
+  WorldSpec ws = clean_scenario(SchemeKind::kTimeout);
+  ws.factory_override = std::make_shared<SetupArmedFactory>();
   SimWorld cold(ws);
   cold.run_until_done();
   const auto fired = [](SimWorld& w, const FlowRecord& r) {
@@ -276,8 +273,7 @@ TEST(Snapshot, CleanResumeBitIdenticalAcrossSchemes) {
 
 TEST(Snapshot, FaultedOracleArmedResumeBitIdentical) {
   for (SchemeKind k : kSnapshottable) {
-    const FuzzScenario s = faulted_scenario(k);
-    const WorldSpec ws = spec_for(s);
+    const WorldSpec ws = faulted_scenario(k);
 
     SimWorld cold(ws);
     cold.run_until_done();
@@ -314,13 +310,9 @@ TEST(Snapshot, FaultedOracleArmedResumeBitIdentical) {
 using DcpBitmapFactory = TransportPair<DcpSender, DcpBitmapReceiver>;
 
 TEST(Snapshot, DcpBitmapReceiverResumesBitIdentical) {
-  FuzzOptions opt;
-  opt.factory_override = std::make_shared<DcpBitmapFactory>();
-  const FuzzScenario clean = clean_scenario(SchemeKind::kDcp);
-  const FuzzScenario faulted = faulted_scenario(SchemeKind::kDcp);
-  for (const FuzzScenario* s : {&clean, &faulted}) {
-    const char* what = s->faults.actions.empty() ? "clean" : "faulted";
-    const WorldSpec ws = fuzz_world_spec(*s, opt);
+  for (WorldSpec ws : {clean_scenario(SchemeKind::kDcp), faulted_scenario(SchemeKind::kDcp)}) {
+    const char* what = ws.faults.actions.empty() ? "clean" : "faulted";
+    ws.factory_override = std::make_shared<DcpBitmapFactory>();
     const WorldDigest cold = cold_digest(ws);
     ASSERT_GT(cold.events, 0u);
     for (double t_us : {10.0, 50.0, 75.0, 150.0, 400.0}) {
@@ -343,15 +335,15 @@ TEST(Snapshot, ShardResumeMatrix) {
   for (SchemeKind k : {SchemeKind::kDcp, SchemeKind::kIrn}) {
     const struct {
       const char* name;
-      FuzzScenario s;
+      WorldSpec s;
       Time pause;
       std::size_t unfinished_ends;
     } cases[] = {{"clean", clean_scenario(k), microseconds(75), 0},
                  {"stopped", stopped_scenario(k), microseconds(30), 4}};
     for (const auto& c : cases) {
       const std::string name = std::string(scheme_name(k)) + " " + c.name;
-      WorldSpec ws = spec_for(c.s);
-      ws.force_shards = 1;
+      WorldSpec ws = c.s;
+      ws.shards = 1;
       SimWorld serial(ws);
       serial.run_until_done();
 
@@ -374,7 +366,7 @@ TEST(Snapshot, ShardResumeMatrix) {
       EXPECT_EQ(unfinished, c.unfinished_ends) << name;
 
       for (int shards : {1, 2, 4}) {
-        ws.force_shards = shards;
+        ws.shards = shards;
         const std::string what = name + " shards=" + std::to_string(shards);
         SimWorld cold(ws);
         cold.run_until_done();
@@ -393,22 +385,22 @@ TEST(Snapshot, ShardedResumeMatchesSerialDigest) {
   // The sharded resume must agree not only with its own cold run but with
   // the serial world entirely (sharding is bit-identical by construction,
   // and snapshots must not break that).
-  const FuzzScenario s = clean_scenario(SchemeKind::kDcp);
+  const WorldSpec s = clean_scenario(SchemeKind::kDcp);
   WorldDigest serial;
   {
     ScopedEnv e("DCP_SHARDS", "1");
-    serial = cold_digest(spec_for(s));
+    serial = cold_digest(s);
   }
   {
     ScopedEnv e("DCP_SHARDS", "4");
-    const WorldDigest sharded = resumed_digest(spec_for(s), microseconds(75), "sharded");
+    const WorldDigest sharded = resumed_digest(s, microseconds(75), "sharded");
     EXPECT_EQ(serial.value, sharded.value);
     EXPECT_EQ(serial.events, sharded.events);
   }
 }
 
 TEST(Snapshot, ImageEncodeDecodeRoundTrip) {
-  const WorldSpec ws = spec_for(faulted_scenario(SchemeKind::kDcp));
+  const WorldSpec ws = faulted_scenario(SchemeKind::kDcp);
   SimWorld w(ws);
   w.run_to(microseconds(90));
   SnapshotImage img;
@@ -463,8 +455,7 @@ TEST(Snapshot, DecodeRefusesVersion1Image) {
 }
 
 TEST(Snapshot, TcpSchemeRefusesSnapshot) {
-  FuzzScenario s = clean_scenario(SchemeKind::kTcp);
-  const WorldSpec ws = spec_for(s);
+  const WorldSpec ws = clean_scenario(SchemeKind::kTcp);
   SimWorld w(ws);
   w.run_to(microseconds(50));
   SnapshotImage img;
@@ -477,24 +468,132 @@ TEST(Snapshot, TcpSchemeRefusesSnapshot) {
 }
 
 TEST(Snapshot, RestoreRefusesMismatchedSpec) {
-  const WorldSpec ws = spec_for(faulted_scenario(SchemeKind::kDcp));
+  const WorldSpec ws = faulted_scenario(SchemeKind::kDcp);
   SimWorld a(ws);
   a.run_to(microseconds(60));
   SnapshotImage img;
   std::string err;
   ASSERT_TRUE(a.save(img, &err)) << err;
 
-  FuzzScenario other = faulted_scenario(SchemeKind::kDcp);
+  WorldSpec other = faulted_scenario(SchemeKind::kDcp);
   other.flows[0].bytes += 1024;  // different world
-  SimWorld b(spec_for(other));
+  SimWorld b(other);
   EXPECT_FALSE(b.restore(img, &err));
   EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
+}
+
+/// A websearch world with incast and a fault plan, as a config file
+/// describes it: generated flows, not explicit ones.
+WorldSpec generated_clos_world() {
+  const char* text =
+      "experiment = websearch\n"
+      "spines = 2\nleaves = 2\nhosts_per_leaf = 4\n"
+      "flows = 30\nload = 0.4\nseed = 5\nmax_time_ms = 50\n"
+      "incast = true\nincast_fan_in = 4\nincast_bytes = 32768\n"
+      "[faults]\n"
+      "drop at=100us dur=300us rate=0.02\n"
+      "link_flap at=250us dur=150us sw=0 port=1 drop_inflight=true\n";
+  auto cfg = parse_experiment_config(text);
+  EXPECT_TRUE(cfg.has_value());
+  return cfg->spec;
+}
+
+TEST(Snapshot, GeneratedWorkloadsResumeBitIdentical) {
+  // Bench-style worlds: Poisson + incast + faults on a Clos, a lossy long
+  // flow with Poisson background on the testbed, and unequal paths.
+  LongFlowParams lf;
+  lf.flow_bytes = 2'000'000;
+  lf.loss_rate = 0.01;
+  lf.max_time = milliseconds(20);
+  WorldSpec testbed = long_flow_spec(lf);
+  testbed.poisson_flows = 20;
+  WanFlowParams wp;  // a WAN without wire loss holds no state outside the checkpoint
+  wp.wan.regions = 2;
+  wp.wan.wan_delay = microseconds(100);
+  wp.flow_bytes = 1'000'000;
+  wp.max_time = milliseconds(20);
+  WorldSpec wan = wan_flow_spec(wp);
+  wan.poisson_flows = 10;
+  const struct {
+    const char* name;
+    WorldSpec ws;
+  } cases[] = {{"websearch+incast+faults", generated_clos_world()},
+               {"longflow+loss+poisson", testbed},
+               {"unequal_paths", unequal_paths_spec(SchemeKind::kDcp, 4.0, 2'000'000)},
+               {"clean wan+poisson", wan}};
+  for (const auto& c : cases) {
+    ASSERT_GT(SimWorld(c.ws).net().records().size(), 1u) << c.name;
+    const WorldDigest cold = cold_digest(c.ws);
+    for (double t_us : {100.0, 300.0}) {
+      const std::string what = std::string(c.name) + " at " + std::to_string(t_us) + "us";
+      EXPECT_EQ(cold, resumed_digest(c.ws, microseconds(t_us), what.c_str())) << what;
+    }
+  }
+}
+
+TEST(Snapshot, WorldsWithStateOutsideEveryCheckpointRefuse) {
+  // A collective's member state and a lossy WAN's wire-loss streams are in
+  // no checkpoint: save and restore refuse rather than diverge.
+  CollectiveExpParams cp;
+  cp.groups = 1;
+  cp.clos.leaves = 2;
+  WanFlowParams wp;
+  wp.wan.regions = 2;
+  wp.wan.wan_delay = milliseconds(1);
+  wp.wan.wan_loss_rate = 0.01;
+  const struct {
+    WorldSpec ws;
+    const char* reason;
+  } cases[] = {{collectives_spec(cp), "collective"}, {wan_flow_spec(wp), "WAN wire-loss"}};
+  for (const auto& c : cases) {
+    SimWorld w(c.ws);
+    w.run_to(microseconds(50));
+    SnapshotImage img;
+    std::string err;
+    EXPECT_FALSE(w.save(img, &err)) << c.reason;
+    EXPECT_NE(err.find(c.reason), std::string::npos) << err;
+    SimWorld fresh(c.ws);
+    EXPECT_FALSE(fresh.restore(img, &err)) << c.reason;
+  }
+  // A clean WAN has no wire-loss streams, so it saves.
+  wp.wan.wan_loss_rate = 0;
+  SimWorld clean(wan_flow_spec(wp));
+  clean.run_to(microseconds(50));
+  SnapshotImage img;
+  std::string err;
+  EXPECT_TRUE(clean.save(img, &err)) << err;
+}
+
+TEST(Snapshot, RestoreRefusesOneGeneratorOrTopologyFieldOff) {
+  const WorldSpec ws = generated_clos_world();
+  SimWorld a(ws);
+  a.run_to(microseconds(100));
+  SnapshotImage img;
+  std::string err;
+  ASSERT_TRUE(a.save(img, &err)) << err;
+  WorldSpec load = ws;
+  load.load += 0.01;
+  WorldSpec topo = ws;
+  topo.clos.leaf_spine_delay += 1;
+  WorldSpec link = ws;
+  link.clos.link = Bandwidth::gbps(40);  // a field with no text form
+  WorldSpec rate = ws;
+  rate.faults.actions[0].rate += 1e-11;  // past the ninth significant digit
+  WorldSpec budget = ws;
+  budget.max_time += 1;  // one picosecond
+  for (const WorldSpec* other : {&load, &topo, &link, &rate, &budget}) {
+    SimWorld b(*other);
+    EXPECT_FALSE(b.restore(img, &err));
+    EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
+  }
+  SimWorld same(ws);
+  EXPECT_TRUE(same.restore(img, &err)) << err;
 }
 
 // Eight pooled trials restore concurrently from one shared image: each
 // builds its own world, so the image is the only state they share.
 TEST(Snapshot, PooledRestoresFromOneImageMatchColdRuns) {
-  const WorldSpec ws = spec_for(clean_scenario(SchemeKind::kDcp));
+  const WorldSpec ws = clean_scenario(SchemeKind::kDcp);
   const WorldDigest cold = cold_digest(ws);
 
   SnapshotImage img;
@@ -529,8 +628,7 @@ TEST(Snapshot, FuzzBatch200ThroughRestorePath) {
   // world must reproduce the uninterrupted verdict and digest exactly.
   std::size_t restored = 0;
   for (std::uint64_t seed = 3000; seed < 3200; ++seed) {
-    const FuzzScenario s = generate_fuzz_scenario(seed);
-    const WorldSpec ws = spec_for(s);
+    const WorldSpec ws = generate_fuzz_scenario(seed);
 
     SimWorld cold(ws);
     cold.run_until_done();
@@ -543,7 +641,7 @@ TEST(Snapshot, FuzzBatch200ThroughRestorePath) {
     std::string err;
     if (!a.save(img, &err)) {
       // TcpLite scenarios are the only legitimate refusal.
-      EXPECT_EQ(s.scheme, SchemeKind::kTcp) << "seed " << seed << ": " << err;
+      EXPECT_EQ(ws.scheme, SchemeKind::kTcp) << "seed " << seed << ": " << err;
       continue;
     }
     SimWorld b(ws);
@@ -552,7 +650,7 @@ TEST(Snapshot, FuzzBatch200ThroughRestorePath) {
     const WorldDigest wd = b.digest();
     const FuzzVerdict wv = b.finalize_verdict();
 
-    ASSERT_EQ(cd.value, wd.value) << "seed " << seed << " (" << scheme_name(s.scheme) << ")";
+    ASSERT_EQ(cd.value, wd.value) << "seed " << seed << " (" << scheme_name(ws.scheme) << ")";
     ASSERT_EQ(cd.events, wd.events) << "seed " << seed;
     ASSERT_EQ(cv.violated, wv.violated) << "seed " << seed;
     ASSERT_EQ(cv.invariant, wv.invariant) << "seed " << seed;

@@ -7,7 +7,9 @@
 //       repro, writes it to --out, and exits 1.
 //
 //   run_fuzz --replay fuzz_repro.txt
-//       Re-runs a repro file and reports its verdict (exit 1 on violation).
+//       Re-runs a repro file, or any experiment config file (a repro is
+//       one), with the oracle armed and reports its verdict (exit 1 on
+//       violation).
 //
 //   run_fuzz --print 7
 //       Dumps the scenario seed 7 generates, without running it.
@@ -25,12 +27,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "check/broken.h"
 #include "check/fuzzer.h"
-#include "harness/checkpoint.h"
+#include "harness/config.h"
 #include "harness/sweep.h"
 
 using namespace dcp;
@@ -61,20 +62,20 @@ int usage() {
   return 2;
 }
 
-FuzzOptions make_options(const Cli& cli) {
-  FuzzOptions opt;
-  if (cli.inject == "dup-completion") {
-    opt.factory_override = std::make_shared<BrokenDcpFactory>();
-  }
-  return opt;
+/// Arms the oracle and swaps in the --inject-bug double, which has no
+/// text form, so a replayed repro rebuilds the world it came from.
+WorldSpec armed(const Cli& cli, WorldSpec s) {
+  s.oracle = true;
+  if (cli.inject == "dup-completion") s.factory_override = std::make_shared<BrokenDcpFactory>();
+  return s;
 }
 
-FuzzScenario scenario_for(const Cli& cli, std::uint64_t seed) {
-  FuzzScenario s = generate_fuzz_scenario(seed);
+WorldSpec scenario_for(const Cli& cli, std::uint64_t seed) {
+  WorldSpec s = generate_fuzz_scenario(seed);
   // The injected bug lives in a DCP receiver double; aim every scenario
   // at it rather than fuzzing schemes that cannot reach the defect.
   if (!cli.inject.empty()) s.scheme = SchemeKind::kDcp;
-  return s;
+  return armed(cli, s);
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -83,13 +84,12 @@ void write_file(const std::string& path, const std::string& text) {
 }
 
 /// Shrinks the violating scenario, writes the repro, prints the verdict.
-int report_violation(const Cli& cli, const FuzzScenario& s, const FuzzVerdict& v) {
+int report_violation(const Cli& cli, const WorldSpec& s, const FuzzVerdict& v) {
   std::printf("seed %llu violated: %s\n", static_cast<unsigned long long>(s.seed),
               v.message.c_str());
-  const FuzzOptions opt = make_options(cli);
   ShrinkStats st;
-  const FuzzScenario min = shrink_fuzz_scenario(s, opt, &st);
-  const FuzzVerdict mv = run_fuzz_scenario(min, opt);
+  const WorldSpec min = shrink_fuzz_scenario(s, &st);
+  const FuzzVerdict mv = run_fuzz_scenario(min);
   std::printf("shrunk in %zu runs: %zu -> %zu fault actions, %zu -> %zu flows\n", st.runs,
               st.actions_before, st.actions_after, st.flows_before, st.flows_after);
   write_file(cli.out, write_fuzz_repro(min, mv));
@@ -98,7 +98,6 @@ int report_violation(const Cli& cli, const FuzzScenario& s, const FuzzVerdict& v
 }
 
 int run_batch(const Cli& cli) {
-  const FuzzOptions opt = make_options(cli);
   SweepRunner pool;
   pool.set_progress(false);
   const auto t0 = std::chrono::steady_clock::now();
@@ -111,7 +110,7 @@ int run_batch(const Cli& cli) {
   for (std::size_t base = 0; base < cli.count; base += batch) {
     const std::size_t n = std::min(batch, cli.count - base);
     auto verdicts = pool.run(n, [&](std::size_t i) {
-      return run_fuzz_scenario(scenario_for(cli, cli.seed + base + i), opt);
+      return run_fuzz_scenario(scenario_for(cli, cli.seed + base + i));
     });
     ran += n;
     for (std::size_t i = 0; i < n; ++i) {
@@ -135,10 +134,9 @@ int run_batch(const Cli& cli) {
 /// Time-travel debugging: rebuild the repro's world, run it to t (a
 /// barrier-safe point), dump flow progress and the oracle's recent event
 /// trace, prove the snapshot round-trip is bit-exact, then finish the run.
-int run_time_travel(const Cli& cli, const FuzzScenario& s) {
-  const FuzzOptions opt = make_options(cli);
+int run_time_travel(const Cli& cli, const WorldSpec& s) {
   const Time t = microseconds(cli.at_time_us);
-  SimWorld w(fuzz_world_spec(s, opt));
+  SimWorld w(s);
   w.run_to(t);
 
   std::printf("state of %s at t=%.9gus (%llu events executed):\n", cli.replay.c_str(),
@@ -182,7 +180,7 @@ int run_time_travel(const Cli& cli, const FuzzScenario& s) {
   }
   std::printf("snapshot: %zu state bytes at t=%.9gus\n", img.state.size(), to_us(img.at));
 
-  SimWorld resumed(fuzz_world_spec(s, opt));
+  SimWorld resumed(s);
   if (!resumed.restore(img, &err)) {
     std::fprintf(stderr, "run_fuzz: restore failed: %s\n", err.c_str());
     return 2;
@@ -209,21 +207,15 @@ int run_time_travel(const Cli& cli, const FuzzScenario& s) {
 }
 
 int run_replay(const Cli& cli) {
-  std::ifstream f(cli.replay, std::ios::binary);
-  if (!f) {
-    std::fprintf(stderr, "run_fuzz: cannot read %s\n", cli.replay.c_str());
-    return 2;
-  }
-  std::stringstream ss;
-  ss << f.rdbuf();
   std::string err;
-  auto s = parse_fuzz_scenario(ss.str(), &err);
-  if (!s) {
+  const auto cfg = load_experiment_config(cli.replay, &err);
+  if (!cfg) {
     std::fprintf(stderr, "run_fuzz: %s: %s\n", cli.replay.c_str(), err.c_str());
     return 2;
   }
-  if (cli.at_time_us >= 0) return run_time_travel(cli, *s);
-  const FuzzVerdict v = run_fuzz_scenario(*s, make_options(cli));
+  const WorldSpec s = armed(cli, cfg->spec);
+  if (cli.at_time_us >= 0) return run_time_travel(cli, s);
+  const FuzzVerdict v = run_fuzz_scenario(s);
   if (!v.violated) {
     std::printf("replay of %s: all invariants held\n", cli.replay.c_str());
     return 0;
@@ -238,14 +230,13 @@ int run_replay(const Cli& cli) {
 /// replays to the same violation.
 int run_selftest(Cli cli) {
   cli.inject = "dup-completion";
-  const FuzzOptions opt = make_options(cli);
 
-  FuzzScenario found;
+  WorldSpec found;
   FuzzVerdict fv;
   bool hit = false;
   for (std::uint64_t seed = cli.seed; seed < cli.seed + 200; ++seed) {
-    const FuzzScenario s = scenario_for(cli, seed);
-    const FuzzVerdict v = run_fuzz_scenario(s, opt);
+    const WorldSpec s = scenario_for(cli, seed);
+    const FuzzVerdict v = run_fuzz_scenario(s);
     if (v.violated) {
       found = s;
       fv = v;
@@ -266,7 +257,7 @@ int run_selftest(Cli cli) {
               static_cast<unsigned long long>(found.seed), fv.invariant.c_str());
 
   ShrinkStats st;
-  const FuzzScenario min = shrink_fuzz_scenario(found, opt, &st);
+  const WorldSpec min = shrink_fuzz_scenario(found, &st);
   std::printf("selftest: shrunk in %zu runs to %zu fault actions, %zu flows\n", st.runs,
               st.actions_after, st.flows_after);
   if (min.faults.actions.size() > 3) {
@@ -275,20 +266,21 @@ int run_selftest(Cli cli) {
     return 1;
   }
 
-  const FuzzVerdict mv = run_fuzz_scenario(min, opt);
+  const FuzzVerdict mv = run_fuzz_scenario(min);
   const std::string repro = write_fuzz_repro(min, mv);
   write_file(cli.out, repro);
   std::string err;
-  auto parsed = parse_fuzz_scenario(repro, &err);
+  const auto parsed = parse_experiment_config(repro, &err);
   if (!parsed) {
     std::fprintf(stderr, "selftest: repro does not parse back: %s\n", err.c_str());
     return 1;
   }
-  if (!(*parsed == min)) {
+  const WorldSpec replayed = armed(cli, parsed->spec);
+  if (!(replayed == min)) {
     std::fprintf(stderr, "selftest: repro round-trip changed the scenario\n");
     return 1;
   }
-  const FuzzVerdict rv = run_fuzz_scenario(*parsed, opt);
+  const FuzzVerdict rv = run_fuzz_scenario(replayed);
   if (!rv.violated || rv.invariant != fv.invariant) {
     std::fprintf(stderr, "selftest: repro replay did not reproduce %s\n", fv.invariant.c_str());
     return 1;
@@ -344,7 +336,7 @@ int main(int argc, char** argv) {
   }
 
   if (cli.print_seed >= 0) {
-    const FuzzScenario s = scenario_for(cli, static_cast<std::uint64_t>(cli.print_seed));
+    const WorldSpec s = scenario_for(cli, static_cast<std::uint64_t>(cli.print_seed));
     FuzzVerdict none;
     std::printf("%s", write_fuzz_repro(s, none).c_str());
     return 0;

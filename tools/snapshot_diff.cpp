@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "check/fuzzer.h"
-#include "harness/checkpoint.h"
 
 namespace dcp {
 namespace {
@@ -36,14 +35,13 @@ constexpr KnownLabel kLabels[] = {
 bool g_faulted = false;
 std::int64_t g_seed = -1;  // >= 0: use generate_fuzz_scenario(seed) instead
 
-FuzzScenario scenario(SchemeKind k) {
+WorldSpec scenario(SchemeKind k) {
   if (g_seed >= 0) return generate_fuzz_scenario(static_cast<std::uint64_t>(g_seed));
-  FuzzScenario s;
-  s.seed = 42;
+  WorldSpec s = fuzz_spec(42);
   s.scheme = k;
-  s.spines = 2;
-  s.leaves = 4;
-  s.hosts_per_leaf = 2;
+  s.clos.spines = 2;
+  s.clos.leaves = 4;
+  s.clos.hosts_per_leaf = 2;
   s.max_time = milliseconds(5);
   s.flows = {
       {0, 5, 64 * 1024, 4096, microseconds(5)},
@@ -120,7 +118,7 @@ void diff_images(const SnapshotImage& warm, const SnapshotImage& cold) {
 }
 
 int run(SchemeKind k, double t_us, double step_us, double end_us) {
-  const WorldSpec ws = fuzz_world_spec(scenario(k), FuzzOptions{});
+  const WorldSpec ws = scenario(k);
   const Time T = microseconds(t_us);
   std::string err;
 
