@@ -267,17 +267,18 @@ CorePerf min_wall(const CorePerf& a, const CorePerf& b) {
   return b.wall_seconds < a.wall_seconds ? b : a;
 }
 
-/// The same metric surfaced through the standard harness runner, proving
-/// every experiment reports substrate speed for free.
+/// The same metric surfaced through the harness's websearch preset and
+/// readout, proving every experiment reports substrate speed for free.
 CorePerf harness_websearch() {
-  WebSearchParams p;
-  p.clos.spines = 2;
-  p.clos.leaves = 2;
-  p.clos.hosts_per_leaf = 4;
-  p.load = 0.4;
-  p.num_flows = 400;
-  p.seed = 7;
-  return run_websearch(p).core;
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
+  s.clos.spines = 2;
+  s.clos.leaves = 2;
+  s.clos.hosts_per_leaf = 4;
+  s.load = 0.4;
+  s.poisson_flows = 400;
+  s.seed = 7;
+  SimWorld w(s);
+  return read_websearch(w).core;
 }
 
 /// Digest of one trial for the serial-vs-parallel identity check.
@@ -297,14 +298,15 @@ std::vector<TrialDigest> suite_sweep(unsigned jobs, double* wall_seconds) {
   SweepRunner pool(jobs);
   pool.set_progress(false);
   std::vector<TrialDigest> out = pool.run(8, [](std::size_t i) {
-    WebSearchParams p;
-    p.clos.spines = 2;
-    p.clos.leaves = 2;
-    p.clos.hosts_per_leaf = 4;
-    p.load = 0.4;
-    p.num_flows = 250;
-    p.seed = 100 + i;  // 8 independent replications
-    WebSearchResult r = run_websearch(p);
+    WorldSpec s = experiment_world(Experiment::kWebSearch);
+    s.clos.spines = 2;
+    s.clos.leaves = 2;
+    s.clos.hosts_per_leaf = 4;
+    s.load = 0.4;
+    s.poisson_flows = 250;
+    s.seed = 100 + i;  // 8 independent replications
+    SimWorld w(s);
+    WebSearchResult r = read_websearch(w);
     TrialDigest d;
     d.events = r.core.events_processed;
     d.p50 = r.background.overall().percentile(50);

@@ -74,7 +74,7 @@ FaultPlan plan_for(FaultKind k, const Intensity& in) {
 
 // Everything the run measured, bit-exact (%a prints doubles losslessly) —
 // two runs with equal digests took the same trajectory.
-std::string digest(const FaultDrillResult& r) {
+std::string digest(const FlowResult& r) {
   char buf[256];
   std::snprintf(buf, sizeof(buf), "%d|%lld|%a|%llu|%llu|%llu|%llu|%llu|%llu|%llu",
                 r.completed ? 1 : 0, static_cast<long long>(r.elapsed), r.goodput_gbps,
@@ -88,7 +88,7 @@ std::string digest(const FaultDrillResult& r) {
   return buf;
 }
 
-std::string cell_text(const FaultDrillResult& r) {
+std::string cell_text(const FlowResult& r) {
   char buf[96];
   if (r.fault_episodes.empty()) {
     std::snprintf(buf, sizeof(buf), "%.2f (baseline)", r.goodput_gbps);
@@ -138,9 +138,8 @@ int main(int argc, char** argv) {
     return in;
   };
 
-  FaultDrillParams base;
-  base.flow_bytes = smoke ? 2ull * 1000 * 1000
-                          : (full_scale() ? 32ull : 8ull) * 1000 * 1000;
+  WorldSpec base = experiment_world(Experiment::kFaultDrill);
+  base.flows[0].bytes = smoke ? 2ull * 1000 * 1000 : (full_scale() ? 32ull : 8ull) * 1000 * 1000;
   base.max_time = milliseconds(smoke ? 20 : 100);
 
   struct Cell {
@@ -161,14 +160,15 @@ int main(int argc, char** argv) {
 
   SweepRunner pool;
   CorePerfAggregator agg;
-  const std::vector<FaultDrillResult> results =
+  const std::vector<FlowResult> results =
       pool.run(cells.size(), [&](std::size_t i) {
-        FaultDrillParams p = base;
-        p.scheme = schemes[cells[i].scheme];
+        WorldSpec s = base;
+        s.scheme = schemes[cells[i].scheme];
         if (!cells[i].baseline) {
-          p.faults = plan_for(cells[i].kind, effective(cells[i].kind, intensities[cells[i].intensity]));
+          s.faults = plan_for(cells[i].kind, effective(cells[i].kind, intensities[cells[i].intensity]));
         }
-        FaultDrillResult r = run_fault_drill(p);
+        SimWorld w(s);
+        FlowResult r = read_flow(w);
         agg.add(r.core);
         return r;
       });

@@ -37,8 +37,13 @@ int main() {
   SweepRunner pool;
   CorePerfAggregator agg;
   const std::vector<double> goodput = pool.run(trials.size(), [&](std::size_t i) {
-    const UnequalPathsResult r =
-        run_unequal_paths(trials[i].k, trials[i].ratio, bytes, {}, trials[i].sport_base);
+    WorldSpec s = experiment_world(Experiment::kUnequalPaths);
+    s.scheme = trials[i].k;
+    s.testbed.cross_links = unequal_cross_links(trials[i].ratio);
+    s.sport_base = trials[i].sport_base;
+    for (WorldFlow& f : s.flows) f.bytes = bytes;
+    SimWorld w(s);
+    const UnequalPathsResult r = read_unequal_paths(w);
     agg.add(r.core);
     return r.avg_goodput_gbps;
   });

@@ -13,17 +13,19 @@ namespace {
 
 void run_kind(CollectiveKind kind, const char* label) {
   banner(std::string("Fig 12: ") + label + " on the testbed (4 groups x 4 RNICs)");
-  CollectiveExpParams p;
-  p.kind = kind;
-  p.use_clos = false;
-  p.groups = 4;
-  p.members_per_group = 4;
-  p.total_bytes = full_scale() ? 300ull * 1000 * 1000 : 24ull * 1024 * 1024;
-
-  p.scheme = SchemeKind::kCx5;
-  const CollectiveResult cx5 = run_collectives(p);
-  p.scheme = SchemeKind::kDcp;
-  const CollectiveResult dcp = run_collectives(p);
+  WorldSpec s = experiment_world(Experiment::kCollective);
+  s.topo = TopoKind::kTestbed;
+  s.collective = kind;
+  s.groups = 4;
+  s.members = 4;
+  s.collective_bytes = full_scale() ? 300ull * 1000 * 1000 : 24ull * 1024 * 1024;
+  const auto run = [&s](SchemeKind k) {
+    s.scheme = k;
+    SimWorld w(s);
+    return read_collectives(w);
+  };
+  const CollectiveResult cx5 = run(SchemeKind::kCx5);
+  const CollectiveResult dcp = run(SchemeKind::kDcp);
 
   Table t({"Group", "CX5+ECMP JCT (ms)", "DCP+AR JCT (ms)", "Reduction"});
   double sum_cx5 = 0, sum_dcp = 0;

@@ -62,21 +62,22 @@ int main() {
   SweepRunner pool;
   CorePerfAggregator agg;
   std::vector<WebSearchResult> results = pool.run(trials.size(), [&](std::size_t i) {
-    WebSearchParams p;
-    p.scheme = trials[i].k;
-    p.load = trials[i].load;
+    WorldSpec s = experiment_world(Experiment::kWebSearch);
+    s.scheme = trials[i].k;
+    s.load = trials[i].load;
     if (full_scale()) {
-      p.clos.spines = 16;
-      p.clos.leaves = 16;
-      p.clos.hosts_per_leaf = 16;
-      p.num_flows = 20000;
+      s.clos.spines = 16;
+      s.clos.leaves = 16;
+      s.clos.hosts_per_leaf = 16;
+      s.poisson_flows = 20000;
     } else {
-      p.clos.spines = 4;
-      p.clos.leaves = 4;
-      p.clos.hosts_per_leaf = 4;
-      p.num_flows = 500;
+      s.clos.spines = 4;
+      s.clos.leaves = 4;
+      s.clos.hosts_per_leaf = 4;
+      s.poisson_flows = 500;
     }
-    WebSearchResult r = run_websearch(p);
+    SimWorld w(s);
+    WebSearchResult r = read_websearch(w);
     agg.add(r.core);
     return r;
   });

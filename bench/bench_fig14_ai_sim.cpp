@@ -63,26 +63,26 @@ int main() {
   SweepRunner pool;
   CorePerfAggregator agg;
   const std::vector<CollectiveResult> results = pool.run(trials.size(), [&](std::size_t i) {
-    CollectiveExpParams p;
-    p.kind = trials[i].kind;
-    p.scheme = trials[i].k;
-    p.use_clos = true;
+    WorldSpec s = experiment_world(Experiment::kCollective);
+    s.collective = trials[i].kind;
+    s.scheme = trials[i].k;
     if (full_scale()) {
-      p.clos.spines = 16;
-      p.clos.leaves = 16;
-      p.clos.hosts_per_leaf = 16;
-      p.groups = 16;
-      p.members_per_group = 16;
-      p.total_bytes = 300ull * 1000 * 1000;
+      s.clos.spines = 16;
+      s.clos.leaves = 16;
+      s.clos.hosts_per_leaf = 16;
+      s.groups = 16;
+      s.members = 16;
+      s.collective_bytes = 300ull * 1000 * 1000;
     } else {
-      p.clos.spines = 4;
-      p.clos.leaves = 4;
-      p.clos.hosts_per_leaf = 4;
-      p.groups = 4;
-      p.members_per_group = 4;
-      p.total_bytes = 24ull * 1024 * 1024;
+      s.clos.spines = 4;
+      s.clos.leaves = 4;
+      s.clos.hosts_per_leaf = 4;
+      s.groups = 4;
+      s.members = 4;
+      s.collective_bytes = 24ull * 1024 * 1024;
     }
-    CollectiveResult r = run_collectives(p);
+    SimWorld w(s);
+    CollectiveResult r = read_collectives(w);
     agg.add(r.core);
     return r;
   });

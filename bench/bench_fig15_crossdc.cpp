@@ -76,26 +76,27 @@ int main() {
       opt.buffer_bytes = d.lossless_buffer;
     }
 
-    WebSearchParams p;
-    p.scheme = k;
-    p.opt = opt;
+    WorldSpec s = experiment_world(Experiment::kWebSearch);
+    s.scheme = k;
+    s.opt = opt;
     // Higher offered load than intra-DC: the paper notes servers generate
     // more traffic cross-DC (larger BDP), making congestion more severe.
-    p.load = 0.7;
-    p.clos.leaf_spine_delay = d.leaf_spine_delay;
+    s.load = 0.7;
+    s.clos.leaf_spine_delay = d.leaf_spine_delay;
     if (full_scale()) {
-      p.clos.spines = 16;
-      p.clos.leaves = 16;
-      p.clos.hosts_per_leaf = 16;
-      p.num_flows = 5000;
+      s.clos.spines = 16;
+      s.clos.leaves = 16;
+      s.clos.hosts_per_leaf = 16;
+      s.poisson_flows = 5000;
     } else {
-      p.clos.spines = 4;
-      p.clos.leaves = 4;
-      p.clos.hosts_per_leaf = 8;
-      p.num_flows = 800;
+      s.clos.spines = 4;
+      s.clos.leaves = 4;
+      s.clos.hosts_per_leaf = 8;
+      s.poisson_flows = 800;
     }
-    p.max_time = seconds(30);
-    WebSearchResult r = run_websearch(p);
+    s.max_time = seconds(30);
+    SimWorld w(s);
+    WebSearchResult r = read_websearch(w);
     agg.add(r.core);
     return r;
   });

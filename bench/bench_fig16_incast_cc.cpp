@@ -52,33 +52,34 @@ int main() {
   SweepRunner pool;
   CorePerfAggregator agg;
   const std::vector<WebSearchResult> results = pool.run(trials.size(), [&](std::size_t i) {
-    WebSearchParams p;
-    p.scheme = trials[i].k;
-    p.opt.with_cc = trials[i].with_cc;
-    p.load = 0.5;
-    p.with_incast = true;
+    WorldSpec s = experiment_world(Experiment::kWebSearch);
+    s.scheme = trials[i].k;
+    s.opt.with_cc = trials[i].with_cc;
+    s.load = 0.5;
+    s.with_incast = true;
     if (full_scale()) {
-      p.clos.spines = 16;
-      p.clos.leaves = 16;
-      p.clos.hosts_per_leaf = 16;
-      p.num_flows = 10000;
-      p.incast.fan_in = 128;
-      p.incast.bursts = 20;
+      s.clos.spines = 16;
+      s.clos.leaves = 16;
+      s.clos.hosts_per_leaf = 16;
+      s.poisson_flows = 10000;
+      s.incast.fan_in = 128;
+      s.incast.bursts = 20;
     } else {
-      p.clos.spines = 4;
-      p.clos.leaves = 4;
-      p.clos.hosts_per_leaf = 4;
-      p.num_flows = 400;
-      p.incast.fan_in = 12;
-      p.incast.bursts = 10;
+      s.clos.spines = 4;
+      s.clos.leaves = 4;
+      s.clos.hosts_per_leaf = 4;
+      s.poisson_flows = 400;
+      s.incast.fan_in = 12;
+      s.incast.bursts = 10;
     }
-    p.incast.load = 0.05;
+    s.incast.load = 0.05;
     // Reduced scale needs deeper per-sender bursts to overflow the 1 MB
     // queue; at paper scale 128 senders x 64 KB already do (and 256 KB x 128
     // would exhaust the whole shared buffer, which the paper's setup avoids).
-    p.incast.bytes_per_sender = full_scale() ? 64 * 1024 : 256 * 1024;
-    p.max_time = seconds(5);
-    WebSearchResult r = run_websearch(p);
+    s.incast.bytes_per_sender = full_scale() ? 64 * 1024 : 256 * 1024;
+    s.max_time = seconds(5);
+    SimWorld w(s);
+    WebSearchResult r = read_websearch(w);
     agg.add(r.core);
     return r;
   });

@@ -32,12 +32,13 @@ int main() {
   SweepRunner pool;
   CorePerfAggregator agg;
   const std::vector<double> goodput = pool.run(trials.size(), [&](std::size_t i) {
-    LongFlowParams p;
-    p.scheme = trials[i].k;
-    p.loss_rate = trials[i].rate;
-    p.flow_bytes = full_scale() ? 100ull * 1000 * 1000 : 20ull * 1000 * 1000;
-    p.max_time = milliseconds(full_scale() ? 500 : 100);
-    const LongFlowResult r = run_long_flow(p);
+    WorldSpec s = experiment_world(Experiment::kLongFlow);
+    s.scheme = trials[i].k;
+    s.loss_rate = trials[i].rate;
+    s.flows[0].bytes = full_scale() ? 100ull * 1000 * 1000 : 20ull * 1000 * 1000;
+    s.max_time = milliseconds(full_scale() ? 500 : 100);
+    SimWorld w(s);
+    const FlowResult r = read_flow(w);
     agg.add(r.core);
     return r.goodput_gbps;
   });

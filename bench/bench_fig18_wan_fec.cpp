@@ -74,20 +74,21 @@ int main(int argc, char** argv) {
 
   SweepRunner pool;
   CorePerfAggregator agg;
-  std::vector<WanFlowResult> results = pool.run(trials.size(), [&](std::size_t i) {
+  std::vector<FlowResult> results = pool.run(trials.size(), [&](std::size_t i) {
     const Trial& t = trials[i];
-    WanFlowParams p;
-    p.scheme = t.scheme.kind;
-    p.opt.fec_k = t.scheme.fec_k > 0 ? t.scheme.fec_k : p.opt.fec_k;
-    p.opt.fec_m = t.scheme.fec_m > 0 ? t.scheme.fec_m : p.opt.fec_m;
-    p.wan.regions = 3;
-    p.wan.hosts_per_region = smoke ? 2 : 4;
-    p.wan.wan_delay = t.delay;
-    p.wan.wan_loss_rate = t.loss;
-    p.flow_bytes = flow_bytes;
-    p.max_time = max_time;
-    p.seed = 7 + i;
-    WanFlowResult r = run_wan_flow(p);
+    WorldSpec s = experiment_world(Experiment::kWanFlow);
+    s.scheme = t.scheme.kind;
+    s.opt.fec_k = t.scheme.fec_k > 0 ? t.scheme.fec_k : s.opt.fec_k;
+    s.opt.fec_m = t.scheme.fec_m > 0 ? t.scheme.fec_m : s.opt.fec_m;
+    s.wan.regions = 3;
+    s.wan.hosts_per_region = smoke ? 2 : 4;
+    s.wan.wan_delay = t.delay;
+    s.wan.wan_loss_rate = t.loss;
+    s.flows[0].bytes = flow_bytes;
+    s.max_time = max_time;
+    s.seed = 7 + i;
+    SimWorld w(s);
+    FlowResult r = read_flow(w);
     agg.add(r.core);
     return r;
   });
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
       double best_fec = 0.0;
       double best_retrans = 0.0;
       for (std::size_t s = 0; s < per_point; ++s) {
-        const WanFlowResult& r = results[idx + s];
+        const FlowResult& r = results[idx + s];
         t.add_row({Table::num(l * 100, 1) + "%", kSchemes[s].label, Table::num(r.goodput_gbps, 3),
                    r.completed ? "yes" : "no", std::to_string(r.wire_dropped),
                    std::to_string(r.sender.retransmitted_packets),

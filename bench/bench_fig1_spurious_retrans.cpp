@@ -20,21 +20,22 @@ using namespace dcp;
 namespace {
 
 WebSearchResult run_one(SchemeKind k) {
-  WebSearchParams p;
-  p.scheme = k;
-  p.load = 0.3;
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
+  s.scheme = k;
+  s.load = 0.3;
   if (full_scale()) {
-    p.clos.spines = 16;
-    p.clos.leaves = 16;
-    p.clos.hosts_per_leaf = 16;
-    p.num_flows = 10000;
+    s.clos.spines = 16;
+    s.clos.leaves = 16;
+    s.clos.hosts_per_leaf = 16;
+    s.poisson_flows = 10000;
   } else {
-    p.clos.spines = 4;
-    p.clos.leaves = 4;
-    p.clos.hosts_per_leaf = 4;
-    p.num_flows = 600;
+    s.clos.spines = 4;
+    s.clos.leaves = 4;
+    s.clos.hosts_per_leaf = 4;
+    s.poisson_flows = 600;
   }
-  return run_websearch(p);
+  SimWorld w(s);
+  return read_websearch(w);
 }
 
 }  // namespace

@@ -16,34 +16,35 @@ using namespace dcp;
 namespace {
 
 WebSearchResult run_one(SchemeKind k) {
-  WebSearchParams p;
-  p.scheme = k;
-  p.load = 0.3;
-  p.with_incast = true;
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
+  s.scheme = k;
+  s.load = 0.3;
+  s.with_incast = true;
   if (full_scale()) {
-    p.clos.spines = 16;
-    p.clos.leaves = 16;
-    p.clos.hosts_per_leaf = 16;
-    p.num_flows = 8000;
-    p.incast.fan_in = 128;
-    p.incast.bursts = 15;
+    s.clos.spines = 16;
+    s.clos.leaves = 16;
+    s.clos.hosts_per_leaf = 16;
+    s.poisson_flows = 8000;
+    s.incast.fan_in = 128;
+    s.incast.bursts = 15;
   } else {
-    p.clos.spines = 4;
-    p.clos.leaves = 4;
-    p.clos.hosts_per_leaf = 4;
-    p.num_flows = 500;
-    p.incast.fan_in = 12;
-    p.incast.bursts = 10;
+    s.clos.spines = 4;
+    s.clos.leaves = 4;
+    s.clos.hosts_per_leaf = 4;
+    s.poisson_flows = 500;
+    s.incast.fan_in = 12;
+    s.incast.bursts = 10;
   }
-  p.incast.load = 0.1;
+  s.incast.load = 0.1;
   // Deep enough bursts to overflow the 1 MB egress queue even at the
   // reduced fan-in (the paper's 128-to-1 overflows it trivially).
   // Reduced scale needs deeper per-sender bursts to overflow the 1 MB
   // queue; at paper scale 128 senders x 64 KB already do (and 256 KB x 128
   // would exhaust the whole shared buffer, which the paper's setup avoids).
-  p.incast.bytes_per_sender = full_scale() ? 64 * 1024 : 256 * 1024;
-  p.max_time = seconds(5);
-  return run_websearch(p);
+  s.incast.bytes_per_sender = full_scale() ? 64 * 1024 : 256 * 1024;
+  s.max_time = seconds(5);
+  SimWorld w(s);
+  return read_websearch(w);
 }
 
 std::uint64_t max_of(const std::vector<std::uint64_t>& v) {

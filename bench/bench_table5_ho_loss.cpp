@@ -41,7 +41,7 @@ double run_one(int fan_in, int n_scale, bool with_cc) {
   FlowGenParams fg;
   fg.load = 0.3;
   fg.num_flows = full_scale() ? 2000 : 300;
-  fg.msg_bytes = kRunnerMsgBytes;
+  fg.msg_bytes = kFlowMsgBytes;
   generate_poisson_flows(net, topo.hosts, SizeDist::websearch(), fg);
 
   IncastParams inc;
@@ -49,7 +49,7 @@ double run_one(int fan_in, int n_scale, bool with_cc) {
   inc.bursts = 4;
   inc.load = 0.5;
   inc.bytes_per_sender = 64 * 1024;
-  inc.msg_bytes = kRunnerMsgBytes;
+  inc.msg_bytes = kFlowMsgBytes;
   generate_incast(net, topo.hosts, inc);
 
   net.run_until_done(seconds(10));

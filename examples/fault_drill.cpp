@@ -14,12 +14,12 @@
 using namespace dcp;
 
 int main(int argc, char** argv) {
-  FaultDrillParams p;
+  WorldSpec spec = experiment_world(Experiment::kFaultDrill);
   if (argc > 1) {
     const std::string s = argv[1];
-    if (s == "irn") p.scheme = SchemeKind::kIrn;
-    else if (s == "gbn" || s == "cx5") p.scheme = SchemeKind::kCx5;
-    else if (s == "mprdma") p.scheme = SchemeKind::kMpRdma;
+    if (s == "irn") spec.scheme = SchemeKind::kIrn;
+    else if (s == "gbn" || s == "cx5") spec.scheme = SchemeKind::kCx5;
+    else if (s == "mprdma") spec.scheme = SchemeKind::kMpRdma;
     else if (s != "dcp") {
       std::fprintf(stderr, "unknown scheme '%s' (dcp|irn|gbn|mprdma)\n", s.c_str());
       return 1;
@@ -37,24 +37,25 @@ int main(int argc, char** argv) {
     flap.sw = 0;
     flap.port = 0;
     flap.drop_in_flight = true;
-    p.faults.actions.push_back(flap);
+    spec.faults.actions.push_back(flap);
 
     FaultAction ho;
     ho.kind = FaultKind::kHoLoss;
     ho.at = microseconds(800);
     ho.duration = microseconds(400);
     ho.rate = 0.2;
-    p.faults.actions.push_back(ho);
+    spec.faults.actions.push_back(ho);
   }
-  p.flow_bytes = 8ull * 1000 * 1000;
+  spec.flows[0].bytes = 8ull * 1000 * 1000;
 
   banner("Fault drill: link flap + control-queue loss");
-  std::printf("plan:\n%s\n", p.faults.to_config_text().c_str());
+  std::printf("plan:\n%s\n", spec.faults.to_config_text().c_str());
 
-  const FaultDrillResult r = run_fault_drill(p);
+  SimWorld w(spec);
+  const FlowResult r = read_flow(w);
 
   std::printf("scheme %s: goodput %.2f Gbps, completed=%s, elapsed %.1f us\n",
-              scheme_name(p.scheme), r.goodput_gbps, r.completed ? "yes" : "no",
+              scheme_name(spec.scheme), r.goodput_gbps, r.completed ? "yes" : "no",
               to_us(r.elapsed));
   std::printf("wire: dropped %llu  corrupted %llu  blackholed %llu  in-flight killed %llu\n",
               static_cast<unsigned long long>(r.wire.dropped),

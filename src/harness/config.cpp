@@ -16,31 +16,10 @@
 namespace dcp {
 namespace {
 
-using Kind = ExperimentConfig::Kind;
-
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
-}
-
-constexpr std::pair<const char*, Kind> kExperiments[] = {
-    {"websearch", Kind::kWebSearch},         {"longflow", Kind::kLongFlow},
-    {"collective", Kind::kCollective},       {"unequal_paths", Kind::kUnequalPaths},
-    {"fault_drill", Kind::kFaultDrill},      {"wanflow", Kind::kWanFlow}};
-
-/// The defaults an experiment starts from: its runner's default params.
-WorldSpec preset(Kind k) {
-  switch (k) {
-    case Kind::kWebSearch: return websearch_spec({});
-    case Kind::kLongFlow: return long_flow_spec({});
-    case Kind::kCollective: return collectives_spec({});
-    case Kind::kUnequalPaths:
-      return unequal_paths_spec(SchemeKind::kDcp, 4.0, LongFlowParams{}.flow_bytes);
-    case Kind::kFaultDrill: return fault_drill_spec({});
-    case Kind::kWanFlow: return wan_flow_spec({});
-  }
-  return {};
 }
 
 // The spellings of each named value; the first is the one written.
@@ -100,6 +79,7 @@ struct Key {
   }
 };
 
+bool injector_seeded(const WorldSpec& s) { return s.injector_seed.has_value(); }
 bool poisson(const WorldSpec& s) { return s.poisson_flows > 0; }
 bool incast(const WorldSpec& s) { return s.with_incast; }
 bool collectives(const WorldSpec& s) { return s.groups > 0; }
@@ -110,7 +90,10 @@ constexpr std::optional<TopoKind> kTestbed = TopoKind::kTestbed;
 const Key kKeys[] = {
     {"experiment"},
     {"seed", [](WorldSpec& s) -> Ref { return &s.seed; }},
-    {"injector_seed", [](WorldSpec& s) -> Ref { return &s.injector_seed; }},
+    // Unset, the builder derives it from `seed`; reading the key sets it.
+    {"injector_seed",
+     [](WorldSpec& s) -> Ref { return &s.injector_seed.emplace(s.injector_seed.value_or(0)); },
+     {}, injector_seeded},
     {"max_time_ms", [](WorldSpec& s) -> Ref { return &s.max_time; }},
     {"scheme", [](WorldSpec& s) -> Ref { return &s.scheme; }},
     {"with_cc", [](WorldSpec& s) -> Ref { return &s.opt.with_cc; }},
@@ -230,7 +213,8 @@ std::string read_flow(const std::string& line, WorldFlow* f) {
     const std::string val = eq == std::string::npos ? "" : kv.substr(eq + 1);
     bool ok = false;
     if (key == "src") ok = parse_int(val, &f->src);
-    else if (key == "dst") ok = parse_int(val, &f->dst);
+    else if (key == "dst" && val == "across") ok = (f->dst = WorldFlow::kAcross, true);
+    else if (key == "dst") ok = parse_int(val, &f->dst) && f->dst >= 0;
     else if (key == "bytes") ok = parse_uint(val, &f->bytes);
     else if (key == "msg") ok = parse_uint(val, &f->msg_bytes);
     else if (key == "start") ok = parse_time(val, &f->start) && f->start >= 0;
@@ -306,7 +290,7 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
   }
 
   // Pass 2: values, over the experiment's defaults.
-  const WorldSpec defaults = preset(cfg.kind);
+  const WorldSpec defaults = experiment_world(cfg.kind);
   WorldSpec& s = cfg.spec;
   s = defaults;
   s.faults = faults;
@@ -314,7 +298,6 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
   int collective_line = 0;
   std::optional<std::uint64_t> flow_bytes;
   int flow_bytes_line = 0;
-  bool injector_seed = false;
   for (const Entry& e : entries) {
     const std::string name = e.key->name;
     if (e.key->topo) {
@@ -328,7 +311,6 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
       topo_line = e.line;
     }
     if (name == "groups" || name == "members") collective_line = e.line;
-    injector_seed = injector_seed || name == "injector_seed";
     std::string err;
     double ratio = 0;
     std::uint64_t bytes = 0;
@@ -341,7 +323,7 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
     } else if (name == "ratio") {
       if (!parse_double(e.val, &ratio)) err = "bad numeric value '" + e.val + "' for 'ratio'";
       else if (ratio <= 0) err = "ratio must be > 0";
-      else s.testbed.cross_links = {Bandwidth::gbps(100), Bandwidth::gbps(100.0 / ratio)};
+      else s.testbed.cross_links = unequal_cross_links(ratio);
     }
     if (err.empty() && s.opt.fec_k + s.opt.fec_m > 256) err = "fec_k + fec_m must be <= 256";
     if (err.empty() && name == "fattree_k" && s.fattree.k % 2 != 0) err = "fattree_k must be even";
@@ -355,28 +337,30 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
   }
   if (!flows.empty()) {
     if (flow_bytes) return fail(flows.front().first, "flow lines and flow_bytes both set flows");
-    // The unequal-paths readout compares the goodputs of two flows.
-    if (cfg.kind == Kind::kUnequalPaths && flows.size() < 2) {
-      return fail(flows.front().first, "unequal_paths compares two flows; one flow line given");
+    // A readout of the experiment's own flows reads exactly that many: one
+    // flow, or the two the unequal-paths readout compares.
+    if (const std::size_t n = defaults.flows.size(); n > 0 && flows.size() != n) {
+      return fail(flows[std::min(flows.size() - 1, n)].first,
+                  to_name(cfg.kind, kExperiments) +
+                      (n == 1 ? " reads one flow; " : " compares two flows; ") +
+                      std::to_string(flows.size()) + " given");
     }
     s.flows.clear();
     for (const auto& [line, f] : flows) s.flows.push_back(f);
-  } else if (!defaults.flows.empty()) {
-    // The experiment's own flows, re-derived over the final topology.
-    s.flows = cross_flows(s, static_cast<int>(defaults.flows.size()),
-                          flow_bytes.value_or(defaults.flows.front().bytes),
-                          defaults.flows.front().msg_bytes);
   } else if (flow_bytes) {
-    return fail(flow_bytes_line,
-                "flow_bytes sizes the flows of longflow, unequal_paths, fault_drill and "
-                "wanflow; this experiment has none");
+    if (s.flows.empty()) {
+      return fail(flow_bytes_line,
+                  "flow_bytes sizes the flows of longflow, unequal_paths, fault_drill and "
+                  "wanflow; this experiment has none");
+    }
+    for (WorldFlow& f : s.flows) f.bytes = *flow_bytes;
   }
-  // A flow line's endpoints, or the experiment's own flows re-derived over
-  // a topology too small for them, must be two distinct hosts.
+  // A flow line's endpoints, or the experiment's own flows across a
+  // topology too small for them, must be two distinct hosts.
   for (std::size_t i = 0; i < s.flows.size(); ++i) {
     const WorldFlow& f = s.flows[i];
-    if (f.src < 0 || f.dst < 0 || f.src >= s.num_hosts() || f.dst >= s.num_hosts() ||
-        f.src == f.dst) {
+    const int dst = s.dst_of(f);
+    if (f.src < 0 || dst < 0 || f.src >= s.num_hosts() || dst >= s.num_hosts() || f.src == dst) {
       return fail(flows.empty() ? topo_line : flows[i].first,
                   "flow endpoints out of range (or src == dst)");
     }
@@ -394,7 +378,6 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
                       std::to_string(fit) + " fit)");
     }
   }
-  if (!injector_seed) s.injector_seed = s.seed ^ kRunnerInjectorTag;
   return cfg;
 }
 
@@ -423,7 +406,8 @@ std::string world_text(const WorldSpec& spec) {
     }
   }
   for (const WorldFlow& f : s.flows) {
-    out += "flow src=" + std::to_string(f.src) + " dst=" + std::to_string(f.dst) +
+    out += "flow src=" + std::to_string(f.src) +
+           " dst=" + (f.dst == WorldFlow::kAcross ? "across" : std::to_string(f.dst)) +
            " bytes=" + std::to_string(f.bytes) + " msg=" + std::to_string(f.msg_bytes) +
            " start=" + time_to_str(f.start) + "\n";
   }
@@ -447,7 +431,7 @@ std::string run_configured_experiment(const ExperimentConfig& cfg) {
   };
   const auto yes = [](bool b) { return b ? "yes" : "no"; };
   switch (cfg.kind) {
-    case Kind::kWebSearch: {
+    case Experiment::kWebSearch: {
       WebSearchResult r = read_websearch(w);
       PercentileEstimator& bg = r.background.overall();
       return fmt("websearch %s: flows %zu/%zu  P50 %.2f  P95 %.2f  P99 %.2f  timeouts %llu  "
@@ -457,26 +441,26 @@ std::string run_configured_experiment(const ExperimentConfig& cfg) {
                  static_cast<unsigned long long>(r.timeouts_background + r.timeouts_incast),
                  static_cast<unsigned long long>(r.sw.trimmed));
     }
-    case Kind::kLongFlow: {
-      const LongFlowResult r = read_long_flow(w);
+    case Experiment::kLongFlow: {
+      const FlowResult r = read_flow(w);
       return fmt("longflow %s: goodput %.2f Gbps  completed=%s\n", scheme, r.goodput_gbps,
                  yes(r.completed));
     }
-    case Kind::kCollective: {
+    case Experiment::kCollective: {
       const CollectiveResult r = read_collectives(w);
       double worst = 0;
       for (double j : r.jct_ms) worst = std::max(worst, j);
       return fmt("collective %s: groups %zu  worst JCT %.2f ms  ideal %.2f ms  done=%s\n", scheme,
                  r.jct_ms.size(), worst, r.ideal_jct_ms, yes(r.all_done));
     }
-    case Kind::kUnequalPaths: {
+    case Experiment::kUnequalPaths: {
       const UnequalPathsResult r = read_unequal_paths(w);
       const std::vector<Bandwidth>& links = cfg.spec.testbed.cross_links;
       return fmt("unequal_paths %s ratio 1:%g: avg goodput %.2f Gbps\n", scheme,
                  links.front().as_gbps() / links.back().as_gbps(), r.avg_goodput_gbps);
     }
-    case Kind::kWanFlow: {
-      const WanFlowResult r = read_wan_flow(w);
+    case Experiment::kWanFlow: {
+      const FlowResult r = read_flow(w);
       return fmt("wanflow %s: goodput %.2f Gbps  completed=%s  wire drops %llu  "
                  "decode-recovered %llu  nack-recovered %llu\n",
                  scheme, r.goodput_gbps, yes(r.completed),
@@ -484,8 +468,8 @@ std::string run_configured_experiment(const ExperimentConfig& cfg) {
                  static_cast<unsigned long long>(r.receiver.decode_recovered_packets),
                  static_cast<unsigned long long>(r.receiver.nack_recovered_packets));
     }
-    case Kind::kFaultDrill: {
-      const FaultDrillResult r = read_fault_drill(w);
+    case Experiment::kFaultDrill: {
+      const FlowResult r = read_flow(w);
       std::string out = fmt("fault_drill %s: goodput %.2f Gbps  completed=%s  episodes %zu  "
                             "wire drops %llu  corrupt %llu  blackholed %llu\n",
                             scheme, r.goodput_gbps, yes(r.completed), r.fault_episodes.size(),

@@ -6,18 +6,6 @@ namespace dcp {
 
 namespace {
 
-WorldSpec runner_spec(SchemeKind scheme, const SchemeOptions& opt, std::uint64_t seed,
-                      Time max_time, const FaultPlan& faults) {
-  WorldSpec s;
-  s.scheme = scheme;
-  s.opt = opt;
-  s.seed = seed;
-  s.max_time = max_time;
-  s.faults = faults;
-  s.injector_seed = seed ^ kRunnerInjectorTag;
-  return s;
-}
-
 // Hangs a RecoveryStats collector off the world's injector when the plan
 // has any effect; plans whose actions are all no-ops attach nothing,
 // keeping the event sequence bit-identical to a fault-free run.
@@ -57,19 +45,6 @@ double gbps(std::uint64_t bytes, Time elapsed) {
   return static_cast<double>(bytes) * 8.0 / (static_cast<double>(elapsed) / kSecond) / 1e9;
 }
 
-// The readout every one-flow runner shares: completion, elapsed time, the
-// end stats (as of the stop for an end that did not finish inside the
-// budget) and goodput over the elapsed time.
-template <typename Result>
-void read_single_flow(SimWorld& w, Result& r) {
-  const FlowRecord& rec = w.net().records().front();
-  r.completed = rec.complete();
-  r.elapsed = r.completed ? rec.fct() : w.net().sim().now();
-  r.receiver = rec.receiver;
-  r.sender = rec.sender;
-  if (r.elapsed > 0) r.goodput_gbps = gbps(r.receiver.bytes_received, r.elapsed);
-}
-
 std::vector<InvariantViolation> oracle_violations(SimWorld& w) {
   if (w.oracle() == nullptr) return {};
   w.oracle()->finalize();
@@ -78,47 +53,74 @@ std::vector<InvariantViolation> oracle_violations(SimWorld& w) {
 
 }  // namespace
 
-std::vector<WorldFlow> cross_flows(const WorldSpec& s, int count, std::uint64_t bytes,
-                                   std::uint64_t msg_bytes) {
-  std::vector<WorldFlow> flows;
-  for (int i = 0; i < count; ++i) flows.push_back({i, s.shape().far + i, bytes, msg_bytes, 0});
-  return flows;
-}
-
-WorldSpec long_flow_spec(const LongFlowParams& p) {
-  WorldSpec s = runner_spec(p.scheme, p.opt, p.seed, p.max_time, p.faults);
-  s.topo = TopoKind::kTestbed;
-  s.testbed.cross_link_delay = p.cross_link_delay;
-  s.loss_rate = p.loss_rate;
-  s.flows = cross_flows(s, 1, p.flow_bytes, kRunnerMsgBytes);
+WorldSpec experiment_world(Experiment e) {
+  // A long flow from host `src` across the fabric, in 4 MB messages.
+  const auto long_flow = [](int src) {
+    return WorldFlow{src, WorldFlow::kAcross, 25ull * 1000 * 1000, kFlowMsgBytes};
+  };
+  WorldSpec s;
+  switch (e) {
+    case Experiment::kWebSearch:
+      s.seed = 42;
+      s.poisson_flows = 500;
+      s.max_time = seconds(2);
+      break;
+    case Experiment::kLongFlow:
+      s.topo = TopoKind::kTestbed;
+      s.flows = {long_flow(0)};
+      s.max_time = milliseconds(200);
+      break;
+    case Experiment::kCollective:
+      s.groups = 4;
+      s.max_time = seconds(5);
+      break;
+    case Experiment::kUnequalPaths:
+      s.topo = TopoKind::kTestbed;
+      s.testbed.cross_links = unequal_cross_links(4.0);
+      s.flows = {long_flow(0), long_flow(1)};
+      s.max_time = milliseconds(500);
+      break;
+    case Experiment::kFaultDrill:
+      s.clos.spines = s.clos.leaves = s.clos.hosts_per_leaf = 2;
+      // Receivers account unique bytes at *message completion*, so the
+      // drill posts its flow in messages well below what line rate
+      // delivers in one RecoveryStats::kSampleInterval: with one
+      // flow-sized message the goodput sampler would see nothing until
+      // the very end.
+      s.flows = {{0, WorldFlow::kAcross, 8ull * 1000 * 1000, 64 * 1024}};
+      s.max_time = milliseconds(100);
+      break;
+    case Experiment::kWanFlow:
+      s.topo = TopoKind::kWan;
+      s.scheme = SchemeKind::kFec;
+      s.flows = {long_flow(0)};
+      s.max_time = seconds(10);
+      break;
+  }
   return s;
 }
 
-LongFlowResult read_long_flow(SimWorld& w) {
+std::vector<Bandwidth> unequal_cross_links(double ratio) {
+  return {Bandwidth::gbps(100), Bandwidth::gbps(100.0 / ratio)};
+}
+
+FlowResult read_flow(SimWorld& w) {
   Recovery faults(w);
-  LongFlowResult r;
+  FlowResult r;
   r.core = run_timed(w);
+  r.violations = oracle_violations(w);
   faults.finish(w, r.fault_episodes, r.wire);
-  read_single_flow(w, r);
+  // The end stats are as of the stop for an end that did not finish
+  // inside the budget.
+  const FlowRecord& rec = w.net().records().front();
+  r.completed = rec.complete();
+  r.elapsed = r.completed ? rec.fct() : w.net().sim().now();
+  r.receiver = rec.receiver;
+  r.sender = rec.sender;
+  if (r.elapsed > 0) r.goodput_gbps = gbps(r.receiver.bytes_received, r.elapsed);
   r.sw = w.net().total_switch_stats();
+  r.wire_dropped = w.wire_dropped();
   return r;
-}
-
-LongFlowResult run_long_flow(const LongFlowParams& p) {
-  SimWorld w(long_flow_spec(p));
-  return read_long_flow(w);
-}
-
-WorldSpec unequal_paths_spec(SchemeKind scheme, double ratio, std::uint64_t flow_bytes,
-                             const SchemeOptions& opt, std::uint16_t sport_base) {
-  WorldSpec s = runner_spec(scheme, opt, 1, milliseconds(500), {});
-  s.topo = TopoKind::kTestbed;
-  // Two cross links with capacities 1 : 1/ratio (the paper modifies port
-  // capacities to 1:1, 1:4, 1:10).
-  s.testbed.cross_links = {Bandwidth::gbps(100), Bandwidth::gbps(100.0 / ratio)};
-  s.sport_base = sport_base;
-  s.flows = cross_flows(s, 2, flow_bytes, kRunnerMsgBytes);
-  return s;
 }
 
 UnequalPathsResult read_unequal_paths(SimWorld& w) {
@@ -131,72 +133,6 @@ UnequalPathsResult read_unequal_paths(SimWorld& w) {
   }
   r.avg_goodput_gbps = (r.flow_goodputs[0] + r.flow_goodputs[1]) / 2.0;
   return r;
-}
-
-UnequalPathsResult run_unequal_paths(SchemeKind scheme, double ratio, std::uint64_t flow_bytes,
-                                     const SchemeOptions& opt, std::uint16_t sport_base) {
-  SimWorld w(unequal_paths_spec(scheme, ratio, flow_bytes, opt, sport_base));
-  return read_unequal_paths(w);
-}
-
-WorldSpec fault_drill_spec(const FaultDrillParams& p) {
-  WorldSpec s = runner_spec(p.scheme, p.opt, p.seed, p.max_time, p.faults);
-  s.clos = p.clos;
-  // One long cross-rack flow: first host of the first leaf to the first
-  // host of the last leaf, so every leaf-spine link is a candidate path.
-  s.flows = cross_flows(s, 1, p.flow_bytes, p.msg_bytes);
-  s.oracle = p.oracle;
-  return s;
-}
-
-FaultDrillResult read_fault_drill(SimWorld& w) {
-  Recovery faults(w);
-  FaultDrillResult r;
-  r.core = run_timed(w);
-  r.violations = oracle_violations(w);
-  faults.finish(w, r.fault_episodes, r.wire);
-  read_single_flow(w, r);
-  r.sw = w.net().total_switch_stats();
-  return r;
-}
-
-FaultDrillResult run_fault_drill(const FaultDrillParams& p) {
-  SimWorld w(fault_drill_spec(p));
-  return read_fault_drill(w);
-}
-
-WorldSpec wan_flow_spec(const WanFlowParams& p) {
-  WorldSpec s = runner_spec(p.scheme, p.opt, p.seed, p.max_time, {});
-  s.topo = TopoKind::kWan;
-  s.wan = p.wan;
-  s.flows = cross_flows(s, 1, p.flow_bytes, kRunnerMsgBytes);
-  s.oracle = p.oracle;
-  return s;
-}
-
-WanFlowResult read_wan_flow(SimWorld& w) {
-  WanFlowResult r;
-  r.core = run_timed(w);
-  r.violations = oracle_violations(w);
-  read_single_flow(w, r);
-  r.wire_dropped = w.wire_dropped();
-  return r;
-}
-
-WanFlowResult run_wan_flow(const WanFlowParams& p) {
-  SimWorld w(wan_flow_spec(p));
-  return read_wan_flow(w);
-}
-
-WorldSpec websearch_spec(const WebSearchParams& p) {
-  WorldSpec s = runner_spec(p.scheme, p.opt, p.seed, p.max_time, p.faults);
-  s.clos = p.clos;
-  s.poisson_flows = p.num_flows;
-  s.load = p.load;
-  s.dist = p.dist;
-  s.with_incast = p.with_incast;
-  s.incast = p.incast;
-  return s;
 }
 
 WebSearchResult read_websearch(SimWorld& w) {
@@ -234,22 +170,6 @@ WebSearchResult read_websearch(SimWorld& w) {
   return r;
 }
 
-WebSearchResult run_websearch(const WebSearchParams& p) {
-  SimWorld w(websearch_spec(p));
-  return read_websearch(w);
-}
-
-WorldSpec collectives_spec(const CollectiveExpParams& p) {
-  WorldSpec s = runner_spec(p.scheme, p.opt, 1, p.max_time, {});
-  s.topo = p.use_clos ? TopoKind::kClos : TopoKind::kTestbed;
-  s.clos = p.clos;
-  s.groups = p.groups;
-  s.members = p.members_per_group;
-  s.collective = p.kind;
-  s.collective_bytes = p.total_bytes;
-  return s;
-}
-
 CollectiveResult read_collectives(SimWorld& w) {
   const WorldSpec& s = w.spec();
   CollectiveResult r;
@@ -269,11 +189,6 @@ CollectiveResult read_collectives(SimWorld& w) {
                              ? RingAllReduce::ideal_jct(ideal, s.shape().rate)
                              : AllToAll::ideal_jct(ideal, s.shape().rate));
   return r;
-}
-
-CollectiveResult run_collectives(const CollectiveExpParams& p) {
-  SimWorld w(collectives_spec(p));
-  return read_collectives(w);
 }
 
 }  // namespace dcp

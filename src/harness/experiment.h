@@ -1,11 +1,20 @@
 #pragma once
-// One-call experiment runners shared by the bench binaries and the
-// integration tests.  run_X(params) maps its params onto a WorldSpec
-// (X_spec), builds the SimWorld (harness/world.h), then runs it and reads
-// back the measurements the paper plots (read_X).  The readouts also serve
-// config files (harness/config.h), which describe a world directly.
+// Experiments: each is a preset world plus a readout.  A bench, a test and
+// a config file (harness/config.h) all describe a run the same way: take
+// the preset, set WorldSpec fields, build the SimWorld (harness/world.h),
+// then read it:
+//
+//   WorldSpec s = experiment_world(Experiment::kLongFlow);
+//   s.scheme = SchemeKind::kIrn;
+//   s.loss_rate = 0.01;
+//   SimWorld w(s);
+//   const FlowResult r = read_flow(w);
+//
+// A readout runs the world to completion and reads back the measurements
+// the paper plots.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "harness/world.h"
@@ -16,30 +25,40 @@
 
 namespace dcp {
 
-/// The injector seed every runner derives from its run seed (seed ^ tag).
-inline constexpr std::uint64_t kRunnerInjectorTag = 0xfa017;
+enum class Experiment { kWebSearch, kLongFlow, kCollective, kUnequalPaths, kFaultDrill, kWanFlow };
 
-/// The flows the one-flow runners post: flow i goes from host i to host
-/// shape().far + i, across the fabric.  All start at 0.
-std::vector<WorldFlow> cross_flows(const WorldSpec& s, int count, std::uint64_t bytes,
-                                   std::uint64_t msg_bytes);
+/// Every experiment under its config name (`experiment = longflow`).
+inline constexpr std::pair<const char*, Experiment> kExperiments[] = {
+    {"websearch", Experiment::kWebSearch},     {"longflow", Experiment::kLongFlow},
+    {"collective", Experiment::kCollective},   {"unequal_paths", Experiment::kUnequalPaths},
+    {"fault_drill", Experiment::kFaultDrill},  {"wanflow", Experiment::kWanFlow}};
+
+/// The world an experiment starts from:
+///  - websearch: Poisson WebSearch arrivals on the Clos (Figs. 1, 2, 13,
+///    15, 16; Table 5), optionally with incast;
+///  - longflow: one long flow across the testbed (Figs. 10, 17), with
+///    `loss_rate` at switch 1;
+///  - collective: ring all-reduce or all-to-all groups on the Clos, or on
+///    the testbed (Figs. 12, 14);
+///  - unequal_paths: two flows over the testbed's two unequal cross links
+///    (Fig. 11); `sport_base` varies the ECMP hash draw across trials;
+///  - fault_drill: one long flow across a 2x2x2 Clos, under `faults`;
+///  - wanflow: one flow from region 0 to region 1 of the WAN (Fig. 18);
+///    its wire loss (`wan.wan_loss_rate`) is drawn per wire direction on
+///    the sending side, so it shards by region bit-identically.
+/// A preset's flows go across the fabric (WorldFlow::kAcross), so they
+/// follow a topology the caller resizes.
+WorldSpec experiment_world(Experiment e);
+
+/// The testbed's two cross links at capacities 1 : 1/ratio (the paper sets
+/// port capacities to 1:1, 1:4 and 1:10).
+std::vector<Bandwidth> unequal_cross_links(double ratio);
 
 // ---------------------------------------------------------------------------
-// Long-running flow on the testbed (Figs. 10, 17, long-haul)
+// One flow: longflow, fault_drill and wanflow
 // ---------------------------------------------------------------------------
 
-struct LongFlowParams {
-  SchemeKind scheme = SchemeKind::kDcp;
-  SchemeOptions opt;
-  double loss_rate = 0.0;            // injected at switch 1
-  std::uint64_t flow_bytes = 25ull * 1000 * 1000;
-  Time max_time = milliseconds(200);
-  Time cross_link_delay = microseconds(1);  // 50 us = the 10 km fiber
-  std::uint64_t seed = 1;
-  FaultPlan faults;  // optional: injected while the flow runs
-};
-
-struct LongFlowResult {
+struct FlowResult {
   double goodput_gbps = 0.0;   // receiver bytes / elapsed
   bool completed = false;
   Time elapsed = 0;
@@ -48,12 +67,15 @@ struct LongFlowResult {
   Switch::Stats sw;
   std::vector<RecoveryStats::Episode> fault_episodes;  // one per fired action
   FaultInjector::Counters wire;                        // wire-level fault tally
+  std::uint64_t wire_dropped = 0;  // random WAN-loss drops across the mesh
   CorePerf core;  // simulator substrate speed for this run
+  std::vector<InvariantViolation> violations;  // only when the oracle is armed
 };
 
-WorldSpec long_flow_spec(const LongFlowParams& p);
-LongFlowResult read_long_flow(SimWorld& w);
-LongFlowResult run_long_flow(const LongFlowParams& p);
+/// Reads the world's one flow.  A plan with an effect also yields its
+/// recovery episodes and wire tally; a plan whose actions are all no-ops
+/// attaches nothing, so the run stays bit-identical to a fault-free one.
+FlowResult read_flow(SimWorld& w);
 
 // ---------------------------------------------------------------------------
 // Adaptive routing over unequal paths (Fig. 11)
@@ -65,34 +87,11 @@ struct UnequalPathsResult {
   CorePerf core;
 };
 
-/// Two cross-switch flows over two cross links with capacity `ratio`:1.
-/// `sport_base` varies the ECMP hash draw across trials.
-WorldSpec unequal_paths_spec(SchemeKind scheme, double ratio, std::uint64_t flow_bytes,
-                             const SchemeOptions& opt = {}, std::uint16_t sport_base = 10000);
 UnequalPathsResult read_unequal_paths(SimWorld& w);
-UnequalPathsResult run_unequal_paths(SchemeKind scheme, double ratio,
-                                     std::uint64_t flow_bytes = 12ull * 1000 * 1000,
-                                     const SchemeOptions& opt = {},
-                                     std::uint16_t sport_base = 10000);
 
 // ---------------------------------------------------------------------------
-// WebSearch background (+ optional incast) on the CLOS fabric
-// (Figs. 1, 2, 13, 15, 16; Table 5)
+// WebSearch background (+ optional incast) on the Clos
 // ---------------------------------------------------------------------------
-
-struct WebSearchParams {
-  SchemeKind scheme = SchemeKind::kDcp;
-  SchemeOptions opt;
-  ClosParams clos;                 // sw config is overwritten by the scheme
-  WorkloadDist dist = WorkloadDist::kWebSearch;
-  double load = 0.3;
-  std::size_t num_flows = 500;
-  bool with_incast = false;
-  IncastParams incast;
-  Time max_time = seconds(2);
-  std::uint64_t seed = 42;
-  FaultPlan faults;  // optional: injected under the background workload
-};
 
 struct RetransSample {
   std::uint64_t flow_bytes;
@@ -117,103 +116,11 @@ struct WebSearchResult {
   CorePerf core;
 };
 
-WorldSpec websearch_spec(const WebSearchParams& p);
 WebSearchResult read_websearch(SimWorld& w);
-WebSearchResult run_websearch(const WebSearchParams& p);
-
-// ---------------------------------------------------------------------------
-// Fault drill: one long cross-rack flow under a FaultPlan
-// ---------------------------------------------------------------------------
-//
-// The canonical robustness experiment: a small leaf-spine fabric carries a
-// single long flow, the plan's faults fire mid-transfer, and the result
-// reports how the scheme rode them out.  An empty (or all-no-op) plan runs
-// bit-identically to a fault-free baseline.
-
-struct FaultDrillParams {
-  SchemeKind scheme = SchemeKind::kDcp;
-  SchemeOptions opt;
-  FaultPlan faults;
-  ClosParams clos = [] { ClosParams c; c.spines = c.leaves = c.hosts_per_leaf = 2; return c; }();
-  std::uint64_t flow_bytes = 8ull * 1000 * 1000;
-  // Receivers account unique bytes at *message completion*, so the drill
-  // posts the flow at a granularity well below what line rate delivers in
-  // one RecoveryStats::kSampleInterval — with one flow-sized message the
-  // goodput sampler would see nothing until the very end.
-  std::uint64_t msg_bytes = 64 * 1024;
-  Time max_time = milliseconds(100);
-  std::uint64_t seed = 1;
-  /// Arms the InvariantOracle for the whole run; violations land in
-  /// FaultDrillResult::violations.  Off by default (≈ zero-cost hooks).
-  bool oracle = false;
-};
-
-struct FaultDrillResult {
-  double goodput_gbps = 0.0;
-  bool completed = false;
-  Time elapsed = 0;
-  SenderStats sender;
-  ReceiverStats receiver;
-  Switch::Stats sw;
-  std::vector<RecoveryStats::Episode> fault_episodes;
-  FaultInjector::Counters wire;
-  CorePerf core;
-  std::vector<InvariantViolation> violations;  // only when params.oracle
-};
-
-WorldSpec fault_drill_spec(const FaultDrillParams& p);
-FaultDrillResult read_fault_drill(SimWorld& w);
-FaultDrillResult run_fault_drill(const FaultDrillParams& p);
-
-// ---------------------------------------------------------------------------
-// WAN cross-region flow (bench_fig18): lossy long-haul links
-// ---------------------------------------------------------------------------
-//
-// One flow from region 0 to region 1 over the WAN mesh.  Ambient wire loss
-// comes from the topology's per-direction ChannelFault substreams, which
-// are shard-safe (each is drawn only by its channel's source-side thread),
-// so these runs shard by region and stay bit-identical across DCP_SHARDS.
-
-struct WanFlowParams {
-  SchemeKind scheme = SchemeKind::kFec;
-  SchemeOptions opt;
-  WanParams wan;
-  std::uint64_t flow_bytes = 25ull * 1000 * 1000;
-  Time max_time = seconds(10);
-  std::uint64_t seed = 1;
-  bool oracle = false;
-};
-
-struct WanFlowResult {
-  double goodput_gbps = 0.0;
-  bool completed = false;
-  Time elapsed = 0;
-  SenderStats sender;
-  ReceiverStats receiver;
-  std::uint64_t wire_dropped = 0;  // random WAN-loss drops across the mesh
-  CorePerf core;
-  std::vector<InvariantViolation> violations;  // only when params.oracle
-};
-
-WorldSpec wan_flow_spec(const WanFlowParams& p);
-WanFlowResult read_wan_flow(SimWorld& w);
-WanFlowResult run_wan_flow(const WanFlowParams& p);
 
 // ---------------------------------------------------------------------------
 // Collectives (Figs. 12, 14)
 // ---------------------------------------------------------------------------
-
-struct CollectiveExpParams {
-  SchemeKind scheme = SchemeKind::kDcp;
-  SchemeOptions opt;
-  CollectiveKind kind = CollectiveKind::kAllReduce;
-  int groups = 4;
-  int members_per_group = 4;
-  std::uint64_t total_bytes = 16ull * 1024 * 1024;  // per collective op
-  bool use_clos = true;      // false: the 2-switch testbed (Fig. 12)
-  ClosParams clos;
-  Time max_time = seconds(5);
-};
 
 struct CollectiveResult {
   std::vector<double> jct_ms;        // one per group
@@ -223,8 +130,6 @@ struct CollectiveResult {
   CorePerf core;
 };
 
-WorldSpec collectives_spec(const CollectiveExpParams& p);
 CollectiveResult read_collectives(SimWorld& w);
-CollectiveResult run_collectives(const CollectiveExpParams& p);
 
 }  // namespace dcp

@@ -49,11 +49,8 @@ int resolve_shards(int units, bool has_faults) {
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(jobs < 1 ? 1 : jobs) {
   // jobs_ == 1 is the serial path: no pool at all, trials run inline on
   // the caller.  Otherwise spawn jobs_ - 1 workers; the caller is worker 0.
-  worker_stats_.resize(jobs_);
   threads_.reserve(jobs_ - 1);
-  for (unsigned w = 1; w < jobs_; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
-  }
+  for (unsigned w = 1; w < jobs_; ++w) threads_.emplace_back([this] { worker_loop(); });
 }
 
 SweepRunner::~SweepRunner() {
@@ -65,7 +62,7 @@ SweepRunner::~SweepRunner() {
   for (std::thread& t : threads_) t.join();
 }
 
-void SweepRunner::worker_loop(unsigned worker) {
+void SweepRunner::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     {
@@ -74,30 +71,20 @@ void SweepRunner::worker_loop(unsigned worker) {
       if (shutdown_) return;
       seen = generation_;
     }
-    work(worker);
+    work();
   }
 }
 
-void SweepRunner::work(unsigned worker) {
-  WorkerStats ws;
-  ws.worker = worker;
+void SweepRunner::work() {
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n_) break;
-    const auto t0 = std::chrono::steady_clock::now();
     (*job_)(i);
-    ws.busy_seconds += seconds_since(t0);
-    ++ws.trials;
     const std::size_t k = done_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (progress_) print_progress(k, n_);
   }
-  // Pool stats are thread-local, so only this worker can snapshot its own.
-  ws.pool = PacketPool::local().stats();
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    worker_stats_[worker] = ws;
-    if (++workers_idle_ == jobs_) cv_done_.notify_all();
-  }
+  std::lock_guard<std::mutex> lk(m_);
+  if (++workers_idle_ == jobs_) cv_done_.notify_all();
 }
 
 void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_t)>& job) {
@@ -114,11 +101,10 @@ void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_
     next_.store(0, std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
     workers_idle_ = 0;
-    for (WorkerStats& ws : worker_stats_) ws = WorkerStats{};
     ++generation_;
   }
   cv_work_.notify_all();
-  work(0);  // the caller pulls trials too (all of them when jobs_ == 1)
+  work();  // the caller pulls trials too (all of them when jobs_ == 1)
   {
     std::unique_lock<std::mutex> lk(m_);
     cv_done_.wait(lk, [&] { return workers_idle_ == jobs_; });

@@ -23,7 +23,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "net/packet_pool.h"
 #include "stats/core_perf.h"
 
 namespace dcp {
@@ -43,17 +42,6 @@ int resolve_shards(int units, bool has_faults);
 
 class SweepRunner {
  public:
-  /// Per-worker observability: how many trials each pool thread executed,
-  /// how long it was busy, and what its thread-local PacketPool looks like
-  /// afterwards — per-thread allocation behaviour is invisible in a plain
-  /// results vector, so the runner surfaces it here.
-  struct WorkerStats {
-    unsigned worker = 0;        // 0 = the calling thread
-    std::uint64_t trials = 0;
-    double busy_seconds = 0.0;  // wall time spent inside trial bodies
-    PacketPool::Stats pool;     // the worker's thread-local PacketPool
-  };
-
   explicit SweepRunner(unsigned jobs = sweep_jobs());
   ~SweepRunner();
 
@@ -83,13 +71,9 @@ class SweepRunner {
   /// Wall-clock seconds of the most recent run_indexed().
   double last_wall_seconds() const { return last_wall_seconds_; }
 
-  /// Worker stats of the most recent run_indexed(), indexed by worker
-  /// (worker 0 is the calling thread).
-  const std::vector<WorkerStats>& worker_stats() const { return worker_stats_; }
-
  private:
-  void worker_loop(unsigned worker);
-  void work(unsigned worker);  // pull trial indices until the sweep drains
+  void worker_loop();
+  void work();  // pull trial indices until the sweep drains
 
   const unsigned jobs_;
   bool progress_ = true;
@@ -108,7 +92,6 @@ class SweepRunner {
   std::atomic<std::size_t> done_{0};
   unsigned workers_idle_ = 0;
   bool shutdown_ = false;
-  std::vector<WorkerStats> worker_stats_;
   std::vector<std::thread> threads_;
 };
 

@@ -1,6 +1,8 @@
 #include "harness/world.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <typeinfo>
 
@@ -77,9 +79,16 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
   const WorldSpec& s = spec_;
 
   // 1. The shard group, over the topology's partition units.  A
-  // collective world keeps one (see docs/architecture.md).
+  // collective world keeps one unit, and a plan with an effect runs
+  // serially (see docs/architecture.md); asking either for more shards
+  // would run a different world, so it is refused in every build.
   const WorldSpec::Shape shape = s.shape();
   const int units = s.groups > 0 ? 1 : shape.units;
+  if (s.shards > 1 && (s.groups > 0 || s.faults.has_effect())) {
+    std::fprintf(stderr, "SimWorld: shards = %d refused: %s runs on one shard\n", s.shards,
+                 s.groups > 0 ? "a collective world" : "a fault plan with an effect");
+    std::abort();
+  }
   shards_ = std::make_unique<ShardGroup>(
       s.shards > 0 ? s.shards : resolve_shards(units, s.faults.has_effect()));
   log_ = std::make_unique<Logger>(LogLevel::kError);
@@ -143,7 +152,7 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
   for (const WorldFlow& f : s.flows) {
     FlowSpec fs;
     fs.src = hosts_.at(static_cast<std::size_t>(f.src))->id();
-    fs.dst = hosts_.at(static_cast<std::size_t>(f.dst))->id();
+    fs.dst = hosts_.at(static_cast<std::size_t>(s.dst_of(f)))->id();
     fs.bytes = f.bytes;
     fs.msg_bytes = f.msg_bytes;
     fs.start_time = f.start;
@@ -155,7 +164,7 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
     fg.host_rate = shape.rate;
     fg.num_flows = s.poisson_flows;
     fg.seed = s.seed;
-    fg.msg_bytes = kRunnerMsgBytes;
+    fg.msg_bytes = kFlowMsgBytes;
     generate_poisson_flows(
         *net_, hosts_,
         s.dist == WorkloadDist::kDataMining ? SizeDist::datamining() : SizeDist::websearch(), fg);
@@ -163,13 +172,13 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
   if (s.with_incast) {
     IncastParams ip = s.incast;
     ip.host_rate = shape.rate;
-    ip.msg_bytes = kRunnerMsgBytes;
+    ip.msg_bytes = kFlowMsgBytes;
     generate_incast(*net_, hosts_, ip);
   }
   for (int g = 0; g < s.groups; ++g) {
     CollectiveParams cp;
     cp.total_bytes = s.collective_bytes;
-    cp.msg_bytes = kRunnerMsgBytes;
+    cp.msg_bytes = kFlowMsgBytes;
     cp.group_tag = g;
     for (int m = 0; m < s.members; ++m) {
       // Member m of group g is host m * groups + g, interleaving groups
@@ -187,7 +196,8 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
   // 5-6. The oracle, then the injector.  A plan without effect arms
   // nothing and draws nothing, so the injector is event-stream-neutral.
   if (s.oracle) oracle_ = std::make_unique<InvariantOracle>(*net_);
-  inj_ = std::make_unique<FaultInjector>(*net_, s.faults, s.injector_seed);
+  inj_ = std::make_unique<FaultInjector>(*net_, s.faults,
+                                         s.injector_seed.value_or(s.seed ^ kInjectorSeedTag));
 }
 
 FuzzVerdict SimWorld::finalize_verdict() {

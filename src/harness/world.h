@@ -11,10 +11,11 @@
 //   SimWorld b(spec);  b.restore(img);             b.run_until_done();
 //
 // leaves a and b with identical digests AND identical events_processed.
-// The harness runners (harness/experiment.h) are readouts over a SimWorld.
+// The experiments (harness/experiment.h) are preset specs plus readouts.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,9 +37,12 @@
 namespace dcp {
 
 /// Message granularity (FlowSpec::msg_bytes) of every generated flow and
-/// of the runners' own flows.  14-bit counters support up to 16 MB per
+/// of the experiments' own flows.  14-bit counters support up to 16 MB per
 /// message at 1 KB MTU (§4.5); the fault drill posts finer messages.
-inline constexpr std::uint64_t kRunnerMsgBytes = 4 * 1024 * 1024;
+inline constexpr std::uint64_t kFlowMsgBytes = 4 * 1024 * 1024;
+
+/// Without an explicit `injector_seed`, the injector's seed is seed ^ tag.
+inline constexpr std::uint64_t kInjectorSeedTag = 0xfa017;
 
 enum class TopoKind { kTestbed, kClos, kFatTree, kWan };
 enum class WorkloadDist { kWebSearch, kDataMining };
@@ -46,6 +50,10 @@ enum class CollectiveKind { kAllReduce, kAllToAll };
 
 /// One explicit flow, by host index into the world's topology.
 struct WorldFlow {
+  /// dst = kAcross: host shape().far + src of the built topology, across
+  /// the fabric (`dst=across` in a flow line).
+  static constexpr int kAcross = -1;
+
   int src = 0;
   int dst = 1;
   std::uint64_t bytes = 64 * 1024;
@@ -56,8 +64,8 @@ struct WorldFlow {
 };
 
 struct WorldSpec {
-  /// Seeds the Poisson draws and a WAN's wire-loss streams; a config
-  /// without `injector_seed` derives the injector's seed from it.
+  /// Seeds the Poisson draws, a WAN's wire-loss streams and, unless
+  /// `injector_seed` is set, the injector (seed ^ kInjectorSeedTag).
   std::uint64_t seed = 1;
 
   // Topology: `topo` picks the param struct that applies.  The builder
@@ -74,7 +82,7 @@ struct WorldSpec {
   SchemeKind scheme = SchemeKind::kDcp;
   SchemeOptions opt;
 
-  // Workload, posted in this order.  Generated flows use kRunnerMsgBytes
+  // Workload, posted in this order.  Generated flows use kFlowMsgBytes
   // and the topology's host link rate.
   std::vector<WorldFlow> flows;
   std::size_t poisson_flows = 0;  // Poisson arrivals between random hosts
@@ -88,9 +96,12 @@ struct WorldSpec {
   std::uint64_t collective_bytes = 16ull * 1024 * 1024;
 
   FaultPlan faults;
-  std::uint64_t injector_seed = 0;
+  std::optional<std::uint64_t> injector_seed;
   Time max_time = milliseconds(50);
-  int shards = 0;  // 0 = resolve_shards over the topology's partition units
+  /// 0 = resolve_shards over the topology's partition units.  More than
+  /// one shard on a world that must run on one (a fault plan with an
+  /// effect, or collectives) is refused.
+  int shards = 0;
   bool oracle = false;
   /// Replaces the scheme's transport factory (broken test doubles); the
   /// scheme still picks the switch config.
@@ -105,6 +116,10 @@ struct WorldSpec {
   };
   Shape shape() const;
   int num_hosts() const { return shape().hosts; }
+  /// The flow's destination host, with kAcross resolved.
+  int dst_of(const WorldFlow& f) const {
+    return f.dst == WorldFlow::kAcross ? shape().far + f.src : f.dst;
+  }
   /// Every field: the canonical config text, which writes each value
   /// exactly, plus the fields that have no text form.  Specs with equal
   /// identities build the same world.

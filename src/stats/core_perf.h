@@ -1,7 +1,7 @@
 #pragma once
 // Simulator-core performance accounting: how fast the substrate itself
 // chews through events, independent of what the experiment measures.
-// Every harness runner fills one of these so regressions in the event
+// Every experiment readout fills one of these so regressions in the event
 // core show up in any experiment, and bench_core emits them as
 // BENCH_core.json for before/after comparisons.
 

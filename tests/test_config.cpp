@@ -33,7 +33,7 @@ TEST(Config, ParsesFullWebsearchConfig) {
   std::string err;
   auto cfg = parse_experiment_config(text, &err);
   ASSERT_TRUE(cfg.has_value()) << err;
-  EXPECT_EQ(cfg->kind, ExperimentConfig::Kind::kWebSearch);
+  EXPECT_EQ(cfg->kind, Experiment::kWebSearch);
   const WorldSpec& s = cfg->spec;
   EXPECT_EQ(s.scheme, SchemeKind::kIrnEcmp);
   EXPECT_TRUE(s.opt.with_cc);
@@ -45,9 +45,9 @@ TEST(Config, ParsesFullWebsearchConfig) {
   EXPECT_EQ(s.clos.spines, 8);
   EXPECT_TRUE(s.with_incast);
   EXPECT_EQ(s.incast.fan_in, 31);
-  // The websearch runner's defaults fill what the file leaves out.
+  // The websearch preset fills what the file leaves out.
   EXPECT_TRUE(s == [] {
-    WorldSpec want = websearch_spec({});
+    WorldSpec want = experiment_world(Experiment::kWebSearch);
     want.scheme = SchemeKind::kIrnEcmp;
     want.opt.with_cc = true;
     want.opt.cc_type = CcConfig::Type::kTimely;
@@ -64,10 +64,10 @@ TEST(Config, ParsesFullWebsearchConfig) {
 TEST(Config, DefaultsAreSane) {
   auto cfg = parse_experiment_config("");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->kind, ExperimentConfig::Kind::kWebSearch);
+  EXPECT_EQ(cfg->kind, Experiment::kWebSearch);
   EXPECT_EQ(cfg->spec.scheme, SchemeKind::kDcp);
   EXPECT_FALSE(cfg->spec.opt.with_cc);
-  EXPECT_TRUE(cfg->spec == websearch_spec({}));
+  EXPECT_TRUE(cfg->spec == experiment_world(Experiment::kWebSearch));
 }
 
 TEST(Config, ErrorsNameTheLine) {
@@ -178,6 +178,8 @@ TEST(Config, RangeKeysFailClosed) {
       {"experiment = longflow\nmax_time_ms = -5\n", "max_time_ms must be >= 0"},
       {"experiment = websearch\nflow src=0 dst=5 bytes=10 start=-5us\n",
        "bad flow entry 'start=-5us'"},
+      // -1 is how the spec spells `across`; as a number it is no host.
+      {"experiment = websearch\nflow src=0 dst=-1 bytes=10\n", "bad flow entry 'dst=-1'"},
   };
   for (const auto& c : cases) {
     std::string err;
@@ -217,11 +219,27 @@ TEST(Config, UnbuildableCombinationsFailClosed) {
     EXPECT_NE(err.find("line 3: flow endpoints out of range"), std::string::npos) << err;
   }
   // Flow lines replace the experiment's own flows, and the unequal-paths
-  // readout compares two.
+  // readout compares two...
   EXPECT_FALSE(
       parse_experiment_config("experiment = unequal_paths\nflow src=0 dst=8 bytes=1000\n", &err)
           .has_value());
   EXPECT_NE(err.find("line 2: unequal_paths compares two flows"), std::string::npos) << err;
+  const std::string three = "flow src=0 dst=8 bytes=1000\nflow src=1 dst=9 bytes=1000\n"
+                            "flow src=2 dst=10 bytes=1000\n";
+  EXPECT_FALSE(parse_experiment_config("experiment = unequal_paths\n" + three, &err).has_value());
+  EXPECT_NE(err.find("line 4: unequal_paths compares two flows; 3 given"), std::string::npos)
+      << err;
+  // ...and a one-flow readout reads one: a second flow line used to run
+  // and go unreported.
+  for (const char* kind : {"longflow", "fault_drill", "wanflow"}) {
+    const std::string text = std::string("experiment = ") + kind +
+                             "\nflow src=0 dst=across bytes=100000\n"
+                             "flow src=1 dst=across bytes=100000\n";
+    EXPECT_FALSE(parse_experiment_config(text, &err).has_value()) << kind;
+    EXPECT_NE(err.find(std::string("line 3: ") + kind + " reads one flow; 2 given"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(Config, TopologyKeysPickTheWorld) {
@@ -232,7 +250,8 @@ TEST(Config, TopologyKeysPickTheWorld) {
   EXPECT_EQ(cfg->spec.topo, TopoKind::kFatTree);
   ASSERT_EQ(cfg->spec.flows.size(), 1u);
   EXPECT_EQ(cfg->spec.flows[0].src, 0);
-  EXPECT_EQ(cfg->spec.flows[0].dst, 12);
+  EXPECT_EQ(cfg->spec.flows[0].dst, WorldFlow::kAcross);
+  EXPECT_EQ(cfg->spec.dst_of(cfg->spec.flows[0]), 12);
   EXPECT_EQ(cfg->spec.flows[0].bytes, 4096u);
   const std::string report = run_configured_experiment(*cfg);
   EXPECT_NE(report.find("completed=yes"), std::string::npos) << report;
@@ -273,7 +292,8 @@ TEST(Config, KeyListIsTheParsersKeyTable) {
   std::string err;
   EXPECT_FALSE(parse_experiment_config("kind = fec\n", &err).has_value());
   EXPECT_NE(err.find("unknown key 'kind'"), std::string::npos) << err;
-  WorldSpec s = fault_drill_spec({});
+  WorldSpec s = experiment_world(Experiment::kFaultDrill);
+  s.injector_seed = 5;
   s.poisson_flows = 3;
   s.with_incast = true;
   s.groups = 1;
@@ -301,7 +321,7 @@ TEST(Config, WorldTextRoundTripsEveryExperiment) {
       auto again = parse_experiment_config(written);
       ASSERT_TRUE(again.has_value()) << kind << "\n" << written;
       EXPECT_EQ(world_text(again->spec), written) << kind;
-      EXPECT_EQ(again->spec.injector_seed, 77u ^ kRunnerInjectorTag) << kind;
+      EXPECT_FALSE(again->spec.injector_seed.has_value()) << kind;  // the builder derives it
       EXPECT_EQ(again->spec.testbed.cross_links, cfg->spec.testbed.cross_links) << kind;
       EXPECT_TRUE(again->spec == cfg->spec) << kind << "\n" << written;
     }
@@ -312,7 +332,7 @@ TEST(Config, WorldTextKeepsEveryDigit) {
   // Values past nine significant digits: a fault rate, a buffer fraction,
   // a Poisson load, and times that are not whole microseconds, above 1 ms
   // and at 1 ps.  Each reads back exactly, field by field.
-  WorldSpec s = websearch_spec({});
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
   s.load = 0.30000000000000004;
   s.max_time = milliseconds(3) + 1;
   s.opt.fec_nack_delay = microseconds(1500) + 7;
@@ -426,7 +446,7 @@ TEST(Config, FaultsSectionParsesIntoPlan) {
   std::string err;
   auto cfg = parse_experiment_config(text, &err);
   ASSERT_TRUE(cfg.has_value()) << err;
-  EXPECT_EQ(cfg->kind, ExperimentConfig::Kind::kFaultDrill);
+  EXPECT_EQ(cfg->kind, Experiment::kFaultDrill);
   const WorldSpec& s = cfg->spec;
   EXPECT_EQ(s.scheme, SchemeKind::kIrn);
   ASSERT_EQ(s.flows.size(), 1u);
@@ -435,12 +455,12 @@ TEST(Config, FaultsSectionParsesIntoPlan) {
   EXPECT_EQ(s.faults.actions[0].kind, FaultKind::kLinkFlap);
   EXPECT_TRUE(s.faults.actions[0].drop_in_flight);
   EXPECT_DOUBLE_EQ(s.faults.actions[1].rate, 0.02);
-  // It is the runner's world: the same spec run_fault_drill builds.
-  FaultDrillParams p;
-  p.scheme = SchemeKind::kIrn;
-  p.flow_bytes = 3'000'000;
-  p.faults = s.faults;
-  EXPECT_TRUE(s == fault_drill_spec(p)) << world_text(s);
+  // It is the drill preset with those fields set.
+  WorldSpec want = experiment_world(Experiment::kFaultDrill);
+  want.scheme = SchemeKind::kIrn;
+  want.flows[0].bytes = 3'000'000;
+  want.faults = s.faults;
+  EXPECT_TRUE(s == want) << world_text(s);
 }
 
 TEST(Config, FaultsSectionRoundTrips) {
@@ -499,7 +519,7 @@ TEST(Config, SchemeSectionParsesKnobs) {
   std::string err;
   auto cfg = parse_experiment_config(text, &err);
   ASSERT_TRUE(cfg.has_value()) << err;
-  EXPECT_EQ(cfg->kind, ExperimentConfig::Kind::kWanFlow);
+  EXPECT_EQ(cfg->kind, Experiment::kWanFlow);
   EXPECT_EQ(cfg->spec.topo, TopoKind::kWan);
   EXPECT_EQ(cfg->spec.scheme, SchemeKind::kFec);
   EXPECT_EQ(cfg->spec.opt.fec_k, 12u);

@@ -113,7 +113,7 @@ struct FaultFixture {
   ClosTopology topo;
   FlowId id = 0;
 
-  // 2x2x2 clos with one cross-rack DCP flow, same shape as run_fault_drill.
+  // 2x2x2 clos with one cross-rack DCP flow, the fault drill's shape.
   void build(std::uint64_t bytes = 4'000'000) {
     SchemeSetup s = make_scheme(SchemeKind::kDcp);
     ClosParams cp;
@@ -258,7 +258,7 @@ TEST(FaultInjector, BufferShrinkRestoresCapacity) {
 // Harness integration
 // ---------------------------------------------------------------------------
 
-std::string drill_digest(const FaultDrillResult& r) {
+std::string drill_digest(const FlowResult& r) {
   char buf[192];
   std::snprintf(buf, sizeof(buf), "%d|%lld|%a|%llu|%llu|%llu|%llu", r.completed ? 1 : 0,
                 static_cast<long long>(r.elapsed), r.goodput_gbps,
@@ -270,10 +270,10 @@ std::string drill_digest(const FaultDrillResult& r) {
 }
 
 TEST(FaultDrill, ZeroIntensityPlanMatchesBaselineBitExactly) {
-  FaultDrillParams base;
-  base.flow_bytes = 2'000'000;
+  WorldSpec base = experiment_world(Experiment::kFaultDrill);
+  base.flows[0].bytes = 2'000'000;
 
-  FaultDrillParams zeroed = base;
+  WorldSpec zeroed = base;
   {
     FaultAction drop;  // rate 0: no-op
     drop.kind = FaultKind::kDrop;
@@ -290,16 +290,18 @@ TEST(FaultDrill, ZeroIntensityPlanMatchesBaselineBitExactly) {
   }
   ASSERT_FALSE(zeroed.faults.has_effect());
 
-  const FaultDrillResult a = run_fault_drill(base);
-  const FaultDrillResult b = run_fault_drill(zeroed);
+  SimWorld wa(base);
+  const FlowResult a = read_flow(wa);
+  SimWorld wb(zeroed);
+  const FlowResult b = read_flow(wb);
   ASSERT_TRUE(a.completed);
   EXPECT_EQ(drill_digest(a), drill_digest(b));
   EXPECT_TRUE(b.fault_episodes.empty());  // nothing armed, nothing measured
 }
 
 TEST(FaultDrill, RecoveryEpisodeMetricsAreSane) {
-  FaultDrillParams p;
-  p.flow_bytes = 8'000'000;
+  WorldSpec p = experiment_world(Experiment::kFaultDrill);
+  p.flows[0].bytes = 8'000'000;
   FaultAction a;
   a.kind = FaultKind::kDrop;
   a.at = microseconds(200);
@@ -308,7 +310,8 @@ TEST(FaultDrill, RecoveryEpisodeMetricsAreSane) {
   a.sw = 0;
   p.faults.actions.push_back(a);
 
-  const FaultDrillResult r = run_fault_drill(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(r.fault_episodes.size(), 1u);
   const RecoveryStats::Episode& e = r.fault_episodes.front();
@@ -327,10 +330,10 @@ TEST(FaultDrill, RecoveryEpisodeMetricsAreSane) {
 // breaking any protocol invariant.
 // ---------------------------------------------------------------------------
 
-FaultDrillParams matrix_params(SchemeKind scheme) {
-  FaultDrillParams p;
+WorldSpec matrix_spec(SchemeKind scheme) {
+  WorldSpec p = experiment_world(Experiment::kFaultDrill);
   p.scheme = scheme;
-  p.flow_bytes = 2'000'000;
+  p.flows[0].bytes = 2'000'000;
   p.oracle = true;
   return p;
 }
@@ -360,13 +363,15 @@ FaultAction blackhole_action() {
 class HoLossVacuousSweep : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(HoLossVacuousSweep, MatchesBaselineBitExactly) {
-  FaultDrillParams base = matrix_params(GetParam());
-  FaultDrillParams faulted = base;
+  WorldSpec base = matrix_spec(GetParam());
+  WorldSpec faulted = base;
   faulted.faults.actions.push_back(ho_loss_action());
   ASSERT_TRUE(faulted.faults.has_effect());
 
-  const FaultDrillResult a = run_fault_drill(base);
-  const FaultDrillResult b = run_fault_drill(faulted);
+  SimWorld wa(base);
+  const FlowResult a = read_flow(wa);
+  SimWorld wb(faulted);
+  const FlowResult b = read_flow(wb);
   ASSERT_TRUE(a.completed);
   EXPECT_EQ(drill_digest(a), drill_digest(b));
   EXPECT_EQ(b.sw.injected_ho_drops, 0u);
@@ -382,10 +387,11 @@ INSTANTIATE_TEST_SUITE_P(Schemes, HoLossVacuousSweep,
 class BlackholeSweep : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(BlackholeSweep, RecoversWithInvariantsIntact) {
-  FaultDrillParams p = matrix_params(GetParam());
+  WorldSpec p = matrix_spec(GetParam());
   p.faults.actions.push_back(blackhole_action());
 
-  const FaultDrillResult r = run_fault_drill(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   ASSERT_TRUE(r.completed) << scheme_name(GetParam());
   EXPECT_EQ(r.receiver.bytes_received, 2'000'000u);
   EXPECT_GT(r.wire.blackholed, 0u);
@@ -397,18 +403,44 @@ INSTANTIATE_TEST_SUITE_P(Schemes, BlackholeSweep,
                          ::testing::Values(SchemeKind::kCx5, SchemeKind::kMpRdma));
 
 TEST(FaultDrill, SameSeedSamePlanIsDeterministic) {
-  FaultDrillParams p;
-  p.flow_bytes = 2'000'000;
+  WorldSpec p = experiment_world(Experiment::kFaultDrill);
+  p.flows[0].bytes = 2'000'000;
   FaultAction a;
   a.kind = FaultKind::kDrop;
   a.at = microseconds(100);
   a.rate = 0.02;
   p.faults.actions.push_back(a);
 
-  const FaultDrillResult r1 = run_fault_drill(p);
-  const FaultDrillResult r2 = run_fault_drill(p);
+  SimWorld w1(p);
+  const FlowResult r1 = read_flow(w1);
+  SimWorld w2(p);
+  const FlowResult r2 = read_flow(w2);
   EXPECT_EQ(drill_digest(r1), drill_digest(r2));
   EXPECT_EQ(r1.wire.dropped, r2.wire.dropped);
+}
+
+TEST(FaultDrill, UnsetInjectorSeedFollowsTheRunSeed) {
+  // The builder derives an unset injector seed from `seed`, so a seed set
+  // after taking the preset moves the fault stream; the drill's Clos draws
+  // nothing else from `seed`.
+  WorldSpec s = experiment_world(Experiment::kFaultDrill);
+  s.flows[0].bytes = 2'000'000;
+  FaultAction a;
+  a.kind = FaultKind::kDrop;
+  a.at = microseconds(100);
+  a.rate = 0.02;
+  s.faults.actions.push_back(a);
+  const auto digest = [](const WorldSpec& spec) {
+    SimWorld w(spec);
+    w.run_until_done();
+    return w.digest();
+  };
+  WorldSpec reseeded = s;
+  reseeded.seed = 77;
+  WorldSpec explicit_seed = s;
+  explicit_seed.injector_seed = 77 ^ kInjectorSeedTag;
+  EXPECT_EQ(digest(reseeded), digest(explicit_seed));
+  EXPECT_NE(digest(reseeded), digest(s));
 }
 
 }  // namespace

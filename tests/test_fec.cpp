@@ -208,13 +208,14 @@ TEST(FecReceiver, QuietGroupShortOfKNacksOnlyItsMissingData) {
 // ---------------------------------------------------------------------------
 
 TEST(FecTransport, CleanFlowCompletesWithoutRepair) {
-  LongFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kLongFlow);
   p.scheme = SchemeKind::kFec;
-  p.flow_bytes = 2ull * 1000 * 1000;
+  p.flows[0].bytes = 2ull * 1000 * 1000;
   p.max_time = milliseconds(20);
-  const LongFlowResult r = run_long_flow(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.receiver.bytes_received, p.flow_bytes);
+  EXPECT_EQ(r.receiver.bytes_received, p.flows[0].bytes);
   EXPECT_GT(r.sender.parity_packets_sent, 0u);
   EXPECT_EQ(r.sender.retransmitted_packets, 0u);
   EXPECT_EQ(r.receiver.decode_recovered_packets, 0u);
@@ -225,14 +226,15 @@ TEST(FecTransport, CleanFlowCompletesWithoutRepair) {
 TEST(FecTransport, LossyFlowRecoversViaDecode) {
   // 2% ambient loss at the cross switch: most groups lose <= m chunks and
   // repair from parity without a single retransmission round trip.
-  LongFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kLongFlow);
   p.scheme = SchemeKind::kFec;
   p.loss_rate = 0.02;
-  p.flow_bytes = 2ull * 1000 * 1000;
+  p.flows[0].bytes = 2ull * 1000 * 1000;
   p.max_time = milliseconds(50);
-  const LongFlowResult r = run_long_flow(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.receiver.bytes_received, p.flow_bytes);
+  EXPECT_EQ(r.receiver.bytes_received, p.flows[0].bytes);
   EXPECT_GT(r.receiver.decode_recovered_packets, 0u);
   // Parity-decode repair must dominate NACK repair at this loss rate.
   EXPECT_GT(r.receiver.decode_recovered_packets, r.receiver.nack_recovered_packets);
@@ -241,14 +243,15 @@ TEST(FecTransport, LossyFlowRecoversViaDecode) {
 TEST(FecTransport, HeavyLossFallsBackToNack) {
   // At 20% loss, (8, 2) groups regularly lose more than m chunks and the
   // per-group NACK path has to carry the flow home.
-  LongFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kLongFlow);
   p.scheme = SchemeKind::kFec;
   p.loss_rate = 0.20;
-  p.flow_bytes = 500ull * 1000;
+  p.flows[0].bytes = 500ull * 1000;
   p.max_time = milliseconds(100);
-  const LongFlowResult r = run_long_flow(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.receiver.bytes_received, p.flow_bytes);
+  EXPECT_EQ(r.receiver.bytes_received, p.flows[0].bytes);
   EXPECT_GT(r.receiver.nack_recovered_packets, 0u);
   EXPECT_GT(r.sender.retransmitted_packets, 0u);
 }
@@ -257,9 +260,9 @@ TEST(FecTransport, OracleCleanUnderLoss) {
   // The full invariant catalogue (psn-monotonic, exactly-once completion,
   // completion-consistency, recovery-accounting, no-silent-deadlock) armed
   // over a lossy FEC drill.
-  FaultDrillParams p;
+  WorldSpec p = experiment_world(Experiment::kFaultDrill);
   p.scheme = SchemeKind::kFec;
-  p.flow_bytes = 1ull * 1000 * 1000;
+  p.flows[0].bytes = 1ull * 1000 * 1000;
   p.max_time = milliseconds(50);
   p.oracle = true;
   FaultAction a;
@@ -269,7 +272,8 @@ TEST(FecTransport, OracleCleanUnderLoss) {
   a.rate = 0.05;
   a.sw = 0;
   p.faults.actions.push_back(a);
-  const FaultDrillResult r = run_fault_drill(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
   for (const InvariantViolation& v : r.violations) {
     ADD_FAILURE() << v.invariant << ": " << v.detail;
@@ -279,13 +283,14 @@ TEST(FecTransport, OracleCleanUnderLoss) {
 TEST(FecTransport, KnobsReachTheWire) {
   // A wide group (k=16, m=4) sends 25% parity overhead; check the counter
   // matches the geometry the layout predicts.
-  LongFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kLongFlow);
   p.scheme = SchemeKind::kFec;
   p.opt.fec_k = 16;
   p.opt.fec_m = 4;
-  p.flow_bytes = 1ull * 1000 * 1000;
+  p.flows[0].bytes = 1ull * 1000 * 1000;
   p.max_time = milliseconds(20);
-  const LongFlowResult r = run_long_flow(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
   const std::uint64_t data_pkts = r.sender.data_packets_sent - r.sender.parity_packets_sent;
   const FecLayout l(16, 4, static_cast<std::uint32_t>(data_pkts));
@@ -313,14 +318,15 @@ std::vector<TrialDigest> fec_sweep(unsigned jobs) {
   pool.set_progress(false);
   const double rates[] = {0.0, 0.01, 0.03};
   return pool.run(6, [&](std::size_t i) {
-    LongFlowParams p;
+    WorldSpec p = experiment_world(Experiment::kLongFlow);
     p.scheme = SchemeKind::kFec;
     p.opt.fec_k = i % 2 == 0 ? 8 : 4;
     p.opt.fec_m = i % 2 == 0 ? 2 : 1;
     p.loss_rate = rates[i / 2];
-    p.flow_bytes = 1ull * 1000 * 1000;
+    p.flows[0].bytes = 1ull * 1000 * 1000;
     p.max_time = milliseconds(20);
-    const LongFlowResult r = run_long_flow(p);
+    SimWorld w(p);
+    const FlowResult r = read_flow(w);
     TrialDigest d;
     d.goodput = r.goodput_gbps;
     d.elapsed = r.elapsed;

@@ -115,32 +115,35 @@ TEST(Scheme, BdpMatchesRateTimesRtt) {
 }
 
 TEST(HarnessLongFlow, DcpHoldsGoodputAtOnePercentLoss) {
-  LongFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kLongFlow);
   p.scheme = SchemeKind::kDcp;
   p.loss_rate = 0.01;
-  p.flow_bytes = 10'000'000;
-  LongFlowResult r = run_long_flow(p);
+  p.flows[0].bytes = 10'000'000;
+  SimWorld w(p);
+  FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
   EXPECT_GT(r.goodput_gbps, 50.0);
 }
 
 TEST(HarnessLongFlow, GbnCollapsesAtOnePercentLoss) {
-  LongFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kLongFlow);
   p.scheme = SchemeKind::kCx5;
   p.loss_rate = 0.01;
-  p.flow_bytes = 10'000'000;
+  p.flows[0].bytes = 10'000'000;
   p.max_time = milliseconds(50);
-  LongFlowResult r = run_long_flow(p);
+  SimWorld w(p);
+  FlowResult r = read_flow(w);
   // GBN should be far below line rate under loss.
   EXPECT_LT(r.goodput_gbps, 50.0);
 }
 
 TEST(HarnessWebSearch, SmallClosRunCompletesAllFlows) {
-  WebSearchParams p;
+  WorldSpec p = experiment_world(Experiment::kWebSearch);
   p.scheme = SchemeKind::kDcp;
-  p.num_flows = 60;
+  p.poisson_flows = 60;
   p.load = 0.3;
-  WebSearchResult r = run_websearch(p);
+  SimWorld w(p);
+  WebSearchResult r = read_websearch(w);
   EXPECT_EQ(r.flows_completed, r.flows_total);
   EXPECT_GT(r.background.flows(), 0u);
   EXPECT_EQ(r.sw.dropped_ho, 0u);
@@ -148,30 +151,39 @@ TEST(HarnessWebSearch, SmallClosRunCompletesAllFlows) {
 
 TEST(HarnessWebSearch, AllSchemesCompleteSmallRun) {
   for (SchemeKind k : {SchemeKind::kPfc, SchemeKind::kIrn, SchemeKind::kMpRdma}) {
-    WebSearchParams p;
+    WorldSpec p = experiment_world(Experiment::kWebSearch);
     p.scheme = k;
-    p.num_flows = 40;
-    WebSearchResult r = run_websearch(p);
+    p.poisson_flows = 40;
+    SimWorld w(p);
+    WebSearchResult r = read_websearch(w);
     EXPECT_EQ(r.flows_completed, r.flows_total) << scheme_name(k);
   }
 }
 
 TEST(HarnessUnequalPaths, DcpAdaptsUnderSkew) {
-  const auto dcp_even = run_unequal_paths(SchemeKind::kDcp, 1.0, 4'000'000);
-  const auto dcp_skew = run_unequal_paths(SchemeKind::kDcp, 10.0, 4'000'000);
+  const auto run = [](double ratio) {
+    WorldSpec s = experiment_world(Experiment::kUnequalPaths);
+    s.testbed.cross_links = unequal_cross_links(ratio);
+    for (WorldFlow& f : s.flows) f.bytes = 4'000'000;
+    SimWorld w(s);
+    return read_unequal_paths(w);
+  };
+  const UnequalPathsResult dcp_even = run(1.0);
+  const UnequalPathsResult dcp_skew = run(10.0);
   EXPECT_GT(dcp_even.avg_goodput_gbps, 30.0);
   // Adaptive routing keeps DCP's goodput within a sane band under skew.
   EXPECT_GT(dcp_skew.avg_goodput_gbps, 0.4 * dcp_even.avg_goodput_gbps);
 }
 
 TEST(HarnessCollective, AllReduceFinishesOnTestbed) {
-  CollectiveExpParams p;
+  WorldSpec p = experiment_world(Experiment::kCollective);
   p.scheme = SchemeKind::kDcp;
-  p.use_clos = false;
+  p.topo = TopoKind::kTestbed;
   p.groups = 4;
-  p.members_per_group = 4;
-  p.total_bytes = 4 * 1024 * 1024;
-  CollectiveResult r = run_collectives(p);
+  p.members = 4;
+  p.collective_bytes = 4 * 1024 * 1024;
+  SimWorld w(p);
+  CollectiveResult r = read_collectives(w);
   EXPECT_TRUE(r.all_done);
   ASSERT_EQ(r.jct_ms.size(), 4u);
   for (double j : r.jct_ms) EXPECT_GT(j, 0.0);
@@ -179,14 +191,14 @@ TEST(HarnessCollective, AllReduceFinishesOnTestbed) {
 }
 
 TEST(HarnessCollective, AllToAllFinishesOnClos) {
-  CollectiveExpParams p;
+  WorldSpec p = experiment_world(Experiment::kCollective);
   p.scheme = SchemeKind::kDcp;
-  p.kind = CollectiveKind::kAllToAll;
-  p.use_clos = true;
+  p.collective = CollectiveKind::kAllToAll;
   p.groups = 2;
-  p.members_per_group = 4;
-  p.total_bytes = 4 * 1024 * 1024;
-  CollectiveResult r = run_collectives(p);
+  p.members = 4;
+  p.collective_bytes = 4 * 1024 * 1024;
+  SimWorld w(p);
+  CollectiveResult r = read_collectives(w);
   EXPECT_TRUE(r.all_done);
   EXPECT_EQ(r.jct_ms.size(), 2u);
 }

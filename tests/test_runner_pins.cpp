@@ -1,12 +1,13 @@
-// Runner pins: every field of each harness runner's result, hashed, for a
-// small fixed input per runner and per branch a runner takes (incast and a
-// fault plan under websearch, loss plus a plan on the long flow, the
-// oracle-armed drill, a lossy WAN, each collective on the Clos and the
-// testbed).  The stats PODs, doubles by bit pattern, the FCT and JCT
-// vectors, fault episodes and wire counters all feed the hash; CorePerf
-// does not, because it holds wall time.
+// Runner pins: each experiment readout's result, hashed field by field,
+// for a small fixed world per experiment and per branch a readout takes
+// (incast and a fault plan under websearch, loss plus a plan on the long
+// flow, the oracle-armed drill, a lossy WAN, each collective on the Clos
+// and the testbed).  The stats PODs, doubles by bit pattern, the FCT and
+// JCT vectors, fault episodes and wire counters all feed the hash; CorePerf
+// does not, because it holds wall time.  Each world runs serially, and each
+// that can shard runs on two shards too.
 //
-// A pin moves only when a runner's observable output moves.  To record
+// A pin moves only when a readout's observable output moves.  To record
 // the value for a new input, add it with `want` 0, build this test against
 // the parent commit's libraries and run it there: each failure prints the
 // value to paste.
@@ -14,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
 #include <string>
 #include <type_traits>
 
@@ -65,15 +65,6 @@ void hash_faults(Fnv64& h, const std::vector<RecoveryStats::Episode>& episodes,
   hash_pod(h, wire);
 }
 
-template <typename R>
-void hash_single_flow(Fnv64& h, const R& r) {
-  h.f64(r.goodput_gbps);
-  h.u64(r.completed ? 1 : 0);
-  h.i64(r.elapsed);
-  hash_pod(h, r.sender);
-  hash_pod(h, r.receiver);
-}
-
 void hash_violations(Fnv64& h, const std::vector<InvariantViolation>& v) {
   h.u64(v.size());
   for (const InvariantViolation& x : v) {
@@ -101,24 +92,88 @@ FaultPlan small_plan() {
   return plan;
 }
 
-std::uint64_t websearch_pin(bool incast, bool faults) {
-  WebSearchParams p;
-  p.clos.spines = 2;
-  p.clos.leaves = 2;
-  p.clos.hosts_per_leaf = 4;
-  p.num_flows = 40;
-  p.load = 0.4;
-  p.seed = 5;
-  p.max_time = milliseconds(100);
+// The pinned inputs: each a preset with a few fields set.
+WorldSpec websearch_world(bool incast, bool faults) {
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
+  s.clos.spines = 2;
+  s.clos.leaves = 2;
+  s.clos.hosts_per_leaf = 4;
+  s.poisson_flows = 40;
+  s.load = 0.4;
+  s.seed = 5;
+  s.max_time = milliseconds(100);
   if (incast) {
-    p.with_incast = true;
-    p.incast.fan_in = 4;
-    p.incast.bursts = 2;
-    p.incast.bytes_per_sender = 32 * 1024;
-    p.incast.load = 0.1;
+    s.with_incast = true;
+    s.incast.fan_in = 4;
+    s.incast.bursts = 2;
+    s.incast.bytes_per_sender = 32 * 1024;
+    s.incast.load = 0.1;
   }
-  if (faults) p.faults = small_plan();
-  WebSearchResult r = run_websearch(p);
+  if (faults) s.faults = small_plan();
+  return s;
+}
+
+WorldSpec long_flow_world(SchemeKind k, double loss, bool faults) {
+  WorldSpec s = experiment_world(Experiment::kLongFlow);
+  s.scheme = k;
+  s.loss_rate = loss;
+  s.flows[0].bytes = 2ull * 1000 * 1000;
+  s.max_time = milliseconds(20);
+  s.seed = 3;
+  if (faults) s.faults = small_plan();
+  return s;
+}
+
+WorldSpec unequal_world(SchemeKind k, double ratio, std::uint16_t sport_base) {
+  WorldSpec s = experiment_world(Experiment::kUnequalPaths);
+  s.scheme = k;
+  s.testbed.cross_links = unequal_cross_links(ratio);
+  s.sport_base = sport_base;
+  for (WorldFlow& f : s.flows) f.bytes = 3ull * 1000 * 1000;
+  return s;
+}
+
+WorldSpec fault_drill_world(bool oracle) {
+  WorldSpec s = experiment_world(Experiment::kFaultDrill);
+  s.flows[0].bytes = 2ull * 1000 * 1000;
+  s.max_time = milliseconds(20);
+  s.faults = small_plan();
+  s.oracle = oracle;
+  return s;
+}
+
+WorldSpec wan_world(SchemeKind k, double loss, bool oracle) {
+  WorldSpec s = experiment_world(Experiment::kWanFlow);
+  s.scheme = k;
+  s.wan.regions = 2;
+  s.wan.hosts_per_region = 2;
+  s.wan.wan_delay = milliseconds(2);
+  s.wan.wan_loss_rate = loss;
+  s.flows[0].bytes = 1000 * 1000;
+  s.max_time = seconds(2);
+  s.seed = 9;
+  s.oracle = oracle;
+  return s;
+}
+
+WorldSpec collective_world(CollectiveKind kind, bool clos) {
+  WorldSpec s = experiment_world(Experiment::kCollective);
+  s.collective = kind;
+  s.groups = 2;
+  s.members = 4;
+  s.collective_bytes = 2ull * 1024 * 1024;
+  s.topo = clos ? TopoKind::kClos : TopoKind::kTestbed;
+  s.clos.spines = 2;
+  s.clos.leaves = 2;
+  s.clos.hosts_per_leaf = 4;
+  s.max_time = milliseconds(200);
+  return s;
+}
+
+// The readouts, hashed.
+
+std::uint64_t websearch_hash(SimWorld& w) {
+  WebSearchResult r = read_websearch(w);
   Fnv64 h;
   hash_fct(h, r.background);
   hash_fct(h, r.incast_flows);
@@ -142,24 +197,31 @@ std::uint64_t websearch_pin(bool incast, bool faults) {
   return h.value();
 }
 
-std::uint64_t long_flow_pin(SchemeKind k, double loss, bool faults) {
-  LongFlowParams p;
-  p.scheme = k;
-  p.loss_rate = loss;
-  p.flow_bytes = 2ull * 1000 * 1000;
-  p.max_time = milliseconds(20);
-  p.seed = 3;
-  if (faults) p.faults = small_plan();
-  const LongFlowResult r = run_long_flow(p);
+// The one-flow pins keep the field sets they were recorded with: a WAN pin
+// skips the switch counters and fault tallies (no pinned WAN input has a
+// plan), and a testbed pin skips the violations (no pinned testbed input
+// arms the oracle).
+std::uint64_t flow_hash(SimWorld& w) {
+  const TopoKind topo = w.spec().topo;
+  const FlowResult r = read_flow(w);
   Fnv64 h;
-  hash_single_flow(h, r);
-  hash_pod(h, r.sw);
-  hash_faults(h, r.fault_episodes, r.wire);
+  h.f64(r.goodput_gbps);
+  h.u64(r.completed ? 1 : 0);
+  h.i64(r.elapsed);
+  hash_pod(h, r.sender);
+  hash_pod(h, r.receiver);
+  if (topo == TopoKind::kWan) {
+    h.u64(r.wire_dropped);
+  } else {
+    hash_pod(h, r.sw);
+    hash_faults(h, r.fault_episodes, r.wire);
+  }
+  if (topo != TopoKind::kTestbed) hash_violations(h, r.violations);
   return h.value();
 }
 
-std::uint64_t unequal_pin(SchemeKind k, double ratio, std::uint16_t sport_base) {
-  const UnequalPathsResult r = run_unequal_paths(k, ratio, 3ull * 1000 * 1000, {}, sport_base);
+std::uint64_t unequal_hash(SimWorld& w) {
+  const UnequalPathsResult r = read_unequal_paths(w);
   Fnv64 h;
   h.f64(r.avg_goodput_gbps);
   h.f64(r.flow_goodputs[0]);
@@ -167,53 +229,8 @@ std::uint64_t unequal_pin(SchemeKind k, double ratio, std::uint16_t sport_base) 
   return h.value();
 }
 
-std::uint64_t fault_drill_pin(bool oracle) {
-  FaultDrillParams p;
-  p.scheme = SchemeKind::kDcp;
-  p.flow_bytes = 2ull * 1000 * 1000;
-  p.max_time = milliseconds(20);
-  p.faults = small_plan();
-  p.oracle = oracle;
-  const FaultDrillResult r = run_fault_drill(p);
-  Fnv64 h;
-  hash_single_flow(h, r);
-  hash_pod(h, r.sw);
-  hash_faults(h, r.fault_episodes, r.wire);
-  hash_violations(h, r.violations);
-  return h.value();
-}
-
-std::uint64_t wan_pin(SchemeKind k, double loss, bool oracle) {
-  WanFlowParams p;
-  p.scheme = k;
-  p.wan.regions = 2;
-  p.wan.hosts_per_region = 2;
-  p.wan.wan_delay = milliseconds(2);
-  p.wan.wan_loss_rate = loss;
-  p.flow_bytes = 1000 * 1000;
-  p.max_time = seconds(2);
-  p.seed = 9;
-  p.oracle = oracle;
-  const WanFlowResult r = run_wan_flow(p);
-  Fnv64 h;
-  hash_single_flow(h, r);
-  h.u64(r.wire_dropped);
-  hash_violations(h, r.violations);
-  return h.value();
-}
-
-std::uint64_t collective_pin(CollectiveKind kind, bool use_clos) {
-  CollectiveExpParams p;
-  p.kind = kind;
-  p.groups = 2;
-  p.members_per_group = 4;
-  p.total_bytes = 2ull * 1024 * 1024;
-  p.use_clos = use_clos;
-  p.clos.spines = 2;
-  p.clos.leaves = 2;
-  p.clos.hosts_per_leaf = 4;
-  p.max_time = milliseconds(200);
-  const CollectiveResult r = run_collectives(p);
+std::uint64_t collective_hash(SimWorld& w) {
+  const CollectiveResult r = read_collectives(w);
   Fnv64 h;
   hash_doubles(h, r.jct_ms);
   hash_doubles(h, r.flow_fct_ms);
@@ -224,45 +241,66 @@ std::uint64_t collective_pin(CollectiveKind kind, bool use_clos) {
 
 struct Pin {
   const char* name;
-  std::function<std::uint64_t()> run;
+  WorldSpec spec;
+  std::uint64_t (*hash)(SimWorld&);
   std::uint64_t want;
 };
 
-const Pin kPins[] = {
-    {"websearch", [] { return websearch_pin(false, false); },
-     0x4e4fe03cf495e878ull},
-    {"websearch_incast_faults", [] { return websearch_pin(true, true); },
-     0x243367097bff4745ull},
-    {"longflow", [] { return long_flow_pin(SchemeKind::kDcp, 0.0, false); },
-     0xda76b83371f567f2ull},
-    {"longflow_loss_faults", [] { return long_flow_pin(SchemeKind::kIrn, 0.01, true); },
-     0x39f84d049f609adfull},
-    {"unequal_paths", [] { return unequal_pin(SchemeKind::kDcp, 4.0, 10000); },
-     0x457d3d161b80038bull},
-    {"unequal_paths_irn", [] { return unequal_pin(SchemeKind::kIrn, 1.0, 10007); },
-     0xdc8b32295547c863ull},
-    {"fault_drill", [] { return fault_drill_pin(false); },
-     0x16700a505b9d91cbull},
-    {"fault_drill_oracle", [] { return fault_drill_pin(true); },
-     0x16700a505b9d91cbull},
-    {"wanflow", [] { return wan_pin(SchemeKind::kDcp, 0.0, false); },
-     0x933f6f74ff761468ull},
-    {"wanflow_lossy_oracle", [] { return wan_pin(SchemeKind::kFec, 0.02, true); },
-     0x693a7771b3d38330ull},
-    {"allreduce_clos", [] { return collective_pin(CollectiveKind::kAllReduce, true); },
-     0x48e54bdbc2cbe9c8ull},
-    {"alltoall_clos", [] { return collective_pin(CollectiveKind::kAllToAll, true); },
-     0x431c6c98f4297abaull},
-    {"allreduce_testbed", [] { return collective_pin(CollectiveKind::kAllReduce, false); },
-     0xef2f53cd98192da8ull},
-};
+// Built on first use, after every other static is initialized.
+const std::vector<Pin>& pins() {
+  static const std::vector<Pin> kPins = {
+      {"websearch", websearch_world(false, false), websearch_hash, 0x4e4fe03cf495e878ull},
+      {"websearch_incast_faults", websearch_world(true, true), websearch_hash,
+       0x243367097bff4745ull},
+      {"longflow", long_flow_world(SchemeKind::kDcp, 0.0, false), flow_hash,
+       0xda76b83371f567f2ull},
+      {"longflow_loss_faults", long_flow_world(SchemeKind::kIrn, 0.01, true), flow_hash,
+       0x39f84d049f609adfull},
+      {"unequal_paths", unequal_world(SchemeKind::kDcp, 4.0, 10000), unequal_hash,
+       0x457d3d161b80038bull},
+      {"unequal_paths_irn", unequal_world(SchemeKind::kIrn, 1.0, 10007), unequal_hash,
+       0xdc8b32295547c863ull},
+      {"fault_drill", fault_drill_world(false), flow_hash, 0x16700a505b9d91cbull},
+      {"fault_drill_oracle", fault_drill_world(true), flow_hash, 0x16700a505b9d91cbull},
+      {"wanflow", wan_world(SchemeKind::kDcp, 0.0, false), flow_hash, 0x933f6f74ff761468ull},
+      {"wanflow_lossy_oracle", wan_world(SchemeKind::kFec, 0.02, true), flow_hash,
+       0x693a7771b3d38330ull},
+      {"allreduce_clos", collective_world(CollectiveKind::kAllReduce, true), collective_hash,
+       0x48e54bdbc2cbe9c8ull},
+      {"alltoall_clos", collective_world(CollectiveKind::kAllToAll, true), collective_hash,
+       0x431c6c98f4297abaull},
+      {"allreduce_testbed", collective_world(CollectiveKind::kAllReduce, false), collective_hash,
+       0xef2f53cd98192da8ull},
+  };
+  return kPins;
+}
+
+std::uint64_t run_pin(const Pin& pin, int shards) {
+  WorldSpec s = pin.spec;
+  s.shards = shards;
+  SimWorld w(s);
+  EXPECT_EQ(w.shard_count(), shards) << pin.name;
+  return pin.hash(w);
+}
 
 TEST(RunnerPins, EveryResultFieldMatchesItsPin) {
-  for (const Pin& pin : kPins) {
-    const std::uint64_t got = pin.run();
-    EXPECT_EQ(got, pin.want) << pin.name << ": runner output moved, now 0x" << std::hex << got
-                             << "ull";
+  for (const Pin& pin : pins()) {
+    const std::uint64_t got = run_pin(pin, 1);
+    EXPECT_EQ(got, pin.want) << pin.name << ": readout moved, now 0x" << std::hex << got << "ull";
   }
+}
+
+TEST(RunnerPins, TwoShardRunsHitTheSamePins) {
+  // Every pinned world that can shard (no plan with an effect, no
+  // collective) reads the same on two shards.
+  int sharded = 0;
+  for (const Pin& pin : pins()) {
+    if (pin.spec.faults.has_effect() || pin.spec.groups > 0) continue;
+    ++sharded;
+    const std::uint64_t got = run_pin(pin, 2);
+    EXPECT_EQ(got, pin.want) << pin.name << " on 2 shards: now 0x" << std::hex << got << "ull";
+  }
+  EXPECT_EQ(sharded, 6);  // websearch, longflow, two unequal-paths and two WAN inputs
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 namespace dcp {
 namespace {
 
-/// Scoped DCP_SHARDS override: the harness runners read the variable when
-/// they construct their ShardGroup, so set it before calling them.
+/// Scoped DCP_SHARDS override: SimWorld reads the variable when it builds
+/// its ShardGroup, so set it before building the world.
 class ScopedShardsEnv {
  public:
   explicit ScopedShardsEnv(int shards) {
@@ -59,12 +59,13 @@ std::vector<TrialDigest> long_flow_matrix(int shards) {
   std::vector<TrialDigest> out;
   for (double rate : rates) {
     for (SchemeKind k : kinds) {
-      LongFlowParams p;
+      WorldSpec p = experiment_world(Experiment::kLongFlow);
       p.scheme = k;
       p.loss_rate = rate;
-      p.flow_bytes = 2ull * 1000 * 1000;
+      p.flows[0].bytes = 2ull * 1000 * 1000;
       p.max_time = milliseconds(20);
-      const LongFlowResult r = run_long_flow(p);
+      SimWorld w(p);
+      const FlowResult r = read_flow(w);
       TrialDigest d;
       d.goodput = r.goodput_gbps;
       d.elapsed = r.elapsed;
@@ -98,15 +99,16 @@ std::vector<TrialDigest> websearch_matrix(int shards) {
   const SchemeKind kinds[] = {SchemeKind::kDcp, SchemeKind::kIrn};
   std::vector<TrialDigest> out;
   for (std::size_t i = 0; i < 4; ++i) {
-    WebSearchParams p;
+    WorldSpec p = experiment_world(Experiment::kWebSearch);
     p.scheme = kinds[i % 2];
     p.seed = seeds[i / 2];
     p.clos.spines = 2;
     p.clos.leaves = 2;
     p.clos.hosts_per_leaf = 4;
     p.load = 0.4;
-    p.num_flows = 100;
-    WebSearchResult r = run_websearch(p);
+    p.poisson_flows = 100;
+    SimWorld w(p);
+    WebSearchResult r = read_websearch(w);
     TrialDigest d;
     d.goodput = r.background.overall().percentile(99.0);
     d.completed = r.flows_completed == r.flows_total;
@@ -136,7 +138,7 @@ TrialDigest read_digest(const WorldSpec& spec, int shards, bool drill) {
   EXPECT_EQ(w.shard_count(), shards);
   TrialDigest d;
   if (drill) {
-    const FaultDrillResult r = read_fault_drill(w);
+    const FlowResult r = read_flow(w);
     d.goodput = r.goodput_gbps;
     d.elapsed = r.elapsed;
     d.completed = r.completed;
@@ -154,8 +156,10 @@ TrialDigest read_digest(const WorldSpec& spec, int shards, bool drill) {
 
 TEST(ShardDigest, UnequalPathsShardedBitIdenticalToSerial) {
   for (double ratio : {1.0, 4.0}) {
-    const WorldSpec spec =
-        unequal_paths_spec(SchemeKind::kDcp, ratio, 2ull * 1000 * 1000, {}, 10003);
+    WorldSpec spec = experiment_world(Experiment::kUnequalPaths);
+    spec.testbed.cross_links = unequal_cross_links(ratio);
+    spec.sport_base = 10003;
+    for (WorldFlow& f : spec.flows) f.bytes = 2ull * 1000 * 1000;
     EXPECT_EQ(read_digest(spec, 1, false), read_digest(spec, 2, false)) << "ratio " << ratio;
   }
 }
@@ -163,8 +167,8 @@ TEST(ShardDigest, UnequalPathsShardedBitIdenticalToSerial) {
 TEST(ShardDigest, FaultDrillEffectFreePlanShardedBitIdenticalToSerial) {
   // Every action is a no-op (zero rate, zero duration), so the plan has no
   // effect and does not force the serial path.
-  FaultDrillParams p;
-  p.flow_bytes = 2ull * 1000 * 1000;
+  WorldSpec p = experiment_world(Experiment::kFaultDrill);
+  p.flows[0].bytes = 2ull * 1000 * 1000;
   p.max_time = milliseconds(20);
   p.oracle = true;
   FaultAction drop;
@@ -176,8 +180,7 @@ TEST(ShardDigest, FaultDrillEffectFreePlanShardedBitIdenticalToSerial) {
   flap.at = microseconds(200);
   p.faults.actions = {drop, flap};
   ASSERT_FALSE(p.faults.has_effect());
-  const WorldSpec spec = fault_drill_spec(p);
-  EXPECT_EQ(read_digest(spec, 1, true), read_digest(spec, 2, true));
+  EXPECT_EQ(read_digest(p, 1, true), read_digest(p, 2, true));
 }
 
 TEST(ShardDigest, OverAskedShardCountClampsToTopology) {
@@ -196,9 +199,9 @@ TEST(ShardDigest, FaultPlansForceTheSerialPath) {
   // no shard-ordering story) — digests must match serial exactly.
   auto run = [](int shards) {
     ScopedShardsEnv env(shards);
-    LongFlowParams p;
+    WorldSpec p = experiment_world(Experiment::kLongFlow);
     p.scheme = SchemeKind::kDcp;
-    p.flow_bytes = 1ull * 1000 * 1000;
+    p.flows[0].bytes = 1ull * 1000 * 1000;
     p.max_time = milliseconds(20);
     FaultAction a;
     a.kind = FaultKind::kLinkFlap;
@@ -207,7 +210,8 @@ TEST(ShardDigest, FaultPlansForceTheSerialPath) {
     a.sw = 0;
     a.port = 0;
     p.faults.actions.push_back(a);
-    const LongFlowResult r = run_long_flow(p);
+    SimWorld w(p);
+    const FlowResult r = read_flow(w);
     TrialDigest d;
     d.goodput = r.goodput_gbps;
     d.elapsed = r.elapsed;
@@ -217,6 +221,31 @@ TEST(ShardDigest, FaultPlansForceTheSerialPath) {
     return d;
   };
   EXPECT_EQ(run(1), run(2));
+}
+
+TEST(SimWorldDeathTest, ExplicitShardsOnAOneShardWorldFailClosed) {
+  // An explicit shard count used to bypass both rules and run another
+  // world: fuzz seed 2's plan on two shards ended at another digest after
+  // 4,266 events instead of 4,264, and the collective pin's input at
+  // another digest after the same event count.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  WorldSpec faulted = experiment_world(Experiment::kFaultDrill);
+  FaultAction drop;
+  drop.kind = FaultKind::kDrop;
+  drop.rate = 0.01;
+  faulted.faults.actions = {drop};
+  ASSERT_TRUE(faulted.faults.has_effect());
+  faulted.shards = 2;
+  EXPECT_DEATH(SimWorld{faulted}, "shards = 2 refused: a fault plan with an effect runs on one");
+  WorldSpec collective = experiment_world(Experiment::kCollective);
+  collective.groups = 2;
+  collective.clos.spines = collective.clos.leaves = 2;
+  collective.shards = 2;
+  EXPECT_DEATH(SimWorld{collective}, "shards = 2 refused: a collective world runs on one");
+  // One shard is what both run anyway.
+  faulted.shards = collective.shards = 1;
+  EXPECT_EQ(SimWorld(faulted).shard_count(), 1);
+  EXPECT_EQ(SimWorld(collective).shard_count(), 1);
 }
 
 }  // namespace

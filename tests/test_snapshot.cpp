@@ -501,25 +501,26 @@ WorldSpec generated_clos_world() {
 TEST(Snapshot, GeneratedWorkloadsResumeBitIdentical) {
   // Bench-style worlds: Poisson + incast + faults on a Clos, a lossy long
   // flow with Poisson background on the testbed, and unequal paths.
-  LongFlowParams lf;
-  lf.flow_bytes = 2'000'000;
-  lf.loss_rate = 0.01;
-  lf.max_time = milliseconds(20);
-  WorldSpec testbed = long_flow_spec(lf);
+  WorldSpec testbed = experiment_world(Experiment::kLongFlow);
+  testbed.flows[0].bytes = 2'000'000;
+  testbed.loss_rate = 0.01;
+  testbed.max_time = milliseconds(20);
   testbed.poisson_flows = 20;
-  WanFlowParams wp;  // a WAN without wire loss holds no state outside the checkpoint
-  wp.wan.regions = 2;
-  wp.wan.wan_delay = microseconds(100);
-  wp.flow_bytes = 1'000'000;
-  wp.max_time = milliseconds(20);
-  WorldSpec wan = wan_flow_spec(wp);
+  // A WAN without wire loss holds no state outside the checkpoint.
+  WorldSpec wan = experiment_world(Experiment::kWanFlow);
+  wan.wan.regions = 2;
+  wan.wan.wan_delay = microseconds(100);
+  wan.flows[0].bytes = 1'000'000;
+  wan.max_time = milliseconds(20);
   wan.poisson_flows = 10;
+  WorldSpec unequal = experiment_world(Experiment::kUnequalPaths);
+  for (WorldFlow& f : unequal.flows) f.bytes = 2'000'000;
   const struct {
     const char* name;
     WorldSpec ws;
   } cases[] = {{"websearch+incast+faults", generated_clos_world()},
                {"longflow+loss+poisson", testbed},
-               {"unequal_paths", unequal_paths_spec(SchemeKind::kDcp, 4.0, 2'000'000)},
+               {"unequal_paths", unequal},
                {"clean wan+poisson", wan}};
   for (const auto& c : cases) {
     ASSERT_GT(SimWorld(c.ws).net().records().size(), 1u) << c.name;
@@ -534,17 +535,17 @@ TEST(Snapshot, GeneratedWorkloadsResumeBitIdentical) {
 TEST(Snapshot, WorldsWithStateOutsideEveryCheckpointRefuse) {
   // A collective's member state and a lossy WAN's wire-loss streams are in
   // no checkpoint: save and restore refuse rather than diverge.
-  CollectiveExpParams cp;
+  WorldSpec cp = experiment_world(Experiment::kCollective);
   cp.groups = 1;
   cp.clos.leaves = 2;
-  WanFlowParams wp;
+  WorldSpec wp = experiment_world(Experiment::kWanFlow);
   wp.wan.regions = 2;
   wp.wan.wan_delay = milliseconds(1);
   wp.wan.wan_loss_rate = 0.01;
   const struct {
     WorldSpec ws;
     const char* reason;
-  } cases[] = {{collectives_spec(cp), "collective"}, {wan_flow_spec(wp), "WAN wire-loss"}};
+  } cases[] = {{cp, "collective"}, {wp, "WAN wire-loss"}};
   for (const auto& c : cases) {
     SimWorld w(c.ws);
     w.run_to(microseconds(50));
@@ -557,7 +558,7 @@ TEST(Snapshot, WorldsWithStateOutsideEveryCheckpointRefuse) {
   }
   // A clean WAN has no wire-loss streams, so it saves.
   wp.wan.wan_loss_rate = 0;
-  SimWorld clean(wan_flow_spec(wp));
+  SimWorld clean(wp);
   clean.run_to(microseconds(50));
   SnapshotImage img;
   std::string err;

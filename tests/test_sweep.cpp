@@ -62,16 +62,6 @@ TEST(Sweep, PoolIsReusableAcrossSweeps) {
   }
 }
 
-TEST(Sweep, WorkerStatsCoverAllTrials) {
-  SweepRunner pool(4);
-  pool.set_progress(false);
-  pool.run_indexed(33, [](std::size_t) {});
-  std::uint64_t total = 0;
-  for (const SweepRunner::WorkerStats& ws : pool.worker_stats()) total += ws.trials;
-  EXPECT_EQ(total, 33u);
-  EXPECT_EQ(pool.worker_stats().size(), 4u);
-}
-
 TEST(Sweep, HandlesMoreJobsThanTrials) {
   SweepRunner pool(8);
   pool.set_progress(false);
@@ -195,12 +185,13 @@ std::vector<TrialDigest> fig17_matrix(unsigned jobs) {
   SweepRunner pool(jobs);
   pool.set_progress(false);
   return pool.run(trials.size(), [&](std::size_t i) {
-    LongFlowParams p;
+    WorldSpec p = experiment_world(Experiment::kLongFlow);
     p.scheme = trials[i].k;
     p.loss_rate = trials[i].rate;
-    p.flow_bytes = 2ull * 1000 * 1000;
+    p.flows[0].bytes = 2ull * 1000 * 1000;
     p.max_time = milliseconds(20);
-    const LongFlowResult r = run_long_flow(p);
+    SimWorld w(p);
+    const FlowResult r = read_flow(w);
     TrialDigest d;
     d.goodput = r.goodput_gbps;
     d.elapsed = r.elapsed;
@@ -234,9 +225,9 @@ TEST(SweepDeterminism, FaultDrillMatrixBitIdenticalAcrossJobCounts) {
     SweepRunner pool(jobs);
     pool.set_progress(false);
     return pool.run(6, [&](std::size_t i) {
-      FaultDrillParams p;
+      WorldSpec p = experiment_world(Experiment::kFaultDrill);
       p.scheme = kinds[i % 2];
-      p.flow_bytes = 2ull * 1000 * 1000;
+      p.flows[0].bytes = 2ull * 1000 * 1000;
       p.max_time = milliseconds(50);
       FaultAction a;
       a.kind = faults[i / 2];
@@ -246,7 +237,8 @@ TEST(SweepDeterminism, FaultDrillMatrixBitIdenticalAcrossJobCounts) {
       a.sw = 0;
       if (a.kind == FaultKind::kLinkFlap) a.port = 0;
       p.faults.actions.push_back(a);
-      const FaultDrillResult r = run_fault_drill(p);
+      SimWorld w(p);
+      const FlowResult r = read_flow(w);
       TrialDigest d;
       d.goodput = r.goodput_gbps;
       d.elapsed = r.elapsed;
@@ -271,15 +263,16 @@ TEST(SweepDeterminism, WebsearchSweepMatchesSerial) {
     SweepRunner pool(jobs);
     pool.set_progress(false);
     return pool.run(4, [&](std::size_t i) {
-      WebSearchParams p;
+      WorldSpec p = experiment_world(Experiment::kWebSearch);
       p.scheme = kinds[i % 2];
       p.seed = seeds[i / 2];
       p.clos.spines = 2;
       p.clos.leaves = 2;
       p.clos.hosts_per_leaf = 4;
       p.load = 0.4;
-      p.num_flows = 100;
-      const WebSearchResult r = run_websearch(p);
+      p.poisson_flows = 100;
+      SimWorld w(p);
+      const WebSearchResult r = read_websearch(w);
       return std::pair<std::uint64_t, std::size_t>(r.core.events_processed, r.flows_completed);
     });
   };

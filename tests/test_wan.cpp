@@ -94,16 +94,17 @@ TEST(Wan, LossyWiresAllocatePerDirectionFaults) {
 }
 
 TEST(Wan, CrossRegionFlowCompletesClean) {
-  WanFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kWanFlow);
   p.scheme = SchemeKind::kDcp;
   p.wan.wan_delay = milliseconds(5);
   p.wan.hosts_per_region = 2;
-  p.flow_bytes = 2ull * 1000 * 1000;
+  p.flows[0].bytes = 2ull * 1000 * 1000;
   p.max_time = seconds(2);
   p.oracle = true;
-  const WanFlowResult r = run_wan_flow(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.receiver.bytes_received, p.flow_bytes);
+  EXPECT_EQ(r.receiver.bytes_received, p.flows[0].bytes);
   EXPECT_EQ(r.wire_dropped, 0u);
   for (const InvariantViolation& v : r.violations) {
     ADD_FAILURE() << v.invariant << ": " << v.detail;
@@ -111,17 +112,18 @@ TEST(Wan, CrossRegionFlowCompletesClean) {
 }
 
 TEST(Wan, LossyCrossRegionFlowCompletesAndCountsDrops) {
-  WanFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kWanFlow);
   p.scheme = SchemeKind::kFec;
   p.wan.wan_delay = milliseconds(5);
   p.wan.hosts_per_region = 2;
   p.wan.wan_loss_rate = 0.05;
-  p.flow_bytes = 2ull * 1000 * 1000;
+  p.flows[0].bytes = 2ull * 1000 * 1000;
   p.max_time = seconds(5);
   p.oracle = true;
-  const WanFlowResult r = run_wan_flow(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.receiver.bytes_received, p.flow_bytes);
+  EXPECT_EQ(r.receiver.bytes_received, p.flows[0].bytes);
   EXPECT_GT(r.wire_dropped, 0u);
   EXPECT_GT(r.receiver.decode_recovered_packets, 0u);
   for (const InvariantViolation& v : r.violations) {
@@ -135,17 +137,18 @@ TEST(Wan, HugeBdpProbeNoOverflow) {
   // accounting and buffer sizing all have to survive in 64-bit.  The flow
   // is small; what matters is that timers fire sanely and the run
   // completes with exact byte accounting instead of wedging or wrapping.
-  WanFlowParams p;
+  WorldSpec p = experiment_world(Experiment::kWanFlow);
   p.scheme = SchemeKind::kFec;
   p.wan.regions = 2;
   p.wan.hosts_per_region = 2;
   p.wan.wan_delay = milliseconds(400);
-  p.flow_bytes = 1ull * 1000 * 1000;
+  p.flows[0].bytes = 1ull * 1000 * 1000;
   p.max_time = seconds(10);
   p.oracle = true;
-  const WanFlowResult r = run_wan_flow(p);
+  SimWorld w(p);
+  const FlowResult r = read_flow(w);
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.receiver.bytes_received, p.flow_bytes);
+  EXPECT_EQ(r.receiver.bytes_received, p.flows[0].bytes);
   EXPECT_GT(r.elapsed, milliseconds(800));  // at least one RTT, sane sign
   EXPECT_LT(r.elapsed, seconds(10));
   for (const InvariantViolation& v : r.violations) {
@@ -176,14 +179,15 @@ std::vector<TrialDigest> wan_matrix(int shards) {
   std::vector<TrialDigest> out;
   for (double loss : losses) {
     for (SchemeKind k : kinds) {
-      WanFlowParams p;
+      WorldSpec p = experiment_world(Experiment::kWanFlow);
       p.scheme = k;
       p.wan.wan_delay = milliseconds(2);
       p.wan.hosts_per_region = 2;
       p.wan.wan_loss_rate = loss;
-      p.flow_bytes = 1ull * 1000 * 1000;
+      p.flows[0].bytes = 1ull * 1000 * 1000;
       p.max_time = seconds(2);
-      const WanFlowResult r = run_wan_flow(p);
+      SimWorld w(p);
+      const FlowResult r = read_flow(w);
       TrialDigest d;
       d.goodput = r.goodput_gbps;
       d.elapsed = r.elapsed;
