@@ -7,73 +7,39 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/experiment.h"
 #include "harness/report.h"
-#include "harness/scheme.h"
 #include "harness/sweep.h"
-#include "stats/fct_stats.h"
-#include "topo/clos.h"
-#include "topo/fattree.h"
-#include "workload/flowgen.h"
 
 using namespace dcp;
 
 namespace {
 
 struct Row {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  std::uint64_t retx = 0;
-  std::uint64_t timeouts = 0;
-  bool all_done = false;
-  CorePerf core;
+  WebSearchResult r;
+  std::uint64_t retx = 0;  // over completed flows
 };
 
-Row harvest(Network& net) {
-  Row r;
-  FctStats st;
-  for (const FlowRecord& rec : net.records()) {
-    if (!rec.complete()) continue;
-    st.add(rec, net.ideal_fct(rec.spec.src, rec.spec.dst, rec.spec.bytes));
-    r.retx += rec.sender.retransmitted_packets;
-    r.timeouts += rec.sender.timeouts;
-  }
-  r.p50 = st.overall().percentile(50);
-  r.p95 = st.overall().percentile(95);
-  r.all_done = net.all_flows_done();
-  return r;
-}
-
 Row run(SchemeKind kind, bool fattree) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
-  SchemeSetup setup = make_scheme(kind);
-  std::vector<Host*> hosts;
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
+  s.scheme = kind;
   if (fattree) {
-    FatTreeParams p;
-    p.k = full_scale() ? 8 : 4;
-    p.sw = setup.sw;
-    hosts = build_fattree(net, p).hosts;
+    s.topo = TopoKind::kFatTree;
+    s.fattree.k = full_scale() ? 8 : 4;
   } else {
-    ClosParams p;
-    p.spines = 2;
-    p.leaves = full_scale() ? 16 : 4;
-    p.hosts_per_leaf = full_scale() ? 8 : 4;
-    p.sw = setup.sw;
-    hosts = build_clos(net, p).hosts;
+    s.clos.spines = 2;
+    s.clos.leaves = full_scale() ? 16 : 4;
+    s.clos.hosts_per_leaf = full_scale() ? 8 : 4;
   }
-  apply_scheme(net, setup);
-
-  FlowGenParams fg;
-  fg.load = 0.5;
-  fg.num_flows = full_scale() ? 4000 : 400;
-  fg.msg_bytes = 4 * 1024 * 1024;
-  generate_poisson_flows(net, hosts, SizeDist::websearch(), fg);
-  CorePerfTimer timer(sim);
-  net.run_until_done(seconds(10));
-  Row r = harvest(net);
-  r.core = timer.finish();
-  return r;
+  s.load = 0.5;
+  s.poisson_flows = full_scale() ? 4000 : 400;
+  s.max_time = seconds(10);
+  SimWorld w(s);
+  Row row{read_websearch(w)};
+  for (const FlowRecord& rec : w.net().records()) {
+    if (rec.complete()) row.retx += rec.sender.retransmitted_packets;
+  }
+  return row;
 }
 
 }  // namespace
@@ -93,17 +59,20 @@ int main() {
 
   SweepRunner pool;
   CorePerfAggregator agg;
-  const std::vector<Row> rows = pool.run(std::size(cfgs), [&](std::size_t i) {
-    Row r = run(cfgs[i].k, cfgs[i].ft);
-    agg.add(r.core);
-    return r;
+  std::vector<Row> rows = pool.run(std::size(cfgs), [&](std::size_t i) {
+    Row row = run(cfgs[i].k, cfgs[i].ft);
+    agg.add(row.r.core);
+    return row;
   });
 
   Table t({"Scheme / topology", "P50", "P95", "Retransmissions", "RTOs", "All done"});
   for (std::size_t i = 0; i < std::size(cfgs); ++i) {
-    const Row& r = rows[i];
-    t.add_row({cfgs[i].label, Table::num(r.p50, 2), Table::num(r.p95, 2), std::to_string(r.retx),
-               std::to_string(r.timeouts), r.all_done ? "yes" : "NO"});
+    Row& row = rows[i];
+    PercentileEstimator& fct = row.r.background.overall();
+    t.add_row({cfgs[i].label, Table::num(fct.percentile(50), 2), Table::num(fct.percentile(95), 2),
+               std::to_string(row.retx),
+               std::to_string(row.r.timeouts_background + row.r.timeouts_incast),
+               row.r.flows_completed == row.r.flows_total ? "yes" : "NO"});
   }
   t.print();
   report_sweep(pool, agg);

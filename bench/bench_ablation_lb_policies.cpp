@@ -9,59 +9,33 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/experiment.h"
 #include "harness/report.h"
-#include "harness/scheme.h"
 #include "harness/sweep.h"
-#include "stats/fct_stats.h"
-#include "topo/clos.h"
-#include "workload/flowgen.h"
 
 using namespace dcp;
 
 namespace {
 
 struct Row {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  std::uint64_t retx = 0;
-  std::uint64_t timeouts = 0;
-  CorePerf core;
+  WebSearchResult r;
+  std::uint64_t retx = 0;  // over completed flows
 };
 
 Row run(SchemeKind kind, LbPolicy lb) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
-  SchemeSetup setup = make_scheme(kind);
-  setup.sw.lb = lb;
-  ClosParams clos;
-  clos.spines = 4;
-  clos.leaves = 4;
-  clos.hosts_per_leaf = full_scale() ? 16 : 4;
-  clos.sw = setup.sw;
-  ClosTopology topo = build_clos(net, clos);
-  apply_scheme(net, setup);
-
-  FlowGenParams fg;
-  fg.load = 0.5;
-  fg.num_flows = full_scale() ? 4000 : 400;
-  fg.msg_bytes = 4 * 1024 * 1024;
-  generate_poisson_flows(net, topo.hosts, SizeDist::websearch(), fg);
-  CorePerfTimer timer(sim);
-  net.run_until_done(seconds(5));
-
-  Row r;
-  r.core = timer.finish();
-  FctStats st;
-  for (const FlowRecord& rec : net.records()) {
-    if (!rec.complete()) continue;
-    st.add(rec, net.ideal_fct(rec.spec.src, rec.spec.dst, rec.spec.bytes));
-    r.retx += rec.sender.retransmitted_packets;
-    r.timeouts += rec.sender.timeouts;
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
+  s.scheme = kind;
+  s.opt.lb = lb;
+  s.clos.hosts_per_leaf = full_scale() ? 16 : 4;
+  s.load = 0.5;
+  s.poisson_flows = full_scale() ? 4000 : 400;
+  s.max_time = seconds(5);
+  SimWorld w(s);
+  Row row{read_websearch(w)};
+  for (const FlowRecord& rec : w.net().records()) {
+    if (rec.complete()) row.retx += rec.sender.retransmitted_packets;
   }
-  r.p50 = st.overall().percentile(50);
-  r.p95 = st.overall().percentile(95);
-  return r;
+  return row;
 }
 
 const char* lb_name(LbPolicy lb) {
@@ -73,6 +47,13 @@ const char* lb_name(LbPolicy lb) {
     case LbPolicy::kSourcePath: return "SourcePath";
   }
   return "?";
+}
+
+std::vector<std::string> table_row(const std::string& label, Row& row) {
+  PercentileEstimator& fct = row.r.background.overall();
+  return {label, Table::num(fct.percentile(50), 2), Table::num(fct.percentile(95), 2),
+          std::to_string(row.retx),
+          std::to_string(row.r.timeouts_background + row.r.timeouts_incast)};
 }
 
 }  // namespace
@@ -91,27 +72,21 @@ int main() {
 
   SweepRunner pool;
   CorePerfAggregator agg;
-  const std::vector<Row> rows = pool.run(std::size(trials), [&](std::size_t i) {
-    Row r = run(trials[i].k, trials[i].lb);
-    agg.add(r.core);
-    return r;
+  std::vector<Row> rows = pool.run(std::size(trials), [&](std::size_t i) {
+    Row row = run(trials[i].k, trials[i].lb);
+    agg.add(row.r.core);
+    return row;
   });
 
   banner("Ablation: DCP under every load-balancing policy (WebSearch 0.5)");
   Table t({"LB policy", "P50", "P95", "Retransmissions", "RTOs"});
-  for (std::size_t i = 0; i < 4; ++i) {
-    const Row& r = rows[i];
-    t.add_row({lb_name(trials[i].lb), Table::num(r.p50, 2), Table::num(r.p95, 2),
-               std::to_string(r.retx), std::to_string(r.timeouts)});
-  }
+  for (std::size_t i = 0; i < 4; ++i) t.add_row(table_row(lb_name(trials[i].lb), rows[i]));
   t.print();
 
   banner("Contrast: IRN under packet-level policies (spurious retransmissions)");
   Table c({"Scheme+LB", "P50", "P95", "Retransmissions", "RTOs"});
   for (std::size_t i = 4; i < std::size(trials); ++i) {
-    const Row& r = rows[i];
-    c.add_row({std::string("IRN+") + lb_name(trials[i].lb), Table::num(r.p50, 2),
-               Table::num(r.p95, 2), std::to_string(r.retx), std::to_string(r.timeouts)});
+    c.add_row(table_row(std::string("IRN+") + lb_name(trials[i].lb), rows[i]));
   }
   c.print();
   report_sweep(pool, agg);

@@ -4,62 +4,38 @@
 // batch size 1, every retransmitted packet costs a full PCIe round trip —
 // the paper's back-of-envelope caps recovery throughput around
 // 1KB / 2us = 4 Gbps.  Batching up to 16 entries per fetch amortizes the
-// round trip and restores goodput.  We force 5% trimming on a long flow
+// round trip and restores goodput.  We force 50% trimming on a long flow
 // and sweep the batch size.
 
 #include <cstdio>
 #include <vector>
 
-#include "harness/report.h"
-#include "harness/scheme.h"
-#include "harness/sweep.h"
 #include "core/dcp_transport.h"
-#include "topo/testbed.h"
+#include "harness/experiment.h"
+#include "harness/report.h"
+#include "harness/sweep.h"
 
 using namespace dcp;
 
 namespace {
 
 struct Result {
-  double goodput_gbps = 0.0;
-  std::uint64_t pcie_fetches = 0;
-  std::uint64_t retx = 0;
-  CorePerf core;
+  FlowResult flow;
+  DcpSenderStats dcp{};
 };
 
 Result run(std::uint32_t batch, Time pcie_rtt) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
-  SchemeSetup s = make_scheme(SchemeKind::kDcp);
-  s.tcfg.retrans_batch = batch;
-  s.tcfg.pcie_rtt = pcie_rtt;
-  TestbedParams tb;
-  tb.sw = s.sw;
-  TestbedTopology topo = build_testbed(net, tb);
-  topo.sw1->config().inject_loss_rate = 0.5;  // brutal: half of all data trimmed
-  apply_scheme(net, s);
-
-  FlowSpec spec;
-  spec.src = topo.hosts[0]->id();
-  spec.dst = topo.hosts[8]->id();
-  spec.bytes = full_scale() ? 100ull * 1000 * 1000 : 20ull * 1000 * 1000;
-  spec.msg_bytes = 4 * 1024 * 1024;
-  const FlowId id = net.start_flow(spec);
-  CorePerfTimer timer(sim);
-  net.run_until_done(seconds(2));
-
-  Result r;
-  r.core = timer.finish();
-  const FlowRecord& rec = net.record(id);
-  if (rec.complete()) {
-    r.goodput_gbps = static_cast<double>(rec.spec.bytes) * 8.0 /
-                     (static_cast<double>(rec.fct()) / kSecond) / 1e9;
-  }
-  auto* snd = dynamic_cast<DcpSender*>(net.host(spec.src)->sender(id));
-  if (snd != nullptr) {
-    r.pcie_fetches = snd->dcp_stats().pcie_fetches;
-    r.retx = snd->dcp_stats().ho_triggered_retx;
+  WorldSpec s = experiment_world(Experiment::kLongFlow);
+  s.opt.retrans_batch = batch;
+  s.opt.pcie_rtt = pcie_rtt;
+  s.loss_rate = 0.5;  // brutal: half of all data trimmed
+  s.flows[0].bytes = full_scale() ? 100ull * 1000 * 1000 : 20ull * 1000 * 1000;
+  s.max_time = seconds(2);
+  SimWorld w(s);
+  Result r{read_flow(w)};
+  const FlowSpec& spec = w.net().records().front().spec;
+  if (auto* snd = dynamic_cast<DcpSender*>(w.net().host(spec.src)->sender(spec.id))) {
+    r.dcp = snd->dcp_stats();
   }
   return r;
 }
@@ -74,18 +50,19 @@ int main() {
   CorePerfAggregator agg;
   const std::vector<Result> results = pool.run(std::size(batches), [&](std::size_t i) {
     Result r = run(batches[i], microseconds(2));
-    agg.add(r.core);
+    agg.add(r.flow.core);
     return r;
   });
 
   Table t({"Batch", "Goodput (Gbps)", "PCIe fetches", "HO retransmissions",
            "Retx per fetch"});
   for (std::size_t i = 0; i < std::size(batches); ++i) {
-    const Result& r = results[i];
-    t.add_row({std::to_string(batches[i]), Table::num(r.goodput_gbps, 2),
-               std::to_string(r.pcie_fetches), std::to_string(r.retx),
-               r.pcie_fetches > 0
-                   ? Table::num(static_cast<double>(r.retx) / static_cast<double>(r.pcie_fetches), 1)
+    const std::uint64_t fetches = results[i].dcp.pcie_fetches;
+    const std::uint64_t retx = results[i].dcp.ho_triggered_retx;
+    t.add_row({std::to_string(batches[i]), Table::num(results[i].flow.goodput_gbps, 2),
+               std::to_string(fetches), std::to_string(retx),
+               fetches > 0
+                   ? Table::num(static_cast<double>(retx) / static_cast<double>(fetches), 1)
                    : "-"});
   }
   t.print();

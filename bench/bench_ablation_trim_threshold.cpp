@@ -17,49 +17,19 @@ using namespace dcp;
 
 namespace {
 
-WebSearchResult run(std::uint64_t threshold) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
-  SchemeSetup setup = make_scheme(SchemeKind::kDcp);
-  setup.sw.trim_threshold_bytes = threshold;
-  ClosParams clos;
-  clos.spines = 4;
-  clos.leaves = 4;
-  clos.hosts_per_leaf = full_scale() ? 16 : 4;
-  clos.sw = setup.sw;
-  ClosTopology topo = build_clos(net, clos);
-  apply_scheme(net, setup);
-
-  FlowGenParams fg;
-  fg.load = 0.5;
-  fg.num_flows = full_scale() ? 4000 : 400;
-  fg.msg_bytes = 4 * 1024 * 1024;
-  generate_poisson_flows(net, topo.hosts, SizeDist::websearch(), fg);
-  IncastParams inc;
-  inc.fan_in = full_scale() ? 64 : 12;
-  inc.bursts = 8;
-  inc.load = 0.05;
-  inc.bytes_per_sender = 256 * 1024;
-  generate_incast(net, topo.hosts, inc);
-  CorePerfTimer timer(sim);
-  net.run_until_done(seconds(5));
-
-  WebSearchResult r;
-  r.core = timer.finish();
-  for (const FlowRecord& rec : net.records()) {
-    if (!rec.complete()) continue;
-    const Time ideal = net.ideal_fct(rec.spec.src, rec.spec.dst, rec.spec.bytes);
-    if (rec.spec.background) {
-      r.background.add(rec, ideal);
-      r.timeouts_background += rec.sender.timeouts;
-    } else {
-      r.incast_flows.add(rec, ideal);
-      r.timeouts_incast += rec.sender.timeouts;
-    }
-  }
-  r.sw = net.total_switch_stats();
-  return r;
+WorldSpec cell(std::uint64_t threshold) {
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
+  s.opt.data_queue_bytes = threshold;
+  s.clos.hosts_per_leaf = full_scale() ? 16 : 4;
+  s.load = 0.5;
+  s.poisson_flows = full_scale() ? 4000 : 400;
+  s.with_incast = true;
+  s.incast.fan_in = full_scale() ? 64 : 12;
+  s.incast.bursts = 8;
+  s.incast.load = 0.05;
+  s.incast.bytes_per_sender = 256 * 1024;
+  s.max_time = seconds(5);
+  return s;
 }
 
 }  // namespace
@@ -72,7 +42,8 @@ int main() {
   SweepRunner pool;
   CorePerfAggregator agg;
   std::vector<WebSearchResult> results = pool.run(std::size(thresholds), [&](std::size_t i) {
-    WebSearchResult r = run(thresholds[i]);
+    SimWorld w(cell(thresholds[i]));
+    WebSearchResult r = read_websearch(w);
     agg.add(r.core);
     return r;
   });

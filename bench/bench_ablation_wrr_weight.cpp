@@ -7,69 +7,56 @@
 // smaller weights start losing HO packets, larger ones only waste data
 // bandwidth.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
+#include "harness/experiment.h"
 #include "harness/report.h"
-#include "harness/scheme.h"
 #include "harness/sweep.h"
 #include "switch/scheduler.h"
-#include "topo/dumbbell.h"
 
 using namespace dcp;
 
 namespace {
 
 struct Result {
-  double ho_loss = 0.0;
+  WebSearchResult r;
   double worst_fct_ms = 0.0;
-  std::uint64_t trims = 0;
   std::uint64_t max_ctrl_queue = 0;  // peak control-queue backlog (bytes)
-  bool all_done = false;
-  CorePerf core;
 };
 
-Result run(double weight, int fan_in) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
-  SchemeSetup s = make_scheme(SchemeKind::kDcp);
-  s.sw.control_weight = weight;
-  s.sw.trim_threshold_bytes = 32 * 1024;  // shallow: trim storm guaranteed
-  s.sw.buffer_bytes = 1024 * 1024;  // small buffer: a starved control queue
-                                    // actually overflows instead of parking
-  Star star = build_star(net, fan_in + 1, s.sw);
-  apply_scheme(net, s);
-
+// `fan_in` hosts of a star send to the last one.
+WorldSpec cell(double weight, int fan_in) {
+  WorldSpec s = experiment_world(Experiment::kWebSearch);
+  s.opt.control_weight = weight;
+  s.opt.data_queue_bytes = 32 * 1024;  // shallow: trim storm guaranteed
+  s.opt.buffer_bytes = 1024 * 1024;    // small buffer: a starved control queue
+                                       // actually overflows instead of parking
+  s.topo = TopoKind::kStar;
+  s.star_hosts = fan_in + 1;
+  s.poisson_flows = 0;
   for (int i = 0; i < fan_in; ++i) {
-    FlowSpec spec;
-    spec.src = star.hosts[static_cast<std::size_t>(i)]->id();
-    spec.dst = star.hosts[static_cast<std::size_t>(fan_in)]->id();
-    spec.bytes = 4 * 1024 * 1024;  // sustained pressure
-    spec.msg_bytes = 512 * 1024;
-    net.start_flow(spec);
+    s.flows.push_back({i, fan_in, 4 * 1024 * 1024, 512 * 1024});  // sustained pressure
   }
-  CorePerfTimer timer(sim);
-  net.run_until_done(seconds(10));
+  s.max_time = seconds(10);
+  return s;
+}
 
-  Result r;
-  r.core = timer.finish();
-  r.all_done = net.all_flows_done();
-  for (const auto& swp : net.switches()) {
+Result run(double weight, int fan_in) {
+  SimWorld w(cell(weight, fan_in));
+  Result res{read_websearch(w)};
+  for (const auto& swp : w.net().switches()) {
     for (std::uint32_t pi = 0; pi < swp->num_ports(); ++pi) {
-      r.max_ctrl_queue = std::max(
-          r.max_ctrl_queue,
+      res.max_ctrl_queue = std::max(
+          res.max_ctrl_queue,
           swp->port(pi).queue(static_cast<int>(QueueClass::kControl)).max_bytes_seen());
     }
   }
-  const auto sw = net.total_switch_stats();
-  const std::uint64_t total_ho = sw.ho_seen + sw.dropped_ho;
-  r.ho_loss = total_ho == 0 ? 0.0 : static_cast<double>(sw.dropped_ho) / total_ho;
-  r.trims = sw.trimmed;
-  for (const FlowRecord& rec : net.records()) {
-    if (rec.complete()) r.worst_fct_ms = std::max(r.worst_fct_ms, to_ms(rec.fct()));
+  for (const FlowRecord& rec : w.net().records()) {
+    if (rec.complete()) res.worst_fct_ms = std::max(res.worst_fct_ms, to_ms(rec.fct()));
   }
-  return r;
+  return res;
 }
 
 }  // namespace
@@ -86,7 +73,7 @@ int main() {
   CorePerfAggregator agg;
   const std::vector<Result> results = pool.run(std::size(weights), [&](std::size_t i) {
     Result res = run(weights[i], fan_in);
-    agg.add(res.core);
+    agg.add(res.r.core);
     return res;
   });
 
@@ -97,9 +84,10 @@ int main() {
     const Result& res = results[i];
     char lbl[32];
     std::snprintf(lbl, sizeof(lbl), w == formula ? "%.2f (formula)" : "%.2f", w);
-    t.add_row({lbl, Table::num(res.ho_loss * 100, 3) + "%",
-               Table::bytes_human(res.max_ctrl_queue), std::to_string(res.trims),
-               Table::num(res.worst_fct_ms, 2), res.all_done ? "yes" : "NO"});
+    t.add_row({lbl, Table::num(res.r.ho_loss_ratio * 100, 3) + "%",
+               Table::bytes_human(res.max_ctrl_queue), std::to_string(res.r.sw.trimmed),
+               Table::num(res.worst_fct_ms, 2),
+               res.r.flows_completed == res.r.flows_total ? "yes" : "NO"});
   }
   t.print();
   report_sweep(pool, agg);

@@ -188,51 +188,14 @@ CorePerf micro_snapshot_save_restore(int rounds) {
 
 /// Full-stack macro run: DCP on a 2x2x4 CLOS with 0.5% injected loss,
 /// 400 websearch flows at 40% load (the seed baseline was measured on this
-/// exact configuration).  With `oracle`, the InvariantOracle rides along —
+/// exact configuration), on `shards` shards.  One shard is the serial
+/// substrate; two put one leaf group on each, bit-identical to serial, so
+/// the wall clock is the sharded entry's point (on a single-core runner the
+/// window barriers make it *slower*; the perf gate only enforces it on >= 4
+/// hardware threads).  With `oracle`, the InvariantOracle rides along —
 /// the delta against the unarmed entry is the checking overhead (the armed
 /// run must also come back clean).
-CorePerf macro_websearch(bool oracle = false) {
-  Simulator sim;
-  Logger log(LogLevel::kOff);
-  Network net(sim, log);
-
-  SchemeSetup s = make_scheme(SchemeKind::kDcp, SchemeOptions{});
-  s.sw.inject_loss_rate = 0.005;
-  ClosParams cp;
-  cp.spines = 2;
-  cp.leaves = 2;
-  cp.hosts_per_leaf = 4;
-  cp.sw = s.sw;
-  ClosTopology topo = build_clos(net, cp);
-  apply_scheme(net, s);
-
-  FlowGenParams fg;
-  fg.load = 0.4;
-  fg.num_flows = 400;
-  fg.seed = 7;
-  generate_poisson_flows(net, topo.hosts, SizeDist::websearch(), fg);
-
-  std::unique_ptr<InvariantOracle> ora;
-  if (oracle) ora = std::make_unique<InvariantOracle>(net);
-  CorePerfTimer timer(sim);
-  net.run_until_done(seconds(10));
-  CorePerf perf = timer.finish();
-  if (ora) {
-    ora->finalize();
-    if (!ora->ok()) {
-      std::fprintf(stderr, "ORACLE VIOLATION in macro bench: %s\n", ora->summary().c_str());
-      perf.events_processed = 0;  // poison the entry so the regression is loud
-    }
-  }
-  return perf;
-}
-
-/// The macro shape on the space-parallel sharded substrate: one shard per
-/// leaf group (DCP_SHARDS=2 on this 2-leaf CLOS).  Results are bit-
-/// identical to the serial macro — the wall clock is the entry's point.
-/// On a single-core runner the window barriers make this *slower* than
-/// serial; the perf gate only enforces it on >= 4 hardware threads.
-CorePerf macro_websearch_sharded(int shards) {
+CorePerf macro_websearch(int shards, bool oracle = false) {
   ShardGroup group(shards);
   Logger log(LogLevel::kOff);
   Network net(group, log);
@@ -253,9 +216,19 @@ CorePerf macro_websearch_sharded(int shards) {
   fg.seed = 7;
   generate_poisson_flows(net, topo.hosts, SizeDist::websearch(), fg);
 
+  std::unique_ptr<InvariantOracle> ora;
+  if (oracle) ora = std::make_unique<InvariantOracle>(net);
   CorePerfTimer timer(group);
   net.run_until_done(seconds(10));
-  return timer.finish();
+  CorePerf perf = timer.finish();
+  if (ora) {
+    ora->finalize();
+    if (!ora->ok()) {
+      std::fprintf(stderr, "ORACLE VIOLATION in macro bench: %s\n", ora->summary().c_str());
+      perf.events_processed = 0;  // poison the entry so the regression is loud
+    }
+  }
+  return perf;
 }
 
 /// Faster (by wall clock) of two macro samples; a poisoned sample (oracle
@@ -380,8 +353,8 @@ int run_check(const char* json_path) {
     return 2;
   }
 
-  CorePerf fresh = macro_websearch(/*oracle=*/false);
-  for (int i = 1; i < 3; ++i) fresh = min_wall(fresh, macro_websearch(/*oracle=*/false));
+  CorePerf fresh = macro_websearch(1);
+  for (int i = 1; i < 3; ++i) fresh = min_wall(fresh, macro_websearch(1));
 
   const double got = fresh.events_per_sec();
   bool ok = gate("macro_websearch_clos_loss", got, "committed", committed, 0.75, Bound::kFloor,
@@ -444,7 +417,7 @@ int run_check(const char* json_path) {
   // by 1.5x (single trial); below that the windows time-slice one core
   // and the number says nothing, so the gate is skipped.
   if (std::thread::hardware_concurrency() >= 4) {
-    ok &= gate("macro_websearch_sharded", macro_websearch_sharded(2).events_per_sec(), "serial",
+    ok &= gate("macro_websearch_sharded", macro_websearch(2).events_per_sec(), "serial",
                got, 1.5, Bound::kFloor, " ev/s");
   } else {
     std::printf("perf-check macro_websearch_sharded: skipped (%u hardware threads < 4)\n",
@@ -471,11 +444,11 @@ int main(int argc, char** argv) {
   // The armed-vs-unarmed delta is a few percent — smaller than scheduler
   // noise on a loaded host — so the pair is sampled interleaved (drift hits
   // both sides alike) and each entry keeps its best-of-3 wall clock.
-  CorePerf macro_unarmed = macro_websearch(/*oracle=*/false);
-  CorePerf macro_armed = macro_websearch(/*oracle=*/true);
+  CorePerf macro_unarmed = macro_websearch(1);
+  CorePerf macro_armed = macro_websearch(1, /*oracle=*/true);
   for (int i = 1; i < 3; ++i) {
-    macro_unarmed = min_wall(macro_unarmed, macro_websearch(/*oracle=*/false));
-    macro_armed = min_wall(macro_armed, macro_websearch(/*oracle=*/true));
+    macro_unarmed = min_wall(macro_unarmed, macro_websearch(1));
+    macro_armed = min_wall(macro_armed, macro_websearch(1, /*oracle=*/true));
   }
   entries.push_back({"macro_websearch_clos_loss", macro_unarmed, kSeedMacroEventsPerSec});
   entries.push_back({"macro_websearch_oracle_armed", macro_armed, 0.0});
@@ -483,8 +456,8 @@ int main(int argc, char** argv) {
   // same process, so speedup_vs_seed is this machine's sharding win (the
   // acceptance target is > 1.5x on a >= 4-core runner; expect < 1x on one
   // core, where the windows serialize onto a single thread).
-  CorePerf macro_sharded = macro_websearch_sharded(2);
-  for (int i = 1; i < 3; ++i) macro_sharded = min_wall(macro_sharded, macro_websearch_sharded(2));
+  CorePerf macro_sharded = macro_websearch(2);
+  for (int i = 1; i < 3; ++i) macro_sharded = min_wall(macro_sharded, macro_websearch(2));
   CorePerfEntry sharded_entry{"macro_websearch_sharded", macro_sharded,
                               macro_unarmed.events_per_sec()};
   sharded_entry.shards = 2;

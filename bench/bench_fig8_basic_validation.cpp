@@ -4,56 +4,24 @@
 
 #include <cstdio>
 
+#include "harness/experiment.h"
 #include "harness/report.h"
-#include "harness/scheme.h"
-#include "stats/goodput.h"
-#include "topo/dumbbell.h"
 
 using namespace dcp;
 
 namespace {
 
-struct Result {
-  double tput_gbps;
-  double latency_us;
-};
-
-Result run(SchemeKind kind) {
-  Result r{};
-  // Throughput: many 512 KB messages back to back.
-  {
-    Simulator sim;
-    Logger log(LogLevel::kError);
-    Network net(sim, log);
-    SchemeSetup s = make_scheme(kind);
-    BackToBack t = build_back_to_back(net);
-    apply_scheme(net, s);
-    FlowSpec spec;
-    spec.src = t.a->id();
-    spec.dst = t.b->id();
-    spec.bytes = 64ull * 512 * 1024;  // 64 x 512 KB messages
-    spec.msg_bytes = 512 * 1024;
-    const FlowId id = net.start_flow(spec);
-    net.run_until_done(seconds(1));
-    r.tput_gbps = flow_goodput_gbps(net.record(id));
-  }
-  // Latency: a single 64 B message, measured sender-side (post -> completion).
-  {
-    Simulator sim;
-    Logger log(LogLevel::kError);
-    Network net(sim, log);
-    SchemeSetup s = make_scheme(kind);
-    BackToBack t = build_back_to_back(net);
-    apply_scheme(net, s);
-    FlowSpec spec;
-    spec.src = t.a->id();
-    spec.dst = t.b->id();
-    spec.bytes = 64;
-    const FlowId id = net.start_flow(spec);
-    net.run_until_done(seconds(1));
-    r.latency_us = to_us(net.record(id).fct());
-  }
-  return r;
+// One flow of `bytes` in `msg_bytes` messages (0: one message) across
+// the cable.
+FlowResult run(SchemeKind kind, std::uint64_t bytes, std::uint64_t msg_bytes) {
+  WorldSpec s = experiment_world(Experiment::kLongFlow);
+  s.topo = TopoKind::kBackToBack;
+  s.scheme = kind;
+  s.flows[0].bytes = bytes;
+  s.flows[0].msg_bytes = msg_bytes;
+  s.max_time = seconds(1);
+  SimWorld w(s);
+  return read_flow(w);
 }
 
 }  // namespace
@@ -64,8 +32,11 @@ int main() {
   Table t({"Scheme", "Throughput (Gbps)", "64B latency (us)"});
   for (SchemeKind k : {SchemeKind::kDcp, SchemeKind::kCx5, SchemeKind::kTcp}) {
     const char* label = k == SchemeKind::kCx5 ? "RNIC-GBN" : scheme_name(k);
-    const Result r = run(k);
-    t.add_row({label, Table::num(r.tput_gbps, 1), Table::num(r.latency_us, 2)});
+    // Throughput: 64 x 512 KB messages back to back.  Latency: one 64 B
+    // message, measured sender-side (post -> completion).
+    const FlowResult tput = run(k, 64ull * 512 * 1024, 512 * 1024);
+    const FlowResult lat = run(k, 64, 0);
+    t.add_row({label, Table::num(tput.goodput_gbps, 1), Table::num(to_us(lat.elapsed), 2)});
   }
   t.print();
 

@@ -10,9 +10,8 @@
 
 #include <cstdio>
 
-#include "harness/scheme.h"
+#include "harness/world.h"
 #include "switch/scheduler.h"
-#include "topo/dumbbell.h"
 
 using namespace dcp;
 
@@ -26,33 +25,24 @@ struct StormResult {
 };
 
 StormResult run_storm(SchemeKind kind) {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
-
   constexpr int kFanIn = 16;
-  SchemeSetup scheme = make_scheme(kind);
+  WorldSpec spec;
+  spec.scheme = kind;
+  spec.topo = TopoKind::kStar;
+  spec.star_hosts = kFanIn + 1;
+  // Shallow data queue (64 KB): DCP trims above it, IRN drops.  DCP's WRR
+  // weight from w = (N-1)/(r-N+1) with r = 1073/57 (data vs header-only
+  // wire size).
+  spec.opt.data_queue_bytes = 64 * 1024;
   if (kind == SchemeKind::kDcp) {
-    // Shallow data queue (64 KB) to force heavy trimming; WRR weight from
-    // w = (N-1)/(r-N+1) with r = 1073/57 (data vs header-only wire size).
-    scheme.sw.trim_threshold_bytes = 64 * 1024;
-    scheme.sw.control_weight = wrr_control_weight(kFanIn + 1, 1073.0 / 57.0, 4.0);
-  } else {
-    scheme.sw.max_data_queue_bytes = 64 * 1024;  // same shallow buffer
+    spec.opt.control_weight = wrr_control_weight(kFanIn + 1, 1073.0 / 57.0, 4.0);
   }
-  Star star = build_star(net, kFanIn + 1, scheme.sw);
-  apply_scheme(net, scheme);
+  for (int i = 0; i < kFanIn; ++i) spec.flows.push_back({i, kFanIn, 1024 * 1024, 256 * 1024});
+  spec.max_time = seconds(10);
+  SimWorld w(spec);
+  w.run_until_done();
 
-  for (int i = 0; i < kFanIn; ++i) {
-    FlowSpec spec;
-    spec.src = star.hosts[static_cast<std::size_t>(i)]->id();
-    spec.dst = star.hosts[kFanIn]->id();
-    spec.bytes = 1024 * 1024;
-    spec.msg_bytes = 256 * 1024;
-    net.start_flow(spec);
-  }
-  net.run_until_done(seconds(10));
-
+  const Network& net = w.net();
   StormResult r;
   r.all_done = net.all_flows_done();
   for (const FlowRecord& rec : net.records()) {

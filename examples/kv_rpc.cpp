@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "core/verbs.h"
-#include "harness/scheme.h"
+#include "harness/world.h"
 #include "stats/percentile.h"
-#include "topo/dumbbell.h"
 
 using namespace dcp;
 
@@ -29,13 +28,13 @@ struct Rpc {
 }  // namespace
 
 int main() {
-  Simulator sim;
-  Logger log(LogLevel::kError);
-  Network net(sim, log);
-
-  SchemeSetup scheme = make_scheme(SchemeKind::kDcp);
-  Star star = build_star(net, 5, scheme.sw);  // hosts 0-2 clients, 3 server, 4 noise
-  apply_scheme(net, scheme);
+  WorldSpec spec;  // DCP
+  spec.topo = TopoKind::kStar;
+  spec.star_hosts = 5;  // hosts 0-2 clients, 3 server, 4 noise
+  SimWorld w(spec);
+  Network& net = w.net();
+  Simulator& sim = net.sim();
+  const auto& hosts = net.hosts();
   verbs::Device dev(net);
 
   constexpr int kClients = 3;
@@ -52,12 +51,10 @@ int main() {
   std::vector<Rpc> rpcs(kClients);
   for (int c = 0; c < kClients; ++c) {
     rpcs[static_cast<std::size_t>(c)].to_server =
-        &dev.create_qp(star.hosts[static_cast<std::size_t>(c)]->id(), star.hosts[3]->id(),
-                       64 * 1024);
+        &dev.create_qp(hosts[static_cast<std::size_t>(c)]->id(), hosts[3]->id(), 64 * 1024);
     rpcs[static_cast<std::size_t>(c)].to_server->bind_srq(&server_srq);
     rpcs[static_cast<std::size_t>(c)].to_client =
-        &dev.create_qp(star.hosts[3]->id(), star.hosts[static_cast<std::size_t>(c)]->id(),
-                       64 * 1024);
+        &dev.create_qp(hosts[3]->id(), hosts[static_cast<std::size_t>(c)]->id(), 64 * 1024);
   }
 
   // Event-driven RPC loop: poll CQs every microsecond of simulated time.
@@ -99,10 +96,12 @@ int main() {
   };
   sim.schedule(microseconds(1), pump);
 
-  // Background elephant to perturb the fabric halfway through.
+  // Background elephant to perturb the fabric halfway through.  It is
+  // posted here, not as a spec flow, which SimWorld would create before
+  // the QPs' flows.
   FlowSpec noise;
-  noise.src = star.hosts[4]->id();
-  noise.dst = star.hosts[3]->id();
+  noise.src = hosts[4]->id();
+  noise.dst = hosts[3]->id();
   noise.bytes = 8ull * 1024 * 1024;
   noise.start_time = microseconds(300);
   net.start_flow(noise);

@@ -32,10 +32,15 @@ constexpr std::pair<const char*, WorkloadDist> kDists[] = {
     {"websearch", WorkloadDist::kWebSearch}, {"datamining", WorkloadDist::kDataMining}};
 constexpr std::pair<const char*, CollectiveKind> kCollectives[] = {
     {"allreduce", CollectiveKind::kAllReduce}, {"alltoall", CollectiveKind::kAllToAll}};
+constexpr std::pair<const char*, LbPolicy> kLbs[] = {
+    {"ecmp", LbPolicy::kEcmp},   {"adaptive", LbPolicy::kAdaptive},
+    {"spray", LbPolicy::kSpray}, {"flowlet", LbPolicy::kFlowlet},
+    {"source_path", LbPolicy::kSourcePath}};
 const auto& names_of(bool*) { return kBools; }
 const auto& names_of(CcConfig::Type*) { return kCcs; }
 const auto& names_of(WorkloadDist*) { return kDists; }
 const auto& names_of(CollectiveKind*) { return kCollectives; }
+const auto& names_of(LbPolicy*) { return kLbs; }
 
 template <typename E, std::size_t N>
 bool from_name(const std::string& v, const std::pair<const char*, E> (&names)[N], E* out) {
@@ -60,7 +65,7 @@ std::string to_name(E e, const std::pair<const char*, E> (&names)[N]) {
 
 /// The spec field a key reads and writes.
 using Ref = std::variant<std::uint64_t*, std::uint32_t*, int*, double*, Time*, bool*, SchemeKind*,
-                         CcConfig::Type*, WorkloadDist*, CollectiveKind*>;
+                         CcConfig::Type*, WorkloadDist*, CollectiveKind*, LbPolicy*>;
 
 struct Key {
   const char* name;
@@ -73,6 +78,9 @@ struct Key {
   bool (*shown)(const WorldSpec& s) = nullptr;
   int lo = 0, hi = std::numeric_limits<int>::max();  // integer range
   bool positive = false;  // doubles: must be > 0
+  /// world_text writes the key only when it is off WorldSpec{}'s value, so
+  /// worlds that leave it alone keep their text and fingerprint.
+  bool sparse = false;
   /// Time keys: the unit of a bare number, from the name's _ms or _us.
   Time unit() const {
     return std::string_view(name).ends_with("_ms") ? kMillisecond : kMicrosecond;
@@ -102,6 +110,28 @@ const Key kKeys[] = {
     {"fec_m", [](WorldSpec& s) -> Ref { return &s.opt.fec_m; }, {}, {}, 1, 256},
     {"fec_stream_window_bytes", [](WorldSpec& s) -> Ref { return &s.opt.fec_stream_window_bytes; }},
     {"fec_nack_delay_us", [](WorldSpec& s) -> Ref { return &s.opt.fec_nack_delay; }},
+    {.name = "data_queue_bytes",
+     .ref = [](WorldSpec& s) -> Ref { return &s.opt.data_queue_bytes; },
+     .lo = 1,
+     .sparse = true},
+    {.name = "buffer_bytes",
+     .ref = [](WorldSpec& s) -> Ref { return &s.opt.buffer_bytes; },
+     .lo = 1,
+     .sparse = true},
+    {.name = "control_weight",
+     .ref = [](WorldSpec& s) -> Ref { return &s.opt.control_weight; },
+     .positive = true,
+     .sparse = true},
+    // Unset, the scheme picks its own policy; reading the key sets it.
+    {"lb", [](WorldSpec& s) -> Ref { return &s.opt.lb.emplace(s.opt.lb.value_or(LbPolicy{})); },
+     {}, [](const WorldSpec& s) { return s.opt.lb.has_value(); }},
+    {.name = "retrans_batch",
+     .ref = [](WorldSpec& s) -> Ref { return &s.opt.retrans_batch; },
+     .lo = 1,
+     .sparse = true},
+    {.name = "pcie_rtt_us",
+     .ref = [](WorldSpec& s) -> Ref { return &s.opt.pcie_rtt; },
+     .sparse = true},
     {"spines", [](WorldSpec& s) -> Ref { return &s.clos.spines; }, kClos, {}, 1},
     {"leaves", [](WorldSpec& s) -> Ref { return &s.clos.leaves; }, kClos, {}, 1},
     {"hosts_per_leaf", [](WorldSpec& s) -> Ref { return &s.clos.hosts_per_leaf; }, kClos, {}, 1},
@@ -114,6 +144,8 @@ const Key kKeys[] = {
     {"wan_loss_rate", [](WorldSpec& s) -> Ref { return &s.wan.wan_loss_rate; }, kWan},
     {"loss_rate", [](WorldSpec& s) -> Ref { return &s.loss_rate; }, kTestbed},
     {"ratio", nullptr, kTestbed},  // the two cross links, 1 : 1/ratio
+    {"star_hosts", [](WorldSpec& s) -> Ref { return &s.star_hosts; }, TopoKind::kStar, {}, 2},
+    {"back_to_back", nullptr, TopoKind::kBackToBack},  // takes only yes
     {"flow_bytes"},
     {"flows", [](WorldSpec& s) -> Ref { return &s.poisson_flows; }},
     {"load", [](WorldSpec& s) -> Ref { return &s.load; }, {}, poisson, 0, 0, true},
@@ -122,6 +154,11 @@ const Key kKeys[] = {
     {"incast_fan_in", [](WorldSpec& s) -> Ref { return &s.incast.fan_in; }, {}, incast, 1},
     {"incast_load", [](WorldSpec& s) -> Ref { return &s.incast.load; }, {}, incast, 0, 0, true},
     {"incast_bytes", [](WorldSpec& s) -> Ref { return &s.incast.bytes_per_sender; }, {}, incast},
+    {.name = "incast_bursts",
+     .ref = [](WorldSpec& s) -> Ref { return &s.incast.bursts; },
+     .shown = incast,
+     .lo = 1,
+     .sparse = true},
     {"collective_kind", [](WorldSpec& s) -> Ref { return &s.collective; }, {}, collectives},
     {"groups", [](WorldSpec& s) -> Ref { return &s.groups; }, {}, collectives, 1},
     // A group needs a second member to send to.
@@ -143,7 +180,9 @@ std::string read_value(const Key& k, WorldSpec& s, const std::string& v) {
         using T = std::remove_pointer_t<decltype(f)>;
         int i = 0;
         if constexpr (std::is_same_v<T, std::uint64_t>) {
-          return parse_uint(v, f) ? "" : bad;
+          if (!parse_uint(v, f)) return bad;
+          const bool low = *f < static_cast<std::uint64_t>(k.lo);
+          return low ? key + " must be >= " + std::to_string(k.lo) : "";
         } else if constexpr (std::is_same_v<T, int> || std::is_same_v<T, std::uint32_t>) {
           if (!parse_int(v, &i)) return bad;
           if (std::string e = in_range(i); !e.empty()) return e;
@@ -201,7 +240,8 @@ std::string write_value(const Key& k, WorldSpec& s) {
       k.ref(s));
 }
 
-constexpr const char* kTopoNames[] = {"testbed", "Clos", "fat-tree", "WAN"};  // by TopoKind
+constexpr const char* kTopoNames[] = {"testbed", "Clos", "fat-tree", "WAN", "star",
+                                      "back-to-back cable"};  // by TopoKind
 
 /// `flow src=0 dst=1 bytes=4096 msg=0 start=1us`; returns "" on success.
 std::string read_flow(const std::string& line, WorldFlow* f) {
@@ -314,6 +354,7 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
     std::string err;
     double ratio = 0;
     std::uint64_t bytes = 0;
+    bool yes = false;
     if (e.key->ref != nullptr) {
       err = read_value(*e.key, s, e.val);
     } else if (name == "flow_bytes") {
@@ -324,6 +365,10 @@ std::optional<ExperimentConfig> parse_experiment_config(const std::string& text,
       if (!parse_double(e.val, &ratio)) err = "bad numeric value '" + e.val + "' for 'ratio'";
       else if (ratio <= 0) err = "ratio must be > 0";
       else s.testbed.cross_links = unequal_cross_links(ratio);
+    } else if (name == "back_to_back") {
+      // The key selects the topology; `no` would select nothing.
+      if (!from_name(e.val, kBools, &yes)) err = "unknown back_to_back '" + e.val + "'";
+      else if (!yes) err = "back_to_back takes only yes; leave it out for another topology";
     }
     if (err.empty() && s.opt.fec_k + s.opt.fec_m > 256) err = "fec_k + fec_m must be <= 256";
     if (err.empty() && name == "fattree_k" && s.fattree.k % 2 != 0) err = "fattree_k must be even";
@@ -395,14 +440,18 @@ std::optional<ExperimentConfig> load_experiment_config(const std::string& path,
 
 std::string world_text(const WorldSpec& spec) {
   WorldSpec s = spec;  // the key table's field references are mutable
+  WorldSpec defaults;
   std::string out;
   for (const Key& k : kKeys) {
     if ((k.topo && *k.topo != s.topo) || (k.shown && !k.shown(s))) continue;
     if (k.ref != nullptr) {
-      out += std::string(k.name) + " = " + write_value(k, s) + "\n";
+      const std::string v = write_value(k, s);
+      if (!k.sparse || v != write_value(k, defaults)) out += std::string(k.name) + " = " + v + "\n";
     } else if (std::string_view(k.name) == "ratio") {
       const std::optional<double> r = links_ratio(s.testbed.cross_links);
       if (r) out += "ratio = " + double_to_str(*r) + "\n";
+    } else if (std::string_view(k.name) == "back_to_back") {
+      out += "back_to_back = yes\n";
     }
   }
   for (const WorldFlow& f : s.flows) {

@@ -14,15 +14,15 @@
 //
 // `experiment` picks the readout and the preset world every other key
 // overrides (experiment_world in harness/experiment.h).  A topology key
-// (spines, fattree_k, regions, loss_rate, ...) switches the world to its
-// topology, and keys of two topologies in one file fail.  `flow` lines
-// replace the experiment's own flows, which `flow_bytes` sizes instead; an
-// experiment that reads its own flows takes as many flow lines as it has
-// flows.  `dst=across` is host `src` across the fabric.  Time keys take a
-// bare number in their unit or a number with a unit (`max_time_ms =
-// 1562.5us`).  Without `injector_seed` the injector's seed derives from
-// `seed`.  A `[scheme]` header may group the scheme keys; every key is
-// valid in every section but [faults].
+// (spines, fattree_k, regions, loss_rate, star_hosts, ...) switches the
+// world to its topology, and keys of two topologies in one file fail.
+// `flow` lines replace the experiment's own flows, which `flow_bytes`
+// sizes instead; an experiment that reads its own flows takes as many flow
+// lines as it has flows.  `dst=across` is host `src` across the fabric.
+// Time keys take a bare number in their unit or a number with a unit
+// (`max_time_ms = 1562.5us`).  Without `injector_seed` the injector's seed
+// derives from `seed`.  A `[scheme]` header may group the scheme keys;
+// every key is valid in every section but [faults].
 
 #include <optional>
 #include <string>

@@ -66,9 +66,14 @@ SchemeSetup make_scheme(SchemeKind kind, const SchemeOptions& opt) {
   s.tcfg.dcp_msg_timeout = opt.dcp_msg_timeout;
   s.tcfg.cc.line_rate = opt.line_rate;
   s.tcfg.cc.window_bytes = bdp;
+  s.tcfg.retrans_batch = opt.retrans_batch;
+  s.tcfg.pcie_rtt = opt.pcie_rtt;
 
-  // Switch defaults.
+  // Switch defaults.  The switch reads the one depth the scheme's mode
+  // uses: the trim threshold when trimming, the tail-drop depth when lossy.
   s.sw.buffer_bytes = opt.buffer_bytes;
+  s.sw.trim_threshold_bytes = s.sw.max_data_queue_bytes = opt.data_queue_bytes;
+  s.sw.control_weight = opt.control_weight;
 
   auto enable_dcqcn = [&](std::uint64_t window) {
     s.tcfg.cc.type = opt.cc_type;
@@ -155,6 +160,7 @@ SchemeSetup make_scheme(SchemeKind kind, const SchemeOptions& opt) {
       if (opt.with_cc) enable_dcqcn(2 * bdp);
       break;
   }
+  if (opt.lb) s.sw.lb = *opt.lb;
   return s;
 }
 

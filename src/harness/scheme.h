@@ -51,6 +51,14 @@ struct SchemeOptions {
   Bandwidth line_rate = Bandwidth::gbps(100);
   Time base_rtt = microseconds(8);    // for BDP window sizing
   std::uint64_t buffer_bytes = 32ull * 1024 * 1024;
+  // Egress data-queue depth: a trimming switch trims above it, a lossy one
+  // tail-drops (PFC switches pause instead).  DCP+DCQCN marks ECN at 1/5
+  // and 4/5 of it.
+  std::uint64_t data_queue_bytes = 1024 * 1024;
+  double control_weight = 4.0;         // WRR control:data weight (§4.2)
+  std::optional<LbPolicy> lb;          // unset: the scheme's own policy
+  std::uint32_t retrans_batch = 16;    // RetransQ entries per PCIe fetch (§4.3)
+  Time pcie_rtt = microseconds(1);     // host-memory round trip of one fetch
   Time rto_high = microseconds(320);
   Time rto_low = microseconds(100);
   Time dcp_msg_timeout = milliseconds(1);  // scale with RTT in cross-DC runs

@@ -8,6 +8,7 @@
 
 #include "harness/config.h"
 #include "harness/sweep.h"
+#include "topo/dumbbell.h"
 #include "workload/flowgen.h"
 
 namespace dcp {
@@ -44,12 +45,19 @@ WorldSpec::Shape WorldSpec::shape() const {
               fattree.link};
     case TopoKind::kWan:
       return {wan.regions * wan.hosts_per_region, wan.hosts_per_region, wan.regions, wan.host_link};
+    case TopoKind::kStar:
+      return {star_hosts, star_hosts / 2, 1, Bandwidth::gbps(100)};
+    case TopoKind::kBackToBack:
+      return {2, 1, 1, Bandwidth::gbps(100)};
   }
   return {};
 }
 
 std::string WorldSpec::identity() const {
-  // The text, then the fields that have no text form, in this order.
+  // The text, then the fields that have no text form, in this order.  The
+  // buffer size and incast bursts also have keys, written only off their
+  // defaults; they stay listed so a world that leaves them at their
+  // defaults keeps its fingerprint.
   std::string out = world_text(*this) + "#";
   for (const std::int64_t v :
        {static_cast<std::int64_t>(topo), std::int64_t{testbed.hosts_per_switch},
@@ -142,6 +150,14 @@ SimWorld::SimWorld(const WorldSpec& spec) : spec_(spec) {
       wan.sw.max_data_queue_bytes = std::max(wan.sw.max_data_queue_bytes, 2 * bdp);
       wan_ = build_wan(*net_, wan);
       hosts_ = wan_.hosts;
+      break;
+    }
+    case TopoKind::kStar:
+      hosts_ = build_star(*net_, s.star_hosts, setup.sw).hosts;
+      break;
+    case TopoKind::kBackToBack: {
+      const BackToBack cable = build_back_to_back(*net_);
+      hosts_ = {cable.a, cable.b};
       break;
     }
   }

@@ -44,7 +44,9 @@ inline constexpr std::uint64_t kFlowMsgBytes = 4 * 1024 * 1024;
 /// Without an explicit `injector_seed`, the injector's seed is seed ^ tag.
 inline constexpr std::uint64_t kInjectorSeedTag = 0xfa017;
 
-enum class TopoKind { kTestbed, kClos, kFatTree, kWan };
+/// kStar (`star_hosts` hosts on one switch) and kBackToBack (two directly
+/// cabled hosts) are the perftest fixtures of topo/dumbbell.h.
+enum class TopoKind { kTestbed, kClos, kFatTree, kWan, kStar, kBackToBack };
 enum class WorkloadDist { kWebSearch, kDataMining };
 enum class CollectiveKind { kAllReduce, kAllToAll };
 
@@ -76,6 +78,7 @@ struct WorldSpec {
   ClosParams clos;
   FatTreeParams fattree;
   WanParams wan;
+  int star_hosts = 4;
   double loss_rate = 0.0;            // testbed: random loss at switch 1
   std::uint16_t sport_base = 10000;  // first UDP source port (ECMP draws)
 
@@ -110,8 +113,10 @@ struct WorldSpec {
   /// What the builder, the parser and the readouts need of the topology.
   struct Shape {
     int hosts;       // host count, in host-index order
-    int far;         // first host across the fabric: switch 2, last leaf or pod, region 1
-    int units;       // shard partition units: sides, leaves, pods or regions
+    int far;         // first host across the fabric: switch 2, last leaf or pod, region 1,
+                     // the star's or cable's second half
+    int units;       // shard partition units: sides, leaves, pods or regions (a star
+                     // or cable is one)
     Bandwidth rate;  // host link rate, which generated flows are sized against
   };
   Shape shape() const;

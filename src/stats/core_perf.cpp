@@ -5,7 +5,6 @@
 
 #include <sys/resource.h>
 
-#include "net/lane.h"
 #include "net/packet_pool.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
@@ -23,12 +22,6 @@ std::uint64_t peak_rss_bytes() {
 
 }  // namespace
 
-CorePerfTimer::CorePerfTimer(const Simulator& sim)
-    : sim_(&sim),
-      events_at_start_(sim.events_processed()),
-      pool_acquires_at_start_(PacketPool::local().stats().acquires),
-      wall_start_(std::chrono::steady_clock::now()) {}
-
 CorePerfTimer::CorePerfTimer(const ShardGroup& group)
     : group_(&group),
       events_at_start_(group.events_processed()),
@@ -38,22 +31,16 @@ CorePerfTimer::CorePerfTimer(const ShardGroup& group)
 CorePerf CorePerfTimer::finish() const {
   const PacketPool::Stats pool = PacketPool::local().stats();
   CorePerf p;
-  const std::uint64_t events =
-      group_ != nullptr ? group_->events_processed() : sim_->events_processed();
-  p.events_processed = events - events_at_start_;
+  p.events_processed = group_->events_processed() - events_at_start_;
   p.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start_).count();
   p.pool_acquires = pool.acquires - pool_acquires_at_start_;
   p.pool_slots = pool.slots;
-  p.event_slots = group_ != nullptr ? group_->sim(0).event_slots_allocated()
-                                    : sim_->event_slots_allocated();
+  p.event_slots = group_->sim(0).event_slots_allocated();
   // Absolute footprints, not deltas: slabs never shrink, so the post-run
   // value IS the run's high-water mark (workers published theirs at the
-  // last barrier; the serial case reads this thread's pools directly).
-  p.arena_bytes = group_ != nullptr
-                      ? group_->arena_bytes()
-                      : PacketPool::local().arena_bytes() + LanePool::local().arena_bytes() +
-                            sim_->event_arena_bytes();
+  // last barrier).
+  p.arena_bytes = group_->arena_bytes();
   p.peak_rss_bytes = peak_rss_bytes();
   return p;
 }

@@ -13,7 +13,6 @@
 
 namespace dcp {
 
-class Simulator;
 class ShardGroup;
 
 /// Events processed and wall-clock time of one simulation run, plus the
@@ -40,20 +39,18 @@ struct CorePerf {
 /// Measures a window of simulation: construct before run(), call finish()
 /// after — on the same thread, since the PacketPool counters it samples
 /// are thread-local.  Captures deltas so nested/partial runs compose.
+/// events_processed sums over every shard; the pool and slab counters
+/// remain the caller thread's (shard 0's) view, since other shards' pools
+/// are thread-local to their workers.
 class CorePerfTimer {
  public:
-  explicit CorePerfTimer(const Simulator& sim);
-  /// Group-wide window: events_processed sums over every shard; the pool
-  /// and slab counters remain the caller thread's (shard 0's) view, since
-  /// other shards' pools are thread-local to their workers.
   explicit CorePerfTimer(const ShardGroup& group);
 
   /// Stops the clock and returns the window's CorePerf.
   CorePerf finish() const;
 
  private:
-  const Simulator* sim_ = nullptr;
-  const ShardGroup* group_ = nullptr;
+  const ShardGroup* group_;
   std::uint64_t events_at_start_;
   std::uint64_t pool_acquires_at_start_;
   std::chrono::steady_clock::time_point wall_start_;

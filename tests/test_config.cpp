@@ -11,6 +11,7 @@
 
 #include "harness/config.h"
 #include "harness/scheme.h"
+#include "switch/scheduler.h"
 #include "topo/dumbbell.h"
 #include "workload/flowgen.h"
 
@@ -180,6 +181,17 @@ TEST(Config, RangeKeysFailClosed) {
        "bad flow entry 'start=-5us'"},
       // -1 is how the spec spells `across`; as a number it is no host.
       {"experiment = websearch\nflow src=0 dst=-1 bytes=10\n", "bad flow entry 'dst=-1'"},
+      // A zero depth, buffer, weight, batch or burst count builds a switch
+      // or sender that never moves data; a star needs two hosts.
+      {"experiment = websearch\ndata_queue_bytes = 0\n", "data_queue_bytes must be >= 1"},
+      {"experiment = websearch\nbuffer_bytes = 0\n", "buffer_bytes must be >= 1"},
+      {"experiment = websearch\ncontrol_weight = 0\n", "control_weight must be > 0"},
+      {"experiment = longflow\nretrans_batch = 0\n", "retrans_batch must be >= 1"},
+      {"experiment = websearch\nincast_bursts = 0\n", "incast_bursts must be >= 1"},
+      {"experiment = websearch\nlb = magic\n", "unknown lb 'magic'"},
+      {"experiment = websearch\nstar_hosts = 1\n", "star_hosts must be >= 2"},
+      // The key selects the cable; `no` selects nothing.
+      {"experiment = longflow\nback_to_back = no\n", "back_to_back takes only yes"},
   };
   for (const auto& c : cases) {
     std::string err;
@@ -195,6 +207,14 @@ TEST(Config, UnbuildableCombinationsFailClosed) {
   EXPECT_FALSE(parse_experiment_config("spines = 2\nregions = 3\n", &err).has_value());
   EXPECT_NE(err.find("line 2"), std::string::npos) << err;
   EXPECT_NE(err.find("'regions' describes a WAN, but line 1 describes a Clos"), std::string::npos)
+      << err;
+  EXPECT_FALSE(parse_experiment_config("spines = 2\nstar_hosts = 5\n", &err).has_value());
+  EXPECT_NE(err.find("line 2: 'star_hosts' describes a star, but line 1 describes a Clos"),
+            std::string::npos)
+      << err;
+  EXPECT_FALSE(parse_experiment_config("back_to_back = yes\nstar_hosts = 5\n", &err).has_value());
+  EXPECT_NE(err.find("line 2: 'star_hosts' describes a star, but line 1 describes a back-to-back"),
+            std::string::npos)
       << err;
   // flow_bytes sizes the experiment's own flows: none under websearch, and
   // explicit flow lines replace them.
@@ -286,7 +306,9 @@ TEST(Config, KeyListIsTheParsersKeyTable) {
   }
   for (const char* k : {"regions", "hosts_per_region", "wan_delay_ms", "wan_loss_rate", "scheme",
                         "fec_k", "fec_m", "fec_stream_window_bytes", "fec_nack_delay_us",
-                        "fattree_k", "injector_seed", "max_time_ms"}) {
+                        "fattree_k", "injector_seed", "max_time_ms", "data_queue_bytes",
+                        "buffer_bytes", "control_weight", "lb", "retrans_batch", "pcie_rtt_us",
+                        "star_hosts", "back_to_back", "incast_bursts"}) {
     EXPECT_NE(std::find(keys.begin(), keys.end(), k), keys.end()) << k;
   }
   std::string err;
@@ -325,6 +347,161 @@ TEST(Config, WorldTextRoundTripsEveryExperiment) {
       EXPECT_EQ(again->spec.testbed.cross_links, cfg->spec.testbed.cross_links) << kind;
       EXPECT_TRUE(again->spec == cfg->spec) << kind << "\n" << written;
     }
+  }
+}
+
+TEST(Config, SwitchTransportAndFixtureKeysParse) {
+  const char* text =
+      "experiment = websearch\n"
+      "[scheme]\n"
+      "data_queue_bytes = 65536\n"
+      "buffer_bytes = 1048576\n"
+      "control_weight = 0.25\n"
+      "lb = spray\n"
+      "retrans_batch = 4\n"
+      "pcie_rtt_us = 2\n"
+      "incast = true\n"
+      "incast_bursts = 3\n"
+      "star_hosts = 17\n";
+  std::string err;
+  auto cfg = parse_experiment_config(text, &err);
+  ASSERT_TRUE(cfg.has_value()) << err;
+  const WorldSpec& s = cfg->spec;
+  EXPECT_EQ(s.opt.data_queue_bytes, 65536u);
+  EXPECT_EQ(s.opt.buffer_bytes, 1048576u);
+  EXPECT_EQ(s.opt.control_weight, 0.25);
+  EXPECT_EQ(s.opt.lb, LbPolicy::kSpray);
+  EXPECT_EQ(s.opt.retrans_batch, 4u);
+  EXPECT_EQ(s.opt.pcie_rtt, microseconds(2));
+  EXPECT_EQ(s.incast.bursts, 3);
+  EXPECT_EQ(s.topo, TopoKind::kStar);
+  EXPECT_EQ(s.num_hosts(), 17);
+  // Across a star is the second half of its hosts.
+  cfg = parse_experiment_config("experiment = longflow\nstar_hosts = 6\n", &err);
+  ASSERT_TRUE(cfg.has_value()) << err;
+  EXPECT_EQ(cfg->spec.dst_of(cfg->spec.flows[0]), 3);
+  // The cable carries an experiment's own flow from host 0 to host 1.
+  cfg = parse_experiment_config("experiment = longflow\nback_to_back = yes\n", &err);
+  ASSERT_TRUE(cfg.has_value()) << err;
+  EXPECT_EQ(cfg->spec.topo, TopoKind::kBackToBack);
+  EXPECT_EQ(cfg->spec.dst_of(cfg->spec.flows[0]), 1);
+}
+
+TEST(Config, NewKeysAreWrittenOnlyWhenSet) {
+  // A world that leaves a key at its default writes no line for it, so
+  // every such world keeps its text and fingerprint; off the default, the
+  // key is written and reads back.
+  WorldSpec base = experiment_world(Experiment::kWebSearch);
+  base.with_incast = true;
+  const std::string plain = world_text(base);
+  const struct {
+    const char* line;
+    void (*set)(WorldSpec&);
+  } cases[] = {
+      {"data_queue_bytes = 65536\n", [](WorldSpec& s) { s.opt.data_queue_bytes = 65536; }},
+      {"buffer_bytes = 1048576\n", [](WorldSpec& s) { s.opt.buffer_bytes = 1048576; }},
+      {"control_weight = 0.25\n", [](WorldSpec& s) { s.opt.control_weight = 0.25; }},
+      {"lb = ecmp\n", [](WorldSpec& s) { s.opt.lb = LbPolicy::kEcmp; }},
+      {"retrans_batch = 4\n", [](WorldSpec& s) { s.opt.retrans_batch = 4; }},
+      {"pcie_rtt_us = 2\n", [](WorldSpec& s) { s.opt.pcie_rtt = microseconds(2); }},
+      {"incast_bursts = 3\n", [](WorldSpec& s) { s.incast.bursts = 3; }},
+      {"star_hosts = 17\n",
+       [](WorldSpec& s) {
+         s.topo = TopoKind::kStar;
+         s.star_hosts = 17;
+       }},
+      {"back_to_back = yes\n", [](WorldSpec& s) { s.topo = TopoKind::kBackToBack; }},
+  };
+  for (const auto& c : cases) {
+    const std::string key = std::string(c.line).substr(0, std::string(c.line).find(' '));
+    EXPECT_EQ(plain.find(key), std::string::npos) << key;
+    WorldSpec s = base;
+    c.set(s);
+    const std::string text = world_text(s);
+    EXPECT_NE(text.find(c.line), std::string::npos) << text;
+    auto again = parse_experiment_config(text);
+    ASSERT_TRUE(again.has_value()) << text;
+    EXPECT_EQ(again->spec.identity(), s.identity()) << text;
+  }
+  // Set back to its default, a key is again not written.
+  WorldSpec s = base;
+  s.opt.control_weight = SwitchConfig{}.control_weight;
+  s.incast.bursts = IncastParams{}.bursts;
+  EXPECT_EQ(world_text(s), plain);
+}
+
+TEST(Config, BenchCellsRoundTrip) {
+  // One cell of each bench that sets switch, transport or fixture fields,
+  // as the bench builds it at default scale, reads back as the same world.
+  std::vector<std::pair<const char*, WorldSpec>> cells;
+  WorldSpec fig8 = experiment_world(Experiment::kLongFlow);
+  fig8.topo = TopoKind::kBackToBack;
+  fig8.scheme = SchemeKind::kCx5;
+  fig8.flows[0].bytes = 64ull * 512 * 1024;
+  fig8.flows[0].msg_bytes = 512 * 1024;
+  fig8.max_time = seconds(1);
+  cells.emplace_back("fig8", fig8);
+  WorldSpec table5 = experiment_world(Experiment::kWebSearch);
+  table5.opt.with_cc = true;
+  table5.opt.control_weight = wrr_control_weight(16, 1073.0 / 57.0, 1.0);
+  table5.opt.data_queue_bytes = 64 * 1024;
+  table5.clos.hosts_per_leaf = 8;
+  table5.poisson_flows = 300;
+  table5.with_incast = true;
+  table5.incast.fan_in = 31;
+  table5.incast.bursts = 4;
+  table5.incast.load = 0.5;
+  table5.max_time = seconds(10);
+  cells.emplace_back("table5", table5);
+  WorldSpec trim = experiment_world(Experiment::kWebSearch);
+  trim.opt.data_queue_bytes = 256 * 1024;
+  trim.load = 0.5;
+  trim.poisson_flows = 400;
+  trim.with_incast = true;
+  trim.incast.fan_in = 12;
+  trim.incast.bursts = 8;
+  trim.incast.load = 0.05;
+  trim.incast.bytes_per_sender = 256 * 1024;
+  trim.max_time = seconds(5);
+  cells.emplace_back("trim", trim);
+  WorldSpec wrr = experiment_world(Experiment::kWebSearch);
+  wrr.opt.control_weight = wrr_control_weight(17, 1073.0 / 57.0, 4.0);
+  wrr.opt.data_queue_bytes = 32 * 1024;
+  wrr.opt.buffer_bytes = 1024 * 1024;
+  wrr.topo = TopoKind::kStar;
+  wrr.star_hosts = 17;
+  wrr.poisson_flows = 0;
+  for (int i = 0; i < 16; ++i) wrr.flows.push_back({i, 16, 4 * 1024 * 1024, 512 * 1024});
+  wrr.max_time = seconds(10);
+  cells.emplace_back("wrr", wrr);
+  WorldSpec retransq = experiment_world(Experiment::kLongFlow);
+  retransq.opt.retrans_batch = 8;
+  retransq.opt.pcie_rtt = microseconds(2);
+  retransq.loss_rate = 0.5;
+  retransq.flows[0].bytes = 20ull * 1000 * 1000;
+  retransq.max_time = seconds(2);
+  cells.emplace_back("retransq", retransq);
+  WorldSpec fattree = experiment_world(Experiment::kWebSearch);
+  fattree.scheme = SchemeKind::kIrn;
+  fattree.topo = TopoKind::kFatTree;
+  fattree.fattree.k = 4;
+  fattree.load = 0.5;
+  fattree.poisson_flows = 400;
+  fattree.max_time = seconds(10);
+  cells.emplace_back("fattree", fattree);
+  WorldSpec lb = experiment_world(Experiment::kWebSearch);
+  lb.scheme = SchemeKind::kIrn;
+  lb.opt.lb = LbPolicy::kSpray;
+  lb.load = 0.5;
+  lb.poisson_flows = 400;
+  lb.max_time = seconds(5);
+  cells.emplace_back("lb", lb);
+  for (const auto& [name, cell] : cells) {
+    const std::string text = world_text(cell);
+    std::string err;
+    auto cfg = parse_experiment_config(text, &err);
+    ASSERT_TRUE(cfg.has_value()) << name << ": " << err << "\n" << text;
+    EXPECT_EQ(cfg->spec.identity(), cell.identity()) << name << "\n" << text;
   }
 }
 

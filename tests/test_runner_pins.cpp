@@ -197,12 +197,7 @@ std::uint64_t websearch_hash(SimWorld& w) {
   return h.value();
 }
 
-// The one-flow pins keep the field sets they were recorded with: a WAN pin
-// skips the switch counters and fault tallies (no pinned WAN input has a
-// plan), and a testbed pin skips the violations (no pinned testbed input
-// arms the oracle).
 std::uint64_t flow_hash(SimWorld& w) {
-  const TopoKind topo = w.spec().topo;
   const FlowResult r = read_flow(w);
   Fnv64 h;
   h.f64(r.goodput_gbps);
@@ -210,13 +205,10 @@ std::uint64_t flow_hash(SimWorld& w) {
   h.i64(r.elapsed);
   hash_pod(h, r.sender);
   hash_pod(h, r.receiver);
-  if (topo == TopoKind::kWan) {
-    h.u64(r.wire_dropped);
-  } else {
-    hash_pod(h, r.sw);
-    hash_faults(h, r.fault_episodes, r.wire);
-  }
-  if (topo != TopoKind::kTestbed) hash_violations(h, r.violations);
+  hash_pod(h, r.sw);
+  hash_faults(h, r.fault_episodes, r.wire);
+  h.u64(r.wire_dropped);
+  hash_violations(h, r.violations);
   return h.value();
 }
 
@@ -253,18 +245,18 @@ const std::vector<Pin>& pins() {
       {"websearch_incast_faults", websearch_world(true, true), websearch_hash,
        0x243367097bff4745ull},
       {"longflow", long_flow_world(SchemeKind::kDcp, 0.0, false), flow_hash,
-       0xda76b83371f567f2ull},
+       0x8e7336a76de81472ull},
       {"longflow_loss_faults", long_flow_world(SchemeKind::kIrn, 0.01, true), flow_hash,
-       0x39f84d049f609adfull},
+       0xb3e884c0c7573a9full},
       {"unequal_paths", unequal_world(SchemeKind::kDcp, 4.0, 10000), unequal_hash,
        0x457d3d161b80038bull},
       {"unequal_paths_irn", unequal_world(SchemeKind::kIrn, 1.0, 10007), unequal_hash,
        0xdc8b32295547c863ull},
-      {"fault_drill", fault_drill_world(false), flow_hash, 0x16700a505b9d91cbull},
-      {"fault_drill_oracle", fault_drill_world(true), flow_hash, 0x16700a505b9d91cbull},
-      {"wanflow", wan_world(SchemeKind::kDcp, 0.0, false), flow_hash, 0x933f6f74ff761468ull},
+      {"fault_drill", fault_drill_world(false), flow_hash, 0xeb232bc765f9792bull},
+      {"fault_drill_oracle", fault_drill_world(true), flow_hash, 0xeb232bc765f9792bull},
+      {"wanflow", wan_world(SchemeKind::kDcp, 0.0, false), flow_hash, 0x225b4234f0e31f88ull},
       {"wanflow_lossy_oracle", wan_world(SchemeKind::kFec, 0.02, true), flow_hash,
-       0x693a7771b3d38330ull},
+       0x16a0bad25f0d593dull},
       {"allreduce_clos", collective_world(CollectiveKind::kAllReduce, true), collective_hash,
        0x48e54bdbc2cbe9c8ull},
       {"alltoall_clos", collective_world(CollectiveKind::kAllToAll, true), collective_hash,

@@ -1,9 +1,8 @@
-// Unit tests for percentile estimation, FCT bucketing and goodput math.
+// Unit tests for percentile estimation and FCT bucketing.
 
 #include <gtest/gtest.h>
 
 #include "stats/fct_stats.h"
-#include "stats/goodput.h"
 #include "stats/percentile.h"
 
 namespace dcp {
@@ -96,18 +95,6 @@ TEST(FctStats, DefaultEdgesMatchPaperAxis) {
   EXPECT_EQ(e.front(), 3'000u);
   EXPECT_EQ(e.back(), 29'995'000u);
   EXPECT_EQ(e.size(), 20u);
-}
-
-TEST(Goodput, ComputesFromRecord) {
-  FlowRecord r = fake_record(12'500'000, milliseconds(1));  // 12.5 MB in 1 ms = 100 Gb/s
-  EXPECT_NEAR(flow_goodput_gbps(r), 100.0, 0.01);
-  EXPECT_NEAR(flow_rx_goodput_gbps(r), 100.0, 0.01);
-}
-
-TEST(Goodput, ZeroForIncomplete) {
-  FlowRecord r = fake_record(1000, milliseconds(1));
-  r.tx_done = -1;
-  EXPECT_DOUBLE_EQ(flow_goodput_gbps(r), 0.0);
 }
 
 }  // namespace
